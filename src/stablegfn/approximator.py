@@ -36,7 +36,7 @@ class ParamVector:
             if name in self._layout:
                 raise ValueError(f"duplicate parameter slice {name!r}")
             self._layout[name] = (total, tuple(shape))
-            total += int(np.prod(shape)) if shape else 1
+            total += int(np.prod(shape))
         self.size = total
         self.values = np.zeros(total)
         self.grads = np.zeros(total)
@@ -47,18 +47,15 @@ class ParamVector:
 
     def slice_bounds(self, name: str) -> Tuple[int, int]:
         off, shape = self._layout[name]
-        n = int(np.prod(shape)) if shape else 1
-        return off, off + n
+        return off, off + int(np.prod(shape))
 
     def view(self, name: str) -> np.ndarray:
-        off, shape = self._layout[name]
-        n = int(np.prod(shape)) if shape else 1
-        return self.values[off:off + n].reshape(shape)
+        lo, hi = self.slice_bounds(name)
+        return self.values[lo:hi].reshape(self._layout[name][1])
 
     def grad_view(self, name: str) -> np.ndarray:
-        off, shape = self._layout[name]
-        n = int(np.prod(shape)) if shape else 1
-        return self.grads[off:off + n].reshape(shape)
+        lo, hi = self.slice_bounds(name)
+        return self.grads[lo:hi].reshape(self._layout[name][1])
 
     def zero_grad(self) -> None:
         self.grads[:] = 0.0
@@ -290,10 +287,11 @@ def save_checkpoint(
         "params": {name: _encode_array(params.view(name)) for name in params.names},
     }
     if optimizer is not None:
+        state = optimizer.state_dict()
         doc["optimizer"] = {
-            "step_count": optimizer.step_count,
-            "m": _encode_array(optimizer.m),
-            "v": _encode_array(optimizer.v),
+            "step_count": state["step_count"],
+            "m": _encode_array(state["m"]),
+            "v": _encode_array(state["v"]),
         }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

@@ -9,18 +9,21 @@ Bound families
   * a Monte-Carlo estimator for the fidelity trade-off factor.
 
 All reported bounds are clamped to [0, 1]; the raw value is kept alongside.
+Reference flows come from ``losses.reference_flow_log_deltas``, the one
+implementation of the formula; :func:`delta_ratios` only rescales them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .envs import DagEnv, true_partition
+from .losses import reference_flow_log_deltas
 from .policy import Trajectory
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -30,9 +33,11 @@ class ReferenceConditionError(ValueError):
     """The max flow ratio is too large for the requested threshold."""
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_samples(m: int, n: int, alpha: float) -> None:
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
+    if m < 1 or n < 1:
+        raise ValueError("need at least one sample on each side")
 
 
 def tv_bound_from_loss(threshold: float, scope: str = "trajectory",
@@ -60,9 +65,7 @@ def pac_tv_bound(threshold: float, m: int, n: int, alpha: float) -> float:
     trajectories had loss at most threshold**2; holds with confidence
     1 - 2*alpha.  Clamped to [0, 1].
     """
-    _check_alpha(alpha)
-    if m < 1 or n < 1:
-        raise ValueError("need at least one sample on each side")
+    _check_samples(m, n, alpha)
     raw = math.expm1(2.0 * threshold) + math.log(1.0 / alpha) / m + math.log(1.0 / alpha) / n
     return min(1.0, max(0.0, raw))
 
@@ -91,9 +94,7 @@ def reference_main_term(threshold: float, max_ratio: float) -> float:
 def pac_tv_bound_with_reference(threshold: float, max_ratio: float, m: int, n: int,
                                 alpha: float) -> float:
     """Reference-flow sampling certificate; reduces to pac_tv_bound at max_ratio 0."""
-    _check_alpha(alpha)
-    if m < 1 or n < 1:
-        raise ValueError("need at least one sample on each side")
+    _check_samples(m, n, alpha)
     raw = (
         reference_main_term(threshold, max_ratio)
         + math.log(1.0 / alpha) / m
@@ -166,18 +167,8 @@ def records_from_trajectories(trajs: Sequence[Trajectory], logz: float) -> Tuple
 
 def delta_ratios(log_model: np.ndarray, log_target: np.ndarray, threshold: float) -> np.ndarray:
     """Vectorized delta(tau)/target-flow at a given threshold (0 where capped)."""
-    r = log_model - log_target
-    out = np.zeros_like(r)
-    if threshold == 0.0:
-        out[np.abs(r) > 0] = math.inf
-        return out
-    em1 = math.expm1(threshold)
-    hi = r > threshold
-    lo = r < -threshold
     with np.errstate(over="ignore"):
-        out[hi] = (np.exp(r[hi]) - math.exp(threshold)) / em1
-        out[lo] = -np.expm1(threshold + r[lo]) / em1
-    return out
+        return np.exp(reference_flow_log_deltas(log_model, log_target, threshold) - log_target)
 
 
 def _objective(log_model: np.ndarray, log_target: np.ndarray, threshold: float,
@@ -247,11 +238,9 @@ def optimize_certificate(
     to the largest observed root-loss; a coarse pre-scan guards against
     non-unimodal stretches before golden-section refinement.
     """
-    _check_alpha(alpha)
     t0 = time.perf_counter()
     m, n = len(backward[0]), len(forward[0])
-    if m < 1 or n < 1:
-        raise ValueError("need at least one sample on each side")
+    _check_samples(m, n, alpha)
     log_model = np.concatenate([backward[0], forward[0]])
     log_target = np.concatenate([backward[1], forward[1]])
 
@@ -278,27 +267,14 @@ def optimize_certificate(
         if vals[i] < best_v:
             best_c = float(grid[i])
 
-    raw, max_ratio, main = _objective(log_model, log_target, best_c, m, n, alpha)
-    report = CertificateReport(
-        theorem="pac-reference",
-        bound=min(1.0, max(0.0, raw)) if math.isfinite(raw) else 1.0,
-        raw_bound=raw,
-        threshold=best_c,
-        m=m,
-        n=n,
-        alpha=alpha,
-        scope=scope,
-        max_ratio=max_ratio,
-        main_term=main,
-        condition_violated=not math.isfinite(raw),
-        search={
-            "lo": c_lo,
-            "hi": c_hi,
-            "iterations": iters if c_lo < c_hi else 0,
-            "prescan": [[float(a), None if math.isinf(v) else float(v)] for a, v in trace],
-        },
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    report = bound_at_threshold(backward, forward, best_c, alpha, scope)
+    report.search = {
+        "lo": c_lo,
+        "hi": c_hi,
+        "iterations": iters,
+        "prescan": [[float(a), None if math.isinf(v) else float(v)] for a, v in trace],
+    }
+    report.wall_clock_s = time.perf_counter() - t0
     return report
 
 
@@ -310,11 +286,9 @@ def bound_at_threshold(
     scope: str = "global",
 ) -> CertificateReport:
     """Reference-flow certificate at a fixed threshold (no search); cheap."""
-    _check_alpha(alpha)
     t0 = time.perf_counter()
     m, n = len(backward[0]), len(forward[0])
-    if m < 1 or n < 1:
-        raise ValueError("need at least one sample on each side")
+    _check_samples(m, n, alpha)
     log_model = np.concatenate([backward[0], forward[0]])
     log_target = np.concatenate([backward[1], forward[1]])
     raw, max_ratio, main = _objective(log_model, log_target, threshold, m, n, alpha)
@@ -421,8 +395,6 @@ class ContrastSummary:
 
     aggregate: float                      # contrast over the whole terminal set
     worst_singleton: float                # min over single promoted states
-    per_subset: Dict[str, float] = field(default_factory=dict)
-    local_partitions: Dict[str, float] = field(default_factory=dict)
 
 
 def contrast_ratio(env_prev: DagEnv, added: Dict[int, float], subset: Sequence[int]) -> float:
@@ -432,14 +404,19 @@ def contrast_ratio(env_prev: DagEnv, added: Dict[int, float], subset: Sequence[i
     return z_y / (z_y + extra)
 
 
-def contrast_summary(env_prev: DagEnv, added: Dict[int, float]) -> ContrastSummary:
-    xs = [int(x) for x in env_prev.terminating_states]
-    aggregate = contrast_ratio(env_prev, added, xs)
+def _worst_singleton_contrast(env_prev: DagEnv, added: Dict[int, float]) -> float:
+    """Smallest single-state contrast r / (r + extra); 1 when nothing is added."""
     worst = 1.0
     for x, extra in added.items():
         r = env_prev.reward(int(x))
         worst = min(worst, r / (r + extra))
-    return ContrastSummary(aggregate=aggregate, worst_singleton=worst)
+    return worst
+
+
+def contrast_summary(env_prev: DagEnv, added: Dict[int, float]) -> ContrastSummary:
+    xs = [int(x) for x in env_prev.terminating_states]
+    return ContrastSummary(aggregate=contrast_ratio(env_prev, added, xs),
+                           worst_singleton=_worst_singleton_contrast(env_prev, added))
 
 
 def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[float, float, Optional[float]]:
@@ -472,8 +449,4 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
 def loss_supremum(env_prev: DagEnv, added: Dict[int, float]) -> float:
     """Worst-case loss after an incremental change: squared log of the smallest
     single-state contrast ratio."""
-    worst = 1.0
-    for x, extra in added.items():
-        r = env_prev.reward(int(x))
-        worst = min(worst, r / (r + extra))
-    return math.log(worst) ** 2
+    return math.log(_worst_singleton_contrast(env_prev, added)) ** 2

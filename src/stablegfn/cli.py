@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -22,6 +21,7 @@ from .approximator import load_checkpoint, save_checkpoint
 from .envs import DagEnv
 from .policy import (
     PolicyModel,
+    proportional_draw,
     read_trajectory_log,
     sample_backward_batch,
     sample_forward_batch,
@@ -35,27 +35,22 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def restore_model(doc: Dict, env: DagEnv) -> PolicyModel:
-    meta = doc["model"]
-    model = PolicyModel.build(
-        env,
-        kind=meta["kind"],
-        hidden=meta["hidden"],
-        learn_backward=meta["learn_backward"],
-        flow_head=meta["flow_head"],
-    )
-    for name in model.params.names:
-        model.params.view(name)[...] = doc["params"][name]
+    """The model a checkpoint holds: its recorded build arguments, then its parameters."""
+    model = PolicyModel.build(env, **doc["model"])
+    model.params.load_state_dict(doc["params"])
     return model
 
 
-def _load_model_for(checkpoint: str, resolved: Dict):
+def _load_model_for(args: argparse.Namespace):
+    """(resolved config, env, model) for a command's ``--config`` and ``--checkpoint``."""
+    resolved = config_mod.load_config(args.config)
     env = config_mod.build_env(resolved)
-    doc = load_checkpoint(checkpoint)
+    doc = load_checkpoint(args.checkpoint)
     if doc["env"] != env.describe():
         raise config_mod.ConfigError(
             "checkpoint was trained on a different environment than the config"
         )
-    return env, restore_model(doc, env)
+    return resolved, env, restore_model(doc, env)
 
 
 def _draw_certification_samples(model: PolicyModel, env: DagEnv, scope: List[int],
@@ -63,10 +58,7 @@ def _draw_certification_samples(model: PolicyModel, env: DagEnv, scope: List[int
     rng_b = rng_for(seed, "cli.cert.backward")
     rng_f = rng_for(seed, "cli.cert.forward")
     scope_arr = np.array(sorted(scope), dtype=np.int64)
-    rewards = env.reward_table[scope_arr]
-    c = np.cumsum(rewards)
-    u = rng_b.random(m) * c[-1]
-    xs = scope_arr[np.minimum(np.searchsorted(c, u, side="right"), len(scope_arr) - 1)]
+    xs = scope_arr[proportional_draw(rng_b, env.reward_table[scope_arr], m)]
     bwd = sample_backward_batch(model, env, rng_b, xs)
     fwd = sample_forward_batch(model, env, rng_f, n)
     return bwd, fwd
@@ -96,7 +88,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         env.describe(),
     )
 
-    scope = trainer._certification_scope()
+    scope = trainer.certification_scope()
     if state.round > 0 and scope:
         bwd, fwd = _draw_certification_samples(
             model, env, scope, train_cfg.cert_m, train_cfg.cert_n, train_cfg.seed
@@ -122,8 +114,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.alpha is not None and not 0.0 < args.alpha < 0.5:
         return _fail(f"alpha must be in (0, 0.5), got {args.alpha}")
     try:
-        resolved = config_mod.load_config(args.config)
-        env, model = _load_model_for(args.checkpoint, resolved)
+        resolved, env, model = _load_model_for(args)
     except (config_mod.ConfigError, OSError, ValueError) as exc:
         return _fail(str(exc))
     alpha = args.alpha if args.alpha is not None else (1.0 - resolved["train"]["confidence"]) / 2.0
@@ -158,8 +149,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.samples < 1:
         return _fail("need at least one evaluation sample")
     try:
-        resolved = config_mod.load_config(args.config)
-        env, model = _load_model_for(args.checkpoint, resolved)
+        resolved, env, model = _load_model_for(args)
     except (config_mod.ConfigError, OSError, ValueError) as exc:
         return _fail(str(exc))
     rng = rng_for(resolved["seed"], "cli.evaluate")

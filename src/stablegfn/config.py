@@ -8,14 +8,14 @@ emitted ``resolved_config.json`` reproduces the run exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-import numpy as np
 import yaml
 
-from .envs import DagEnv, Hypergrid, OneMoreMode, RegularTree, hypergrid_default_r0, make_env
+from .envs import ENV_DEFAULTS, DagEnv, hypergrid_default_r0, make_env
 from .policy import PolicyModel
 from .trainer import TrainConfig, rng_for
 
@@ -42,42 +42,40 @@ def _check_keys(section: Dict, allowed: List[str], where: str) -> None:
 
 def _resolve_env(section: Dict) -> Dict:
     kind = _require(section, "kind", "env")
+    if kind not in ENV_DEFAULTS:
+        raise ConfigError(f"unknown env kind {kind!r}")
+    merged = {**ENV_DEFAULTS[kind], **section}
     if kind == "tree":
         _check_keys(section, ["kind", "branching", "depth", "leaf_rewards"], "env")
-        out = {
+        rewards = merged["leaf_rewards"]
+        return {
             "kind": "tree",
             "branching": int(_require(section, "branching", "env")),
             "depth": int(_require(section, "depth", "env")),
-            "leaf_rewards": section.get("leaf_rewards"),
+            "leaf_rewards": None if rewards is None else [float(r) for r in rewards],
         }
-        if out["leaf_rewards"] is not None:
-            out["leaf_rewards"] = [float(r) for r in out["leaf_rewards"]]
-        return out
     if kind == "hypergrid":
         _check_keys(section, ["kind", "dimension", "side", "r0", "r1", "r2"], "env")
         side = int(_require(section, "side", "env"))
-        r0 = section.get("r0")
+        r0 = merged["r0"]
         return {
             "kind": "hypergrid",
             "dimension": int(_require(section, "dimension", "env")),
             "side": side,
             "r0": hypergrid_default_r0(side) if r0 is None else float(r0),
-            "r1": float(section.get("r1", 0.5)),
-            "r2": float(section.get("r2", 2.0)),
+            "r1": float(merged["r1"]),
+            "r2": float(merged["r2"]),
         }
-    if kind == "one_more_mode":
-        _check_keys(section, ["kind", "branching", "depth", "epsilon", "stage"], "env")
-        stage = section.get("stage", "new")
-        if stage not in ("prev", "new"):
-            raise ConfigError("env.stage must be 'prev' or 'new'")
-        return {
-            "kind": "one_more_mode",
-            "branching": int(_require(section, "branching", "env")),
-            "depth": int(_require(section, "depth", "env")),
-            "epsilon": float(_require(section, "epsilon", "env")),
-            "stage": stage,
-        }
-    raise ConfigError(f"unknown env kind {kind!r}")
+    _check_keys(section, ["kind", "branching", "depth", "epsilon", "stage"], "env")
+    if merged["stage"] not in ("prev", "new"):
+        raise ConfigError("env.stage must be 'prev' or 'new'")
+    return {
+        "kind": "one_more_mode",
+        "branching": int(_require(section, "branching", "env")),
+        "depth": int(_require(section, "depth", "env")),
+        "epsilon": float(_require(section, "epsilon", "env")),
+        "stage": merged["stage"],
+    }
 
 
 def _resolve_model(section: Dict, objective: str, stabilize: bool) -> Dict:
@@ -104,13 +102,8 @@ def _resolve_model(section: Dict, objective: str, stabilize: bool) -> Dict:
     }
 
 
-_TRAIN_KEYS = [
-    "objective", "stabilize", "tv_target", "confidence", "patience", "buffer_size",
-    "batch_size", "ema_beta", "epsilon", "learning_rate", "logz_lr_mult",
-    "max_grad_norm", "replay_size", "replay_batch", "max_rounds", "threshold_agg",
-    "backward_source", "backward_in_gradient", "cert_m", "cert_n", "subtb_lambda",
-    "oracle_every",
-]
+# every TrainConfig field but the seed, which is a top-level key
+_TRAIN_KEYS = [f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
 
 
 def _resolve_train(section: Dict, seed: int) -> Dict:

@@ -18,6 +18,14 @@ import numpy as np
 # sampling-based paths instead.
 DEFAULT_STATE_CAP = 2_000_000
 
+# Defaults of the optional environment config keys, per kind: make_env fills
+# them in, and config.resolve writes them into the resolved config.
+ENV_DEFAULTS: Dict[str, Dict[str, object]] = {
+    "tree": {"leaf_rewards": None},
+    "hypergrid": {"r0": None, "r1": 0.5, "r2": 2.0},
+    "one_more_mode": {"stage": "new"},
+}
+
 
 class EnumerationCapError(RuntimeError):
     """Raised when an exact computation is requested on too large a graph."""
@@ -33,6 +41,15 @@ class DagEnv:
     """
 
     kind = "dag"
+    # Everything __init__ derives from the edge list alone; environments that
+    # differ only in their rewards share these (see OneMoreMode).
+    GRAPH_ATTRS = (
+        "num_states", "initial_state", "sink", "feature_dim", "num_edges",
+        "edge_src", "edge_dst", "edge_fslot", "edge_bslot", "num_forward_slots",
+        "num_backward_slots", "child_matrix", "parent_matrix", "edge_index_fwd",
+        "forward_mask", "backward_mask", "_children", "_parents", "_in_edges",
+        "_out_edges", "topological_order",
+    )
 
     def __init__(
         self,
@@ -92,19 +109,13 @@ class DagEnv:
         self.terminating_mask = term
         self.terminating_states = np.flatnonzero(term)
 
-        self._in_edges: List[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(S)]
-        self._out_edges: List[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(S)]
-        order = np.argsort(dst, kind="stable")
-        bounds = np.searchsorted(dst[order], np.arange(S + 1))
-        for s in range(S):
-            self._in_edges[s] = order[bounds[s]:bounds[s + 1]]
-        order = np.argsort(src, kind="stable")
-        bounds = np.searchsorted(src[order], np.arange(S + 1))
-        for s in range(S):
-            self._out_edges[s] = order[bounds[s]:bounds[s + 1]]
+        self._in_edges = self._edges_by_state(dst)
+        self._out_edges = self._edges_by_state(src)
 
         self.topological_order = self._toposort()
         self._encoding_matrix: Optional[np.ndarray] = None
+        # filled on first use by losses.terminal_reach_counts
+        self._reach_counts: Optional[np.ndarray] = None
         self._validate()
 
     # -- structure ---------------------------------------------------------
@@ -129,6 +140,12 @@ class DagEnv:
 
     def out_edges(self, s: int) -> np.ndarray:
         return self._out_edges[s]
+
+    def _edges_by_state(self, ends: np.ndarray) -> List[np.ndarray]:
+        """Edge indices grouped by the state at one end, in edge order."""
+        order = np.argsort(ends, kind="stable")
+        bounds = np.searchsorted(ends[order], np.arange(self.num_states + 1))
+        return [order[bounds[s]:bounds[s + 1]] for s in range(self.num_states)]
 
     def is_terminating(self, s: int) -> bool:
         return bool(self.terminating_mask[s])
@@ -281,7 +298,8 @@ class Hypergrid(DagEnv):
     kind = "hypergrid"
 
     def __init__(self, dimension: int, side: int, r0: Optional[float] = None,
-                 r1: float = 0.5, r2: float = 2.0):
+                 r1: float = ENV_DEFAULTS["hypergrid"]["r1"],
+                 r2: float = ENV_DEFAULTS["hypergrid"]["r2"]):
         if dimension < 1 or side < 2:
             raise ValueError("need dimension >= 1 and side >= 2")
         self.dimension, self.side = dimension, side
@@ -299,11 +317,7 @@ class Hypergrid(DagEnv):
         edges = []
         rewards: Dict[int, float] = {}
         for idx in range(n_grid):
-            rem = idx
-            coords = []
-            for st in self._strides:
-                q, rem = divmod(rem, int(st))
-                coords.append(q)
+            coords = self.grid_point(idx)
             for i in range(D):
                 if coords[i] < H - 1:
                     edges.append((idx, idx + int(self._strides[i]), i, i))
@@ -315,11 +329,11 @@ class Hypergrid(DagEnv):
 
     def grid_point(self, s: int) -> Tuple[int, ...]:
         """Coordinates of a state (active or terminal copy)."""
-        idx = s if s < self.n_grid else s - self.n_grid
+        idx = int(s) if s < self.n_grid else int(s) - self.n_grid
         out = []
         for st in self._strides:
-            out.append(int(idx // st))
-            idx = idx % st
+            q, idx = divmod(idx, int(st))
+            out.append(q)
         return tuple(out)
 
     def encode(self, s: int) -> np.ndarray:
@@ -349,7 +363,8 @@ class OneMoreMode(DagEnv):
     """Same graph as a base environment with extra reward on a subset of states.
 
     ``reward(x) = base.reward(x) + added[x]`` with ``added >= 0`` supported on
-    terminating states only.
+    terminating states only.  The graph arrays, the terminating set and the
+    feature encoding are the base's own objects, shared, not copied.
     """
 
     kind = "one_more_mode"
@@ -362,21 +377,21 @@ class OneMoreMode(DagEnv):
                 raise ValueError(f"added reward on non-terminating state {x}")
         self.base = base
         self.added = dict(added)
-        # share the graph structure; only the reward table differs
-        self.__dict__.update(
-            {
-                k: v
-                for k, v in base.__dict__.items()
-                if k not in ("reward_table", "_encoding_matrix")
-            }
-        )
+        for name in DagEnv.GRAPH_ATTRS:
+            setattr(self, name, getattr(base, name))
+        self.terminating_mask = base.terminating_mask
+        self.terminating_states = base.terminating_states
         self.reward_table = base.reward_table.copy()
         for x, r in added.items():
             self.reward_table[x] += r
-        self._encoding_matrix = None
+        self._reach_counts = None
 
     def encode(self, s: int) -> np.ndarray:
         return self.base.encode(s)
+
+    @property
+    def encoding_matrix(self) -> np.ndarray:
+        return self.base.encoding_matrix
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -384,9 +399,6 @@ class OneMoreMode(DagEnv):
             "base": self.base.describe(),
             "added": {str(k): v for k, v in sorted(self.added.items())},
         }
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
 
 
 def one_more_mode_tree(branching: int, depth: int, epsilon: float) -> Tuple[RegularTree, OneMoreMode]:
@@ -430,23 +442,20 @@ def target_distribution(env: DagEnv) -> np.ndarray:
 def make_env(spec: Dict[str, object]) -> DagEnv:
     """Build an environment from a config mapping (see the config schema)."""
     kind = spec["kind"]
+    if kind not in ENV_DEFAULTS:
+        raise ValueError(f"unknown environment kind {kind!r}")
+    spec = {**ENV_DEFAULTS[kind], **spec}
     if kind == "tree":
-        return RegularTree(
-            int(spec["branching"]),
-            int(spec["depth"]),
-            spec.get("leaf_rewards"),
-        )
+        return RegularTree(int(spec["branching"]), int(spec["depth"]), spec["leaf_rewards"])
     if kind == "hypergrid":
         return Hypergrid(
             int(spec["dimension"]),
             int(spec["side"]),
-            spec.get("r0"),
-            float(spec.get("r1", 0.5)),
-            float(spec.get("r2", 2.0)),
+            spec["r0"],
+            float(spec["r1"]),
+            float(spec["r2"]),
         )
-    if kind == "one_more_mode":
-        prev, new = one_more_mode_tree(
-            int(spec["branching"]), int(spec["depth"]), float(spec["epsilon"])
-        )
-        return new if spec.get("stage", "new") == "new" else prev
-    raise ValueError(f"unknown environment kind {kind!r}")
+    prev, new = one_more_mode_tree(
+        int(spec["branching"]), int(spec["depth"]), float(spec["epsilon"])
+    )
+    return new if spec["stage"] == "new" else prev

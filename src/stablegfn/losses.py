@@ -8,13 +8,15 @@ accumulating analytic gradients into the model's parameter vector.
 The reference-flow machinery injects a nonnegative mass ``delta`` into both
 sides of the trajectory-balance ratio, capping each item's loss at
 ``threshold**2``.  ``delta`` is always treated as a constant in gradients.
+:func:`reference_flow_log_deltas` is the package's one implementation of it.
+Flow matching sums flows in log space, so tiny flows stay finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,14 +58,13 @@ def fm_loss(state: int, model: PolicyModel, env: DagEnv) -> float:
     """Squared log-ratio of in-flow to reward-plus-out-flow at one intermediate state."""
     if state == env.initial_state or state == env.sink:
         raise ValueError("flow matching applies to intermediate states only")
-    in_flow = 0.0
-    for p in env.parents(state):
-        in_flow += math.exp(model.log_state_flow(p, env) + model.log_pf_edge(p, state, env))
-    out_flow = env.reward(state)
+    log_in = [model.log_state_flow(p, env) + model.log_pf_edge(p, state, env)
+              for p in env.parents(state)]
+    log_out = [math.log(env.reward(state))] if env.is_terminating(state) else []
     for c in env.children(state):
         if c != env.sink:
-            out_flow += math.exp(model.log_state_flow(state, env) + model.log_pf_edge(state, c, env))
-    r = math.log(in_flow) - math.log(out_flow)
+            log_out.append(model.log_state_flow(state, env) + model.log_pf_edge(state, c, env))
+    r = float(np.logaddexp.reduce(log_in) - np.logaddexp.reduce(log_out))
     return r * r
 
 
@@ -91,17 +92,17 @@ def subtb_loss(traj: Trajectory, t1: int, t2: int, model: PolicyModel, env: DagE
 
 # -- reachable-terminal reweighting -------------------------------------------
 
-_reach_cache: Dict[int, Tuple[object, np.ndarray]] = {}
-
 
 def terminal_reach_counts(env: DagEnv) -> np.ndarray:
-    """Number of terminating states reachable from each state (self included)."""
+    """Number of terminating states reachable from each state (self included).
+
+    Cached on the environment, so the cache lives exactly as long as it does.
+    """
     n_term = len(env.terminating_states)
     if env.num_states * n_term > WDB_REACH_CELL_CAP:
         raise EnumerationCapError("environment too large for reachability reweighting")
-    cached = _reach_cache.get(id(env))
-    if cached is not None and cached[0] is env:
-        return cached[1]
+    if env._reach_counts is not None:
+        return env._reach_counts
     term_col = {int(x): i for i, x in enumerate(env.terminating_states)}
     reach = np.zeros((env.num_states, n_term), dtype=bool)
     for s in env.topological_order[::-1]:
@@ -110,9 +111,8 @@ def terminal_reach_counts(env: DagEnv) -> np.ndarray:
         for c in env.children(s):
             if c != env.sink:
                 reach[s] |= reach[c]
-    counts = reach.sum(axis=1)
-    _reach_cache[id(env)] = (env, counts)
-    return counts
+    env._reach_counts = reach.sum(axis=1)
+    return env._reach_counts
 
 
 def wdb_weights(traj: Trajectory, env: DagEnv) -> np.ndarray:
@@ -131,24 +131,34 @@ def wdb_weights(traj: Trajectory, env: DagEnv) -> np.ndarray:
 # -- reference flow ------------------------------------------------------------
 
 
-def reference_flow_log_delta(log_model_flow: float, log_target_flow: float,
-                             threshold: float) -> float:
-    """log of the minimum reference flow capping the loss at threshold**2.
+def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
+                              threshold: float) -> np.ndarray:
+    """log of the minimum reference flow capping each item's loss at threshold**2.
 
-    Returns -inf when no flow is needed (|log ratio| <= threshold).  Computed
-    with log1p/expm1 so that widely separated flows never overflow.
+    Elementwise over (log model flow, log target flow) arrays.  -inf where no
+    flow is needed (|log ratio| <= threshold), +inf elsewhere at threshold 0.
+    Computed with log1p/expm1 so that widely separated flows never overflow.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    r = log_model_flow - log_target_flow
-    if abs(r) <= threshold:
-        return -math.inf
+    log_model = np.asarray(log_model, dtype=np.float64)
+    log_target = np.asarray(log_target, dtype=np.float64)
+    r = log_model - log_target
+    out = np.full(r.shape, -np.inf)
     if threshold == 0.0:
-        return math.inf
+        out[r != 0.0] = np.inf
+        return out
     log_em1 = math.log(math.expm1(threshold))
-    if r > threshold:
-        return log_model_flow + math.log1p(-math.exp(threshold - r)) - log_em1
-    return log_target_flow + math.log1p(-math.exp(threshold + r)) - log_em1
+    hi, lo = r > threshold, r < -threshold
+    out[hi] = log_model[hi] + np.log1p(-np.exp(threshold - r[hi])) - log_em1
+    out[lo] = log_target[lo] + np.log1p(-np.exp(threshold + r[lo])) - log_em1
+    return out
+
+
+def reference_flow_log_delta(log_model_flow: float, log_target_flow: float,
+                             threshold: float) -> float:
+    """Scalar :func:`reference_flow_log_deltas`."""
+    return float(reference_flow_log_deltas([log_model_flow], [log_target_flow], threshold)[0])
 
 
 def reference_flow_delta(log_model_flow: float, log_target_flow: float,
@@ -160,8 +170,8 @@ def reference_flow_delta(log_model_flow: float, log_target_flow: float,
 def reference_flow_ratio(log_model_flow: float, log_target_flow: float,
                          threshold: float) -> float:
     """delta divided by the target flow; the quantity the sampling bounds track."""
-    ld = reference_flow_log_delta(log_model_flow, log_target_flow, threshold)
-    return math.exp(ld - log_target_flow)
+    return math.exp(reference_flow_log_delta(log_model_flow, log_target_flow, threshold)
+                    - log_target_flow)
 
 
 def augmented_log_ratio(log_model_flow: float, log_target_flow: float, delta: float) -> float:
@@ -276,32 +286,21 @@ def _batch_tb(model, env, trajs, backprop, deltas):
     log_model, log_target = _traj_flows(model, env, trajs, batch, tid)
     raw_ratio = log_model - log_target
 
-    if deltas is None:
-        ratio = raw_ratio
-        sa = np.ones(n)
-        sb = np.ones(n)
-        kind = "tb"
-    else:
-        deltas = np.asarray(deltas, dtype=np.float64)
-        ratio = np.empty(n)
-        sa = np.empty(n)
-        sb = np.empty(n)
-        for i in range(n):
-            d = deltas[i]
-            if d == 0.0:
-                ratio[i] = raw_ratio[i]
-                sa[i] = sb[i] = 1.0
-            elif math.isinf(d):
-                ratio[i] = 0.0
-                sa[i] = sb[i] = 0.0
-            else:
-                ld = math.log(d)
-                la = np.logaddexp(log_model[i], ld)
-                lb = np.logaddexp(log_target[i], ld)
-                ratio[i] = la - lb
-                sa[i] = math.exp(log_model[i] - la)
-                sb[i] = math.exp(log_target[i] - lb)
+    # sa, sb: d(augmented log flow)/d(raw log flow) on each side
+    ratio, sa, sb = raw_ratio.copy(), np.ones(n), np.ones(n)
+    kind = "tb"
+    if deltas is not None:
         kind = "augmented"
+        deltas = np.asarray(deltas, dtype=np.float64)
+        capped = np.isinf(deltas)
+        ratio[capped] = sa[capped] = sb[capped] = 0.0
+        mid = (deltas > 0.0) & ~capped
+        ld = np.log(deltas[mid])
+        la = np.logaddexp(log_model[mid], ld)
+        lb = np.logaddexp(log_target[mid], ld)
+        ratio[mid] = la - lb
+        sa[mid] = np.exp(log_model[mid] - la)
+        sb[mid] = np.exp(log_target[mid] - lb)
 
     per_item = ratio * ratio
     if backprop:
@@ -389,19 +388,22 @@ def _batch_fm(model, env, trajs, backprop):
     log_terms = fb.log_flow + batch.log_pf
     n_in = len(in_edge)
 
-    in_flow = np.zeros(n_occ)
-    np.add.at(in_flow, in_occ, np.exp(log_terms[:n_in]))
-    out_flow = env.reward_table[occ_state].copy()
-    np.add.at(out_flow, out_occ, np.exp(log_terms[n_in:]))
-    rho = np.log(in_flow) - np.log(out_flow)
+    # flows are summed in log space (pairwise max-shifted logaddexp), so
+    # state flows far below exp's range still give finite values
+    log_in = np.full(n_occ, -np.inf)
+    np.logaddexp.at(log_in, in_occ, log_terms[:n_in])
+    with np.errstate(divide="ignore"):
+        log_out = np.log(env.reward_table[occ_state])
+    np.logaddexp.at(log_out, out_occ, log_terms[n_in:])
+    rho = log_in - log_out
 
     occ_w = 1.0 / np.bincount(occ_traj, minlength=n)[occ_traj]
     per_item = np.bincount(occ_traj, weights=occ_w * rho * rho, minlength=n)
 
     if backprop:
         base = 2.0 * rho * occ_w / n
-        share_in = np.exp(log_terms[:n_in]) / in_flow[in_occ]
-        share_out = np.exp(log_terms[n_in:]) / out_flow[out_occ]
+        share_in = np.exp(log_terms[:n_in] - log_in[in_occ])
+        share_out = np.exp(log_terms[n_in:] - log_out[out_occ])
         coeff = np.concatenate([base[in_occ] * share_in, -base[out_occ] * share_out])
         batch.add_pf_coeff(coeff)
         fb.add_coeff(coeff)
@@ -413,12 +415,11 @@ def _batch_fm(model, env, trajs, backprop):
 def _batch_subtb(model, env, trajs, backprop, lam):
     n = len(trajs)
     per_item = np.zeros(n)
-    tid, src, dst = collect_transitions(trajs)
-    keep = dst != env.sink
-    batch = EdgeBatch(model, env, src[keep], dst[keep])
+    tid, src, dst = _db_edges(env, trajs)
+    batch = EdgeBatch(model, env, src, dst)
     edge_coeff = np.zeros(len(batch.src))
     # edges stay grouped by trajectory after the sink filter
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(tid[keep], minlength=n))]).astype(int)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(tid, minlength=n))]).astype(int)
 
     # flow head at every non-terminal position (0..L-1) of every trajectory
     fstate: List[int] = []

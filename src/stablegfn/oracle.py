@@ -8,6 +8,7 @@ everywhere.  These are the oracles the certificate suites are checked against.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -15,15 +16,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .envs import DagEnv, EnumerationCapError, DEFAULT_STATE_CAP, target_distribution, true_partition
-from .policy import PolicyModel, Trajectory, exact_terminal_distribution, trajectory_log_probs
+from .policy import PolicyModel, Trajectory, exact_terminal_distribution, trajectories_from_paths
 
 DEFAULT_TRAJECTORY_CAP = 5_000_000
 
 
 def exact_tv(model: PolicyModel, env: DagEnv, cap: int = DEFAULT_STATE_CAP) -> float:
     """Exact total variation between the model's terminal law and the target."""
-    _, p_t = exact_terminal_distribution(model, env, cap)
-    return 0.5 * float(np.abs(p_t - target_distribution(env)).sum())
+    return 0.5 * exact_total_l1(model, env, cap)
 
 
 def exact_total_l1(model: PolicyModel, env: DagEnv, cap: int = DEFAULT_STATE_CAP) -> float:
@@ -71,12 +71,7 @@ class EvalReport:
     sample_count: int
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "exact_tv": self.exact_tv,
-            "empirical_total_l1": self.empirical_total_l1,
-            "mode_count": self.mode_count,
-            "sample_count": self.sample_count,
-        }
+        return dataclasses.asdict(self)
 
 
 # -- balanced construction ----------------------------------------------------
@@ -189,12 +184,7 @@ def enumerate_trajectory_states(env: DagEnv, cap: int = DEFAULT_TRAJECTORY_CAP) 
 def enumerate_trajectories(model: PolicyModel, env: DagEnv,
                            cap: int = DEFAULT_TRAJECTORY_CAP) -> List[Trajectory]:
     """Every complete trajectory with exact log-probs under the model."""
-    paths = enumerate_trajectory_states(env, cap)
-    trajs = [Trajectory(p, 0.0, 0.0, env.reward(p[-2]), "enumerated") for p in paths]
-    log_pf, log_pb = trajectory_log_probs(model, env, trajs)
-    for t, f, b in zip(trajs, log_pf, log_pb):
-        t.log_pf, t.log_pb = float(f), float(b)
-    return trajs
+    return trajectories_from_paths(model, env, enumerate_trajectory_states(env, cap), "enumerated")
 
 
 def one_more_mode_tv_closed_form(branching: int, depth: int, epsilon: float) -> float:

@@ -10,12 +10,17 @@ Single-trajectory samplers evaluate one state at a time, which makes cached
 trajectory log-probabilities bit-reproducible by edge-by-edge recomputation.
 Batched helpers (used for bulk certification sampling and loss gradients)
 evaluate many states per call.
+
+One implementation each: :func:`_log_softmax` for every policy row,
+:func:`proportional_draw` (row-wise: :func:`_draw_rows`) for every
+reward-proportional draw in the package, :func:`_walk` for both bulk samplers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,15 +51,7 @@ class Trajectory:
         return self.states[-2]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "states": self.states,
-                "log_pf": self.log_pf,
-                "log_pb": self.log_pb,
-                "reward": self.reward,
-                "provenance": self.provenance,
-            }
-        )
+        return json.dumps(dataclasses.asdict(self))
 
 
 def write_trajectory_log(path: str, trajectories: Sequence[Trajectory]) -> None:
@@ -81,19 +78,42 @@ def read_trajectory_log(path: str) -> List[Trajectory]:
     return out
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Max-shifted log-softmax over the last axis; -inf entries get probability 0."""
+    # the transpose broadcasts without keepdims, which is slow on single rows
+    zt = z.T
+    m = zt.max(0)
+    return (zt - (m + np.log(np.exp(zt - m).sum(0)))).T
+
+
 def _masked_rows(logits: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Clamped masked log-softmax over rows.
 
     Returns (logprob rows with -inf at invalid slots, probability rows with 0
     at invalid slots).
     """
-    clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
-    vals = np.where(mask, clamped, -np.inf)
-    m = vals.max(axis=1, keepdims=True)
-    ex = np.exp(vals - m)
-    lse = m + np.log(ex.sum(axis=1, keepdims=True))
-    logp = vals - lse
+    logp = _log_softmax(np.where(mask, np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP), -np.inf))
     return logp, np.where(mask, np.exp(logp), 0.0)
+
+
+def proportional_draw(rng: np.random.Generator, weights: np.ndarray, size=None):
+    """Indices drawn with probability proportional to nonnegative ``weights``.
+
+    One uniform per draw, scaled by the total, is located in the cumulative
+    sums with ``side="right"``, so a zero-weight entry is never picked.
+    Searching all but the last sum clamps the index to the last entry when
+    rounding puts the scaled uniform at the total.  ``size=None`` draws one
+    index (the per-state samplers' path: no extra numpy call per state).
+    """
+    c = np.cumsum(weights)
+    return np.searchsorted(c[:-1], rng.random(size) * c[-1], side="right")
+
+
+def _draw_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """One :func:`proportional_draw` per row of ``probs``, one uniform per row."""
+    c = np.cumsum(probs, axis=1)
+    u = rng.random(len(probs)) * c[:, -1]
+    return (c[:, :-1] <= u[:, None]).sum(axis=1)
 
 
 class PolicyModel:
@@ -115,18 +135,10 @@ class PolicyModel:
         self.uniform_backward = backward_net is None
         self.meta = meta or {}
 
-        spec = [("logz", ())]
-        spec += forward_net.param_spec()
-        if backward_net is not None:
-            spec += backward_net.param_spec()
-        if flow_net is not None:
-            spec += flow_net.param_spec()
-        self.params = ParamVector(spec)
-        forward_net.bind(self.params)
-        if backward_net is not None:
-            backward_net.bind(self.params)
-        if flow_net is not None:
-            flow_net.bind(self.params)
+        self._nets = [n for n in (forward_net, backward_net, flow_net) if n is not None]
+        self.params = ParamVector([("logz", ())] + [p for n in self._nets for p in n.param_spec()])
+        for net in self._nets:
+            net.bind(self.params)
         self.params.view("logz")[...] = logz_init
 
     # -- construction --------------------------------------------------
@@ -160,11 +172,8 @@ class PolicyModel:
             "flow_head": flow_head,
         }
         model = cls(env, fnet, bnet, flnet, meta=meta)
-        fnet.init_params(rng)
-        if bnet is not None:
-            bnet.init_params(rng)
-        if flnet is not None:
-            flnet.init_params(rng)
+        for net in model._nets:
+            net.init_params(rng)
         return model
 
     # -- parameter access ------------------------------------------------
@@ -181,42 +190,30 @@ class PolicyModel:
 
     # -- single-state evaluation ------------------------------------------
 
-    def _net_inputs(self, net, states: np.ndarray, env: DagEnv) -> np.ndarray:
-        if net.wants_indices:
-            return states
-        return env.encoding_matrix[states]
-
     def _eval_rows(self, net, states: np.ndarray, env: DagEnv):
-        return net.forward(self._net_inputs(net, states, env))
+        return net.forward(states if net.wants_indices else env.encoding_matrix[states])
+
+    def _row(self, net, s: int, slots: np.ndarray, env: DagEnv) -> np.ndarray:
+        """Log-probs over ``slots`` at one state; ``net`` None is the uniform policy."""
+        k = len(slots)
+        if k <= 1:
+            return np.zeros(k)
+        if net is None:
+            return np.full(k, -np.log(k))
+        out, _ = self._eval_rows(net, np.array([s]), env)
+        return _log_softmax(np.clip(out[0][slots], -LOGIT_CLAMP, LOGIT_CLAMP))
 
     def forward_row(self, s: int, env: Optional[DagEnv] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(slots, children, log-probs) of the forward policy at one state."""
         env = env or self.env
         slots, children = env.forward_slots(s)
-        if len(slots) == 1:
-            return slots, children, np.zeros(1)
-        out, _ = self._eval_rows(self.forward_net, np.array([s]), env)
-        z = np.clip(out[0][slots], -LOGIT_CLAMP, LOGIT_CLAMP)
-        m = z.max()
-        lp = z - (m + np.log(np.exp(z - m).sum()))
-        return slots, children, lp
+        return slots, children, self._row(self.forward_net, s, slots, env)
 
     def backward_row(self, s: int, env: Optional[DagEnv] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(slots, parents, log-probs) of the backward policy at one state."""
         env = env or self.env
         slots, parents = env.backward_slots(s)
-        k = len(slots)
-        if k == 0:
-            return slots, parents, np.zeros(0)
-        if k == 1:
-            return slots, parents, np.zeros(1)
-        if self.uniform_backward:
-            return slots, parents, np.full(k, -np.log(k))
-        out, _ = self._eval_rows(self.backward_net, np.array([s]), env)
-        z = np.clip(out[0][slots], -LOGIT_CLAMP, LOGIT_CLAMP)
-        m = z.max()
-        lp = z - (m + np.log(np.exp(z - m).sum()))
-        return slots, parents, lp
+        return slots, parents, self._row(self.backward_net, s, slots, env)
 
     def log_pf_edge(self, src: int, dst: int, env: Optional[DagEnv] = None) -> float:
         _, children, lp = self.forward_row(src, env)
@@ -240,12 +237,6 @@ class PolicyModel:
         return float(out[0, 0])
 
 
-def _categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    c = np.cumsum(probs)
-    i = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-    return min(i, len(probs) - 1)
-
-
 def sample_forward(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                    epsilon: float = 0.0) -> Trajectory:
     """Sample one trajectory from the forward policy with optional ε-greedy noise.
@@ -266,7 +257,7 @@ def sample_forward(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         elif epsilon > 0.0 and rng.random() < epsilon:
             i = int(rng.integers(len(children)))
         else:
-            i = _categorical(rng, np.exp(lp))
+            i = int(proportional_draw(rng, np.exp(lp)))
         child = int(children[i])
         log_pf += float(lp[i])
         if child != env.sink:
@@ -287,7 +278,7 @@ def sample_backward(model: PolicyModel, env: DagEnv, x: int,
     s = x
     while s != env.initial_state:
         slots, parents, lp = model.backward_row(s, env)
-        i = 0 if len(parents) == 1 else _categorical(rng, np.exp(lp))
+        i = 0 if len(parents) == 1 else int(proportional_draw(rng, np.exp(lp)))
         log_pb += float(lp[i])
         s = int(parents[i])
         rev.append(s)
@@ -317,43 +308,38 @@ class EdgeBatch:
     def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray):
         self.model, self.env = model, env
         self.src, self.dst = src, dst
-        n = len(src)
-        self.log_pf = np.zeros(n)
-        self.log_pb = np.zeros(n)
-        self._pf_coeff = np.zeros(n)
-        self._pb_coeff = np.zeros(n)
+        self._pf_coeff = np.zeros(len(src))
+        self._pb_coeff = np.zeros(len(src))
 
         # forward side: states with a single child contribute exactly 0
-        nontrivial = env.forward_mask[src].sum(axis=1) > 1
-        self._fidx = np.flatnonzero(nontrivial)
-        if len(self._fidx):
-            f_src = src[self._fidx]
-            self._f_states, self._f_inv = np.unique(f_src, return_inverse=True)
-            out, self._f_cache = model._eval_rows(model.forward_net, self._f_states, env)
-            self._f_raw = out
-            logp, probs = _masked_rows(out, env.forward_mask[self._f_states])
-            self._f_probs = probs
-            self._f_slot = _slot_of(env.child_matrix, f_src, dst[self._fidx])
-            self.log_pf[self._fidx] = logp[self._f_inv, self._f_slot]
-
+        fidx = np.flatnonzero(env.forward_mask[src].sum(axis=1) > 1)
+        self.log_pf, self._fwd = self._side(model.forward_net, env.forward_mask,
+                                            env.child_matrix, src, dst, fidx)
         # backward side: edges into the sink are excluded; single parents are 0
         inner = dst != env.sink
-        nontrivial_b = inner & (env.backward_mask[np.where(inner, dst, 0)].sum(axis=1) > 1)
-        self._bidx = np.flatnonzero(nontrivial_b)
-        self._b_states = np.empty(0, dtype=np.int64)
-        if len(self._bidx):
-            b_dst = dst[self._bidx]
-            if model.uniform_backward:
-                k = env.backward_mask[b_dst].sum(axis=1)
-                self.log_pb[self._bidx] = -np.log(k)
-            else:
-                self._b_states, self._b_inv = np.unique(b_dst, return_inverse=True)
-                out, self._b_cache = model._eval_rows(model.backward_net, self._b_states, env)
-                self._b_raw = out
-                logp, probs = _masked_rows(out, env.backward_mask[self._b_states])
-                self._b_probs = probs
-                self._b_slot = _slot_of(env.parent_matrix, b_dst, src[self._bidx])
-                self.log_pb[self._bidx] = logp[self._b_inv, self._b_slot]
+        bidx = np.flatnonzero(inner & (env.backward_mask[np.where(inner, dst, 0)].sum(axis=1) > 1))
+        self.log_pb, self._bwd = self._side(model.backward_net, env.backward_mask,
+                                            env.parent_matrix, dst, src, bidx)
+
+    def _side(self, net, mask, matrix, at, other, idx):
+        """Log-probs of edges ``idx`` under the policy at states ``at[idx]``.
+
+        Returns (log-prob per edge, 0 outside ``idx``; what :meth:`backprop`
+        needs, or None when no net was evaluated).
+        """
+        logp_edges = np.zeros(len(at))
+        if not len(idx):
+            return logp_edges, None
+        rows = at[idx]
+        if net is None:  # fixed-uniform backward policy
+            logp_edges[idx] = -np.log(mask[rows].sum(axis=1))
+            return logp_edges, None
+        states, inv = np.unique(rows, return_inverse=True)
+        raw, cache = self.model._eval_rows(net, states, self.env)
+        logp, probs = _masked_rows(raw, mask[states])
+        slot = _slot_of(matrix, rows, other[idx])
+        logp_edges[idx] = logp[inv, slot]
+        return logp_edges, (net, cache, raw, probs, inv, slot, idx, mask[states])
 
     def add_pf_coeff(self, coeff: np.ndarray) -> None:
         self._pf_coeff += coeff
@@ -361,27 +347,16 @@ class EdgeBatch:
     def add_pb_coeff(self, coeff: np.ndarray) -> None:
         self._pb_coeff += coeff
 
-    def _softmax_backprop(self, net, cache, raw, probs, inv, slot, idx, coeff, mask):
-        dlogits = np.zeros_like(raw)
-        rows = coeff[idx, None] * (-probs[inv])
-        np.add.at(dlogits, inv, rows)
-        np.add.at(dlogits, (inv, slot), coeff[idx])
-        dlogits *= (np.abs(raw) <= LOGIT_CLAMP) & mask
-        net.backward(cache, dlogits)
-
     def backprop(self) -> None:
-        if len(self._fidx) and np.any(self._pf_coeff):
-            self._softmax_backprop(
-                self.model.forward_net, self._f_cache, self._f_raw, self._f_probs,
-                self._f_inv, self._f_slot, self._fidx, self._pf_coeff,
-                self.env.forward_mask[self._f_states],
-            )
-        if len(self._bidx) and not self.model.uniform_backward and np.any(self._pb_coeff):
-            self._softmax_backprop(
-                self.model.backward_net, self._b_cache, self._b_raw, self._b_probs,
-                self._b_inv, self._b_slot, self._bidx, self._pb_coeff,
-                self.env.backward_mask[self._b_states],
-            )
+        for side, coeff in ((self._fwd, self._pf_coeff), (self._bwd, self._pb_coeff)):
+            if side is None or not np.any(coeff):
+                continue
+            net, cache, raw, probs, inv, slot, idx, mask = side
+            dlogits = np.zeros_like(raw)
+            np.add.at(dlogits, inv, coeff[idx, None] * (-probs[inv]))
+            np.add.at(dlogits, (inv, slot), coeff[idx])
+            dlogits *= (np.abs(raw) <= LOGIT_CLAMP) & mask
+            net.backward(cache, dlogits)
 
 
 class FlowBatch:
@@ -434,71 +409,62 @@ def trajectory_log_probs(model: PolicyModel, env: DagEnv,
     return log_pf, log_pb
 
 
+def trajectories_from_paths(model: PolicyModel, env: DagEnv, paths: Sequence[List[int]],
+                            provenance: str) -> List[Trajectory]:
+    """Trajectories along source-to-sink ``paths``, with log-probs from one batched pass."""
+    trajs = [Trajectory(p, 0.0, 0.0, env.reward(p[-2]), provenance) for p in paths]
+    log_pf, log_pb = trajectory_log_probs(model, env, trajs)
+    for t, f, b in zip(trajs, log_pf, log_pb):
+        t.log_pf, t.log_pb = float(f), float(b)
+    return trajs
+
+
 # -- bulk samplers (certification) -------------------------------------------
+
+
+def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
+          starts: Sequence[int], forward: bool) -> List[List[int]]:
+    """Walk every start state in lockstep, forward to the sink or backward to the source.
+
+    Each step evaluates the policy once per distinct current state and draws
+    one uniform per walker still moving.
+    """
+    if forward:
+        net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
+    else:
+        net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
+    seqs: List[List[int]] = [[int(s)] for s in starts]
+    cur = np.array(starts, dtype=np.int64)
+    alive = np.flatnonzero(cur != end)
+    while len(alive):
+        states = cur[alive]
+        if net is None:  # fixed-uniform backward policy
+            k = mask[states].sum(axis=1)
+            p = mask[states] / k[:, None]
+        else:
+            uniq, inv = np.unique(states, return_inverse=True)
+            out, _ = model._eval_rows(net, uniq, env)
+            p = _masked_rows(out, mask[uniq])[1][inv]
+        nxt = step[states, _draw_rows(rng, p)]
+        for j, t in enumerate(alive):
+            seqs[t].append(int(nxt[j]))
+        cur[alive] = nxt
+        alive = alive[nxt != end]
+    return seqs
 
 
 def sample_forward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                          count: int) -> List[Trajectory]:
     """Sample many trajectories from the pure forward policy in lockstep."""
-    seqs: List[List[int]] = [[env.initial_state] for _ in range(count)]
-    cur = np.full(count, env.initial_state, dtype=np.int64)
-    alive = np.arange(count)
-    while len(alive):
-        states = cur[alive]
-        uniq, inv = np.unique(states, return_inverse=True)
-        out, _ = model._eval_rows(model.forward_net, uniq, env)
-        _, probs = _masked_rows(out, env.forward_mask[uniq])
-        p = probs[inv]
-        c = np.cumsum(p, axis=1)
-        u = rng.random(len(alive)) * c[:, -1]
-        choice = np.minimum((c < u[:, None]).sum(axis=1), p.shape[1] - 1)
-        nxt = env.child_matrix[states, choice]
-        for j, t in enumerate(alive):
-            seqs[t].append(int(nxt[j]))
-        cur[alive] = nxt
-        alive = alive[nxt != env.sink]
-    trajs = [
-        Trajectory(s, 0.0, 0.0, env.reward(s[-2]), "forward-sampled") for s in seqs
-    ]
-    log_pf, log_pb = trajectory_log_probs(model, env, trajs)
-    for t, f, b in zip(trajs, log_pf, log_pb):
-        t.log_pf, t.log_pb = float(f), float(b)
-    return trajs
+    paths = _walk(model, env, rng, [env.initial_state] * count, forward=True)
+    return trajectories_from_paths(model, env, paths, "forward-sampled")
 
 
 def sample_backward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                           xs: np.ndarray) -> List[Trajectory]:
     """Walk backward from given terminating states in lockstep."""
-    count = len(xs)
-    seqs: List[List[int]] = [[env.sink, int(x)] for x in xs]
-    cur = np.asarray(xs, dtype=np.int64).copy()
-    alive = np.flatnonzero(cur != env.initial_state)
-    while len(alive):
-        states = cur[alive]
-        if model.uniform_backward:
-            k = env.backward_mask[states].sum(axis=1)
-            p = env.backward_mask[states] / k[:, None]
-        else:
-            uniq, inv = np.unique(states, return_inverse=True)
-            out, _ = model._eval_rows(model.backward_net, uniq, env)
-            _, probs = _masked_rows(out, env.backward_mask[uniq])
-            p = probs[inv]
-        c = np.cumsum(p, axis=1)
-        u = rng.random(len(alive)) * c[:, -1]
-        choice = np.minimum((c < u[:, None]).sum(axis=1), p.shape[1] - 1)
-        prev = env.parent_matrix[states, choice]
-        for j, t in enumerate(alive):
-            seqs[t].append(int(prev[j]))
-        cur[alive] = prev
-        alive = alive[prev != env.initial_state]
-    trajs = []
-    for s in seqs:
-        states = s[::-1]
-        trajs.append(Trajectory(states, 0.0, 0.0, env.reward(states[-2]), "backward-sampled"))
-    log_pf, log_pb = trajectory_log_probs(model, env, trajs)
-    for t, f, b in zip(trajs, log_pf, log_pb):
-        t.log_pf, t.log_pb = float(f), float(b)
-    return trajs
+    paths = [s[::-1] + [env.sink] for s in _walk(model, env, rng, xs, forward=False)]
+    return trajectories_from_paths(model, env, paths, "backward-sampled")
 
 
 def exact_terminal_distribution(model: PolicyModel, env: DagEnv,

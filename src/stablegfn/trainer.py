@@ -5,7 +5,10 @@ exploration) and half backward from high-reward terminal states, maintains a
 top-K terminal buffer with a patience counter, periodically certifies a TV
 bound over the buffer at the current adaptive threshold, skips gradient steps
 once the certificate's main term clears the target, and otherwise trains on
-the capped objective with per-trajectory reference flows.
+the capped objective with per-trajectory reference flows.  The backward
+half is sampled only when something reads it: the gradient, or, with exact
+sourcing, the buffer merge (a buffer-drawn half would only re-merge states
+the buffer holds).  ``metrics.csv`` is written one line per round.
 
 Baselines train any of the plain objectives on forward samples, optionally
 mixed with a reward-prioritized replay buffer.
@@ -16,17 +19,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from . import certify, losses, oracle
 from .approximator import AdamOptimizer
-from .envs import DagEnv, true_partition
+from .envs import DagEnv
 from .policy import (
     PolicyModel,
     Trajectory,
+    proportional_draw,
     sample_backward,
     sample_backward_batch,
     sample_forward,
@@ -140,10 +144,8 @@ class TopKBuffer:
     def merge(self, candidates: Dict[int, float]) -> bool:
         """Keep the top-K of the union; returns whether membership changed."""
         before = set(self._items)
-        pool = dict(self._items)
-        pool.update(candidates)
-        kept = sorted(pool, key=lambda s: (-pool[s], s))[: self.capacity]
-        self._items = {s: pool[s] for s in kept}
+        self._items.update(candidates)
+        self._items = {s: self._items[s] for s in self.states()[: self.capacity]}
         return set(self._items) != before
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -152,10 +154,7 @@ class TopKBuffer:
             raise ValueError("cannot sample from an empty buffer")
         states = np.array(self.states(), dtype=np.int64)
         rewards = np.array([self._items[int(s)] for s in states])
-        c = np.cumsum(rewards)
-        u = rng.random(count) * c[-1]
-        idx = np.minimum(np.searchsorted(c, u, side="right"), len(states) - 1)
-        return states[idx]
+        return states[proportional_draw(rng, rewards, count)]
 
 
 class ReplayBuffer:
@@ -179,10 +178,7 @@ class ReplayBuffer:
     def sample(self, rng: np.random.Generator, count: int) -> List[Trajectory]:
         if not self._items:
             raise ValueError("cannot sample from an empty replay buffer")
-        rewards = np.array([t.reward for t in self._items])
-        c = np.cumsum(rewards)
-        u = rng.random(count) * c[-1]
-        idx = np.minimum(np.searchsorted(c, u, side="right"), len(self._items) - 1)
+        idx = proportional_draw(rng, np.array([t.reward for t in self._items]), count)
         out = []
         for i in idx:
             t = self._items[int(i)]
@@ -243,28 +239,18 @@ class Trainer:
         self.metrics_path = metrics_path
         self._rows: List[Dict[str, object]] = []
         self._mode_pred = oracle.default_mode_predicate(env)
-        if config.backward_source == "exact":
-            r = env.reward_table[env.terminating_states]
-            self._exact_cum = np.cumsum(r)
 
     # -- sampling helpers ----------------------------------------------------
 
-    def _draw_exact_terminals(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        u = rng.random(count) * self._exact_cum[-1]
-        idx = np.minimum(
-            np.searchsorted(self._exact_cum, u, side="right"),
-            len(self.env.terminating_states) - 1,
-        )
-        return self.env.terminating_states[idx]
-
-    def _sample_backward_half(self, count: int) -> List[Trajectory]:
+    def _draw_terminals(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Reward-proportional terminal states: over all of them, or over the buffer."""
         if self.config.backward_source == "exact":
-            xs = self._draw_exact_terminals(self.rng_backward, count)
-        else:
-            xs = self.buffer.sample(self.rng_backward, count)
-        return [sample_backward(self.model, self.env, int(x), self.rng_backward) for x in xs]
+            xs = self.env.terminating_states
+            return xs[proportional_draw(rng, self.env.reward_table[xs], count)]
+        return self.buffer.sample(rng, count)
 
-    def _certification_scope(self) -> List[int]:
+    def certification_scope(self) -> List[int]:
+        """Terminal states a certificate covers: all of them, or the buffer's."""
         if self.config.backward_source == "exact":
             return [int(x) for x in self.env.terminating_states]
         return self.buffer.states()
@@ -283,13 +269,10 @@ class Trainer:
 
     def _certify(self) -> Optional[certify.CertificateReport]:
         cfg = self.config
-        scope = self._certification_scope()
+        scope = self.certification_scope()
         if not scope:
             return None
-        if cfg.backward_source == "exact":
-            xs = self._draw_exact_terminals(self.rng_cert_b, cfg.cert_m)
-        else:
-            xs = self.buffer.sample(self.rng_cert_b, cfg.cert_m)
+        xs = self._draw_terminals(self.rng_cert_b, cfg.cert_m)
         bwd = sample_backward_batch(self.model, self.env, self.rng_cert_b, xs)
         fwd = sample_forward_batch(self.model, self.env, self.rng_cert_f, cfg.cert_n)
         threshold = max(self.state.threshold or 0.0, 1e-12)
@@ -311,13 +294,20 @@ class Trainer:
         cfg, st = self.config, self.state
         half = cfg.batch_size // 2
         n_fwd = cfg.batch_size - half
-        backward_ready = cfg.backward_source == "exact" or len(self.buffer) > 0
+        exact = cfg.backward_source == "exact"
+        backward_ready = exact or len(self.buffer) > 0
 
         fwd = [
             sample_forward(self.model, self.env, self.rng_forward, cfg.epsilon)
             for _ in range(n_fwd if backward_ready else cfg.batch_size)
         ]
-        bwd = self._sample_backward_half(half) if backward_ready else []
+        bwd: List[Trajectory] = []
+        # unread outside the gradient: a buffer-drawn half ends in buffered states
+        if backward_ready and (cfg.use_backward_gradient or exact):
+            bwd = [
+                sample_backward(self.model, self.env, int(x), self.rng_backward)
+                for x in self._draw_terminals(self.rng_backward, half)
+            ]
         if not backward_ready:
             st.fallback_rounds += 1
         batch = fwd + bwd
@@ -355,12 +345,7 @@ class Trainer:
             if st.threshold is None:
                 st.threshold = float(np.abs(log_model - log_target).max())
             cap = max(st.threshold, 1e-12)
-            deltas = np.array(
-                [
-                    losses.reference_flow_delta(lm, lt, cap)
-                    for lm, lt in zip(log_model, log_target)
-                ]
-            )
+            deltas = np.exp(losses.reference_flow_log_deltas(log_model, log_target, cap))
             report = self._gradient_step(grad_trajs, deltas)
             raw = report.log_ratios
             st.threshold = update_threshold(
@@ -416,23 +401,23 @@ class Trainer:
         }
 
     def run(self) -> TrainState:
+        """Train until ``max_rounds`` or a certificate, streaming ``metrics_path``."""
         cfg = self.config
+        self._append_metrics("w", CSV_COLUMNS)
         for _ in range(cfg.max_rounds):
             row = self.stable_round() if cfg.stabilize else self.baseline_round()
             self._rows.append(row)
+            self._append_metrics("a", [_fmt(row[c]) for c in CSV_COLUMNS])
             self.state.round += 1
             if cfg.stabilize and self.state.certified:
                 break
-        if self.metrics_path is not None:
-            self.write_metrics(self.metrics_path)
         return self.state
 
-    def write_metrics(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            for row in self._rows:
-                w.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+    def _append_metrics(self, mode: str, line: List[str]) -> None:
+        """Write one CSV line; closing the file hands it to the OS before the next round."""
+        if self.metrics_path is not None:
+            with open(self.metrics_path, mode, newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerow(line)
 
     @property
     def rows(self) -> List[Dict[str, object]]:

@@ -18,7 +18,13 @@ import numpy as np
 from . import certify, losses, oracle
 from .approximator import grad_check
 from .envs import DagEnv, Hypergrid, OneMoreMode, RegularTree, one_more_mode_tree, true_partition
-from .policy import PolicyModel, sample_backward_batch, sample_forward, sample_forward_batch
+from .policy import (
+    PolicyModel,
+    proportional_draw,
+    sample_backward_batch,
+    sample_forward,
+    sample_forward_batch,
+)
 from .trainer import rng_for
 
 Z99 = 2.3263478740408408  # standard normal 99% quantile
@@ -34,6 +40,13 @@ class SuiteResult:
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] {self.name}: {self.detail} ({self.seconds:.2f}s)"
+
+
+def _result(name: str, t0: float, bad: List[str], detail: str) -> SuiteResult:
+    """A suite passes with no violations; the first one is quoted in the detail."""
+    if bad:
+        detail += "; first: " + bad[0]
+    return SuiteResult(name, not bad, detail, time.perf_counter() - t0)
 
 
 def _random_tabular(env: DagEnv, rng: np.random.Generator, noise: float,
@@ -85,12 +98,23 @@ def suite_reference_flow_cap(draws: int = 10_000, seed: int = 20_240) -> SuiteRe
             if not gamma > 1.0:
                 bad.append(f"draw {k}: reduction factor {gamma} not above 1")
     detail = f"{draws} randomized draws, {len(bad)} violations"
-    if bad:
-        detail += "; first: " + bad[0]
-    return SuiteResult("reference_flow_cap", not bad, detail, time.perf_counter() - t0)
+    return _result("reference_flow_cap", t0, bad, detail)
 
 
 # -- criterion 2: incremental promotion losses --------------------------------
+
+
+def _object_losses(model: PolicyModel, env: DagEnv):
+    """(label, state whose flow or reward ends it, loss) for every TB, DB and FM object."""
+    for t in oracle.enumerate_trajectories(model, env):
+        yield f"tb {t.states}", t.terminating_state, losses.tb_loss(t, model.logz)
+    for e in range(env.num_edges):
+        s, d = int(env.edge_src[e]), int(env.edge_dst[e])
+        if d != env.sink:
+            yield f"db {s}->{d}", d, losses.db_loss((s, d), model, env)
+    for s in range(env.num_states):
+        if s not in (env.initial_state, env.sink):
+            yield f"fm {s}", s, losses.fm_loss(s, model, env)
 
 
 def suite_one_more_mode_losses(branching: int = 3, depth: int = 3,
@@ -109,19 +133,9 @@ def suite_one_more_mode_losses(branching: int = 3, depth: int = 3,
         elif value >= 1e-10:
             bad.append(f"{what}: unexpected loss {value}")
 
-    trajs = oracle.enumerate_trajectories(model, env_new)
-    for t in trajs:
-        check(losses.tb_loss(t, model.logz), t.terminating_state == promoted, f"tb {t.states}")
-    for e in range(env_new.num_edges):
-        s, d = int(env_new.edge_src[e]), int(env_new.edge_dst[e])
-        if d == env_new.sink:
-            continue
-        check(losses.db_loss((s, d), model, env_new), d == promoted, f"db {s}->{d}")
-    for s in range(env_new.num_states):
-        if s in (env_new.initial_state, env_new.sink):
-            continue
-        check(losses.fm_loss(s, model, env_new), s == promoted, f"fm {s}")
-    for t in trajs:
+    for what, state, value in _object_losses(model, env_new):
+        check(value, state == promoted, what)
+    for t in oracle.enumerate_trajectories(model, env_new):
         n = len(t.states) - 2
         for t1 in range(n):
             for t2 in range(t1 + 1, n + 1):
@@ -135,9 +149,7 @@ def suite_one_more_mode_losses(branching: int = 3, depth: int = 3,
         f"promoted-leaf losses equal (ln {epsilon})^2 = {expected:.4f}; "
         f"{len(bad)} violations"
     )
-    if bad:
-        detail += "; first: " + bad[0]
-    return SuiteResult("one_more_mode_losses", not bad, detail, time.perf_counter() - t0)
+    return _result("one_more_mode_losses", t0, bad, detail)
 
 
 # -- criterion 3: closed-form TV -----------------------------------------------
@@ -156,9 +168,7 @@ def suite_closed_form_tv() -> SuiteResult:
                 if abs(enumerated - closed) > 1e-12:
                     bad.append(f"g={g} h={h} eps={eps}: {enumerated} vs {closed}")
     detail = f"24 (branching, depth, epsilon) cells, {len(bad)} mismatches"
-    if bad:
-        detail += "; first: " + bad[0]
-    return SuiteResult("closed_form_tv", not bad, detail, time.perf_counter() - t0)
+    return _result("closed_form_tv", t0, bad, detail)
 
 
 # -- criterion 4: loss-to-TV soundness ------------------------------------------
@@ -181,9 +191,7 @@ def suite_loss_to_tv_soundness(trials: int = 200, seed: int = 20_241) -> SuiteRe
         if tv > bound + 1e-12:
             bad.append(f"trial {i}: TV {tv} above bound {bound} at c={c}")
     detail = f"{trials} random tabular policies, {len(bad)} violations"
-    if bad:
-        detail += "; first: " + bad[0]
-    return SuiteResult("loss_to_tv_soundness", not bad, detail, time.perf_counter() - t0)
+    return _result("loss_to_tv_soundness", t0, bad, detail)
 
 
 # -- criterion 5: PAC coverage ---------------------------------------------------
@@ -192,21 +200,15 @@ def suite_loss_to_tv_soundness(trials: int = 200, seed: int = 20_241) -> SuiteRe
 def suite_pac_coverage(trials: int = 1000, m: int = 25, n: int = 25,
                        alpha: float = 0.05, seed: int = 20_242) -> SuiteResult:
     t0 = time.perf_counter()
-    envs = [RegularTree(2, 2), RegularTree(3, 2, leaf_rewards=np.linspace(0.2, 2.0, 9))]
+    envs = _small_envs()[:2]
     violations = 0
     for i in range(trials):
         rng = rng_for(seed, f"pac.{i}")
         env = envs[i % len(envs)]
         model = _random_tabular(env, rng, (0.05, 0.3, 1.0)[i % 3],
                                 around_balanced=i % 2 == 0)
-        probs = env.reward_table[env.terminating_states]
-        probs = probs / probs.sum()
-        xs = env.terminating_states[
-            np.minimum(
-                np.searchsorted(np.cumsum(probs), rng.random(m), side="right"),
-                len(probs) - 1,
-            )
-        ]
+        xs = env.terminating_states
+        xs = xs[proportional_draw(rng, env.reward_table[xs], m)]
         bwd = sample_backward_batch(model, env, rng, xs)
         fwd = sample_forward_batch(model, env, rng, n)
         report = certify.optimize_certificate(
@@ -276,22 +278,11 @@ def suite_incremental_sandwich(instances: int = 100, seed: int = 20_243) -> Suit
         env_new = OneMoreMode(env_prev, added)
         model = oracle.balanced_tabular_model(env_prev, flow_head=True)
         sup = certify.loss_supremum(env_prev, added)
-        worst = 0.0
-        for t in oracle.enumerate_trajectories(model, env_new):
-            worst = max(worst, losses.tb_loss(t, model.logz))
-        for e in range(env_new.num_edges):
-            s, d = int(env_new.edge_src[e]), int(env_new.edge_dst[e])
-            if d != env_new.sink:
-                worst = max(worst, losses.db_loss((s, d), model, env_new))
-        for s in range(env_new.num_states):
-            if s not in (env_new.initial_state, env_new.sink):
-                worst = max(worst, losses.fm_loss(s, model, env_new))
+        worst = max(value for _, _, value in _object_losses(model, env_new))
         if abs(worst - sup) > 1e-8:
             bad.append(f"instance {i}: supremum {sup} vs enumerated {worst}")
     detail = f"{instances} randomized reward increments, {len(bad)} failures"
-    if bad:
-        detail += "; first: " + bad[0]
-    return SuiteResult("incremental_sandwich", not bad, detail, time.perf_counter() - t0)
+    return _result("incremental_sandwich", t0, bad, detail)
 
 
 # -- criterion 7: Monte-Carlo flow estimator ---------------------------------------
@@ -306,27 +297,16 @@ def suite_mc_estimator(samples: int = 10_000, seed: int = 20_244) -> SuiteResult
     trajs = oracle.enumerate_trajectories(model, env)
     log_model, log_target = certify.records_from_trajectories(trajs, model.logz)
     threshold = 0.5 * float(np.abs(log_model - log_target).max())
-    zstar = true_partition(env)
-    exact = 0.0
-    active = 0
-    for lm, lt in zip(log_model, log_target):
-        d = losses.reference_flow_delta(float(lm), float(lt), threshold)
-        exact += d / zstar
-        active += d > 0
-    if active == 0 or exact <= 0:
+    deltas = np.exp(losses.reference_flow_log_deltas(log_model, log_target, threshold))
+    exact = float(deltas.sum()) / true_partition(env)
+    if not exact > 0:
         return SuiteResult(
             "mc_estimator", False, "instance has no active reference flow",
             time.perf_counter() - t0,
         )
 
-    probs = env.reward_table[env.terminating_states]
-    probs = probs / probs.sum()
-    xs = env.terminating_states[
-        np.minimum(
-            np.searchsorted(np.cumsum(probs), rng.random(samples), side="right"),
-            len(probs) - 1,
-        )
-    ]
+    xs = env.terminating_states
+    xs = xs[proportional_draw(rng, env.reward_table[xs], samples)]
     bwd = sample_backward_batch(model, env, rng, xs)
     lm, lt = certify.records_from_trajectories(bwd, model.logz)
     est, se = certify.mc_delta_over_zstar(lm, lt, threshold)
@@ -365,9 +345,7 @@ def suite_gradients(instances: int = 10, seed: int = 20_245) -> SuiteResult:
         if objective == "augmented":
             lm, lt = certify.records_from_trajectories(trajs, model.logz)
             cap = 0.5 * float(np.abs(lm - lt).max()) + 1e-6
-            deltas = np.array(
-                [losses.reference_flow_delta(a, b, cap) for a, b in zip(lm, lt)]
-            )
+            deltas = np.exp(losses.reference_flow_log_deltas(lm, lt, cap))
             objective = "tb"
 
         def value_and_grad() -> float:
@@ -381,9 +359,7 @@ def suite_gradients(instances: int = 10, seed: int = 20_245) -> SuiteResult:
         if err >= 1e-4:
             bad.append(f"instance {i} ({objectives[i % len(objectives)]}, {kind}): rel err {err:.2e}")
     detail = f"{instances} instances, worst relative error {worst_overall:.2e}"
-    if bad:
-        detail += "; first failure: " + bad[0]
-    return SuiteResult("gradients", not bad, detail, time.perf_counter() - t0)
+    return _result("gradients", t0, bad, detail)
 
 
 # -- certificate optimizer vs grid scan ----------------------------------------------
@@ -415,9 +391,7 @@ def suite_optimizer_grid(cases: int = 20, seed: int = 20_246) -> SuiteResult:
         if report.raw_bound > grid_best + 1e-6:
             bad.append(f"case {i}: optimizer {report.raw_bound} vs grid {grid_best}")
     detail = f"{cases} record sets vs 200-point scans, {len(bad)} regressions"
-    if bad:
-        detail += "; first: " + bad[0]
-    return SuiteResult("optimizer_grid", not bad, detail, time.perf_counter() - t0)
+    return _result("optimizer_grid", t0, bad, detail)
 
 
 SUITES: Dict[str, Callable[[], SuiteResult]] = {

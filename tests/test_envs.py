@@ -72,6 +72,21 @@ def test_one_more_mode_wrapped_partition():
     assert true_partition(env) == pytest.approx(9.0 + (1.0 - eps))
 
 
+def test_one_more_mode_shares_the_base_graph():
+    base = RegularTree(3, 2)
+    promoted = int(base.leaves[-1])
+    env = OneMoreMode(base, {promoted: 0.5})
+    for name in DagEnv.GRAPH_ATTRS + ("terminating_states",):
+        assert getattr(env, name) is getattr(base, name), name
+    assert env.encoding_matrix is base.encoding_matrix
+    assert env.reward(promoted) == 1.5 and base.reward(promoted) == 1.0
+    assert env.describe() == {
+        "kind": "one_more_mode",
+        "base": {"kind": "tree", "branching": 3, "depth": 2, "leaf_rewards": [1.0] * 9},
+        "added": {str(promoted): 0.5},
+    }
+
+
 def test_one_more_mode_tree_partitions():
     prev, new = one_more_mode_tree(3, 2, 0.1)
     assert true_partition(prev) == pytest.approx(8.1)
@@ -86,7 +101,7 @@ def test_one_more_mode_tree_epsilon_one_is_identity():
 def test_one_more_mode_small_case():
     prev, new = one_more_mode_tree(2, 1, 0.5)
     assert [prev.reward(int(x)) for x in prev.leaves] == [1.0, 0.5]
-    assert [new.reward(int(x)) for x in new.leaves] == [1.0, 1.0]
+    assert [new.reward(int(x)) for x in prev.leaves] == [1.0, 1.0]  # same graph
 
 
 def test_one_more_mode_rejects_bad_epsilon():

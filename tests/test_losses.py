@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from stablegfn.losses import (
     fm_loss,
     reduction_factor_gamma,
     reference_flow_delta,
+    reference_flow_log_deltas,
     reference_flow_ratio,
     subtb_loss,
     tb_loss,
@@ -20,6 +23,7 @@ from stablegfn.losses import (
 )
 from stablegfn.oracle import balanced_tabular_model, enumerate_trajectories
 from stablegfn.policy import PolicyModel, Trajectory, sample_forward
+from stablegfn.trainer import rng_for
 
 
 class ChainEnv(DagEnv):
@@ -239,6 +243,15 @@ def test_terminal_reach_counts_tree():
         assert counts[leaf] == 1
 
 
+def test_terminal_reach_counts_cache_dies_with_env():
+    env = RegularTree(2, 2)
+    assert terminal_reach_counts(env) is terminal_reach_counts(env)  # cached
+    ref = weakref.ref(env)
+    del env
+    gc.collect()
+    assert ref() is None  # the cache holds no reference to the environment
+
+
 # -- reference flow ------------------------------------------------------------------------
 
 
@@ -270,6 +283,39 @@ def test_reference_flow_ratio_matches_delta():
 def test_reference_flow_extreme_flows_no_overflow():
     d = reference_flow_ratio(700.0, 0.0, 1.0)
     assert math.isinf(d) or d > 0  # finite log-domain path, no exception
+
+
+def _log_delta_reference(lm, lt, c):
+    """The scalar closed form of the minimal reference flow, in log space."""
+    r = lm - lt
+    if abs(r) <= c:
+        return -math.inf
+    if c == 0.0:
+        return math.inf
+    log_em1 = math.log(math.expm1(c))
+    if r > c:
+        return lm + math.log1p(-math.exp(c - r)) - log_em1
+    return lt + math.log1p(-math.exp(c + r)) - log_em1
+
+
+def test_vectorized_log_deltas_match_scalar_formula():
+    # the draws of the verify suite "cap": flows in [-20, 20], every 20th cap 0
+    rng = rng_for(20_240, "cap")
+    lm, lt, caps = np.empty(10_000), np.empty(10_000), []
+    for k in range(10_000):
+        lm[k], lt[k] = rng.uniform(-20, 20), rng.uniform(-20, 20)
+        caps.append(0.0 if k % 20 == 0 else float(rng.uniform(0.0, 5.0)))
+    # extremes: flows 700 nats apart in log space, and exactly on the cap
+    lm = np.concatenate([lm, [700.0, -700.0, 0.0, 0.0, 700.0, 1.5]])
+    lt = np.concatenate([lt, [0.0, 0.0, 700.0, -700.0, -700.0, 0.0]])
+    for c in caps[:12] + [1.0, 1.5]:
+        got = reference_flow_log_deltas(lm, lt, c)
+        want = np.array([_log_delta_reference(a, b, c) for a, b in zip(lm, lt)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert not np.isnan(got).any()
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+    at_zero = reference_flow_log_deltas(np.array([0.0, 0.5, -0.5]), np.zeros(3), 0.0)
+    assert at_zero.tolist() == [-math.inf, math.inf, math.inf]
 
 
 def test_augmented_loss_examples():
@@ -336,6 +382,21 @@ def test_batch_fm_matches_per_state_mean():
     for t, item in zip(trajs, report.per_item):
         vals = [fm_loss(s, model, env) for s in t.states[1:-1]]
         assert item == pytest.approx(float(np.mean(vals)), abs=1e-10)
+
+
+def test_fm_finite_at_tiny_state_flows():
+    env = RegularTree(2, 2)
+    model = _random_flow_model(env, 14)
+    model.flow_net.table[...] = -800.0  # exp() of every state flow underflows to 0
+    trajs = [sample_forward(model, env, np.random.default_rng(15)) for _ in range(4)]
+    model.params.zero_grad()
+    report = batch_loss(model, env, trajs, "fm", backprop=True)
+    assert np.all(np.isfinite(report.per_item))
+    assert np.all(np.isfinite(model.params.grads))
+    for t, item in zip(trajs, report.per_item):
+        vals = [fm_loss(s, model, env) for s in t.states[1:-1]]
+        assert np.all(np.isfinite(vals))
+        assert item == pytest.approx(float(np.mean(vals)), rel=1e-12)
 
 
 def test_batch_wdb_matches_weighted_edges():

@@ -7,7 +7,9 @@ from stablegfn.envs import Hypergrid, RegularTree
 from stablegfn.policy import (
     PolicyModel,
     Trajectory,
+    _draw_rows,
     exact_terminal_distribution,
+    proportional_draw,
     read_trajectory_log,
     sample_backward,
     sample_backward_batch,
@@ -247,3 +249,37 @@ def test_logit_clamp_applies_to_policy():
     expected = 50.0 - math.log(math.exp(50.0) + 1.0)
     assert lp[0] == pytest.approx(expected, abs=1e-12)
     assert math.exp(lp[1]) > 0  # positivity preserved by the clamp
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose uniforms are the given values, in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        return np.array([self.values.pop(0) for _ in range(size)])
+
+
+def test_proportional_draw_skips_zero_weights_and_matches_proportions():
+    w = np.array([0.0, 3.0, 0.0, 1.0, 0.0])
+    idx = proportional_draw(np.random.default_rng(0), w, 40_000)
+    assert set(np.unique(idx).tolist()) == {1, 3}
+    assert abs((idx == 1).mean() - 0.75) < 0.01
+    # the ends of the uniform's range, one draw at a time and batched
+    top = 1.0 - 2.0**-53
+    assert [int(proportional_draw(_FixedUniforms([u]), w)) for u in (0.0, top)] == [1, 3]
+    assert proportional_draw(_FixedUniforms([0.0, top]), w, 2).tolist() == [1, 3]
+
+
+def test_draw_rows_skips_zero_weights_and_matches_proportions():
+    probs = np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75]])
+    top = 1.0 - 2.0**-53
+    assert _draw_rows(_FixedUniforms([0.0, 0.0]), probs).tolist() == [1, 0]
+    assert _draw_rows(_FixedUniforms([top, top]), probs).tolist() == [2, 2]
+    rng = np.random.default_rng(1)
+    picks = np.array([_draw_rows(rng, probs) for _ in range(20_000)])
+    assert not np.any(picks[:, 0] == 0) and not np.any(picks[:, 1] == 1)
+    assert abs((picks[:, 1] == 2).mean() - 0.75) < 0.015

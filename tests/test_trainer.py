@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from stablegfn.approximator import NonFiniteError
 from stablegfn.envs import Hypergrid, RegularTree
 from stablegfn.losses import batch_loss, reference_flow_delta
 from stablegfn.oracle import balanced_tabular_model, exact_tv
 from stablegfn.policy import PolicyModel, sample_forward
 from stablegfn.trainer import (
+    CSV_COLUMNS,
     ReplayBuffer,
     TopKBuffer,
     TrainConfig,
@@ -153,6 +155,27 @@ def test_metrics_csv_schema(tmp_path):
     ]
 
 
+def test_metrics_streamed_before_a_crash(tmp_path):
+    env = RegularTree(2, 2)
+    model = PolicyModel.build(env, "tabular")
+    path = tmp_path / "m.csv"
+    tr = Trainer(model, env, TrainConfig(max_rounds=10, seed=0), metrics_path=str(path))
+    step, calls = tr.optimizer.step, []
+
+    def step_failing_on_round_3():
+        calls.append(None)
+        if len(calls) == 3:
+            raise NonFiniteError("injected")
+        step()
+
+    tr.optimizer.step = step_failing_on_round_3
+    with pytest.raises(NonFiniteError):
+        tr.run()
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+
 def test_patience_resets_on_buffer_change():
     env = RegularTree(3, 2)
     model = PolicyModel.build(env, "tabular", rng=rng_for(1, "m"))
@@ -216,16 +239,20 @@ def test_stabilize_off_is_plain_objective(tmp_path):
 
 
 def test_buffer_fallback_first_round():
-    env = RegularTree(2, 2)
-    model = PolicyModel.build(env, "tabular")
-    cfg = TrainConfig(objective="tb", stabilize=True, max_rounds=3, seed=0,
-                      backward_source="buffer", batch_size=8, patience=100)
-    tr = Trainer(model, env, cfg)
-    row0 = tr.stable_round()
-    assert row0["n_backward"] == 0
-    assert tr.state.fallback_rounds == 1
-    row1 = tr.stable_round()
-    assert row1["n_backward"] == 4  # buffer populated, half the batch backward
+    for in_gradient, n_backward in (("always", 4), ("auto", 0)):
+        env = RegularTree(2, 2)
+        model = PolicyModel.build(env, "tabular")
+        cfg = TrainConfig(objective="tb", stabilize=True, max_rounds=3, seed=0,
+                          backward_source="buffer", batch_size=8, patience=100,
+                          backward_in_gradient=in_gradient)
+        tr = Trainer(model, env, cfg)
+        row0 = tr.stable_round()
+        assert row0["n_backward"] == 0
+        assert tr.state.fallback_rounds == 1
+        row1 = tr.stable_round()
+        # buffer populated: half the batch is walked backward when it enters
+        # the gradient; by default (auto) nothing reads it, so none is drawn
+        assert row1["n_backward"] == n_backward
 
 
 def test_baseline_objectives_run_one_round():
