@@ -17,8 +17,8 @@ from .policy import (
     PolicyModel,
     Trajectory,
     exact_terminal_distribution,
-    sample_backward,
-    sample_forward,
+    rollout,
+    trajectories_from_paths,
 )
 from .trainer import TopKBuffer, TrainConfig, Trainer, update_threshold
 

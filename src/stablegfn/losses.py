@@ -242,15 +242,6 @@ class LossBatchReport:
         return float((self.deltas > 0).mean())
 
 
-def _traj_flows(model: PolicyModel, env: DagEnv, trajs: Sequence[Trajectory],
-                batch: EdgeBatch, tid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    n = len(trajs)
-    log_pf = np.bincount(tid, weights=batch.log_pf, minlength=n)
-    log_pb = np.bincount(tid, weights=batch.log_pb, minlength=n)
-    log_r = np.log([t.reward for t in trajs])
-    return model.logz + log_pf, log_r + log_pb
-
-
 def batch_loss(
     model: PolicyModel,
     env: DagEnv,
@@ -259,15 +250,18 @@ def batch_loss(
     backprop: bool = False,
     deltas: Optional[np.ndarray] = None,
     subtb_lambda: float = 0.9,
+    edges: Optional[EdgeBatch] = None,
 ) -> LossBatchReport:
     """Per-trajectory losses for a batch; optionally accumulate mean-loss gradients.
 
     ``deltas`` (constants, one per trajectory) select the capped variant of
     the trajectory objective.  Gradients are of the batch mean and are added
-    into ``model.params.grads`` without zeroing.
+    into ``model.params.grads`` without zeroing.  The trajectory objective
+    reuses ``edges``, an unused EdgeBatch over exactly ``trajs``' edges at the
+    current parameters (see :func:`trajectories_from_paths`), if given.
     """
     if objective in ("tb", "augmented"):
-        return _batch_tb(model, env, trajs, backprop, deltas)
+        return _batch_tb(model, env, trajs, backprop, deltas, edges)
     if deltas is not None:
         raise ValueError(f"reference flow only applies to the trajectory objective")
     if objective in ("db", "wdb"):
@@ -279,11 +273,13 @@ def batch_loss(
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def _batch_tb(model, env, trajs, backprop, deltas):
+def _batch_tb(model, env, trajs, backprop, deltas, batch):
     n = len(trajs)
-    tid, src, dst = collect_transitions(trajs)
-    batch = EdgeBatch(model, env, src, dst)
-    log_model, log_target = _traj_flows(model, env, trajs, batch, tid)
+    if batch is None:
+        batch = EdgeBatch.of_trajectories(model, env, trajs)
+    log_pf, log_pb = batch.per_trajectory(n)
+    log_model = model.logz + log_pf
+    log_target = np.log([t.reward for t in trajs]) + log_pb
     raw_ratio = log_model - log_target
 
     # sa, sb: d(augmented log flow)/d(raw log flow) on each side
@@ -306,8 +302,8 @@ def _batch_tb(model, env, trajs, backprop, deltas):
     if backprop:
         coeff_a = 2.0 * ratio * sa / n
         coeff_b = 2.0 * ratio * sb / n
-        batch.add_pf_coeff(coeff_a[tid])
-        batch.add_pb_coeff(-coeff_b[tid])
+        batch.add_pf_coeff(coeff_a[batch.tid])
+        batch.add_pb_coeff(-coeff_b[batch.tid])
         model.add_logz_grad(float(coeff_a.sum()))
         batch.backprop()
     return LossBatchReport(kind, per_item, log_ratios=raw_ratio, deltas=deltas)

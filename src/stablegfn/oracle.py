@@ -184,7 +184,8 @@ def enumerate_trajectory_states(env: DagEnv, cap: int = DEFAULT_TRAJECTORY_CAP) 
 def enumerate_trajectories(model: PolicyModel, env: DagEnv,
                            cap: int = DEFAULT_TRAJECTORY_CAP) -> List[Trajectory]:
     """Every complete trajectory with exact log-probs under the model."""
-    return trajectories_from_paths(model, env, enumerate_trajectory_states(env, cap), "enumerated")
+    paths = enumerate_trajectory_states(env, cap)
+    return trajectories_from_paths(model, env, paths, "enumerated")[0]
 
 
 def one_more_mode_tv_closed_form(branching: int, depth: int, epsilon: float) -> float:

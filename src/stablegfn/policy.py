@@ -6,10 +6,10 @@ slots, or fixed-uniform), a learnable log partition value, and an optional
 state-flow head.  Valid-action logits are clamped to [-50, 50] before
 normalization so every valid edge keeps strictly positive probability.
 
-Single-trajectory samplers evaluate one state at a time, which makes cached
-trajectory log-probabilities bit-reproducible by edge-by-edge recomputation.
-Batched helpers (used for bulk certification sampling and loss gradients)
-evaluate many states per call.
+:func:`rollout` walks training trajectories one after another, computing each
+state's policy row once per call.  Cached log-probs come from one
+:class:`EdgeBatch` over a batch's edges (:func:`trajectories_from_paths`), so
+they are bit-reproducible given seed and batch.  Bulk samplers walk in lockstep.
 
 One implementation each: :func:`_log_softmax` for every policy row,
 :func:`proportional_draw` (row-wise: :func:`_draw_rows`) for every
@@ -103,7 +103,7 @@ def proportional_draw(rng: np.random.Generator, weights: np.ndarray, size=None):
     sums with ``side="right"``, so a zero-weight entry is never picked.
     Searching all but the last sum clamps the index to the last entry when
     rounding puts the scaled uniform at the total.  ``size=None`` draws one
-    index (the per-state samplers' path: no extra numpy call per state).
+    index (the path :func:`rollout` takes: no extra numpy call per state).
     """
     c = np.cumsum(weights)
     return np.searchsorted(c[:-1], rng.random(size) * c[-1], side="right")
@@ -237,56 +237,42 @@ class PolicyModel:
         return float(out[0, 0])
 
 
-def sample_forward(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
-                   epsilon: float = 0.0) -> Trajectory:
-    """Sample one trajectory from the forward policy with optional ε-greedy noise.
+def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: Sequence[int],
+            forward: bool = True, epsilon: float = 0.0) -> List[List[int]]:
+    """Source-to-sink paths walked from ``starts`` one after another: forward,
+    or backward from terminating states.
 
-    Exploration affects which action is taken but never the recorded
-    log-probabilities, which always reflect the un-mixed policy.
+    No draw at a single-choice state; else, with ε > 0, ``rng.random() < ε``
+    picks a uniform choice, or :func:`proportional_draw` draws from the policy
+    row.  Rows are computed once per state per call (parameters are fixed in
+    it).  Exploration never enters the log-probs trajectories record.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
-    s = env.initial_state
-    states = [s]
-    log_pf = 0.0
-    log_pb = 0.0
-    while s != env.sink:
-        slots, children, lp = model.forward_row(s, env)
-        if len(children) == 1:
-            i = 0
-        elif epsilon > 0.0 and rng.random() < epsilon:
-            i = int(rng.integers(len(children)))
-        else:
-            i = int(proportional_draw(rng, np.exp(lp)))
-        child = int(children[i])
-        log_pf += float(lp[i])
-        if child != env.sink:
-            log_pb += model.log_pb_edge(s, child, env)
-        states.append(child)
-        s = child
-    x = states[-2]
-    return Trajectory(states, log_pf, log_pb, env.reward(x), "forward-sampled")
-
-
-def sample_backward(model: PolicyModel, env: DagEnv, x: int,
-                    rng: np.random.Generator) -> Trajectory:
-    """Walk from a terminating state back to the source under the backward policy."""
-    if not env.is_terminating(x):
-        raise ValueError(f"state {x} is not terminating")
-    rev = [env.sink, x]
-    log_pb = 0.0
-    s = x
-    while s != env.initial_state:
-        slots, parents, lp = model.backward_row(s, env)
-        i = 0 if len(parents) == 1 else int(proportional_draw(rng, np.exp(lp)))
-        log_pb += float(lp[i])
-        s = int(parents[i])
-        rev.append(s)
-    states = rev[::-1]
-    log_pf = 0.0
-    for a, b in zip(states[:-1], states[1:]):
-        log_pf += model.log_pf_edge(a, b, env)
-    return Trajectory(states, log_pf, log_pb, env.reward(x), "backward-sampled")
+    row_at = model.forward_row if forward else model.backward_row
+    end = env.sink if forward else env.initial_state
+    rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # state -> (next states, probabilities)
+    paths = []
+    for s in starts:
+        s = int(s)
+        if not forward and not env.is_terminating(s):
+            raise ValueError(f"state {s} is not terminating")
+        seq = [s]
+        while s != end:
+            if s not in rows:
+                _, nxt, lp = row_at(s, env)
+                rows[s] = nxt, np.exp(lp)
+            nxt, p = rows[s]
+            if len(nxt) == 1:
+                i = 0
+            elif epsilon > 0.0 and rng.random() < epsilon:
+                i = int(rng.integers(len(nxt)))
+            else:
+                i = int(proportional_draw(rng, p))
+            s = int(nxt[i])
+            seq.append(s)
+        paths.append(seq if forward else seq[::-1] + [env.sink])
+    return paths
 
 
 # -- batched transition evaluation ------------------------------------------
@@ -303,11 +289,13 @@ class EdgeBatch:
     Values are computed once at construction.  Callers accumulate per-edge
     coefficients (d loss / d log-prob) and invoke :meth:`backprop` once, which
     pushes gradients through the masked softmax, the clamp, and the nets.
+    ``tid`` (optional) numbers the trajectory each edge belongs to.
     """
 
-    def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray):
+    def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray,
+                 tid: Optional[np.ndarray] = None):
         self.model, self.env = model, env
-        self.src, self.dst = src, dst
+        self.src, self.dst, self.tid = src, dst, tid
         self._pf_coeff = np.zeros(len(src))
         self._pb_coeff = np.zeros(len(src))
 
@@ -340,6 +328,18 @@ class EdgeBatch:
         slot = _slot_of(matrix, rows, other[idx])
         logp_edges[idx] = logp[inv, slot]
         return logp_edges, (net, cache, raw, probs, inv, slot, idx, mask[states])
+
+    @classmethod
+    def of_trajectories(cls, model: PolicyModel, env: DagEnv,
+                        trajs: Sequence[Trajectory]) -> "EdgeBatch":
+        """One batch over every edge of ``trajs``, grouped by trajectory."""
+        tid, src, dst = collect_transitions(trajs)
+        return cls(model, env, src, dst, tid)
+
+    def per_trajectory(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(log P_F, log P_B) summed over each of ``n`` trajectories' edges."""
+        return (np.bincount(self.tid, weights=self.log_pf, minlength=n),
+                np.bincount(self.tid, weights=self.log_pb, minlength=n))
 
     def add_pf_coeff(self, coeff: np.ndarray) -> None:
         self._pf_coeff += coeff
@@ -401,22 +401,18 @@ def collect_transitions(trajs: Sequence[Trajectory]) -> Tuple[np.ndarray, np.nda
 def trajectory_log_probs(model: PolicyModel, env: DagEnv,
                          trajs: Sequence[Trajectory]) -> Tuple[np.ndarray, np.ndarray]:
     """Recompute (log P_F, log P_B) per trajectory under current parameters."""
-    tid, src, dst = collect_transitions(trajs)
-    batch = EdgeBatch(model, env, src, dst)
-    n = len(trajs)
-    log_pf = np.bincount(tid, weights=batch.log_pf, minlength=n)
-    log_pb = np.bincount(tid, weights=batch.log_pb, minlength=n)
-    return log_pf, log_pb
+    return EdgeBatch.of_trajectories(model, env, trajs).per_trajectory(len(trajs))
 
 
 def trajectories_from_paths(model: PolicyModel, env: DagEnv, paths: Sequence[List[int]],
-                            provenance: str) -> List[Trajectory]:
-    """Trajectories along source-to-sink ``paths``, with log-probs from one batched pass."""
+                            provenance: str) -> Tuple[List[Trajectory], EdgeBatch]:
+    """Trajectories along source-to-sink ``paths`` and the one :class:`EdgeBatch`
+    their log-probs come from (they keep no reference to it)."""
     trajs = [Trajectory(p, 0.0, 0.0, env.reward(p[-2]), provenance) for p in paths]
-    log_pf, log_pb = trajectory_log_probs(model, env, trajs)
-    for t, f, b in zip(trajs, log_pf, log_pb):
+    batch = EdgeBatch.of_trajectories(model, env, trajs)
+    for t, f, b in zip(trajs, *batch.per_trajectory(len(trajs))):
         t.log_pf, t.log_pb = float(f), float(b)
-    return trajs
+    return trajs, batch
 
 
 # -- bulk samplers (certification) -------------------------------------------
@@ -424,7 +420,8 @@ def trajectories_from_paths(model: PolicyModel, env: DagEnv, paths: Sequence[Lis
 
 def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
           starts: Sequence[int], forward: bool) -> List[List[int]]:
-    """Walk every start state in lockstep, forward to the sink or backward to the source.
+    """Source-to-sink paths walked from every start state in lockstep, forward
+    to the sink or backward from a terminating state to the source.
 
     Each step evaluates the policy once per distinct current state and draws
     one uniform per walker still moving.
@@ -450,21 +447,21 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
             seqs[t].append(int(nxt[j]))
         cur[alive] = nxt
         alive = alive[nxt != end]
-    return seqs
+    return seqs if forward else [s[::-1] + [env.sink] for s in seqs]
 
 
 def sample_forward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                          count: int) -> List[Trajectory]:
     """Sample many trajectories from the pure forward policy in lockstep."""
     paths = _walk(model, env, rng, [env.initial_state] * count, forward=True)
-    return trajectories_from_paths(model, env, paths, "forward-sampled")
+    return trajectories_from_paths(model, env, paths, "forward-sampled")[0]
 
 
 def sample_backward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                           xs: np.ndarray) -> List[Trajectory]:
     """Walk backward from given terminating states in lockstep."""
-    paths = [s[::-1] + [env.sink] for s in _walk(model, env, rng, xs, forward=False)]
-    return trajectories_from_paths(model, env, paths, "backward-sampled")
+    paths = _walk(model, env, rng, xs, forward=False)
+    return trajectories_from_paths(model, env, paths, "backward-sampled")[0]
 
 
 def exact_terminal_distribution(model: PolicyModel, env: DagEnv,

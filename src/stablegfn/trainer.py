@@ -12,6 +12,9 @@ the buffer holds).  ``metrics.csv`` is written one line per round.
 
 Baselines train any of the plain objectives on forward samples, optionally
 mixed with a reward-prioritized replay buffer.
+
+A round walks its trajectories with :func:`~stablegfn.policy.rollout` and
+evaluates their edges once, in one ``EdgeBatch`` that the trajectory loss reuses.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ from . import certify, losses, oracle
 from .approximator import AdamOptimizer
 from .envs import DagEnv
 from .policy import (
+    EdgeBatch,
     PolicyModel,
     Trajectory,
     proportional_draw,
-    sample_backward,
+    rollout,
     sample_backward_batch,
-    sample_forward,
     sample_forward_batch,
+    trajectories_from_paths,
 )
 
 
@@ -169,8 +173,9 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def insert(self, traj: Trajectory) -> None:
-        self._items.append(traj)
+    def insert(self, trajs: Sequence[Trajectory]) -> None:
+        """Add a round's trajectories; one stable sort keeps the best, earlier first."""
+        self._items.extend(trajs)
         if len(self._items) > self.capacity:
             self._items.sort(key=lambda t: -t.reward)
             del self._items[self.capacity:]
@@ -258,13 +263,13 @@ class Trainer:
     # -- rounds ---------------------------------------------------------------
 
     def _merge_discovered(self, trajs: Sequence[Trajectory]) -> bool:
+        # a path's one terminating state is the last before the sink (DagEnv._validate)
         found: Dict[int, float] = {}
         for t in trajs:
-            for s in t.states:
-                if self.env.terminating_mask[s]:
-                    found[int(s)] = self.env.reward(int(s))
-                    if self._mode_pred(int(s)):
-                        self.state.modes_found.add(int(s))
+            x = int(t.terminating_state)
+            found[x] = self.env.reward(x)
+            if self._mode_pred(x):
+                self.state.modes_found.add(x)
         return self.buffer.merge(found)
 
     def _certify(self) -> Optional[certify.CertificateReport]:
@@ -280,12 +285,12 @@ class Trainer:
             self.env, scope, bwd, fwd, self.model.logz, cfg.alpha, threshold=threshold
         )
 
-    def _gradient_step(self, trajs: Sequence[Trajectory],
-                       deltas: Optional[np.ndarray]) -> losses.LossBatchReport:
+    def _gradient_step(self, trajs: Sequence[Trajectory], deltas: Optional[np.ndarray],
+                       edges: Optional[EdgeBatch]) -> losses.LossBatchReport:
         self.model.params.zero_grad()
         report = losses.batch_loss(
             self.model, self.env, trajs, self.config.objective,
-            backprop=True, deltas=deltas, subtb_lambda=self.config.subtb_lambda,
+            backprop=True, deltas=deltas, subtb_lambda=self.config.subtb_lambda, edges=edges,
         )
         self.optimizer.step()
         return report
@@ -297,20 +302,19 @@ class Trainer:
         exact = cfg.backward_source == "exact"
         backward_ready = exact or len(self.buffer) > 0
 
-        fwd = [
-            sample_forward(self.model, self.env, self.rng_forward, cfg.epsilon)
-            for _ in range(n_fwd if backward_ready else cfg.batch_size)
-        ]
-        bwd: List[Trajectory] = []
+        starts = [self.env.initial_state] * (n_fwd if backward_ready else cfg.batch_size)
+        paths = rollout(self.model, self.env, self.rng_forward, starts, epsilon=cfg.epsilon)
+        n_paths = len(paths)
         # unread outside the gradient: a buffer-drawn half ends in buffered states
         if backward_ready and (cfg.use_backward_gradient or exact):
-            bwd = [
-                sample_backward(self.model, self.env, int(x), self.rng_backward)
-                for x in self._draw_terminals(self.rng_backward, half)
-            ]
+            xs = self._draw_terminals(self.rng_backward, half)
+            paths += rollout(self.model, self.env, self.rng_backward, xs, forward=False)
         if not backward_ready:
             st.fallback_rounds += 1
-        batch = fwd + bwd
+        batch, edges = trajectories_from_paths(self.model, self.env, paths, "forward-sampled")
+        fwd, bwd = batch[:n_paths], batch[n_paths:]
+        for t in bwd:
+            t.provenance = "backward-sampled"
 
         changed = self._merge_discovered(batch)
         st.patience_count = 0 if changed else st.patience_count + 1
@@ -332,21 +336,22 @@ class Trainer:
             and fresh_main < cfg.tv_target
         )
 
-        grad_trajs = batch if cfg.use_backward_gradient else fwd
+        if bwd and not cfg.use_backward_gradient:  # the half only fed the buffer merge
+            batch, edges = fwd, None
         if skip:
             st.skip_rounds += 1
-            report = losses.batch_loss(self.model, self.env, grad_trajs, "tb")
+            report = losses.batch_loss(self.model, self.env, batch, "tb", edges=edges)
         else:
             # reference flows come from the freshly sampled trajectories'
             # cached log-probs, which reflect the current parameters
             log_model, log_target = certify.records_from_trajectories(
-                grad_trajs, self.model.logz
+                batch, self.model.logz
             )
             if st.threshold is None:
                 st.threshold = float(np.abs(log_model - log_target).max())
             cap = max(st.threshold, 1e-12)
             deltas = np.exp(losses.reference_flow_log_deltas(log_model, log_target, cap))
-            report = self._gradient_step(grad_trajs, deltas)
+            report = self._gradient_step(batch, deltas, edges)
             raw = report.log_ratios
             st.threshold = update_threshold(
                 st.threshold, raw * raw, cfg.ema_beta, cfg.threshold_agg
@@ -356,17 +361,16 @@ class Trainer:
 
     def baseline_round(self) -> Dict[str, object]:
         cfg = self.config
-        fresh = [
-            sample_forward(self.model, self.env, self.rng_forward, cfg.epsilon)
-            for _ in range(cfg.batch_size)
-        ]
+        starts = [self.env.initial_state] * cfg.batch_size
+        paths = rollout(self.model, self.env, self.rng_forward, starts, epsilon=cfg.epsilon)
+        fresh, edges = trajectories_from_paths(self.model, self.env, paths, "forward-sampled")
         batch = list(fresh)
         if self.replay is not None and len(self.replay) > 0:
             batch += self.replay.sample(self.rng_replay, cfg.replay_batch)
-        report = self._gradient_step(batch, None)
+            edges = None
+        report = self._gradient_step(batch, None, edges)
         if self.replay is not None:
-            for t in fresh:
-                self.replay.insert(t)
+            self.replay.insert(fresh)
         self._merge_discovered(fresh)
         return self._row(report, None, False, 0)
 

@@ -21,9 +21,10 @@ from .envs import DagEnv, Hypergrid, OneMoreMode, RegularTree, one_more_mode_tre
 from .policy import (
     PolicyModel,
     proportional_draw,
+    rollout,
     sample_backward_batch,
-    sample_forward,
     sample_forward_batch,
+    trajectories_from_paths,
 )
 from .trainer import rng_for
 
@@ -338,7 +339,8 @@ def suite_gradients(instances: int = 10, seed: int = 20_245) -> SuiteResult:
             model.backward_net.table += rng.normal(0, 0.5, model.backward_net.table.shape)
             model.flow_net.table += rng.normal(0, 0.5, model.flow_net.table.shape)
         model.set_logz(float(rng.normal(0.0, 0.5)))
-        trajs = [sample_forward(model, env, rng) for _ in range(3)]
+        paths = rollout(model, env, rng, [env.initial_state] * 3)
+        trajs, _ = trajectories_from_paths(model, env, paths, "forward-sampled")
 
         objective = objectives[i % len(objectives)]
         deltas = None

@@ -22,7 +22,7 @@ from stablegfn.losses import (
     wdb_weights,
 )
 from stablegfn.oracle import balanced_tabular_model, enumerate_trajectories
-from stablegfn.policy import PolicyModel, Trajectory, sample_forward
+from stablegfn.policy import PolicyModel, Trajectory, rollout, trajectories_from_paths
 from stablegfn.trainer import rng_for
 
 
@@ -42,6 +42,11 @@ class ChainEnv(DagEnv):
 
     def describe(self):
         return {"kind": "chain"}
+
+
+def forward_trajs(model, env, rng, count):
+    paths = rollout(model, env, rng, [env.initial_state] * count)
+    return trajectories_from_paths(model, env, paths, "forward-sampled")[0]
 
 
 def make_traj(states, log_pf, log_pb, reward):
@@ -165,7 +170,7 @@ def test_subtb_full_span_equals_tb_when_root_flow_is_logz():
     env = RegularTree(2, 2)
     model = _random_flow_model(env, 0)
     model.flow_net.table[0, 0] = model.logz
-    t = sample_forward(model, env, np.random.default_rng(1))
+    t = forward_trajs(model, env, np.random.default_rng(1), 1)[0]
     n = len(t.states) - 2
     assert subtb_loss(t, 0, n, model, env) == pytest.approx(
         tb_loss(t, model.logz), abs=1e-12
@@ -175,7 +180,7 @@ def test_subtb_full_span_equals_tb_when_root_flow_is_logz():
 def test_subtb_single_edge_equals_db():
     env = RegularTree(2, 2)
     model = _random_flow_model(env, 2)
-    t = sample_forward(model, env, np.random.default_rng(3))
+    t = forward_trajs(model, env, np.random.default_rng(3), 1)[0]
     assert subtb_loss(t, 0, 1, model, env) == pytest.approx(
         db_loss((t.states[0], t.states[1]), model, env), abs=1e-12
     )
@@ -184,7 +189,7 @@ def test_subtb_single_edge_equals_db():
 def test_subtb_rejects_degenerate_span():
     env = RegularTree(2, 2)
     model = _random_flow_model(env, 2)
-    t = sample_forward(model, env, np.random.default_rng(3))
+    t = forward_trajs(model, env, np.random.default_rng(3), 1)[0]
     with pytest.raises(ValueError):
         subtb_loss(t, 1, 1, model, env)
 
@@ -193,7 +198,7 @@ def test_subtb_batch_matches_brute_force():
     env = Hypergrid(2, 3, r0=0.1)
     model = _random_flow_model(env, 4)
     rng = np.random.default_rng(5)
-    trajs = [sample_forward(model, env, rng) for _ in range(6)]
+    trajs = forward_trajs(model, env, rng, 6)
     lam = 0.9
     report = batch_loss(model, env, trajs, "subtb", subtb_lambda=lam)
     for i, t in enumerate(trajs):
@@ -220,7 +225,7 @@ def test_wdb_weights_single_path():
 def test_wdb_weights_tree_example():
     env = RegularTree(2, 2)
     model = balanced_tabular_model(env)
-    t = sample_forward(model, env, np.random.default_rng(0))
+    t = forward_trajs(model, env, np.random.default_rng(0), 1)[0]
     w = wdb_weights(t, env)
     # root edge reaches 2 leaves, the others 1: raw (1/2, 1, 1) -> (0.2, 0.4, 0.4)
     assert np.allclose(w, [0.2, 0.4, 0.4])
@@ -230,7 +235,7 @@ def test_wdb_weights_depend_only_on_depth():
     env = RegularTree(3, 3)
     model = balanced_tabular_model(env)
     rng = np.random.default_rng(1)
-    rows = [wdb_weights(sample_forward(model, env, rng), env) for _ in range(10)]
+    rows = [wdb_weights(t, env) for t in forward_trajs(model, env, rng, 10)]
     for row in rows[1:]:
         assert np.allclose(row, rows[0])
 
@@ -355,7 +360,7 @@ def test_batch_tb_matches_cached_values():
     env = Hypergrid(2, 4, r0=0.1)
     model = _random_flow_model(env, 6)
     rng = np.random.default_rng(7)
-    trajs = [sample_forward(model, env, rng) for _ in range(8)]
+    trajs = forward_trajs(model, env, rng, 8)
     report = batch_loss(model, env, trajs, "tb")
     for t, item in zip(trajs, report.per_item):
         assert item == pytest.approx(tb_loss(t, model.logz), abs=1e-12)
@@ -365,7 +370,7 @@ def test_batch_db_matches_per_edge_mean():
     env = Hypergrid(2, 3, r0=0.1)
     model = _random_flow_model(env, 8)
     rng = np.random.default_rng(9)
-    trajs = [sample_forward(model, env, rng) for _ in range(5)]
+    trajs = forward_trajs(model, env, rng, 5)
     report = batch_loss(model, env, trajs, "db")
     for t, item in zip(trajs, report.per_item):
         edges = [(a, b) for a, b in zip(t.states[:-1], t.states[1:]) if b != env.sink]
@@ -377,7 +382,7 @@ def test_batch_fm_matches_per_state_mean():
     env = Hypergrid(2, 3, r0=0.1)
     model = _random_flow_model(env, 10)
     rng = np.random.default_rng(11)
-    trajs = [sample_forward(model, env, rng) for _ in range(5)]
+    trajs = forward_trajs(model, env, rng, 5)
     report = batch_loss(model, env, trajs, "fm")
     for t, item in zip(trajs, report.per_item):
         vals = [fm_loss(s, model, env) for s in t.states[1:-1]]
@@ -388,7 +393,7 @@ def test_fm_finite_at_tiny_state_flows():
     env = RegularTree(2, 2)
     model = _random_flow_model(env, 14)
     model.flow_net.table[...] = -800.0  # exp() of every state flow underflows to 0
-    trajs = [sample_forward(model, env, np.random.default_rng(15)) for _ in range(4)]
+    trajs = forward_trajs(model, env, np.random.default_rng(15), 4)
     model.params.zero_grad()
     report = batch_loss(model, env, trajs, "fm", backprop=True)
     assert np.all(np.isfinite(report.per_item))
@@ -403,7 +408,7 @@ def test_batch_wdb_matches_weighted_edges():
     env = RegularTree(2, 3)
     model = _random_flow_model(env, 12)
     rng = np.random.default_rng(13)
-    trajs = [sample_forward(model, env, rng) for _ in range(4)]
+    trajs = forward_trajs(model, env, rng, 4)
     report = batch_loss(model, env, trajs, "wdb")
     for t, item in zip(trajs, report.per_item):
         w = wdb_weights(t, env)
@@ -427,7 +432,7 @@ def test_balanced_model_zero_under_all_objectives():
     env = RegularTree(2, 2, leaf_rewards=[1.0, 2.0, 0.5, 0.25])
     model = balanced_tabular_model(env)
     rng = np.random.default_rng(0)
-    trajs = [sample_forward(model, env, rng) for _ in range(6)]
+    trajs = forward_trajs(model, env, rng, 6)
     for objective in ("tb", "db", "fm", "subtb", "wdb"):
         report = batch_loss(model, env, trajs, objective)
         assert report.max_item < 1e-10, objective

@@ -11,10 +11,10 @@ from stablegfn.policy import (
     exact_terminal_distribution,
     proportional_draw,
     read_trajectory_log,
-    sample_backward,
+    rollout,
     sample_backward_batch,
-    sample_forward,
     sample_forward_batch,
+    trajectories_from_paths,
     trajectory_log_probs,
     write_trajectory_log,
 )
@@ -29,6 +29,31 @@ def random_model(env, kind="tabular", seed=0, noise=1.0):
         model.backward_net.table[...] = rng.normal(0, noise, model.backward_net.table.shape)
     model.set_logz(float(rng.normal()))
     return model
+
+
+def walk(model, env, rng, starts, forward=True, epsilon=0.0):
+    """Trajectories with log-probs along :func:`rollout` paths."""
+    paths = rollout(model, env, rng, starts, forward, epsilon)
+    provenance = "forward-sampled" if forward else "backward-sampled"
+    return trajectories_from_paths(model, env, paths, provenance)[0]
+
+
+def reference_walk(model, env, rng, start, forward=True, epsilon=0.0):
+    """One path drawn state by state, evaluating the policy row at every step."""
+    row_at = model.forward_row if forward else model.backward_row
+    end = env.sink if forward else env.initial_state
+    s, seq = int(start), [int(start)]
+    while s != end:
+        _, nxt, lp = row_at(s, env)
+        if len(nxt) == 1:
+            i = 0
+        elif epsilon > 0.0 and rng.random() < epsilon:
+            i = int(rng.integers(len(nxt)))
+        else:
+            i = int(proportional_draw(rng, np.exp(lp)))
+        s = int(nxt[i])
+        seq.append(s)
+    return seq if forward else seq[::-1] + [env.sink]
 
 
 @pytest.mark.parametrize("kind", ["tabular", "mlp"])
@@ -49,7 +74,7 @@ def test_uniform_model_tree_leaf_probs():
     env = RegularTree(2, 1)
     model = PolicyModel.build(env, "tabular")   # zero logits = uniform
     rng = np.random.default_rng(0)
-    t = sample_forward(model, env, rng)
+    (t,) = walk(model, env, rng, [env.initial_state])
     assert t.log_pf == pytest.approx(math.log(0.5), abs=1e-12)
     assert t.log_pb == 0.0  # unique parents
 
@@ -62,9 +87,8 @@ def test_epsilon_one_samples_uniformly():
     rng = np.random.default_rng(1)
     counts = np.zeros(3)
     n = 30_000
-    for _ in range(n):
-        t = sample_forward(model, env, rng, epsilon=0.999999999)
-        counts[t.terminating_state - 1] += 1
+    for path in rollout(model, env, rng, [env.initial_state] * n, epsilon=0.999999999):
+        counts[path[-2] - 1] += 1
     assert np.all(np.abs(counts / n - 1 / 3) < 0.01)
 
 
@@ -75,9 +99,9 @@ def test_deterministic_policy_always_same_trajectory():
     model.forward_net.table[0, 1] = 50.0
     model.forward_net.table[2, 0] = 50.0
     rng = np.random.default_rng(0)
-    first = sample_forward(model, env, rng).states
-    for _ in range(20):
-        assert sample_forward(model, env, rng).states == first
+    first, *rest = rollout(model, env, rng, [env.initial_state] * 21)
+    for path in rest:
+        assert path == first
 
 
 def test_exploration_not_in_recorded_log_probs():
@@ -88,8 +112,7 @@ def test_exploration_not_in_recorded_log_probs():
     expected = {1: None, 2: None}
     _, _, lp = model.forward_row(0, env)
     expected[1], expected[2] = float(lp[0]), float(lp[1])
-    for _ in range(50):
-        t = sample_forward(model, env, rng, epsilon=0.9)
+    for t in walk(model, env, rng, [env.initial_state] * 50, epsilon=0.9):
         assert t.log_pf == expected[t.terminating_state]
 
 
@@ -98,7 +121,7 @@ def test_backward_sampling_tree_is_deterministic():
     model = random_model(env)
     rng = np.random.default_rng(0)
     x = int(env.leaves[4])
-    t = sample_backward(model, env, x, rng)
+    (t,) = walk(model, env, rng, [x], forward=False)
     assert t.states[0] == env.initial_state
     assert t.states[-1] == env.sink
     assert t.terminating_state == x
@@ -112,8 +135,7 @@ def test_backward_sampling_grid_lattice_paths():
     rng = np.random.default_rng(0)
     x = env.n_grid + 1 * 3 + 1  # terminal copy of (1, 1)
     seen = set()
-    for _ in range(64):
-        t = sample_backward(model, env, int(x), rng)
+    for t in walk(model, env, rng, [x] * 64, forward=False):
         assert t.log_pb == pytest.approx(math.log(0.5), abs=1e-12)
         seen.add(tuple(t.states))
     assert len(seen) == 2  # the two monotone lattice paths
@@ -123,13 +145,13 @@ def test_backward_sampling_rejects_non_terminal():
     env = RegularTree(2, 2)
     model = random_model(env)
     with pytest.raises(ValueError):
-        sample_backward(model, env, 0, np.random.default_rng(0))
+        rollout(model, env, np.random.default_rng(0), [0], forward=False)
 
 
 def test_single_edge_backward_trajectory():
     env = RegularTree(2, 1)
     model = random_model(env)
-    t = sample_backward(model, env, int(env.leaves[0]), np.random.default_rng(0))
+    (t,) = walk(model, env, np.random.default_rng(0), [env.leaves[0]], forward=False)
     assert len(t.states) == 3  # s0 -> leaf -> sink
 
 
@@ -137,25 +159,54 @@ def test_single_edge_backward_trajectory():
 def test_cached_log_probs_recompute_exactly(kind):
     env = Hypergrid(2, 4, r0=0.1)
     model = random_model(env, kind)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        t = sample_forward(model, env, rng, epsilon=0.1)
-        lpf = sum(model.log_pf_edge(a, b, env) for a, b in zip(t.states[:-1], t.states[1:]))
-        lpb = sum(
-            model.log_pb_edge(a, b, env)
-            for a, b in zip(t.states[:-1], t.states[1:])
-            if b != env.sink
-        )
-        assert lpf == t.log_pf
-        assert lpb == t.log_pb
+    trajs = walk(model, env, np.random.default_rng(5), [env.initial_state] * 10, epsilon=0.1)
+    lpf, lpb = trajectory_log_probs(model, env, trajs)
+    assert [t.log_pf for t in trajs] == lpf.tolist()
+    assert [t.log_pb for t in trajs] == lpb.tolist()
+    # and they agree with the per-edge definitions
+    for t in trajs:
+        edges = list(zip(t.states[:-1], t.states[1:]))
+        assert t.log_pf == pytest.approx(sum(model.log_pf_edge(a, b, env) for a, b in edges),
+                                         abs=1e-12)
+        assert t.log_pb == pytest.approx(sum(model.log_pb_edge(a, b, env) for a, b in edges),
+                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("env", [RegularTree(3, 3), Hypergrid(2, 4, r0=0.1)],
+                         ids=["tree", "hypergrid"])
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+def test_rollout_keeps_the_per_state_stream(env, kind):
+    model = random_model(env, kind, seed=4)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    starts = [env.initial_state] * 20
+    assert rollout(model, env, rng, starts, epsilon=0.1) == [
+        reference_walk(model, env, ref, s, epsilon=0.1) for s in starts
+    ]
+    xs = np.random.default_rng(8).choice(env.terminating_states, size=20)
+    assert rollout(model, env, rng, xs, forward=False) == [
+        reference_walk(model, env, ref, x, forward=False) for x in xs
+    ]
+    assert rng.random() == ref.random()  # both consumed the same uniforms
+
+
+def test_rollout_rows_do_not_outlive_a_call():
+    env = RegularTree(2, 2)
+    model = PolicyModel.build(env, "tabular")
+    _, children = env.forward_slots(env.initial_state)
+    rng = np.random.default_rng(0)
+    model.forward_net.table[env.initial_state] = [50.0, -50.0]
+    first = rollout(model, env, rng, [env.initial_state] * 8)
+    model.forward_net.table[env.initial_state] = [-50.0, 50.0]
+    second = rollout(model, env, rng, [env.initial_state] * 8)
+    assert {p[1] for p in first} == {children[0]}
+    assert {p[1] for p in second} == {children[1]}
 
 
 def test_backward_then_forward_consistency():
     env = Hypergrid(2, 4, r0=0.1)
     model = random_model(env)
     rng = np.random.default_rng(2)
-    for x in env.terminating_states[:8]:
-        t = sample_backward(model, env, int(x), rng)
+    for t in walk(model, env, rng, env.terminating_states[:8], forward=False):
         assert math.isfinite(t.log_pf)
         for a, b in zip(t.states[:-1], t.states[1:]):
             assert b in env.children(a)

@@ -8,7 +8,7 @@ from stablegfn.approximator import NonFiniteError
 from stablegfn.envs import Hypergrid, RegularTree
 from stablegfn.losses import batch_loss, reference_flow_delta
 from stablegfn.oracle import balanced_tabular_model, exact_tv
-from stablegfn.policy import PolicyModel, sample_forward
+from stablegfn.policy import PolicyModel, Trajectory, rollout, trajectories_from_paths
 from stablegfn.trainer import (
     CSV_COLUMNS,
     ReplayBuffer,
@@ -92,25 +92,43 @@ def test_topk_buffer_empty_sampling_errors():
 
 
 def test_replay_buffer_priority_eviction():
-    from stablegfn.policy import Trajectory
-
     buf = ReplayBuffer(2)
     for r in (1.0, 5.0, 3.0):
-        buf.insert(Trajectory([0, 1, 2], 0.0, 0.0, r))
+        buf.insert([Trajectory([0, 1, 2], 0.0, 0.0, r)])
     rewards = sorted(t.reward for t in buf._items)
     assert rewards == [3.0, 5.0]
 
 
 def test_replay_buffer_single_item_and_empty():
-    from stablegfn.policy import Trajectory
-
     buf = ReplayBuffer(4)
     with pytest.raises(ValueError):
         buf.sample(np.random.default_rng(0), 1)
-    buf.insert(Trajectory([0, 1, 2], -0.5, 0.0, 2.0))
+    buf.insert([Trajectory([0, 1, 2], -0.5, 0.0, 2.0)])
     out = buf.sample(np.random.default_rng(0), 3)
     assert len(out) == 3
     assert all(t.reward == 2.0 and t.provenance == "replayed" for t in out)
+
+
+def test_replay_round_insert_matches_one_at_a_time():
+    def insert_one(items, capacity, traj):  # one sort per insert once full
+        items.append(traj)
+        if len(items) > capacity:
+            items.sort(key=lambda t: -t.reward)
+            del items[capacity:]
+
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        capacity = int(rng.integers(1, 12))
+        buf, ref = ReplayBuffer(capacity), []
+        for _ in range(int(rng.integers(1, 8))):
+            # few distinct rewards: ties are the rule
+            fresh = [Trajectory([0, 1, 2], 0.0, 0.0, float(rng.integers(1, 4)))
+                     for _ in range(int(rng.integers(0, 10)))]
+            buf.insert(fresh)
+            for t in fresh:
+                insert_one(ref, capacity, t)
+            # same items in the same order, so ReplayBuffer.sample draws the same
+            assert [id(t) for t in buf._items] == [id(t) for t in ref]
 
 
 def _tree_config(**kw):
@@ -213,7 +231,8 @@ def test_capped_items_stay_below_threshold():
     rng = rng_for(0, "cap")
     model = PolicyModel.build(env, "tabular", rng=rng)
     model.forward_net.table[...] = rng.normal(0, 1.0, model.forward_net.table.shape)
-    trajs = [sample_forward(model, env, rng) for _ in range(16)]
+    paths = rollout(model, env, rng, [env.initial_state] * 16)
+    trajs, _ = trajectories_from_paths(model, env, paths, "forward-sampled")
     lm, lt = certify.records_from_trajectories(trajs, model.logz)
     cap = 0.4 * float(np.abs(lm - lt).max())
     deltas = np.array([reference_flow_delta(a, b, cap) for a, b in zip(lm, lt)])
