@@ -5,12 +5,18 @@ sink (``env.sink``), and a set of terminating states whose only child is the
 sink.  Terminating states carry a positive reward; all other states have
 reward zero.  Action "slots" give each edge a stable logit index so a single
 policy head can score all states of an environment.
+
+One graph layout: the edge arrays (``edge_src``/``edge_dst``/``edge_fslot``/
+``edge_bslot``) and the slot matrices (``child_matrix``/``parent_matrix``).
+One graph order, the level order: ``levels`` groups states by their longest
+distance from the source, ``level_edges`` groups edges by their source's
+level.  Every whole-graph pass walks it, one array step per level.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,13 +37,25 @@ class EnumerationCapError(RuntimeError):
     """Raised when an exact computation is requested on too large a graph."""
 
 
+def _fill_slots(matrix: np.ndarray, at: np.ndarray, slots: np.ndarray,
+                values: np.ndarray, side: str) -> None:
+    """``matrix[at, slots] = values``; a slot used twice at one state is an error."""
+    key = at * matrix.shape[1] + slots
+    first = np.unique(key, return_index=True)[1]
+    if len(first) < len(key):
+        i = np.setdiff1d(np.arange(len(key)), first)[0]  # the first repeat, in edge order
+        raise ValueError(f"duplicate {side} slot {slots[i]} at state {at[i]}")
+    matrix[at, slots] = values
+
+
 class DagEnv:
     """Dense finite-DAG environment.
 
-    Subclasses supply the edge list (with forward/backward slot assignments),
-    the terminating-state rewards, and a feature encoding.  This base class
-    precomputes adjacency tables, slot matrices, masks, and a topological
-    order, and validates the DAG invariants.
+    Subclasses supply the edges as an (E, 4) integer array of (source,
+    target, forward slot, backward slot) rows, the terminating-state rewards,
+    and a feature encoding.  The edge arrays and the slot matrices are the
+    one graph layout; this base class fills the matrices and masks, computes
+    the level order, and validates the DAG invariants.
     """
 
     kind = "dag"
@@ -46,16 +64,15 @@ class DagEnv:
     GRAPH_ATTRS = (
         "num_states", "initial_state", "sink", "feature_dim", "num_edges",
         "edge_src", "edge_dst", "edge_fslot", "edge_bslot", "num_forward_slots",
-        "num_backward_slots", "child_matrix", "parent_matrix", "edge_index_fwd",
-        "forward_mask", "backward_mask", "_children", "_parents", "_in_edges",
-        "_out_edges", "topological_order",
+        "num_backward_slots", "child_matrix", "parent_matrix", "forward_mask",
+        "backward_mask", "levels", "level_edges", "topological_order",
     )
 
     def __init__(
         self,
         num_states: int,
         sink: int,
-        edges: Sequence[Tuple[int, int, int, int]],
+        edges: Union[np.ndarray, Sequence[Tuple[int, int, int, int]]],
         rewards: Dict[int, float],
         feature_dim: int,
     ):
@@ -64,55 +81,36 @@ class DagEnv:
         self.sink = sink
         self.feature_dim = feature_dim
 
-        src = np.array([e[0] for e in edges], dtype=np.int64)
-        dst = np.array([e[1] for e in edges], dtype=np.int64)
-        fslot = np.array([e[2] for e in edges], dtype=np.int64)
-        bslot = np.array([e[3] for e in edges], dtype=np.int64)
+        src, dst, fslot, bslot = np.ascontiguousarray(
+            np.asarray(edges, dtype=np.int64).reshape(-1, 4).T)
         self.edge_src, self.edge_dst = src, dst
         self.edge_fslot, self.edge_bslot = fslot, bslot
-        self.num_edges = len(edges)
+        self.num_edges = len(src)
 
-        self.num_forward_slots = int(fslot.max()) + 1 if len(edges) else 1
-        self.num_backward_slots = int(bslot.max()) + 1 if len(edges) else 1
+        self.num_forward_slots = int(fslot.max()) + 1 if len(src) else 1
+        self.num_backward_slots = int(bslot.max()) + 1 if len(src) else 1
 
         S, AF, AB = num_states, self.num_forward_slots, self.num_backward_slots
         self.child_matrix = np.full((S, AF), -1, dtype=np.int64)
         self.parent_matrix = np.full((S, AB), -1, dtype=np.int64)
-        self.edge_index_fwd = np.full((S, AF), -1, dtype=np.int64)
-        for i in range(self.num_edges):
-            s, t = src[i], dst[i]
-            if self.child_matrix[s, fslot[i]] != -1:
-                raise ValueError(f"duplicate forward slot {fslot[i]} at state {s}")
-            self.child_matrix[s, fslot[i]] = t
-            self.edge_index_fwd[s, fslot[i]] = i
-            if t != sink:
-                if self.parent_matrix[t, bslot[i]] != -1:
-                    raise ValueError(f"duplicate backward slot {bslot[i]} at state {t}")
-                self.parent_matrix[t, bslot[i]] = s
+        _fill_slots(self.child_matrix, src, fslot, dst, "forward")
+        inner = dst != sink
+        _fill_slots(self.parent_matrix, dst[inner], bslot[inner], src[inner], "backward")
         self.forward_mask = self.child_matrix >= 0
         self.backward_mask = self.parent_matrix >= 0
 
-        self._children: List[np.ndarray] = [
-            self.child_matrix[s][self.forward_mask[s]] for s in range(S)
-        ]
-        self._parents: List[np.ndarray] = [
-            self.parent_matrix[s][self.backward_mask[s]] for s in range(S)
-        ]
-
+        xs = np.fromiter(rewards.keys(), dtype=np.int64, count=len(rewards))
+        rs = np.fromiter(rewards.values(), dtype=np.float64, count=len(rewards))
+        if np.any(rs <= 0):
+            i = int(np.argmax(rs <= 0))
+            raise ValueError(f"terminating state {xs[i]} must have positive reward, got {rs[i]}")
         self.reward_table = np.zeros(S, dtype=np.float64)
-        term = np.zeros(S, dtype=bool)
-        for x, r in rewards.items():
-            if r <= 0:
-                raise ValueError(f"terminating state {x} must have positive reward, got {r}")
-            self.reward_table[x] = r
-            term[x] = True
-        self.terminating_mask = term
-        self.terminating_states = np.flatnonzero(term)
+        self.reward_table[xs] = rs
+        self.terminating_mask = self.reward_table > 0
+        self.terminating_states = np.flatnonzero(self.terminating_mask)
 
-        self._in_edges = self._edges_by_state(dst)
-        self._out_edges = self._edges_by_state(src)
-
-        self.topological_order = self._toposort()
+        self.levels, self.level_edges = self._level_order()
+        self.topological_order = np.concatenate(self.levels)
         self._encoding_matrix: Optional[np.ndarray] = None
         # filled on first use by losses.terminal_reach_counts
         self._reach_counts: Optional[np.ndarray] = None
@@ -121,10 +119,12 @@ class DagEnv:
     # -- structure ---------------------------------------------------------
 
     def children(self, s: int) -> np.ndarray:
-        return self._children[s]
+        row = self.child_matrix[s]
+        return row[row >= 0]
 
     def parents(self, s: int) -> np.ndarray:
-        return self._parents[s]
+        row = self.parent_matrix[s]
+        return row[row >= 0]
 
     def forward_slots(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
         """Valid (slot, child) pairs for state ``s``, as parallel arrays."""
@@ -135,55 +135,58 @@ class DagEnv:
         slots = np.flatnonzero(self.backward_mask[s])
         return slots, self.parent_matrix[s, slots]
 
-    def in_edges(self, s: int) -> np.ndarray:
-        return self._in_edges[s]
-
-    def out_edges(self, s: int) -> np.ndarray:
-        return self._out_edges[s]
-
-    def _edges_by_state(self, ends: np.ndarray) -> List[np.ndarray]:
-        """Edge indices grouped by the state at one end, in edge order."""
-        order = np.argsort(ends, kind="stable")
-        bounds = np.searchsorted(ends[order], np.arange(self.num_states + 1))
-        return [order[bounds[s]:bounds[s + 1]] for s in range(self.num_states)]
-
     def is_terminating(self, s: int) -> bool:
         return bool(self.terminating_mask[s])
 
     def reward(self, s: int) -> float:
         return float(self.reward_table[s])
 
-    def _toposort(self) -> np.ndarray:
-        indeg = np.zeros(self.num_states, dtype=np.int64)
-        np.add.at(indeg, self.edge_dst, 1)
-        order = []
-        stack = [s for s in range(self.num_states) if indeg[s] == 0]
-        stack.sort(reverse=True)
-        while stack:
-            s = stack.pop()
-            order.append(s)
-            for t in self._children[s]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    stack.append(int(t))
-        if len(order) != self.num_states:
+    def _level_order(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """States grouped by their longest distance from a parentless state,
+        frontier by frontier, and edges grouped by their source's level.
+
+        Each level's states are ascending, each level's edges in edge order.
+        Every edge goes to a higher level, so a pass that walks the levels in
+        order (reversed) sees every state after (before) all its parents.
+        """
+        S = self.num_states
+        indeg = np.bincount(self.edge_dst, minlength=S)
+        frontier = np.flatnonzero(indeg == 0)
+        levels = []
+        while len(frontier):
+            levels.append(frontier)
+            kids = self.child_matrix[frontier]
+            kids = kids[kids >= 0]
+            np.subtract.at(indeg, kids, 1)
+            frontier = np.unique(kids[indeg[kids] == 0])
+        sizes = [len(lv) for lv in levels]
+        if sum(sizes) != S:
             raise ValueError("environment graph contains a cycle")
-        return np.array(order, dtype=np.int64)
+        level_of = np.empty(S, dtype=np.int64)
+        level_of[np.concatenate(levels)] = np.repeat(np.arange(len(levels)), sizes)
+        edge_level = level_of[self.edge_src]
+        order = np.argsort(edge_level, kind="stable")
+        bounds = np.cumsum(np.bincount(edge_level, minlength=len(levels)))[:-1]
+        return levels, np.split(order, bounds)
 
     def _validate(self) -> None:
-        if len(self._parents[self.initial_state]) != 0:
+        if self.initial_state not in self.levels[0]:
             raise ValueError("initial state must have no parents")
-        if len(self._children[self.sink]) != 0:
+        if len(self.levels[0]) > 1:
+            extra = self.levels[0][self.levels[0] != self.initial_state]
+            raise ValueError(f"state {extra[0]} has no parents; only the initial state may")
+        if self.forward_mask[self.sink].any():
             raise ValueError("sink must have no children")
-        for x in self.terminating_states:
-            ch = self._children[x]
-            if len(ch) != 1 or ch[0] != self.sink:
-                raise ValueError(f"terminating state {x} must have the sink as its only child")
-        # children/parents mutual consistency is enforced by construction from
-        # one edge list; spot-check the sink's in-edges are all terminating.
-        for i in self._in_edges[self.sink]:
-            if not self.terminating_mask[self.edge_src[i]]:
-                raise ValueError("only terminating states may connect to the sink")
+        dead = np.flatnonzero(~self.forward_mask.any(axis=1))
+        if len(dead) > 1:
+            raise ValueError(f"state {dead[dead != self.sink][0]} has no children; only the sink may")
+        term = self.terminating_states
+        bad = term[(self.forward_mask[term].sum(axis=1) != 1)
+                   | (self.child_matrix[term].max(axis=1) != self.sink)]
+        if len(bad):
+            raise ValueError(f"terminating state {bad[0]} must have the sink as its only child")
+        if not self.terminating_mask[self.edge_src[self.edge_dst == self.sink]].all():
+            raise ValueError("only terminating states may connect to the sink")
 
     # -- features ----------------------------------------------------------
 
@@ -237,16 +240,15 @@ class RegularTree(DagEnv):
             raise ValueError(f"expected {self.num_leaves} leaf rewards")
         self.leaf_rewards = leaf_rewards
 
-        edges = []
-        for k in range(h):
-            base, nxt = level_offsets[k], level_offsets[k + 1]
-            for j in range(level_sizes[k]):
-                for a in range(g):
-                    edges.append((base + j, nxt + j * g + a, a, 0))
-        for leaf in self.leaves:
-            edges.append((int(leaf), sink, 0, 0))
-
-        rewards = {int(leaf): float(r) for leaf, r in zip(self.leaves, leaf_rewards)}
+        # breadth-first numbering: internal node i has children g*i+1 .. g*i+g
+        inner = np.repeat(np.arange(int(level_offsets[h]), dtype=np.int64), g)
+        action = np.tile(np.arange(g, dtype=np.int64), len(inner) // g)
+        zeros = np.zeros_like(self.leaves)
+        edges = np.concatenate([
+            np.stack([inner, g * inner + 1 + action, action, np.zeros_like(inner)], axis=1),
+            np.stack([self.leaves, np.full_like(self.leaves, sink), zeros, zeros], axis=1),
+        ])
+        rewards = dict(zip(self.leaves.tolist(), leaf_rewards.tolist()))
         super().__init__(num_states, sink, edges, rewards, feature_dim=num_states)
 
     def encode(self, s: int) -> np.ndarray:
@@ -263,16 +265,19 @@ class RegularTree(DagEnv):
         }
 
 
-def hypergrid_reward(x: Sequence[int], side: int, r0: float, r1: float, r2: float) -> float:
+def hypergrid_reward(x: Union[Sequence[int], np.ndarray], side: int, r0: float, r1: float,
+                     r2: float):
     """Reward of a grid point: base plus two nested indicator plateaus.
 
-    The indicators are strict: a coordinate contributes only when its scaled
-    distance from the center exceeds 0.25 (inner band) or 0.4 (corner band).
+    ``x`` holds coordinates on its last axis: one point gives a float, an
+    (N, D) array gives N rewards.  The indicators are strict: a coordinate
+    contributes only when its scaled distance from the center exceeds 0.25
+    (inner band) or 0.4 (corner band).
     """
-    u = [abs(xi / (side - 1) - 0.5) for xi in x]
-    inner = all(ui > 0.25 for ui in u)
-    corner = all(ui > 0.4 for ui in u)
-    return r0 + (r1 if inner else 0.0) + (r2 if corner else 0.0)
+    u = np.abs(np.asarray(x) / (side - 1) - 0.5)
+    inner = (u > 0.25).all(axis=-1)
+    corner = (u > 0.4).all(axis=-1)
+    return r0 + np.where(inner, r1, 0.0) + np.where(corner, r2, 0.0)
 
 
 def hypergrid_default_r0(side: int) -> float:
@@ -314,16 +319,19 @@ class Hypergrid(DagEnv):
         sink = 2 * n_grid
         self._strides = np.array([H ** (D - 1 - i) for i in range(D)], dtype=np.int64)
 
-        edges = []
-        rewards: Dict[int, float] = {}
-        for idx in range(n_grid):
-            coords = self.grid_point(idx)
-            for i in range(D):
-                if coords[i] < H - 1:
-                    edges.append((idx, idx + int(self._strides[i]), i, i))
-            edges.append((idx, n_grid + idx, D, 0))       # exit to terminal copy
-            edges.append((n_grid + idx, sink, 0, 0))      # terminal copy -> sink
-            rewards[n_grid + idx] = hypergrid_reward(coords, H, self.r0, self.r1, self.r2)
+        # per grid point, in this order: an increment per coordinate below
+        # the far side, the exit to the terminal copy, its edge to the sink
+        idx = np.arange(n_grid, dtype=np.int64)[:, None]
+        coords = idx // self._strides % H
+        term = n_grid + idx
+        src = np.hstack([np.repeat(idx, D, axis=1), idx, term])
+        dst = np.hstack([idx + self._strides, term, np.full_like(idx, sink)])
+        fslot = np.broadcast_to(np.r_[np.arange(D), D, 0], src.shape)
+        bslot = np.broadcast_to(np.r_[np.arange(D), 0, 0], src.shape)
+        valid = np.hstack([coords < H - 1, np.ones((n_grid, 2), dtype=bool)])
+        edges = np.stack([src, dst, fslot, bslot], axis=-1)[valid]
+        reward = hypergrid_reward(coords, H, self.r0, self.r1, self.r2)
+        rewards = dict(zip(term[:, 0].tolist(), reward.tolist()))
 
         super().__init__(2 * n_grid + 1, sink, edges, rewards, feature_dim=D * H)
 

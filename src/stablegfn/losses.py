@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .envs import DagEnv, EnumerationCapError
-from .policy import EdgeBatch, FlowBatch, PolicyModel, Trajectory, collect_transitions
+from .policy import EdgeBatch, FlowBatch, PolicyModel, Trajectory
 
 WDB_REACH_CELL_CAP = 50_000_000
 
@@ -96,6 +96,7 @@ def subtb_loss(traj: Trajectory, t1: int, t2: int, model: PolicyModel, env: DagE
 def terminal_reach_counts(env: DagEnv) -> np.ndarray:
     """Number of terminating states reachable from each state (self included).
 
+    Reach sets are merged one level at a time, walking the level order back.
     Cached on the environment, so the cache lives exactly as long as it does.
     """
     n_term = len(env.terminating_states)
@@ -103,14 +104,12 @@ def terminal_reach_counts(env: DagEnv) -> np.ndarray:
         raise EnumerationCapError("environment too large for reachability reweighting")
     if env._reach_counts is not None:
         return env._reach_counts
-    term_col = {int(x): i for i, x in enumerate(env.terminating_states)}
     reach = np.zeros((env.num_states, n_term), dtype=bool)
-    for s in env.topological_order[::-1]:
-        if env.is_terminating(s):
-            reach[s, term_col[int(s)]] = True
-        for c in env.children(s):
-            if c != env.sink:
-                reach[s] |= reach[c]
+    reach[env.terminating_states, np.arange(n_term)] = True
+    inner = env.edge_dst != env.sink
+    for e in env.level_edges[::-1]:  # children sit on later levels
+        e = e[inner[e]]
+        np.logical_or.at(reach, env.edge_src[e], reach[env.edge_dst[e]])
     env._reach_counts = reach.sum(axis=1)
     return env._reach_counts
 
@@ -257,26 +256,28 @@ def batch_loss(
     ``deltas`` (constants, one per trajectory) select the capped variant of
     the trajectory objective.  Gradients are of the batch mean and are added
     into ``model.params.grads`` without zeroing.  The trajectory objective
-    reuses ``edges``, an unused EdgeBatch over exactly ``trajs``' edges at the
-    current parameters (see :func:`trajectories_from_paths`), if given.
+    and the edge objectives (db, wdb, subtb) reuse ``edges``, an unused
+    EdgeBatch over exactly ``trajs``' edges at the current parameters (see
+    :func:`trajectories_from_paths`), if given; fm evaluates the in- and
+    out-edges of the visited states in a batch of its own.
     """
-    if objective in ("tb", "augmented"):
-        return _batch_tb(model, env, trajs, backprop, deltas, edges)
-    if deltas is not None:
-        raise ValueError(f"reference flow only applies to the trajectory objective")
-    if objective in ("db", "wdb"):
-        return _batch_db(model, env, trajs, backprop, weighted=objective == "wdb")
+    if deltas is not None and objective not in ("tb", "augmented"):
+        raise ValueError("reference flow only applies to the trajectory objective")
     if objective == "fm":
         return _batch_fm(model, env, trajs, backprop)
+    if objective not in ("tb", "augmented", "db", "wdb", "subtb"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if edges is None:
+        edges = EdgeBatch.of_trajectories(model, env, trajs)
+    if objective in ("db", "wdb"):
+        return _batch_db(model, env, trajs, backprop, edges, weighted=objective == "wdb")
     if objective == "subtb":
-        return _batch_subtb(model, env, trajs, backprop, subtb_lambda)
-    raise ValueError(f"unknown objective {objective!r}")
+        return _batch_subtb(model, env, trajs, backprop, subtb_lambda, edges)
+    return _batch_tb(model, env, trajs, backprop, deltas, edges)
 
 
 def _batch_tb(model, env, trajs, backprop, deltas, batch):
     n = len(trajs)
-    if batch is None:
-        batch = EdgeBatch.of_trajectories(model, env, trajs)
     log_pf, log_pb = batch.per_trajectory(n)
     log_model = model.logz + log_pf
     log_target = np.log([t.reward for t in trajs]) + log_pb
@@ -309,13 +310,7 @@ def _batch_tb(model, env, trajs, backprop, deltas, batch):
     return LossBatchReport(kind, per_item, log_ratios=raw_ratio, deltas=deltas)
 
 
-def _db_edges(env, trajs):
-    tid, src, dst = collect_transitions(trajs)
-    keep = dst != env.sink
-    return tid[keep], src[keep], dst[keep]
-
-
-def _batch_db(model, env, trajs, backprop, weighted):
+def _batch_db(model, env, trajs, backprop, batch, weighted):
     n = len(trajs)
     if weighted:
         w_all = []
@@ -324,8 +319,8 @@ def _batch_db(model, env, trajs, backprop, weighted):
             inner = np.array([b != env.sink for b in t.states[1:]])
             w_all.append(w[inner])
         weights = np.concatenate(w_all) if w_all else np.empty(0)
-    tid, src, dst = _db_edges(env, trajs)
-    batch = EdgeBatch(model, env, src, dst)
+    keep = batch.dst != env.sink  # detailed balance skips the edges into the sink
+    tid, src, dst = batch.tid[keep], batch.src[keep], batch.dst[keep]
 
     term = env.terminating_mask[dst]
     fb = FlowBatch(model, env, np.concatenate([src, dst[~term]]))
@@ -334,7 +329,7 @@ def _batch_db(model, env, trajs, backprop, weighted):
     end[~term] = fb.log_flow[len(src):]
     end[term] = np.log(env.reward_table[dst[term]])
 
-    rho = flow_src + batch.log_pf - end - batch.log_pb
+    rho = flow_src + batch.log_pf[keep] - end - batch.log_pb[keep]
     if weighted:
         edge_w = weights
     else:
@@ -343,8 +338,10 @@ def _batch_db(model, env, trajs, backprop, weighted):
 
     if backprop:
         coeff = 2.0 * rho * edge_w / n
-        batch.add_pf_coeff(coeff)
-        batch.add_pb_coeff(-coeff)
+        edge_coeff = np.zeros(len(keep))
+        edge_coeff[keep] = coeff
+        batch.add_pf_coeff(edge_coeff)
+        batch.add_pb_coeff(-edge_coeff)
         fcoeff = np.concatenate([coeff, -coeff[~term]])
         fb.add_coeff(fcoeff)
         batch.backprop()
@@ -363,26 +360,18 @@ def _batch_fm(model, env, trajs, backprop):
     occ_state = np.array(occ_state, dtype=np.int64)
     n_occ = len(occ_state)
 
-    in_occ, in_edge = [], []
-    out_occ, out_edge = [], []
-    for k, s in enumerate(occ_state):
-        for e in env.in_edges(int(s)):
-            in_occ.append(k)
-            in_edge.append(e)
-        for e in env.out_edges(int(s)):
-            if env.edge_dst[e] != env.sink:
-                out_occ.append(k)
-                out_edge.append(e)
-    in_occ = np.array(in_occ, dtype=np.int64)
-    in_edge = np.array(in_edge, dtype=np.int64)
-    out_occ = np.array(out_occ, dtype=np.int64)
-    out_edge = np.array(out_edge, dtype=np.int64)
-
-    all_edge = np.concatenate([in_edge, out_edge])
-    batch = EdgeBatch(model, env, env.edge_src[all_edge], env.edge_dst[all_edge])
-    fb = FlowBatch(model, env, env.edge_src[all_edge])
+    # in-edges from the parent slots, out-edges (but the one into the sink)
+    # from the child slots: occurrence by occurrence, in slot order
+    par = env.parent_matrix[occ_state]
+    in_occ, in_slot = np.nonzero(par >= 0)
+    kid = env.child_matrix[occ_state]
+    out_occ, out_slot = np.nonzero((kid >= 0) & (kid != env.sink))
+    src = np.concatenate([par[in_occ, in_slot], occ_state[out_occ]])
+    dst = np.concatenate([occ_state[in_occ], kid[out_occ, out_slot]])
+    batch = EdgeBatch(model, env, src, dst)
+    fb = FlowBatch(model, env, src)
+    n_in = len(in_occ)
     log_terms = fb.log_flow + batch.log_pf
-    n_in = len(in_edge)
 
     # flows are summed in log space (pairwise max-shifted logaddexp), so
     # state flows far below exp's range still give finite values
@@ -408,14 +397,12 @@ def _batch_fm(model, env, trajs, backprop):
     return LossBatchReport("fm", per_item)
 
 
-def _batch_subtb(model, env, trajs, backprop, lam):
+def _batch_subtb(model, env, trajs, backprop, lam, batch):
     n = len(trajs)
     per_item = np.zeros(n)
-    tid, src, dst = _db_edges(env, trajs)
-    batch = EdgeBatch(model, env, src, dst)
     edge_coeff = np.zeros(len(batch.src))
-    # edges stay grouped by trajectory after the sink filter
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(tid, minlength=n))]).astype(int)
+    # edges are grouped by trajectory; each group ends with the edge into the sink
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(batch.tid, minlength=n))]).astype(int)
 
     # flow head at every non-terminal position (0..L-1) of every trajectory
     fstate: List[int] = []

@@ -4,6 +4,8 @@ Everything here is reference-grade: terminal distributions by dynamic
 programming, total-variation and total-L1 errors, exhaustive trajectory
 enumeration, and the balanced tabular construction whose losses vanish
 everywhere.  These are the oracles the certificate suites are checked against.
+Balanced flows walk the environment's level order backward, one array step
+per level (see :mod:`stablegfn.envs`).
 """
 
 from __future__ import annotations
@@ -97,25 +99,20 @@ def balanced_flows(env: DagEnv, cap: int = DEFAULT_STATE_CAP,
     """Flows proportional to reward, split uniformly over parents going backward."""
     if env.num_states > cap:
         raise EnumerationCapError(f"{env.num_states} states exceed the cap {cap}")
-    S = env.num_states
-    state = np.zeros(S)
+    state = np.zeros(env.num_states)
     edge = np.zeros(env.num_edges)
     zstar = true_partition(env)
     state[env.sink] = zstar
+    state[env.terminating_states] = env.reward_table[env.terminating_states]
     npar = env.backward_mask.sum(axis=1)
-    for s in env.topological_order[::-1]:
-        if s == env.sink:
-            continue
-        if env.is_terminating(s):
-            state[s] = env.reward(s)
-            edge[env.out_edges(s)[0]] = state[s]
-            continue
-        total = 0.0
-        for e in env.out_edges(s):
-            c = env.edge_dst[e]
-            edge[e] = state[c] / npar[c]
-            total += edge[e]
-        state[s] = total
+    into_sink = env.edge_dst == env.sink
+    edge[into_sink] = state[env.edge_src[into_sink]]
+    # children sit on later levels: walking back, each level's out-flows are ready
+    for e in env.level_edges[::-1]:
+        e = e[~into_sink[e]]
+        c = env.edge_dst[e]
+        edge[e] = state[c] / npar[c]
+        np.add.at(state, env.edge_src[e], edge[e])
 
     flows = ExactFlows(zstar, state, edge)
     if enumerate_paths:
@@ -141,19 +138,13 @@ def balanced_tabular_model(env: DagEnv, cap: int = DEFAULT_STATE_CAP,
     """
     flows = balanced_flows(env, cap)
     model = PolicyModel.build(env, "tabular", learn_backward=False, flow_head=flow_head)
-    table = model.forward_net.table
-    for s in range(env.num_states):
-        if s == env.sink:
-            continue
-        slots = np.flatnonzero(env.forward_mask[s])
-        for slot in slots:
-            e = env.edge_index_fwd[s, slot]
-            table[s, slot] = math.log(flows.edge_flows[e]) - math.log(flows.state_flows[s])
+    src = env.edge_src
+    model.forward_net.table[src, env.edge_fslot] = (np.log(flows.edge_flows)
+                                                   - np.log(flows.state_flows[src]))
     if flow_head:
-        ft = model.flow_net.table
-        for s in range(env.num_states):
-            if s != env.sink and flows.state_flows[s] > 0:
-                ft[s, 0] = math.log(flows.state_flows[s])
+        has = flows.state_flows > 0
+        has[env.sink] = False
+        model.flow_net.table[has, 0] = np.log(flows.state_flows[has])
     model.set_logz(math.log(flows.partition))
     return model
 

@@ -14,6 +14,8 @@ they are bit-reproducible given seed and batch.  Bulk samplers walk in lockstep.
 One implementation each: :func:`_log_softmax` for every policy row,
 :func:`proportional_draw` (row-wise: :func:`_draw_rows`) for every
 reward-proportional draw in the package, :func:`_walk` for both bulk samplers.
+:func:`exact_terminal_distribution` pushes mass along the environment's level
+order, one array step per level (see :mod:`stablegfn.envs`).
 """
 
 from __future__ import annotations
@@ -469,25 +471,22 @@ def exact_terminal_distribution(model: PolicyModel, env: DagEnv,
     """Exact terminal sampling distribution by dynamic programming.
 
     Returns (terminating states, their probabilities), aligned with
-    ``env.terminating_states``.  Mass is propagated through the forward policy
-    along a topological order.
+    ``env.terminating_states``.  Mass flows through the forward policy one
+    level at a time.  The net runs only at states with a choice: a single
+    child is taken with probability exactly 1.
     """
     if env.num_states > cap:
         raise EnumerationCapError(f"{env.num_states} states exceed the cap {cap}")
-    S = env.num_states
-    nonsink = np.array([s for s in range(S) if s != env.sink], dtype=np.int64)
-    out, _ = model._eval_rows(model.forward_net, nonsink, env)
-    _, probs_rows = _masked_rows(out, env.forward_mask[nonsink])
-    probs = np.zeros((S, env.num_forward_slots))
-    probs[nonsink] = probs_rows
+    choice = np.flatnonzero(env.forward_mask.sum(axis=1) > 1)
+    out, _ = model._eval_rows(model.forward_net, choice, env)
+    probs = np.ones(env.child_matrix.shape)
+    probs[choice] = _masked_rows(out, env.forward_mask[choice])[1]
+    p_edge = probs[env.edge_src, env.edge_fslot]
 
-    mass = np.zeros(S)
+    mass = np.zeros(env.num_states)
     mass[env.initial_state] = 1.0
-    for s in env.topological_order:
-        if s == env.sink or mass[s] == 0.0:
-            continue
-        slots = np.flatnonzero(env.forward_mask[s])
-        mass[env.child_matrix[s, slots]] += mass[s] * probs[s, slots]
+    for e in env.level_edges:
+        np.add.at(mass, env.edge_dst[e], mass[env.edge_src[e]] * p_edge[e])
     # P_T(x) = mass(x) * P_F(x -> sink); the sink edge is each terminating
     # state's only action, so its probability is exactly 1.
     return env.terminating_states, mass[env.terminating_states]

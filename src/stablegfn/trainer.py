@@ -14,7 +14,8 @@ Baselines train any of the plain objectives on forward samples, optionally
 mixed with a reward-prioritized replay buffer.
 
 A round walks its trajectories with :func:`~stablegfn.policy.rollout` and
-evaluates their edges once, in one ``EdgeBatch`` that the trajectory loss reuses.
+evaluates their edges once, in one ``EdgeBatch`` that the trajectory and edge
+losses reuse (replayed trajectories included); fm evaluates its own edges.
 """
 
 from __future__ import annotations
@@ -363,11 +364,13 @@ class Trainer:
         cfg = self.config
         starts = [self.env.initial_state] * cfg.batch_size
         paths = rollout(self.model, self.env, self.rng_forward, starts, epsilon=cfg.epsilon)
-        fresh, edges = trajectories_from_paths(self.model, self.env, paths, "forward-sampled")
-        batch = list(fresh)
+        n_fresh = len(paths)
         if self.replay is not None and len(self.replay) > 0:
-            batch += self.replay.sample(self.rng_replay, cfg.replay_batch)
-            edges = None
+            paths += [t.states for t in self.replay.sample(self.rng_replay, cfg.replay_batch)]
+        batch, edges = trajectories_from_paths(self.model, self.env, paths, "forward-sampled")
+        fresh = batch[:n_fresh]
+        for t in batch[n_fresh:]:
+            t.provenance = "replayed"
         report = self._gradient_step(batch, None, edges)
         if self.replay is not None:
             self.replay.insert(fresh)

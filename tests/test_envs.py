@@ -14,6 +14,7 @@ from stablegfn.envs import (
     one_more_mode_tree,
     true_partition,
 )
+from random_dag import random_dags
 
 
 def test_hypergrid_reward_center_only_base():
@@ -119,6 +120,7 @@ def test_one_more_mode_rejects_bad_epsilon():
         Hypergrid(2, 4, r0=0.1),
         Hypergrid(3, 3, r0=0.1),
         one_more_mode_tree(2, 2, 0.3)[1],
+        *random_dags(),
     ],
 )
 def test_structure_invariants(env):
@@ -137,6 +139,123 @@ def test_structure_invariants(env):
     for x in env.terminating_states:
         assert list(env.children(int(x))) == [env.sink]
         assert env.reward(int(x)) > 0
+
+
+@pytest.mark.parametrize(
+    "env",
+    [RegularTree(2, 3), Hypergrid(3, 3, r0=0.1), *random_dags(range(8))],
+    ids=lambda env: env.kind,
+)
+def test_levels_are_longest_distances(env):
+    level = np.full(env.num_states, -1)
+    for k, states in enumerate(env.levels):
+        level[states] = k
+    assert np.all(level >= 0)
+    assert np.array_equal(env.topological_order, np.concatenate(env.levels))
+    assert list(env.levels[0]) == [env.initial_state]
+    # every edge goes to a higher level, and each state sits one above its highest parent
+    assert np.all(level[env.edge_dst] > level[env.edge_src])
+    highest_parent = np.full(env.num_states, -1)
+    np.maximum.at(highest_parent, env.edge_dst, level[env.edge_src])
+    assert np.array_equal(level[1:], highest_parent[1:] + 1)
+    # edges grouped by their source's level, in edge order within a level
+    for k, e in enumerate(env.level_edges):
+        assert np.all(np.diff(e) > 0) and np.all(level[env.edge_src[e]] == k)
+    assert sorted(np.concatenate(env.level_edges)) == list(range(env.num_edges))
+
+
+class _Graph(DagEnv):
+    def __init__(self, num_states, sink, edges, terminating):
+        super().__init__(num_states, sink, edges, {x: 1.0 for x in terminating}, feature_dim=1)
+
+
+def test_rejects_dead_ends_and_extra_sources():
+    # 0 -> 1 and 0 -> 2 -> sink: state 1 never terminates and has no children
+    with pytest.raises(ValueError, match="state 1 has no children"):
+        _Graph(4, 3, [(0, 1, 0, 0), (0, 2, 1, 0), (2, 3, 0, 0)], [2])
+    # 0 -> 1 -> sink and 2 -> 1: state 2 is a second source
+    with pytest.raises(ValueError, match="state 2 has no parents"):
+        _Graph(4, 3, [(0, 1, 0, 0), (2, 1, 0, 1), (1, 3, 0, 0)], [1])
+    _Graph(3, 2, [(0, 1, 0, 0), (1, 2, 0, 0)], [1])  # the smallest valid graph
+
+
+def test_rejects_duplicate_slots_and_cycles():
+    with pytest.raises(ValueError, match="duplicate forward slot 0 at state 0"):
+        _Graph(4, 3, [(0, 1, 0, 0), (0, 2, 0, 0), (1, 3, 0, 0), (2, 3, 0, 0)], [1, 2])
+    with pytest.raises(ValueError, match="duplicate backward slot 0 at state 2"):
+        _Graph(4, 3, [(0, 1, 0, 0), (0, 2, 1, 0), (1, 2, 0, 0), (2, 3, 0, 0)], [2])
+    with pytest.raises(ValueError, match="cycle"):
+        _Graph(4, 3, [(0, 1, 0, 0), (1, 2, 0, 0), (2, 1, 1, 1), (2, 3, 0, 0)], [2])
+
+
+def _tree_reference(g, h):
+    """The per-node loop RegularTree was built with: (edges, rewards)."""
+    sizes = [g**k for k in range(h + 1)]
+    offsets = np.cumsum([0] + sizes)
+    sink = int(offsets[-1])
+    edges = []
+    for k in range(h):
+        base, nxt = offsets[k], offsets[k + 1]
+        for j in range(sizes[k]):
+            for a in range(g):
+                edges.append((base + j, nxt + j * g + a, a, 0))
+    leaves = range(offsets[h], offsets[h] + sizes[h])
+    edges += [(int(x), sink, 0, 0) for x in leaves]
+    return edges, {int(x): 1.0 for x in leaves}
+
+
+def _grid_reference(D, H, r0, r1, r2):
+    """The per-point loop Hypergrid was built with: (edges, rewards)."""
+    n_grid, sink = H**D, 2 * H**D
+    strides = [H ** (D - 1 - i) for i in range(D)]
+    edges, rewards = [], {}
+    for idx in range(n_grid):
+        rest, coords = idx, []
+        for st in strides:
+            q, rest = divmod(rest, st)
+            coords.append(q)
+        for i in range(D):
+            if coords[i] < H - 1:
+                edges.append((idx, idx + strides[i], i, i))
+        edges.append((idx, n_grid + idx, D, 0))
+        edges.append((n_grid + idx, sink, 0, 0))
+        u = [abs(xi / (H - 1) - 0.5) for xi in coords]
+        inner, corner = all(ui > 0.25 for ui in u), all(ui > 0.4 for ui in u)
+        rewards[n_grid + idx] = r0 + (r1 if inner else 0.0) + (r2 if corner else 0.0)
+    return edges, rewards
+
+
+@pytest.mark.parametrize("shape", [("tree", 3, 4), ("tree", 2, 5), ("grid", 4, 8),
+                                   ("grid", 2, 16), ("grid", 4, 16), ("grid", 1, 5),
+                                   ("grid", 3, 2)], ids=str)
+def test_builders_match_loop_reference(shape):
+    kind, a, b = shape
+    if kind == "tree":
+        env = RegularTree(a, b)
+        edges, rewards = _tree_reference(a, b)
+    else:
+        env = Hypergrid(a, b)
+        edges, rewards = _grid_reference(a, b, env.r0, env.r1, env.r2)
+    ref = np.array(edges, dtype=np.int64)
+    assert np.array_equal(np.stack([env.edge_src, env.edge_dst, env.edge_fslot, env.edge_bslot], 1), ref)
+    child = np.full_like(env.child_matrix, -1)
+    parent = np.full_like(env.parent_matrix, -1)
+    for s, t, fs, bs in edges:
+        child[s, fs] = t
+        if t != env.sink:
+            parent[t, bs] = s
+    assert np.array_equal(env.child_matrix, child)
+    assert np.array_equal(env.parent_matrix, parent)
+    table = np.zeros(env.num_states)
+    table[list(rewards)] = list(rewards.values())
+    assert np.array_equal(env.reward_table, table)
+
+
+def test_hypergrid_reward_accepts_coordinate_arrays():
+    coords = np.array([[3, 3], [0, 0], [6, 1], [7, 0]])
+    vec = hypergrid_reward(coords, 8, 0.1, 0.5, 2.0)
+    assert vec.shape == (4,)
+    assert list(vec) == [hypergrid_reward(tuple(x), 8, 0.1, 0.5, 2.0) for x in coords]
 
 
 def test_tree_backward_is_deterministic():

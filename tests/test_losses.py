@@ -25,6 +25,8 @@ from stablegfn.oracle import balanced_tabular_model, enumerate_trajectories
 from stablegfn.policy import PolicyModel, Trajectory, rollout, trajectories_from_paths
 from stablegfn.trainer import rng_for
 
+from random_dag import random_dags
+
 
 class ChainEnv(DagEnv):
     """s0 -> s1 -> terminal -> sink; a single trajectory."""
@@ -195,21 +197,21 @@ def test_subtb_rejects_degenerate_span():
 
 
 def test_subtb_batch_matches_brute_force():
-    env = Hypergrid(2, 3, r0=0.1)
-    model = _random_flow_model(env, 4)
-    rng = np.random.default_rng(5)
-    trajs = forward_trajs(model, env, rng, 6)
-    lam = 0.9
-    report = batch_loss(model, env, trajs, "subtb", subtb_lambda=lam)
-    for i, t in enumerate(trajs):
-        n = len(t.states) - 2
-        vals, weights = [], []
-        for t1 in range(n):
-            for t2 in range(t1 + 1, n + 1):
-                vals.append(subtb_loss(t, t1, t2, model, env))
-                weights.append(lam ** (t2 - t1))
-        w = np.array(weights) / np.sum(weights)
-        assert report.per_item[i] == pytest.approx(float(w @ np.array(vals)), abs=1e-10)
+    for env in (Hypergrid(2, 3, r0=0.1), *random_dags()):
+        model = _random_flow_model(env, 4)
+        rng = np.random.default_rng(5)
+        trajs = forward_trajs(model, env, rng, 6)
+        lam = 0.9
+        report = batch_loss(model, env, trajs, "subtb", subtb_lambda=lam)
+        for i, t in enumerate(trajs):
+            n = len(t.states) - 2
+            vals, weights = [], []
+            for t1 in range(n):
+                for t2 in range(t1 + 1, n + 1):
+                    vals.append(subtb_loss(t, t1, t2, model, env))
+                    weights.append(lam ** (t2 - t1))
+            w = np.array(weights) / np.sum(weights)
+            assert report.per_item[i] == pytest.approx(float(w @ np.array(vals)), abs=1e-10)
 
 
 # -- weighted detailed balance ----------------------------------------------------------
@@ -246,6 +248,25 @@ def test_terminal_reach_counts_tree():
     assert counts[env.initial_state] == 4
     for leaf in env.leaves:
         assert counts[leaf] == 1
+
+
+@pytest.mark.parametrize("env", [RegularTree(3, 2), Hypergrid(2, 4, r0=0.1), *random_dags(range(6))],
+                         ids=lambda env: env.kind)
+def test_terminal_reach_counts_match_dfs(env):
+    def reachable(s):  # terminating states reachable from s, by depth-first search
+        seen, stack, found = set(), [s], set()
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                if env.is_terminating(u):
+                    found.add(u)
+                stack.extend(int(c) for c in env.children(u) if c != env.sink)
+        return found
+
+    dfs = [len(reachable(s)) for s in range(env.num_states)]
+    assert list(terminal_reach_counts(env)) == dfs
+    assert dfs[env.initial_state] == len(env.terminating_states)
 
 
 def test_terminal_reach_counts_cache_dies_with_env():
@@ -367,26 +388,26 @@ def test_batch_tb_matches_cached_values():
 
 
 def test_batch_db_matches_per_edge_mean():
-    env = Hypergrid(2, 3, r0=0.1)
-    model = _random_flow_model(env, 8)
-    rng = np.random.default_rng(9)
-    trajs = forward_trajs(model, env, rng, 5)
-    report = batch_loss(model, env, trajs, "db")
-    for t, item in zip(trajs, report.per_item):
-        edges = [(a, b) for a, b in zip(t.states[:-1], t.states[1:]) if b != env.sink]
-        vals = [db_loss(e, model, env) for e in edges]
-        assert item == pytest.approx(float(np.mean(vals)), abs=1e-10)
+    for env in (Hypergrid(2, 3, r0=0.1), *random_dags()):
+        model = _random_flow_model(env, 8)
+        rng = np.random.default_rng(9)
+        trajs = forward_trajs(model, env, rng, 5)
+        report = batch_loss(model, env, trajs, "db")
+        for t, item in zip(trajs, report.per_item):
+            edges = [(a, b) for a, b in zip(t.states[:-1], t.states[1:]) if b != env.sink]
+            vals = [db_loss(e, model, env) for e in edges]
+            assert item == pytest.approx(float(np.mean(vals)), abs=1e-10)
 
 
 def test_batch_fm_matches_per_state_mean():
-    env = Hypergrid(2, 3, r0=0.1)
-    model = _random_flow_model(env, 10)
-    rng = np.random.default_rng(11)
-    trajs = forward_trajs(model, env, rng, 5)
-    report = batch_loss(model, env, trajs, "fm")
-    for t, item in zip(trajs, report.per_item):
-        vals = [fm_loss(s, model, env) for s in t.states[1:-1]]
-        assert item == pytest.approx(float(np.mean(vals)), abs=1e-10)
+    for env in (Hypergrid(2, 3, r0=0.1), *random_dags()):
+        model = _random_flow_model(env, 10)
+        rng = np.random.default_rng(11)
+        trajs = forward_trajs(model, env, rng, 5)
+        report = batch_loss(model, env, trajs, "fm")
+        for t, item in zip(trajs, report.per_item):
+            vals = [fm_loss(s, model, env) for s in t.states[1:-1]]
+            assert item == pytest.approx(float(np.mean(vals)), abs=1e-10)
 
 
 def test_fm_finite_at_tiny_state_flows():
@@ -405,18 +426,18 @@ def test_fm_finite_at_tiny_state_flows():
 
 
 def test_batch_wdb_matches_weighted_edges():
-    env = RegularTree(2, 3)
-    model = _random_flow_model(env, 12)
-    rng = np.random.default_rng(13)
-    trajs = forward_trajs(model, env, rng, 4)
-    report = batch_loss(model, env, trajs, "wdb")
-    for t, item in zip(trajs, report.per_item):
-        w = wdb_weights(t, env)
-        total = 0.0
-        for k, (a, b) in enumerate(zip(t.states[:-1], t.states[1:])):
-            if b != env.sink:
-                total += w[k] * db_loss((a, b), model, env)
-        assert item == pytest.approx(total, abs=1e-10)
+    for env in (RegularTree(2, 3), *random_dags()):
+        model = _random_flow_model(env, 12)
+        rng = np.random.default_rng(13)
+        trajs = forward_trajs(model, env, rng, 4)
+        report = batch_loss(model, env, trajs, "wdb")
+        for t, item in zip(trajs, report.per_item):
+            w = wdb_weights(t, env)
+            total = 0.0
+            for k, (a, b) in enumerate(zip(t.states[:-1], t.states[1:])):
+                if b != env.sink:
+                    total += w[k] * db_loss((a, b), model, env)
+            assert item == pytest.approx(total, abs=1e-10)
 
 
 def test_max_to_rest_ratio():
@@ -429,10 +450,10 @@ def test_max_to_rest_ratio():
 
 
 def test_balanced_model_zero_under_all_objectives():
-    env = RegularTree(2, 2, leaf_rewards=[1.0, 2.0, 0.5, 0.25])
-    model = balanced_tabular_model(env)
-    rng = np.random.default_rng(0)
-    trajs = forward_trajs(model, env, rng, 6)
-    for objective in ("tb", "db", "fm", "subtb", "wdb"):
-        report = batch_loss(model, env, trajs, objective)
-        assert report.max_item < 1e-10, objective
+    for env in (RegularTree(2, 2, leaf_rewards=[1.0, 2.0, 0.5, 0.25]), *random_dags()):
+        model = balanced_tabular_model(env)
+        rng = np.random.default_rng(0)
+        trajs = forward_trajs(model, env, rng, 6)
+        for objective in ("tb", "db", "fm", "subtb", "wdb"):
+            report = batch_loss(model, env, trajs, objective)
+            assert report.max_item < 1e-10, (env.describe(), objective)

@@ -20,6 +20,8 @@ from stablegfn.policy import (
 )
 from stablegfn.trainer import rng_for
 
+from random_dag import random_dags
+
 
 def random_model(env, kind="tabular", seed=0, noise=1.0):
     rng = np.random.default_rng(seed)
@@ -231,26 +233,27 @@ def test_exact_terminal_distribution_point_mass():
 
 
 def test_exact_terminal_distribution_vs_monte_carlo():
-    env = RegularTree(2, 2)
-    model = random_model(env, seed=11)
-    xs, p = exact_terminal_distribution(model, env)
+    for env in (RegularTree(2, 2), *random_dags()):
+        model = random_model(env, seed=11)
+        xs, p = exact_terminal_distribution(model, env)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
-    # independent Monte-Carlo oracle: vectorized categorical walks over the DAG
-    rng = np.random.default_rng(42)
-    n = 1_000_000
-    cur = np.zeros(n, dtype=np.int64)
-    done = np.full(n, -1, dtype=np.int64)
-    while (done < 0).any():
-        for s in np.unique(cur[done < 0]):
-            here = (done < 0) & (cur == s)
-            _, children, lp = model.forward_row(int(s), env)
-            probs = np.exp(lp)
-            draws = rng.choice(len(children), size=int(here.sum()), p=probs / probs.sum())
-            if env.is_terminating(int(s)):
-                done[here] = s
-            cur[here] = children[draws]
-    freq = np.array([(done == x).mean() for x in xs])
-    assert np.abs(freq - p).max() < 0.005
+        # independent Monte-Carlo oracle: vectorized categorical walks over the DAG
+        rng = np.random.default_rng(42)
+        n = 1_000_000
+        cur = np.zeros(n, dtype=np.int64)
+        done = np.full(n, -1, dtype=np.int64)
+        while (done < 0).any():
+            for s in np.unique(cur[done < 0]):
+                here = (done < 0) & (cur == s)
+                _, children, lp = model.forward_row(int(s), env)
+                probs = np.exp(lp)
+                draws = rng.choice(len(children), size=int(here.sum()), p=probs / probs.sum())
+                if env.is_terminating(int(s)):
+                    done[here] = s
+                cur[here] = children[draws]
+        freq = np.array([(done == x).mean() for x in xs])
+        assert np.abs(freq - p).max() < 0.005
 
 
 def test_batch_samplers_agree_with_law():
