@@ -18,7 +18,7 @@ from . import certify as certify_mod
 from . import config as config_mod
 from . import oracle
 from .approximator import load_checkpoint, save_checkpoint
-from .envs import DagEnv
+from .envs import DagEnv, EnumerationCapError
 from .policy import (
     PolicyModel,
     proportional_draw,
@@ -67,17 +67,15 @@ def _draw_certification_samples(model: PolicyModel, env: DagEnv, scope: List[int
 def cmd_train(args: argparse.Namespace) -> int:
     try:
         resolved = config_mod.load_config(args.config)
-    except (config_mod.ConfigError, OSError) as exc:
+        env = config_mod.build_env(resolved)
+        model = config_mod.build_model(resolved, env)
+        train_cfg = config_mod.build_train_config(resolved)
+        outdir = config_mod.output_dir(resolved)
+        trainer = Trainer(model, env, train_cfg, metrics_path=os.path.join(outdir, "metrics.csv"))
+        os.makedirs(outdir, exist_ok=True)
+    except (EnumerationCapError, OSError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail(str(exc))
-    outdir = config_mod.output_dir(resolved)
-    os.makedirs(outdir, exist_ok=True)
-
-    env = config_mod.build_env(resolved)
-    model = config_mod.build_model(resolved, env)
-    train_cfg = config_mod.build_train_config(resolved)
     config_mod.write_resolved(resolved, os.path.join(outdir, "resolved_config.json"))
-
-    trainer = Trainer(model, env, train_cfg, metrics_path=os.path.join(outdir, "metrics.csv"))
     state = trainer.run()
 
     save_checkpoint(
@@ -115,7 +113,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return _fail(f"alpha must be in (0, 0.5), got {args.alpha}")
     try:
         resolved, env, model = _load_model_for(args)
-    except (config_mod.ConfigError, OSError, ValueError) as exc:
+    except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
     alpha = args.alpha if args.alpha is not None else (1.0 - resolved["train"]["confidence"]) / 2.0
 
@@ -150,7 +148,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return _fail("need at least one evaluation sample")
     try:
         resolved, env, model = _load_model_for(args)
-    except (config_mod.ConfigError, OSError, ValueError) as exc:
+    except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
     rng = rng_for(resolved["seed"], "cli.evaluate")
     trajs = sample_forward_batch(model, env, rng, args.samples)

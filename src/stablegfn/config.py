@@ -92,8 +92,8 @@ def _resolve_model(section: Dict, objective: str, stabilize: bool) -> Dict:
     if not isinstance(flow_head, bool):
         raise ConfigError("model.flow_head must be 'auto' or a boolean")
     hidden = section.get("hidden", [256, 256])
-    if not (isinstance(hidden, list) and len(hidden) == 2):
-        raise ConfigError("model.hidden must be a two-element list")
+    if not (isinstance(hidden, list) and len(hidden) == 2 and min(map(int, hidden)) >= 1):
+        raise ConfigError("model.hidden must be a list of two widths >= 1")
     return {
         "kind": kind,
         "hidden": [int(h) for h in hidden],

@@ -6,6 +6,10 @@ sink.  Terminating states carry a positive reward; all other states have
 reward zero.  Action "slots" give each edge a stable logit index so a single
 policy head can score all states of an environment.
 
+States are described by arrays built with the graph, never by per-state
+methods: ``features`` lists each state's one-hot feature columns,
+``reward_table`` its reward and ``mode_mask`` whether it is a mode.
+
 One graph layout: the edge arrays (``edge_src``/``edge_dst``/``edge_fslot``/
 ``edge_bslot``) and the slot matrices (``child_matrix``/``parent_matrix``).
 One graph order, the level order: ``levels`` groups states by their longest
@@ -33,6 +37,11 @@ ENV_DEFAULTS: Dict[str, Dict[str, object]] = {
 }
 
 
+# Cells (float64, 1 GiB) the one-hot cache may hold.  A tree has a column per
+# state, so its cache grows as S**2: T(2,12) needs 67M cells, T(2,13) 268M.
+ENCODING_CELL_CAP = 1 << 27
+
+
 class EnumerationCapError(RuntimeError):
     """Raised when an exact computation is requested on too large a graph."""
 
@@ -53,16 +62,18 @@ class DagEnv:
 
     Subclasses supply the edges as an (E, 4) integer array of (source,
     target, forward slot, backward slot) rows, the terminating-state rewards,
-    and a feature encoding.  The edge arrays and the slot matrices are the
-    one graph layout; this base class fills the matrices and masks, computes
-    the level order, and validates the DAG invariants.
+    and the features: an (S, k) integer array whose row ``s`` lists the
+    one-hot columns (below ``feature_dim``) set for state ``s``, -1 meaning
+    none.  The edge arrays and the slot matrices are the one graph layout;
+    this base class fills the matrices and masks, computes the level order,
+    validates the DAG invariants and marks the modes (:meth:`_modes`).
     """
 
     kind = "dag"
     # Everything __init__ derives from the edge list alone; environments that
     # differ only in their rewards share these (see OneMoreMode).
     GRAPH_ATTRS = (
-        "num_states", "initial_state", "sink", "feature_dim", "num_edges",
+        "num_states", "initial_state", "sink", "features", "feature_dim", "num_edges",
         "edge_src", "edge_dst", "edge_fslot", "edge_bslot", "num_forward_slots",
         "num_backward_slots", "child_matrix", "parent_matrix", "forward_mask",
         "backward_mask", "levels", "level_edges", "topological_order",
@@ -74,11 +85,13 @@ class DagEnv:
         sink: int,
         edges: Union[np.ndarray, Sequence[Tuple[int, int, int, int]]],
         rewards: Dict[int, float],
+        features: np.ndarray,
         feature_dim: int,
     ):
         self.num_states = num_states
         self.initial_state = 0
         self.sink = sink
+        self.features = np.asarray(features, dtype=np.int64).reshape(num_states, -1)
         self.feature_dim = feature_dim
 
         src, dst, fslot, bslot = np.ascontiguousarray(
@@ -115,6 +128,7 @@ class DagEnv:
         # filled on first use by losses.terminal_reach_counts
         self._reach_counts: Optional[np.ndarray] = None
         self._validate()
+        self.mode_mask = self._modes()
 
     # -- structure ---------------------------------------------------------
 
@@ -188,21 +202,27 @@ class DagEnv:
         if not self.terminating_mask[self.edge_src[self.edge_dst == self.sink]].all():
             raise ValueError("only terminating states may connect to the sink")
 
-    # -- features ----------------------------------------------------------
-
-    def encode(self, s: int) -> np.ndarray:
-        raise NotImplementedError
+    # -- features and modes --------------------------------------------------
 
     @property
     def encoding_matrix(self) -> np.ndarray:
-        """Row ``s`` is ``encode(s)``; built lazily, cached."""
+        """Dense one-hot features: row ``s`` is 1 at the columns ``features[s]``
+        lists; built lazily, cached, refused above ``ENCODING_CELL_CAP``."""
         if self._encoding_matrix is None:
+            if self.num_states * self.feature_dim > ENCODING_CELL_CAP:
+                raise EnumerationCapError(
+                    f"one-hot features of {self.num_states} x {self.feature_dim} cells are "
+                    f"above the cap {ENCODING_CELL_CAP}; use a tabular model")
             mat = np.zeros((self.num_states, self.feature_dim))
-            for s in range(self.num_states):
-                if s != self.sink:
-                    mat[s] = self.encode(s)
+            on = self.features >= 0
+            mat[np.nonzero(on)[0], self.features[on]] = 1.0
             self._encoding_matrix = mat
         return self._encoding_matrix
+
+    def _modes(self) -> np.ndarray:
+        """Mode mask: the terminating states within 1e-12 of the largest reward."""
+        rmax = self.reward_table[self.terminating_states].max()
+        return self.terminating_mask & (self.reward_table >= rmax - 1e-12)
 
     def describe(self) -> Dict[str, object]:
         raise NotImplementedError
@@ -249,12 +269,8 @@ class RegularTree(DagEnv):
             np.stack([self.leaves, np.full_like(self.leaves, sink), zeros, zeros], axis=1),
         ])
         rewards = dict(zip(self.leaves.tolist(), leaf_rewards.tolist()))
-        super().__init__(num_states, sink, edges, rewards, feature_dim=num_states)
-
-    def encode(self, s: int) -> np.ndarray:
-        v = np.zeros(self.feature_dim)
-        v[s] = 1.0
-        return v
+        features = np.r_[np.arange(n_tree), -1]  # one column per state, none at the sink
+        super().__init__(num_states, sink, edges, rewards, features, feature_dim=num_states)
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -298,6 +314,9 @@ class Hypergrid(DagEnv):
     Forward slots: 0..D-1 increment that coordinate, slot D exits.
     Backward slots: 0..D-1 decrement that coordinate (terminal copies have a
     single parent, slot 0).
+
+    Features are one-hot per coordinate (column ``i*H + x_i``) on both copies;
+    modes sit on the r0+r1+r2 plateau (Bengio et al. 2021, arXiv:2106.04399).
     """
 
     kind = "hypergrid"
@@ -317,44 +336,33 @@ class Hypergrid(DagEnv):
         n_grid = H**D
         self.n_grid = n_grid
         sink = 2 * n_grid
-        self._strides = np.array([H ** (D - 1 - i) for i in range(D)], dtype=np.int64)
+        strides = np.array([H ** (D - 1 - i) for i in range(D)], dtype=np.int64)
 
         # per grid point, in this order: an increment per coordinate below
         # the far side, the exit to the terminal copy, its edge to the sink
         idx = np.arange(n_grid, dtype=np.int64)[:, None]
-        coords = idx // self._strides % H
+        coords = idx // strides % H
         term = n_grid + idx
         src = np.hstack([np.repeat(idx, D, axis=1), idx, term])
-        dst = np.hstack([idx + self._strides, term, np.full_like(idx, sink)])
+        dst = np.hstack([idx + strides, term, np.full_like(idx, sink)])
         fslot = np.broadcast_to(np.r_[np.arange(D), D, 0], src.shape)
         bslot = np.broadcast_to(np.r_[np.arange(D), 0, 0], src.shape)
         valid = np.hstack([coords < H - 1, np.ones((n_grid, 2), dtype=bool)])
         edges = np.stack([src, dst, fslot, bslot], axis=-1)[valid]
         reward = hypergrid_reward(coords, H, self.r0, self.r1, self.r2)
         rewards = dict(zip(term[:, 0].tolist(), reward.tolist()))
+        cols = coords + H * np.arange(D)
+        features = np.vstack([cols, cols, np.full((1, D), -1)])
 
-        super().__init__(2 * n_grid + 1, sink, edges, rewards, feature_dim=D * H)
+        super().__init__(2 * n_grid + 1, sink, edges, rewards, features, feature_dim=D * H)
 
     def grid_point(self, s: int) -> Tuple[int, ...]:
         """Coordinates of a state (active or terminal copy)."""
-        idx = int(s) if s < self.n_grid else int(s) - self.n_grid
-        out = []
-        for st in self._strides:
-            q, idx = divmod(idx, int(st))
-            out.append(q)
-        return tuple(out)
+        return tuple(int(c) for c in self.features[s] % self.side)
 
-    def encode(self, s: int) -> np.ndarray:
-        v = np.zeros(self.feature_dim)
-        for i, xi in enumerate(self.grid_point(s)):
-            v[i * self.side + xi] = 1.0
-        return v
-
-    def mode_states(self) -> np.ndarray:
-        """Terminating states whose reward hits the full r0+r1+r2 plateau."""
+    def _modes(self) -> np.ndarray:
         peak = self.r0 + self.r1 + self.r2
-        xs = self.terminating_states
-        return xs[np.isclose(self.reward_table[xs], peak, rtol=0, atol=1e-12)]
+        return self.terminating_mask & np.isclose(self.reward_table, peak, rtol=0, atol=1e-12)
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -371,8 +379,9 @@ class OneMoreMode(DagEnv):
     """Same graph as a base environment with extra reward on a subset of states.
 
     ``reward(x) = base.reward(x) + added[x]`` with ``added >= 0`` supported on
-    terminating states only.  The graph arrays, the terminating set and the
-    feature encoding are the base's own objects, shared, not copied.
+    terminating states only.  The graph arrays, the features, the terminating
+    set and the one-hot cache are the base's own objects, shared, not copied.
+    The modes follow the max-reward rule whatever the base is.
     """
 
     kind = "one_more_mode"
@@ -392,10 +401,8 @@ class OneMoreMode(DagEnv):
         self.reward_table = base.reward_table.copy()
         for x, r in added.items():
             self.reward_table[x] += r
+        self.mode_mask = DagEnv._modes(self)
         self._reach_counts = None
-
-    def encode(self, s: int) -> np.ndarray:
-        return self.base.encode(s)
 
     @property
     def encoding_matrix(self) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,33 +36,24 @@ def exact_total_l1(model: PolicyModel, env: DagEnv, cap: int = DEFAULT_STATE_CAP
 def empirical_total_l1(samples: Sequence[int], env: DagEnv) -> float:
     """Total L1 between sample frequencies and the target, over the full support.
 
-    States never sampled contribute their full target mass.
+    States never sampled contribute their full target mass.  Every sample
+    must be a terminating state.
     """
-    if len(samples) == 0:
+    xs = np.asarray(samples, dtype=np.int64)
+    if len(xs) == 0:
         raise ValueError("need at least one sample")
-    pos = {int(x): i for i, x in enumerate(env.terminating_states)}
-    counts = np.zeros(len(pos))
-    for s in samples:
-        counts[pos[int(s)]] += 1
-    freq = counts / len(samples)
-    return float(np.abs(freq - target_distribution(env)).sum())
+    ok = (xs >= 0) & (xs < env.num_states)
+    ok[ok] = env.terminating_mask[xs[ok]]
+    if not ok.all():
+        raise ValueError(f"sample {xs[~ok][0]} is not a terminating state")
+    counts = np.bincount(xs, minlength=env.num_states)[env.terminating_states]
+    return float(np.abs(counts / len(xs) - target_distribution(env)).sum())
 
 
-def default_mode_predicate(env: DagEnv) -> Callable[[int], bool]:
-    """Mode test for an environment: peak-plateau cells on grids, max reward otherwise."""
-    if hasattr(env, "mode_states"):
-        modes = set(int(x) for x in env.mode_states())
-        return lambda s: s in modes
-    xs = env.terminating_states
-    rmax = float(env.reward_table[xs].max())
-    return lambda s: env.reward_table[s] >= rmax - 1e-12
-
-
-def count_modes(samples: Iterable[int], env: DagEnv,
-                predicate: Optional[Callable[[int], bool]] = None) -> int:
-    """Number of distinct mode states present in the samples."""
-    pred = predicate or default_mode_predicate(env)
-    return len({int(s) for s in samples if pred(int(s))})
+def count_modes(samples: Sequence[int], env: DagEnv) -> int:
+    """Number of distinct mode states (``env.mode_mask``) present in the samples."""
+    xs = np.asarray(samples, dtype=np.int64)
+    return len(np.unique(xs[env.mode_mask[xs]]))
 
 
 @dataclass

@@ -162,6 +162,7 @@ class PolicyModel:
             bnet = Tabular(env.num_states, ab, "pb") if learn_backward else None
             flnet = Tabular(env.num_states, 1, "flow") if flow_head else None
         elif kind == "mlp":
+            env.encoding_matrix  # built, or refused by its cap, at set-up
             fnet = Mlp(env.feature_dim, hidden, af, "pf")
             bnet = Mlp(env.feature_dim, hidden, ab, "pb") if learn_backward else None
             flnet = Mlp(env.feature_dim, hidden, 1, "flow") if flow_head else None

@@ -95,8 +95,8 @@ class TrainConfig:
             raise ValueError("backward_source must be buffer or exact")
         if self.backward_in_gradient not in ("auto", "always", "never"):
             raise ValueError("backward_in_gradient must be auto, always or never")
-        if self.batch_size < 1 or self.max_rounds < 0:
-            raise ValueError("batch_size must be >= 1 and max_rounds >= 0")
+        if min(self.batch_size, self.cert_m, self.cert_n) < 1 or self.max_rounds < 0:
+            raise ValueError("batch_size, cert_m and cert_n must be >= 1 and max_rounds >= 0")
 
     @property
     def alpha(self) -> float:
@@ -244,7 +244,6 @@ class Trainer:
         self.rng_cert_b = rng_for(seed, "cert.backward")
         self.metrics_path = metrics_path
         self._rows: List[Dict[str, object]] = []
-        self._mode_pred = oracle.default_mode_predicate(env)
 
     # -- sampling helpers ----------------------------------------------------
 
@@ -265,13 +264,9 @@ class Trainer:
 
     def _merge_discovered(self, trajs: Sequence[Trajectory]) -> bool:
         # a path's one terminating state is the last before the sink (DagEnv._validate)
-        found: Dict[int, float] = {}
-        for t in trajs:
-            x = int(t.terminating_state)
-            found[x] = self.env.reward(x)
-            if self._mode_pred(x):
-                self.state.modes_found.add(x)
-        return self.buffer.merge(found)
+        xs = np.array([t.terminating_state for t in trajs], dtype=np.int64)
+        self.state.modes_found.update(xs[self.env.mode_mask[xs]].tolist())
+        return self.buffer.merge(dict(zip(xs.tolist(), self.env.reward_table[xs].tolist())))
 
     def _certify(self) -> Optional[certify.CertificateReport]:
         cfg = self.config

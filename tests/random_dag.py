@@ -46,12 +46,8 @@ class RandomDag(DagEnv):
                  for a, b in pairs]
         edges = [edges[i] for i in rng.permutation(len(edges))]
         rewards = {int(state[x]): float(rng.uniform(0.1, 3.0)) for x in np.flatnonzero(terminating)}
-        super().__init__(size + 1, sink, edges, rewards, feature_dim=size + 1)
-
-    def encode(self, s: int) -> np.ndarray:
-        v = np.zeros(self.feature_dim)
-        v[s] = 1.0
-        return v
+        super().__init__(size + 1, sink, edges, rewards, np.r_[np.arange(size), -1],
+                         feature_dim=size + 1)
 
     def describe(self):
         return {"kind": self.kind, "seed": self.seed, "size": self.size}

@@ -203,3 +203,46 @@ def test_config_flow_head_auto():
 def test_config_hypergrid_r0_schedule_resolved():
     resolved = resolve({"env": {"kind": "hypergrid", "dimension": 2, "side": 16}})
     assert resolved["env"]["r0"] == pytest.approx(1e-3)
+
+
+def _train_with(tmp_path, **sections):
+    payload = dict(TREE_CONFIG, output_dir=str(tmp_path / "run"))
+    for name, changes in sections.items():
+        payload[name] = dict(payload[name], **changes)
+    return main(["train", write_config(tmp_path, payload)])
+
+
+@pytest.mark.parametrize("sections", [
+    {"env": {"branching": 1}},  # the env builder's error
+    {"train": {"buffer_size": 0}},  # the top-K buffer's error, in the Trainer
+    {"train": {"replay_size": 0, "replay_batch": 4, "stabilize": False}},  # the replay buffer's
+], ids=["env", "buffer", "replay"])
+def test_train_setup_errors_exit_2(tmp_path, capsys, sections):
+    assert _train_with(tmp_path, **sections) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_mlp_over_encoding_cap_exits_2(tmp_path, monkeypatch, capsys):
+    import stablegfn.envs as envs
+
+    # T(2,2) has 8 states: its one-hot cache has 64 cells
+    monkeypatch.setattr(envs, "ENCODING_CELL_CAP", 63)
+    assert _train_with(tmp_path, model={"kind": "mlp", "hidden": [4, 4]}) == 2
+    assert "above the cap 63" in capsys.readouterr().err
+    monkeypatch.setattr(envs, "ENCODING_CELL_CAP", 64)
+    assert _train_with(tmp_path, model={"kind": "mlp", "hidden": [4, 4]},
+                       train={"max_rounds": 2}) == 0
+
+
+@pytest.mark.parametrize("bad", [
+    {"model": {"hidden": [0, 4]}},
+    {"model": {"hidden": [4, -1]}},
+    {"train": {"cert_m": 0}},
+    {"train": {"cert_n": 0}},
+], ids=["hidden0", "hidden1", "cert_m", "cert_n"])
+def test_config_rejects_empty_layers_and_certificate_samples(tmp_path, bad):
+    raw = {"env": {"kind": "tree", "branching": 2, "depth": 1}, **bad}
+    with pytest.raises(ConfigError):
+        resolve(raw)
+    assert _train_with(tmp_path, **bad) == 2

@@ -166,7 +166,8 @@ def test_levels_are_longest_distances(env):
 
 class _Graph(DagEnv):
     def __init__(self, num_states, sink, edges, terminating):
-        super().__init__(num_states, sink, edges, {x: 1.0 for x in terminating}, feature_dim=1)
+        super().__init__(num_states, sink, edges, {x: 1.0 for x in terminating},
+                         np.full(num_states, -1), feature_dim=1)
 
 
 def test_rejects_dead_ends_and_extra_sources():
@@ -276,7 +277,7 @@ def test_hypergrid_action_count():
 def test_hypergrid_terminal_count_and_modes():
     env = Hypergrid(2, 8, r0=0.1, r1=0.5, r2=2.0)
     assert len(env.terminating_states) == 64
-    modes = env.mode_states()
+    modes = np.flatnonzero(env.mode_mask)
     assert len(modes) == 4
     corners = {(0, 0), (0, 7), (7, 0), (7, 7)}
     assert {env.grid_point(int(m)) for m in modes} == corners
@@ -284,11 +285,80 @@ def test_hypergrid_terminal_count_and_modes():
 
 def test_encoding_shapes():
     tree = RegularTree(2, 2)
-    assert tree.encode(3).shape == (tree.num_states,)
+    assert tree.encoding_matrix[3].shape == (tree.num_states,)
     grid = Hypergrid(2, 4, r0=0.1)
-    v = grid.encode(5)
+    v = grid.encoding_matrix[5]
     assert v.shape == (8,)
     assert v.sum() == 2.0  # one hot per coordinate
+
+
+def _reference_encode(env, s):
+    """The per-state ``encode`` the environments had before ``features``."""
+    if isinstance(env, OneMoreMode):
+        return _reference_encode(env.base, s)
+    v = np.zeros(env.feature_dim)
+    if isinstance(env, Hypergrid):
+        idx = s if s < env.n_grid else s - env.n_grid
+        for i in range(env.dimension):
+            q, idx = divmod(idx, env.side ** (env.dimension - 1 - i))
+            v[i * env.side + q] = 1.0
+    else:  # RegularTree, RandomDag: one column per state
+        v[s] = 1.0
+    return v
+
+
+@pytest.mark.parametrize(
+    "env",
+    [RegularTree(3, 4), RegularTree(2, 5), Hypergrid(4, 8), Hypergrid(2, 16),
+     Hypergrid(1, 5), Hypergrid(3, 2), one_more_mode_tree(3, 2, 0.2)[1], *random_dags((5,))],
+    ids=lambda env: f"{env.kind}{env.num_states}",
+)
+def test_features_match_encode_reference(env):
+    ref = np.zeros((env.num_states, env.feature_dim))
+    for s in range(env.num_states):
+        if s != env.sink:
+            ref[s] = _reference_encode(env, s)
+    mat = env.encoding_matrix
+    assert mat.dtype == ref.dtype and mat.tobytes() == ref.tobytes()
+    if isinstance(env, Hypergrid):
+        for s in range(env.sink):
+            coords = np.flatnonzero(ref[s]) - env.side * np.arange(env.dimension)
+            assert env.grid_point(s) == tuple(coords)
+
+
+def _reference_modes(env):
+    """The mode predicate the oracle had before ``mode_mask``, over terminating states."""
+    xs = env.terminating_states
+    if isinstance(env, Hypergrid):  # its old mode_states: the full plateau
+        peak = env.r0 + env.r1 + env.r2
+        modes = set(int(x) for x in xs[np.isclose(env.reward_table[xs], peak, rtol=0, atol=1e-12)])
+        return np.array([int(x) in modes for x in xs])
+    rmax = float(env.reward_table[xs].max())
+    return np.array([env.reward_table[int(x)] >= rmax - 1e-12 for x in xs])
+
+
+def _grid_promoted(D, H):
+    base = Hypergrid(D, H, r0=0.1)
+    center = base.n_grid + (base.n_grid - 1) // 2
+    return OneMoreMode(base, {center: 5.0})
+
+
+@pytest.mark.parametrize(
+    "env",
+    [RegularTree(2, 3), RegularTree(3, 2, leaf_rewards=np.linspace(0.5, 2.0, 9)),
+     RegularTree(2, 3, leaf_rewards=[1, 3, 2, 3, 3 - 1e-13, 0.5, 3 - 1e-11, 1]),
+     Hypergrid(2, 8, r0=0.1), Hypergrid(3, 5), Hypergrid(2, 8, r0=0.1, r1=0.0, r2=0.0),
+     Hypergrid(4, 4, r0=1.0, r1=0.3, r2=0.7),
+     one_more_mode_tree(3, 2, 0.2)[0], one_more_mode_tree(3, 2, 0.2)[1],
+     OneMoreMode(RegularTree(2, 2, leaf_rewards=[1, 2, 2, 1]), {3: 1.0}),
+     _grid_promoted(2, 8), _grid_promoted(3, 5), *random_dags()],
+    ids=lambda env: f"{env.kind}{env.num_states}",
+)
+def test_mode_mask_matches_predicate_reference(env):
+    xs = env.terminating_states
+    assert env.mode_mask.dtype == bool and env.mode_mask.shape == (env.num_states,)
+    assert np.array_equal(env.mode_mask[xs], _reference_modes(env))
+    assert not env.mode_mask[~env.terminating_mask].any()
 
 
 def test_make_env_round_trip():

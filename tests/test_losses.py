@@ -35,12 +35,7 @@ class ChainEnv(DagEnv):
 
     def __init__(self):
         edges = [(0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0)]
-        super().__init__(4, 3, edges, {2: 1.0}, feature_dim=4)
-
-    def encode(self, s):
-        v = np.zeros(4)
-        v[s] = 1.0
-        return v
+        super().__init__(4, 3, edges, {2: 1.0}, [0, 1, 2, -1], feature_dim=4)
 
     def describe(self):
         return {"kind": "chain"}

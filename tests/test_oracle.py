@@ -25,12 +25,7 @@ class ChainEnv(DagEnv):
 
     def __init__(self):
         edges = [(0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0)]
-        super().__init__(4, 3, edges, {2: 1.0}, feature_dim=4)
-
-    def encode(self, s):
-        v = np.zeros(4)
-        v[s] = 1.0
-        return v
+        super().__init__(4, 3, edges, {2: 1.0}, [0, 1, 2, -1], feature_dim=4)
 
     def describe(self):
         return {"kind": "chain"}
@@ -99,11 +94,33 @@ def test_empirical_l1_rejects_empty():
         empirical_total_l1([], env)
 
 
+def test_empirical_l1_matches_per_sample_reference():
+    env = Hypergrid(2, 8, r0=0.1)
+    xs = env.terminating_states
+    rng = np.random.default_rng(4)
+    for samples in (rng.choice(xs, 5000), xs[:3], [int(xs[7])] * 11):
+        pos = {int(x): i for i, x in enumerate(xs)}
+        counts = np.zeros(len(xs))
+        for s in samples:
+            counts[pos[int(s)]] += 1
+        ref = float(np.abs(counts / len(samples) - env.reward_table[xs] / env.reward_table[xs].sum()).sum())
+        assert empirical_total_l1(samples, env) == ref
+        assert empirical_total_l1(list(samples), env) == ref
+
+
+@pytest.mark.parametrize("bad", [0, 5, 32, -1, 10**6])
+def test_empirical_l1_rejects_non_terminating_samples(bad):
+    env = Hypergrid(2, 4, r0=0.1)  # active copies 0..15, terminal copies 16..31, sink 32
+    samples = [int(env.terminating_states[0]), bad]
+    with pytest.raises(ValueError, match=f"sample {bad} is not a terminating state"):
+        empirical_total_l1(samples, env)
+
+
 def test_count_modes_hypergrid():
     env = Hypergrid(2, 8, r0=0.1, r1=0.5, r2=2.0)
     assert count_modes(env.terminating_states, env) == 4
     assert count_modes([], env) == 0
-    one = int(env.mode_states()[0])
+    one = int(np.flatnonzero(env.mode_mask)[0])
     assert count_modes([one, one, one], env) == 1
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stablegfn.envs import Hypergrid, RegularTree
+from stablegfn import envs
+from stablegfn.envs import EnumerationCapError, Hypergrid, RegularTree
 from stablegfn.policy import (
     PolicyModel,
     Trajectory,
@@ -337,3 +338,16 @@ def test_draw_rows_skips_zero_weights_and_matches_proportions():
     picks = np.array([_draw_rows(rng, probs) for _ in range(20_000)])
     assert not np.any(picks[:, 0] == 0) and not np.any(picks[:, 1] == 1)
     assert abs((picks[:, 1] == 2).mean() - 0.75) < 0.015
+
+
+def test_mlp_refused_above_encoding_cap(monkeypatch):
+    env = RegularTree(2, 3)  # 16 states, 16 feature columns: 256 cells
+    monkeypatch.setattr(envs, "ENCODING_CELL_CAP", 255)
+    with pytest.raises(EnumerationCapError, match="above the cap 255"):
+        PolicyModel.build(env, "mlp", hidden=(4, 4))
+    with pytest.raises(EnumerationCapError):
+        env.encoding_matrix
+    PolicyModel.build(env, "tabular")  # tabular nets read no features
+    monkeypatch.setattr(envs, "ENCODING_CELL_CAP", 256)
+    PolicyModel.build(env, "mlp", hidden=(4, 4))
+    assert env.encoding_matrix.shape == (16, 16)
