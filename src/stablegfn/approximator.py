@@ -105,6 +105,14 @@ class Mlp:
     Weights initialize uniformly in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
     ``forward`` returns an opaque cache consumed by ``backward``, which
     accumulates gradients into the bound gradient views.
+
+    LeakyReLU and its slope are computed branch-free: the activation is
+    ``maximum(h, LEAKY_SLOPE * h)`` and the slope comes from ``_leaky_slope``.
+    Pre-activations have random signs, so a per-element select would
+    mispredict about half the time.  Both give the select's values bit for
+    bit, signed zeros, NaN and infinities included.  Bias adds and the
+    activation run in place, so a forward pass over many rows holds no
+    full-size temporary beyond what it caches.
     """
 
     wants_indices = False
@@ -139,34 +147,56 @@ class Mlp:
             self._b[i][...] = rng.uniform(-bound, bound, size=self._b[i].shape)
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, object]:
-        h0 = x @ self._w[0].T + self._b[0]
-        a0 = np.where(h0 > 0, h0, LEAKY_SLOPE * h0)
-        h1 = a0 @ self._w[1].T + self._b[1]
-        a1 = np.where(h1 > 0, h1, LEAKY_SLOPE * h1)
-        out = a1 @ self._w[2].T + self._b[2]
+        # each layer allocates only the arrays it keeps for the backward pass
+        h0 = x @ self._w[0].T
+        h0 += self._b[0]
+        a0 = np.multiply(h0, LEAKY_SLOPE)
+        np.maximum(h0, a0, out=a0)
+        h1 = a0 @ self._w[1].T
+        h1 += self._b[1]
+        a1 = np.multiply(h1, LEAKY_SLOPE)
+        np.maximum(h1, a1, out=a1)
+        out = a1 @ self._w[2].T
+        out += self._b[2]
         return out, (x, h0, a0, h1, a1)
 
     def backward(self, cache: object, dout: np.ndarray) -> None:
         x, h0, a0, h1, a1 = cache
         self._gw[2] += dout.T @ a1
         self._gb[2] += dout.sum(axis=0)
-        da1 = dout @ self._w[2]
-        dh1 = da1 * np.where(h1 > 0, 1.0, LEAKY_SLOPE)
+        dh1 = dout @ self._w[2]
+        dh1 *= _leaky_slope(h1)
         self._gw[1] += dh1.T @ a0
         self._gb[1] += dh1.sum(axis=0)
-        da0 = dh1 @ self._w[1]
-        dh0 = da0 * np.where(h0 > 0, 1.0, LEAKY_SLOPE)
+        dh0 = dh1 @ self._w[1]
+        dh0 *= _leaky_slope(h0)
         self._gw[0] += dh0.T @ x
         self._gb[0] += dh0.sum(axis=0)
 
 
-def clip_grad_norm(grad: np.ndarray, max_norm: float = 10.0) -> np.ndarray:
-    """Rescale ``grad`` to L2 norm ``max_norm`` when it exceeds it, else pass through."""
+def _leaky_slope(h: np.ndarray) -> np.ndarray:
+    """LeakyReLU's derivative at ``h``: 1.0 where ``h > 0``, else LEAKY_SLOPE.
+
+    Exact in float64: ``(1 - L) + L == 1.0`` and ``0 * (1 - L) + L == L``.
+    """
+    s = (h > 0).astype(np.float64)
+    s *= 1.0 - LEAKY_SLOPE
+    s += LEAKY_SLOPE
+    return s
+
+
+def clip_grad_norm(grad: np.ndarray, max_norm: float = 10.0,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rescale ``grad`` to L2 norm ``max_norm`` when it exceeds it, else pass through.
+
+    The rescaled copy is written into ``out`` when given (a fresh array
+    otherwise); ``grad`` itself is never modified.
+    """
     if not np.all(np.isfinite(grad)):
         raise NonFiniteError("gradient contains non-finite entries")
     norm = float(np.linalg.norm(grad))
     if norm > max_norm:
-        return grad * (max_norm / norm)
+        return np.multiply(grad, max_norm / norm, out=out)
     return grad
 
 
@@ -175,6 +205,18 @@ class AdamOptimizer:
 
     The whole flat gradient is norm-clipped before the moment update; any step
     that would produce non-finite parameters is rejected.
+
+    The moments ``m``/``v`` and two scratch vectors are allocated once and
+    updated in place, in the operation order of the textbook formula, so the
+    values are those of the allocating form bit for bit; a step allocates
+    only the boolean masks of its finiteness checks.  What a rejected step
+    leaves behind:
+
+    * a non-finite gradient (caught by the clip) changes nothing;
+    * a non-finite update leaves the parameters as they were, but
+      ``step_count`` is incremented and ``m``/``v`` hold the new moments;
+    * an update that overflows a parameter leaves the non-finite values in
+      the parameters (``ParamVector.check_finite`` raises).
     """
 
     def __init__(
@@ -193,24 +235,36 @@ class AdamOptimizer:
         self.step_count = 0
         self.m = np.zeros(params.size)
         self.v = np.zeros(params.size)
+        self._scratch = np.empty((2, params.size))
         self.lr_vector = np.full(params.size, lr)
         for name, slice_lr in (lr_overrides or {}).items():
             lo, hi = params.slice_bounds(name)
             self.lr_vector[lo:hi] = slice_lr
 
     def step(self) -> None:
+        u, w = self._scratch
         g = self.params.grads
         if self.max_grad_norm is not None:
-            g = clip_grad_norm(g, self.max_grad_norm)
+            g = clip_grad_norm(g, self.max_grad_norm, out=u)
         self.step_count += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        mhat = self.m / (1 - self.beta1**self.step_count)
-        vhat = self.v / (1 - self.beta2**self.step_count)
-        update = self.lr_vector * mhat / (np.sqrt(vhat) + self.eps)
-        if not np.all(np.isfinite(update)):
+        # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g; g*g first would round differently
+        np.multiply(g, 1 - self.beta1, out=w)
+        self.m *= self.beta1
+        self.m += w
+        np.multiply(g, 1 - self.beta2, out=w)
+        w *= g
+        self.v *= self.beta2
+        self.v += w
+        # update = (lr * (m/c1)) / (sqrt(v/c2) + eps), built in u (the clipped g is spent)
+        np.divide(self.m, 1 - self.beta1**self.step_count, out=u)
+        np.multiply(self.lr_vector, u, out=u)
+        np.divide(self.v, 1 - self.beta2**self.step_count, out=w)
+        np.sqrt(w, out=w)
+        w += self.eps
+        u /= w
+        if not np.all(np.isfinite(u)):
             raise NonFiniteError("optimizer update is non-finite; step rejected")
-        self.params.values -= update
+        self.params.values -= u
         self.params.check_finite()
 
     def state_dict(self) -> Dict[str, object]:

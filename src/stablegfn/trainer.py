@@ -50,6 +50,10 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *words]))
 
 
+def _finite_positive(value: object) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+
+
 @dataclass
 class TrainConfig:
     objective: str = "tb"
@@ -63,7 +67,7 @@ class TrainConfig:
     epsilon: float = 0.05
     learning_rate: float = 1e-3
     logz_lr_mult: float = 100.0
-    max_grad_norm: float = 10.0
+    max_grad_norm: Optional[float] = 10.0  # None: no clipping
     replay_size: int = 1000
     replay_batch: int = 0
     max_rounds: int = 1000
@@ -97,6 +101,20 @@ class TrainConfig:
             raise ValueError("backward_in_gradient must be auto, always or never")
         if min(self.batch_size, self.cert_m, self.cert_n) < 1 or self.max_rounds < 0:
             raise ValueError("batch_size, cert_m and cert_n must be >= 1 and max_rounds >= 0")
+        for key in ("learning_rate", "logz_lr_mult", "subtb_lambda"):
+            if not _finite_positive(getattr(self, key)):
+                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)!r}")
+        # a negative clip norm would flip the gradient's sign: training would ascend
+        if self.max_grad_norm is not None and not _finite_positive(self.max_grad_norm):
+            raise ValueError("max_grad_norm must be finite and > 0, or null for no clipping, "
+                             f"got {self.max_grad_norm!r}")
+        if self.buffer_size < 1:
+            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size!r}")
+        if self.replay_batch < 0:
+            raise ValueError(f"replay_batch must be >= 0, got {self.replay_batch!r}")
+        if self.replay_batch > 0 and self.replay_size < 1:
+            raise ValueError("replay_size must be >= 1 when replay_batch > 0, "
+                             f"got {self.replay_size!r}")
 
     @property
     def alpha(self) -> float:

@@ -1,0 +1,74 @@
+"""Reference formulas for the training step's numeric kernels.
+
+These are the straightforward allocating versions of ``AdamOptimizer.step``,
+``clip_grad_norm`` and ``Mlp.forward``/``backward``: every intermediate is a
+fresh array and LeakyReLU is a ``np.where``.  The package computes the same
+values in place and branch-free; the tests require the two to agree bit for
+bit, so any change to the operation order shows up here.
+"""
+
+import numpy as np
+
+from stablegfn.approximator import LEAKY_SLOPE, NonFiniteError
+
+
+def clip_grad_norm(grad, max_norm):
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteError("gradient contains non-finite entries")
+    norm = float(np.linalg.norm(grad))
+    if norm > max_norm:
+        return grad * (max_norm / norm)
+    return grad
+
+
+class AdamReference:
+    """Adam with global-norm clipping, one fresh array per intermediate."""
+
+    def __init__(self, values, lr_vector, beta1=0.9, beta2=0.999, eps=1e-8,
+                 max_grad_norm=10.0):
+        self.values = np.array(values, dtype=np.float64)
+        self.lr_vector = np.array(lr_vector, dtype=np.float64)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.max_grad_norm = max_grad_norm
+        self.step_count = 0
+        self.m = np.zeros(self.values.size)
+        self.v = np.zeros(self.values.size)
+
+    def step(self, grads):
+        g = grads
+        if self.max_grad_norm is not None:
+            g = clip_grad_norm(g, self.max_grad_norm)
+        self.step_count += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        mhat = self.m / (1 - self.beta1**self.step_count)
+        vhat = self.v / (1 - self.beta2**self.step_count)
+        update = self.lr_vector * mhat / (np.sqrt(vhat) + self.eps)
+        if not np.all(np.isfinite(update)):
+            raise NonFiniteError("optimizer update is non-finite; step rejected")
+        self.values -= update
+
+
+def mlp_forward(w, b, x):
+    """Two LeakyReLU hidden layers; returns the output and the backward cache."""
+    h0 = x @ w[0].T + b[0]
+    a0 = np.where(h0 > 0, h0, LEAKY_SLOPE * h0)
+    h1 = a0 @ w[1].T + b[1]
+    a1 = np.where(h1 > 0, h1, LEAKY_SLOPE * h1)
+    out = a1 @ w[2].T + b[2]
+    return out, (x, h0, a0, h1, a1)
+
+
+def mlp_backward(w, gw, gb, cache, dout):
+    """Accumulate the gradients of ``sum(dout * out)`` into ``gw``/``gb``."""
+    x, h0, a0, h1, a1 = cache
+    gw[2] += dout.T @ a1
+    gb[2] += dout.sum(axis=0)
+    da1 = dout @ w[2]
+    dh1 = da1 * np.where(h1 > 0, 1.0, LEAKY_SLOPE)
+    gw[1] += dh1.T @ a0
+    gb[1] += dh1.sum(axis=0)
+    da0 = dh1 @ w[1]
+    dh0 = da0 * np.where(h0 > 0, 1.0, LEAKY_SLOPE)
+    gw[0] += dh0.T @ x
+    gb[0] += dh0.sum(axis=0)

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import numeric_reference as ref
+
 from stablegfn.approximator import (
+    LEAKY_SLOPE,
     AdamOptimizer,
     Mlp,
     NonFiniteError,
@@ -108,6 +112,165 @@ def test_adam_rejects_nonfinite_gradient():
     pv.grads[...] = [np.inf, 0.0]
     with pytest.raises(NonFiniteError):
         opt.step()
+
+
+def _adam_pair(values, lr_overrides=None, **kw):
+    """An optimizer over one flat slice "w" (plus "logz") and its reference twin."""
+    pv = ParamVector([("w", (values.size - 1,)), ("logz", ())])
+    pv.values[...] = values
+    opt = AdamOptimizer(pv, lr=0.01, lr_overrides=lr_overrides, **kw)
+    twin = ref.AdamReference(values, opt.lr_vector, **kw)
+    return pv, opt, twin
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _snapshot(pv, opt):
+    return pv.values.copy(), opt.m.copy(), opt.v.copy(), opt.step_count
+
+
+@pytest.mark.parametrize("max_grad_norm", [10.0, None], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_nonfinite_gradient_is_rejected(max_grad_norm, bad):
+    rng = np.random.default_rng(0)
+    pv, opt, _ = _adam_pair(rng.normal(size=6), max_grad_norm=max_grad_norm)
+    pv.grads[...] = rng.normal(size=6)
+    opt.step()
+    values, m, v, count = _snapshot(pv, opt)
+    pv.grads[2] = bad
+    with pytest.raises(NonFiniteError):
+        opt.step()
+    assert _same_bits(pv.values, values)
+    if max_grad_norm is not None:
+        # the clip rejects the gradient before anything moves
+        assert _same_bits(opt.m, m) and _same_bits(opt.v, v)
+        assert opt.step_count == count
+    else:
+        # unclipped, the moments take the gradient and the update check rejects it
+        assert opt.step_count == count + 1
+        assert not np.isfinite(opt.m[2]) and not np.isfinite(opt.v[2])
+
+
+def test_adam_nonfinite_update_keeps_new_moments():
+    # eps = 0 and a zero gradient entry on the first step: 0/0 in the update
+    values = np.array([1.0, -2.0, 3.0, 0.5])
+    pv, opt, twin = _adam_pair(values, eps=0.0)
+    pv.grads[...] = [0.0, 1.0, -2.0, 0.25]
+    with pytest.raises(NonFiniteError, match="optimizer update"):
+        opt.step()
+    with pytest.raises(NonFiniteError, match="optimizer update"):
+        twin.step(pv.grads)
+    assert _same_bits(pv.values, values)
+    assert opt.step_count == 1
+    assert _same_bits(opt.m, twin.m) and _same_bits(opt.v, twin.v)
+    assert np.count_nonzero(opt.m) == 3
+
+
+def test_adam_overflow_leaves_nonfinite_parameters():
+    values = np.array([-1.7e308, 1.0, 2.0])
+    pv = ParamVector([("w", (3,))])
+    pv.values[...] = values
+    opt = AdamOptimizer(pv, lr=1e308)
+    pv.grads[...] = [1.0, 0.0, 0.0]
+    with pytest.raises(NonFiniteError, match="parameter vector"):
+        opt.step()
+    assert pv.values[0] == -np.inf
+    assert _same_bits(pv.values[1:], values[1:])
+    assert opt.step_count == 1
+
+
+@pytest.mark.parametrize("case", [
+    {"max_grad_norm": 1e-9},  # the clip scales every step
+    {"max_grad_norm": 1e9},  # the clip never scales
+    {"max_grad_norm": None},
+    {"max_grad_norm": 10.0, "lr_overrides": {"logz": 1.0}},  # scales on some steps
+], ids=["clip-active", "clip-inactive", "no-clip", "logz-lr"])
+def test_adam_matches_reference_bitwise(case):
+    rng = np.random.default_rng(7)
+    pv, opt, twin = _adam_pair(rng.normal(size=1000), **case)
+    clipped = []
+    for _ in range(200):
+        g = rng.normal(size=pv.size) * 10.0 ** rng.uniform(-7, 2)
+        pv.grads[...] = g
+        opt.step()
+        twin.step(g)
+        if case["max_grad_norm"] is not None:
+            clipped.append(np.linalg.norm(g) > case["max_grad_norm"])
+        assert _same_bits(pv.values, twin.values)
+        assert _same_bits(opt.m, twin.m) and _same_bits(opt.v, twin.v)
+        assert _same_bits(pv.grads, g)  # the clip scales a copy
+    if case["max_grad_norm"] == 10.0:
+        assert 0 < sum(clipped) < len(clipped)
+
+
+def test_adam_step_allocates_less_than_one_parameter_vector():
+    n = 100_000
+    rng = np.random.default_rng(1)
+    pv = ParamVector([("w", (n,))])
+    pv.values[...] = rng.normal(size=n)
+    opt = AdamOptimizer(pv, lr=1e-3, max_grad_norm=10.0)
+    pv.grads[...] = rng.normal(size=n) * 100.0  # norm ~3e4: the clip scales
+    opt.step()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pv.values.nbytes
+
+
+def _special_values_input(rng, pv):
+    x = rng.normal(size=(40, 6)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2, 1], x[3, 2], x[4, 3] = np.nan, np.inf, -np.inf
+    pv.view("pf.b0")[:3] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("dims, specials", [
+    ((6, (9, 7), 4), True),  # +-0.0, NaN and +-inf reach the pre-activations
+    ((16, (64, 32), 5), False),  # random signs, as in training
+], ids=["special-values", "random-signs"])
+def test_mlp_matches_reference_bitwise(dims, specials):
+    rng = np.random.default_rng(4)
+    net = Mlp(*dims, "pf")
+    pv = ParamVector(net.param_spec())
+    net.bind(pv)
+    net.init_params(rng)
+    x = _special_values_input(rng, pv) if specials else rng.normal(size=(300, dims[0]))
+    w = [pv.view(f"pf.w{i}") for i in range(3)]
+    b = [pv.view(f"pf.b{i}") for i in range(3)]
+    out, cache = net.forward(x)
+    want, want_cache = ref.mlp_forward(w, b, x)
+    assert _same_bits(out, want)
+    for got, expected in zip(cache, want_cache):
+        assert _same_bits(got, expected)
+    if specials:
+        h = np.concatenate([want_cache[1].ravel(), want_cache[3].ravel()])
+        assert np.isnan(h).any() and np.isposinf(h).any() and np.isneginf(h).any()
+        assert (h > 0).any() and (h < 0).any() and (h == 0).any()
+
+    dout = rng.normal(size=out.shape)
+    pv.zero_grad()
+    net.backward(cache, dout)
+    gw = [np.zeros_like(a) for a in w]
+    gb = [np.zeros_like(a) for a in b]
+    ref.mlp_backward(w, gw, gb, want_cache, dout)
+    for i in range(3):
+        assert _same_bits(pv.grad_view(f"pf.w{i}"), gw[i])
+        assert _same_bits(pv.grad_view(f"pf.b{i}"), gb[i])
+
+
+def test_leaky_slope_float64_identities():
+    # the branch-free slope is (h > 0) * (1 - L) + L; both branches are exact
+    assert (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE == 1.0
+    assert 0.0 * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE == LEAKY_SLOPE
 
 
 def test_grad_check_quadratic_tabular():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -214,8 +215,8 @@ def _train_with(tmp_path, **sections):
 
 @pytest.mark.parametrize("sections", [
     {"env": {"branching": 1}},  # the env builder's error
-    {"train": {"buffer_size": 0}},  # the top-K buffer's error, in the Trainer
-    {"train": {"replay_size": 0, "replay_batch": 4, "stabilize": False}},  # the replay buffer's
+    {"train": {"buffer_size": 0}},  # rejected when the config resolves
+    {"train": {"replay_size": 0, "replay_batch": 4, "stabilize": False}},
 ], ids=["env", "buffer", "replay"])
 def test_train_setup_errors_exit_2(tmp_path, capsys, sections):
     assert _train_with(tmp_path, **sections) == 2
@@ -246,3 +247,34 @@ def test_config_rejects_empty_layers_and_certificate_samples(tmp_path, bad):
     with pytest.raises(ConfigError):
         resolve(raw)
     assert _train_with(tmp_path, **bad) == 2
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("learning_rate", [0.0, -1e-3, math.inf, math.nan, "1e-3"]),
+    ("logz_lr_mult", [0.0, -100.0, math.inf, math.nan]),
+    ("max_grad_norm", [0.0, -1.0, math.inf, math.nan]),
+    ("subtb_lambda", [0.0, -0.9, math.inf, math.nan]),
+    ("buffer_size", [0, -3]),
+    ("replay_batch", [-1]),
+], ids=["learning_rate", "logz_lr_mult", "max_grad_norm", "subtb_lambda", "buffer_size",
+        "replay_batch"])
+def test_config_rejects_bad_train_value_naming_key(key, bad):
+    for value in bad:
+        raw = {"env": {"kind": "tree", "branching": 2, "depth": 1}, "train": {key: value}}
+        with pytest.raises(ConfigError, match=key):
+            resolve(raw)
+
+
+def test_config_replay_size_checked_only_with_replay():
+    raw = {"env": {"kind": "tree", "branching": 2, "depth": 1},
+           "train": {"replay_size": 0, "replay_batch": 4}}
+    with pytest.raises(ConfigError, match="replay_size"):
+        resolve(raw)
+    raw["train"]["replay_batch"] = 0
+    assert resolve(raw)["train"]["replay_size"] == 0
+
+
+def test_config_null_max_grad_norm_disables_clipping():
+    resolved = resolve({"env": {"kind": "tree", "branching": 2, "depth": 1},
+                        "train": {"max_grad_norm": None}})
+    assert resolved["train"]["max_grad_norm"] is None
