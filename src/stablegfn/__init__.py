@@ -14,11 +14,12 @@ from .envs import (
     true_partition,
 )
 from .policy import (
+    PathBatch,
     PolicyModel,
     Trajectory,
     exact_terminal_distribution,
     rollout,
-    trajectories_from_paths,
+    score_paths,
 )
 from .trainer import TopKBuffer, TrainConfig, Trainer, update_threshold
 

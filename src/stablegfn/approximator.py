@@ -92,7 +92,7 @@ class Tabular:
     def init_params(self, rng: np.random.Generator) -> None:
         self.table[...] = 0.0
 
-    def forward(self, idx: np.ndarray) -> Tuple[np.ndarray, object]:
+    def forward(self, idx: np.ndarray, cache: bool = True) -> Tuple[np.ndarray, object]:
         return self.table[idx], idx
 
     def backward(self, cache: object, dout: np.ndarray) -> None:
@@ -112,7 +112,9 @@ class Mlp:
     mispredict about half the time.  Both give the select's values bit for
     bit, signed zeros, NaN and infinities included.  Bias adds and the
     activation run in place, so a forward pass over many rows holds no
-    full-size temporary beyond what it caches.
+    full-size temporary beyond what it caches.  ``cache=False`` (for passes
+    that never call ``backward``) keeps nothing: each layer's input is dropped
+    once its output exists, so at most two (rows x width) arrays are alive.
     """
 
     wants_indices = False
@@ -146,19 +148,22 @@ class Mlp:
             self._w[i][...] = rng.uniform(-bound, bound, size=self._w[i].shape)
             self._b[i][...] = rng.uniform(-bound, bound, size=self._b[i].shape)
 
-    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, object]:
+    def forward(self, x: np.ndarray, cache: bool = True) -> Tuple[np.ndarray, object]:
         # each layer allocates only the arrays it keeps for the backward pass
         h0 = x @ self._w[0].T
         h0 += self._b[0]
         a0 = np.multiply(h0, LEAKY_SLOPE)
         np.maximum(h0, a0, out=a0)
+        kept = (x, h0, a0) if cache else ()
+        del h0  # without a cache, each layer's input goes once its output exists
         h1 = a0 @ self._w[1].T
+        del a0
         h1 += self._b[1]
         a1 = np.multiply(h1, LEAKY_SLOPE)
         np.maximum(h1, a1, out=a1)
         out = a1 @ self._w[2].T
         out += self._b[2]
-        return out, (x, h0, a0, h1, a1)
+        return out, kept + (h1, a1) if cache else None
 
     def backward(self, cache: object, dout: np.ndarray) -> None:
         x, h0, a0, h1, a1 = cache

@@ -11,10 +11,14 @@ Bound families
 All reported bounds are clamped to [0, 1]; the raw value is kept alongside.
 Reference flows come from ``losses.reference_flow_log_deltas``, the one
 implementation of the formula; :func:`delta_ratios` only rescales them.
+Sampled trajectories arrive as :class:`~stablegfn.policy.PathBatch` arrays:
+records read their log-probs and log-rewards, and a subgraph certificate
+keeps forward paths by one mask over their terminals.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -22,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .envs import DagEnv, true_partition
+from .envs import DagEnv, OneMoreMode, true_partition
 from .losses import reference_flow_log_deltas
-from .policy import Trajectory
+from .policy import PathBatch
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -133,36 +137,19 @@ class CertificateReport:
         return 1.0 - 2.0 * self.alpha
 
     def to_dict(self) -> Dict[str, object]:
-        d = {
-            "theorem": self.theorem,
-            "bound": self.bound,
-            "raw_bound": None if self.raw_bound is None or math.isinf(self.raw_bound)
-            else self.raw_bound,
-            "threshold": self.threshold,
-            "m": self.m,
-            "n": self.n,
-            "alpha": self.alpha,
-            "confidence": self.confidence,
-            "scope": self.scope,
-            "max_ratio": self.max_ratio,
-            "main_term": None if self.main_term is None or math.isinf(self.main_term)
-            else self.main_term,
-            "condition_violated": self.condition_violated,
-            "subset_size": self.subset_size,
-            "captured_reward_mass": self.captured_reward_mass,
-            "partition_estimate": self.partition_estimate,
-            "search": self.search,
-            "note": self.note,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        """The fields in order, ``confidence`` after ``alpha``; infinite values are None."""
+        d: Dict[str, object] = {}
+        for k, v in dataclasses.asdict(self).items():
+            infinite = k in ("raw_bound", "main_term") and v is not None and math.isinf(v)
+            d[k] = None if infinite else v
+            if k == "alpha":
+                d["confidence"] = self.confidence
         return d
 
 
-def records_from_trajectories(trajs: Sequence[Trajectory], logz: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(log model flow, log target flow) arrays from cached trajectory log-probs."""
-    log_model = np.array([logz + t.log_pf for t in trajs])
-    log_target = np.array([math.log(t.reward) + t.log_pb for t in trajs])
-    return log_model, log_target
+def records_from_trajectories(paths: PathBatch, logz: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(log model flow, log target flow) arrays from a scored batch's log-probs."""
+    return logz + paths.log_pf, paths.log_rewards + paths.log_pb
 
 
 def delta_ratios(log_model: np.ndarray, log_target: np.ndarray, threshold: float) -> np.ndarray:
@@ -293,27 +280,17 @@ def bound_at_threshold(
     log_target = np.concatenate([backward[1], forward[1]])
     raw, max_ratio, main = _objective(log_model, log_target, threshold, m, n, alpha)
     violated = not math.isfinite(raw)
-    return CertificateReport(
-        theorem="pac-reference",
-        bound=1.0 if violated else min(1.0, max(0.0, raw)),
-        raw_bound=raw,
-        threshold=threshold,
-        m=m,
-        n=n,
-        alpha=alpha,
-        scope=scope,
-        max_ratio=max_ratio,
-        main_term=main,
-        condition_violated=violated,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    bound = 1.0 if violated else min(1.0, max(0.0, raw))
+    return CertificateReport("pac-reference", bound, raw, threshold, m, n, alpha, scope,
+                             max_ratio=max_ratio, main_term=main, condition_violated=violated,
+                             wall_clock_s=time.perf_counter() - t0)
 
 
 def subgraph_certificate(
     env: DagEnv,
     subset: Sequence[int],
-    backward_trajs: Sequence[Trajectory],
-    forward_trajs: Sequence[Trajectory],
+    backward_trajs: PathBatch,
+    forward_trajs: PathBatch,
     logz: float,
     alpha: float,
     threshold: Optional[float] = None,
@@ -327,32 +304,21 @@ def subgraph_certificate(
     one-dimensional optimization applies.
     """
     subset = set(int(s) for s in subset)
-    scope = "global" if subset >= set(int(x) for x in env.terminating_states) else "subgraph"
-    kept = [t for t in forward_trajs if t.terminating_state in subset]
-    captured = float(sum(env.reward(x) for x in subset))
-    if not kept:
-        return CertificateReport(
-            theorem="pac-reference",
-            bound=None,
-            raw_bound=None,
-            threshold=threshold,
-            m=len(backward_trajs),
-            n=0,
-            alpha=alpha,
-            scope=scope,
-            subset_size=len(subset),
-            captured_reward_mass=captured,
-            partition_estimate=math.exp(logz),
-            note="no forward samples reached the subset",
-        )
+    in_subset = np.zeros(env.num_states, dtype=bool)
+    in_subset[list(subset)] = True
+    scope = "global" if in_subset[env.terminating_states].all() else "subgraph"
+    kept = forward_trajs[in_subset[forward_trajs.terminals]]
     backward = records_from_trajectories(backward_trajs, logz)
     forward = records_from_trajectories(kept, logz)
-    if threshold is None:
+    if not len(kept):
+        report = CertificateReport("pac-reference", None, None, threshold, len(backward_trajs), 0,
+                                   alpha, scope, note="no forward samples reached the subset")
+    elif threshold is None:
         report = optimize_certificate(backward, forward, alpha, scope=scope)
     else:
         report = bound_at_threshold(backward, forward, threshold, alpha, scope=scope)
     report.subset_size = len(subset)
-    report.captured_reward_mass = captured
+    report.captured_reward_mass = float(sum(env.reward(x) for x in subset))
     report.partition_estimate = math.exp(logz)
     return report
 
@@ -378,12 +344,8 @@ def mc_delta_over_zstar(log_model: np.ndarray, log_target: np.ndarray,
     if len(log_model) == 0:
         raise ValueError("need at least one sample")
     ratios = delta_ratios(np.asarray(log_model), np.asarray(log_target), threshold)
-    est = float(ratios.mean())
-    if len(ratios) > 1:
-        se = float(ratios.std(ddof=1) / math.sqrt(len(ratios)))
-    else:
-        se = math.inf
-    return est, se
+    se = float(ratios.std(ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else math.inf
+    return float(ratios.mean()), se
 
 
 # -- incremental reward-change bounds -------------------------------------------
@@ -438,10 +400,7 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
     upper = 1.0 - lam
 
     r_prev = env_prev.reward_table[env_prev.terminating_states]
-    r_new = r_prev.copy()
-    pos = {int(x): i for i, x in enumerate(env_prev.terminating_states)}
-    for x, extra in added.items():
-        r_new[pos[int(x)]] += extra
+    r_new = OneMoreMode(env_prev, added).reward_table[env_prev.terminating_states]
     exact = 0.5 * float(np.abs(r_prev / r_prev.sum() - r_new / r_new.sum()).sum())
     return lower, upper, exact
 

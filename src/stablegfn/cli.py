@@ -118,10 +118,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     alpha = args.alpha if args.alpha is not None else (1.0 - resolved["train"]["confidence"]) / 2.0
 
     if args.from_log:
-        trajs = read_trajectory_log(args.from_log)
-        bwd = [t for t in trajs if t.provenance == "backward-sampled"]
-        fwd = [t for t in trajs if t.provenance == "forward-sampled"]
-        if not bwd or not fwd:
+        logged = read_trajectory_log(args.from_log)
+        bwd = logged[logged.provenance == "backward-sampled"]
+        fwd = logged[logged.provenance == "forward-sampled"]
+        if not len(bwd) or not len(fwd):
             return _fail("trajectory log must contain both backward- and forward-sampled records")
         report = certify_mod.optimize_certificate(
             certify_mod.records_from_trajectories(bwd, model.logz),
@@ -151,8 +151,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
     rng = rng_for(resolved["seed"], "cli.evaluate")
-    trajs = sample_forward_batch(model, env, rng, args.samples)
-    xs = [t.terminating_state for t in trajs]
+    xs = sample_forward_batch(model, env, rng, args.samples).terminals
     tv = oracle.exact_tv(model, env) if resolved["eval"]["oracle"] else None
     report = oracle.EvalReport(
         exact_tv=tv,

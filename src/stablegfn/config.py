@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from typing import Dict, List
 
 import yaml
@@ -26,6 +27,15 @@ FLOW_OBJECTIVES = ("db", "fm", "subtb", "wdb")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe loading with YAML 1.2 floats: YAML 1.1 reads ``1e-3`` (no dot) as a string."""
+
+
+# tried after the int resolver, so ints stay ints
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+0123456789."))
 
 
 def _require(section: Dict, key: str, where: str):
@@ -147,7 +157,7 @@ def resolve(raw: Dict) -> Dict:
 def load_config(path: str) -> Dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return resolve(raw)

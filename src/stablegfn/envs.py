@@ -273,12 +273,8 @@ class RegularTree(DagEnv):
         super().__init__(num_states, sink, edges, rewards, features, feature_dim=num_states)
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "branching": self.branching,
-            "depth": self.depth,
-            "leaf_rewards": self.leaf_rewards.tolist(),
-        }
+        return {"kind": self.kind, "branching": self.branching, "depth": self.depth,
+                "leaf_rewards": self.leaf_rewards.tolist()}
 
 
 def hypergrid_reward(x: Union[Sequence[int], np.ndarray], side: int, r0: float, r1: float,
@@ -365,14 +361,8 @@ class Hypergrid(DagEnv):
         return self.terminating_mask & np.isclose(self.reward_table, peak, rtol=0, atol=1e-12)
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "dimension": self.dimension,
-            "side": self.side,
-            "r0": self.r0,
-            "r1": self.r1,
-            "r2": self.r2,
-        }
+        return {"kind": self.kind, "dimension": self.dimension, "side": self.side,
+                "r0": self.r0, "r1": self.r1, "r2": self.r2}
 
 
 class OneMoreMode(DagEnv):
@@ -463,13 +453,8 @@ def make_env(spec: Dict[str, object]) -> DagEnv:
     if kind == "tree":
         return RegularTree(int(spec["branching"]), int(spec["depth"]), spec["leaf_rewards"])
     if kind == "hypergrid":
-        return Hypergrid(
-            int(spec["dimension"]),
-            int(spec["side"]),
-            spec["r0"],
-            float(spec["r1"]),
-            float(spec["r2"]),
-        )
+        return Hypergrid(int(spec["dimension"]), int(spec["side"]), spec["r0"],
+                         float(spec["r1"]), float(spec["r2"]))
     prev, new = one_more_mode_tree(
         int(spec["branching"]), int(spec["depth"]), float(spec["epsilon"])
     )

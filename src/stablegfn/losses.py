@@ -1,9 +1,11 @@
 """Training objectives: FM, DB, TB, SubTB, weighted-DB, and the capped variant.
 
 Per-object losses (one trajectory, edge, state, or span at a time) mirror the
-mathematical definitions and serve as oracles; :func:`batch_loss` is the
-vectorized engine the trainers use, computing per-item losses and, on request,
-accumulating analytic gradients into the model's parameter vector.
+mathematical definitions and serve as oracles; they read a ``Trajectory`` or
+any row of a ``PathBatch``.  :func:`batch_loss` is the vectorized engine the
+trainers use: it reads a ``PathBatch``'s arrays (edges, occurrences and flow
+positions by mask over its state matrix), computes per-item losses and, on
+request, accumulates analytic gradients into the model's parameter vector.
 
 The reference-flow machinery injects a nonnegative mass ``delta`` into both
 sides of the trajectory-balance ratio, capping each item's loss at
@@ -16,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .envs import DagEnv, EnumerationCapError
-from .policy import EdgeBatch, FlowBatch, PolicyModel, Trajectory
+from .policy import EdgeBatch, FlowBatch, PathBatch, PolicyModel, Trajectory
 
 WDB_REACH_CELL_CAP = 50_000_000
 
@@ -154,22 +156,16 @@ def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
     return out
 
 
-def reference_flow_log_delta(log_model_flow: float, log_target_flow: float,
-                             threshold: float) -> float:
-    """Scalar :func:`reference_flow_log_deltas`."""
-    return float(reference_flow_log_deltas([log_model_flow], [log_target_flow], threshold)[0])
-
-
 def reference_flow_delta(log_model_flow: float, log_target_flow: float,
                          threshold: float) -> float:
     """Minimum reference flow (in linear scale) capping the loss at threshold**2."""
-    return math.exp(reference_flow_log_delta(log_model_flow, log_target_flow, threshold))
+    return math.exp(reference_flow_log_deltas([log_model_flow], [log_target_flow], threshold)[0])
 
 
 def reference_flow_ratio(log_model_flow: float, log_target_flow: float,
                          threshold: float) -> float:
     """delta divided by the target flow; the quantity the sampling bounds track."""
-    return math.exp(reference_flow_log_delta(log_model_flow, log_target_flow, threshold)
+    return math.exp(reference_flow_log_deltas([log_model_flow], [log_target_flow], threshold)[0]
                     - log_target_flow)
 
 
@@ -244,43 +240,43 @@ class LossBatchReport:
 def batch_loss(
     model: PolicyModel,
     env: DagEnv,
-    trajs: Sequence[Trajectory],
+    paths: PathBatch,
     objective: str = "tb",
     backprop: bool = False,
     deltas: Optional[np.ndarray] = None,
     subtb_lambda: float = 0.9,
     edges: Optional[EdgeBatch] = None,
 ) -> LossBatchReport:
-    """Per-trajectory losses for a batch; optionally accumulate mean-loss gradients.
+    """Per-path losses for a batch; optionally accumulate mean-loss gradients.
 
-    ``deltas`` (constants, one per trajectory) select the capped variant of
+    ``deltas`` (constants, one per path) select the capped variant of
     the trajectory objective.  Gradients are of the batch mean and are added
     into ``model.params.grads`` without zeroing.  The trajectory objective
     and the edge objectives (db, wdb, subtb) reuse ``edges``, an unused
-    EdgeBatch over exactly ``trajs``' edges at the current parameters (see
-    :func:`trajectories_from_paths`), if given; fm evaluates the in- and
+    EdgeBatch over exactly ``paths``' edges at the current parameters (see
+    :func:`~stablegfn.policy.score_paths`), if given; fm evaluates the in- and
     out-edges of the visited states in a batch of its own.
     """
     if deltas is not None and objective not in ("tb", "augmented"):
         raise ValueError("reference flow only applies to the trajectory objective")
     if objective == "fm":
-        return _batch_fm(model, env, trajs, backprop)
+        return _batch_fm(model, env, paths, backprop)
     if objective not in ("tb", "augmented", "db", "wdb", "subtb"):
         raise ValueError(f"unknown objective {objective!r}")
     if edges is None:
-        edges = EdgeBatch.of_trajectories(model, env, trajs)
+        edges = EdgeBatch.of_paths(model, env, paths)
     if objective in ("db", "wdb"):
-        return _batch_db(model, env, trajs, backprop, edges, weighted=objective == "wdb")
+        return _batch_db(model, env, paths, backprop, edges, weighted=objective == "wdb")
     if objective == "subtb":
-        return _batch_subtb(model, env, trajs, backprop, subtb_lambda, edges)
-    return _batch_tb(model, env, trajs, backprop, deltas, edges)
+        return _batch_subtb(model, env, paths, backprop, subtb_lambda, edges)
+    return _batch_tb(model, env, paths, backprop, deltas, edges)
 
 
-def _batch_tb(model, env, trajs, backprop, deltas, batch):
-    n = len(trajs)
+def _batch_tb(model, env, paths, backprop, deltas, batch):
+    n = len(paths)
     log_pf, log_pb = batch.per_trajectory(n)
     log_model = model.logz + log_pf
-    log_target = np.log([t.reward for t in trajs]) + log_pb
+    log_target = paths.log_rewards + log_pb
     raw_ratio = log_model - log_target
 
     # sa, sb: d(augmented log flow)/d(raw log flow) on each side
@@ -310,15 +306,10 @@ def _batch_tb(model, env, trajs, backprop, deltas, batch):
     return LossBatchReport(kind, per_item, log_ratios=raw_ratio, deltas=deltas)
 
 
-def _batch_db(model, env, trajs, backprop, batch, weighted):
-    n = len(trajs)
-    if weighted:
-        w_all = []
-        for t in trajs:
-            w = wdb_weights(t, env)
-            inner = np.array([b != env.sink for b in t.states[1:]])
-            w_all.append(w[inner])
-        weights = np.concatenate(w_all) if w_all else np.empty(0)
+def _batch_db(model, env, paths, backprop, batch, weighted):
+    n = len(paths)
+    if weighted:  # each path's last edge, and no other, goes into the sink
+        weights = np.concatenate([np.empty(0)] + [wdb_weights(t, env)[:-1] for t in paths])
     keep = batch.dst != env.sink  # detailed balance skips the edges into the sink
     tid, src, dst = batch.tid[keep], batch.src[keep], batch.dst[keep]
 
@@ -349,15 +340,12 @@ def _batch_db(model, env, trajs, backprop, batch, weighted):
     return LossBatchReport("wdb" if weighted else "db", per_item)
 
 
-def _batch_fm(model, env, trajs, backprop):
-    n = len(trajs)
-    occ_traj, occ_state = [], []
-    for i, t in enumerate(trajs):
-        for s in t.states[1:-1]:
-            occ_traj.append(i)
-            occ_state.append(s)
-    occ_traj = np.array(occ_traj, dtype=np.int64)
-    occ_state = np.array(occ_state, dtype=np.int64)
+def _batch_fm(model, env, paths, backprop):
+    n = len(paths)
+    # every state but the source and the sink, path by path, in path order
+    after = paths.states[:, 1:]
+    occ = (after >= 0) & (after != env.sink)
+    occ_traj, occ_state = np.nonzero(occ)[0], after[occ]
     n_occ = len(occ_state)
 
     # in-edges from the parent slots, out-edges (but the one into the sink)
@@ -397,26 +385,20 @@ def _batch_fm(model, env, trajs, backprop):
     return LossBatchReport("fm", per_item)
 
 
-def _batch_subtb(model, env, trajs, backprop, lam, batch):
-    n = len(trajs)
+def _batch_subtb(model, env, paths, backprop, lam, batch):
+    n = len(paths)
     per_item = np.zeros(n)
     edge_coeff = np.zeros(len(batch.src))
-    # edges are grouped by trajectory; each group ends with the edge into the sink
+    # edges are grouped by path; each group ends with the edge into the sink
     offsets = np.concatenate([[0], np.cumsum(np.bincount(batch.tid, minlength=n))]).astype(int)
 
-    # flow head at every non-terminal position (0..L-1) of every trajectory
-    fstate: List[int] = []
-    foffsets = [0]
-    for t in trajs:
-        seq = t.states[:-1]
-        fstate.extend(seq[:-1])
-        foffsets.append(len(fstate))
-    fb = FlowBatch(model, env, np.array(fstate, dtype=np.int64))
-    flow_coeff = np.zeros(len(fstate))
+    # flow head at every position before the terminating state (0..L-1) of every path
+    spans = paths.lengths - 2
+    fb = FlowBatch(model, env, paths.states[np.arange(paths.states.shape[1]) < spans[:, None]])
+    foffsets = np.concatenate([[0], np.cumsum(spans)])
+    flow_coeff = np.zeros(len(fb.states))
 
-    for i, t in enumerate(trajs):
-        seq = t.states[:-1]
-        L = len(seq) - 1
+    for i, L in enumerate(spans.tolist()):
         if L == 0:
             continue
         e0, f0 = offsets[i], foffsets[i]
@@ -424,7 +406,7 @@ def _batch_subtb(model, env, trajs, backprop, lam, batch):
             [[0.0], np.cumsum(batch.log_pf[e0:e0 + L] - batch.log_pb[e0:e0 + L])]
         )
         logf = fb.log_flow[f0:f0 + L]
-        end_reward = math.log(env.reward(seq[L]))
+        end_reward = paths.log_rewards[i]
 
         t1, t2 = np.triu_indices(L + 1, k=1)
         start = logf[t1]

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .envs import DagEnv, EnumerationCapError, DEFAULT_STATE_CAP, target_distribution, true_partition
-from .policy import PolicyModel, Trajectory, exact_terminal_distribution, trajectories_from_paths
+from .policy import PathBatch, PolicyModel, exact_terminal_distribution, score_paths
 
 DEFAULT_TRAJECTORY_CAP = 5_000_000
 
@@ -106,17 +106,10 @@ def balanced_flows(env: DagEnv, cap: int = DEFAULT_STATE_CAP,
         np.add.at(state, env.edge_src[e], edge[e])
 
     flows = ExactFlows(zstar, state, edge)
-    if enumerate_paths:
-        paths = enumerate_trajectory_states(env)
-        tf = np.empty(len(paths))
-        for i, p in enumerate(paths):
-            x = p[-2]
-            f = env.reward(x)
-            for a, b in zip(p[:-2], p[1:-1]):
-                f /= npar[b]
-            tf[i] = f
-        flows.trajectories = paths
-        flows.traj_flows = tf
+    if enumerate_paths:  # a path's reward, split at each state it enters but the sink
+        flows.trajectories = enumerate_trajectory_states(env)
+        flows.traj_flows = np.array([env.reward(p[-2]) / np.prod(npar[p[1:-1]])
+                                     for p in flows.trajectories])
     return flows
 
 
@@ -164,10 +157,11 @@ def enumerate_trajectory_states(env: DagEnv, cap: int = DEFAULT_TRAJECTORY_CAP) 
 
 
 def enumerate_trajectories(model: PolicyModel, env: DagEnv,
-                           cap: int = DEFAULT_TRAJECTORY_CAP) -> List[Trajectory]:
+                           cap: int = DEFAULT_TRAJECTORY_CAP) -> PathBatch:
     """Every complete trajectory with exact log-probs under the model."""
-    paths = enumerate_trajectory_states(env, cap)
-    return trajectories_from_paths(model, env, paths, "enumerated")[0]
+    paths = PathBatch.of_lists(env, enumerate_trajectory_states(env, cap), "enumerated")
+    score_paths(model, env, paths)
+    return paths
 
 
 def one_more_mode_tv_closed_form(branching: int, depth: int, epsilon: float) -> float:

@@ -6,10 +6,13 @@ slots, or fixed-uniform), a learnable log partition value, and an optional
 state-flow head.  Valid-action logits are clamped to [-50, 50] before
 normalization so every valid edge keeps strictly positive probability.
 
-:func:`rollout` walks training trajectories one after another, computing each
-state's policy row once per call.  Cached log-probs come from one
-:class:`EdgeBatch` over a batch's edges (:func:`trajectories_from_paths`), so
-they are bit-reproducible given seed and batch.  Bulk samplers walk in lockstep.
+Paths live in one :class:`PathBatch`, a padded state matrix; every path
+producer returns one.  :func:`rollout` walks training trajectories one after
+another, computing each state's policy row once per call; bulk samplers walk
+in lockstep, one matrix column per step.  :func:`score_paths` takes a batch's
+log-probs from one :class:`EdgeBatch` over its edges, so they are
+bit-reproducible given seed and batch.  A :class:`Trajectory` is a single
+record (the replay buffer's); iterating a batch yields :class:`PathView` rows.
 
 One implementation each: :func:`_log_softmax` for every policy row,
 :func:`proportional_draw` (row-wise: :func:`_draw_rows`) for every
@@ -20,7 +23,6 @@ order, one array step per level (see :mod:`stablegfn.envs`).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,7 +37,7 @@ LOGIT_CLAMP = 50.0
 
 @dataclass
 class Trajectory:
-    """A complete path from the source to the sink with cached log-probs.
+    """One source-to-sink path with cached log-probs, as a single record.
 
     ``log_pf`` sums forward log-probabilities over every edge (the final
     hop into the sink contributes exactly 0); ``log_pb`` sums backward
@@ -52,32 +54,111 @@ class Trajectory:
     def terminating_state(self) -> int:
         return self.states[-2]
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
+
+def _pad(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """(state matrix padded with -1, lengths) of lists of states."""
+    lengths = np.array([len(p) for p in paths], dtype=np.int64)
+    states = np.full((len(paths), lengths.max(initial=2)), -1, dtype=np.int64)
+    states[np.arange(states.shape[1]) < lengths[:, None]] = [s for p in paths for s in p]
+    return states, lengths
 
 
-def write_trajectory_log(path: str, trajectories: Sequence[Trajectory]) -> None:
+class PathBatch:
+    """Source-to-sink paths as one padded (N, L) int64 state matrix.
+
+    Row i of ``states`` holds path i in its first ``lengths[i]`` columns and
+    -1 after them.  ``terminals``, ``rewards`` and ``log_rewards`` (the one
+    log-reward every loss and certificate reads) belong to each path's
+    terminating state, the one before the sink.  ``log_pf``/``log_pb`` hold
+    the per-path sums of :class:`Trajectory` once :func:`score_paths` ran.
+    ``batch[i]`` and iteration give :class:`PathView` rows; a slice, mask or
+    index array gives a batch, and ``a + b`` appends one batch to another.
+    """
+
+    def __init__(self, states: np.ndarray, lengths: np.ndarray, rewards: np.ndarray,
+                 provenance: np.ndarray, log_pf: Optional[np.ndarray] = None,
+                 log_pb: Optional[np.ndarray] = None):
+        self.states, self.lengths, self.rewards = states, lengths, rewards
+        self.terminals = states[np.arange(len(states)), lengths - 2]
+        self.log_rewards = np.log(rewards)
+        self.provenance, self.log_pf, self.log_pb = provenance, log_pf, log_pb
+
+    @classmethod
+    def of_matrix(cls, env: DagEnv, states: np.ndarray, lengths: np.ndarray,
+                  provenance: str) -> "PathBatch":
+        """Paths through ``env``, rewarded by their terminating states."""
+        rewards = env.reward_table[states[np.arange(len(states)), lengths - 2]]
+        return cls(states, lengths, rewards, np.full(len(states), provenance))
+
+    @classmethod
+    def of_lists(cls, env: DagEnv, paths: Sequence[Sequence[int]], provenance: str) -> "PathBatch":
+        return cls.of_matrix(env, *_pad(paths), provenance)
+
+    def _columns(self) -> list:
+        return [self.lengths, self.rewards, self.provenance, self.log_pf, self.log_pb]
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self):
+        return map(PathView, [self] * len(self), range(len(self)), self.terminals.tolist())
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return PathView(self, i, int(self.terminals[i]))
+        return PathBatch(self.states[key], *(None if c is None else c[key] for c in self._columns()))
+
+    def __add__(self, other: "PathBatch") -> "PathBatch":
+        (n, a), (m, b) = self.states.shape, other.states.shape
+        states = np.full((n + m, max(a, b)), -1, dtype=np.int64)
+        states[:n, :a], states[n:, :b] = self.states, other.states
+        return PathBatch(states, *(None if x is None or y is None else np.concatenate([x, y])
+                                   for x, y in zip(self._columns(), other._columns())))
+
+    def trajectories(self) -> List[Trajectory]:
+        """One :class:`Trajectory` record per scored path."""
+        rows = zip(self.states.tolist(), *(c.tolist() for c in self._columns()))
+        return [Trajectory(s[:n], f, b, r, p) for s, n, r, p, f, b in rows]
+
+
+def _field(name: str, cast):
+    return property(lambda view: cast(getattr(view.batch, name)[view.index]))
+
+
+class PathView:
+    """Row ``index`` of a :class:`PathBatch`, read like a :class:`Trajectory`."""
+
+    __slots__ = ("batch", "index", "terminating_state")
+
+    def __init__(self, batch: PathBatch, index: int, terminating_state: int):
+        self.batch, self.index, self.terminating_state = batch, index, terminating_state
+
+    @property
+    def states(self) -> List[int]:
+        return self.batch.states[self.index, : self.batch.lengths[self.index]].tolist()
+
+    log_pf = _field("log_pf", float)
+    log_pb = _field("log_pb", float)
+    reward = _field("rewards", float)
+    provenance = _field("provenance", str)
+
+
+_RECORD = ("states", "log_pf", "log_pb", "reward", "provenance")  # the fields of Trajectory
+
+
+def write_trajectory_log(path: str, paths: PathBatch) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for t in trajectories:
-            fh.write(t.to_json() + "\n")
+        fh.writelines(json.dumps({k: getattr(t, k) for k in _RECORD}) + "\n" for t in paths)
 
 
-def read_trajectory_log(path: str) -> List[Trajectory]:
-    out = []
+def read_trajectory_log(path: str) -> PathBatch:
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                d = json.loads(line)
-                out.append(
-                    Trajectory(
-                        [int(s) for s in d["states"]],
-                        float(d["log_pf"]),
-                        float(d["log_pb"]),
-                        float(d["reward"]),
-                        d.get("provenance", "forward-sampled"),
-                    )
-                )
-    return out
+        docs = [json.loads(line) for line in fh if line.strip()]
+    rewards, log_pf, log_pb = (np.array([float(d[k]) for d in docs])
+                               for k in ("reward", "log_pf", "log_pb"))
+    return PathBatch(*_pad([d["states"] for d in docs]), rewards, np.array(
+        [d.get("provenance", "forward-sampled") for d in docs], dtype=str), log_pf, log_pb)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -168,12 +249,8 @@ class PolicyModel:
             flnet = Mlp(env.feature_dim, hidden, 1, "flow") if flow_head else None
         else:
             raise ValueError(f"unknown model kind {kind!r}")
-        meta = {
-            "kind": kind,
-            "hidden": list(hidden),
-            "learn_backward": learn_backward,
-            "flow_head": flow_head,
-        }
+        meta = {"kind": kind, "hidden": list(hidden), "learn_backward": learn_backward,
+                "flow_head": flow_head}
         model = cls(env, fnet, bnet, flnet, meta=meta)
         for net in model._nets:
             net.init_params(rng)
@@ -193,8 +270,8 @@ class PolicyModel:
 
     # -- single-state evaluation ------------------------------------------
 
-    def _eval_rows(self, net, states: np.ndarray, env: DagEnv):
-        return net.forward(states if net.wants_indices else env.encoding_matrix[states])
+    def _eval_rows(self, net, states: np.ndarray, env: DagEnv, cache: bool = True):
+        return net.forward(states if net.wants_indices else env.encoding_matrix[states], cache=cache)
 
     def _row(self, net, s: int, slots: np.ndarray, env: DagEnv) -> np.ndarray:
         """Log-probs over ``slots`` at one state; ``net`` None is the uniform policy."""
@@ -241,7 +318,7 @@ class PolicyModel:
 
 
 def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: Sequence[int],
-            forward: bool = True, epsilon: float = 0.0) -> List[List[int]]:
+            forward: bool = True, epsilon: float = 0.0) -> "PathBatch":
     """Source-to-sink paths walked from ``starts`` one after another: forward,
     or backward from terminating states.
 
@@ -275,7 +352,7 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
             s = int(nxt[i])
             seq.append(s)
         paths.append(seq if forward else seq[::-1] + [env.sink])
-    return paths
+    return PathBatch.of_lists(env, paths, "forward-sampled" if forward else "backward-sampled")
 
 
 # -- batched transition evaluation ------------------------------------------
@@ -333,11 +410,11 @@ class EdgeBatch:
         return logp_edges, (net, cache, raw, probs, inv, slot, idx, mask[states])
 
     @classmethod
-    def of_trajectories(cls, model: PolicyModel, env: DagEnv,
-                        trajs: Sequence[Trajectory]) -> "EdgeBatch":
-        """One batch over every edge of ``trajs``, grouped by trajectory."""
-        tid, src, dst = collect_transitions(trajs)
-        return cls(model, env, src, dst, tid)
+    def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch) -> "EdgeBatch":
+        """One batch over every edge of ``paths``, grouped by path, in path order."""
+        s = paths.states
+        edge = s[:, 1:] >= 0
+        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0])
 
     def per_trajectory(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(log P_F, log P_B) summed over each of ``n`` trajectories' edges."""
@@ -386,56 +463,36 @@ class FlowBatch:
         self.model.flow_net.backward(self._cache, dout)
 
 
-def collect_transitions(trajs: Sequence[Trajectory]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten trajectories into (trajectory id, edge source, edge target) arrays."""
-    tid, src, dst = [], [], []
-    for i, t in enumerate(trajs):
-        for a, b in zip(t.states[:-1], t.states[1:]):
-            tid.append(i)
-            src.append(a)
-            dst.append(b)
-    return (
-        np.array(tid, dtype=np.int64),
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-    )
-
-
-def trajectory_log_probs(model: PolicyModel, env: DagEnv,
-                         trajs: Sequence[Trajectory]) -> Tuple[np.ndarray, np.ndarray]:
-    """Recompute (log P_F, log P_B) per trajectory under current parameters."""
-    return EdgeBatch.of_trajectories(model, env, trajs).per_trajectory(len(trajs))
-
-
-def trajectories_from_paths(model: PolicyModel, env: DagEnv, paths: Sequence[List[int]],
-                            provenance: str) -> Tuple[List[Trajectory], EdgeBatch]:
-    """Trajectories along source-to-sink ``paths`` and the one :class:`EdgeBatch`
-    their log-probs come from (they keep no reference to it)."""
-    trajs = [Trajectory(p, 0.0, 0.0, env.reward(p[-2]), provenance) for p in paths]
-    batch = EdgeBatch.of_trajectories(model, env, trajs)
-    for t, f, b in zip(trajs, *batch.per_trajectory(len(trajs))):
-        t.log_pf, t.log_pb = float(f), float(b)
-    return trajs, batch
+def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch) -> EdgeBatch:
+    """Store ``paths``' log-probs from the one :class:`EdgeBatch` over their
+    edges, and return it (the paths keep no reference to it)."""
+    edges = EdgeBatch.of_paths(model, env, paths)
+    paths.log_pf, paths.log_pb = edges.per_trajectory(len(paths))
+    return edges
 
 
 # -- bulk samplers (certification) -------------------------------------------
 
 
 def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
-          starts: Sequence[int], forward: bool) -> List[List[int]]:
+          starts: Sequence[int], forward: bool) -> PathBatch:
     """Source-to-sink paths walked from every start state in lockstep, forward
     to the sink or backward from a terminating state to the source.
 
-    Each step evaluates the policy once per distinct current state and draws
-    one uniform per walker still moving.
+    Each step evaluates the policy once per distinct current state, draws
+    one uniform per walker still moving and fills one column of the state
+    matrix.  Backward rows are turned source-to-sink by one index gather.
     """
     if forward:
         net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
     else:
         net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
-    seqs: List[List[int]] = [[int(s)] for s in starts]
     cur = np.array(starts, dtype=np.int64)
+    n = len(cur)
+    walked = np.full((n, len(env.levels)), -1, dtype=np.int64)  # no path is longer
+    walked[:, 0] = cur
     alive = np.flatnonzero(cur != end)
+    t = 0
     while len(alive):
         states = cur[alive]
         if net is None:  # fixed-uniform backward policy
@@ -443,28 +500,36 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
             p = mask[states] / k[:, None]
         else:
             uniq, inv = np.unique(states, return_inverse=True)
-            out, _ = model._eval_rows(net, uniq, env)
+            out, _ = model._eval_rows(net, uniq, env, cache=False)
             p = _masked_rows(out, mask[uniq])[1][inv]
         nxt = step[states, _draw_rows(rng, p)]
-        for j, t in enumerate(alive):
-            seqs[t].append(int(nxt[j]))
+        t += 1
+        walked[alive, t] = nxt
         cur[alive] = nxt
         alive = alive[nxt != end]
-    return seqs if forward else [s[::-1] + [env.sink] for s in seqs]
+    lengths = (walked >= 0).sum(axis=1)
+    if forward:
+        return PathBatch.of_matrix(env, walked[:, : t + 1], lengths, "forward-sampled")
+    back = lengths[:, None] - 1 - np.arange(t + 2)  # column of walked read by each column
+    paths = np.where(back >= 0, np.take_along_axis(walked, np.maximum(back, 0), axis=1), -1)
+    paths[np.arange(n), lengths] = env.sink
+    return PathBatch.of_matrix(env, paths, lengths + 1, "backward-sampled")
 
 
 def sample_forward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
-                         count: int) -> List[Trajectory]:
+                         count: int) -> PathBatch:
     """Sample many trajectories from the pure forward policy in lockstep."""
     paths = _walk(model, env, rng, [env.initial_state] * count, forward=True)
-    return trajectories_from_paths(model, env, paths, "forward-sampled")[0]
+    score_paths(model, env, paths)
+    return paths
 
 
 def sample_backward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
-                          xs: np.ndarray) -> List[Trajectory]:
+                          xs: np.ndarray) -> PathBatch:
     """Walk backward from given terminating states in lockstep."""
     paths = _walk(model, env, rng, xs, forward=False)
-    return trajectories_from_paths(model, env, paths, "backward-sampled")[0]
+    score_paths(model, env, paths)
+    return paths
 
 
 def exact_terminal_distribution(model: PolicyModel, env: DagEnv,
@@ -479,7 +544,7 @@ def exact_terminal_distribution(model: PolicyModel, env: DagEnv,
     if env.num_states > cap:
         raise EnumerationCapError(f"{env.num_states} states exceed the cap {cap}")
     choice = np.flatnonzero(env.forward_mask.sum(axis=1) > 1)
-    out, _ = model._eval_rows(model.forward_net, choice, env)
+    out, _ = model._eval_rows(model.forward_net, choice, env, cache=False)
     probs = np.ones(env.child_matrix.shape)
     probs[choice] = _masked_rows(out, env.forward_mask[choice])[1]
     p_edge = probs[env.edge_src, env.edge_fslot]

@@ -13,9 +13,11 @@ the buffer holds).  ``metrics.csv`` is written one line per round.
 Baselines train any of the plain objectives on forward samples, optionally
 mixed with a reward-prioritized replay buffer.
 
-A round walks its trajectories with :func:`~stablegfn.policy.rollout` and
-evaluates their edges once, in one ``EdgeBatch`` that the trajectory and edge
-losses reuse (replayed trajectories included); fm evaluates its own edges.
+A round walks its trajectories with :func:`~stablegfn.policy.rollout` into
+one ``PathBatch`` (replayed paths appended) and evaluates their edges once,
+in one ``EdgeBatch`` that the trajectory and edge losses reuse; fm evaluates
+its own edges.  Rounds, buffer merges and certificates read the batch's
+arrays; only the replay buffer keeps ``Trajectory`` records.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from .approximator import AdamOptimizer
 from .envs import DagEnv
 from .policy import (
     EdgeBatch,
+    PathBatch,
     PolicyModel,
     Trajectory,
     proportional_draw,
     rollout,
     sample_backward_batch,
     sample_forward_batch,
-    trajectories_from_paths,
+    score_paths,
 )
 
 
@@ -203,11 +206,8 @@ class ReplayBuffer:
         if not self._items:
             raise ValueError("cannot sample from an empty replay buffer")
         idx = proportional_draw(rng, np.array([t.reward for t in self._items]), count)
-        out = []
-        for i in idx:
-            t = self._items[int(i)]
-            out.append(Trajectory(list(t.states), t.log_pf, t.log_pb, t.reward, "replayed"))
-        return out
+        return [Trajectory(list(t.states), t.log_pf, t.log_pb, t.reward, "replayed")
+                for t in map(self._items.__getitem__, idx.tolist())]
 
 
 @dataclass
@@ -280,9 +280,8 @@ class Trainer:
 
     # -- rounds ---------------------------------------------------------------
 
-    def _merge_discovered(self, trajs: Sequence[Trajectory]) -> bool:
-        # a path's one terminating state is the last before the sink (DagEnv._validate)
-        xs = np.array([t.terminating_state for t in trajs], dtype=np.int64)
+    def _merge_discovered(self, paths: PathBatch) -> bool:
+        xs = paths.terminals
         self.state.modes_found.update(xs[self.env.mode_mask[xs]].tolist())
         return self.buffer.merge(dict(zip(xs.tolist(), self.env.reward_table[xs].tolist())))
 
@@ -299,11 +298,11 @@ class Trainer:
             self.env, scope, bwd, fwd, self.model.logz, cfg.alpha, threshold=threshold
         )
 
-    def _gradient_step(self, trajs: Sequence[Trajectory], deltas: Optional[np.ndarray],
+    def _gradient_step(self, paths: PathBatch, deltas: Optional[np.ndarray],
                        edges: Optional[EdgeBatch]) -> losses.LossBatchReport:
         self.model.params.zero_grad()
         report = losses.batch_loss(
-            self.model, self.env, trajs, self.config.objective,
+            self.model, self.env, paths, self.config.objective,
             backprop=True, deltas=deltas, subtb_lambda=self.config.subtb_lambda, edges=edges,
         )
         self.optimizer.step()
@@ -317,18 +316,16 @@ class Trainer:
         backward_ready = exact or len(self.buffer) > 0
 
         starts = [self.env.initial_state] * (n_fwd if backward_ready else cfg.batch_size)
-        paths = rollout(self.model, self.env, self.rng_forward, starts, epsilon=cfg.epsilon)
-        n_paths = len(paths)
+        batch = rollout(self.model, self.env, self.rng_forward, starts, epsilon=cfg.epsilon)
+        n_paths = len(batch)
         # unread outside the gradient: a buffer-drawn half ends in buffered states
         if backward_ready and (cfg.use_backward_gradient or exact):
             xs = self._draw_terminals(self.rng_backward, half)
-            paths += rollout(self.model, self.env, self.rng_backward, xs, forward=False)
+            batch += rollout(self.model, self.env, self.rng_backward, xs, forward=False)
         if not backward_ready:
             st.fallback_rounds += 1
-        batch, edges = trajectories_from_paths(self.model, self.env, paths, "forward-sampled")
-        fwd, bwd = batch[:n_paths], batch[n_paths:]
-        for t in bwd:
-            t.provenance = "backward-sampled"
+        edges = score_paths(self.model, self.env, batch)
+        n_bwd = len(batch) - n_paths
 
         changed = self._merge_discovered(batch)
         st.patience_count = 0 if changed else st.patience_count + 1
@@ -350,8 +347,8 @@ class Trainer:
             and fresh_main < cfg.tv_target
         )
 
-        if bwd and not cfg.use_backward_gradient:  # the half only fed the buffer merge
-            batch, edges = fwd, None
+        if n_bwd and not cfg.use_backward_gradient:  # the half only fed the buffer merge
+            batch, edges = batch[:n_paths], None
         if skip:
             st.skip_rounds += 1
             report = losses.batch_loss(self.model, self.env, batch, "tb", edges=edges)
@@ -371,22 +368,21 @@ class Trainer:
                 st.threshold, raw * raw, cfg.ema_beta, cfg.threshold_agg
             )
 
-        return self._row(report, cert, skip, len(bwd))
+        return self._row(report, cert, skip, n_bwd)
 
     def baseline_round(self) -> Dict[str, object]:
         cfg = self.config
         starts = [self.env.initial_state] * cfg.batch_size
-        paths = rollout(self.model, self.env, self.rng_forward, starts, epsilon=cfg.epsilon)
-        n_fresh = len(paths)
+        batch = rollout(self.model, self.env, self.rng_forward, starts, epsilon=cfg.epsilon)
+        n_fresh = len(batch)
         if self.replay is not None and len(self.replay) > 0:
-            paths += [t.states for t in self.replay.sample(self.rng_replay, cfg.replay_batch)]
-        batch, edges = trajectories_from_paths(self.model, self.env, paths, "forward-sampled")
-        fresh = batch[:n_fresh]
-        for t in batch[n_fresh:]:
-            t.provenance = "replayed"
+            replayed = self.replay.sample(self.rng_replay, cfg.replay_batch)
+            batch += PathBatch.of_lists(self.env, [t.states for t in replayed], "replayed")
+        edges = score_paths(self.model, self.env, batch)
         report = self._gradient_step(batch, None, edges)
+        fresh = batch[:n_fresh]
         if self.replay is not None:
-            self.replay.insert(fresh)
+            self.replay.insert(fresh.trajectories())
         self._merge_discovered(fresh)
         return self._row(report, None, False, 0)
 

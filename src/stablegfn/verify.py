@@ -24,7 +24,7 @@ from .policy import (
     rollout,
     sample_backward_batch,
     sample_forward_batch,
-    trajectories_from_paths,
+    score_paths,
 )
 from .trainer import rng_for
 
@@ -339,8 +339,8 @@ def suite_gradients(instances: int = 10, seed: int = 20_245) -> SuiteResult:
             model.backward_net.table += rng.normal(0, 0.5, model.backward_net.table.shape)
             model.flow_net.table += rng.normal(0, 0.5, model.flow_net.table.shape)
         model.set_logz(float(rng.normal(0.0, 0.5)))
-        paths = rollout(model, env, rng, [env.initial_state] * 3)
-        trajs, _ = trajectories_from_paths(model, env, paths, "forward-sampled")
+        trajs = rollout(model, env, rng, [env.initial_state] * 3)
+        score_paths(model, env, trajs)
 
         objective = objectives[i % len(objectives)]
         deltas = None

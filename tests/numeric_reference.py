@@ -1,15 +1,23 @@
-"""Reference formulas for the training step's numeric kernels.
+"""Reference formulas for the training step's numeric kernels and for paths.
 
 These are the straightforward allocating versions of ``AdamOptimizer.step``,
 ``clip_grad_norm`` and ``Mlp.forward``/``backward``: every intermediate is a
 fresh array and LeakyReLU is a ``np.where``.  The package computes the same
 values in place and branch-free; the tests require the two to agree bit for
 bit, so any change to the operation order shows up here.
+
+The path half keeps paths as Python lists and ``Trajectory`` objects: the
+lockstep walker appends one state per walker per step, edges are flattened
+one by one, and certificate records take ``math.log`` of each reward.  The
+package's ``PathBatch`` must give the same paths, edges and values.
 """
+
+import math
 
 import numpy as np
 
 from stablegfn.approximator import LEAKY_SLOPE, NonFiniteError
+from stablegfn.policy import EdgeBatch, Trajectory, _draw_rows, _masked_rows
 
 
 def clip_grad_norm(grad, max_norm):
@@ -72,3 +80,57 @@ def mlp_backward(w, gw, gb, cache, dout):
     dh0 = da0 * np.where(h0 > 0, 1.0, LEAKY_SLOPE)
     gw[0] += dh0.T @ x
     gb[0] += dh0.sum(axis=0)
+
+
+def walk(model, env, rng, starts, forward):
+    """Lockstep walks as lists of states, source to sink."""
+    if forward:
+        net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
+    else:
+        net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
+    seqs = [[int(s)] for s in starts]
+    cur = np.array(starts, dtype=np.int64)
+    alive = np.flatnonzero(cur != end)
+    while len(alive):
+        states = cur[alive]
+        if net is None:
+            k = mask[states].sum(axis=1)
+            p = mask[states] / k[:, None]
+        else:
+            uniq, inv = np.unique(states, return_inverse=True)
+            out, _ = model._eval_rows(net, uniq, env)
+            p = _masked_rows(out, mask[uniq])[1][inv]
+        nxt = step[states, _draw_rows(rng, p)]
+        for j, t in enumerate(alive):
+            seqs[t].append(int(nxt[j]))
+        cur[alive] = nxt
+        alive = alive[nxt != end]
+    return seqs if forward else [s[::-1] + [env.sink] for s in seqs]
+
+
+def collect_transitions(trajs):
+    """(trajectory id, edge source, edge target) arrays, edge by edge."""
+    tid, src, dst = [], [], []
+    for i, t in enumerate(trajs):
+        for a, b in zip(t.states[:-1], t.states[1:]):
+            tid.append(i)
+            src.append(a)
+            dst.append(b)
+    return (np.array(tid, dtype=np.int64), np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64))
+
+
+def trajectories_from_paths(model, env, paths, provenance):
+    """One ``Trajectory`` per path, log-probs from one EdgeBatch over their edges."""
+    trajs = [Trajectory(p, 0.0, 0.0, env.reward(p[-2]), provenance) for p in paths]
+    tid, src, dst = collect_transitions(trajs)
+    batch = EdgeBatch(model, env, src, dst, tid)
+    for t, f, b in zip(trajs, *batch.per_trajectory(len(trajs))):
+        t.log_pf, t.log_pb = float(f), float(b)
+    return trajs, batch
+
+
+def records_from_trajectories(trajs, logz):
+    """(log model flow, log target flow), one ``math.log`` per reward."""
+    return (np.array([logz + t.log_pf for t in trajs]),
+            np.array([math.log(t.reward) + t.log_pb for t in trajs]))

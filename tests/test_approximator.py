@@ -267,6 +267,24 @@ def test_mlp_matches_reference_bitwise(dims, specials):
         assert _same_bits(pv.grad_view(f"pf.b{i}"), gb[i])
 
 
+@pytest.mark.parametrize("dims, specials", [
+    ((6, (9, 7), 4), True),
+    ((16, (64, 32), 5), False),
+], ids=["special-values", "random-signs"])
+def test_mlp_forward_without_cache_matches_reference_bitwise(dims, specials):
+    rng = np.random.default_rng(5)
+    net = Mlp(*dims, "pf")
+    pv = ParamVector(net.param_spec())
+    net.bind(pv)
+    net.init_params(rng)
+    x = _special_values_input(rng, pv) if specials else rng.normal(size=(300, dims[0]))
+    w = [pv.view(f"pf.w{i}") for i in range(3)]
+    b = [pv.view(f"pf.b{i}") for i in range(3)]
+    out, cache = net.forward(x, cache=False)
+    assert cache is None
+    assert _same_bits(out, ref.mlp_forward(w, b, x)[0])
+
+
 def test_leaky_slope_float64_identities():
     # the branch-free slope is (h > 0) * (1 - L) + L; both branches are exact
     assert (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE == 1.0

@@ -281,7 +281,7 @@ def test_subgraph_sentinel_when_forward_misses():
     env, model, scope, bwd, fwd = _grid_model_and_samples()
     # an impossible subset for the forward filter: pretend subset with no hits
     never = [int(env.terminating_states[0])]
-    missed = [t for t in fwd if t.terminating_state != never[0]]
+    missed = fwd[fwd.terminals != never[0]]
     report = subgraph_certificate(env, never, bwd, missed[:0], model.logz, alpha=0.05)
     assert report.bound is None
     assert report.n == 0

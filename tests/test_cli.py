@@ -278,3 +278,16 @@ def test_config_null_max_grad_norm_disables_clipping():
     resolved = resolve({"env": {"kind": "tree", "branching": 2, "depth": 1},
                         "train": {"max_grad_norm": None}})
     assert resolved["train"]["max_grad_norm"] is None
+
+
+def test_config_yaml_reads_exponent_floats(tmp_path):
+    path = tmp_path / "exponents.yaml"
+    env = "env: {kind: tree, branching: 2, depth: 1}\n"
+    path.write_text(env + "train: {learning_rate: 1e-3, tv_target: 5e-2, max_rounds: 3}\n")
+    train = load_config(str(path))["train"]
+    assert type(train["learning_rate"]) is float and train["learning_rate"] == 1e-3
+    assert type(train["tv_target"]) is float and train["tv_target"] == 5e-2
+    assert type(train["max_rounds"]) is int and train["max_rounds"] == 3
+    path.write_text(env + 'train: {learning_rate: "1e-3"}\n')  # quoted: still a string
+    with pytest.raises(ConfigError, match="learning_rate"):
+        load_config(str(path))

@@ -22,7 +22,7 @@ from stablegfn.losses import (
     wdb_weights,
 )
 from stablegfn.oracle import balanced_tabular_model, enumerate_trajectories
-from stablegfn.policy import PolicyModel, Trajectory, rollout, trajectories_from_paths
+from stablegfn.policy import PolicyModel, Trajectory, rollout, score_paths
 from stablegfn.trainer import rng_for
 
 from random_dag import random_dags
@@ -43,7 +43,8 @@ class ChainEnv(DagEnv):
 
 def forward_trajs(model, env, rng, count):
     paths = rollout(model, env, rng, [env.initial_state] * count)
-    return trajectories_from_paths(model, env, paths, "forward-sampled")[0]
+    score_paths(model, env, paths)
+    return paths
 
 
 def make_traj(states, log_pf, log_pb, reward):

@@ -1,0 +1,188 @@
+"""PathBatch against the list-and-object reference, and what its readers rely on.
+
+Every sampler returns one padded state matrix.  These tests hold it to the
+reference implementation in ``numeric_reference`` (lists of states,
+``Trajectory`` objects, edges flattened one by one): the same paths from the
+same random stream, the same ``(tid, src, dst)`` edge order, bit-identical
+log-probs and certificate records.
+"""
+
+import inspect
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import numeric_reference as ref
+from random_dag import RandomDag
+from stablegfn import certify, oracle
+from stablegfn.envs import Hypergrid, RegularTree
+from stablegfn.losses import batch_loss
+from stablegfn.policy import (
+    EdgeBatch,
+    PathView,
+    PolicyModel,
+    Trajectory,
+    exact_terminal_distribution,
+    rollout,
+    sample_backward_batch,
+    sample_forward_batch,
+    score_paths,
+)
+
+ENVS = {
+    "T(3,4)": lambda: RegularTree(3, 4),
+    "H(4,8)": lambda: Hypergrid(4, 8),
+    "random_dag": lambda: RandomDag(5, 14),
+}
+KINDS = ["tabular", "mlp", "uniform-backward"]
+
+
+def _model(env, kind, seed=0):
+    rng = np.random.default_rng(seed)
+    model = PolicyModel.build(env, "mlp" if kind == "mlp" else "tabular", hidden=(16, 16),
+                              learn_backward=kind != "uniform-backward", rng=rng)
+    for net in (model.forward_net, model.backward_net):
+        if net is not None and kind != "mlp":
+            net.table[...] = rng.normal(0.0, 1.0, net.table.shape)
+    model.set_logz(0.3)
+    return model
+
+
+def _starts(env, forward, n=300):
+    if forward:
+        return [env.initial_state] * n
+    xs = env.terminating_states
+    return xs[np.random.default_rng(1).integers(0, len(xs), n)]
+
+
+def _same_edges(edges, want):
+    return all(np.array_equal(getattr(edges, k), getattr(want, k)) for k in ("tid", "src", "dst"))
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("env_name", list(ENVS))
+def test_bulk_sampler_matches_reference(env_name, kind, forward):
+    env = ENVS[env_name]()
+    model = _model(env, kind)
+    starts = _starts(env, forward)
+    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    if forward:
+        paths = sample_forward_batch(model, env, rng, len(starts))
+    else:
+        paths = sample_backward_batch(model, env, rng, starts)
+    provenance = "forward-sampled" if forward else "backward-sampled"
+    want, want_edges = ref.trajectories_from_paths(
+        model, env, ref.walk(model, env, rng_ref, starts, forward), provenance)
+    assert rng.random() == rng_ref.random()  # both consumed the same uniforms
+
+    assert [t.states for t in paths] == [t.states for t in want]
+    assert paths.terminals.tolist() == [t.terminating_state for t in want]
+    assert paths.provenance.tolist() == [provenance] * len(want)
+    assert _same_edges(EdgeBatch.of_paths(model, env, paths), want_edges)
+    assert paths.log_pf.tolist() == [t.log_pf for t in want]
+    assert paths.log_pb.tolist() == [t.log_pb for t in want]
+    got = certify.records_from_trajectories(paths, model.logz)
+    expected = ref.records_from_trajectories(want, model.logz)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("env_name", list(ENVS))
+def test_training_batch_and_subgraph_certificate_match_reference(env_name, kind):
+    env = ENVS[env_name]()
+    model = _model(env, kind, seed=1)
+    # a round's batch: forward rollouts with exploration, then backward ones appended
+    rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+    xs = _starts(env, False, 16)
+    batch = rollout(model, env, rng, [env.initial_state] * 16, epsilon=0.2)
+    batch += rollout(model, env, rng, xs, forward=False)
+    edges = score_paths(model, env, batch)
+    lists = [p.states for p in rollout(model, env, rng_ref, [env.initial_state] * 16, epsilon=0.2)]
+    lists += [p.states for p in rollout(model, env, rng_ref, xs, forward=False)]
+    want, want_edges = ref.trajectories_from_paths(model, env, lists, "x")
+    assert _same_edges(edges, want_edges)
+    assert batch.log_pf.tolist() == [t.log_pf for t in want]
+    assert batch.log_pb.tolist() == [t.log_pb for t in want]
+    assert batch.provenance.tolist() == ["forward-sampled"] * 16 + ["backward-sampled"] * 16
+
+    # the certificate keeps the forward paths that end in the subset, by mask
+    subset = env.terminating_states[::2].tolist()
+    bwd = sample_backward_batch(model, env, np.random.default_rng(5), np.repeat(subset, 3))
+    fwd = sample_forward_batch(model, env, np.random.default_rng(6), 200)
+    report = certify.subgraph_certificate(env, subset, bwd, fwd, model.logz, 0.05)
+    kept = [t for t in fwd.trajectories() if t.terminating_state in set(subset)]
+    expected = certify.optimize_certificate(
+        ref.records_from_trajectories(bwd.trajectories(), model.logz),
+        ref.records_from_trajectories(kept, model.logz), 0.05, scope="subgraph")
+    assert report.n == len(kept) and report.m == len(bwd)
+    assert (report.bound, report.raw_bound, report.threshold) == (
+        expected.bound, expected.raw_bound, expected.threshold)
+
+
+def test_losses_and_certificates_read_one_log_reward():
+    # random rewards: math.log and np.log disagree by an ulp on about 0.1% of doubles
+    env = RegularTree(3, 4, leaf_rewards=np.random.default_rng(2).uniform(0.1, 3.0, 81))
+    model = _model(env, "tabular")
+    paths = sample_forward_batch(model, env, np.random.default_rng(3), 500)
+    assert any(math.log(r) != np.log(r) for r in paths.rewards)  # the instance shows it
+    log_model, log_target = certify.records_from_trajectories(paths, model.logz)
+    assert log_target.tobytes() == (np.log(paths.rewards) + paths.log_pb).tobytes()
+    report = batch_loss(model, env, paths, "tb")
+    assert report.log_ratios.tobytes() == (log_model - log_target).tobytes()
+
+
+def test_enumerated_paths_match_reference():
+    env = RandomDag(7, 12)
+    model = _model(env, "tabular")
+    paths = oracle.enumerate_trajectories(model, env)
+    want, _ = ref.trajectories_from_paths(
+        model, env, oracle.enumerate_trajectory_states(env), "enumerated")
+    assert [t.states for t in paths] == [t.states for t in want]
+    assert paths.log_pf.tolist() == [t.log_pf for t in want]
+    assert paths.log_pb.tolist() == [t.log_pb for t in want]
+
+
+def test_bulk_samples_serve_the_harness_and_cli_readers(monkeypatch):
+    """What ``bench/workloads.py`` and ``cli`` read from the bulk samplers."""
+    env = Hypergrid(2, 6)
+    model = _model(env, "mlp")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bulk batch built a Trajectory object")
+
+    monkeypatch.setattr(Trajectory, "__init__", refuse)
+    rng = np.random.default_rng(8)
+    scope = env.terminating_states[:10].tolist()
+    xs = np.repeat(scope, 5)
+    bwd = sample_backward_batch(model, env, rng, xs)
+    fwd = sample_forward_batch(model, env, rng, 700)
+    assert len(bwd) == 50 and len(fwd) == 700
+    terminals = [t.terminating_state for t in fwd]  # the evaluation's read
+    assert all(type(t) is PathView for t in fwd)
+    assert terminals == fwd.terminals.tolist() and all(type(x) is int for x in terminals)
+    assert [t.terminating_state for t in bwd] == xs.tolist()
+    assert 0.0 <= oracle.empirical_total_l1(terminals, env) <= 2.0
+    oracle.count_modes(terminals, env)
+    report = certify.subgraph_certificate(env, scope, bwd, fwd, model.logz, 0.025)
+    assert report.m == 50 and report.n == sum(x in scope for x in terminals)
+    # the traced harness counts edges from EdgeBatch.__init__'s fourth argument
+    assert list(inspect.signature(EdgeBatch.__init__).parameters)[:4] == ["self", "model", "env", "src"]
+
+
+def test_exact_dp_keeps_no_activation_cache():
+    env = Hypergrid(4, 8)
+    model = PolicyModel.build(env, "mlp", hidden=(256, 256), rng=np.random.default_rng(0))
+    rows = int((env.forward_mask.sum(axis=1) > 1).sum())
+    exact_terminal_distribution(model, env)  # the one-hot cache is built once, outside the trace
+    tracemalloc.start()
+    try:
+        exact_terminal_distribution(model, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a cached forward holds four (rows x 256) float64 arrays; without the
+    # cache at most two are alive, plus the small input and policy rows
+    assert peak < 3 * rows * 256 * 8

@@ -6,6 +6,7 @@ import pytest
 from stablegfn import envs
 from stablegfn.envs import EnumerationCapError, Hypergrid, RegularTree
 from stablegfn.policy import (
+    EdgeBatch,
     PolicyModel,
     Trajectory,
     _draw_rows,
@@ -15,8 +16,7 @@ from stablegfn.policy import (
     rollout,
     sample_backward_batch,
     sample_forward_batch,
-    trajectories_from_paths,
-    trajectory_log_probs,
+    score_paths,
     write_trajectory_log,
 )
 from stablegfn.trainer import rng_for
@@ -35,10 +35,10 @@ def random_model(env, kind="tabular", seed=0, noise=1.0):
 
 
 def walk(model, env, rng, starts, forward=True, epsilon=0.0):
-    """Trajectories with log-probs along :func:`rollout` paths."""
+    """:func:`rollout` paths with their log-probs."""
     paths = rollout(model, env, rng, starts, forward, epsilon)
-    provenance = "forward-sampled" if forward else "backward-sampled"
-    return trajectories_from_paths(model, env, paths, provenance)[0]
+    score_paths(model, env, paths)
+    return paths
 
 
 def reference_walk(model, env, rng, start, forward=True, epsilon=0.0):
@@ -91,7 +91,7 @@ def test_epsilon_one_samples_uniformly():
     counts = np.zeros(3)
     n = 30_000
     for path in rollout(model, env, rng, [env.initial_state] * n, epsilon=0.999999999):
-        counts[path[-2] - 1] += 1
+        counts[path.terminating_state - 1] += 1
     assert np.all(np.abs(counts / n - 1 / 3) < 0.01)
 
 
@@ -102,7 +102,7 @@ def test_deterministic_policy_always_same_trajectory():
     model.forward_net.table[0, 1] = 50.0
     model.forward_net.table[2, 0] = 50.0
     rng = np.random.default_rng(0)
-    first, *rest = rollout(model, env, rng, [env.initial_state] * 21)
+    first, *rest = [p.states for p in rollout(model, env, rng, [env.initial_state] * 21)]
     for path in rest:
         assert path == first
 
@@ -163,7 +163,7 @@ def test_cached_log_probs_recompute_exactly(kind):
     env = Hypergrid(2, 4, r0=0.1)
     model = random_model(env, kind)
     trajs = walk(model, env, np.random.default_rng(5), [env.initial_state] * 10, epsilon=0.1)
-    lpf, lpb = trajectory_log_probs(model, env, trajs)
+    lpf, lpb = EdgeBatch.of_paths(model, env, trajs).per_trajectory(len(trajs))
     assert [t.log_pf for t in trajs] == lpf.tolist()
     assert [t.log_pb for t in trajs] == lpb.tolist()
     # and they agree with the per-edge definitions
@@ -182,11 +182,11 @@ def test_rollout_keeps_the_per_state_stream(env, kind):
     model = random_model(env, kind, seed=4)
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
     starts = [env.initial_state] * 20
-    assert rollout(model, env, rng, starts, epsilon=0.1) == [
+    assert [p.states for p in rollout(model, env, rng, starts, epsilon=0.1)] == [
         reference_walk(model, env, ref, s, epsilon=0.1) for s in starts
     ]
     xs = np.random.default_rng(8).choice(env.terminating_states, size=20)
-    assert rollout(model, env, rng, xs, forward=False) == [
+    assert [p.states for p in rollout(model, env, rng, xs, forward=False)] == [
         reference_walk(model, env, ref, x, forward=False) for x in xs
     ]
     assert rng.random() == ref.random()  # both consumed the same uniforms
@@ -201,8 +201,8 @@ def test_rollout_rows_do_not_outlive_a_call():
     first = rollout(model, env, rng, [env.initial_state] * 8)
     model.forward_net.table[env.initial_state] = [-50.0, 50.0]
     second = rollout(model, env, rng, [env.initial_state] * 8)
-    assert {p[1] for p in first} == {children[0]}
-    assert {p[1] for p in second} == {children[1]}
+    assert {p.states[1] for p in first} == {children[0]}
+    assert {p.states[1] for p in second} == {children[1]}
 
 
 def test_backward_then_forward_consistency():
@@ -271,7 +271,7 @@ def test_batch_samplers_agree_with_law():
     freq = np.array([counts[int(x)] / 4000 for x in xs])
     assert np.abs(freq - p).max() < 0.05
 
-    lpf, lpb = trajectory_log_probs(model, env, trajs[:50])
+    lpf, lpb = EdgeBatch.of_paths(model, env, trajs[:50]).per_trajectory(50)
     for t, f, b in zip(trajs[:50], lpf, lpb):
         assert t.log_pf == pytest.approx(float(f), abs=1e-12)
         assert t.log_pb == pytest.approx(float(b), abs=1e-12)

@@ -8,7 +8,7 @@ from stablegfn.approximator import NonFiniteError
 from stablegfn.envs import Hypergrid, RegularTree
 from stablegfn.losses import batch_loss, reference_flow_delta
 from stablegfn.oracle import balanced_tabular_model, exact_tv
-from stablegfn.policy import PolicyModel, Trajectory, rollout, trajectories_from_paths
+from stablegfn.policy import PolicyModel, Trajectory, rollout, score_paths
 from stablegfn.trainer import (
     CSV_COLUMNS,
     ReplayBuffer,
@@ -231,8 +231,8 @@ def test_capped_items_stay_below_threshold():
     rng = rng_for(0, "cap")
     model = PolicyModel.build(env, "tabular", rng=rng)
     model.forward_net.table[...] = rng.normal(0, 1.0, model.forward_net.table.shape)
-    paths = rollout(model, env, rng, [env.initial_state] * 16)
-    trajs, _ = trajectories_from_paths(model, env, paths, "forward-sampled")
+    trajs = rollout(model, env, rng, [env.initial_state] * 16)
+    score_paths(model, env, trajs)
     lm, lt = certify.records_from_trajectories(trajs, model.logz)
     cap = 0.4 * float(np.abs(lm - lt).max())
     deltas = np.array([reference_flow_delta(a, b, cap) for a, b in zip(lm, lt)])
