@@ -9,6 +9,8 @@ Bound families
   * a Monte-Carlo estimator for the fidelity trade-off factor.
 
 All reported bounds are clamped to [0, 1]; the raw value is kept alongside.
+Losses come from :func:`stablegfn.losses.batch_loss`, the package's one loss
+implementation; the scalar per-object definitions live in the test reference.
 Reference flows come from ``losses.reference_flow_log_deltas``, the one
 implementation of the formula; :func:`delta_ratios` only rescales them.
 Sampled trajectories arrive as :class:`~stablegfn.policy.PathBatch` arrays:
@@ -326,14 +328,6 @@ def subgraph_certificate(
 # -- fidelity trade-off ---------------------------------------------------------
 
 
-def fidelity_tradeoff_bound(threshold: float, delta_over_zstar: float) -> float:
-    """TV bound under a capped loss with total injected flow Delta: scaled loss-to-TV."""
-    if threshold < 0 or delta_over_zstar < 0:
-        raise ValueError("threshold and flow ratio must be nonnegative")
-    raw = (1.0 - math.exp(-2.0 * threshold)) * (1.0 + delta_over_zstar)
-    return min(1.0, max(0.0, raw))
-
-
 def mc_delta_over_zstar(log_model: np.ndarray, log_target: np.ndarray,
                         threshold: float) -> Tuple[float, float]:
     """Monte-Carlo estimate of total-injected-flow / partition, with standard error.
@@ -351,34 +345,11 @@ def mc_delta_over_zstar(log_model: np.ndarray, log_target: np.ndarray,
 # -- incremental reward-change bounds -------------------------------------------
 
 
-@dataclass
-class ContrastSummary:
-    """Reward-mass contrast ratios before/after an incremental reward change."""
-
-    aggregate: float                      # contrast over the whole terminal set
-    worst_singleton: float                # min over single promoted states
-
-
 def contrast_ratio(env_prev: DagEnv, added: Dict[int, float], subset: Sequence[int]) -> float:
     """Old reward mass over new reward mass on a subset; in (0, 1]."""
     z_y = sum(env_prev.reward(int(x)) for x in subset)
     extra = sum(added.get(int(x), 0.0) for x in subset)
     return z_y / (z_y + extra)
-
-
-def _worst_singleton_contrast(env_prev: DagEnv, added: Dict[int, float]) -> float:
-    """Smallest single-state contrast r / (r + extra); 1 when nothing is added."""
-    worst = 1.0
-    for x, extra in added.items():
-        r = env_prev.reward(int(x))
-        worst = min(worst, r / (r + extra))
-    return worst
-
-
-def contrast_summary(env_prev: DagEnv, added: Dict[int, float]) -> ContrastSummary:
-    xs = [int(x) for x in env_prev.terminating_states]
-    return ContrastSummary(aggregate=contrast_ratio(env_prev, added, xs),
-                           worst_singleton=_worst_singleton_contrast(env_prev, added))
 
 
 def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[float, float, Optional[float]]:
@@ -407,5 +378,9 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
 
 def loss_supremum(env_prev: DagEnv, added: Dict[int, float]) -> float:
     """Worst-case loss after an incremental change: squared log of the smallest
-    single-state contrast ratio."""
-    return math.log(_worst_singleton_contrast(env_prev, added)) ** 2
+    single-state contrast ratio r / (r + extra), 1 when nothing is added."""
+    worst = 1.0
+    for x, extra in added.items():
+        r = env_prev.reward(int(x))
+        worst = min(worst, r / (r + extra))
+    return math.log(worst) ** 2

@@ -144,20 +144,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.samples < 1:
+    if args.samples is not None and args.samples < 1:
         return _fail("need at least one evaluation sample")
     try:
         resolved, env, model = _load_model_for(args)
     except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
+    samples = resolved["eval"]["samples"] if args.samples is None else args.samples
     rng = rng_for(resolved["seed"], "cli.evaluate")
-    xs = sample_forward_batch(model, env, rng, args.samples).terminals
+    xs = sample_forward_batch(model, env, rng, samples).terminals
     tv = oracle.exact_tv(model, env) if resolved["eval"]["oracle"] else None
     report = oracle.EvalReport(
         exact_tv=tv,
         empirical_total_l1=oracle.empirical_total_l1(xs, env),
         mode_count=oracle.count_modes(xs, env),
-        sample_count=args.samples,
+        sample_count=samples,
     )
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -209,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="evaluate a checkpoint against the target")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--config", required=True)
-    e.add_argument("--samples", type=int, default=100_000)
+    e.add_argument("--samples", type=int, default=None,
+                   help="forward sample count (default from config eval.samples)")
     e.add_argument("--output", default="eval.json")
     e.set_defaults(fn=cmd_evaluate)
 

@@ -88,7 +88,7 @@ def _resolve_env(section: Dict) -> Dict:
     }
 
 
-def _resolve_model(section: Dict, objective: str, stabilize: bool) -> Dict:
+def _resolve_model(section: Dict, objective: str) -> Dict:
     _check_keys(section, ["kind", "hidden", "backward", "flow_head"], "model")
     kind = section.get("kind", "tabular")
     if kind not in ("tabular", "mlp"):
@@ -101,6 +101,9 @@ def _resolve_model(section: Dict, objective: str, stabilize: bool) -> Dict:
         flow_head = objective in FLOW_OBJECTIVES
     if not isinstance(flow_head, bool):
         raise ConfigError("model.flow_head must be 'auto' or a boolean")
+    if objective in FLOW_OBJECTIVES and not flow_head:
+        raise ConfigError(f"objective {objective!r} needs a state-flow head: "
+                          "model.flow_head must be true or 'auto'")
     hidden = section.get("hidden", [256, 256])
     if not (isinstance(hidden, list) and len(hidden) == 2 and min(map(int, hidden)) >= 1):
         raise ConfigError("model.hidden must be a list of two widths >= 1")
@@ -130,8 +133,11 @@ def _resolve_train(section: Dict, seed: int) -> Dict:
 
 def _resolve_eval(section: Dict) -> Dict:
     _check_keys(section, ["samples", "oracle"], "eval")
+    samples = int(section.get("samples", 100_000))
+    if samples < 1:
+        raise ConfigError(f"eval.samples must be >= 1, got {samples}")
     return {
-        "samples": int(section.get("samples", 100_000)),
+        "samples": samples,
         "oracle": bool(section.get("oracle", True)),
     }
 
@@ -143,7 +149,7 @@ def resolve(raw: Dict) -> Dict:
     _check_keys(raw, ["seed", "output_dir", "env", "model", "train", "eval"], "config")
     seed = int(raw.get("seed", 0))
     train = _resolve_train(raw.get("train", {}) or {}, seed)
-    model = _resolve_model(raw.get("model", {}) or {}, train["objective"], train["stabilize"])
+    model = _resolve_model(raw.get("model", {}) or {}, train["objective"])
     return {
         "seed": seed,
         "output_dir": str(raw.get("output_dir", "out")),

@@ -1,16 +1,17 @@
 """Training objectives: FM, DB, TB, SubTB, weighted-DB, and the capped variant.
 
-Per-object losses (one trajectory, edge, state, or span at a time) mirror the
-mathematical definitions and serve as oracles; they read a ``Trajectory`` or
-any row of a ``PathBatch``.  :func:`batch_loss` is the vectorized engine the
-trainers use: it reads a ``PathBatch``'s arrays (edges, occurrences and flow
-positions by mask over its state matrix), computes per-item losses and, on
-request, accumulates analytic gradients into the model's parameter vector.
+:func:`batch_loss` is the package's one loss implementation.  It reads a
+``PathBatch``'s arrays (edges, occurrences and flow positions by mask over its
+state matrix), computes the log-ratio of every term and each path's loss and,
+on request, accumulates analytic gradients into the model's parameter vector.
+The per-object definitions it must agree with (one trajectory, edge, state or
+span at a time) live in the test suite's reference module, ``tests/loss_reference.py``.
 
 The reference-flow machinery injects a nonnegative mass ``delta`` into both
 sides of the trajectory-balance ratio, capping each item's loss at
 ``threshold**2``.  ``delta`` is always treated as a constant in gradients.
-:func:`reference_flow_log_deltas` is the package's one implementation of it.
+:func:`reference_flow_log_deltas` is the package's one implementation of it,
+and :func:`augmented_log_ratios` the one of the ratios it leaves.
 Flow matching sums flows in log space, so tiny flows stay finite.
 """
 
@@ -23,73 +24,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .envs import DagEnv, EnumerationCapError
-from .policy import EdgeBatch, FlowBatch, PathBatch, PolicyModel, Trajectory
+from .policy import EdgeBatch, FlowBatch, PathBatch, PolicyModel
 
 WDB_REACH_CELL_CAP = 50_000_000
-
-
-# -- per-object losses --------------------------------------------------------
-
-
-def tb_loss(traj: Trajectory, logz: float) -> float:
-    """Squared log-ratio of the model trajectory flow to the target flow."""
-    if traj.reward <= 0:
-        raise ValueError("trajectory balance needs a positive terminal reward")
-    r = logz + traj.log_pf - math.log(traj.reward) - traj.log_pb
-    return r * r
-
-
-def db_loss(edge: Tuple[int, int], model: PolicyModel, env: DagEnv) -> float:
-    """Squared log-ratio of forward to backward flow on one edge (not into the sink)."""
-    s, t = edge
-    if t == env.sink:
-        raise ValueError("detailed balance is undefined on edges into the sink")
-    if t not in env.children(s):
-        raise ValueError(f"{s}->{t} is not an edge")
-    end = math.log(env.reward(t)) if env.is_terminating(t) else model.log_state_flow(t, env)
-    r = (
-        model.log_state_flow(s, env)
-        + model.log_pf_edge(s, t, env)
-        - end
-        - model.log_pb_edge(s, t, env)
-    )
-    return r * r
-
-
-def fm_loss(state: int, model: PolicyModel, env: DagEnv) -> float:
-    """Squared log-ratio of in-flow to reward-plus-out-flow at one intermediate state."""
-    if state == env.initial_state or state == env.sink:
-        raise ValueError("flow matching applies to intermediate states only")
-    log_in = [model.log_state_flow(p, env) + model.log_pf_edge(p, state, env)
-              for p in env.parents(state)]
-    log_out = [math.log(env.reward(state))] if env.is_terminating(state) else []
-    for c in env.children(state):
-        if c != env.sink:
-            log_out.append(model.log_state_flow(state, env) + model.log_pf_edge(state, c, env))
-    r = float(np.logaddexp.reduce(log_in) - np.logaddexp.reduce(log_out))
-    return r * r
-
-
-def subtb_loss(traj: Trajectory, t1: int, t2: int, model: PolicyModel, env: DagEnv) -> float:
-    """Squared log-ratio over the span states[t1..t2] of a trajectory.
-
-    The terminal index is the trajectory's last non-sink position; a span
-    ending there replaces the state flow with the terminal reward.
-    """
-    seq = traj.states[:-1]
-    n = len(seq) - 1
-    if not 0 <= t1 < t2 <= n:
-        raise ValueError(f"degenerate or out-of-range span ({t1}, {t2})")
-    start = model.log_state_flow(seq[t1], env)
-    if t2 == n:
-        end = math.log(env.reward(seq[n]))
-    else:
-        end = model.log_state_flow(seq[t2], env)
-    r = start - end
-    for u in range(t1, t2):
-        r += model.log_pf_edge(seq[u], seq[u + 1], env)
-        r -= model.log_pb_edge(seq[u], seq[u + 1], env)
-    return r * r
 
 
 # -- reachable-terminal reweighting -------------------------------------------
@@ -114,19 +51,6 @@ def terminal_reach_counts(env: DagEnv) -> np.ndarray:
         np.logical_or.at(reach, env.edge_src[e], reach[env.edge_dst[e]])
     env._reach_counts = reach.sum(axis=1)
     return env._reach_counts
-
-
-def wdb_weights(traj: Trajectory, env: DagEnv) -> np.ndarray:
-    """Per-transition weights inverse to reachable-terminal counts, summing to 1.
-
-    The final hop into the sink counts exactly its own terminating state.
-    """
-    counts = terminal_reach_counts(env)
-    raw = []
-    for a, b in zip(traj.states[:-1], traj.states[1:]):
-        raw.append(1.0 if b == env.sink else 1.0 / counts[b])
-    raw = np.array(raw)
-    return raw / raw.sum()
 
 
 # -- reference flow ------------------------------------------------------------
@@ -156,46 +80,26 @@ def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
     return out
 
 
-def reference_flow_delta(log_model_flow: float, log_target_flow: float,
-                         threshold: float) -> float:
-    """Minimum reference flow (in linear scale) capping the loss at threshold**2."""
-    return math.exp(reference_flow_log_deltas([log_model_flow], [log_target_flow], threshold)[0])
+def augmented_log_ratios(log_model: np.ndarray, log_target: np.ndarray,
+                         deltas: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-ratios after injecting the constant flows ``deltas`` into both sides.
 
-
-def reference_flow_ratio(log_model_flow: float, log_target_flow: float,
-                         threshold: float) -> float:
-    """delta divided by the target flow; the quantity the sampling bounds track."""
-    return math.exp(reference_flow_log_deltas([log_model_flow], [log_target_flow], threshold)[0]
-                    - log_target_flow)
-
-
-def augmented_log_ratio(log_model_flow: float, log_target_flow: float, delta: float) -> float:
-    if delta == 0.0:
-        return log_model_flow - log_target_flow
-    if math.isinf(delta):
-        return 0.0
-    ld = math.log(delta)
-    return np.logaddexp(log_model_flow, ld) - np.logaddexp(log_target_flow, ld)
-
-
-def augmented_loss(traj: Trajectory, logz: float, delta: float) -> float:
-    """Squared log-ratio after injecting ``delta`` into both flows."""
-    if delta < 0:
-        raise ValueError("reference flow must be nonnegative")
-    r = augmented_log_ratio(logz + traj.log_pf, math.log(traj.reward) + traj.log_pb, delta)
-    return r * r
-
-
-def reduction_factor_gamma(log_model_flow: float, log_target_flow: float,
-                           delta: float) -> float:
-    """Factor by which the reference flow shrinks the loss: sqrt(raw / augmented)."""
-    r = log_model_flow - log_target_flow
-    if r == 0.0:
-        raise ValueError("reduction factor is undefined at zero raw loss")
-    ra = augmented_log_ratio(log_model_flow, log_target_flow, delta)
-    if ra == 0.0:
-        return math.inf
-    return abs(r) / abs(ra)
+    Returns (ratio, sa, sb), where sa and sb are d(augmented log flow)/d(raw
+    log flow) on the model and the target side.  A zero delta leaves the raw
+    ratio; an infinite one gives ratio 0 and no gradient.
+    """
+    ratio, n = log_model - log_target, len(log_model)
+    sa, sb = np.ones(n), np.ones(n)
+    capped = np.isinf(deltas)
+    ratio[capped] = sa[capped] = sb[capped] = 0.0
+    mid = (deltas > 0.0) & ~capped
+    ld = np.log(deltas[mid])
+    la = np.logaddexp(log_model[mid], ld)
+    lb = np.logaddexp(log_target[mid], ld)
+    ratio[mid] = la - lb
+    sa[mid] = np.exp(log_model[mid] - la)
+    sb[mid] = np.exp(log_target[mid] - lb)
+    return ratio, sa, sb
 
 
 # -- batched engine -------------------------------------------------------------
@@ -203,7 +107,14 @@ def reduction_factor_gamma(log_model_flow: float, log_target_flow: float,
 
 @dataclass
 class LossBatchReport:
-    """Per-item losses for one batch plus the summary statistics the CSV logs."""
+    """Per-item losses for one batch plus the summary statistics the CSV logs.
+
+    ``log_ratios`` holds the log-ratio of every term, in batch order: one per
+    path for tb (before any reference flow), one per edge not into the sink
+    for db and wdb, one per visited state (source and sink excluded) for fm,
+    and one per span for subtb, each path's spans ordered by start, then end.
+    A path's loss is the (weighted) mean of its terms' squares.
+    """
 
     kind: str
     per_item: np.ndarray
@@ -280,20 +191,11 @@ def _batch_tb(model, env, paths, backprop, deltas, batch):
     raw_ratio = log_model - log_target
 
     # sa, sb: d(augmented log flow)/d(raw log flow) on each side
-    ratio, sa, sb = raw_ratio.copy(), np.ones(n), np.ones(n)
-    kind = "tb"
+    ratio, sa, sb, kind = raw_ratio, 1.0, 1.0, "tb"
     if deltas is not None:
         kind = "augmented"
         deltas = np.asarray(deltas, dtype=np.float64)
-        capped = np.isinf(deltas)
-        ratio[capped] = sa[capped] = sb[capped] = 0.0
-        mid = (deltas > 0.0) & ~capped
-        ld = np.log(deltas[mid])
-        la = np.logaddexp(log_model[mid], ld)
-        lb = np.logaddexp(log_target[mid], ld)
-        ratio[mid] = la - lb
-        sa[mid] = np.exp(log_model[mid] - la)
-        sb[mid] = np.exp(log_target[mid] - lb)
+        ratio, sa, sb = augmented_log_ratios(log_model, log_target, deltas)
 
     per_item = ratio * ratio
     if backprop:
@@ -308,8 +210,6 @@ def _batch_tb(model, env, paths, backprop, deltas, batch):
 
 def _batch_db(model, env, paths, backprop, batch, weighted):
     n = len(paths)
-    if weighted:  # each path's last edge, and no other, goes into the sink
-        weights = np.concatenate([np.empty(0)] + [wdb_weights(t, env)[:-1] for t in paths])
     keep = batch.dst != env.sink  # detailed balance skips the edges into the sink
     tid, src, dst = batch.tid[keep], batch.src[keep], batch.dst[keep]
 
@@ -321,8 +221,10 @@ def _batch_db(model, env, paths, backprop, batch, weighted):
     end[term] = np.log(env.reward_table[dst[term]])
 
     rho = flow_src + batch.log_pf[keep] - end - batch.log_pb[keep]
-    if weighted:
-        edge_w = weights
+    if weighted:  # inverse reachable-terminal counts, the hop into the sink counting 1
+        raw = np.ones(len(keep))
+        raw[keep] = 1.0 / terminal_reach_counts(env)[dst]
+        edge_w = (raw / np.bincount(batch.tid, weights=raw, minlength=n)[batch.tid])[keep]
     else:
         edge_w = 1.0 / np.bincount(tid, minlength=n)[tid]
     per_item = np.bincount(tid, weights=edge_w * rho * rho, minlength=n)
@@ -337,7 +239,7 @@ def _batch_db(model, env, paths, backprop, batch, weighted):
         fb.add_coeff(fcoeff)
         batch.backprop()
         fb.backprop()
-    return LossBatchReport("wdb" if weighted else "db", per_item)
+    return LossBatchReport("wdb" if weighted else "db", per_item, log_ratios=rho)
 
 
 def _batch_fm(model, env, paths, backprop):
@@ -382,12 +284,12 @@ def _batch_fm(model, env, paths, backprop):
         fb.add_coeff(coeff)
         batch.backprop()
         fb.backprop()
-    return LossBatchReport("fm", per_item)
+    return LossBatchReport("fm", per_item, log_ratios=rho)
 
 
 def _batch_subtb(model, env, paths, backprop, lam, batch):
     n = len(paths)
-    per_item = np.zeros(n)
+    per_item, ratios = np.zeros(n), [np.empty(0)]
     edge_coeff = np.zeros(len(batch.src))
     # edges are grouped by path; each group ends with the edge into the sink
     offsets = np.concatenate([[0], np.cumsum(np.bincount(batch.tid, minlength=n))]).astype(int)
@@ -412,6 +314,7 @@ def _batch_subtb(model, env, paths, backprop, lam, batch):
         start = logf[t1]
         end = np.where(t2 == L, end_reward, logf[np.minimum(t2, L - 1)])
         rho = start + (pref[t2] - pref[t1]) - end
+        ratios.append(rho)
         w = lam ** (t2 - t1).astype(np.float64)
         w = w / w.sum()
         per_item[i] = float((w * rho * rho).sum())
@@ -432,4 +335,4 @@ def _batch_subtb(model, env, paths, backprop, lam, batch):
         fb.add_coeff(flow_coeff)
         batch.backprop()
         fb.backprop()
-    return LossBatchReport("subtb", per_item)
+    return LossBatchReport("subtb", per_item, log_ratios=np.concatenate(ratios))

@@ -72,21 +72,15 @@ class EvalReport:
 
 @dataclass
 class ExactFlows:
-    """Reward-matched flows with a uniform backward split.
-
-    ``edge_flows`` aligns with the environment's edge arrays; ``traj_flows``
-    (when trajectories were enumerated) aligns with ``trajectories``.
-    """
+    """Reward-matched flows with a uniform backward split; ``edge_flows``
+    aligns with the environment's edge arrays."""
 
     partition: float
     state_flows: np.ndarray
     edge_flows: np.ndarray
-    trajectories: Optional[List[List[int]]] = None
-    traj_flows: Optional[np.ndarray] = None
 
 
-def balanced_flows(env: DagEnv, cap: int = DEFAULT_STATE_CAP,
-                   enumerate_paths: bool = False) -> ExactFlows:
+def balanced_flows(env: DagEnv, cap: int = DEFAULT_STATE_CAP) -> ExactFlows:
     """Flows proportional to reward, split uniformly over parents going backward."""
     if env.num_states > cap:
         raise EnumerationCapError(f"{env.num_states} states exceed the cap {cap}")
@@ -104,13 +98,7 @@ def balanced_flows(env: DagEnv, cap: int = DEFAULT_STATE_CAP,
         c = env.edge_dst[e]
         edge[e] = state[c] / npar[c]
         np.add.at(state, env.edge_src[e], edge[e])
-
-    flows = ExactFlows(zstar, state, edge)
-    if enumerate_paths:  # a path's reward, split at each state it enters but the sink
-        flows.trajectories = enumerate_trajectory_states(env)
-        flows.traj_flows = np.array([env.reward(p[-2]) / np.prod(npar[p[1:-1]])
-                                     for p in flows.trajectories])
-    return flows
+    return ExactFlows(zstar, state, edge)
 
 
 def balanced_tabular_model(env: DagEnv, cap: int = DEFAULT_STATE_CAP,

@@ -5,6 +5,9 @@ softmax over child slots), a backward policy (masked softmax over parent
 slots, or fixed-uniform), a learnable log partition value, and an optional
 state-flow head.  Valid-action logits are clamped to [-50, 50] before
 normalization so every valid edge keeps strictly positive probability.
+The model has no per-edge or per-state lookup: those, and the per-object
+losses built on them, live in the test suite's reference module, and
+:func:`stablegfn.losses.batch_loss` is the package's one loss implementation.
 
 Paths live in one :class:`PathBatch`, a padded state matrix; every path
 producer returns one.  :func:`rollout` walks training trajectories one after
@@ -268,7 +271,7 @@ class PolicyModel:
     def add_logz_grad(self, g: float) -> None:
         self.params.grad_view("logz")[...] += g
 
-    # -- single-state evaluation ------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def _eval_rows(self, net, states: np.ndarray, env: DagEnv, cache: bool = True):
         return net.forward(states if net.wants_indices else env.encoding_matrix[states], cache=cache)
@@ -283,39 +286,6 @@ class PolicyModel:
         out, _ = self._eval_rows(net, np.array([s]), env)
         return _log_softmax(np.clip(out[0][slots], -LOGIT_CLAMP, LOGIT_CLAMP))
 
-    def forward_row(self, s: int, env: Optional[DagEnv] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(slots, children, log-probs) of the forward policy at one state."""
-        env = env or self.env
-        slots, children = env.forward_slots(s)
-        return slots, children, self._row(self.forward_net, s, slots, env)
-
-    def backward_row(self, s: int, env: Optional[DagEnv] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(slots, parents, log-probs) of the backward policy at one state."""
-        env = env or self.env
-        slots, parents = env.backward_slots(s)
-        return slots, parents, self._row(self.backward_net, s, slots, env)
-
-    def log_pf_edge(self, src: int, dst: int, env: Optional[DagEnv] = None) -> float:
-        _, children, lp = self.forward_row(src, env)
-        (i,) = np.nonzero(children == dst)[0]
-        return float(lp[i])
-
-    def log_pb_edge(self, src: int, dst: int, env: Optional[DagEnv] = None) -> float:
-        """log P_B(src | dst); zero when dst is the sink (not part of the product)."""
-        env = env or self.env
-        if dst == env.sink:
-            return 0.0
-        _, parents, lp = self.backward_row(dst, env)
-        (i,) = np.nonzero(parents == src)[0]
-        return float(lp[i])
-
-    def log_state_flow(self, s: int, env: Optional[DagEnv] = None) -> float:
-        if self.flow_net is None:
-            raise ValueError("model has no state-flow head")
-        env = env or self.env
-        out, _ = self._eval_rows(self.flow_net, np.array([s]), env)
-        return float(out[0, 0])
-
 
 def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: Sequence[int],
             forward: bool = True, epsilon: float = 0.0) -> "PathBatch":
@@ -329,8 +299,10 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
-    row_at = model.forward_row if forward else model.backward_row
-    end = env.sink if forward else env.initial_state
+    if forward:
+        net, slots_at, end = model.forward_net, env.forward_slots, env.sink
+    else:
+        net, slots_at, end = model.backward_net, env.backward_slots, env.initial_state
     rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # state -> (next states, probabilities)
     paths = []
     for s in starts:
@@ -340,8 +312,8 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
         seq = [s]
         while s != end:
             if s not in rows:
-                _, nxt, lp = row_at(s, env)
-                rows[s] = nxt, np.exp(lp)
+                slots, nxt = slots_at(s)
+                rows[s] = nxt, np.exp(model._row(net, s, slots, env))
             nxt, p = rows[s]
             if len(nxt) == 1:
                 i = 0

@@ -3,15 +3,17 @@
 Each suite draws randomized instances from fixed seeds, checks a theorem-level
 property against exact-enumeration oracles, and reports pass/fail with a
 short diagnostic.  The CLI ``verify`` subcommand and the acceptance tests both
-run these.
+run these.  Losses come from :func:`stablegfn.losses.batch_loss`, the package's
+one loss implementation, as per-term log-ratios over every enumerated path;
+the scalar per-object definitions live in the test suite's reference module.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -80,14 +82,20 @@ def _small_envs() -> List[DagEnv]:
 def suite_reference_flow_cap(draws: int = 10_000, seed: int = 20_240) -> SuiteResult:
     t0 = time.perf_counter()
     rng = rng_for(seed, "cap")
-    bad: List[str] = []
+    log_model, log_target, caps, log_deltas = (np.empty(draws) for _ in range(4))
     for k in range(draws):
-        log_model = float(rng.uniform(-20, 20))
-        log_target = float(rng.uniform(-20, 20))
-        c = 0.0 if k % 20 == 0 else float(rng.uniform(0.0, 5.0))
-        r = log_model - log_target
-        delta = losses.reference_flow_delta(log_model, log_target, c)
-        aug = losses.augmented_log_ratio(log_model, log_target, delta) ** 2
+        log_model[k] = rng.uniform(-20, 20)
+        log_target[k] = rng.uniform(-20, 20)
+        caps[k] = 0.0 if k % 20 == 0 else rng.uniform(0.0, 5.0)
+        log_deltas[k] = losses.reference_flow_log_deltas(
+            log_model[k:k + 1], log_target[k:k + 1], caps[k])[0]
+    deltas = np.exp(log_deltas)
+    augmented, _, _ = losses.augmented_log_ratios(log_model, log_target, deltas)
+    bad: List[str] = []
+    rows = zip((log_model - log_target).tolist(), caps.tolist(), deltas.tolist(),
+               augmented.tolist())
+    for k, (r, c, delta, ra) in enumerate(rows):
+        aug = ra * ra
         if aug > c * c + 1e-9:
             bad.append(f"draw {k}: augmented {aug} exceeds cap {c*c}")
         if delta > 0 and abs(aug - c * c) > 1e-9:
@@ -95,7 +103,7 @@ def suite_reference_flow_cap(draws: int = 10_000, seed: int = 20_240) -> SuiteRe
         if (delta == 0.0) != (abs(r) <= c):
             bad.append(f"draw {k}: zero-flow test mismatch at ratio {r}, cap {c}")
         if delta > 0 and math.isfinite(delta) and r != 0.0:
-            gamma = losses.reduction_factor_gamma(log_model, log_target, delta)
+            gamma = abs(r) / abs(ra) if ra != 0.0 else math.inf  # sqrt(raw / augmented)
             if not gamma > 1.0:
                 bad.append(f"draw {k}: reduction factor {gamma} not above 1")
     detail = f"{draws} randomized draws, {len(bad)} violations"
@@ -105,17 +113,31 @@ def suite_reference_flow_cap(draws: int = 10_000, seed: int = 20_240) -> SuiteRe
 # -- criterion 2: incremental promotion losses --------------------------------
 
 
-def _object_losses(model: PolicyModel, env: DagEnv):
-    """(label, state whose flow or reward ends it, loss) for every TB, DB and FM object."""
-    for t in oracle.enumerate_trajectories(model, env):
-        yield f"tb {t.states}", t.terminating_state, losses.tb_loss(t, model.logz)
-    for e in range(env.num_edges):
-        s, d = int(env.edge_src[e]), int(env.edge_dst[e])
-        if d != env.sink:
-            yield f"db {s}->{d}", d, losses.db_loss((s, d), model, env)
-    for s in range(env.num_states):
-        if s not in (env.initial_state, env.sink):
-            yield f"fm {s}", s, losses.fm_loss(s, model, env)
+def _loss_terms(model: PolicyModel, env: DagEnv, objectives: Sequence[str]):
+    """(label, state whose flow or reward ends it, loss) for every term that
+    :func:`losses.batch_loss` computes over every enumerated trajectory.
+
+    Every edge and every intermediate state of a valid DAG lies on some path,
+    so the terms cover every DB edge and FM state (once per path through it).
+    """
+    paths = oracle.enumerate_trajectories(model, env)
+    hop = paths.states[:, 1:] >= 0
+    src, dst = paths.states[:, :-1][hop], paths.states[:, 1:][hop]
+    inner = dst != env.sink
+    src, dst = src[inner].tolist(), dst[inner].tolist()  # FM visits the ends of DB's edges
+    rows = [p[:n] for p, n in zip(paths.states.tolist(), paths.lengths.tolist())]
+    spans = [(p, t1, t2) for p in rows for t1 in range(len(p) - 2)
+             for t2 in range(t1 + 1, len(p) - 1)]
+    terms = {
+        "tb": [(f"tb {p}", p[-2]) for p in rows],
+        "db": [(f"db {a}->{b}", b) for a, b in zip(src, dst)],
+        "fm": [(f"fm {b}", b) for b in dst],
+        "subtb": [(f"subtb {p} [{t1},{t2}]", p[t2]) for p, t1, t2 in spans],
+    }
+    for objective in objectives:
+        ratios = losses.batch_loss(model, env, paths, objective).log_ratios
+        for (label, end), r in zip(terms[objective], ratios.tolist(), strict=True):
+            yield label, end, r * r
 
 
 def suite_one_more_mode_losses(branching: int = 3, depth: int = 3,
@@ -134,18 +156,8 @@ def suite_one_more_mode_losses(branching: int = 3, depth: int = 3,
         elif value >= 1e-10:
             bad.append(f"{what}: unexpected loss {value}")
 
-    for what, state, value in _object_losses(model, env_new):
+    for what, state, value in _loss_terms(model, env_new, ("tb", "db", "fm", "subtb")):
         check(value, state == promoted, what)
-    for t in oracle.enumerate_trajectories(model, env_new):
-        n = len(t.states) - 2
-        for t1 in range(n):
-            for t2 in range(t1 + 1, n + 1):
-                touches = t2 == n and t.terminating_state == promoted
-                check(
-                    losses.subtb_loss(t, t1, t2, model, env_new),
-                    touches,
-                    f"subtb {t.states} [{t1},{t2}]",
-                )
     detail = (
         f"promoted-leaf losses equal (ln {epsilon})^2 = {expected:.4f}; "
         f"{len(bad)} violations"
@@ -186,7 +198,7 @@ def suite_loss_to_tv_soundness(trials: int = 200, seed: int = 20_241) -> SuiteRe
         noise = (0.01, 0.1, 0.5, 1.5)[i % 4]
         model = _random_tabular(env, rng, noise, around_balanced=noisy)
         trajs = oracle.enumerate_trajectories(model, env)
-        c = math.sqrt(max(losses.tb_loss(t, model.logz) for t in trajs))
+        c = float(np.abs(losses.batch_loss(model, env, trajs, "tb").log_ratios).max())
         bound = certify.tv_bound_from_loss(c)
         tv = oracle.exact_tv(model, env)
         if tv > bound + 1e-12:
@@ -279,7 +291,7 @@ def suite_incremental_sandwich(instances: int = 100, seed: int = 20_243) -> Suit
         env_new = OneMoreMode(env_prev, added)
         model = oracle.balanced_tabular_model(env_prev, flow_head=True)
         sup = certify.loss_supremum(env_prev, added)
-        worst = max(value for _, _, value in _object_losses(model, env_new))
+        worst = max(value for _, _, value in _loss_terms(model, env_new, ("tb", "db", "fm")))
         if abs(worst - sup) > 1e-8:
             bad.append(f"instance {i}: supremum {sup} vs enumerated {worst}")
     detail = f"{instances} randomized reward increments, {len(bad)} failures"

@@ -7,10 +7,8 @@ from stablegfn.certify import (
     CertificateReport,
     ReferenceConditionError,
     bound_at_threshold,
-    contrast_summary,
     delta_ratios,
     feasibility_floor,
-    fidelity_tradeoff_bound,
     golden_section_minimize,
     incremental_tv_sandwich,
     loss_supremum,
@@ -93,12 +91,6 @@ def test_main_term_monotone():
     grid = np.array([[reference_main_term(c, m) for m in ms] for c in cs])
     assert np.all(np.diff(grid, axis=0) >= -1e-12)
     assert np.all(np.diff(grid, axis=1) >= -1e-12)
-
-
-def test_fidelity_tradeoff_examples():
-    assert fidelity_tradeoff_bound(0.3, 0.0) == pytest.approx(tv_bound_from_loss(0.3))
-    assert fidelity_tradeoff_bound(math.log(2.0), 0.5) == 1.0  # 1.125 clamped
-    assert fidelity_tradeoff_bound(0.05, 0.1) == pytest.approx(0.10468, abs=1e-5)
 
 
 # -- delta ratios and the estimator -----------------------------------------
@@ -349,12 +341,3 @@ def test_loss_supremum_promotion_matches_contrast():
     assert loss_supremum(env_prev, {promoted: 1 - eps}) == pytest.approx(
         math.log(eps) ** 2
     )
-
-
-def test_contrast_summary():
-    env_prev, _ = one_more_mode_tree(3, 2, 0.1)
-    promoted = int(env_prev.leaves[-1])
-    s = contrast_summary(env_prev, {promoted: 0.9})
-    assert s.aggregate == pytest.approx(0.9)
-    assert s.worst_singleton == pytest.approx(0.1)
-    assert 0 < s.worst_singleton <= 1

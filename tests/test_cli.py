@@ -159,6 +159,16 @@ def test_evaluate_balanced_checkpoint(tmp_path, capsys):
     assert 0.0 <= doc["empirical_total_l1"] <= 2.0
 
 
+def test_evaluate_samples_default_from_config(tmp_path):
+    outdir, cfg = run_train(tmp_path, dict(TREE_CONFIG, eval={"samples": 1234, "oracle": False}))
+    out = str(tmp_path / "eval.json")
+    assert main(["evaluate", "--checkpoint", str(outdir / "checkpoint.json"),
+                 "--config", cfg, "--output", out]) == 0
+    doc = json.loads(open(out).read())
+    assert doc["sample_count"] == 1234
+    assert doc["exact_tv"] is None
+
+
 def test_evaluate_missing_checkpoint(tmp_path):
     cfg = write_config(tmp_path, TREE_CONFIG)
     assert main(["evaluate", "--checkpoint", str(tmp_path / "none.json"),
@@ -222,6 +232,20 @@ def test_train_setup_errors_exit_2(tmp_path, capsys, sections):
     assert _train_with(tmp_path, **sections) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("objective", ["db", "fm", "subtb", "wdb"])
+def test_train_flow_objective_without_flow_head_exits_2(tmp_path, capsys, objective):
+    assert _train_with(tmp_path, model={"flow_head": False},
+                       train={"objective": objective, "stabilize": False}) == 2
+    assert "model.flow_head" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_config_rejects_eval_samples_below_one(samples):
+    with pytest.raises(ConfigError, match="eval.samples"):
+        resolve({"env": {"kind": "tree", "branching": 2, "depth": 1}, "eval": {"samples": samples}})
 
 
 def test_train_mlp_over_encoding_cap_exits_2(tmp_path, monkeypatch, capsys):

@@ -6,25 +6,27 @@ import numpy as np
 import pytest
 
 from stablegfn.envs import DagEnv, Hypergrid, RegularTree, one_more_mode_tree
-from stablegfn.losses import (
-    augmented_log_ratio,
-    augmented_loss,
-    batch_loss,
-    db_loss,
-    fm_loss,
-    reduction_factor_gamma,
-    reference_flow_delta,
-    reference_flow_log_deltas,
-    reference_flow_ratio,
-    subtb_loss,
-    tb_loss,
-    terminal_reach_counts,
-    wdb_weights,
-)
+from stablegfn.losses import batch_loss, reference_flow_log_deltas, terminal_reach_counts
 from stablegfn.oracle import balanced_tabular_model, enumerate_trajectories
 from stablegfn.policy import PolicyModel, Trajectory, rollout, score_paths
 from stablegfn.trainer import rng_for
 
+from loss_reference import (
+    augmented_log_ratio,
+    augmented_loss,
+    db_log_ratio,
+    db_loss,
+    fm_log_ratio,
+    fm_loss,
+    reduction_factor_gamma,
+    reference_flow_delta,
+    reference_flow_ratio,
+    subtb_log_ratio,
+    subtb_loss,
+    tb_log_ratio,
+    tb_loss,
+    wdb_weights,
+)
 from random_dag import random_dags
 
 
@@ -154,12 +156,14 @@ def test_fm_loss_requires_intermediate_state():
 # -- subtrajectory balance -------------------------------------------------------------
 
 
-def _random_flow_model(env, seed):
+def _random_flow_model(env, seed, kind="tabular"):
     rng = np.random.default_rng(seed)
-    model = PolicyModel.build(env, "tabular", learn_backward=True, flow_head=True, rng=rng)
-    model.forward_net.table += rng.normal(0, 0.7, model.forward_net.table.shape)
-    model.backward_net.table += rng.normal(0, 0.7, model.backward_net.table.shape)
-    model.flow_net.table += rng.normal(0, 0.7, model.flow_net.table.shape)
+    model = PolicyModel.build(env, kind, hidden=(8, 8), learn_backward=True, flow_head=True,
+                              rng=rng)
+    if kind == "tabular":
+        model.forward_net.table += rng.normal(0, 0.7, model.forward_net.table.shape)
+        model.backward_net.table += rng.normal(0, 0.7, model.backward_net.table.shape)
+        model.flow_net.table += rng.normal(0, 0.7, model.flow_net.table.shape)
     model.set_logz(float(rng.normal()))
     return model
 
@@ -434,6 +438,36 @@ def test_batch_wdb_matches_weighted_edges():
                 if b != env.sink:
                     total += w[k] * db_loss((a, b), model, env)
             assert item == pytest.approx(total, abs=1e-10)
+
+
+def _reference_log_ratios(objective, model, env, paths):
+    """The reference log-ratio of every term of ``objective``, path by path."""
+    out = []
+    for t in paths:
+        s, n = t.states, len(t.states) - 2
+        if objective == "tb":
+            out.append(tb_log_ratio(t, model.logz))
+        elif objective in ("db", "wdb"):
+            out += [db_log_ratio((a, b), model, env) for a, b in zip(s[:-1], s[1:]) if b != env.sink]
+        elif objective == "fm":
+            out += [fm_log_ratio(x, model, env) for x in s[1:-1]]
+        else:
+            out += [subtb_log_ratio(t, t1, t2, model, env)
+                    for t1 in range(n) for t2 in range(t1 + 1, n + 1)]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+@pytest.mark.parametrize("env", [RegularTree(3, 2), Hypergrid(2, 3, r0=0.1), *random_dags()],
+                         ids=lambda env: env.kind)
+def test_log_ratios_match_reference_terms(env, kind):
+    model = _random_flow_model(env, 16, kind)
+    paths = forward_trajs(model, env, np.random.default_rng(17), 6)
+    for objective in ("tb", "db", "wdb", "fm", "subtb"):
+        got = batch_loss(model, env, paths, objective).log_ratios
+        want = _reference_log_ratios(objective, model, env, paths)
+        assert len(got) == len(want), objective
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=objective)
 
 
 def test_max_to_rest_ratio():

@@ -180,7 +180,7 @@ def test_enumerated_trajectories_carry_exact_probs():
 
 def test_balanced_flow_identities():
     env = Hypergrid(2, 3, r0=0.2)
-    flows = balanced_flows(env, enumerate_paths=True)
+    flows = balanced_flows(env)
     assert flows.state_flows[env.initial_state] == pytest.approx(
         true_partition(env), rel=1e-12
     )
@@ -190,7 +190,9 @@ def test_balanced_flow_identities():
     edge_of = {}
     for e in range(env.num_edges):
         edge_of[(int(env.edge_src[e]), int(env.edge_dst[e]))] = e
-    for path, f in zip(flows.trajectories, flows.traj_flows):
+    npar = env.backward_mask.sum(axis=1)
+    for path in enumerate_trajectory_states(env):
+        f = env.reward(path[-2]) / np.prod(npar[path[1:-1]])  # split at each state entered
         for s in path[:-1]:
             state_acc[s] += f
         for a, b in zip(path[:-1], path[1:]):

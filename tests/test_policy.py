@@ -21,6 +21,7 @@ from stablegfn.policy import (
 )
 from stablegfn.trainer import rng_for
 
+from loss_reference import backward_row, forward_row, log_pb_edge, log_pf_edge
 from random_dag import random_dags
 
 
@@ -43,11 +44,11 @@ def walk(model, env, rng, starts, forward=True, epsilon=0.0):
 
 def reference_walk(model, env, rng, start, forward=True, epsilon=0.0):
     """One path drawn state by state, evaluating the policy row at every step."""
-    row_at = model.forward_row if forward else model.backward_row
+    row_at = forward_row if forward else backward_row
     end = env.sink if forward else env.initial_state
     s, seq = int(start), [int(start)]
     while s != end:
-        _, nxt, lp = row_at(s, env)
+        _, nxt, lp = row_at(model, s, env)
         if len(nxt) == 1:
             i = 0
         elif epsilon > 0.0 and rng.random() < epsilon:
@@ -66,9 +67,9 @@ def test_forward_normalization(kind):
     for s in range(env.num_states):
         if s == env.sink:
             continue
-        _, _, lp = model.forward_row(s, env)
+        _, _, lp = forward_row(model, s, env)
         assert abs(np.exp(lp).sum() - 1.0) < 1e-12
-        _, parents, lp = model.backward_row(s, env)
+        _, parents, lp = backward_row(model, s, env)
         if len(parents):
             assert abs(np.exp(lp).sum() - 1.0) < 1e-12
 
@@ -113,7 +114,7 @@ def test_exploration_not_in_recorded_log_probs():
     model.forward_net.table[0] = [2.0, 0.0]
     rng = np.random.default_rng(0)
     expected = {1: None, 2: None}
-    _, _, lp = model.forward_row(0, env)
+    _, _, lp = forward_row(model, 0, env)
     expected[1], expected[2] = float(lp[0]), float(lp[1])
     for t in walk(model, env, rng, [env.initial_state] * 50, epsilon=0.9):
         assert t.log_pf == expected[t.terminating_state]
@@ -169,9 +170,9 @@ def test_cached_log_probs_recompute_exactly(kind):
     # and they agree with the per-edge definitions
     for t in trajs:
         edges = list(zip(t.states[:-1], t.states[1:]))
-        assert t.log_pf == pytest.approx(sum(model.log_pf_edge(a, b, env) for a, b in edges),
+        assert t.log_pf == pytest.approx(sum(log_pf_edge(model, a, b, env) for a, b in edges),
                                          abs=1e-12)
-        assert t.log_pb == pytest.approx(sum(model.log_pb_edge(a, b, env) for a, b in edges),
+        assert t.log_pb == pytest.approx(sum(log_pb_edge(model, a, b, env) for a, b in edges),
                                          abs=1e-12)
 
 
@@ -247,7 +248,7 @@ def test_exact_terminal_distribution_vs_monte_carlo():
         while (done < 0).any():
             for s in np.unique(cur[done < 0]):
                 here = (done < 0) & (cur == s)
-                _, children, lp = model.forward_row(int(s), env)
+                _, children, lp = forward_row(model, int(s), env)
                 probs = np.exp(lp)
                 draws = rng.choice(len(children), size=int(here.sum()), p=probs / probs.sum())
                 if env.is_terminating(int(s)):
@@ -299,7 +300,7 @@ def test_logit_clamp_applies_to_policy():
     env = RegularTree(2, 1)
     model = PolicyModel.build(env, "tabular")
     model.forward_net.table[0] = [90.0, 0.0]
-    _, _, lp = model.forward_row(0, env)
+    _, _, lp = forward_row(model, 0, env)
     # raw logit 90 is clamped to 50 before the softmax
     expected = 50.0 - math.log(math.exp(50.0) + 1.0)
     assert lp[0] == pytest.approx(expected, abs=1e-12)
