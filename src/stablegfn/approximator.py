@@ -114,7 +114,9 @@ class Mlp:
     activation run in place, so a forward pass over many rows holds no
     full-size temporary beyond what it caches.  ``cache=False`` (for passes
     that never call ``backward``) keeps nothing: each layer's input is dropped
-    once its output exists, so at most two (rows x width) arrays are alive.
+    once its output exists.  The policy runs such passes one row block at a
+    time (``policy.EVAL_BLOCK_ROWS``), so at most two (block x width) arrays
+    are alive, however many rows the pass covers.
     """
 
     wants_indices = False

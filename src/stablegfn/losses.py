@@ -165,7 +165,7 @@ def batch_loss(
     into ``model.params.grads`` without zeroing.  The trajectory objective
     and the edge objectives (db, wdb, subtb) reuse ``edges``, an unused
     EdgeBatch over exactly ``paths``' edges at the current parameters (see
-    :func:`~stablegfn.policy.score_paths`), if given; fm evaluates the in- and
+    :meth:`~stablegfn.policy.EdgeBatch.of_paths`), if given; fm evaluates the in- and
     out-edges of the visited states in a batch of its own.
     """
     if deltas is not None and objective not in ("tb", "augmented"):
@@ -289,50 +289,44 @@ def _batch_fm(model, env, paths, backprop):
 
 def _batch_subtb(model, env, paths, backprop, lam, batch):
     n = len(paths)
-    per_item, ratios = np.zeros(n), [np.empty(0)]
-    edge_coeff = np.zeros(len(batch.src))
-    # edges are grouped by path; each group ends with the edge into the sink
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(batch.tid, minlength=n))]).astype(int)
-
-    # flow head at every position before the terminating state (0..L-1) of every path
+    # every span t1 < t2 <= L of every path, where position L is the
+    # terminating state: by path, then start, then end
     spans = paths.lengths - 2
-    fb = FlowBatch(model, env, paths.states[np.arange(paths.states.shape[1]) < spans[:, None]])
-    foffsets = np.concatenate([[0], np.cumsum(spans)])
-    flow_coeff = np.zeros(len(fb.states))
+    t1, t2 = np.triu_indices(spans.max(initial=0) + 1, k=1)
+    pid, j = np.nonzero(t2 <= spans[:, None])
+    t1, t2 = t1[j], t2[j]
 
-    for i, L in enumerate(spans.tolist()):
-        if L == 0:
-            continue
-        e0, f0 = offsets[i], foffsets[i]
-        pref = np.concatenate(
-            [[0.0], np.cumsum(batch.log_pf[e0:e0 + L] - batch.log_pb[e0:e0 + L])]
-        )
-        logf = fb.log_flow[f0:f0 + L]
-        end_reward = paths.log_rewards[i]
+    # (N, W) matrices over path positions: prefix sums of log P_F - log P_B
+    # along each path's edges (as EdgeBatch.of_paths orders them), and the
+    # flow head at every position before the terminating state
+    width = paths.states.shape[1]
+    edge = paths.states[:, 1:] >= 0
+    diff = np.zeros(edge.shape)
+    diff[edge] = batch.log_pf - batch.log_pb
+    pref = np.zeros((n, width))
+    np.cumsum(diff, axis=1, out=pref[:, 1:])
+    before = np.arange(width) < spans[:, None]
+    fb = FlowBatch(model, env, paths.states[before])
+    logf = np.zeros((n, width))
+    logf[before] = fb.log_flow
 
-        t1, t2 = np.triu_indices(L + 1, k=1)
-        start = logf[t1]
-        end = np.where(t2 == L, end_reward, logf[np.minimum(t2, L - 1)])
-        rho = start + (pref[t2] - pref[t1]) - end
-        ratios.append(rho)
-        w = lam ** (t2 - t1).astype(np.float64)
-        w = w / w.sum()
-        per_item[i] = float((w * rho * rho).sum())
-
-        if backprop:
-            c = 2.0 * w * rho / n
-            dif = np.zeros(L + 1)
-            np.add.at(dif, t1, c)
-            np.add.at(dif, t2, -c)
-            edge_coeff[e0:e0 + L] += np.cumsum(dif[:-1])
-            np.add.at(flow_coeff, f0 + t1, c)
-            interior = t2 < L
-            np.add.at(flow_coeff, f0 + t2[interior], -c[interior])
+    end = np.where(t2 == spans[pid], paths.log_rewards[pid], logf[pid, t2])
+    rho = logf[pid, t1] + (pref[pid, t2] - pref[pid, t1]) - end
+    w = lam ** (t2 - t1).astype(np.float64)
+    w /= np.bincount(pid, weights=w, minlength=n)[pid]
+    per_item = np.bincount(pid, weights=w * rho * rho, minlength=n)
 
     if backprop:
+        c = 2.0 * w * rho / n
+        # d rho / d pref is +1 at t2 and -1 at t1; at positions before L the
+        # same sums are d rho / d log F (an end at L is the reward)
+        cell = pid * width
+        dif = np.bincount(np.concatenate([cell + t1, cell + t2]),
+                          weights=np.concatenate([c, -c]), minlength=n * width).reshape(n, width)
+        edge_coeff = np.where(before[:, :-1], np.cumsum(dif[:, :-1], axis=1), 0.0)[edge]
         batch.add_pf_coeff(edge_coeff)
         batch.add_pb_coeff(-edge_coeff)
-        fb.add_coeff(flow_coeff)
+        fb.add_coeff(dif[before])
         batch.backprop()
         fb.backprop()
-    return LossBatchReport("subtb", per_item, log_ratios=np.concatenate(ratios))
+    return LossBatchReport("subtb", per_item, log_ratios=rho)

@@ -17,6 +17,13 @@ log-probs from one :class:`EdgeBatch` over its edges, so they are
 bit-reproducible given seed and batch.  A :class:`Trajectory` is a single
 record (the replay buffer's); iterating a batch yields :class:`PathView` rows.
 
+Net evaluations that never backprop keep no backward caches and run in
+near-equal row blocks of at most :data:`EVAL_BLOCK_ROWS` rows, all through
+:meth:`PolicyModel._eval_rows`: the exact DP, both walkers, and the scoring
+of bulk and enumerated batches (:func:`score_paths`).  Only the edges and
+flows of a training step (:meth:`EdgeBatch.of_paths` and :class:`FlowBatch`,
+built by the trainer and :func:`stablegfn.losses.batch_loss`) keep caches.
+
 One implementation each: :func:`_log_softmax` for every policy row,
 :func:`proportional_draw` (row-wise: :func:`_draw_rows`) for every
 reward-proportional draw in the package, :func:`_walk` for both bulk samplers.
@@ -36,6 +43,10 @@ from .approximator import Mlp, ParamVector, Tabular
 from .envs import DagEnv, EnumerationCapError, DEFAULT_STATE_CAP
 
 LOGIT_CLAMP = 50.0
+# Row cap of one cache-free net call.  Near-equal blocks hold more than half
+# of it; OpenBLAS rounds products of fewer than about 640 rows differently (a
+# small-matrix kernel), so blocks this large give the whole-batch values.
+EVAL_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -274,7 +285,18 @@ class PolicyModel:
     # -- evaluation ---------------------------------------------------------
 
     def _eval_rows(self, net, states: np.ndarray, env: DagEnv, cache: bool = True):
-        return net.forward(states if net.wants_indices else env.encoding_matrix[states], cache=cache)
+        """(net outputs at ``states``, what the net's ``backward`` needs).
+
+        Without ``cache`` (a pass that never backprops) an MLP keeps nothing
+        and runs over near-equal blocks of at most :data:`EVAL_BLOCK_ROWS`
+        rows, so its memory is bounded by the block, not by ``len(states)``.
+        """
+        if net.wants_indices or cache or len(states) <= EVAL_BLOCK_ROWS:
+            return net.forward(states if net.wants_indices else env.encoding_matrix[states],
+                               cache=cache)
+        blocks = np.array_split(states, -(-len(states) // EVAL_BLOCK_ROWS))
+        return np.concatenate([net.forward(env.encoding_matrix[b], cache=False)[0]
+                               for b in blocks]), None
 
     def _row(self, net, s: int, slots: np.ndarray, env: DagEnv) -> np.ndarray:
         """Log-probs over ``slots`` at one state; ``net`` None is the uniform policy."""
@@ -283,7 +305,7 @@ class PolicyModel:
             return np.zeros(k)
         if net is None:
             return np.full(k, -np.log(k))
-        out, _ = self._eval_rows(net, np.array([s]), env)
+        out, _ = self._eval_rows(net, np.array([s]), env, cache=False)
         return _log_softmax(np.clip(out[0][slots], -LOGIT_CLAMP, LOGIT_CLAMP))
 
 
@@ -342,12 +364,14 @@ class EdgeBatch:
     coefficients (d loss / d log-prob) and invoke :meth:`backprop` once, which
     pushes gradients through the masked softmax, the clamp, and the nets.
     ``tid`` (optional) numbers the trajectory each edge belongs to.
+    ``cache=False`` evaluates the nets without backward caches, in row blocks
+    (see :meth:`PolicyModel._eval_rows`); such a batch refuses to backprop.
     """
 
     def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray,
-                 tid: Optional[np.ndarray] = None):
+                 tid: Optional[np.ndarray] = None, cache: bool = True):
         self.model, self.env = model, env
-        self.src, self.dst, self.tid = src, dst, tid
+        self.src, self.dst, self.tid, self.cache = src, dst, tid, cache
         self._pf_coeff = np.zeros(len(src))
         self._pb_coeff = np.zeros(len(src))
 
@@ -375,18 +399,21 @@ class EdgeBatch:
             logp_edges[idx] = -np.log(mask[rows].sum(axis=1))
             return logp_edges, None
         states, inv = np.unique(rows, return_inverse=True)
-        raw, cache = self.model._eval_rows(net, states, self.env)
+        raw, cache = self.model._eval_rows(net, states, self.env, cache=self.cache)
         logp, probs = _masked_rows(raw, mask[states])
         slot = _slot_of(matrix, rows, other[idx])
         logp_edges[idx] = logp[inv, slot]
+        if not self.cache:
+            return logp_edges, None
         return logp_edges, (net, cache, raw, probs, inv, slot, idx, mask[states])
 
     @classmethod
-    def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch) -> "EdgeBatch":
+    def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch,
+                 cache: bool = True) -> "EdgeBatch":
         """One batch over every edge of ``paths``, grouped by path, in path order."""
         s = paths.states
         edge = s[:, 1:] >= 0
-        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0])
+        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0], cache)
 
     def per_trajectory(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(log P_F, log P_B) summed over each of ``n`` trajectories' edges."""
@@ -400,6 +427,8 @@ class EdgeBatch:
         self._pb_coeff += coeff
 
     def backprop(self) -> None:
+        if not self.cache:
+            raise ValueError("this EdgeBatch was built without backward caches")
         for side, coeff in ((self._fwd, self._pf_coeff), (self._bwd, self._pb_coeff)):
             if side is None or not np.any(coeff):
                 continue
@@ -436,9 +465,13 @@ class FlowBatch:
 
 
 def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch) -> EdgeBatch:
-    """Store ``paths``' log-probs from the one :class:`EdgeBatch` over their
-    edges, and return it (the paths keep no reference to it)."""
-    edges = EdgeBatch.of_paths(model, env, paths)
+    """Store ``paths``' log-probs from one cache-free :class:`EdgeBatch` over
+    their edges, and return it (the paths keep no reference to it).
+
+    For every pass that does not train: the batch cannot backprop.  A
+    training round builds its own cached batch with :meth:`EdgeBatch.of_paths`.
+    """
+    edges = EdgeBatch.of_paths(model, env, paths, cache=False)
     paths.log_pf, paths.log_pb = edges.per_trajectory(len(paths))
     return edges
 

@@ -16,8 +16,9 @@ mixed with a reward-prioritized replay buffer.
 A round walks its trajectories with :func:`~stablegfn.policy.rollout` into
 one ``PathBatch`` (replayed paths appended) and evaluates their edges once,
 in one ``EdgeBatch`` that the trajectory and edge losses reuse; fm evaluates
-its own edges.  Rounds, buffer merges and certificates read the batch's
-arrays; only the replay buffer keeps ``Trajectory`` records.
+its own edges.  Only the gradient step keeps backward caches: certificate
+samples are scored cache-free.  Rounds, buffer merges and certificates read
+the batch's arrays; only the replay buffer keeps ``Trajectory`` records.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .policy import (
     rollout,
     sample_backward_batch,
     sample_forward_batch,
-    score_paths,
 )
 
 
@@ -324,7 +324,8 @@ class Trainer:
             batch += rollout(self.model, self.env, self.rng_backward, xs, forward=False)
         if not backward_ready:
             st.fallback_rounds += 1
-        edges = score_paths(self.model, self.env, batch)
+        edges = EdgeBatch.of_paths(self.model, self.env, batch)
+        batch.log_pf, batch.log_pb = edges.per_trajectory(len(batch))
         n_bwd = len(batch) - n_paths
 
         changed = self._merge_discovered(batch)
@@ -378,7 +379,9 @@ class Trainer:
         if self.replay is not None and len(self.replay) > 0:
             replayed = self.replay.sample(self.rng_replay, cfg.replay_batch)
             batch += PathBatch.of_lists(self.env, [t.states for t in replayed], "replayed")
-        edges = score_paths(self.model, self.env, batch)
+        # fm backprops through edges of its own: these only score the paths
+        edges = EdgeBatch.of_paths(self.model, self.env, batch, cache=cfg.objective != "fm")
+        batch.log_pf, batch.log_pb = edges.per_trajectory(len(batch))
         report = self._gradient_step(batch, None, edges)
         fresh = batch[:n_fresh]
         if self.replay is not None:

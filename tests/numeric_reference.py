@@ -10,6 +10,10 @@ The path half keeps paths as Python lists and ``Trajectory`` objects: the
 lockstep walker appends one state per walker per step, edges are flattened
 one by one, and certificate records take ``math.log`` of each reward.  The
 package's ``PathBatch`` must give the same paths, edges and values.
+
+The exact terminal DP here evaluates the forward net in one call over every
+choice state; the package's cache-free passes run it in row blocks and must
+give the same values bit for bit.
 """
 
 import math
@@ -65,6 +69,26 @@ def mlp_forward(w, b, x):
     a1 = np.where(h1 > 0, h1, LEAKY_SLOPE * h1)
     out = a1 @ w[2].T + b[2]
     return out, (x, h0, a0, h1, a1)
+
+
+def eval_rows(net, states, env):
+    """MLP outputs at ``states`` from one call over all of them."""
+    return mlp_forward(net._w, net._b, env.encoding_matrix[states])[0]
+
+
+def exact_terminal_distribution(model, env):
+    """(terminating states, P_T) by pushing mass edge by edge in level order."""
+    choice = np.flatnonzero(env.forward_mask.sum(axis=1) > 1)
+    probs = np.ones(env.child_matrix.shape)
+    out = eval_rows(model.forward_net, choice, env)
+    probs[choice] = _masked_rows(out, env.forward_mask[choice])[1]
+    mass = np.zeros(env.num_states)
+    mass[env.initial_state] = 1.0
+    for level in env.level_edges:
+        for e in level.tolist():
+            src = env.edge_src[e]
+            mass[env.edge_dst[e]] += mass[src] * probs[src, env.edge_fslot[e]]
+    return env.terminating_states, mass[env.terminating_states]
 
 
 def mlp_backward(w, gw, gb, cache, dout):

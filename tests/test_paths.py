@@ -16,7 +16,8 @@ import pytest
 
 import numeric_reference as ref
 from random_dag import RandomDag
-from stablegfn import certify, oracle
+from stablegfn import certify, oracle, policy
+from stablegfn.approximator import Mlp
 from stablegfn.envs import Hypergrid, RegularTree
 from stablegfn.losses import batch_loss
 from stablegfn.policy import (
@@ -186,3 +187,88 @@ def test_exact_dp_keeps_no_activation_cache():
     # a cached forward holds four (rows x 256) float64 arrays; without the
     # cache at most two are alive, plus the small input and policy rows
     assert peak < 3 * rows * 256 * 8
+
+
+def _record_forward_calls(monkeypatch):
+    """(rows, cache flag) of every ``Mlp.forward`` call from now on."""
+    calls = []
+    forward = Mlp.forward
+
+    def recorded(net, x, cache=True):
+        calls.append((len(x), cache))
+        return forward(net, x, cache)
+
+    monkeypatch.setattr(Mlp, "forward", recorded)
+    return calls
+
+
+def test_blocked_evaluation_matches_one_call(monkeypatch):
+    env = Hypergrid(4, 10)
+    model = PolicyModel.build(env, "mlp", hidden=(64, 64), rng=np.random.default_rng(0))
+    choice = np.flatnonzero(env.forward_mask.sum(axis=1) > 1)
+    calls = _record_forward_calls(monkeypatch)
+    out, kept = model._eval_rows(model.forward_net, choice, env, cache=False)
+    rows = [n for n, _ in calls]
+    # near-equal blocks, more than two of them, every one above half the cap
+    assert kept is None and len(rows) > 2 and sum(rows) == len(choice)
+    assert max(rows) <= policy.EVAL_BLOCK_ROWS < 2 * min(rows)
+    assert out.tobytes() == ref.eval_rows(model.forward_net, choice, env).tobytes()
+    got, want = exact_terminal_distribution(model, env), ref.exact_terminal_distribution(model, env)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_exact_dp_holds_no_graph_sized_activation():
+    env = Hypergrid(4, 10)
+    model = PolicyModel.build(env, "mlp", hidden=(64, 64), rng=np.random.default_rng(0))
+    rows = int((env.forward_mask.sum(axis=1) > 1).sum())
+    exact_terminal_distribution(model, env)
+    tracemalloc.start()
+    try:
+        exact_terminal_distribution(model, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured: 14.0 MB in one call over all 9,999 choice rows, 3.2 MB in blocks
+    assert peak < rows * 64 * 8  # one (rows x width) array, 5.1 MB
+
+
+def test_bulk_sample_holds_no_backward_cache():
+    env = Hypergrid(4, 8)
+    model = PolicyModel.build(env, "mlp", hidden=(256, 256), rng=np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        paths = sample_forward_batch(model, env, np.random.default_rng(1), 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == 16384
+    # measured: 61.7 MB with the scoring batch's caches, 19.7 MB without; the
+    # bound is one net's four cached (rows x width) arrays over every state
+    # with a choice (33.5 MB), which the walks reach nearly all of
+    rows = int((env.forward_mask.sum(axis=1) > 1).sum())
+    assert peak < 4 * rows * 256 * 8
+
+
+def test_only_training_keeps_backward_caches(monkeypatch):
+    env = Hypergrid(2, 4)
+    model = _model(env, "mlp")
+    calls = _record_forward_calls(monkeypatch)
+    rng = np.random.default_rng(0)
+    rollout(model, env, rng, [env.initial_state] * 8)
+    rollout(model, env, rng, env.terminating_states[:8], forward=False)
+    paths = sample_forward_batch(model, env, rng, 50)
+    sample_backward_batch(model, env, rng, env.terminating_states[:8])
+    oracle.enumerate_trajectories(model, env)
+    exact_terminal_distribution(model, env)
+    assert calls and not any(cache for _, cache in calls)
+
+    edges = score_paths(model, env, paths)
+    assert edges._fwd is None and edges._bwd is None
+    with pytest.raises(ValueError, match="without backward caches"):
+        edges.backprop()
+    with pytest.raises(ValueError, match="without backward caches"):
+        batch_loss(model, env, paths, "tb", backprop=True, edges=edges)
+    del calls[:]
+    batch_loss(model, env, paths, "tb", backprop=True)
+    assert calls and all(cache for _, cache in calls)

@@ -8,7 +8,7 @@ from stablegfn.approximator import NonFiniteError
 from stablegfn.envs import Hypergrid, RegularTree
 from stablegfn.losses import batch_loss
 from stablegfn.oracle import balanced_tabular_model, exact_tv
-from stablegfn.policy import PolicyModel, Trajectory, rollout, score_paths
+from stablegfn.policy import EdgeBatch, PolicyModel, Trajectory, rollout, score_paths
 from stablegfn.trainer import (
     CSV_COLUMNS,
     ReplayBuffer,
@@ -287,6 +287,29 @@ def test_baseline_objectives_run_one_round():
         state = tr.run()
         assert state.round == 2
         assert np.all(np.isfinite(model.params.values))
+
+
+@pytest.mark.parametrize("objective", ["tb", "db", "fm", "subtb", "wdb"])
+def test_baseline_round_caches_only_what_it_backprops(monkeypatch, objective):
+    cached, backpropped = [], []
+    init, backprop = EdgeBatch.__init__, EdgeBatch.backprop
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.cache:
+            cached.append(self)
+
+    def recorded_backprop(self):
+        backpropped.append(self)
+        backprop(self)
+
+    monkeypatch.setattr(EdgeBatch, "__init__", recorded_init)
+    monkeypatch.setattr(EdgeBatch, "backprop", recorded_backprop)
+    env = Hypergrid(2, 4)
+    model = PolicyModel.build(env, "mlp", hidden=(8, 8), flow_head=True, rng=rng_for(0, objective))
+    cfg = TrainConfig(objective=objective, max_rounds=4, seed=1, replay_batch=4)
+    Trainer(model, env, cfg).run()
+    assert cached and all(any(b is e for b in backpropped) for e in cached)
 
 
 def test_replay_mixing_baseline():
