@@ -43,7 +43,7 @@ from .approximator import Mlp, ParamVector, Tabular
 from .envs import DagEnv, EnumerationCapError, DEFAULT_STATE_CAP
 
 LOGIT_CLAMP = 50.0
-# Row cap of one cache-free net call.  Near-equal blocks hold more than half
+# Row cap of one cache-free net call.  Near-equal blocks hold at least half
 # of it; OpenBLAS rounds products of fewer than about 640 rows differently (a
 # small-matrix kernel), so blocks this large give the whole-batch values.
 EVAL_BLOCK_ROWS = 2048
