@@ -118,7 +118,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     alpha = args.alpha if args.alpha is not None else (1.0 - resolved["train"]["confidence"]) / 2.0
 
     if args.from_log:
-        logged = read_trajectory_log(args.from_log)
+        try:
+            logged = read_trajectory_log(args.from_log)
+        except (OSError, ValueError) as exc:
+            return _fail(f"cannot read trajectory log: {exc}")
         bwd = logged[logged.provenance == "backward-sampled"]
         fwd = logged[logged.provenance == "forward-sampled"]
         if not len(bwd) or not len(fwd):

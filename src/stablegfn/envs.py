@@ -12,6 +12,8 @@ methods: ``features`` lists each state's one-hot feature columns,
 
 One graph layout: the edge arrays (``edge_src``/``edge_dst``/``edge_fslot``/
 ``edge_bslot``) and the slot matrices (``child_matrix``/``parent_matrix``).
+The move table ``_moves`` holds the same edges per state, as Python lists,
+only at the states a rollout has visited (see :func:`stablegfn.policy.rollout`).
 One graph order, the level order: ``levels`` groups states by their longest
 distance from the source, ``level_edges`` groups edges by their source's
 level.  Every whole-graph pass walks it, one array step per level.
@@ -76,7 +78,7 @@ class DagEnv:
         "num_states", "initial_state", "sink", "features", "feature_dim", "num_edges",
         "edge_src", "edge_dst", "edge_fslot", "edge_bslot", "num_forward_slots",
         "num_backward_slots", "child_matrix", "parent_matrix", "forward_mask",
-        "backward_mask", "levels", "level_edges", "topological_order",
+        "backward_mask", "levels", "level_edges", "topological_order", "_moves",
     )
 
     def __init__(
@@ -125,6 +127,9 @@ class DagEnv:
         self.levels, self.level_edges = self._level_order()
         self.topological_order = np.concatenate(self.levels)
         self._encoding_matrix: Optional[np.ndarray] = None
+        # (forward, backward): state -> (slots, next states as a list), filled
+        # by policy.rollout at the states it visits; never built whole
+        self._moves: Tuple[Dict, Dict] = ({}, {})
         # filled on first use by losses.terminal_reach_counts
         self._reach_counts: Optional[np.ndarray] = None
         self._validate()

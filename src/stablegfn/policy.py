@@ -11,10 +11,10 @@ losses built on them, live in the test suite's reference module, and
 
 Paths live in one :class:`PathBatch`, a padded state matrix; every path
 producer returns one.  :func:`rollout` walks training trajectories one after
-another, computing each state's policy row once per call; bulk samplers walk
-in lockstep, one matrix column per step.  :func:`score_paths` takes a batch's
-log-probs from one :class:`EdgeBatch` over its edges, so they are
-bit-reproducible given seed and batch.  A :class:`Trajectory` is a single
+another: a step costs its draw, and a choice state's row is computed once per
+call.  Bulk samplers walk in lockstep, one matrix column per step.
+:func:`score_paths` takes a batch's log-probs from one :class:`EdgeBatch` over
+its edges, so they are bit-reproducible given seed and batch.  A :class:`Trajectory` is a single
 record (the replay buffer's); iterating a batch yields :class:`PathView` rows.
 
 Net evaluations that never backprop keep no backward caches and run in
@@ -25,8 +25,9 @@ flows of a training step (:meth:`EdgeBatch.of_paths` and :class:`FlowBatch`,
 built by the trainer and :func:`stablegfn.losses.batch_loss`) keep caches.
 
 One implementation each: :func:`_log_softmax` for every policy row,
-:func:`proportional_draw` (row-wise: :func:`_draw_rows`) for every
-reward-proportional draw in the package, :func:`_walk` for both bulk samplers.
+the rule of :func:`proportional_draw` for every reward-proportional draw in the
+package (row-wise in :func:`_draw_rows`, on a listed row in :func:`rollout`),
+:func:`_walk` for both bulk samplers.
 :func:`exact_terminal_distribution` pushes mass along the environment's level
 order, one array step per level (see :mod:`stablegfn.envs`).
 """
@@ -34,6 +35,7 @@ order, one array step per level (see :mod:`stablegfn.envs`).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -167,12 +169,24 @@ def write_trajectory_log(path: str, paths: PathBatch) -> None:
 
 
 def read_trajectory_log(path: str) -> PathBatch:
+    """The paths of a JSON-lines log; a line that is not a record raises
+    ``ValueError`` naming the file and the line."""
+    docs = []
     with open(path, encoding="utf-8") as fh:
-        docs = [json.loads(line) for line in fh if line.strip()]
-    rewards, log_pf, log_pb = (np.array([float(d[k]) for d in docs])
-                               for k in ("reward", "log_pf", "log_pb"))
-    return PathBatch(*_pad([d["states"] for d in docs]), rewards, np.array(
-        [d.get("provenance", "forward-sampled") for d in docs], dtype=str), log_pf, log_pb)
+        for n, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    d = json.loads(line)
+                    docs.append(([int(s) for s in d["states"]],
+                                 *(float(d[k]) for k in ("reward", "log_pf", "log_pb")),
+                                 str(d.get("provenance", "forward-sampled"))))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}, line {n}: not a trajectory record "
+                                     f"({type(exc).__name__}: {exc})") from None
+    states, rewards, log_pf, log_pb, provenance = zip(*docs) if docs else ([],) * 5
+    return PathBatch(*_pad(states), np.array(rewards, dtype=float),
+                     np.array(provenance, dtype=str), np.array(log_pf, dtype=float),
+                     np.array(log_pb, dtype=float))
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -196,11 +210,14 @@ def _masked_rows(logits: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.n
 def proportional_draw(rng: np.random.Generator, weights: np.ndarray, size=None):
     """Indices drawn with probability proportional to nonnegative ``weights``.
 
-    One uniform per draw, scaled by the total, is located in the cumulative
-    sums with ``side="right"``, so a zero-weight entry is never picked.
-    Searching all but the last sum clamps the index to the last entry when
-    rounding puts the scaled uniform at the total.  ``size=None`` draws one
-    index (the path :func:`rollout` takes: no extra numpy call per state).
+    The package's one draw rule.  With ``c`` the cumulative sums, a uniform
+    ``u`` picks the index ``i`` with ``c[i-1] <= u * c[-1] < c[i]``: ``u``
+    scaled by the total is located in the sums with ``side="right"``, so a
+    zero-weight entry is never picked.  Only the sums but the last are
+    searched, so the last index is picked when rounding puts the scaled
+    uniform at the total (possible with subnormal totals).  :func:`rollout`
+    applies the rule as ``bisect_right`` on a row's listed sums,
+    :func:`_draw_rows` to every row of a matrix.  ``size=None`` draws one index.
     """
     c = np.cumsum(weights)
     return np.searchsorted(c[:-1], rng.random(size) * c[-1], side="right")
@@ -315,9 +332,19 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     or backward from terminating states.
 
     No draw at a single-choice state; else, with ε > 0, ``rng.random() < ε``
-    picks a uniform choice, or :func:`proportional_draw` draws from the policy
-    row.  Rows are computed once per state per call (parameters are fixed in
-    it).  Exploration never enters the log-probs trajectories record.
+    picks a uniform choice, or one uniform draws from the policy row by the
+    rule of :func:`proportional_draw`.  Exploration never enters the
+    log-probs trajectories record.
+
+    A step pays for its draw and two dictionary lookups.  Per environment
+    (the graph is fixed), the move table ``env._moves`` gives a visited
+    state's slots and next states as a list, filled at its first visit.  Per
+    call (the parameters are fixed), a choice state's row is computed at its
+    first visit and kept as its cumulative sums but the last, as a list, and
+    its total; ``bisect_right`` locates the scaled uniform in them as
+    ``searchsorted(..., side="right")`` does.  Filling either draws nothing,
+    so every path takes the same uniforms, in the same order, as a row
+    evaluated and drawn from at every step.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
@@ -325,7 +352,8 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
         net, slots_at, end = model.forward_net, env.forward_slots, env.sink
     else:
         net, slots_at, end = model.backward_net, env.backward_slots, env.initial_state
-    rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}  # state -> (next states, probabilities)
+    moves = env._moves[0 if forward else 1]
+    rows: Dict[int, Tuple[List[float], float]] = {}  # choice state -> (cumulative sums, total)
     paths = []
     for s in starts:
         s = int(s)
@@ -333,17 +361,22 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
             raise ValueError(f"state {s} is not terminating")
         seq = [s]
         while s != end:
-            if s not in rows:
+            move = moves.get(s)
+            if move is None:
                 slots, nxt = slots_at(s)
-                rows[s] = nxt, np.exp(model._row(net, s, slots, env))
-            nxt, p = rows[s]
+                move = moves[s] = slots, nxt.tolist()
+            slots, nxt = move
             if len(nxt) == 1:
-                i = 0
-            elif epsilon > 0.0 and rng.random() < epsilon:
-                i = int(rng.integers(len(nxt)))
+                s = nxt[0]
             else:
-                i = int(proportional_draw(rng, p))
-            s = int(nxt[i])
+                row = rows.get(s)
+                if row is None:
+                    c = np.cumsum(np.exp(model._row(net, s, slots, env)))
+                    row = rows[s] = c[:-1].tolist(), float(c[-1])
+                if epsilon > 0.0 and rng.random() < epsilon:
+                    s = nxt[int(rng.integers(len(nxt)))]
+                else:
+                    s = nxt[bisect_right(row[0], rng.random() * row[1])]
             seq.append(s)
         paths.append(seq if forward else seq[::-1] + [env.sink])
     return PathBatch.of_lists(env, paths, "forward-sampled" if forward else "backward-sampled")

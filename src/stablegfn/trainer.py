@@ -14,11 +14,14 @@ Baselines train any of the plain objectives on forward samples, optionally
 mixed with a reward-prioritized replay buffer.
 
 A round walks its trajectories with :func:`~stablegfn.policy.rollout` into
-one ``PathBatch`` (replayed paths appended) and evaluates their edges once,
-in one ``EdgeBatch`` that the trajectory and edge losses reuse; fm evaluates
-its own edges.  Only the gradient step keeps backward caches: certificate
-samples are scored cache-free.  Rounds, buffer merges and certificates read
-the batch's arrays; only the replay buffer keeps ``Trajectory`` records.
+one ``PathBatch`` (replayed paths appended) and evaluates the edges of the
+paths its loss reads once, in one ``EdgeBatch`` that the reference flows and
+the trajectory and edge losses reuse; fm evaluates its own edges.  A backward
+half that only feeds the buffer merge is never scored: the merge reads
+terminal states.  Only the gradient step keeps backward caches: a skipped
+round and certificate samples are scored cache-free.  Rounds, buffer merges
+and certificates read the batch's arrays; only the replay buffer keeps
+``Trajectory`` records.
 """
 
 from __future__ import annotations
@@ -324,8 +327,6 @@ class Trainer:
             batch += rollout(self.model, self.env, self.rng_backward, xs, forward=False)
         if not backward_ready:
             st.fallback_rounds += 1
-        edges = EdgeBatch.of_paths(self.model, self.env, batch)
-        batch.log_pf, batch.log_pb = edges.per_trajectory(len(batch))
         n_bwd = len(batch) - n_paths
 
         changed = self._merge_discovered(batch)
@@ -349,7 +350,10 @@ class Trainer:
         )
 
         if n_bwd and not cfg.use_backward_gradient:  # the half only fed the buffer merge
-            batch, edges = batch[:n_paths], None
+            batch = batch[:n_paths]
+        # one batch over what the gradient reads; a skipped round reads only values
+        edges = EdgeBatch.of_paths(self.model, self.env, batch, cache=not skip)
+        batch.log_pf, batch.log_pb = edges.per_trajectory(len(batch))
         if skip:
             st.skip_rounds += 1
             report = losses.batch_loss(self.model, self.env, batch, "tb", edges=edges)

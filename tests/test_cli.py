@@ -145,6 +145,27 @@ def test_certify_from_log(tmp_path):
     assert doc["m"] == 30 and doc["n"] == 30
 
 
+GOOD_RECORD = {"states": [0, 1, 3, 7], "log_pf": -1.0, "log_pb": 0.0, "reward": 1.0}
+
+
+@pytest.mark.parametrize("lines, where", [
+    (None, ""),  # no such file
+    ([json.dumps(GOOD_RECORD), "{not json"], ", line 2:"),
+    ([json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "reward"})], ", line 1:"),
+], ids=["missing", "not_json", "no_reward"])
+def test_certify_from_bad_log_exits_2(tmp_path, capsys, lines, where):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    log_path = tmp_path / "trajs.jsonl"
+    if lines is not None:
+        log_path.write_text("\n".join(lines) + "\n")
+    code = main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--from-log", str(log_path), "--output", str(tmp_path / "cert.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(log_path) + where in err
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_evaluate_balanced_checkpoint(tmp_path, capsys):
     payload = dict(TREE_CONFIG)
     payload["train"] = dict(payload["train"], max_rounds=400)

@@ -25,12 +25,12 @@ from loss_reference import backward_row, forward_row, log_pb_edge, log_pf_edge
 from random_dag import random_dags
 
 
-def random_model(env, kind="tabular", seed=0, noise=1.0):
+def random_model(env, kind="tabular", seed=0, noise=1.0, learn_backward=True):
     rng = np.random.default_rng(seed)
-    model = PolicyModel.build(env, kind, hidden=(8, 8), learn_backward=True, rng=rng)
+    model = PolicyModel.build(env, kind, hidden=(8, 8), learn_backward=learn_backward, rng=rng)
     if kind == "tabular":
-        model.forward_net.table[...] = rng.normal(0, noise, model.forward_net.table.shape)
-        model.backward_net.table[...] = rng.normal(0, noise, model.backward_net.table.shape)
+        for net in model._nets:
+            net.table[...] = rng.normal(0, noise, net.table.shape)
     model.set_logz(float(rng.normal()))
     return model
 
@@ -176,21 +176,57 @@ def test_cached_log_probs_recompute_exactly(kind):
                                          abs=1e-12)
 
 
-@pytest.mark.parametrize("env", [RegularTree(3, 3), Hypergrid(2, 4, r0=0.1)],
-                         ids=["tree", "hypergrid"])
-@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+@pytest.mark.parametrize("env", [RegularTree(3, 3), Hypergrid(2, 4, r0=0.1), *random_dags()],
+                         ids=["tree", "hypergrid", "dag0", "dag1", "dag2"])
+@pytest.mark.parametrize("kind", ["tabular", "mlp", "uniform_backward"])
 def test_rollout_keeps_the_per_state_stream(env, kind):
-    model = random_model(env, kind, seed=4)
+    if kind == "uniform_backward":
+        model = random_model(env, "tabular", seed=4, learn_backward=False)
+    else:
+        model = random_model(env, kind, seed=4)
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
     starts = [env.initial_state] * 20
-    assert [p.states for p in rollout(model, env, rng, starts, epsilon=0.1)] == [
-        reference_walk(model, env, ref, s, epsilon=0.1) for s in starts
-    ]
     xs = np.random.default_rng(8).choice(env.terminating_states, size=20)
-    assert [p.states for p in rollout(model, env, rng, xs, forward=False)] == [
-        reference_walk(model, env, ref, x, forward=False) for x in xs
+    for eps in (0.0, 0.1, 0.999999999):
+        assert [p.states for p in rollout(model, env, rng, starts, epsilon=eps)] == [
+            reference_walk(model, env, ref, s, epsilon=eps) for s in starts
+        ]
+        assert [p.states for p in rollout(model, env, rng, xs, forward=False, epsilon=eps)] == [
+            reference_walk(model, env, ref, x, forward=False, epsilon=eps) for x in xs
+        ]
+        # both consumed the same draws, down to the half-used 32-bit word
+        # that rng.integers leaves buffered
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_rollout_draw_follows_the_proportional_rule():
+    env = RegularTree(4, 1)  # the source's four slots lead to states 1..4
+    model = PolicyModel.build(env, "tabular")
+    top = 1.0 - 2.0**-53
+    tiny = 5e-324  # subnormal weights, whose total the top uniform rounds to
+    cases = [
+        ([0.25, 0.25, 0.0, 0.5], [0.0, 0.25, 0.5, 0.75, top], [0, 1, 3, 3, 3]),  # exact sums
+        ([0.0, 1.0, 1.0, 0.0], [0.0, 0.5, top], [1, 2, 2]),  # zero slots at both ends
+        ([0.0, 0.0, tiny, tiny], [0.0, top], [2, 3]),  # the top-of-range clamp
     ]
-    assert rng.random() == ref.random()  # both consumed the same uniforms
+    for weights, uniforms, expected in cases:
+        with np.errstate(divide="ignore"):
+            model._row = lambda net, s, slots, env, lw=np.log(weights): lw
+        p = np.exp(model._row(None, 0, None, env))
+        picked = rollout(model, env, _FixedUniforms(uniforms), [0] * len(uniforms)).states[:, 1] - 1
+        assert picked.tolist() == expected
+        assert [int(proportional_draw(_FixedUniforms([u]), p)) for u in uniforms] == expected
+
+
+def test_rollout_fills_the_move_table_only_on_its_path():
+    env = Hypergrid(4, 16)
+    model = random_model(env, seed=3)
+    (path,) = rollout(model, env, np.random.default_rng(0), [env.initial_state])
+    forward, backward = env._moves
+    assert sorted(forward) == sorted(path.states[:-1]) and not backward
+    (back,) = rollout(model, env, np.random.default_rng(0), [path.terminating_state], forward=False)
+    assert sorted(backward) == sorted(back.states[1:-1])
+    assert forward[env.initial_state][1] == env.children(env.initial_state).tolist()
 
 
 def test_rollout_rows_do_not_outlive_a_call():

@@ -312,6 +312,45 @@ def test_baseline_round_caches_only_what_it_backprops(monkeypatch, objective):
     assert cached and all(any(b is e for b in backpropped) for e in cached)
 
 
+def _record_edge_batches(monkeypatch):
+    """(cached EdgeBatches in build order, EdgeBatches in backprop order)."""
+    cached, backpropped = [], []
+    init, backprop = EdgeBatch.__init__, EdgeBatch.backprop
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.cache:
+            cached.append(self)
+
+    def recorded_backprop(self):
+        backpropped.append(self)
+        backprop(self)
+
+    monkeypatch.setattr(EdgeBatch, "__init__", recorded_init)
+    monkeypatch.setattr(EdgeBatch, "backprop", recorded_backprop)
+    return cached, backpropped
+
+
+@pytest.mark.parametrize("source, in_gradient", [
+    ("buffer", "auto"), ("exact", "auto"), ("exact", "never"), ("buffer", "always"),
+], ids=["buffer-auto", "exact-auto", "exact-never", "buffer-always"])
+def test_stable_round_caches_only_what_it_backprops(monkeypatch, source, in_gradient):
+    cached, backpropped = _record_edge_batches(monkeypatch)
+    env = Hypergrid(2, 4)
+    # near-balanced: certificates fire every unchanged round, and some skip
+    model = balanced_tabular_model(env, flow_head=False)
+    cfg = TrainConfig(objective="tb", stabilize=True, max_rounds=12, seed=1, batch_size=8,
+                      patience=1, tv_target=0.3, cert_m=64, cert_n=64,
+                      backward_source=source, backward_in_gradient=in_gradient)
+    tr = Trainer(model, env, cfg)
+    skips = [tr.stable_round()["skip"] for _ in range(cfg.max_rounds)]
+    assert 0 < sum(skips) < len(skips)
+    # one cached batch per trained round, backpropped once; a skipped round caches none
+    assert len(cached) == skips.count(0)
+    assert len(backpropped) == len(cached)
+    assert all(b is e for b, e in zip(backpropped, cached))
+
+
 def test_replay_mixing_baseline():
     env = RegularTree(2, 2)
     model = PolicyModel.build(env, "tabular")
