@@ -5,7 +5,6 @@ from .envs import (
     Hypergrid,
     OneMoreMode,
     RegularTree,
-    enumerate_terminating,
     hypergrid_default_r0,
     hypergrid_reward,
     make_env,
@@ -16,7 +15,6 @@ from .envs import (
 from .policy import (
     PathBatch,
     PolicyModel,
-    Trajectory,
     exact_terminal_distribution,
     rollout,
     score_paths,

@@ -18,7 +18,7 @@ import yaml
 
 from .envs import ENV_DEFAULTS, DagEnv, hypergrid_default_r0, make_env
 from .policy import PolicyModel
-from .trainer import TrainConfig, rng_for
+from .trainer import TrainConfig, check_type, rng_for
 
 OUTPUT_DIR_ENV_VAR = "STABLEGFN_OUTPUT_DIR"
 
@@ -60,17 +60,17 @@ def _resolve_env(section: Dict) -> Dict:
         rewards = merged["leaf_rewards"]
         return {
             "kind": "tree",
-            "branching": int(_require(section, "branching", "env")),
-            "depth": int(_require(section, "depth", "env")),
+            "branching": check_type("env.branching", _require(section, "branching", "env"), "int"),
+            "depth": check_type("env.depth", _require(section, "depth", "env"), "int"),
             "leaf_rewards": None if rewards is None else [float(r) for r in rewards],
         }
     if kind == "hypergrid":
         _check_keys(section, ["kind", "dimension", "side", "r0", "r1", "r2"], "env")
-        side = int(_require(section, "side", "env"))
+        side = check_type("env.side", _require(section, "side", "env"), "int")
         r0 = merged["r0"]
         return {
             "kind": "hypergrid",
-            "dimension": int(_require(section, "dimension", "env")),
+            "dimension": check_type("env.dimension", _require(section, "dimension", "env"), "int"),
             "side": side,
             "r0": hypergrid_default_r0(side) if r0 is None else float(r0),
             "r1": float(merged["r1"]),
@@ -81,8 +81,8 @@ def _resolve_env(section: Dict) -> Dict:
         raise ConfigError("env.stage must be 'prev' or 'new'")
     return {
         "kind": "one_more_mode",
-        "branching": int(_require(section, "branching", "env")),
-        "depth": int(_require(section, "depth", "env")),
+        "branching": check_type("env.branching", _require(section, "branching", "env"), "int"),
+        "depth": check_type("env.depth", _require(section, "depth", "env"), "int"),
         "epsilon": float(_require(section, "epsilon", "env")),
         "stage": merged["stage"],
     }
@@ -109,7 +109,7 @@ def _resolve_model(section: Dict, objective: str) -> Dict:
         raise ConfigError("model.hidden must be a list of two widths >= 1")
     return {
         "kind": kind,
-        "hidden": [int(h) for h in hidden],
+        "hidden": [check_type("each model.hidden width", h, "int") for h in hidden],
         "backward": backward,
         "flow_head": flow_head,
     }
@@ -121,24 +121,18 @@ _TRAIN_KEYS = [f.name for f in dataclasses.fields(TrainConfig) if f.name != "see
 
 def _resolve_train(section: Dict, seed: int) -> Dict:
     _check_keys(section, _TRAIN_KEYS, "train")
-    merged = dict(section)
-    merged["seed"] = seed
-    try:
-        cfg = TrainConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    out = {k: getattr(cfg, k) for k in _TRAIN_KEYS}
-    return out
+    cfg = TrainConfig(**section, seed=seed)
+    return {k: getattr(cfg, k) for k in _TRAIN_KEYS}
 
 
 def _resolve_eval(section: Dict) -> Dict:
     _check_keys(section, ["samples", "oracle"], "eval")
-    samples = int(section.get("samples", 100_000))
+    samples = check_type("eval.samples", section.get("samples", 100_000), "int")
     if samples < 1:
         raise ConfigError(f"eval.samples must be >= 1, got {samples}")
     return {
         "samples": samples,
-        "oracle": bool(section.get("oracle", True)),
+        "oracle": check_type("eval.oracle", section.get("oracle", True), "bool"),
     }
 
 
@@ -147,17 +141,20 @@ def resolve(raw: Dict) -> Dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     _check_keys(raw, ["seed", "output_dir", "env", "model", "train", "eval"], "config")
-    seed = int(raw.get("seed", 0))
-    train = _resolve_train(raw.get("train", {}) or {}, seed)
-    model = _resolve_model(raw.get("model", {}) or {}, train["objective"])
-    return {
-        "seed": seed,
-        "output_dir": str(raw.get("output_dir", "out")),
-        "env": _resolve_env(_require(raw, "env", "config")),
-        "model": model,
-        "train": train,
-        "eval": _resolve_eval(raw.get("eval", {}) or {}),
-    }
+    seed = raw.get("seed", 0)  # TrainConfig checks it
+    try:
+        train = _resolve_train(raw.get("train", {}) or {}, seed)
+        model = _resolve_model(raw.get("model", {}) or {}, train["objective"])
+        return {
+            "seed": seed,
+            "output_dir": str(raw.get("output_dir", "out")),
+            "env": _resolve_env(_require(raw, "env", "config")),
+            "model": model,
+            "train": train,
+            "eval": _resolve_eval(raw.get("eval", {}) or {}),
+        }
+    except ValueError as exc:  # ConfigError is one
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str) -> Dict:

@@ -357,10 +357,6 @@ class Hypergrid(DagEnv):
 
         super().__init__(2 * n_grid + 1, sink, edges, rewards, features, feature_dim=D * H)
 
-    def grid_point(self, s: int) -> Tuple[int, ...]:
-        """Coordinates of a state (active or terminal copy)."""
-        return tuple(int(c) for c in self.features[s] % self.side)
-
     def _modes(self) -> np.ndarray:
         peak = self.r0 + self.r1 + self.r2
         return self.terminating_mask & np.isclose(self.reward_table, peak, rtol=0, atol=1e-12)
@@ -427,15 +423,6 @@ def one_more_mode_tree(branching: int, depth: int, epsilon: float) -> Tuple[Regu
     promoted = int(env_prev.leaves[-1])
     env_new = OneMoreMode(env_prev, {promoted: 1.0 - epsilon})
     return env_prev, env_new
-
-
-def enumerate_terminating(env: DagEnv, cap: int = DEFAULT_STATE_CAP) -> List[Tuple[int, float]]:
-    """All (state, reward) pairs for terminating states; exact partition sum source."""
-    if env.num_states > cap:
-        raise EnumerationCapError(
-            f"environment has {env.num_states} states, above the cap {cap}"
-        )
-    return [(int(x), float(env.reward_table[x])) for x in env.terminating_states]
 
 
 def true_partition(env: DagEnv) -> float:

@@ -14,8 +14,8 @@ producer returns one.  :func:`rollout` walks training trajectories one after
 another: a step costs its draw, and a choice state's row is computed once per
 call.  Bulk samplers walk in lockstep, one matrix column per step.
 :func:`score_paths` takes a batch's log-probs from one :class:`EdgeBatch` over
-its edges, so they are bit-reproducible given seed and batch.  A :class:`Trajectory` is a single
-record (the replay buffer's); iterating a batch yields :class:`PathView` rows.
+its edges, so they are bit-reproducible given seed and batch.  The batch is
+the one path record: the replay buffer keeps one, the trajectory log one.
 
 Net evaluations that never backprop keep no backward caches and run in
 near-equal row blocks of at most :data:`EVAL_BLOCK_ROWS` rows, all through
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,26 +48,6 @@ LOGIT_CLAMP = 50.0
 # of it; OpenBLAS rounds products of fewer than about 640 rows differently (a
 # small-matrix kernel), so blocks this large give the whole-batch values.
 EVAL_BLOCK_ROWS = 2048
-
-
-@dataclass
-class Trajectory:
-    """One source-to-sink path with cached log-probs, as a single record.
-
-    ``log_pf`` sums forward log-probabilities over every edge (the final
-    hop into the sink contributes exactly 0); ``log_pb`` sums backward
-    log-probabilities over every edge except the hop into the sink.
-    """
-
-    states: List[int]
-    log_pf: float
-    log_pb: float
-    reward: float
-    provenance: str = "forward-sampled"
-
-    @property
-    def terminating_state(self) -> int:
-        return self.states[-2]
 
 
 def _pad(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -85,10 +64,10 @@ class PathBatch:
     Row i of ``states`` holds path i in its first ``lengths[i]`` columns and
     -1 after them.  ``terminals``, ``rewards`` and ``log_rewards`` (the one
     log-reward every loss and certificate reads) belong to each path's
-    terminating state, the one before the sink.  ``log_pf``/``log_pb`` hold
-    the per-path sums of :class:`Trajectory` once :func:`score_paths` ran.
-    ``batch[i]`` and iteration give :class:`PathView` rows; a slice, mask or
-    index array gives a batch, and ``a + b`` appends one batch to another.
+    terminating state, the one before the sink.  Once :func:`score_paths` ran,
+    ``log_pf`` sums every edge's log-prob (the hop into the sink adds 0) and
+    ``log_pb`` every edge's but that hop's.  A slice, mask or index array
+    gives a batch, and ``a + b`` appends one batch to another.
     """
 
     def __init__(self, states: np.ndarray, lengths: np.ndarray, rewards: np.ndarray,
@@ -117,12 +96,9 @@ class PathBatch:
         return len(self.states)
 
     def __iter__(self):
-        return map(PathView, [self] * len(self), range(len(self)), self.terminals.tolist())
+        return map(PathView, self.terminals.tolist())
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]
-            return PathView(self, i, int(self.terminals[i]))
+    def __getitem__(self, key) -> "PathBatch":
         return PathBatch(self.states[key], *(None if c is None else c[key] for c in self._columns()))
 
     def __add__(self, other: "PathBatch") -> "PathBatch":
@@ -132,40 +108,23 @@ class PathBatch:
         return PathBatch(states, *(None if x is None or y is None else np.concatenate([x, y])
                                    for x, y in zip(self._columns(), other._columns())))
 
-    def trajectories(self) -> List[Trajectory]:
-        """One :class:`Trajectory` record per scored path."""
-        rows = zip(self.states.tolist(), *(c.tolist() for c in self._columns()))
-        return [Trajectory(s[:n], f, b, r, p) for s, n, r, p, f, b in rows]
-
-
-def _field(name: str, cast):
-    return property(lambda view: cast(getattr(view.batch, name)[view.index]))
-
 
 class PathView:
-    """Row ``index`` of a :class:`PathBatch`, read like a :class:`Trajectory`."""
+    """What iterating a :class:`PathBatch` yields, only for the benchmark's row read."""
 
-    __slots__ = ("batch", "index", "terminating_state")
+    __slots__ = ("terminating_state",)
 
-    def __init__(self, batch: PathBatch, index: int, terminating_state: int):
-        self.batch, self.index, self.terminating_state = batch, index, terminating_state
-
-    @property
-    def states(self) -> List[int]:
-        return self.batch.states[self.index, : self.batch.lengths[self.index]].tolist()
-
-    log_pf = _field("log_pf", float)
-    log_pb = _field("log_pb", float)
-    reward = _field("rewards", float)
-    provenance = _field("provenance", str)
-
-
-_RECORD = ("states", "log_pf", "log_pb", "reward", "provenance")  # the fields of Trajectory
+    def __init__(self, terminating_state: int):
+        self.terminating_state = terminating_state
 
 
 def write_trajectory_log(path: str, paths: PathBatch) -> None:
+    keys = ("states", "log_pf", "log_pb", "reward", "provenance")
+    columns = (paths.states, paths.lengths, paths.log_pf, paths.log_pb, paths.rewards,
+               paths.provenance)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps({k: getattr(t, k) for k in _RECORD}) + "\n" for t in paths)
+        fh.writelines(json.dumps(dict(zip(keys, (s[:n], *row)))) + "\n"
+                      for s, n, *row in zip(*(c.tolist() for c in columns)))
 
 
 def read_trajectory_log(path: str) -> PathBatch:
@@ -197,13 +156,18 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return (zt - (m + np.log(np.exp(zt - m).sum(0)))).T
 
 
+def _clamp(logits: np.ndarray) -> np.ndarray:
+    """np.clip to ±LOGIT_CLAMP, bit for bit, minus the Python wrapper that doubles its cost."""
+    return np.minimum(np.maximum(logits, -LOGIT_CLAMP), LOGIT_CLAMP)
+
+
 def _masked_rows(logits: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Clamped masked log-softmax over rows.
 
     Returns (logprob rows with -inf at invalid slots, probability rows with 0
     at invalid slots).
     """
-    logp = _log_softmax(np.where(mask, np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP), -np.inf))
+    logp = _log_softmax(np.where(mask, _clamp(logits), -np.inf))
     return logp, np.where(mask, np.exp(logp), 0.0)
 
 
@@ -323,7 +287,7 @@ class PolicyModel:
         if net is None:
             return np.full(k, -np.log(k))
         out, _ = self._eval_rows(net, np.array([s]), env, cache=False)
-        return _log_softmax(np.clip(out[0][slots], -LOGIT_CLAMP, LOGIT_CLAMP))
+        return _log_softmax(_clamp(out[0][slots]))
 
 
 def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: Sequence[int],
@@ -334,7 +298,7 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     No draw at a single-choice state; else, with ε > 0, ``rng.random() < ε``
     picks a uniform choice, or one uniform draws from the policy row by the
     rule of :func:`proportional_draw`.  Exploration never enters the
-    log-probs trajectories record.
+    log-probs a batch records.
 
     A step pays for its draw and two dictionary lookups.  Per environment
     (the graph is fixed), the move table ``env._moves`` gives a visited

@@ -19,9 +19,7 @@ paths its loss reads once, in one ``EdgeBatch`` that the reference flows and
 the trajectory and edge losses reuse; fm evaluates its own edges.  A backward
 half that only feeds the buffer merge is never scored: the merge reads
 terminal states.  Only the gradient step keeps backward caches: a skipped
-round and certificate samples are scored cache-free.  Rounds, buffer merges
-and certificates read the batch's arrays; only the replay buffer keeps
-``Trajectory`` records.
+round and certificate samples are scored cache-free.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -41,7 +39,6 @@ from .policy import (
     EdgeBatch,
     PathBatch,
     PolicyModel,
-    Trajectory,
     proportional_draw,
     rollout,
     sample_backward_batch,
@@ -56,8 +53,17 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *words]))
 
 
-def _finite_positive(value: object) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+_ADMITS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+           "Optional[float]": ((int, float, type(None)), "a number or null"),
+           "bool": ((bool,), "a boolean"), "str": ((str,), "a string")}
+
+
+def check_type(key: str, value, annotation: str):
+    """``value`` if ``annotation`` admits it, else a ValueError; no bool passes as a number."""
+    types, name = _ADMITS[annotation]
+    if not isinstance(value, types) or (isinstance(value, bool) and annotation != "bool"):
+        raise ValueError(f"{key} must be {name}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -87,37 +93,33 @@ class TrainConfig:
     oracle_every: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            check_type(f.name, getattr(self, f.name), f.type)
         if self.objective not in ("tb", "db", "fm", "subtb", "wdb"):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.stabilize and self.objective != "tb":
             raise ValueError("stabilization applies to the trajectory objective only")
-        if not 0.0 < self.tv_target < 1.0:
-            raise ValueError("tv_target must be in (0, 1)")
-        if not 0.0 < self.ema_beta <= 1.0:
-            raise ValueError("ema_beta must be in (0, 1]")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must be in [0, 1)")
+        for key, inside, interval in (("tv_target", 0.0 < self.tv_target < 1.0, "(0, 1)"),
+                                      ("ema_beta", 0.0 < self.ema_beta <= 1.0, "(0, 1]"),
+                                      ("confidence", 0.0 < self.confidence < 1.0, "(0, 1)"),
+                                      ("epsilon", 0.0 <= self.epsilon < 1.0, "[0, 1)")):
+            if not inside:
+                raise ValueError(f"{key} must be in {interval}, got {getattr(self, key)!r}")
         if self.threshold_agg not in ("max", "mean", "median"):
             raise ValueError("threshold_agg must be max, mean or median")
         if self.backward_source not in ("buffer", "exact"):
             raise ValueError("backward_source must be buffer or exact")
         if self.backward_in_gradient not in ("auto", "always", "never"):
             raise ValueError("backward_in_gradient must be auto, always or never")
-        if min(self.batch_size, self.cert_m, self.cert_n) < 1 or self.max_rounds < 0:
-            raise ValueError("batch_size, cert_m and cert_n must be >= 1 and max_rounds >= 0")
-        for key in ("learning_rate", "logz_lr_mult", "subtb_lambda"):
-            if not _finite_positive(getattr(self, key)):
-                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)!r}")
+        for key, least in (("seed", 0), ("max_rounds", 0), ("replay_batch", 0), ("batch_size", 1),
+                           ("buffer_size", 1), ("cert_m", 1), ("cert_n", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)!r}")
         # a negative clip norm would flip the gradient's sign: training would ascend
-        if self.max_grad_norm is not None and not _finite_positive(self.max_grad_norm):
-            raise ValueError("max_grad_norm must be finite and > 0, or null for no clipping, "
-                             f"got {self.max_grad_norm!r}")
-        if self.buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size!r}")
-        if self.replay_batch < 0:
-            raise ValueError(f"replay_batch must be >= 0, got {self.replay_batch!r}")
+        for key in ("learning_rate", "logz_lr_mult", "subtb_lambda", "max_grad_norm"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value!r}")
         if self.replay_batch > 0 and self.replay_size < 1:
             raise ValueError("replay_size must be >= 1 when replay_batch > 0, "
                              f"got {self.replay_size!r}")
@@ -187,30 +189,30 @@ class TopKBuffer:
 
 
 class ReplayBuffer:
-    """Reward-prioritized trajectory replay: keeps the highest-reward trajectories."""
+    """Reward-prioritized path replay: the highest-reward paths, in one ``PathBatch``."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: List[Trajectory] = []
+        self.paths: Optional[PathBatch] = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return 0 if self.paths is None else len(self.paths)
 
-    def insert(self, trajs: Sequence[Trajectory]) -> None:
-        """Add a round's trajectories; one stable sort keeps the best, earlier first."""
-        self._items.extend(trajs)
-        if len(self._items) > self.capacity:
-            self._items.sort(key=lambda t: -t.reward)
-            del self._items[self.capacity:]
+    def insert(self, paths: PathBatch) -> None:
+        """Append a round's paths; one stable sort by reward keeps the best, earlier first."""
+        self.paths = paths if self.paths is None else self.paths + paths
+        if len(self.paths) > self.capacity:
+            self.paths = self.paths[np.argsort(-self.paths.rewards, kind="stable")[: self.capacity]]
 
-    def sample(self, rng: np.random.Generator, count: int) -> List[Trajectory]:
-        if not self._items:
+    def sample(self, rng: np.random.Generator, count: int) -> PathBatch:
+        """Reward-proportional draw (with replacement), without log-probs: a round scores it."""
+        if not len(self):
             raise ValueError("cannot sample from an empty replay buffer")
-        idx = proportional_draw(rng, np.array([t.reward for t in self._items]), count)
-        return [Trajectory(list(t.states), t.log_pf, t.log_pb, t.reward, "replayed")
-                for t in map(self._items.__getitem__, idx.tolist())]
+        p = self.paths
+        idx = proportional_draw(rng, p.rewards, count)
+        return PathBatch(p.states[idx], p.lengths[idx], p.rewards[idx], np.full(count, "replayed"))
 
 
 @dataclass
@@ -264,7 +266,7 @@ class Trainer:
         self.rng_cert_f = rng_for(seed, "cert.forward")
         self.rng_cert_b = rng_for(seed, "cert.backward")
         self.metrics_path = metrics_path
-        self._rows: List[Dict[str, object]] = []
+        self.rows: List[Dict[str, object]] = []  # one per round, as metrics.csv has them
 
     # -- sampling helpers ----------------------------------------------------
 
@@ -381,15 +383,14 @@ class Trainer:
         batch = rollout(self.model, self.env, self.rng_forward, starts, epsilon=cfg.epsilon)
         n_fresh = len(batch)
         if self.replay is not None and len(self.replay) > 0:
-            replayed = self.replay.sample(self.rng_replay, cfg.replay_batch)
-            batch += PathBatch.of_lists(self.env, [t.states for t in replayed], "replayed")
+            batch += self.replay.sample(self.rng_replay, cfg.replay_batch)
         # fm backprops through edges of its own: these only score the paths
         edges = EdgeBatch.of_paths(self.model, self.env, batch, cache=cfg.objective != "fm")
         batch.log_pf, batch.log_pb = edges.per_trajectory(len(batch))
         report = self._gradient_step(batch, None, edges)
         fresh = batch[:n_fresh]
         if self.replay is not None:
-            self.replay.insert(fresh.trajectories())
+            self.replay.insert(fresh)
         self._merge_discovered(fresh)
         return self._row(report, None, False, 0)
 
@@ -429,7 +430,7 @@ class Trainer:
         self._append_metrics("w", CSV_COLUMNS)
         for _ in range(cfg.max_rounds):
             row = self.stable_round() if cfg.stabilize else self.baseline_round()
-            self._rows.append(row)
+            self.rows.append(row)
             self._append_metrics("a", [_fmt(row[c]) for c in CSV_COLUMNS])
             self.state.round += 1
             if cfg.stabilize and self.state.certified:
@@ -441,7 +442,3 @@ class Trainer:
         if self.metrics_path is not None:
             with open(self.metrics_path, mode, newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerow(line)
-
-    @property
-    def rows(self) -> List[Dict[str, object]]:
-        return self._rows

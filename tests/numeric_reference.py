@@ -6,10 +6,11 @@ fresh array and LeakyReLU is a ``np.where``.  The package computes the same
 values in place and branch-free; the tests require the two to agree bit for
 bit, so any change to the operation order shows up here.
 
-The path half keeps paths as Python lists and ``Trajectory`` objects: the
-lockstep walker appends one state per walker per step, edges are flattened
-one by one, and certificate records take ``math.log`` of each reward.  The
-package's ``PathBatch`` must give the same paths, edges and values.
+The path half keeps paths as Python lists and ``Trajectory`` records, a
+type of its own: the lockstep walker appends one state per walker per step,
+edges are flattened one by one, and certificate records take ``math.log`` of
+each reward.  The package's ``PathBatch`` must give the same paths, edges
+and values; :func:`records` reads a batch into records, row by row.
 
 The exact terminal DP here evaluates the forward net in one call over every
 choice state; the package's cache-free passes run it in row blocks and must
@@ -17,11 +18,13 @@ give the same values bit for bit.
 """
 
 import math
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from stablegfn.approximator import LEAKY_SLOPE, NonFiniteError
-from stablegfn.policy import EdgeBatch, Trajectory, _draw_rows, _masked_rows
+from stablegfn.policy import EdgeBatch, _draw_rows, _masked_rows
 
 
 def clip_grad_norm(grad, max_norm):
@@ -130,6 +133,37 @@ def walk(model, env, rng, starts, forward):
         cur[alive] = nxt
         alive = alive[nxt != end]
     return seqs if forward else [s[::-1] + [env.sink] for s in seqs]
+
+
+@dataclass
+class Trajectory:
+    """One source-to-sink path with its log-probs, as a single record.
+
+    ``log_pf`` sums forward log-probabilities over every edge (the final
+    hop into the sink contributes exactly 0); ``log_pb`` sums backward
+    log-probabilities over every edge except the hop into the sink.
+    """
+
+    states: List[int]
+    log_pf: float
+    log_pb: float
+    reward: float
+    provenance: str = "forward-sampled"
+
+    @property
+    def terminating_state(self) -> int:
+        return self.states[-2]
+
+
+def path_lists(paths):
+    """The states of every path of a ``PathBatch``, as lists."""
+    return [s[:n] for s, n in zip(paths.states.tolist(), paths.lengths.tolist())]
+
+
+def records(paths):
+    """One ``Trajectory`` per row of a scored ``PathBatch``."""
+    columns = (paths.log_pf, paths.log_pb, paths.rewards, paths.provenance)
+    return [Trajectory(*row) for row in zip(path_lists(paths), *(c.tolist() for c in columns))]
 
 
 def collect_transitions(trajs):

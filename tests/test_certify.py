@@ -263,7 +263,7 @@ def test_subgraph_single_state_sound():
     fwd = sample_forward_batch(model, env, rng2, 300)
     report = subgraph_certificate(env, top, bwd, fwd, model.logz, alpha=0.05)
     assert report.scope == "subgraph"
-    assert report.n == sum(1 for t in fwd if t.terminating_state == top[0])
+    assert report.n == int((fwd.terminals == top[0]).sum())
     # renormalized TV over a singleton subset is 0; any bound is sound
     assert report.bound >= 0.0
     assert report.subset_size == 1

@@ -310,6 +310,49 @@ def test_config_rejects_bad_train_value_naming_key(key, bad):
             resolve(raw)
 
 
+MISTYPED = [
+    ("train", "stabilize", "no", "stabilize must be a boolean, got 'no'"),
+    ("train", "stabilize", 1, "stabilize must be a boolean, got 1"),
+    ("train", "max_rounds", 2.5, "max_rounds must be an integer, got 2.5"),
+    ("train", "batch_size", 4.5, "batch_size must be an integer, got 4.5"),
+    ("train", "patience", 2.5, "patience must be an integer, got 2.5"),
+    ("train", "cert_m", True, "cert_m must be an integer, got True"),
+    ("train", "learning_rate", True, "learning_rate must be a number, got True"),
+    ("train", "tv_target", "0.1", "tv_target must be a number, got '0.1'"),
+    ("train", "max_grad_norm", "off", "max_grad_norm must be a number or null, got 'off'"),
+    ("train", "objective", 5, "objective must be a string, got 5"),
+    (None, "seed", -1, "seed must be >= 0, got -1"),
+    (None, "seed", 2.5, "seed must be an integer, got 2.5"),
+    (None, "seed", "7", "seed must be an integer, got '7'"),
+    ("eval", "oracle", "false", "eval.oracle must be a boolean, got 'false'"),
+    ("eval", "samples", 2.5, "eval.samples must be an integer, got 2.5"),
+    ("model", "hidden", [1.7, 2.2], "each model.hidden width must be an integer, got 1.7"),
+    ("model", "hidden", [4, True], "each model.hidden width must be an integer, got True"),
+    ("env", "depth", 1.5, "env.depth must be an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, message", MISTYPED,
+                         ids=[f"{key}={value!r}" for _, key, value, _ in MISTYPED])
+def test_config_rejects_mistyped_value_naming_key(where, key, value, message):
+    raw = {"env": {"kind": "tree", "branching": 2, "depth": 1}}
+    if where is None:
+        raw[key] = value
+    else:
+        raw[where] = dict(raw.get(where, {}), **{key: value})
+    with pytest.raises(ConfigError) as info:
+        resolve(raw)
+    assert str(info.value) == message
+
+
+def test_train_with_mistyped_value_exits_2_before_any_output(tmp_path, capsys):
+    for train in ({"max_rounds": 2.5}, {"stabilize": "no"}):
+        assert _train_with(tmp_path, train=train) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and list(train)[0] in err
+        assert not (tmp_path / "run").exists()
+
+
 def test_config_replay_size_checked_only_with_replay():
     raw = {"env": {"kind": "tree", "branching": 2, "depth": 1},
            "train": {"replay_size": 0, "replay_batch": 4}}

@@ -3,11 +3,9 @@ import pytest
 
 from stablegfn.envs import (
     DagEnv,
-    EnumerationCapError,
     Hypergrid,
     OneMoreMode,
     RegularTree,
-    enumerate_terminating,
     hypergrid_default_r0,
     hypergrid_reward,
     make_env,
@@ -45,24 +43,6 @@ def test_default_r0_schedule():
 def test_default_r0_rejects_degenerate_side():
     with pytest.raises(ValueError):
         hypergrid_default_r0(1)
-
-
-def test_enumerate_terminating_tree():
-    env = RegularTree(3, 2)
-    pairs = enumerate_terminating(env)
-    assert len(pairs) == 9
-    assert sum(r for _, r in pairs) == pytest.approx(9.0)
-
-
-def test_enumerate_terminating_hypergrid():
-    env = Hypergrid(2, 4, r0=0.1)
-    assert len(enumerate_terminating(env)) == 16
-
-
-def test_enumerate_terminating_cap():
-    env = RegularTree(2, 3)
-    with pytest.raises(EnumerationCapError):
-        enumerate_terminating(env, cap=4)
 
 
 def test_one_more_mode_wrapped_partition():
@@ -269,7 +249,7 @@ def test_tree_backward_is_deterministic():
 def test_hypergrid_action_count():
     env = Hypergrid(2, 4, r0=0.1)
     for idx in range(env.n_grid):
-        coords = env.grid_point(idx)
+        coords = np.unravel_index(idx, (env.side,) * env.dimension)
         expected = sum(1 for x in coords if x < env.side - 1) + 1
         assert len(env.children(idx)) == expected
 
@@ -280,7 +260,8 @@ def test_hypergrid_terminal_count_and_modes():
     modes = np.flatnonzero(env.mode_mask)
     assert len(modes) == 4
     corners = {(0, 0), (0, 7), (7, 0), (7, 7)}
-    assert {env.grid_point(int(m)) for m in modes} == corners
+    coords = np.unravel_index(modes - env.n_grid, (env.side,) * env.dimension)
+    assert set(zip(*(c.tolist() for c in coords))) == corners
 
 
 def test_encoding_shapes():
@@ -320,10 +301,6 @@ def test_features_match_encode_reference(env):
             ref[s] = _reference_encode(env, s)
     mat = env.encoding_matrix
     assert mat.dtype == ref.dtype and mat.tobytes() == ref.tobytes()
-    if isinstance(env, Hypergrid):
-        for s in range(env.sink):
-            coords = np.flatnonzero(ref[s]) - env.side * np.arange(env.dimension)
-            assert env.grid_point(s) == tuple(coords)
 
 
 def _reference_modes(env):

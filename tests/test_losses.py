@@ -8,7 +8,7 @@ import pytest
 from stablegfn.envs import DagEnv, Hypergrid, RegularTree, one_more_mode_tree
 from stablegfn.losses import batch_loss, reference_flow_log_deltas, terminal_reach_counts
 from stablegfn.oracle import balanced_tabular_model, enumerate_trajectories
-from stablegfn.policy import PolicyModel, Trajectory, rollout, score_paths
+from stablegfn.policy import PolicyModel, rollout, score_paths
 from stablegfn.trainer import rng_for
 
 from loss_reference import (
@@ -27,6 +27,7 @@ from loss_reference import (
     tb_loss,
     wdb_weights,
 )
+from numeric_reference import Trajectory, records
 from random_dag import random_dags
 
 
@@ -78,7 +79,7 @@ def test_promoted_leaf_losses_match_contrast():
     model = balanced_tabular_model(env_prev)
     promoted = int(env_prev.leaves[-1])
     expected = math.log(eps) ** 2
-    for t in enumerate_trajectories(model, env_new):
+    for t in records(enumerate_trajectories(model, env_new)):
         value = tb_loss(t, model.logz)
         if t.terminating_state == promoted:
             assert value == pytest.approx(expected, abs=1e-8)
@@ -172,7 +173,7 @@ def test_subtb_full_span_equals_tb_when_root_flow_is_logz():
     env = RegularTree(2, 2)
     model = _random_flow_model(env, 0)
     model.flow_net.table[0, 0] = model.logz
-    t = forward_trajs(model, env, np.random.default_rng(1), 1)[0]
+    (t,) = records(forward_trajs(model, env, np.random.default_rng(1), 1))
     n = len(t.states) - 2
     assert subtb_loss(t, 0, n, model, env) == pytest.approx(
         tb_loss(t, model.logz), abs=1e-12
@@ -182,7 +183,7 @@ def test_subtb_full_span_equals_tb_when_root_flow_is_logz():
 def test_subtb_single_edge_equals_db():
     env = RegularTree(2, 2)
     model = _random_flow_model(env, 2)
-    t = forward_trajs(model, env, np.random.default_rng(3), 1)[0]
+    (t,) = records(forward_trajs(model, env, np.random.default_rng(3), 1))
     assert subtb_loss(t, 0, 1, model, env) == pytest.approx(
         db_loss((t.states[0], t.states[1]), model, env), abs=1e-12
     )
@@ -191,7 +192,7 @@ def test_subtb_single_edge_equals_db():
 def test_subtb_rejects_degenerate_span():
     env = RegularTree(2, 2)
     model = _random_flow_model(env, 2)
-    t = forward_trajs(model, env, np.random.default_rng(3), 1)[0]
+    (t,) = records(forward_trajs(model, env, np.random.default_rng(3), 1))
     with pytest.raises(ValueError):
         subtb_loss(t, 1, 1, model, env)
 
@@ -203,7 +204,7 @@ def test_subtb_batch_matches_brute_force():
         trajs = forward_trajs(model, env, rng, 6)
         lam = 0.9
         report = batch_loss(model, env, trajs, "subtb", subtb_lambda=lam)
-        for i, t in enumerate(trajs):
+        for i, t in enumerate(records(trajs)):
             n = len(t.states) - 2
             vals, weights = [], []
             for t1 in range(n):
@@ -227,7 +228,7 @@ def test_wdb_weights_single_path():
 def test_wdb_weights_tree_example():
     env = RegularTree(2, 2)
     model = balanced_tabular_model(env)
-    t = forward_trajs(model, env, np.random.default_rng(0), 1)[0]
+    (t,) = records(forward_trajs(model, env, np.random.default_rng(0), 1))
     w = wdb_weights(t, env)
     # root edge reaches 2 leaves, the others 1: raw (1/2, 1, 1) -> (0.2, 0.4, 0.4)
     assert np.allclose(w, [0.2, 0.4, 0.4])
@@ -237,7 +238,7 @@ def test_wdb_weights_depend_only_on_depth():
     env = RegularTree(3, 3)
     model = balanced_tabular_model(env)
     rng = np.random.default_rng(1)
-    rows = [wdb_weights(t, env) for t in forward_trajs(model, env, rng, 10)]
+    rows = [wdb_weights(t, env) for t in records(forward_trajs(model, env, rng, 10))]
     for row in rows[1:]:
         assert np.allclose(row, rows[0])
 
@@ -383,7 +384,7 @@ def test_batch_tb_matches_cached_values():
     rng = np.random.default_rng(7)
     trajs = forward_trajs(model, env, rng, 8)
     report = batch_loss(model, env, trajs, "tb")
-    for t, item in zip(trajs, report.per_item):
+    for t, item in zip(records(trajs), report.per_item):
         assert item == pytest.approx(tb_loss(t, model.logz), abs=1e-12)
 
 
@@ -393,7 +394,7 @@ def test_batch_db_matches_per_edge_mean():
         rng = np.random.default_rng(9)
         trajs = forward_trajs(model, env, rng, 5)
         report = batch_loss(model, env, trajs, "db")
-        for t, item in zip(trajs, report.per_item):
+        for t, item in zip(records(trajs), report.per_item):
             edges = [(a, b) for a, b in zip(t.states[:-1], t.states[1:]) if b != env.sink]
             vals = [db_loss(e, model, env) for e in edges]
             assert item == pytest.approx(float(np.mean(vals)), abs=1e-10)
@@ -405,7 +406,7 @@ def test_batch_fm_matches_per_state_mean():
         rng = np.random.default_rng(11)
         trajs = forward_trajs(model, env, rng, 5)
         report = batch_loss(model, env, trajs, "fm")
-        for t, item in zip(trajs, report.per_item):
+        for t, item in zip(records(trajs), report.per_item):
             vals = [fm_loss(s, model, env) for s in t.states[1:-1]]
             assert item == pytest.approx(float(np.mean(vals)), abs=1e-10)
 
@@ -419,7 +420,7 @@ def test_fm_finite_at_tiny_state_flows():
     report = batch_loss(model, env, trajs, "fm", backprop=True)
     assert np.all(np.isfinite(report.per_item))
     assert np.all(np.isfinite(model.params.grads))
-    for t, item in zip(trajs, report.per_item):
+    for t, item in zip(records(trajs), report.per_item):
         vals = [fm_loss(s, model, env) for s in t.states[1:-1]]
         assert np.all(np.isfinite(vals))
         assert item == pytest.approx(float(np.mean(vals)), rel=1e-12)
@@ -431,7 +432,7 @@ def test_batch_wdb_matches_weighted_edges():
         rng = np.random.default_rng(13)
         trajs = forward_trajs(model, env, rng, 4)
         report = batch_loss(model, env, trajs, "wdb")
-        for t, item in zip(trajs, report.per_item):
+        for t, item in zip(records(trajs), report.per_item):
             w = wdb_weights(t, env)
             total = 0.0
             for k, (a, b) in enumerate(zip(t.states[:-1], t.states[1:])):
@@ -443,7 +444,7 @@ def test_batch_wdb_matches_weighted_edges():
 def _reference_log_ratios(objective, model, env, paths):
     """The reference log-ratio of every term of ``objective``, path by path."""
     out = []
-    for t in paths:
+    for t in records(paths):
         s, n = t.states, len(t.states) - 2
         if objective == "tb":
             out.append(tb_log_ratio(t, model.logz))

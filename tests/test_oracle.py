@@ -74,7 +74,7 @@ def test_empirical_l1_decreases_with_sample_count():
     for n in (1_000, 10_000, 100_000):
         rng = rng_for(0, f"l1.{n}")
         trajs = sample_forward_batch(model, env, rng, n)
-        values.append(empirical_total_l1([t.terminating_state for t in trajs], env))
+        values.append(empirical_total_l1(trajs.terminals.tolist(), env))
     assert values[0] > values[1] > values[2]
 
 
@@ -170,12 +170,12 @@ def test_enumerated_trajectories_carry_exact_probs():
     model = PolicyModel.build(env, "tabular", rng=rng)
     model.forward_net.table[...] = rng.normal(0, 0.8, model.forward_net.table.shape)
     trajs = enumerate_trajectories(model, env)
-    total = sum(math.exp(t.log_pf) for t in trajs)
+    total = sum(math.exp(f) for f in trajs.log_pf.tolist())
     assert total == pytest.approx(1.0, abs=1e-12)
     _, p = exact_terminal_distribution(model, env)
     by_x = {int(x): float(v) for x, v in zip(env.terminating_states, p)}
-    for t in trajs:  # tree: one trajectory per leaf
-        assert math.exp(t.log_pf) == pytest.approx(by_x[t.terminating_state], abs=1e-12)
+    for x, f in zip(trajs.terminals.tolist(), trajs.log_pf.tolist()):  # tree: one per leaf
+        assert math.exp(f) == pytest.approx(by_x[x], abs=1e-12)
 
 
 def test_balanced_flow_identities():

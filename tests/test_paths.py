@@ -1,8 +1,8 @@
 """PathBatch against the list-and-object reference, and what its readers rely on.
 
 Every sampler returns one padded state matrix.  These tests hold it to the
-reference implementation in ``numeric_reference`` (lists of states,
-``Trajectory`` objects, edges flattened one by one): the same paths from the
+reference implementation in ``numeric_reference`` (lists of states, its own
+``Trajectory`` records, edges flattened one by one): the same paths from the
 same random stream, the same ``(tid, src, dst)`` edge order, bit-identical
 log-probs and certificate records.
 """
@@ -24,7 +24,6 @@ from stablegfn.policy import (
     EdgeBatch,
     PathView,
     PolicyModel,
-    Trajectory,
     exact_terminal_distribution,
     rollout,
     sample_backward_batch,
@@ -79,7 +78,7 @@ def test_bulk_sampler_matches_reference(env_name, kind, forward):
         model, env, ref.walk(model, env, rng_ref, starts, forward), provenance)
     assert rng.random() == rng_ref.random()  # both consumed the same uniforms
 
-    assert [t.states for t in paths] == [t.states for t in want]
+    assert ref.path_lists(paths) == [t.states for t in want]
     assert paths.terminals.tolist() == [t.terminating_state for t in want]
     assert paths.provenance.tolist() == [provenance] * len(want)
     assert _same_edges(EdgeBatch.of_paths(model, env, paths), want_edges)
@@ -101,8 +100,8 @@ def test_training_batch_and_subgraph_certificate_match_reference(env_name, kind)
     batch = rollout(model, env, rng, [env.initial_state] * 16, epsilon=0.2)
     batch += rollout(model, env, rng, xs, forward=False)
     edges = score_paths(model, env, batch)
-    lists = [p.states for p in rollout(model, env, rng_ref, [env.initial_state] * 16, epsilon=0.2)]
-    lists += [p.states for p in rollout(model, env, rng_ref, xs, forward=False)]
+    lists = ref.path_lists(rollout(model, env, rng_ref, [env.initial_state] * 16, epsilon=0.2))
+    lists += ref.path_lists(rollout(model, env, rng_ref, xs, forward=False))
     want, want_edges = ref.trajectories_from_paths(model, env, lists, "x")
     assert _same_edges(edges, want_edges)
     assert batch.log_pf.tolist() == [t.log_pf for t in want]
@@ -114,9 +113,9 @@ def test_training_batch_and_subgraph_certificate_match_reference(env_name, kind)
     bwd = sample_backward_batch(model, env, np.random.default_rng(5), np.repeat(subset, 3))
     fwd = sample_forward_batch(model, env, np.random.default_rng(6), 200)
     report = certify.subgraph_certificate(env, subset, bwd, fwd, model.logz, 0.05)
-    kept = [t for t in fwd.trajectories() if t.terminating_state in set(subset)]
+    kept = [t for t in ref.records(fwd) if t.terminating_state in set(subset)]
     expected = certify.optimize_certificate(
-        ref.records_from_trajectories(bwd.trajectories(), model.logz),
+        ref.records_from_trajectories(ref.records(bwd), model.logz),
         ref.records_from_trajectories(kept, model.logz), 0.05, scope="subgraph")
     assert report.n == len(kept) and report.m == len(bwd)
     assert (report.bound, report.raw_bound, report.threshold) == (
@@ -141,20 +140,15 @@ def test_enumerated_paths_match_reference():
     paths = oracle.enumerate_trajectories(model, env)
     want, _ = ref.trajectories_from_paths(
         model, env, oracle.enumerate_trajectory_states(env), "enumerated")
-    assert [t.states for t in paths] == [t.states for t in want]
+    assert ref.path_lists(paths) == [t.states for t in want]
     assert paths.log_pf.tolist() == [t.log_pf for t in want]
     assert paths.log_pb.tolist() == [t.log_pb for t in want]
 
 
-def test_bulk_samples_serve_the_harness_and_cli_readers(monkeypatch):
+def test_bulk_samples_serve_the_harness_and_cli_readers():
     """What ``bench/workloads.py`` and ``cli`` read from the bulk samplers."""
     env = Hypergrid(2, 6)
     model = _model(env, "mlp")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a bulk batch built a Trajectory object")
-
-    monkeypatch.setattr(Trajectory, "__init__", refuse)
     rng = np.random.default_rng(8)
     scope = env.terminating_states[:10].tolist()
     xs = np.repeat(scope, 5)
@@ -162,7 +156,9 @@ def test_bulk_samples_serve_the_harness_and_cli_readers(monkeypatch):
     fwd = sample_forward_batch(model, env, rng, 700)
     assert len(bwd) == 50 and len(fwd) == 700
     terminals = [t.terminating_state for t in fwd]  # the evaluation's read
-    assert all(type(t) is PathView for t in fwd)
+    # rows are one-slot views: the package builds no per-path record
+    assert all(type(t) is PathView for t in fwd) and PathView.__slots__ == ("terminating_state",)
+    assert not hasattr(policy, "Trajectory")
     assert terminals == fwd.terminals.tolist() and all(type(x) is int for x in terminals)
     assert [t.terminating_state for t in bwd] == xs.tolist()
     assert 0.0 <= oracle.empirical_total_l1(terminals, env) <= 2.0

@@ -6,10 +6,14 @@ import pytest
 from stablegfn import envs
 from stablegfn.envs import EnumerationCapError, Hypergrid, RegularTree
 from stablegfn.policy import (
+    LOGIT_CLAMP,
     EdgeBatch,
+    PathBatch,
     PolicyModel,
-    Trajectory,
+    _clamp,
     _draw_rows,
+    _log_softmax,
+    _masked_rows,
     exact_terminal_distribution,
     proportional_draw,
     read_trajectory_log,
@@ -22,6 +26,7 @@ from stablegfn.policy import (
 from stablegfn.trainer import rng_for
 
 from loss_reference import backward_row, forward_row, log_pb_edge, log_pf_edge
+from numeric_reference import path_lists, records
 from random_dag import random_dags
 
 
@@ -78,9 +83,10 @@ def test_uniform_model_tree_leaf_probs():
     env = RegularTree(2, 1)
     model = PolicyModel.build(env, "tabular")   # zero logits = uniform
     rng = np.random.default_rng(0)
-    (t,) = walk(model, env, rng, [env.initial_state])
-    assert t.log_pf == pytest.approx(math.log(0.5), abs=1e-12)
-    assert t.log_pb == 0.0  # unique parents
+    paths = walk(model, env, rng, [env.initial_state])
+    assert len(paths) == 1
+    assert paths.log_pf[0] == pytest.approx(math.log(0.5), abs=1e-12)
+    assert paths.log_pb[0] == 0.0  # unique parents
 
 
 def test_epsilon_one_samples_uniformly():
@@ -91,8 +97,8 @@ def test_epsilon_one_samples_uniformly():
     rng = np.random.default_rng(1)
     counts = np.zeros(3)
     n = 30_000
-    for path in rollout(model, env, rng, [env.initial_state] * n, epsilon=0.999999999):
-        counts[path.terminating_state - 1] += 1
+    np.add.at(counts, rollout(model, env, rng, [env.initial_state] * n,
+                              epsilon=0.999999999).terminals - 1, 1)
     assert np.all(np.abs(counts / n - 1 / 3) < 0.01)
 
 
@@ -103,7 +109,7 @@ def test_deterministic_policy_always_same_trajectory():
     model.forward_net.table[0, 1] = 50.0
     model.forward_net.table[2, 0] = 50.0
     rng = np.random.default_rng(0)
-    first, *rest = [p.states for p in rollout(model, env, rng, [env.initial_state] * 21)]
+    first, *rest = path_lists(rollout(model, env, rng, [env.initial_state] * 21))
     for path in rest:
         assert path == first
 
@@ -116,8 +122,8 @@ def test_exploration_not_in_recorded_log_probs():
     expected = {1: None, 2: None}
     _, _, lp = forward_row(model, 0, env)
     expected[1], expected[2] = float(lp[0]), float(lp[1])
-    for t in walk(model, env, rng, [env.initial_state] * 50, epsilon=0.9):
-        assert t.log_pf == expected[t.terminating_state]
+    paths = walk(model, env, rng, [env.initial_state] * 50, epsilon=0.9)
+    assert paths.log_pf.tolist() == [expected[x] for x in paths.terminals.tolist()]
 
 
 def test_backward_sampling_tree_is_deterministic():
@@ -125,7 +131,7 @@ def test_backward_sampling_tree_is_deterministic():
     model = random_model(env)
     rng = np.random.default_rng(0)
     x = int(env.leaves[4])
-    (t,) = walk(model, env, rng, [x], forward=False)
+    (t,) = records(walk(model, env, rng, [x], forward=False))
     assert t.states[0] == env.initial_state
     assert t.states[-1] == env.sink
     assert t.terminating_state == x
@@ -138,11 +144,9 @@ def test_backward_sampling_grid_lattice_paths():
     model = PolicyModel.build(env, "tabular", learn_backward=False)  # uniform backward
     rng = np.random.default_rng(0)
     x = env.n_grid + 1 * 3 + 1  # terminal copy of (1, 1)
-    seen = set()
-    for t in walk(model, env, rng, [x] * 64, forward=False):
-        assert t.log_pb == pytest.approx(math.log(0.5), abs=1e-12)
-        seen.add(tuple(t.states))
-    assert len(seen) == 2  # the two monotone lattice paths
+    paths = walk(model, env, rng, [x] * 64, forward=False)
+    np.testing.assert_allclose(paths.log_pb, math.log(0.5), rtol=0, atol=1e-12)
+    assert len(set(map(tuple, path_lists(paths)))) == 2  # the two monotone lattice paths
 
 
 def test_backward_sampling_rejects_non_terminal():
@@ -155,8 +159,8 @@ def test_backward_sampling_rejects_non_terminal():
 def test_single_edge_backward_trajectory():
     env = RegularTree(2, 1)
     model = random_model(env)
-    (t,) = walk(model, env, np.random.default_rng(0), [env.leaves[0]], forward=False)
-    assert len(t.states) == 3  # s0 -> leaf -> sink
+    paths = walk(model, env, np.random.default_rng(0), [env.leaves[0]], forward=False)
+    assert paths.lengths.tolist() == [3]  # s0 -> leaf -> sink
 
 
 @pytest.mark.parametrize("kind", ["tabular", "mlp"])
@@ -165,10 +169,10 @@ def test_cached_log_probs_recompute_exactly(kind):
     model = random_model(env, kind)
     trajs = walk(model, env, np.random.default_rng(5), [env.initial_state] * 10, epsilon=0.1)
     lpf, lpb = EdgeBatch.of_paths(model, env, trajs).per_trajectory(len(trajs))
-    assert [t.log_pf for t in trajs] == lpf.tolist()
-    assert [t.log_pb for t in trajs] == lpb.tolist()
+    assert trajs.log_pf.tolist() == lpf.tolist()
+    assert trajs.log_pb.tolist() == lpb.tolist()
     # and they agree with the per-edge definitions
-    for t in trajs:
+    for t in records(trajs):
         edges = list(zip(t.states[:-1], t.states[1:]))
         assert t.log_pf == pytest.approx(sum(log_pf_edge(model, a, b, env) for a, b in edges),
                                          abs=1e-12)
@@ -188,10 +192,10 @@ def test_rollout_keeps_the_per_state_stream(env, kind):
     starts = [env.initial_state] * 20
     xs = np.random.default_rng(8).choice(env.terminating_states, size=20)
     for eps in (0.0, 0.1, 0.999999999):
-        assert [p.states for p in rollout(model, env, rng, starts, epsilon=eps)] == [
+        assert path_lists(rollout(model, env, rng, starts, epsilon=eps)) == [
             reference_walk(model, env, ref, s, epsilon=eps) for s in starts
         ]
-        assert [p.states for p in rollout(model, env, rng, xs, forward=False, epsilon=eps)] == [
+        assert path_lists(rollout(model, env, rng, xs, forward=False, epsilon=eps)) == [
             reference_walk(model, env, ref, x, forward=False, epsilon=eps) for x in xs
         ]
         # both consumed the same draws, down to the half-used 32-bit word
@@ -221,11 +225,11 @@ def test_rollout_draw_follows_the_proportional_rule():
 def test_rollout_fills_the_move_table_only_on_its_path():
     env = Hypergrid(4, 16)
     model = random_model(env, seed=3)
-    (path,) = rollout(model, env, np.random.default_rng(0), [env.initial_state])
+    (path,) = path_lists(rollout(model, env, np.random.default_rng(0), [env.initial_state]))
     forward, backward = env._moves
-    assert sorted(forward) == sorted(path.states[:-1]) and not backward
-    (back,) = rollout(model, env, np.random.default_rng(0), [path.terminating_state], forward=False)
-    assert sorted(backward) == sorted(back.states[1:-1])
+    assert sorted(forward) == sorted(path[:-1]) and not backward
+    (back,) = path_lists(rollout(model, env, np.random.default_rng(0), [path[-2]], forward=False))
+    assert sorted(backward) == sorted(back[1:-1])
     assert forward[env.initial_state][1] == env.children(env.initial_state).tolist()
 
 
@@ -238,17 +242,18 @@ def test_rollout_rows_do_not_outlive_a_call():
     first = rollout(model, env, rng, [env.initial_state] * 8)
     model.forward_net.table[env.initial_state] = [-50.0, 50.0]
     second = rollout(model, env, rng, [env.initial_state] * 8)
-    assert {p.states[1] for p in first} == {children[0]}
-    assert {p.states[1] for p in second} == {children[1]}
+    assert set(first.states[:, 1].tolist()) == {children[0]}
+    assert set(second.states[:, 1].tolist()) == {children[1]}
 
 
 def test_backward_then_forward_consistency():
     env = Hypergrid(2, 4, r0=0.1)
     model = random_model(env)
     rng = np.random.default_rng(2)
-    for t in walk(model, env, rng, env.terminating_states[:8], forward=False):
-        assert math.isfinite(t.log_pf)
-        for a, b in zip(t.states[:-1], t.states[1:]):
+    paths = walk(model, env, rng, env.terminating_states[:8], forward=False)
+    assert np.all(np.isfinite(paths.log_pf))
+    for p in path_lists(paths):
+        for a, b in zip(p[:-1], p[1:]):
             assert b in env.children(a)
 
 
@@ -301,17 +306,16 @@ def test_batch_samplers_agree_with_law():
     trajs = sample_forward_batch(model, env, rng, 4000)
     xs, p = exact_terminal_distribution(model, env)
     counts = {int(x): 0 for x in xs}
-    for t in trajs:
-        counts[t.terminating_state] += 1
-        # cached values recompute exactly under the batched evaluator
-        assert math.isfinite(t.log_pf)
+    for x in trajs.terminals.tolist():
+        counts[x] += 1
+    # cached values recompute exactly under the batched evaluator
+    assert np.all(np.isfinite(trajs.log_pf))
     freq = np.array([counts[int(x)] / 4000 for x in xs])
     assert np.abs(freq - p).max() < 0.05
 
     lpf, lpb = EdgeBatch.of_paths(model, env, trajs[:50]).per_trajectory(50)
-    for t, f, b in zip(trajs[:50], lpf, lpb):
-        assert t.log_pf == pytest.approx(float(f), abs=1e-12)
-        assert t.log_pb == pytest.approx(float(b), abs=1e-12)
+    np.testing.assert_allclose(trajs.log_pf[:50], lpf, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trajs.log_pb[:50], lpb, rtol=0, atol=1e-12)
 
 
 def test_backward_batch_matches_single(tmp_path):
@@ -320,16 +324,58 @@ def test_backward_batch_matches_single(tmp_path):
     rng = rng_for(1, "bwd")
     xs = np.array([env.n_grid + 4, env.n_grid + 8], dtype=np.int64)
     trajs = sample_backward_batch(model, env, rng, xs)
-    for t, x in zip(trajs, xs):
-        assert t.terminating_state == int(x)
-        assert t.states[0] == env.initial_state
+    assert trajs.terminals.tolist() == xs.tolist()
+    assert np.all(trajs.states[:, 0] == env.initial_state)
 
     path = tmp_path / "log.jsonl"
     write_trajectory_log(str(path), trajs)
     back = read_trajectory_log(str(path))
-    assert [t.states for t in back] == [t.states for t in trajs]
-    assert [t.log_pf for t in back] == [t.log_pf for t in trajs]
-    assert [t.provenance for t in back] == ["backward-sampled", "backward-sampled"]
+    assert path_lists(back) == path_lists(trajs)
+    assert back.log_pf.tolist() == trajs.log_pf.tolist()
+    assert back.provenance.tolist() == ["backward-sampled", "backward-sampled"]
+
+
+def test_trajectory_log_bytes(tmp_path):
+    states = np.array([[0, 2, 5, 9], [0, 3, 9, -1]], dtype=np.int64)
+    paths = PathBatch(states, np.array([4, 3]), np.array([0.1, 2.0]),
+                      np.array(["forward-sampled", "backward-sampled"]),
+                      np.array([-1.2345678901234567, 0.0]), np.array([-0.5, -1e-300]))
+    path = tmp_path / "log.jsonl"
+    write_trajectory_log(str(path), paths)
+    assert path.read_text(encoding="utf-8") == (
+        '{"states": [0, 2, 5, 9], "log_pf": -1.2345678901234567, "log_pb": -0.5, '
+        '"reward": 0.1, "provenance": "forward-sampled"}\n'
+        '{"states": [0, 3, 9], "log_pf": 0.0, "log_pb": -1e-300, '
+        '"reward": 2.0, "provenance": "backward-sampled"}\n'
+    )
+
+
+def test_clamp_matches_np_clip_bitwise():
+    edge = [LOGIT_CLAMP, -LOGIT_CLAMP, np.nextafter(LOGIT_CLAMP, np.inf),
+            np.nextafter(-LOGIT_CLAMP, -np.inf), 1e300, -1e300, np.inf, -np.inf, 0.0, -0.0,
+            5e-324, 49.999999999999]
+    rows = [np.array(edge)] + [np.random.default_rng(w).normal(0, 60, w) for w in range(1, 10)]
+    for x in rows:
+        assert _clamp(x).tobytes() == np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP).tobytes()
+    clipped = set()
+    for kind in ("tabular", "mlp"):
+        for width in range(2, 10):
+            env = RegularTree(width, 1)
+            model = random_model(env, kind, seed=width, noise=80.0)
+            model.params.values[...] *= 1.0 if kind == "tabular" else 8.0
+            s = np.array([env.initial_state])
+            out, _ = model._eval_rows(model.forward_net, s, env, cache=False)
+            clip = np.clip(out, -LOGIT_CLAMP, LOGIT_CLAMP)
+            if np.any(clip != out):
+                clipped.add(kind)
+            lp = forward_row(model, env.initial_state, env)[2]
+            assert lp.tobytes() == _log_softmax(clip[0]).tobytes()
+            for w in range(1, width + 1):  # rows of every width, down to one slot
+                assert _clamp(out[:, :w]).tobytes() == clip[:, :w].tobytes()
+                mask = np.arange(width) < w
+                want = _log_softmax(np.where(mask, clip, -np.inf))
+                assert _masked_rows(out, mask[None])[0].tobytes() == want.tobytes()
+    assert clipped == {"tabular", "mlp"}  # both kinds' rows reach past the clamp
 
 
 def test_logit_clamp_applies_to_policy():

@@ -8,7 +8,14 @@ from stablegfn.approximator import NonFiniteError
 from stablegfn.envs import Hypergrid, RegularTree
 from stablegfn.losses import batch_loss
 from stablegfn.oracle import balanced_tabular_model, exact_tv
-from stablegfn.policy import EdgeBatch, PolicyModel, Trajectory, rollout, score_paths
+from stablegfn.policy import (
+    EdgeBatch,
+    PathBatch,
+    PolicyModel,
+    proportional_draw,
+    rollout,
+    score_paths,
+)
 from stablegfn.trainer import (
     CSV_COLUMNS,
     ReplayBuffer,
@@ -93,44 +100,79 @@ def test_topk_buffer_empty_sampling_errors():
         TopKBuffer(2).sample(np.random.default_rng(0), 1)
 
 
+def _tagged_paths(rewards, first=0, log_pf=0.0):
+    """Scored paths 0 -> k -> sink for k = first, first + 1, ..., tagged "k" in provenance."""
+    ks = list(range(first, first + len(rewards)))
+    return PathBatch(np.array([[0, k, 10**6] for k in ks], dtype=np.int64).reshape(-1, 3),
+                     np.full(len(ks), 3), np.array(rewards, dtype=float),
+                     np.array([str(k) for k in ks], dtype=str),
+                     np.full(len(ks), log_pf), np.zeros(len(ks)))
+
+
+def _insert_one(items, capacity, item):
+    """The list reference: (tag, reward) items, one stable sort per insert once full."""
+    items.append(item)
+    if len(items) > capacity:
+        items.sort(key=lambda t: -t[1])
+        del items[capacity:]
+
+
 def test_replay_buffer_priority_eviction():
     buf = ReplayBuffer(2)
-    for r in (1.0, 5.0, 3.0):
-        buf.insert([Trajectory([0, 1, 2], 0.0, 0.0, r)])
-    rewards = sorted(t.reward for t in buf._items)
-    assert rewards == [3.0, 5.0]
+    for k, r in enumerate((1.0, 5.0, 3.0)):
+        buf.insert(_tagged_paths([r], k))
+    assert sorted(buf.paths.rewards.tolist()) == [3.0, 5.0]
 
 
 def test_replay_buffer_single_item_and_empty():
     buf = ReplayBuffer(4)
     with pytest.raises(ValueError):
         buf.sample(np.random.default_rng(0), 1)
-    buf.insert([Trajectory([0, 1, 2], -0.5, 0.0, 2.0)])
+    buf.insert(_tagged_paths([], 0))
+    with pytest.raises(ValueError):
+        buf.sample(np.random.default_rng(0), 1)
+    buf.insert(_tagged_paths([2.0], 7, log_pf=-0.5))
     out = buf.sample(np.random.default_rng(0), 3)
     assert len(out) == 3
-    assert all(t.reward == 2.0 and t.provenance == "replayed" for t in out)
+    assert out.rewards.tolist() == [2.0] * 3 and out.provenance.tolist() == ["replayed"] * 3
+    assert out.states.tolist() == [[0, 7, 10**6]] * 3 and out.log_pf is None
 
 
 def test_replay_round_insert_matches_one_at_a_time():
-    def insert_one(items, capacity, traj):  # one sort per insert once full
-        items.append(traj)
-        if len(items) > capacity:
-            items.sort(key=lambda t: -t.reward)
-            del items[capacity:]
-
     rng = np.random.default_rng(0)
     for _ in range(300):
         capacity = int(rng.integers(1, 12))
-        buf, ref = ReplayBuffer(capacity), []
+        buf, ref, tag = ReplayBuffer(capacity), [], 0
         for _ in range(int(rng.integers(1, 8))):
             # few distinct rewards: ties are the rule
-            fresh = [Trajectory([0, 1, 2], 0.0, 0.0, float(rng.integers(1, 4)))
-                     for _ in range(int(rng.integers(0, 10)))]
-            buf.insert(fresh)
-            for t in fresh:
-                insert_one(ref, capacity, t)
+            rewards = rng.integers(1, 4, int(rng.integers(0, 10))).astype(float).tolist()
+            buf.insert(_tagged_paths(rewards, tag))
+            for r in rewards:
+                _insert_one(ref, capacity, (str(tag), r))
+                tag += 1
             # same items in the same order, so ReplayBuffer.sample draws the same
-            assert [id(t) for t in buf._items] == [id(t) for t in ref]
+            assert buf.paths.provenance.tolist() == [t for t, _ in ref]
+            assert buf.paths.rewards.tolist() == [r for _, r in ref]
+
+
+def test_replay_sample_matches_list_reference():
+    rng = np.random.default_rng(1)
+    buf, ref, tag = ReplayBuffer(9), [], 0
+    for _ in range(6):
+        rewards = rng.uniform(0.5, 4.0, 4).tolist()  # distinct: every row draws differently
+        buf.insert(_tagged_paths(rewards, tag))
+        for r in rewards:
+            _insert_one(ref, 9, (tag, r))
+            tag += 1
+    draws, ref_draws = np.random.default_rng(2), np.random.default_rng(2)
+    for count in (1, 5, 64):
+        got = buf.sample(draws, count)
+        idx = proportional_draw(ref_draws, np.array([r for _, r in ref]), count)
+        want = [ref[i] for i in idx.tolist()]
+        assert got.terminals.tolist() == [k for k, _ in want]
+        assert got.rewards.tolist() == [r for _, r in want]
+        assert got.states.tolist() == [[0, k, 10**6] for k, _ in want]
+    assert draws.bit_generator.state == ref_draws.bit_generator.state
 
 
 def _tree_config(**kw):
