@@ -61,7 +61,7 @@ class ParamVector:
         self.grads[:] = 0.0
 
     def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.values)):
+        if not _all_finite(self.values, self.values.sum()):
             raise NonFiniteError("parameter vector contains non-finite entries")
 
     def state_dict(self) -> Dict[str, np.ndarray]:
@@ -192,16 +192,26 @@ def _leaky_slope(h: np.ndarray) -> np.ndarray:
     return s
 
 
+def _all_finite(a: np.ndarray, total: float) -> bool:
+    """Whether every entry of ``a`` is finite, given a sum or norm over it.
+
+    A finite total proves it, so the entrywise check runs only when the total
+    is not finite, which finite entries can also give by overflowing.
+    """
+    return math.isfinite(total) or bool(np.isfinite(a).all())
+
+
 def clip_grad_norm(grad: np.ndarray, max_norm: float = 10.0,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Rescale ``grad`` to L2 norm ``max_norm`` when it exceeds it, else pass through.
 
     The rescaled copy is written into ``out`` when given (a fresh array
-    otherwise); ``grad`` itself is never modified.
+    otherwise); ``grad`` itself is never modified.  A finite gradient whose
+    norm overflows is scaled by ``max_norm / inf``, to zero.
     """
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteError("gradient contains non-finite entries")
     norm = float(np.linalg.norm(grad))
+    if not _all_finite(grad, norm):
+        raise NonFiniteError("gradient contains non-finite entries")
     if norm > max_norm:
         return np.multiply(grad, max_norm / norm, out=out)
     return grad
@@ -215,9 +225,11 @@ class AdamOptimizer:
 
     The moments ``m``/``v`` and two scratch vectors are allocated once and
     updated in place, in the operation order of the textbook formula, so the
-    values are those of the allocating form bit for bit; a step allocates
-    only the boolean masks of its finiteness checks.  What a rejected step
-    leaves behind:
+    values are those of the allocating form bit for bit.  The learning rate
+    is a scalar outside the slices of ``lr_overrides``.  Each finiteness
+    check reads a norm or a sum and looks at the entries only when that is
+    not finite, so a step allocates nothing unless a check fails or a total
+    overflows.  What a rejected step leaves behind:
 
     * a non-finite gradient (caught by the clip) changes nothing;
     * a non-finite update leaves the parameters as they were, but
@@ -243,10 +255,10 @@ class AdamOptimizer:
         self.m = np.zeros(params.size)
         self.v = np.zeros(params.size)
         self._scratch = np.empty((2, params.size))
-        self.lr_vector = np.full(params.size, lr)
-        for name, slice_lr in (lr_overrides or {}).items():
-            lo, hi = params.slice_bounds(name)
-            self.lr_vector[lo:hi] = slice_lr
+        self.lr = lr
+        # (start, end, rate) of every slice with a rate of its own
+        self._overrides = [(*params.slice_bounds(name), rate)
+                           for name, rate in (lr_overrides or {}).items()]
 
     def step(self) -> None:
         u, w = self._scratch
@@ -263,13 +275,17 @@ class AdamOptimizer:
         self.v *= self.beta2
         self.v += w
         # update = (lr * (m/c1)) / (sqrt(v/c2) + eps), built in u (the clipped g is spent)
-        np.divide(self.m, 1 - self.beta1**self.step_count, out=u)
-        np.multiply(self.lr_vector, u, out=u)
+        c1 = 1 - self.beta1**self.step_count
+        np.divide(self.m, c1, out=u)
+        u *= self.lr
+        for lo, hi, rate in self._overrides:
+            np.divide(self.m[lo:hi], c1, out=u[lo:hi])
+            u[lo:hi] *= rate
         np.divide(self.v, 1 - self.beta2**self.step_count, out=w)
         np.sqrt(w, out=w)
         w += self.eps
         u /= w
-        if not np.all(np.isfinite(u)):
+        if not _all_finite(u, u.sum()):
             raise NonFiniteError("optimizer update is non-finite; step rejected")
         self.params.values -= u
         self.params.check_finite()

@@ -50,6 +50,12 @@ def _check_keys(section: Dict, allowed: List[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _number(key: str, value, annotation: str = "float"):
+    """``value`` as a float when ``annotation`` admits it (None stays None)."""
+    value = check_type(key, value, annotation)
+    return None if value is None else float(value)
+
+
 def _resolve_env(section: Dict) -> Dict:
     kind = _require(section, "kind", "env")
     if kind not in ENV_DEFAULTS:
@@ -58,23 +64,27 @@ def _resolve_env(section: Dict) -> Dict:
     if kind == "tree":
         _check_keys(section, ["kind", "branching", "depth", "leaf_rewards"], "env")
         rewards = merged["leaf_rewards"]
+        if not (rewards is None or isinstance(rewards, list)):
+            raise ConfigError("env.leaf_rewards must be a list of numbers or null, "
+                              f"got {rewards!r}")
         return {
             "kind": "tree",
             "branching": check_type("env.branching", _require(section, "branching", "env"), "int"),
             "depth": check_type("env.depth", _require(section, "depth", "env"), "int"),
-            "leaf_rewards": None if rewards is None else [float(r) for r in rewards],
+            "leaf_rewards": None if rewards is None else [
+                _number("each env.leaf_rewards entry", r) for r in rewards],
         }
     if kind == "hypergrid":
         _check_keys(section, ["kind", "dimension", "side", "r0", "r1", "r2"], "env")
         side = check_type("env.side", _require(section, "side", "env"), "int")
-        r0 = merged["r0"]
+        r0 = _number("env.r0", merged["r0"], "Optional[float]")
         return {
             "kind": "hypergrid",
             "dimension": check_type("env.dimension", _require(section, "dimension", "env"), "int"),
             "side": side,
-            "r0": hypergrid_default_r0(side) if r0 is None else float(r0),
-            "r1": float(merged["r1"]),
-            "r2": float(merged["r2"]),
+            "r0": hypergrid_default_r0(side) if r0 is None else r0,
+            "r1": _number("env.r1", merged["r1"]),
+            "r2": _number("env.r2", merged["r2"]),
         }
     _check_keys(section, ["kind", "branching", "depth", "epsilon", "stage"], "env")
     if merged["stage"] not in ("prev", "new"):
@@ -83,7 +93,7 @@ def _resolve_env(section: Dict) -> Dict:
         "kind": "one_more_mode",
         "branching": check_type("env.branching", _require(section, "branching", "env"), "int"),
         "depth": check_type("env.depth", _require(section, "depth", "env"), "int"),
-        "epsilon": float(_require(section, "epsilon", "env")),
+        "epsilon": _number("env.epsilon", _require(section, "epsilon", "env")),
         "stage": merged["stage"],
     }
 
@@ -105,11 +115,13 @@ def _resolve_model(section: Dict, objective: str) -> Dict:
         raise ConfigError(f"objective {objective!r} needs a state-flow head: "
                           "model.flow_head must be true or 'auto'")
     hidden = section.get("hidden", [256, 256])
-    if not (isinstance(hidden, list) and len(hidden) == 2 and min(map(int, hidden)) >= 1):
+    if isinstance(hidden, list):
+        hidden = [check_type("each model.hidden width", h, "int") for h in hidden]
+    if not (isinstance(hidden, list) and len(hidden) == 2 and min(hidden) >= 1):
         raise ConfigError("model.hidden must be a list of two widths >= 1")
     return {
         "kind": kind,
-        "hidden": [check_type("each model.hidden width", h, "int") for h in hidden],
+        "hidden": hidden,
         "backward": backward,
         "flow_head": flow_head,
     }

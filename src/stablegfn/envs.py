@@ -14,6 +14,8 @@ One graph layout: the edge arrays (``edge_src``/``edge_dst``/``edge_fslot``/
 ``edge_bslot``) and the slot matrices (``child_matrix``/``parent_matrix``).
 The move table ``_moves`` holds the same edges per state, as Python lists,
 only at the states a rollout has visited (see :func:`stablegfn.policy.rollout`).
+``forward_choice``/``backward_choice`` list the states with more than one
+child/parent: the only states whose policy rows a sampler evaluates.
 One graph order, the level order: ``levels`` groups states by their longest
 distance from the source, ``level_edges`` groups edges by their source's
 level.  Every whole-graph pass walks it, one array step per level.
@@ -78,7 +80,8 @@ class DagEnv:
         "num_states", "initial_state", "sink", "features", "feature_dim", "num_edges",
         "edge_src", "edge_dst", "edge_fslot", "edge_bslot", "num_forward_slots",
         "num_backward_slots", "child_matrix", "parent_matrix", "forward_mask",
-        "backward_mask", "levels", "level_edges", "topological_order", "_moves",
+        "backward_mask", "forward_choice", "backward_choice", "levels", "level_edges",
+        "topological_order", "_moves", "_move_choices",
     )
 
     def __init__(
@@ -113,6 +116,10 @@ class DagEnv:
         _fill_slots(self.parent_matrix, dst[inner], bslot[inner], src[inner], "backward")
         self.forward_mask = self.child_matrix >= 0
         self.backward_mask = self.parent_matrix >= 0
+        indeg = np.bincount(dst, minlength=S)
+        indeg[sink] = 0  # edges into the sink have no backward slot
+        self.forward_choice = np.flatnonzero(np.bincount(src, minlength=S) > 1)
+        self.backward_choice = np.flatnonzero(indeg > 1)
 
         xs = np.fromiter(rewards.keys(), dtype=np.int64, count=len(rewards))
         rs = np.fromiter(rewards.values(), dtype=np.float64, count=len(rewards))
@@ -127,9 +134,11 @@ class DagEnv:
         self.levels, self.level_edges = self._level_order()
         self.topological_order = np.concatenate(self.levels)
         self._encoding_matrix: Optional[np.ndarray] = None
-        # (forward, backward): state -> (slots, next states as a list), filled
-        # by policy.rollout at the states it visits; never built whole
+        # (forward, backward): state -> (slots, next states as a list, index in
+        # _move_choices or -1 without a choice), filled by policy.rollout at
+        # the states it visits; never built whole
         self._moves: Tuple[Dict, Dict] = ({}, {})
+        self._move_choices: Tuple[List[int], List[int]] = ([], [])
         # filled on first use by losses.terminal_reach_counts
         self._reach_counts: Optional[np.ndarray] = None
         self._validate()

@@ -17,17 +17,44 @@ call.  Bulk samplers walk in lockstep, one matrix column per step.
 its edges, so they are bit-reproducible given seed and batch.  The batch is
 the one path record: the replay buffer keeps one, the trajectory log one.
 
+One policy table per call.  A bulk sampling or scoring call over ``n``
+paths may evaluate a side's policy once, as one table of log-prob rows over
+that side's choice states (:func:`_log_policy`), and walk and score by
+gathering from it.  The rule, for every net: a side's table is built when
+``n`` is at least its number of choice states.  Then the call's lockstep
+steps and its scoring would evaluate about that many rows or more; with
+fewer paths they visit a small part of a large graph, where the table would
+cost more than it saves (on a tabular H(4,16), with 65,535 forward choice
+states, bulk calls of 1,000 forward and 1,000 backward paths took 46 ms
+without tables and 71 ms with them on a 2-vCPU host).  A training
+:func:`rollout` reads a table only for a tabular net, over the choice states
+already in its move table, and only on a side of fewer than
+:data:`_ORDERED_SUM_WIDTH` slots.  Why the bits hold:
+
+* a tabular row is a gather, and a matrix row of :func:`_masked_rows`
+  depends only on that row, so table rows are the rows of a per-step or
+  per-batch evaluation bit for bit;
+* a listed rollout row is the table row's cumulative sums at the state's
+  slots.  :func:`_log_softmax` over the valid slots and over the whole
+  masked width (zeros at the invalid ones) agree while numpy sums in order,
+  below 8 entries; wider sides keep per-state rows;
+* MLP rows change in the last bits with the row count of a call below about
+  640 rows (OpenBLAS' small-matrix kernel), so an MLP table may move bulk
+  log-probs in their last bits and, when a uniform lands within rounding of a
+  cumulative boundary, a draw.  Training rollouts never read an MLP table.
+
 Net evaluations that never backprop keep no backward caches and run in
 near-equal row blocks of at most :data:`EVAL_BLOCK_ROWS` rows, all through
-:meth:`PolicyModel._eval_rows`: the exact DP, both walkers, and the scoring
-of bulk and enumerated batches (:func:`score_paths`).  Only the edges and
-flows of a training step (:meth:`EdgeBatch.of_paths` and :class:`FlowBatch`,
-built by the trainer and :func:`stablegfn.losses.batch_loss`) keep caches.
+:meth:`PolicyModel._eval_rows`: the exact DP, the policy tables, both
+walkers, and the scoring of bulk and enumerated batches
+(:func:`score_paths`).  Only the edges and flows of a training step
+(:meth:`EdgeBatch.of_paths` and :class:`FlowBatch`, built by the trainer and
+:func:`stablegfn.losses.batch_loss`) keep caches.
 
 One implementation each: :func:`_log_softmax` for every policy row,
 the rule of :func:`proportional_draw` for every reward-proportional draw in the
 package (row-wise in :func:`_draw_rows`, on a listed row in :func:`rollout`),
-:func:`_walk` for both bulk samplers.
+:func:`_walk` for both bulk samplers, :func:`_log_policy` for every table.
 :func:`exact_terminal_distribution` pushes mass along the environment's level
 order, one array step per level (see :mod:`stablegfn.envs`).
 """
@@ -48,6 +75,9 @@ LOGIT_CLAMP = 50.0
 # of it; OpenBLAS rounds products of fewer than about 640 rows differently (a
 # small-matrix kernel), so blocks this large give the whole-batch values.
 EVAL_BLOCK_ROWS = 2048
+# numpy's pairwise sum adds fewer than 8 entries in order, so a masked row
+# of fewer slots sums its valid entries as the row of those entries alone
+_ORDERED_SUM_WIDTH = 8
 
 
 def _pad(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -290,6 +320,42 @@ class PolicyModel:
         return _log_softmax(_clamp(out[0][slots]))
 
 
+def _log_policy(model: PolicyModel, net, mask: np.ndarray, states: np.ndarray,
+                env: DagEnv) -> np.ndarray:
+    """The policy table of ``net`` at ``states``: their clamped masked
+    log-softmax rows, -inf at invalid slots.
+
+    Built one near-equal block of at most :data:`EVAL_BLOCK_ROWS` rows at a
+    time, cache-free, so it holds ``len(states)`` x A floats plus one block.
+    """
+    logp = np.empty((len(states), mask.shape[1]))
+    lo = 0
+    for block in np.array_split(states, -(-len(states) // EVAL_BLOCK_ROWS)) if len(states) else ():
+        out, _ = model._eval_rows(net, block, env, cache=False)
+        logp[lo:lo + len(block)] = _masked_rows(out, mask[block])[0]
+        lo += len(block)
+    return logp
+
+
+# one side's table: (log-prob rows at its choice states, each state's row or -1)
+Table = Tuple[np.ndarray, np.ndarray]
+
+
+def _tables(model: PolicyModel, env: DagEnv, n: int) -> Tuple[Optional[Table], Optional[Table]]:
+    """The (forward, backward) tables of a call over ``n`` paths, None where
+    the rule of the module docstring refuses one."""
+    tables = []
+    for net, mask, choice in ((model.forward_net, env.forward_mask, env.forward_choice),
+                              (model.backward_net, env.backward_mask, env.backward_choice)):
+        if net is None or n < len(choice):
+            tables.append(None)
+            continue
+        row = np.full(env.num_states, -1, dtype=np.int64)
+        row[choice] = np.arange(len(choice))
+        tables.append((_log_policy(model, net, mask, choice, env), row))
+    return tables[0], tables[1]
+
+
 def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: Sequence[int],
             forward: bool = True, epsilon: float = 0.0) -> "PathBatch":
     """Source-to-sink paths walked from ``starts`` one after another: forward,
@@ -302,21 +368,31 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
 
     A step pays for its draw and two dictionary lookups.  Per environment
     (the graph is fixed), the move table ``env._moves`` gives a visited
-    state's slots and next states as a list, filled at its first visit.  Per
-    call (the parameters are fixed), a choice state's row is computed at its
-    first visit and kept as its cumulative sums but the last, as a list, and
-    its total; ``bisect_right`` locates the scaled uniform in them as
-    ``searchsorted(..., side="right")`` does.  Filling either draws nothing,
-    so every path takes the same uniforms, in the same order, as a row
-    evaluated and drawn from at every step.
+    state's slots and next states as a list, filled at its first visit, and
+    ``env._move_choices`` lists its states with a choice.  Per call (the
+    parameters are fixed), a choice state's row is kept from its first visit
+    as its cumulative sums but the last, as a list, and its total;
+    ``bisect_right`` locates the scaled uniform in them as
+    ``searchsorted(..., side="right")`` does.  A tabular net's call computes
+    one table over the listed choice states and one row-wise ``cumsum``, and
+    a listed state's row is its table row at its slots; a state listed during
+    the call, a wider side or an MLP computes the row alone (see the module
+    docstring for why both give the same bits).  Neither draws, so every
+    path takes the same uniforms, in the same order, as a row evaluated and
+    drawn from at every step.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
     if forward:
-        net, slots_at, end = model.forward_net, env.forward_slots, env.sink
+        net, mask, slots_at, end = model.forward_net, env.forward_mask, env.forward_slots, env.sink
     else:
-        net, slots_at, end = model.backward_net, env.backward_slots, env.initial_state
-    moves = env._moves[0 if forward else 1]
+        net, mask, slots_at, end = (model.backward_net, env.backward_mask, env.backward_slots,
+                                    env.initial_state)
+    moves, listed = env._moves[0 if forward else 1], env._move_choices[0 if forward else 1]
+    n_table = 0
+    if net is not None and net.wants_indices and mask.shape[1] < _ORDERED_SUM_WIDTH and listed:
+        n_table = len(listed)
+        cum = np.cumsum(np.exp(_log_policy(model, net, mask, np.array(listed), env)), axis=1)
     rows: Dict[int, Tuple[List[float], float]] = {}  # choice state -> (cumulative sums, total)
     paths = []
     for s in starts:
@@ -328,14 +404,18 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
             move = moves.get(s)
             if move is None:
                 slots, nxt = slots_at(s)
-                move = moves[s] = slots, nxt.tolist()
-            slots, nxt = move
+                k = -1 if len(nxt) == 1 else len(listed)
+                if k >= 0:
+                    listed.append(s)
+                move = moves[s] = slots, nxt.tolist(), k
+            slots, nxt, k = move
             if len(nxt) == 1:
                 s = nxt[0]
             else:
                 row = rows.get(s)
                 if row is None:
-                    c = np.cumsum(np.exp(model._row(net, s, slots, env)))
+                    c = cum[k, slots] if k < n_table else np.cumsum(
+                        np.exp(model._row(net, s, slots, env)))
                     row = rows[s] = c[:-1].tolist(), float(c[-1])
                 if epsilon > 0.0 and rng.random() < epsilon:
                     s = nxt[int(rng.integers(len(nxt)))]
@@ -363,10 +443,13 @@ class EdgeBatch:
     ``tid`` (optional) numbers the trajectory each edge belongs to.
     ``cache=False`` evaluates the nets without backward caches, in row blocks
     (see :meth:`PolicyModel._eval_rows`); such a batch refuses to backprop.
+    A cache-free batch gathers a side's log-probs from a call's policy table
+    (see :func:`_tables`) where one is given.
     """
 
     def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray,
-                 tid: Optional[np.ndarray] = None, cache: bool = True):
+                 tid: Optional[np.ndarray] = None, cache: bool = True,
+                 tables: Tuple[Optional[Table], Optional[Table]] = (None, None)):
         self.model, self.env = model, env
         self.src, self.dst, self.tid, self.cache = src, dst, tid, cache
         self._pf_coeff = np.zeros(len(src))
@@ -375,14 +458,14 @@ class EdgeBatch:
         # forward side: states with a single child contribute exactly 0
         fidx = np.flatnonzero(env.forward_mask[src].sum(axis=1) > 1)
         self.log_pf, self._fwd = self._side(model.forward_net, env.forward_mask,
-                                            env.child_matrix, src, dst, fidx)
+                                            env.child_matrix, src, dst, fidx, tables[0])
         # backward side: edges into the sink are excluded; single parents are 0
         inner = dst != env.sink
         bidx = np.flatnonzero(inner & (env.backward_mask[np.where(inner, dst, 0)].sum(axis=1) > 1))
         self.log_pb, self._bwd = self._side(model.backward_net, env.backward_mask,
-                                            env.parent_matrix, dst, src, bidx)
+                                            env.parent_matrix, dst, src, bidx, tables[1])
 
-    def _side(self, net, mask, matrix, at, other, idx):
+    def _side(self, net, mask, matrix, at, other, idx, table):
         """Log-probs of edges ``idx`` under the policy at states ``at[idx]``.
 
         Returns (log-prob per edge, 0 outside ``idx``; what :meth:`backprop`
@@ -395,22 +478,26 @@ class EdgeBatch:
         if net is None:  # fixed-uniform backward policy
             logp_edges[idx] = -np.log(mask[rows].sum(axis=1))
             return logp_edges, None
+        slot = _slot_of(matrix, rows, other[idx])
+        if table is not None:
+            logp, row = table
+            logp_edges[idx] = logp[row[rows], slot]
+            return logp_edges, None
         states, inv = np.unique(rows, return_inverse=True)
         raw, cache = self.model._eval_rows(net, states, self.env, cache=self.cache)
         logp, probs = _masked_rows(raw, mask[states])
-        slot = _slot_of(matrix, rows, other[idx])
         logp_edges[idx] = logp[inv, slot]
         if not self.cache:
             return logp_edges, None
         return logp_edges, (net, cache, raw, probs, inv, slot, idx, mask[states])
 
     @classmethod
-    def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch,
-                 cache: bool = True) -> "EdgeBatch":
+    def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch, cache: bool = True,
+                 tables: Tuple[Optional[Table], Optional[Table]] = (None, None)) -> "EdgeBatch":
         """One batch over every edge of ``paths``, grouped by path, in path order."""
         s = paths.states
         edge = s[:, 1:] >= 0
-        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0], cache)
+        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0], cache, tables)
 
     def per_trajectory(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(log P_F, log P_B) summed over each of ``n`` trajectories' edges."""
@@ -461,14 +548,19 @@ class FlowBatch:
         self.model.flow_net.backward(self._cache, dout)
 
 
-def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch) -> EdgeBatch:
+def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch,
+                tables: Optional[Tuple[Optional[Table], Optional[Table]]] = None) -> EdgeBatch:
     """Store ``paths``' log-probs from one cache-free :class:`EdgeBatch` over
     their edges, and return it (the paths keep no reference to it).
 
-    For every pass that does not train: the batch cannot backprop.  A
-    training round builds its own cached batch with :meth:`EdgeBatch.of_paths`.
+    The batch gathers from the call's policy tables: ``tables``, or those the
+    rule gives for ``len(paths)`` paths.  For every pass that does not train:
+    the batch cannot backprop.  A training round builds its own cached batch
+    with :meth:`EdgeBatch.of_paths`.
     """
-    edges = EdgeBatch.of_paths(model, env, paths, cache=False)
+    if tables is None:
+        tables = _tables(model, env, len(paths))
+    edges = EdgeBatch.of_paths(model, env, paths, cache=False, tables=tables)
     paths.log_pf, paths.log_pb = edges.per_trajectory(len(paths))
     return edges
 
@@ -478,17 +570,22 @@ def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch) -> EdgeBatch:
 
 def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
           starts: Sequence[int], forward: bool) -> PathBatch:
-    """Source-to-sink paths walked from every start state in lockstep, forward
-    to the sink or backward from a terminating state to the source.
+    """Scored source-to-sink paths walked from every start state in lockstep,
+    forward to the sink or backward from a terminating state to the source.
 
-    Each step evaluates the policy once per distinct current state, draws
-    one uniform per walker still moving and fills one column of the state
-    matrix.  Backward rows are turned source-to-sink by one index gather.
+    Each step draws one uniform per walker still moving and fills one column
+    of the state matrix.  Its policy rows are gathered from the call's table
+    where the rule of the module docstring gives one (one-hot rows at states
+    without a choice, as the masked softmax gives them), else evaluated once
+    per distinct current state.  Backward rows are turned source-to-sink by
+    one index gather; :func:`score_paths` then reads the same tables.
     """
     if forward:
         net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
     else:
         net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
+    tables = _tables(model, env, len(starts))
+    table = tables[0 if forward else 1]
     cur = np.array(starts, dtype=np.int64)
     n = len(cur)
     walked = np.full((n, len(env.levels)), -1, dtype=np.int64)  # no path is longer
@@ -500,6 +597,11 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         if net is None:  # fixed-uniform backward policy
             k = mask[states].sum(axis=1)
             p = mask[states] / k[:, None]
+        elif table is not None:
+            i = table[1][states]
+            choice = np.flatnonzero(i >= 0)
+            p = mask[states].astype(np.float64)
+            p[choice] = np.exp(table[0][i[choice]])
         else:
             uniq, inv = np.unique(states, return_inverse=True)
             out, _ = model._eval_rows(net, uniq, env, cache=False)
@@ -511,27 +613,26 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         alive = alive[nxt != end]
     lengths = (walked >= 0).sum(axis=1)
     if forward:
-        return PathBatch.of_matrix(env, walked[:, : t + 1], lengths, "forward-sampled")
-    back = lengths[:, None] - 1 - np.arange(t + 2)  # column of walked read by each column
-    paths = np.where(back >= 0, np.take_along_axis(walked, np.maximum(back, 0), axis=1), -1)
-    paths[np.arange(n), lengths] = env.sink
-    return PathBatch.of_matrix(env, paths, lengths + 1, "backward-sampled")
+        paths = PathBatch.of_matrix(env, walked[:, : t + 1], lengths, "forward-sampled")
+    else:
+        back = lengths[:, None] - 1 - np.arange(t + 2)  # column of walked read by each column
+        rows = np.where(back >= 0, np.take_along_axis(walked, np.maximum(back, 0), axis=1), -1)
+        rows[np.arange(n), lengths] = env.sink
+        paths = PathBatch.of_matrix(env, rows, lengths + 1, "backward-sampled")
+    score_paths(model, env, paths, tables)
+    return paths
 
 
 def sample_forward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                          count: int) -> PathBatch:
     """Sample many trajectories from the pure forward policy in lockstep."""
-    paths = _walk(model, env, rng, [env.initial_state] * count, forward=True)
-    score_paths(model, env, paths)
-    return paths
+    return _walk(model, env, rng, [env.initial_state] * count, forward=True)
 
 
 def sample_backward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                           xs: np.ndarray) -> PathBatch:
     """Walk backward from given terminating states in lockstep."""
-    paths = _walk(model, env, rng, xs, forward=False)
-    score_paths(model, env, paths)
-    return paths
+    return _walk(model, env, rng, xs, forward=False)
 
 
 def exact_terminal_distribution(model: PolicyModel, env: DagEnv,
@@ -545,10 +646,9 @@ def exact_terminal_distribution(model: PolicyModel, env: DagEnv,
     """
     if env.num_states > cap:
         raise EnumerationCapError(f"{env.num_states} states exceed the cap {cap}")
-    choice = np.flatnonzero(env.forward_mask.sum(axis=1) > 1)
-    out, _ = model._eval_rows(model.forward_net, choice, env, cache=False)
+    choice = env.forward_choice
     probs = np.ones(env.child_matrix.shape)
-    probs[choice] = _masked_rows(out, env.forward_mask[choice])[1]
+    probs[choice] = np.exp(_log_policy(model, model.forward_net, env.forward_mask, choice, env))
     p_edge = probs[env.edge_src, env.edge_fslot]
 
     mass = np.zeros(env.num_states)

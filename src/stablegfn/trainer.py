@@ -111,8 +111,8 @@ class TrainConfig:
             raise ValueError("backward_source must be buffer or exact")
         if self.backward_in_gradient not in ("auto", "always", "never"):
             raise ValueError("backward_in_gradient must be auto, always or never")
-        for key, least in (("seed", 0), ("max_rounds", 0), ("replay_batch", 0), ("batch_size", 1),
-                           ("buffer_size", 1), ("cert_m", 1), ("cert_n", 1)):
+        for key, least in (("seed", 0), ("max_rounds", 0), ("patience", 0), ("replay_batch", 0),
+                           ("batch_size", 1), ("buffer_size", 1), ("cert_m", 1), ("cert_n", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)!r}")
         # a negative clip norm would flip the gradient's sign: training would ascend

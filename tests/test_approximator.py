@@ -119,8 +119,17 @@ def _adam_pair(values, lr_overrides=None, **kw):
     pv = ParamVector([("w", (values.size - 1,)), ("logz", ())])
     pv.values[...] = values
     opt = AdamOptimizer(pv, lr=0.01, lr_overrides=lr_overrides, **kw)
-    twin = ref.AdamReference(values, opt.lr_vector, **kw)
+    twin = ref.AdamReference(values, _lr_vector(pv, 0.01, lr_overrides), **kw)
     return pv, opt, twin
+
+
+def _lr_vector(pv, lr, lr_overrides):
+    """The learning rate of every parameter, as the reference reads it."""
+    rates = np.full(pv.size, lr)
+    for name, rate in (lr_overrides or {}).items():
+        lo, hi = pv.slice_bounds(name)
+        rates[lo:hi] = rate
+    return rates
 
 
 def _same_bits(a, b):
@@ -204,6 +213,59 @@ def test_adam_matches_reference_bitwise(case):
         assert _same_bits(pv.grads, g)  # the clip scales a copy
     if case["max_grad_norm"] == 10.0:
         assert 0 < sum(clipped) < len(clipped)
+
+
+@pytest.mark.parametrize("lr_overrides", [None, {"logz": 1.0}, {"logz": 1.0, "b": 0.5}],
+                         ids=["scalar", "logz", "logz-and-b"])
+def test_adam_scalar_rates_match_lr_vector_reference(lr_overrides):
+    rng = np.random.default_rng(3)
+    pv = ParamVector([("a", (7,)), ("logz", ()), ("b", (5,))])
+    pv.values[...] = rng.normal(size=pv.size)
+    opt = AdamOptimizer(pv, lr=0.01, lr_overrides=lr_overrides)
+    twin = ref.AdamReference(pv.values, _lr_vector(pv, 0.01, lr_overrides))
+    for _ in range(50):
+        g = rng.normal(size=pv.size) * 10.0 ** rng.uniform(-3, 2)
+        pv.grads[...] = g
+        opt.step()
+        twin.step(g)
+    assert _same_bits(pv.values, twin.values)
+    assert _same_bits(opt.m, twin.m) and _same_bits(opt.v, twin.v)
+
+
+def test_adam_finite_gradient_whose_norm_overflows_is_zeroed():
+    values = np.array([1.0, -2.0, 3.0, 0.5])
+    pv, opt, twin = _adam_pair(values)
+    g = np.array([1e200, -1e200, 1.0, 0.0])  # every entry finite, the norm is inf
+    assert np.linalg.norm(g) == np.inf
+    pv.grads[...] = g
+    opt.step()
+    twin.step(g)
+    # the clip scales by 10 / inf: the moments take a zero gradient, nothing moves
+    assert opt.step_count == 1
+    assert not np.any(opt.m) and not np.any(opt.v)
+    assert _same_bits(pv.values, values) and _same_bits(pv.values, twin.values)
+
+
+def test_adam_overflowing_update_keeps_new_moments():
+    values = np.array([1.0, -2.0, 3.0])
+    pv = ParamVector([("w", (3,))])
+    pv.values[...] = values
+    opt = AdamOptimizer(pv, lr=1e308, max_grad_norm=None)
+    pv.grads[...] = [10.0, 0.0, 0.0]  # lr * (m / c1) = 1e309: the update overflows
+    with pytest.raises(NonFiniteError, match="optimizer update"):
+        opt.step()
+    assert _same_bits(pv.values, values)
+    assert opt.step_count == 1
+    assert opt.m[0] > 0 and opt.v[0] > 0 and not np.any(opt.m[1:])
+
+
+def test_adam_accepts_finite_update_and_parameters_whose_sums_overflow():
+    pv = ParamVector([("w", (2,))])
+    opt = AdamOptimizer(pv, lr=1e308, max_grad_norm=None)
+    pv.grads[...] = 1.0  # each update entry is 1e308 / (1 + 1e-8): their sum is inf
+    opt.step()
+    assert np.all(np.isfinite(pv.values)) and pv.values.sum() == -np.inf
+    assert _same_bits(pv.values, np.full(2, -(1e308 / (1.0 + 1e-8))))
 
 
 def test_adam_step_allocates_less_than_one_parameter_vector():

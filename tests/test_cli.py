@@ -329,13 +329,28 @@ MISTYPED = [
     ("model", "hidden", [1.7, 2.2], "each model.hidden width must be an integer, got 1.7"),
     ("model", "hidden", [4, True], "each model.hidden width must be an integer, got True"),
     ("env", "depth", 1.5, "env.depth must be an integer, got 1.5"),
+    ("env", "r1", True, "env.r1 must be a number, got True"),
+    ("env", "r1", "x", "env.r1 must be a number, got 'x'"),
+    ("env", "r2", [2.0], "env.r2 must be a number, got [2.0]"),
+    ("env", "r0", "x", "env.r0 must be a number or null, got 'x'"),
+    ("env", "epsilon", "0.1", "env.epsilon must be a number, got '0.1'"),
+    ("env", "leaf_rewards", [1.0, "x"], "each env.leaf_rewards entry must be a number, got 'x'"),
+    ("env", "leaf_rewards", [1.0, False],
+     "each env.leaf_rewards entry must be a number, got False"),
+    ("env", "leaf_rewards", 5, "env.leaf_rewards must be a list of numbers or null, got 5"),
+    ("model", "hidden", ["a", 4], "each model.hidden width must be an integer, got 'a'"),
+    ("train", "patience", -3, "patience must be >= 0, got -3"),
 ]
+# the environment a mistyped key is set in, where a two-leaf tree has no such key
+_ENV_WITH = {"r0": {"kind": "hypergrid", "dimension": 2, "side": 3},
+             "epsilon": {"kind": "one_more_mode", "branching": 2, "depth": 1}}
+_ENV_WITH["r1"] = _ENV_WITH["r2"] = _ENV_WITH["r0"]
 
 
 @pytest.mark.parametrize("where, key, value, message", MISTYPED,
                          ids=[f"{key}={value!r}" for _, key, value, _ in MISTYPED])
 def test_config_rejects_mistyped_value_naming_key(where, key, value, message):
-    raw = {"env": {"kind": "tree", "branching": 2, "depth": 1}}
+    raw = {"env": _ENV_WITH.get(key, {"kind": "tree", "branching": 2, "depth": 1})}
     if where is None:
         raw[key] = value
     else:

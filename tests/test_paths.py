@@ -31,8 +31,11 @@ from stablegfn.policy import (
     score_paths,
 )
 
+# a bulk call of 300 walkers reads the policy tables on T(3,4), H(2,8) and the
+# random DAG, and evaluates per step on H(4,8) (4,095 forward choice states)
 ENVS = {
     "T(3,4)": lambda: RegularTree(3, 4),
+    "H(2,8)": lambda: Hypergrid(2, 8),
     "H(4,8)": lambda: Hypergrid(4, 8),
     "random_dag": lambda: RandomDag(5, 14),
 }

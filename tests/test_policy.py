@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stablegfn import envs
+from stablegfn import envs, policy
+from stablegfn.approximator import Mlp, Tabular
 from stablegfn.envs import EnumerationCapError, Hypergrid, RegularTree
 from stablegfn.policy import (
     LOGIT_CLAMP,
@@ -27,7 +29,7 @@ from stablegfn.trainer import rng_for
 
 from loss_reference import backward_row, forward_row, log_pb_edge, log_pf_edge
 from numeric_reference import path_lists, records
-from random_dag import random_dags
+from random_dag import RandomDag, random_dags
 
 
 def random_model(env, kind="tabular", seed=0, noise=1.0, learn_backward=True):
@@ -203,9 +205,7 @@ def test_rollout_keeps_the_per_state_stream(env, kind):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_rollout_draw_follows_the_proportional_rule():
-    env = RegularTree(4, 1)  # the source's four slots lead to states 1..4
-    model = PolicyModel.build(env, "tabular")
+def test_rollout_draw_follows_the_proportional_rule(monkeypatch):
     top = 1.0 - 2.0**-53
     tiny = 5e-324  # subnormal weights, whose total the top uniform rounds to
     cases = [
@@ -215,11 +215,20 @@ def test_rollout_draw_follows_the_proportional_rule():
     ]
     for weights, uniforms, expected in cases:
         with np.errstate(divide="ignore"):
-            model._row = lambda net, s, slots, env, lw=np.log(weights): lw
-        p = np.exp(model._row(None, 0, None, env))
-        picked = rollout(model, env, _FixedUniforms(uniforms), [0] * len(uniforms)).states[:, 1] - 1
-        assert picked.tolist() == expected
-        assert [int(proportional_draw(_FixedUniforms([u]), p)) for u in uniforms] == expected
+            lw = np.log(weights)
+        env = RegularTree(4, 1)  # the source's four slots lead to states 1..4
+        model = PolicyModel.build(env, "tabular")
+        # the first call computes the source's row alone, the second reads the
+        # row of the call's table, where the first call listed the source
+        model._row = lambda net, s, slots, env, lw=lw: lw
+        monkeypatch.setattr(policy, "_log_policy", lambda model, net, mask, states, env, lw=lw:
+                            np.tile(lw, (len(states), 1)))
+        for listed in ([], [0]):
+            assert env._move_choices[0] == listed
+            paths = rollout(model, env, _FixedUniforms(uniforms), [0] * len(uniforms))
+            assert (paths.states[:, 1] - 1).tolist() == expected
+        picked = [int(proportional_draw(_FixedUniforms([u]), np.exp(lw))) for u in uniforms]
+        assert picked == expected
 
 
 def test_rollout_fills_the_move_table_only_on_its_path():
@@ -244,6 +253,129 @@ def test_rollout_rows_do_not_outlive_a_call():
     second = rollout(model, env, rng, [env.initial_state] * 8)
     assert set(first.states[:, 1].tolist()) == {children[0]}
     assert set(second.states[:, 1].tolist()) == {children[1]}
+
+
+# slot widths from 2 to 16 (forward, backward): T(3,3) 3/1, H(2,4) 3/2, H(7,2)
+# 8/7, H(9,2) 10/9, the small random DAGs 4-7, RandomDag(3, 30) 16/8
+TABLE_ENVS = {
+    "T(3,3)": lambda: RegularTree(3, 3),
+    "H(2,4)": lambda: Hypergrid(2, 4, r0=0.1),
+    "H(7,2)": lambda: Hypergrid(7, 2),
+    "H(9,2)": lambda: Hypergrid(9, 2),
+    **{f"dag{i}": lambda i=i: random_dags()[i] for i in range(3)},
+    "dag30": lambda: RandomDag(3, 30),
+}
+
+
+def _sides(model, env):
+    return ((model.forward_net, env.forward_mask, env.forward_choice, env.forward_slots),
+            (model.backward_net, env.backward_mask, env.backward_choice, env.backward_slots))
+
+
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+@pytest.mark.parametrize("env_name", list(TABLE_ENVS))
+def test_table_rows_match_per_state_rows(env_name, kind):
+    env = TABLE_ENVS[env_name]()
+    model = random_model(env, kind, seed=5, noise=3.0)
+    for net, mask, choice, slots_at in _sides(model, env):
+        logp = policy._log_policy(model, net, mask, choice, env)
+        # an MLP's logits move in the last bits with a call's row count, so
+        # its rows are held to the per-state arithmetic on the table's logits
+        out = model._eval_rows(net, choice, env, cache=False)[0]
+        same = []
+        for i, s in enumerate(choice.tolist()):
+            slots, _ = slots_at(s)
+            if kind == "tabular":
+                want = model._row(net, s, slots, env)
+            else:
+                want = _log_softmax(_clamp(out[i, slots]))
+            same.append(logp[i, slots].tobytes() == want.tobytes())
+            assert np.all(logp[i, ~mask[s]] == -np.inf)
+        if mask.shape[1] < policy._ORDERED_SUM_WIDTH:
+            assert all(same)
+
+
+def test_table_rows_of_eight_slots_and_more_sum_in_another_order():
+    # why a rollout keeps per-state rows on a side of 8 slots or more: over
+    # the whole masked width numpy's pairwise sum groups the valid entries
+    # differently from their sum alone
+    rng = np.random.default_rng(0)
+    for width in range(2, 17):
+        z = rng.normal(0.0, 3.0, (200, width))
+        mask = rng.random((200, width)) < 0.6
+        mask[:, :2] = True
+        logp = _masked_rows(z, mask)[0]
+        same = [logp[i, m].tobytes() == _log_softmax(_clamp(z[i, m])).tobytes()
+                for i, m in enumerate(mask)]
+        assert all(same) == (width < policy._ORDERED_SUM_WIDTH)
+
+
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+def test_table_rule_counts_paths_against_choice_states(kind):
+    env = Hypergrid(4, 16)  # 65,535 forward and 65,475 backward choice states
+    nets = [Tabular(env.num_states, width, prefix) if kind == "tabular"
+            else Mlp(env.feature_dim, (4, 4), width, prefix)
+            for width, prefix in ((env.num_forward_slots, "pf"), (env.num_backward_slots, "pb"))]
+    model = PolicyModel(env, *nets)  # the rule refuses before any net runs
+    for n in (1000, 16384):
+        assert policy._tables(model, env, n) == (None, None)
+    small = Hypergrid(2, 4)  # 15 forward, 9 backward choice states
+    model = random_model(small, kind)
+    for n, used in ((15, (True, True)), (14, (False, True)), (8, (False, False))):
+        assert tuple(t is not None for t in policy._tables(model, small, n)) == used
+    assert policy._tables(random_model(small, kind, learn_backward=False), small, 100)[1] is None
+
+
+def test_table_holds_its_rows_and_one_block():
+    env = Hypergrid(4, 10)  # 20,001 states, 9,999 forward choice states: 5 blocks
+    model = PolicyModel.build(env, "mlp", hidden=(64, 64), rng=np.random.default_rng(0))
+    args = (model, model.forward_net, env.forward_mask, env.forward_choice, env)
+    policy._log_policy(*args)  # the one-hot cache is built once, outside the trace
+    tracemalloc.start()
+    try:
+        table = policy._log_policy(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (len(env.forward_choice), env.num_forward_slots)
+    # S x A floats, plus one block: its input rows and two hidden activations
+    block = policy.EVAL_BLOCK_ROWS * (env.feature_dim + 2 * 64)
+    assert peak < 8 * (env.num_states * env.num_forward_slots + block)
+
+
+def _record_tables(monkeypatch):
+    """The row count of every table built from now on."""
+    rows = []
+    log_policy = policy._log_policy
+
+    def recorded(model, net, mask, states, env):
+        rows.append(len(states))
+        return log_policy(model, net, mask, states, env)
+
+    monkeypatch.setattr(policy, "_log_policy", recorded)
+    return rows
+
+
+@pytest.mark.parametrize("env_name, kind, tabled", [
+    ("T(3,3)", "tabular", True), ("H(7,2)", "tabular", False), ("H(9,2)", "tabular", False),
+    ("dag0", "tabular", True), ("T(3,3)", "mlp", False),
+])
+def test_rollout_reads_a_table_only_for_narrow_tabular_sides(monkeypatch, env_name, kind, tabled):
+    env = TABLE_ENVS[env_name]()
+    model = random_model(env, kind, seed=2)
+    rows = _record_tables(monkeypatch)
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    starts = [env.initial_state] * 12
+    for call in range(3):
+        listed = len(env._move_choices[0])
+        assert path_lists(rollout(model, env, rng, starts)) == [
+            reference_walk(model, env, ref, s) for s in starts]
+        # one table per call over the choice states listed before it
+        assert rows == ([listed] if tabled and listed else [])
+        del rows[:]
+    assert sorted(env._move_choices[0]) == sorted(
+        s for s, (_, nxt, k) in env._moves[0].items() if len(nxt) > 1)
+    assert all(env._move_choices[0][k] == s for s, (_, _, k) in env._moves[0].items() if k >= 0)
 
 
 def test_backward_then_forward_consistency():

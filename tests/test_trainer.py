@@ -25,7 +25,7 @@ from stablegfn.trainer import (
     rng_for,
     update_threshold,
 )
-from stablegfn import certify
+from stablegfn import certify, config
 
 from loss_reference import reference_flow_delta
 
@@ -201,6 +201,23 @@ def test_determinism_identical_runs(tmp_path):
         tr.run()
         paths.append(tmp_path / f"{run}.csv")
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_certifying_run_fingerprint():
+    """The training run of the bench's tree-tab-cert workload, pinned bit for
+    bit: a change to the rollout's draws, the certificate's samplers or the
+    update fails here, not only in the bench's round count."""
+    raw = {"seed": 0, "env": {"kind": "tree", "branching": 3, "depth": 4},
+           "model": {"kind": "tabular"},
+           "train": {"stabilize": True, "tv_target": 0.05, "batch_size": 32, "max_rounds": 5000}}
+    resolved = config.resolve(raw)
+    env = config.build_env(resolved)
+    model = config.build_model(resolved, env)
+    state = Trainer(model, env, config.build_train_config(resolved)).run()
+    assert state.certified and state.round == 455
+    assert state.bound == 0.04992305840518782
+    assert hashlib.sha256(model.params.values.tobytes()).hexdigest() == (
+        "e57f22909b62adf36cbee17f47b09c01f99d5463e4e2dbc38b32759a33a0d15d")
 
 
 def test_metrics_csv_schema(tmp_path):
