@@ -375,13 +375,22 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> Dict[str, object]:
+    """A checkpoint's document with its arrays decoded; a ValueError names the
+    file and the missing key or the slice that does not decode."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    doc["params"] = {k: _decode_array(v) for k, v in doc["params"].items()}
+    for key in ("model", "env", "params"):
+        if key not in doc:
+            raise ValueError(f"{path}: no {key!r} in the checkpoint")
+    for name, enc in doc["params"].items():
+        try:
+            doc["params"][name] = _decode_array(enc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: parameter slice {name!r} does not decode ({exc})") from None
     if "optimizer" in doc:
         doc["optimizer"]["m"] = _decode_array(doc["optimizer"]["m"])
         doc["optimizer"]["v"] = _decode_array(doc["optimizer"]["v"])

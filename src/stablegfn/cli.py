@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import certify as certify_mod
 from . import config as config_mod
 from . import oracle
 from .approximator import load_checkpoint, save_checkpoint
-from .envs import DagEnv, EnumerationCapError
+from .envs import DagEnv, EnumerationCapError, check_state_cap
 from .policy import (
     PolicyModel,
     proportional_draw,
@@ -34,9 +34,24 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def restore_model(doc: Dict, env: DagEnv) -> PolicyModel:
-    """The model a checkpoint holds: its recorded build arguments, then its parameters."""
-    model = PolicyModel.build(env, **doc["model"])
+def restore_model(path: str, env: DagEnv) -> PolicyModel:
+    """The model of the checkpoint at ``path``, trained on ``env``: its recorded
+    build arguments, then its parameters.  A ValueError names the file and
+    the key or parameter slice that does not fit."""
+    doc = load_checkpoint(path)
+    if doc["env"] != env.describe():
+        raise config_mod.ConfigError(
+            f"{path}: checkpoint was trained on a different environment than the config"
+        )
+    try:
+        model = PolicyModel.build(env, **doc["model"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: model {doc['model']!r} does not build ({exc})") from None
+    for name in model.params.names:
+        got = doc["params"][name].shape if name in doc["params"] else "missing"
+        if got != model.params.view(name).shape:
+            raise ValueError(f"{path}: parameter slice {name!r} is {got}, the model's is "
+                             f"{model.params.view(name).shape}")
     model.params.load_state_dict(doc["params"])
     return model
 
@@ -45,12 +60,7 @@ def _load_model_for(args: argparse.Namespace):
     """(resolved config, env, model) for a command's ``--config`` and ``--checkpoint``."""
     resolved = config_mod.load_config(args.config)
     env = config_mod.build_env(resolved)
-    doc = load_checkpoint(args.checkpoint)
-    if doc["env"] != env.describe():
-        raise config_mod.ConfigError(
-            "checkpoint was trained on a different environment than the config"
-        )
-    return resolved, env, restore_model(doc, env)
+    return resolved, env, restore_model(args.checkpoint, env)
 
 
 def _draw_certification_samples(model: PolicyModel, env: DagEnv, scope: List[int],
@@ -151,6 +161,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return _fail("need at least one evaluation sample")
     try:
         resolved, env, model = _load_model_for(args)
+        if resolved["eval"]["oracle"]:
+            check_state_cap(env.num_states, "eval.oracle")
     except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
     samples = resolved["eval"]["samples"] if args.samples is None else args.samples

@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# Environments larger than this refuse exact enumeration; callers must use
-# sampling-based paths instead.
-DEFAULT_STATE_CAP = 2_000_000
+# Environments larger than this refuse exact whole-graph passes (see
+# check_state_cap); callers must use sampling-based paths instead.
+STATE_CAP = 2_000_000
 
 # Defaults of the optional environment config keys, per kind: make_env fills
 # them in, and config.resolve writes them into the resolved config.
@@ -48,6 +48,12 @@ ENCODING_CELL_CAP = 1 << 27
 
 class EnumerationCapError(RuntimeError):
     """Raised when an exact computation is requested on too large a graph."""
+
+
+def check_state_cap(num_states: int, need: str = "an exact pass") -> None:
+    """Refuse ``need``, an exact pass over ``num_states`` states, above :data:`STATE_CAP`."""
+    if num_states > STATE_CAP:
+        raise EnumerationCapError(f"{need}: {num_states} states exceed STATE_CAP = {STATE_CAP}")
 
 
 def _fill_slots(matrix: np.ndarray, at: np.ndarray, slots: np.ndarray,

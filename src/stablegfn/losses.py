@@ -32,6 +32,15 @@ WDB_REACH_CELL_CAP = 50_000_000
 # -- reachable-terminal reweighting -------------------------------------------
 
 
+def check_reach_cap(num_states: int, num_terminals: int, need: str = "wdb") -> None:
+    """Refuse ``need``, whose reach sets hold ``num_states * num_terminals``
+    cells, above :data:`WDB_REACH_CELL_CAP`."""
+    cells = num_states * num_terminals
+    if cells > WDB_REACH_CELL_CAP:
+        raise EnumerationCapError(f"{need}: reachability reweighting needs {cells} cells, "
+                                  f"above WDB_REACH_CELL_CAP = {WDB_REACH_CELL_CAP}")
+
+
 def terminal_reach_counts(env: DagEnv) -> np.ndarray:
     """Number of terminating states reachable from each state (self included).
 
@@ -39,8 +48,7 @@ def terminal_reach_counts(env: DagEnv) -> np.ndarray:
     Cached on the environment, so the cache lives exactly as long as it does.
     """
     n_term = len(env.terminating_states)
-    if env.num_states * n_term > WDB_REACH_CELL_CAP:
-        raise EnumerationCapError("environment too large for reachability reweighting")
+    check_reach_cap(env.num_states, n_term)
     if env._reach_counts is not None:
         return env._reach_counts
     reach = np.zeros((env.num_states, n_term), dtype=bool)
@@ -201,10 +209,8 @@ def _batch_tb(model, env, paths, backprop, deltas, batch):
     if backprop:
         coeff_a = 2.0 * ratio * sa / n
         coeff_b = 2.0 * ratio * sb / n
-        batch.add_pf_coeff(coeff_a[batch.tid])
-        batch.add_pb_coeff(-coeff_b[batch.tid])
         model.add_logz_grad(float(coeff_a.sum()))
-        batch.backprop()
+        batch.backprop(coeff_a[batch.tid], -coeff_b[batch.tid])
     return LossBatchReport(kind, per_item, log_ratios=raw_ratio, deltas=deltas)
 
 
@@ -233,12 +239,8 @@ def _batch_db(model, env, paths, backprop, batch, weighted):
         coeff = 2.0 * rho * edge_w / n
         edge_coeff = np.zeros(len(keep))
         edge_coeff[keep] = coeff
-        batch.add_pf_coeff(edge_coeff)
-        batch.add_pb_coeff(-edge_coeff)
-        fcoeff = np.concatenate([coeff, -coeff[~term]])
-        fb.add_coeff(fcoeff)
-        batch.backprop()
-        fb.backprop()
+        batch.backprop(edge_coeff, -edge_coeff)
+        fb.backprop(np.concatenate([coeff, -coeff[~term]]))
     return LossBatchReport("wdb" if weighted else "db", per_item, log_ratios=rho)
 
 
@@ -280,10 +282,8 @@ def _batch_fm(model, env, paths, backprop):
         share_in = np.exp(log_terms[:n_in] - log_in[in_occ])
         share_out = np.exp(log_terms[n_in:] - log_out[out_occ])
         coeff = np.concatenate([base[in_occ] * share_in, -base[out_occ] * share_out])
-        batch.add_pf_coeff(coeff)
-        fb.add_coeff(coeff)
-        batch.backprop()
-        fb.backprop()
+        batch.backprop(coeff)
+        fb.backprop(coeff)
     return LossBatchReport("fm", per_item, log_ratios=rho)
 
 
@@ -324,9 +324,6 @@ def _batch_subtb(model, env, paths, backprop, lam, batch):
         dif = np.bincount(np.concatenate([cell + t1, cell + t2]),
                           weights=np.concatenate([c, -c]), minlength=n * width).reshape(n, width)
         edge_coeff = np.where(before[:, :-1], np.cumsum(dif[:, :-1], axis=1), 0.0)[edge]
-        batch.add_pf_coeff(edge_coeff)
-        batch.add_pb_coeff(-edge_coeff)
-        fb.add_coeff(dif[before])
-        batch.backprop()
-        fb.backprop()
+        batch.backprop(edge_coeff, -edge_coeff)
+        fb.backprop(dif[before])
     return LossBatchReport("subtb", per_item, log_ratios=rho)

@@ -17,19 +17,26 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .envs import DagEnv, EnumerationCapError, DEFAULT_STATE_CAP, target_distribution, true_partition
+from .envs import DagEnv, EnumerationCapError, check_state_cap, target_distribution, true_partition
 from .policy import PathBatch, PolicyModel, exact_terminal_distribution, score_paths
 
-DEFAULT_TRAJECTORY_CAP = 5_000_000
+# Trajectory enumeration refuses graphs with more source-to-sink paths.
+TRAJECTORY_CAP = 5_000_000
 
 
-def exact_tv(model: PolicyModel, env: DagEnv, cap: int = DEFAULT_STATE_CAP) -> float:
+def check_trajectory_cap(count: int) -> None:
+    """Refuse enumerating ``count`` trajectories above :data:`TRAJECTORY_CAP`."""
+    if count > TRAJECTORY_CAP:
+        raise EnumerationCapError(f"more than TRAJECTORY_CAP = {TRAJECTORY_CAP} trajectories")
+
+
+def exact_tv(model: PolicyModel, env: DagEnv) -> float:
     """Exact total variation between the model's terminal law and the target."""
-    return 0.5 * exact_total_l1(model, env, cap)
+    return 0.5 * exact_total_l1(model, env)
 
 
-def exact_total_l1(model: PolicyModel, env: DagEnv, cap: int = DEFAULT_STATE_CAP) -> float:
-    _, p_t = exact_terminal_distribution(model, env, cap)
+def exact_total_l1(model: PolicyModel, env: DagEnv) -> float:
+    _, p_t = exact_terminal_distribution(model, env)
     return float(np.abs(p_t - target_distribution(env)).sum())
 
 
@@ -80,10 +87,9 @@ class ExactFlows:
     edge_flows: np.ndarray
 
 
-def balanced_flows(env: DagEnv, cap: int = DEFAULT_STATE_CAP) -> ExactFlows:
+def balanced_flows(env: DagEnv) -> ExactFlows:
     """Flows proportional to reward, split uniformly over parents going backward."""
-    if env.num_states > cap:
-        raise EnumerationCapError(f"{env.num_states} states exceed the cap {cap}")
+    check_state_cap(env.num_states)
     state = np.zeros(env.num_states)
     edge = np.zeros(env.num_edges)
     zstar = true_partition(env)
@@ -101,14 +107,13 @@ def balanced_flows(env: DagEnv, cap: int = DEFAULT_STATE_CAP) -> ExactFlows:
     return ExactFlows(zstar, state, edge)
 
 
-def balanced_tabular_model(env: DagEnv, cap: int = DEFAULT_STATE_CAP,
-                           flow_head: bool = True) -> PolicyModel:
+def balanced_tabular_model(env: DagEnv, flow_head: bool = True) -> PolicyModel:
     """Tabular model with zero loss under every objective: logits are exact log-flows.
 
     The backward policy is fixed-uniform (any valid split balances; uniform is
     canonical) and logZ is the exact log partition value.
     """
-    flows = balanced_flows(env, cap)
+    flows = balanced_flows(env)
     model = PolicyModel.build(env, "tabular", learn_backward=False, flow_head=flow_head)
     src = env.edge_src
     model.forward_net.table[src, env.edge_fslot] = (np.log(flows.edge_flows)
@@ -124,15 +129,14 @@ def balanced_tabular_model(env: DagEnv, cap: int = DEFAULT_STATE_CAP,
 # -- trajectory enumeration -----------------------------------------------------
 
 
-def enumerate_trajectory_states(env: DagEnv, cap: int = DEFAULT_TRAJECTORY_CAP) -> List[List[int]]:
+def enumerate_trajectory_states(env: DagEnv) -> List[List[int]]:
     """All complete paths from the source to the sink, by depth-first search."""
     out: List[List[int]] = []
     stack: List[int] = [env.initial_state]
 
     def dfs(s: int) -> None:
         if s == env.sink:
-            if len(out) >= cap:
-                raise EnumerationCapError(f"more than {cap} trajectories")
+            check_trajectory_cap(len(out) + 1)
             out.append(stack.copy())
             return
         for c in env.children(s):
@@ -144,10 +148,9 @@ def enumerate_trajectory_states(env: DagEnv, cap: int = DEFAULT_TRAJECTORY_CAP) 
     return out
 
 
-def enumerate_trajectories(model: PolicyModel, env: DagEnv,
-                           cap: int = DEFAULT_TRAJECTORY_CAP) -> PathBatch:
+def enumerate_trajectories(model: PolicyModel, env: DagEnv) -> PathBatch:
     """Every complete trajectory with exact log-probs under the model."""
-    paths = PathBatch.of_lists(env, enumerate_trajectory_states(env, cap), "enumerated")
+    paths = PathBatch.of_lists(env, enumerate_trajectory_states(env), "enumerated")
     score_paths(model, env, paths)
     return paths
 

@@ -43,13 +43,17 @@ already in its move table, and only on a side of fewer than
   log-probs in their last bits and, when a uniform lands within rounding of a
   cumulative boundary, a draw.  Training rollouts never read an MLP table.
 
-Net evaluations that never backprop keep no backward caches and run in
-near-equal row blocks of at most :data:`EVAL_BLOCK_ROWS` rows, all through
-:meth:`PolicyModel._eval_rows`: the exact DP, the policy tables, both
-walkers, and the scoring of bulk and enumerated batches
-(:func:`score_paths`).  Only the edges and flows of a training step
-(:meth:`EdgeBatch.of_paths` and :class:`FlowBatch`, built by the trainer and
-:func:`stablegfn.losses.batch_loss`) keep caches.
+One cache-free evaluator.  Net evaluations that never backprop keep no
+backward caches and run in near-equal row blocks of at most
+:data:`EVAL_BLOCK_ROWS` rows, all through :func:`_log_policy`: the exact DP,
+the policy tables, the walkers' per-step rows, and the scoring of bulk and
+enumerated batches (:func:`score_paths`) where no table is given.  A
+rollout's single rows (:func:`_row`) are the one exception.
+:func:`_eval_rows` is a plain net call.  Only the edges and flows of a
+training step (:class:`EdgeBatch` and :class:`FlowBatch`, built by
+:func:`stablegfn.losses.batch_loss` or the stabilized round) keep caches;
+both are stateless past their values, and ``backprop`` takes the loss's
+coefficients.
 
 One implementation each: :func:`_log_softmax` for every policy row,
 the rule of :func:`proportional_draw` for every reward-proportional draw in the
@@ -68,7 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .approximator import Mlp, ParamVector, Tabular
-from .envs import DagEnv, EnumerationCapError, DEFAULT_STATE_CAP
+from .envs import DagEnv, check_state_cap
 
 LOGIT_CLAMP = 50.0
 # Row cap of one cache-free net call.  Near-equal blocks hold at least half
@@ -158,16 +162,19 @@ def write_trajectory_log(path: str, paths: PathBatch) -> None:
 
 
 def read_trajectory_log(path: str) -> PathBatch:
-    """The paths of a JSON-lines log; a line that is not a record raises
-    ``ValueError`` naming the file and the line."""
+    """The paths of a JSON-lines log; a line that is not a record (a positive
+    finite reward, finite log-probs) raises ``ValueError`` naming the file and
+    the line."""
     docs = []
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             if line.strip():
                 try:
                     d = json.loads(line)
-                    docs.append(([int(s) for s in d["states"]],
-                                 *(float(d[k]) for k in ("reward", "log_pf", "log_pb")),
+                    values = [float(d[k]) for k in ("reward", "log_pf", "log_pb")]
+                    if not (values[0] > 0 and np.all(np.isfinite(values))):
+                        raise ValueError(f"reward, log_pf, log_pb {values}")
+                    docs.append(([int(s) for s in d["states"]], *values,
                                  str(d.get("provenance", "forward-sampled"))))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}, line {n}: not a trajectory record "
@@ -191,14 +198,10 @@ def _clamp(logits: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(logits, -LOGIT_CLAMP), LOGIT_CLAMP)
 
 
-def _masked_rows(logits: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Clamped masked log-softmax over rows.
-
-    Returns (logprob rows with -inf at invalid slots, probability rows with 0
-    at invalid slots).
-    """
-    logp = _log_softmax(np.where(mask, _clamp(logits), -np.inf))
-    return logp, np.where(mask, np.exp(logp), 0.0)
+def _masked_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Clamped masked log-softmax over rows, -inf at invalid slots (whose
+    ``np.exp`` is exactly 0)."""
+    return _log_softmax(np.where(mask, _clamp(logits), -np.inf))
 
 
 def proportional_draw(rng: np.random.Generator, weights: np.ndarray, size=None):
@@ -227,27 +230,15 @@ def _draw_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
 class PolicyModel:
     """Parameterized forward/backward policies plus logZ and optional flow head."""
 
-    def __init__(
-        self,
-        env: DagEnv,
-        forward_net,
-        backward_net=None,
-        flow_net=None,
-        logz_init: float = 0.0,
-        meta: Optional[Dict[str, object]] = None,
-    ):
-        self.env = env
-        self.forward_net = forward_net
-        self.backward_net = backward_net
-        self.flow_net = flow_net
-        self.uniform_backward = backward_net is None
+    def __init__(self, forward_net, backward_net=None, flow_net=None,
+                 meta: Optional[Dict[str, object]] = None):
+        self.forward_net, self.backward_net, self.flow_net = forward_net, backward_net, flow_net
         self.meta = meta or {}
-
         self._nets = [n for n in (forward_net, backward_net, flow_net) if n is not None]
+        # logZ starts at 0, as every parameter of a new ParamVector
         self.params = ParamVector([("logz", ())] + [p for n in self._nets for p in n.param_spec()])
         for net in self._nets:
             net.bind(self.params)
-        self.params.view("logz")[...] = logz_init
 
     # -- construction --------------------------------------------------
 
@@ -276,7 +267,7 @@ class PolicyModel:
             raise ValueError(f"unknown model kind {kind!r}")
         meta = {"kind": kind, "hidden": list(hidden), "learn_backward": learn_backward,
                 "flow_head": flow_head}
-        model = cls(env, fnet, bnet, flnet, meta=meta)
+        model = cls(fnet, bnet, flnet, meta=meta)
         for net in model._nets:
             net.init_params(rng)
         return model
@@ -293,46 +284,37 @@ class PolicyModel:
     def add_logz_grad(self, g: float) -> None:
         self.params.grad_view("logz")[...] += g
 
-    # -- evaluation ---------------------------------------------------------
 
-    def _eval_rows(self, net, states: np.ndarray, env: DagEnv, cache: bool = True):
-        """(net outputs at ``states``, what the net's ``backward`` needs).
-
-        Without ``cache`` (a pass that never backprops) an MLP keeps nothing
-        and runs over near-equal blocks of at most :data:`EVAL_BLOCK_ROWS`
-        rows, so its memory is bounded by the block, not by ``len(states)``.
-        """
-        if net.wants_indices or cache or len(states) <= EVAL_BLOCK_ROWS:
-            return net.forward(states if net.wants_indices else env.encoding_matrix[states],
-                               cache=cache)
-        blocks = np.array_split(states, -(-len(states) // EVAL_BLOCK_ROWS))
-        return np.concatenate([net.forward(env.encoding_matrix[b], cache=False)[0]
-                               for b in blocks]), None
-
-    def _row(self, net, s: int, slots: np.ndarray, env: DagEnv) -> np.ndarray:
-        """Log-probs over ``slots`` at one state; ``net`` None is the uniform policy."""
-        k = len(slots)
-        if k <= 1:
-            return np.zeros(k)
-        if net is None:
-            return np.full(k, -np.log(k))
-        out, _ = self._eval_rows(net, np.array([s]), env, cache=False)
-        return _log_softmax(_clamp(out[0][slots]))
+def _eval_rows(net, states: np.ndarray, env: DagEnv, cache: bool = True):
+    """(net outputs at ``states``, what the net's ``backward`` needs), from one
+    call on tabular indices or one-hot rows."""
+    return net.forward(states if net.wants_indices else env.encoding_matrix[states], cache=cache)
 
 
-def _log_policy(model: PolicyModel, net, mask: np.ndarray, states: np.ndarray,
-                env: DagEnv) -> np.ndarray:
+def _row(net, s: int, slots: np.ndarray, env: DagEnv) -> np.ndarray:
+    """Log-probs over ``slots`` at one state; ``net`` None is the uniform policy."""
+    k = len(slots)
+    if k <= 1:
+        return np.zeros(k)
+    if net is None:
+        return np.full(k, -np.log(k))
+    out, _ = _eval_rows(net, np.array([s]), env, cache=False)
+    return _log_softmax(_clamp(out[0][slots]))
+
+
+def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.ndarray:
     """The policy table of ``net`` at ``states``: their clamped masked
     log-softmax rows, -inf at invalid slots.
 
-    Built one near-equal block of at most :data:`EVAL_BLOCK_ROWS` rows at a
-    time, cache-free, so it holds ``len(states)`` x A floats plus one block.
+    The package's one cache-free evaluator: built one near-equal block of at
+    most :data:`EVAL_BLOCK_ROWS` rows at a time, so it holds ``len(states)``
+    x A floats plus one block, not a net's activations over every row.
     """
     logp = np.empty((len(states), mask.shape[1]))
     lo = 0
     for block in np.array_split(states, -(-len(states) // EVAL_BLOCK_ROWS)) if len(states) else ():
-        out, _ = model._eval_rows(net, block, env, cache=False)
-        logp[lo:lo + len(block)] = _masked_rows(out, mask[block])[0]
+        out, _ = _eval_rows(net, block, env, cache=False)
+        logp[lo:lo + len(block)] = _masked_rows(out, mask[block])
         lo += len(block)
     return logp
 
@@ -352,7 +334,7 @@ def _tables(model: PolicyModel, env: DagEnv, n: int) -> Tuple[Optional[Table], O
             continue
         row = np.full(env.num_states, -1, dtype=np.int64)
         row[choice] = np.arange(len(choice))
-        tables.append((_log_policy(model, net, mask, choice, env), row))
+        tables.append((_log_policy(net, mask, choice, env), row))
     return tables[0], tables[1]
 
 
@@ -392,7 +374,7 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     n_table = 0
     if net is not None and net.wants_indices and mask.shape[1] < _ORDERED_SUM_WIDTH and listed:
         n_table = len(listed)
-        cum = np.cumsum(np.exp(_log_policy(model, net, mask, np.array(listed), env)), axis=1)
+        cum = np.cumsum(np.exp(_log_policy(net, mask, np.array(listed), env)), axis=1)
     rows: Dict[int, Tuple[List[float], float]] = {}  # choice state -> (cumulative sums, total)
     paths = []
     for s in starts:
@@ -415,7 +397,7 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
                 row = rows.get(s)
                 if row is None:
                     c = cum[k, slots] if k < n_table else np.cumsum(
-                        np.exp(model._row(net, s, slots, env)))
+                        np.exp(_row(net, s, slots, env)))
                     row = rows[s] = c[:-1].tolist(), float(c[-1])
                 if epsilon > 0.0 and rng.random() < epsilon:
                     s = nxt[int(rng.integers(len(nxt)))]
@@ -429,47 +411,37 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
 # -- batched transition evaluation ------------------------------------------
 
 
-def _slot_of(matrix: np.ndarray, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Slot index such that matrix[rows, slot] == targets, vectorized."""
-    return np.argmax(matrix[rows] == targets[:, None], axis=1)
-
-
 class EdgeBatch:
     """Forward/backward log-probs for a flat list of edges, with backprop.
 
-    Values are computed once at construction.  Callers accumulate per-edge
-    coefficients (d loss / d log-prob) and invoke :meth:`backprop` once, which
-    pushes gradients through the masked softmax, the clamp, and the nets.
-    ``tid`` (optional) numbers the trajectory each edge belongs to.
-    ``cache=False`` evaluates the nets without backward caches, in row blocks
-    (see :meth:`PolicyModel._eval_rows`); such a batch refuses to backprop.
-    A cache-free batch gathers a side's log-probs from a call's policy table
-    (see :func:`_tables`) where one is given.
+    Values are computed once at construction; the batch keeps no other
+    state.  :meth:`backprop` takes the per-edge coefficients (d loss / d
+    log-prob) and pushes them through the masked softmax, the clamp and the
+    nets.  ``tid`` (optional) numbers the trajectory each edge belongs to.
+    ``cache=False`` builds a batch that refuses to backprop: a side gathers
+    from a call's policy table (see :func:`_tables`) where one is given, else
+    evaluates its distinct states with :func:`_log_policy`.
     """
 
     def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray,
                  tid: Optional[np.ndarray] = None, cache: bool = True,
                  tables: Tuple[Optional[Table], Optional[Table]] = (None, None)):
-        self.model, self.env = model, env
         self.src, self.dst, self.tid, self.cache = src, dst, tid, cache
-        self._pf_coeff = np.zeros(len(src))
-        self._pb_coeff = np.zeros(len(src))
-
         # forward side: states with a single child contribute exactly 0
         fidx = np.flatnonzero(env.forward_mask[src].sum(axis=1) > 1)
-        self.log_pf, self._fwd = self._side(model.forward_net, env.forward_mask,
+        self.log_pf, self._fwd = self._side(env, model.forward_net, env.forward_mask,
                                             env.child_matrix, src, dst, fidx, tables[0])
         # backward side: edges into the sink are excluded; single parents are 0
         inner = dst != env.sink
         bidx = np.flatnonzero(inner & (env.backward_mask[np.where(inner, dst, 0)].sum(axis=1) > 1))
-        self.log_pb, self._bwd = self._side(model.backward_net, env.backward_mask,
+        self.log_pb, self._bwd = self._side(env, model.backward_net, env.backward_mask,
                                             env.parent_matrix, dst, src, bidx, tables[1])
 
-    def _side(self, net, mask, matrix, at, other, idx, table):
+    def _side(self, env, net, mask, matrix, at, other, idx, table):
         """Log-probs of edges ``idx`` under the policy at states ``at[idx]``.
 
         Returns (log-prob per edge, 0 outside ``idx``; what :meth:`backprop`
-        needs, or None when no net was evaluated).
+        needs, or None when no cached net pass was made).
         """
         logp_edges = np.zeros(len(at))
         if not len(idx):
@@ -478,18 +450,19 @@ class EdgeBatch:
         if net is None:  # fixed-uniform backward policy
             logp_edges[idx] = -np.log(mask[rows].sum(axis=1))
             return logp_edges, None
-        slot = _slot_of(matrix, rows, other[idx])
+        slot = np.argmax(matrix[rows] == other[idx, None], axis=1)  # edge's slot at its row
         if table is not None:
             logp, row = table
             logp_edges[idx] = logp[row[rows], slot]
             return logp_edges, None
         states, inv = np.unique(rows, return_inverse=True)
-        raw, cache = self.model._eval_rows(net, states, self.env, cache=self.cache)
-        logp, probs = _masked_rows(raw, mask[states])
-        logp_edges[idx] = logp[inv, slot]
         if not self.cache:
+            logp_edges[idx] = _log_policy(net, mask, states, env)[inv, slot]
             return logp_edges, None
-        return logp_edges, (net, cache, raw, probs, inv, slot, idx, mask[states])
+        raw, cache = _eval_rows(net, states, env)
+        logp = _masked_rows(raw, mask[states])
+        logp_edges[idx] = logp[inv, slot]
+        return logp_edges, (net, cache, raw, logp, inv, slot, idx, mask[states])
 
     @classmethod
     def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch, cache: bool = True,
@@ -504,48 +477,40 @@ class EdgeBatch:
         return (np.bincount(self.tid, weights=self.log_pf, minlength=n),
                 np.bincount(self.tid, weights=self.log_pb, minlength=n))
 
-    def add_pf_coeff(self, coeff: np.ndarray) -> None:
-        self._pf_coeff += coeff
-
-    def add_pb_coeff(self, coeff: np.ndarray) -> None:
-        self._pb_coeff += coeff
-
-    def backprop(self) -> None:
+    def backprop(self, pf_coeff: np.ndarray, pb_coeff: Optional[np.ndarray] = None) -> None:
+        """Accumulate the gradients of ``sum(pf_coeff * log_pf + pb_coeff * log_pb)``."""
         if not self.cache:
             raise ValueError("this EdgeBatch was built without backward caches")
-        for side, coeff in ((self._fwd, self._pf_coeff), (self._bwd, self._pb_coeff)):
-            if side is None or not np.any(coeff):
+        for side, coeff in ((self._fwd, pf_coeff), (self._bwd, pb_coeff)):
+            if side is None or coeff is None or not np.any(coeff):
                 continue
-            net, cache, raw, probs, inv, slot, idx, mask = side
+            net, cache, raw, logp, inv, slot, idx, mask = side
             dlogits = np.zeros_like(raw)
-            np.add.at(dlogits, inv, coeff[idx, None] * (-probs[inv]))
+            np.add.at(dlogits, inv, coeff[idx, None] * (-np.exp(logp)[inv]))
             np.add.at(dlogits, (inv, slot), coeff[idx])
             dlogits *= (np.abs(raw) <= LOGIT_CLAMP) & mask
             net.backward(cache, dlogits)
 
 
 class FlowBatch:
-    """State-flow head values for a flat list of states, with backprop."""
+    """State-flow head values for a flat list of states, with backprop; the
+    batch keeps only its values and the net's backward cache."""
 
     def __init__(self, model: PolicyModel, env: DagEnv, states: np.ndarray):
         if model.flow_net is None:
             raise ValueError("model has no state-flow head")
-        self.model, self.env = model, env
-        self.states = states
+        self._net = model.flow_net
         self._uniq, self._inv = np.unique(states, return_inverse=True)
-        out, self._cache = model._eval_rows(model.flow_net, self._uniq, env)
+        out, self._cache = _eval_rows(self._net, self._uniq, env)
         self.log_flow = out[self._inv, 0]
-        self._coeff = np.zeros(len(states))
 
-    def add_coeff(self, coeff: np.ndarray) -> None:
-        self._coeff += coeff
-
-    def backprop(self) -> None:
-        if not np.any(self._coeff):
+    def backprop(self, coeff: np.ndarray) -> None:
+        """Accumulate the gradients of ``sum(coeff * log_flow)``."""
+        if not np.any(coeff):
             return
         dout = np.zeros((len(self._uniq), 1))
-        np.add.at(dout[:, 0], self._inv, self._coeff)
-        self.model.flow_net.backward(self._cache, dout)
+        np.add.at(dout[:, 0], self._inv, coeff)
+        self._net.backward(self._cache, dout)
 
 
 def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch,
@@ -604,8 +569,7 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
             p[choice] = np.exp(table[0][i[choice]])
         else:
             uniq, inv = np.unique(states, return_inverse=True)
-            out, _ = model._eval_rows(net, uniq, env, cache=False)
-            p = _masked_rows(out, mask[uniq])[1][inv]
+            p = np.exp(_log_policy(net, mask, uniq, env))[inv]
         nxt = step[states, _draw_rows(rng, p)]
         t += 1
         walked[alive, t] = nxt
@@ -635,8 +599,7 @@ def sample_backward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Genera
     return _walk(model, env, rng, xs, forward=False)
 
 
-def exact_terminal_distribution(model: PolicyModel, env: DagEnv,
-                                cap: int = DEFAULT_STATE_CAP) -> Tuple[np.ndarray, np.ndarray]:
+def exact_terminal_distribution(model: PolicyModel, env: DagEnv) -> Tuple[np.ndarray, np.ndarray]:
     """Exact terminal sampling distribution by dynamic programming.
 
     Returns (terminating states, their probabilities), aligned with
@@ -644,11 +607,10 @@ def exact_terminal_distribution(model: PolicyModel, env: DagEnv,
     level at a time.  The net runs only at states with a choice: a single
     child is taken with probability exactly 1.
     """
-    if env.num_states > cap:
-        raise EnumerationCapError(f"{env.num_states} states exceed the cap {cap}")
+    check_state_cap(env.num_states)
     choice = env.forward_choice
     probs = np.ones(env.child_matrix.shape)
-    probs[choice] = np.exp(_log_policy(model, model.forward_net, env.forward_mask, choice, env))
+    probs[choice] = np.exp(_log_policy(model.forward_net, env.forward_mask, choice, env))
     p_edge = probs[env.edge_src, env.edge_fslot]
 
     mass = np.zeros(env.num_states)

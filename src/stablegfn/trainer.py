@@ -15,11 +15,12 @@ mixed with a reward-prioritized replay buffer.
 
 A round walks its trajectories with :func:`~stablegfn.policy.rollout` into
 one ``PathBatch`` (replayed paths appended) and evaluates the edges of the
-paths its loss reads once, in one ``EdgeBatch`` that the reference flows and
-the trajectory and edge losses reuse; fm evaluates its own edges.  A backward
-half that only feeds the buffer merge is never scored: the merge reads
-terminal states.  Only the gradient step keeps backward caches: a skipped
-round and certificate samples are scored cache-free.
+paths its loss reads once, in one ``EdgeBatch``: a stabilized round builds it
+for the reference flows and the loss to reuse, a baseline round leaves it to
+:func:`~stablegfn.losses.batch_loss` (fm evaluates its own edges).  A
+backward half that only feeds the buffer merge is never scored: the merge
+reads terminal states.  Only the gradient step keeps backward caches: a
+skipped round and certificate samples are scored cache-free.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import certify, losses, oracle
 from .approximator import AdamOptimizer
-from .envs import DagEnv
+from .envs import DagEnv, check_state_cap
 from .policy import (
     EdgeBatch,
     PathBatch,
@@ -248,6 +249,11 @@ class Trainer:
 
     def __init__(self, model: PolicyModel, env: DagEnv, config: TrainConfig,
                  metrics_path: Optional[str] = None):
+        # refused at set-up from sizes alone, not at the round that needs them
+        if config.oracle_every > 0:
+            check_state_cap(env.num_states, "oracle_every")
+        if config.objective == "wdb":
+            losses.check_reach_cap(env.num_states, len(env.terminating_states), "objective wdb")
         self.model, self.env, self.config = model, env, config
         lr = config.learning_rate
         self.optimizer = AdamOptimizer(
@@ -303,8 +309,8 @@ class Trainer:
             self.env, scope, bwd, fwd, self.model.logz, cfg.alpha, threshold=threshold
         )
 
-    def _gradient_step(self, paths: PathBatch, deltas: Optional[np.ndarray],
-                       edges: Optional[EdgeBatch]) -> losses.LossBatchReport:
+    def _gradient_step(self, paths: PathBatch, deltas: Optional[np.ndarray] = None,
+                       edges: Optional[EdgeBatch] = None) -> losses.LossBatchReport:
         self.model.params.zero_grad()
         report = losses.batch_loss(
             self.model, self.env, paths, self.config.objective,
@@ -384,10 +390,7 @@ class Trainer:
         n_fresh = len(batch)
         if self.replay is not None and len(self.replay) > 0:
             batch += self.replay.sample(self.rng_replay, cfg.replay_batch)
-        # fm backprops through edges of its own: these only score the paths
-        edges = EdgeBatch.of_paths(self.model, self.env, batch, cache=cfg.objective != "fm")
-        batch.log_pf, batch.log_pb = edges.per_trajectory(len(batch))
-        report = self._gradient_step(batch, None, edges)
+        report = self._gradient_step(batch)
         fresh = batch[:n_fresh]
         if self.replay is not None:
             self.replay.insert(fresh)

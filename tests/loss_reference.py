@@ -8,8 +8,8 @@ package computes every objective in one batched engine,
 :func:`stablegfn.losses.batch_loss`; the tests require the two to agree term
 by term.  A ``*_log_ratio`` is one term's log-ratio, its loss the square.
 
-The per-edge and per-state model lookups are built on ``PolicyModel._row``
-and ``PolicyModel._eval_rows``, the single-row evaluation ``rollout`` uses.
+The per-edge and per-state model lookups are built on ``policy._row`` and
+``policy._eval_rows``, the single-row evaluation ``rollout`` uses.
 The scalar reference-flow helpers wrap the package's one vectorized formula,
 ``reference_flow_log_deltas``.
 """
@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from stablegfn.losses import reference_flow_log_deltas, terminal_reach_counts
+from stablegfn.policy import _eval_rows, _row
 
 
 # -- model lookups, one state at a time -----------------------------------------
@@ -27,13 +28,13 @@ from stablegfn.losses import reference_flow_log_deltas, terminal_reach_counts
 def forward_row(model, s, env):
     """(slots, children, log-probs) of the forward policy at one state."""
     slots, children = env.forward_slots(s)
-    return slots, children, model._row(model.forward_net, s, slots, env)
+    return slots, children, _row(model.forward_net, s, slots, env)
 
 
 def backward_row(model, s, env):
     """(slots, parents, log-probs) of the backward policy at one state."""
     slots, parents = env.backward_slots(s)
-    return slots, parents, model._row(model.backward_net, s, slots, env)
+    return slots, parents, _row(model.backward_net, s, slots, env)
 
 
 def log_pf_edge(model, src, dst, env):
@@ -54,7 +55,7 @@ def log_pb_edge(model, src, dst, env):
 def log_state_flow(model, s, env):
     if model.flow_net is None:
         raise ValueError("model has no state-flow head")
-    out, _ = model._eval_rows(model.flow_net, np.array([s]), env)
+    out, _ = _eval_rows(model.flow_net, np.array([s]), env)
     return float(out[0, 0])
 
 

@@ -24,7 +24,7 @@ from typing import List
 import numpy as np
 
 from stablegfn.approximator import LEAKY_SLOPE, NonFiniteError
-from stablegfn.policy import EdgeBatch, _draw_rows, _masked_rows
+from stablegfn.policy import EdgeBatch, _draw_rows, _eval_rows, _masked_rows
 
 
 def clip_grad_norm(grad, max_norm):
@@ -79,12 +79,17 @@ def eval_rows(net, states, env):
     return mlp_forward(net._w, net._b, env.encoding_matrix[states])[0]
 
 
+def masked_probs(out, mask):
+    """Policy probability rows of net outputs, 0 at invalid slots."""
+    return np.where(mask, np.exp(_masked_rows(out, mask)), 0.0)
+
+
 def exact_terminal_distribution(model, env):
     """(terminating states, P_T) by pushing mass edge by edge in level order."""
     choice = np.flatnonzero(env.forward_mask.sum(axis=1) > 1)
     probs = np.ones(env.child_matrix.shape)
     out = eval_rows(model.forward_net, choice, env)
-    probs[choice] = _masked_rows(out, env.forward_mask[choice])[1]
+    probs[choice] = masked_probs(out, env.forward_mask[choice])
     mass = np.zeros(env.num_states)
     mass[env.initial_state] = 1.0
     for level in env.level_edges:
@@ -125,8 +130,8 @@ def walk(model, env, rng, starts, forward):
             p = mask[states] / k[:, None]
         else:
             uniq, inv = np.unique(states, return_inverse=True)
-            out, _ = model._eval_rows(net, uniq, env)
-            p = _masked_rows(out, mask[uniq])[1][inv]
+            out, _ = _eval_rows(net, uniq, env)
+            p = masked_probs(out, mask[uniq])[inv]
         nxt = step[states, _draw_rows(rng, p)]
         for j, t in enumerate(alive):
             seqs[t].append(int(nxt[j]))

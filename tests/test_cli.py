@@ -129,9 +129,8 @@ def test_certify_from_log(tmp_path):
     resolved = load_config(cfg)
     env = build_env(resolved)
     from stablegfn.cli import restore_model
-    from stablegfn.approximator import load_checkpoint
 
-    model = restore_model(load_checkpoint(str(outdir / "checkpoint.json")), env)
+    model = restore_model(str(outdir / "checkpoint.json"), env)
     rng = rng_for(0, "log")
     xs = env.terminating_states[rng.integers(0, len(env.terminating_states), 30)]
     trajs = sample_backward_batch(model, env, rng, xs) + sample_forward_batch(model, env, rng, 30)
@@ -152,7 +151,12 @@ GOOD_RECORD = {"states": [0, 1, 3, 7], "log_pf": -1.0, "log_pb": 0.0, "reward": 
     (None, ""),  # no such file
     ([json.dumps(GOOD_RECORD), "{not json"], ", line 2:"),
     ([json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "reward"})], ", line 1:"),
-], ids=["missing", "not_json", "no_reward"])
+    ([json.dumps(dict(GOOD_RECORD, reward=0.0))], ", line 1:"),
+    ([json.dumps(GOOD_RECORD), json.dumps(dict(GOOD_RECORD, reward=-1.0))], ", line 2:"),
+    ([json.dumps(dict(GOOD_RECORD, log_pf=math.nan))], ", line 1:"),
+    ([json.dumps(dict(GOOD_RECORD, log_pb=-math.inf))], ", line 1:"),
+], ids=["missing", "not_json", "no_reward", "reward_zero", "reward_negative", "log_pf_nan",
+        "log_pb_inf"])
 def test_certify_from_bad_log_exits_2(tmp_path, capsys, lines, where):
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
     log_path = tmp_path / "trajs.jsonl"
@@ -164,6 +168,60 @@ def test_certify_from_bad_log_exits_2(tmp_path, capsys, lines, where):
     assert code == 2
     assert err.startswith("error: ") and str(log_path) + where in err
     assert not (tmp_path / "cert.json").exists()
+
+
+@pytest.mark.parametrize("corrupt, names", [
+    (lambda doc: doc.pop("env"), "no 'env'"),
+    (lambda doc: doc.pop("params"), "no 'params'"),
+    (lambda doc: doc["params"].pop("pb.table"), "slice 'pb.table' is missing"),
+    (lambda doc: doc["model"].update(depth=3), "'depth'"),
+    (lambda doc: doc["params"]["pf.table"]["shape"].reverse(),
+     "slice 'pf.table' is (2, 8), the model's is (8, 2)"),
+    (lambda doc: doc["params"]["pf.table"].update(shape=[8]), "slice 'pf.table' does not decode"),
+], ids=["no_env", "no_params", "no_slice", "model_key", "slice_shape", "slice_size"])
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, names):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    path = outdir / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    for command in ("evaluate", "certify"):
+        code = main([command, "--checkpoint", str(path), "--config", cfg, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {path}: ") and names in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("train, cap, names", [
+    ({"oracle_every": 1}, "stablegfn.envs.STATE_CAP", "oracle_every: 8 states exceed STATE_CAP"),
+    ({"objective": "wdb", "stabilize": False}, "stablegfn.losses.WDB_REACH_CELL_CAP",
+     "objective wdb: reachability reweighting needs 32 cells, above WDB_REACH_CELL_CAP"),
+], ids=["oracle_every", "wdb"])
+def test_train_over_cap_exits_2_at_setup(tmp_path, monkeypatch, capsys, train, cap, names):
+    # T(2,2): 8 states, 4 of them terminating
+    monkeypatch.setattr(cap, 7 if "STATE" in cap else 31)
+    assert _train_with(tmp_path, train=train) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+    assert not (tmp_path / "run").exists()
+    monkeypatch.setattr(cap, 8 if "STATE" in cap else 32)
+    assert _train_with(tmp_path, train=dict(train, max_rounds=2)) == 0
+
+
+def test_evaluate_oracle_over_state_cap_exits_2(tmp_path, monkeypatch, capsys):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    capsys.readouterr()
+    monkeypatch.setattr("stablegfn.envs.STATE_CAP", 7)
+    out = tmp_path / "eval.json"
+    assert main(["evaluate", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: eval.oracle: 8 states exceed STATE_CAP = 7")
+    assert not out.exists()
+    monkeypatch.setattr("stablegfn.envs.STATE_CAP", 8)
+    assert main(["evaluate", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--output", str(out)]) == 0
 
 
 def test_evaluate_balanced_checkpoint(tmp_path, capsys):

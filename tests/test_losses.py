@@ -5,7 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from stablegfn.envs import DagEnv, Hypergrid, RegularTree, one_more_mode_tree
+from stablegfn import losses
+from stablegfn.envs import DagEnv, EnumerationCapError, Hypergrid, RegularTree, one_more_mode_tree
 from stablegfn.losses import batch_loss, reference_flow_log_deltas, terminal_reach_counts
 from stablegfn.oracle import balanced_tabular_model, enumerate_trajectories
 from stablegfn.policy import PolicyModel, rollout, score_paths
@@ -268,6 +269,15 @@ def test_terminal_reach_counts_match_dfs(env):
     dfs = [len(reachable(s)) for s in range(env.num_states)]
     assert list(terminal_reach_counts(env)) == dfs
     assert dfs[env.initial_state] == len(env.terminating_states)
+
+
+def test_reach_cap_refuses_reweighting(monkeypatch):
+    env = RegularTree(3, 2)  # 14 states, 9 terminating: 126 cells
+    monkeypatch.setattr(losses, "WDB_REACH_CELL_CAP", 125)
+    with pytest.raises(EnumerationCapError, match="126 cells, above WDB_REACH_CELL_CAP = 125"):
+        terminal_reach_counts(env)
+    monkeypatch.setattr(losses, "WDB_REACH_CELL_CAP", 126)
+    assert terminal_reach_counts(env)[env.initial_state] == 9
 
 
 def test_terminal_reach_counts_cache_dies_with_env():

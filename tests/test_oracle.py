@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from stablegfn.envs import DagEnv, Hypergrid, RegularTree, one_more_mode_tree, true_partition
+from stablegfn import envs, oracle
+from stablegfn.envs import (
+    DagEnv,
+    EnumerationCapError,
+    Hypergrid,
+    RegularTree,
+    one_more_mode_tree,
+    true_partition,
+)
 from stablegfn.oracle import (
     balanced_flows,
     balanced_tabular_model,
@@ -162,6 +170,28 @@ def test_enumerate_trajectory_counts():
         math.comb(x + y, x) for x in range(3) for y in range(3)
     )
     assert len(enumerate_trajectory_states(env)) == expected
+
+
+def test_state_cap_refuses_exact_passes(monkeypatch):
+    env = RegularTree(2, 2)  # 8 states
+    model = PolicyModel.build(env, "tabular")
+    monkeypatch.setattr(envs, "STATE_CAP", 7)  # read when a pass runs, not when defined
+    for exact_pass in (lambda: exact_terminal_distribution(model, env),
+                       lambda: exact_tv(model, env), lambda: balanced_flows(env),
+                       lambda: balanced_tabular_model(env)):
+        with pytest.raises(EnumerationCapError, match="8 states exceed STATE_CAP = 7"):
+            exact_pass()
+    monkeypatch.setattr(envs, "STATE_CAP", 8)
+    assert exact_tv(balanced_tabular_model(env), env) < 1e-12
+
+
+def test_trajectory_cap_refuses_enumeration(monkeypatch):
+    env = RegularTree(3, 2)  # 9 trajectories
+    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", 8)
+    with pytest.raises(EnumerationCapError, match="more than TRAJECTORY_CAP = 8 trajectories"):
+        enumerate_trajectory_states(env)
+    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", 9)
+    assert len(enumerate_trajectories(PolicyModel.build(env, "tabular"), env)) == 9
 
 
 def test_enumerated_trajectories_carry_exact_probs():

@@ -24,6 +24,7 @@ from stablegfn.policy import (
     EdgeBatch,
     PathView,
     PolicyModel,
+    _masked_rows,
     exact_terminal_distribution,
     rollout,
     sample_backward_batch,
@@ -189,15 +190,24 @@ def test_exact_dp_keeps_no_activation_cache():
 
 
 def _record_forward_calls(monkeypatch):
-    """(rows, cache flag) of every ``Mlp.forward`` call from now on."""
-    calls = []
-    forward = Mlp.forward
+    """(rows, cache flag, inside ``policy._log_policy``) of every
+    ``Mlp.forward`` call from now on."""
+    calls, depth = [], [0]
+    forward, log_policy = Mlp.forward, policy._log_policy
 
     def recorded(net, x, cache=True):
-        calls.append((len(x), cache))
+        calls.append((len(x), cache, depth[0] > 0))
         return forward(net, x, cache)
 
+    def recorded_log_policy(*args):
+        depth[0] += 1
+        try:
+            return log_policy(*args)
+        finally:
+            depth[0] -= 1
+
     monkeypatch.setattr(Mlp, "forward", recorded)
+    monkeypatch.setattr(policy, "_log_policy", recorded_log_policy)
     return calls
 
 
@@ -206,12 +216,13 @@ def test_blocked_evaluation_matches_one_call(monkeypatch):
     model = PolicyModel.build(env, "mlp", hidden=(64, 64), rng=np.random.default_rng(0))
     choice = np.flatnonzero(env.forward_mask.sum(axis=1) > 1)
     calls = _record_forward_calls(monkeypatch)
-    out, kept = model._eval_rows(model.forward_net, choice, env, cache=False)
-    rows = [n for n, _ in calls]
-    # near-equal blocks, more than two of them, every one above half the cap
-    assert kept is None and len(rows) > 2 and sum(rows) == len(choice)
+    logp = policy._log_policy(model.forward_net, env.forward_mask, choice, env)
+    rows = [n for n, _, _ in calls]
+    # near-equal cache-free blocks, more than two of them, every one above half the cap
+    assert not any(cache for _, cache, _ in calls) and len(rows) > 2 and sum(rows) == len(choice)
     assert max(rows) <= policy.EVAL_BLOCK_ROWS < 2 * min(rows)
-    assert out.tobytes() == ref.eval_rows(model.forward_net, choice, env).tobytes()
+    out = ref.eval_rows(model.forward_net, choice, env)
+    assert logp.tobytes() == _masked_rows(out, env.forward_mask[choice]).tobytes()
     got, want = exact_terminal_distribution(model, env), ref.exact_terminal_distribution(model, env)
     assert got[0].tolist() == want[0].tolist()
     assert got[1].tobytes() == want[1].tobytes()
@@ -260,14 +271,18 @@ def test_only_training_keeps_backward_caches(monkeypatch):
     sample_backward_batch(model, env, rng, env.terminating_states[:8])
     oracle.enumerate_trajectories(model, env)
     exact_terminal_distribution(model, env)
-    assert calls and not any(cache for _, cache in calls)
+    # every pass is cache-free, and every one of more than one row runs in
+    # policy._log_policy; the rollouts evaluate single rows
+    assert calls and not any(cache for _, cache, _ in calls)
+    assert all(inside or n == 1 for n, _, inside in calls)
+    assert any(inside for _, _, inside in calls)
 
     edges = score_paths(model, env, paths)
     assert edges._fwd is None and edges._bwd is None
     with pytest.raises(ValueError, match="without backward caches"):
-        edges.backprop()
+        edges.backprop(np.ones(len(edges.src)))
     with pytest.raises(ValueError, match="without backward caches"):
         batch_loss(model, env, paths, "tb", backprop=True, edges=edges)
     del calls[:]
     batch_loss(model, env, paths, "tb", backprop=True)
-    assert calls and all(cache for _, cache in calls)
+    assert calls and all(cache and not inside for _, cache, inside in calls)

@@ -220,8 +220,8 @@ def test_rollout_draw_follows_the_proportional_rule(monkeypatch):
         model = PolicyModel.build(env, "tabular")
         # the first call computes the source's row alone, the second reads the
         # row of the call's table, where the first call listed the source
-        model._row = lambda net, s, slots, env, lw=lw: lw
-        monkeypatch.setattr(policy, "_log_policy", lambda model, net, mask, states, env, lw=lw:
+        monkeypatch.setattr(policy, "_row", lambda net, s, slots, env, lw=lw: lw)
+        monkeypatch.setattr(policy, "_log_policy", lambda net, mask, states, env, lw=lw:
                             np.tile(lw, (len(states), 1)))
         for listed in ([], [0]):
             assert env._move_choices[0] == listed
@@ -278,15 +278,15 @@ def test_table_rows_match_per_state_rows(env_name, kind):
     env = TABLE_ENVS[env_name]()
     model = random_model(env, kind, seed=5, noise=3.0)
     for net, mask, choice, slots_at in _sides(model, env):
-        logp = policy._log_policy(model, net, mask, choice, env)
+        logp = policy._log_policy(net, mask, choice, env)
         # an MLP's logits move in the last bits with a call's row count, so
         # its rows are held to the per-state arithmetic on the table's logits
-        out = model._eval_rows(net, choice, env, cache=False)[0]
+        out = policy._eval_rows(net, choice, env, cache=False)[0]
         same = []
         for i, s in enumerate(choice.tolist()):
             slots, _ = slots_at(s)
             if kind == "tabular":
-                want = model._row(net, s, slots, env)
+                want = policy._row(net, s, slots, env)
             else:
                 want = _log_softmax(_clamp(out[i, slots]))
             same.append(logp[i, slots].tobytes() == want.tobytes())
@@ -304,7 +304,7 @@ def test_table_rows_of_eight_slots_and_more_sum_in_another_order():
         z = rng.normal(0.0, 3.0, (200, width))
         mask = rng.random((200, width)) < 0.6
         mask[:, :2] = True
-        logp = _masked_rows(z, mask)[0]
+        logp = _masked_rows(z, mask)
         same = [logp[i, m].tobytes() == _log_softmax(_clamp(z[i, m])).tobytes()
                 for i, m in enumerate(mask)]
         assert all(same) == (width < policy._ORDERED_SUM_WIDTH)
@@ -316,7 +316,7 @@ def test_table_rule_counts_paths_against_choice_states(kind):
     nets = [Tabular(env.num_states, width, prefix) if kind == "tabular"
             else Mlp(env.feature_dim, (4, 4), width, prefix)
             for width, prefix in ((env.num_forward_slots, "pf"), (env.num_backward_slots, "pb"))]
-    model = PolicyModel(env, *nets)  # the rule refuses before any net runs
+    model = PolicyModel(*nets)  # the rule refuses before any net runs
     for n in (1000, 16384):
         assert policy._tables(model, env, n) == (None, None)
     small = Hypergrid(2, 4)  # 15 forward, 9 backward choice states
@@ -329,7 +329,7 @@ def test_table_rule_counts_paths_against_choice_states(kind):
 def test_table_holds_its_rows_and_one_block():
     env = Hypergrid(4, 10)  # 20,001 states, 9,999 forward choice states: 5 blocks
     model = PolicyModel.build(env, "mlp", hidden=(64, 64), rng=np.random.default_rng(0))
-    args = (model, model.forward_net, env.forward_mask, env.forward_choice, env)
+    args = (model.forward_net, env.forward_mask, env.forward_choice, env)
     policy._log_policy(*args)  # the one-hot cache is built once, outside the trace
     tracemalloc.start()
     try:
@@ -348,9 +348,9 @@ def _record_tables(monkeypatch):
     rows = []
     log_policy = policy._log_policy
 
-    def recorded(model, net, mask, states, env):
+    def recorded(net, mask, states, env):
         rows.append(len(states))
-        return log_policy(model, net, mask, states, env)
+        return log_policy(net, mask, states, env)
 
     monkeypatch.setattr(policy, "_log_policy", recorded)
     return rows
@@ -496,7 +496,7 @@ def test_clamp_matches_np_clip_bitwise():
             model = random_model(env, kind, seed=width, noise=80.0)
             model.params.values[...] *= 1.0 if kind == "tabular" else 8.0
             s = np.array([env.initial_state])
-            out, _ = model._eval_rows(model.forward_net, s, env, cache=False)
+            out, _ = policy._eval_rows(model.forward_net, s, env, cache=False)
             clip = np.clip(out, -LOGIT_CLAMP, LOGIT_CLAMP)
             if np.any(clip != out):
                 clipped.add(kind)
@@ -506,7 +506,7 @@ def test_clamp_matches_np_clip_bitwise():
                 assert _clamp(out[:, :w]).tobytes() == clip[:, :w].tobytes()
                 mask = np.arange(width) < w
                 want = _log_softmax(np.where(mask, clip, -np.inf))
-                assert _masked_rows(out, mask[None])[0].tobytes() == want.tobytes()
+                assert _masked_rows(out, mask[None]).tobytes() == want.tobytes()
     assert clipped == {"tabular", "mlp"}  # both kinds' rows reach past the clamp
 
 

@@ -220,6 +220,31 @@ def test_certifying_run_fingerprint():
         "e57f22909b62adf36cbee17f47b09c01f99d5463e4e2dbc38b32759a33a0d15d")
 
 
+# sha256 of the parameters after 6 baseline rounds with replay, on tabular
+# nets with a flow head (no matrix product, so no BLAS rounding): a change to
+# an objective's gradients, the rollout, the replay draws or the update fails here
+BASELINE_FINGERPRINTS = {
+    "tb": "987e4cb740dbb9416c4e25e29405068574574907b08f7c6733113b3368f1f5a4",
+    "db": "9c340219c68a57e2ce7f1785c7712672f5bfd8c728555037ff9d7e6b6558d99f",
+    "fm": "12cbfa3082b7d774b2260da5e018beb0965e5a5ae3c29dfbeb28c7af02f6376b",
+    "subtb": "fb18ff8cfa3904d554f15a04070a7306d7e220d0f5e909359801e32dbc7a2163",
+    "wdb": "6a8735715d355c25e14fbfd8e34a4529242de756a2bce803b5ac7ad7d0fd5191",
+}
+
+
+@pytest.mark.parametrize("objective", list(BASELINE_FINGERPRINTS))
+def test_baseline_run_fingerprint(objective):
+    env = Hypergrid(2, 4)
+    model = PolicyModel.build(env, "tabular", flow_head=True, rng=rng_for(0, objective))
+    cfg = TrainConfig(objective=objective, max_rounds=6, seed=3, batch_size=8,
+                      replay_batch=4, replay_size=16, learning_rate=0.05)
+    tr = Trainer(model, env, cfg)
+    tr.run()
+    assert len(tr.replay) == 16
+    assert hashlib.sha256(model.params.values.tobytes()).hexdigest() == (
+        BASELINE_FINGERPRINTS[objective])
+
+
 def test_metrics_csv_schema(tmp_path):
     env = RegularTree(2, 2)
     model = PolicyModel.build(env, "tabular")
@@ -350,51 +375,41 @@ def test_baseline_objectives_run_one_round():
 
 @pytest.mark.parametrize("objective", ["tb", "db", "fm", "subtb", "wdb"])
 def test_baseline_round_caches_only_what_it_backprops(monkeypatch, objective):
-    cached, backpropped = [], []
-    init, backprop = EdgeBatch.__init__, EdgeBatch.backprop
-
-    def recorded_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        if self.cache:
-            cached.append(self)
-
-    def recorded_backprop(self):
-        backpropped.append(self)
-        backprop(self)
-
-    monkeypatch.setattr(EdgeBatch, "__init__", recorded_init)
-    monkeypatch.setattr(EdgeBatch, "backprop", recorded_backprop)
+    built, cached, backpropped = _record_edge_batches(monkeypatch)
     env = Hypergrid(2, 4)
     model = PolicyModel.build(env, "mlp", hidden=(8, 8), flow_head=True, rng=rng_for(0, objective))
     cfg = TrainConfig(objective=objective, max_rounds=4, seed=1, replay_batch=4)
     Trainer(model, env, cfg).run()
     assert cached and all(any(b is e for b in backpropped) for e in cached)
+    # one cached batch per round, the loss's own: no batch only scores the paths
+    assert len(built) == len(cached) == cfg.max_rounds
 
 
 def _record_edge_batches(monkeypatch):
-    """(cached EdgeBatches in build order, EdgeBatches in backprop order)."""
-    cached, backpropped = [], []
+    """(EdgeBatches in build order, the cached ones, EdgeBatches in backprop order)."""
+    built, cached, backpropped = [], [], []
     init, backprop = EdgeBatch.__init__, EdgeBatch.backprop
 
     def recorded_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
+        built.append(self)
         if self.cache:
             cached.append(self)
 
-    def recorded_backprop(self):
+    def recorded_backprop(self, *args):
         backpropped.append(self)
-        backprop(self)
+        backprop(self, *args)
 
     monkeypatch.setattr(EdgeBatch, "__init__", recorded_init)
     monkeypatch.setattr(EdgeBatch, "backprop", recorded_backprop)
-    return cached, backpropped
+    return built, cached, backpropped
 
 
 @pytest.mark.parametrize("source, in_gradient", [
     ("buffer", "auto"), ("exact", "auto"), ("exact", "never"), ("buffer", "always"),
 ], ids=["buffer-auto", "exact-auto", "exact-never", "buffer-always"])
 def test_stable_round_caches_only_what_it_backprops(monkeypatch, source, in_gradient):
-    cached, backpropped = _record_edge_batches(monkeypatch)
+    _, cached, backpropped = _record_edge_batches(monkeypatch)
     env = Hypergrid(2, 4)
     # near-balanced: certificates fire every unchanged round, and some skip
     model = balanced_tabular_model(env, flow_head=False)
