@@ -334,7 +334,7 @@ def grad_check(
 # -- checkpointing -----------------------------------------------------------
 
 CHECKPOINT_FORMAT = "stablegfn-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _encode_array(a: np.ndarray) -> Dict[str, object]:
@@ -352,15 +352,16 @@ def save_checkpoint(
     path: str,
     params: ParamVector,
     optimizer: Optional[AdamOptimizer],
-    model_meta: Dict[str, object],
-    env_fingerprint: Dict[str, object],
+    model: Dict[str, object],
+    env: Dict[str, object],
 ) -> None:
-    """Write a bit-exact JSON checkpoint (float64 payloads are base64-encoded)."""
+    """Write a bit-exact JSON checkpoint (float64 payloads are base64-encoded)
+    with the run's resolved ``model`` and ``env`` config sections."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "model": model_meta,
-        "env": env_fingerprint,
+        "model": model,
+        "env": env,
         "params": {name: _encode_array(params.view(name)) for name in params.names},
     }
     if optimizer is not None:

@@ -15,7 +15,9 @@ Reference flows come from ``losses.reference_flow_log_deltas``, the one
 implementation of the formula; :func:`delta_ratios` only rescales them.
 Sampled trajectories arrive as :class:`~stablegfn.policy.PathBatch` arrays:
 records read their log-probs and log-rewards, and a subgraph certificate
-keeps forward paths by one mask over their terminals.
+keeps forward paths, and counts its scope's states and reward mass, by one
+mask over the scope.  :func:`sample_certificate` is the one certificate attempt
+from a model: the trainer's gate and both CLI commands draw through it.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ import numpy as np
 
 from .envs import DagEnv, OneMoreMode, true_partition
 from .losses import reference_flow_log_deltas
-from .policy import PathBatch
+from .policy import (PathBatch, PolicyModel, draw_terminals, sample_backward_batch,
+                     sample_forward_batch)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# optimize_certificate's search: pre-scan points, then golden-section width and iterations
+SEARCH_PRESCAN, SEARCH_TOL, SEARCH_MAX_ITER = 32, 1e-8, 200
 
 
 class ReferenceConditionError(ValueError):
@@ -210,15 +215,9 @@ def feasibility_floor(log_model: np.ndarray, log_target: np.ndarray) -> float:
     return float(np.log(np.expm1(r[active])).max())
 
 
-def optimize_certificate(
-    backward: Tuple[np.ndarray, np.ndarray],
-    forward: Tuple[np.ndarray, np.ndarray],
-    alpha: float,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    prescan: int = 32,
-    scope: str = "global",
-) -> CertificateReport:
+def optimize_certificate(backward: Tuple[np.ndarray, np.ndarray],
+                         forward: Tuple[np.ndarray, np.ndarray], alpha: float,
+                         scope: str = "global") -> CertificateReport:
     """Tightest reference-flow certificate over the one-dimensional threshold.
 
     ``backward``/``forward`` are (log model flow, log target flow) records of
@@ -245,13 +244,13 @@ def optimize_certificate(
         trace.append((best_c, f(best_c)))
         iters = 0
     else:
-        grid = np.linspace(c_lo, c_hi, prescan)
+        grid = np.linspace(c_lo, c_hi, SEARCH_PRESCAN)
         vals = [f(c) for c in grid]
         trace = list(zip(grid.tolist(), vals))
         i = int(np.argmin(vals))
         a = grid[max(0, i - 1)]
-        b = grid[min(prescan - 1, i + 1)]
-        x, fx, iters = golden_section_minimize(f, float(a), float(b), tol, max_iter)
+        b = grid[min(SEARCH_PRESCAN - 1, i + 1)]
+        x, fx, iters = golden_section_minimize(f, float(a), float(b), SEARCH_TOL, SEARCH_MAX_ITER)
         best_c, best_v = x, fx
         if vals[i] < best_v:
             best_c = float(grid[i])
@@ -305,9 +304,8 @@ def subgraph_certificate(
     ``threshold`` no search is run (the trainer's cheap path); otherwise the
     one-dimensional optimization applies.
     """
-    subset = set(int(s) for s in subset)
     in_subset = np.zeros(env.num_states, dtype=bool)
-    in_subset[list(subset)] = True
+    in_subset[np.asarray(subset, dtype=np.int64)] = True
     scope = "global" if in_subset[env.terminating_states].all() else "subgraph"
     kept = forward_trajs[in_subset[forward_trajs.terminals]]
     backward = records_from_trajectories(backward_trajs, logz)
@@ -319,10 +317,23 @@ def subgraph_certificate(
         report = optimize_certificate(backward, forward, alpha, scope=scope)
     else:
         report = bound_at_threshold(backward, forward, threshold, alpha, scope=scope)
-    report.subset_size = len(subset)
-    report.captured_reward_mass = float(sum(env.reward(x) for x in subset))
+    report.subset_size = int(in_subset.sum())
+    report.captured_reward_mass = float(env.reward_table[in_subset].sum())
     report.partition_estimate = math.exp(logz)
     return report
+
+
+def sample_certificate(model: PolicyModel, env: DagEnv, scope: np.ndarray, m: int, n: int,
+                       rng_b: np.random.Generator, rng_f: np.random.Generator, alpha: float,
+                       threshold: Optional[float] = None) -> CertificateReport:
+    """One certificate attempt over the terminal states ``scope`` (an int array):
+    ``m`` terminals drawn reward-proportionally in ``scope``'s order and walked
+    back with ``rng_b``, ``n`` forward paths walked with ``rng_f``, then
+    :func:`subgraph_certificate` at ``threshold`` (None: searched)."""
+    xs = draw_terminals(rng_b, env.reward_table, scope, m)
+    bwd = sample_backward_batch(model, env, rng_b, xs)
+    fwd = sample_forward_batch(model, env, rng_f, n)
+    return subgraph_certificate(env, scope, bwd, fwd, model.logz, alpha, threshold)
 
 
 # -- fidelity trade-off ---------------------------------------------------------

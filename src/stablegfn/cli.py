@@ -18,14 +18,8 @@ from . import certify as certify_mod
 from . import config as config_mod
 from . import oracle
 from .approximator import load_checkpoint, save_checkpoint
-from .envs import DagEnv, EnumerationCapError, check_state_cap
-from .policy import (
-    PolicyModel,
-    proportional_draw,
-    read_trajectory_log,
-    sample_backward_batch,
-    sample_forward_batch,
-)
+from .envs import EnumerationCapError, check_state_cap
+from .policy import read_trajectory_log, sample_forward_batch
 from .trainer import Trainer, rng_for
 
 
@@ -34,44 +28,29 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def restore_model(path: str, env: DagEnv) -> PolicyModel:
-    """The model of the checkpoint at ``path``, trained on ``env``: its recorded
-    build arguments, then its parameters.  A ValueError names the file and
-    the key or parameter slice that does not fit."""
+def _load_model_for(args: argparse.Namespace):
+    """(resolved config, env, model) for a command's ``--config`` and ``--checkpoint``:
+    the checkpoint's model section, built by ``config.build_model``, with its
+    parameters.  A ValueError names the file and the key or slice that does not fit."""
+    resolved = config_mod.load_config(args.config)
+    env = config_mod.build_env(resolved)
+    path = args.checkpoint
     doc = load_checkpoint(path)
-    if doc["env"] != env.describe():
-        raise config_mod.ConfigError(
-            f"{path}: checkpoint was trained on a different environment than the config"
-        )
+    if doc["env"] != resolved["env"]:
+        raise config_mod.ConfigError(f"{path}: checkpoint was trained on a different "
+                                     "environment than the config")
     try:
-        model = PolicyModel.build(env, **doc["model"])
-    except (TypeError, ValueError) as exc:
+        section = config_mod.resolve_model(doc["model"], resolved["train"]["objective"])
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: model {doc['model']!r} does not build ({exc})") from None
+    model = config_mod.build_model(dict(resolved, model=section), env)
     for name in model.params.names:
         got = doc["params"][name].shape if name in doc["params"] else "missing"
         if got != model.params.view(name).shape:
             raise ValueError(f"{path}: parameter slice {name!r} is {got}, the model's is "
                              f"{model.params.view(name).shape}")
     model.params.load_state_dict(doc["params"])
-    return model
-
-
-def _load_model_for(args: argparse.Namespace):
-    """(resolved config, env, model) for a command's ``--config`` and ``--checkpoint``."""
-    resolved = config_mod.load_config(args.config)
-    env = config_mod.build_env(resolved)
-    return resolved, env, restore_model(args.checkpoint, env)
-
-
-def _draw_certification_samples(model: PolicyModel, env: DagEnv, scope: List[int],
-                                m: int, n: int, seed: int):
-    rng_b = rng_for(seed, "cli.cert.backward")
-    rng_f = rng_for(seed, "cli.cert.forward")
-    scope_arr = np.array(sorted(scope), dtype=np.int64)
-    xs = scope_arr[proportional_draw(rng_b, env.reward_table[scope_arr], m)]
-    bwd = sample_backward_batch(model, env, rng_b, xs)
-    fwd = sample_forward_batch(model, env, rng_f, n)
-    return bwd, fwd
+    return resolved, env, model
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -88,28 +67,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     config_mod.write_resolved(resolved, os.path.join(outdir, "resolved_config.json"))
     state = trainer.run()
 
-    save_checkpoint(
-        os.path.join(outdir, "checkpoint.json"),
-        model.params,
-        trainer.optimizer,
-        model.meta,
-        env.describe(),
-    )
+    save_checkpoint(os.path.join(outdir, "checkpoint.json"), model.params, trainer.optimizer,
+                    resolved["model"], resolved["env"])
 
-    scope = trainer.certification_scope()
-    if state.round > 0 and scope:
-        bwd, fwd = _draw_certification_samples(
-            model, env, scope, train_cfg.cert_m, train_cfg.cert_n, train_cfg.seed
-        )
-        report = certify_mod.subgraph_certificate(
-            env, scope, bwd, fwd, model.logz, train_cfg.alpha
+    scope, bound_txt = trainer.certification_scope(), "n/a"
+    if state.round > 0 and len(scope):
+        report = certify_mod.sample_certificate(
+            model, env, np.sort(scope), train_cfg.cert_m, train_cfg.cert_n,
+            rng_for(train_cfg.seed, "cli.cert.backward"),
+            rng_for(train_cfg.seed, "cli.cert.forward"), train_cfg.alpha,
         )
         with open(os.path.join(outdir, "certificate.json"), "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
-        bound_txt = "n/a" if report.bound is None else f"{report.bound:.6f}"
-    else:
-        report = None
-        bound_txt = "n/a"
+        if report.bound is not None:
+            bound_txt = f"{report.bound:.6f}"
 
     print(
         f"trained {state.round} rounds | certified early exit: {state.certified} | "
@@ -121,6 +92,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     if args.alpha is not None and not 0.0 < args.alpha < 0.5:
         return _fail(f"alpha must be in (0, 0.5), got {args.alpha}")
+    if any(v is not None and v < 1 for v in (args.m, args.n)):
+        return _fail("need m >= 1 and n >= 1 samples")
     try:
         resolved, env, model = _load_model_for(args)
     except (EnumerationCapError, OSError, ValueError) as exc:
@@ -142,12 +115,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
             alpha,
         )
     else:
-        if args.m < 1 or args.n < 1:
-            return _fail("need m >= 1 and n >= 1 samples")
-        scope = [int(x) for x in env.terminating_states]
-        bwd, fwd = _draw_certification_samples(model, env, scope, args.m, args.n,
-                                               resolved["seed"])
-        report = certify_mod.subgraph_certificate(env, scope, bwd, fwd, model.logz, alpha)
+        m = resolved["train"]["cert_m"] if args.m is None else args.m
+        n = resolved["train"]["cert_n"] if args.n is None else args.n
+        seed = resolved["seed"]
+        report = certify_mod.sample_certificate(  # terminating states ascend
+            model, env, env.terminating_states, m, n, rng_for(seed, "cli.cert.backward"),
+            rng_for(seed, "cli.cert.forward"), alpha,
+        )
 
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -213,8 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="compute an optimized TV certificate")
     c.add_argument("--checkpoint", required=True)
     c.add_argument("--config", required=True)
-    c.add_argument("-m", type=int, default=1000, help="backward sample count")
-    c.add_argument("-n", type=int, default=1000, help="forward sample count")
+    c.add_argument("-m", type=int, default=None,
+                   help="backward sample count (default from config train.cert_m)")
+    c.add_argument("-n", type=int, default=None,
+                   help="forward sample count (default from config train.cert_n)")
     c.add_argument("--alpha", type=float, default=None,
                    help="per-side failure probability (default from config confidence)")
     c.add_argument("--from-log", default=None,

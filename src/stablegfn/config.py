@@ -3,7 +3,9 @@
 Configs are YAML (JSON is a YAML subset) with four sections: ``env``,
 ``model``, ``train``, ``eval``, plus a top-level ``seed`` and ``output_dir``.
 Unknown keys are rejected.  ``resolve`` materializes every default so the
-emitted ``resolved_config.json`` reproduces the run exactly.
+emitted ``resolved_config.json`` reproduces the run exactly.  Its ``env`` and
+``model`` sections are the one description of a run: a checkpoint keeps
+them, and a model is built, or restored, only by :func:`build_model`.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def _resolve_env(section: Dict) -> Dict:
     }
 
 
-def _resolve_model(section: Dict, objective: str) -> Dict:
+def resolve_model(section: Dict, objective: str) -> Dict:
+    """The ``model`` section with every default; ``flow_head: auto`` follows ``objective``."""
     _check_keys(section, ["kind", "hidden", "backward", "flow_head"], "model")
     kind = section.get("kind", "tabular")
     if kind not in ("tabular", "mlp"):
@@ -156,7 +159,7 @@ def resolve(raw: Dict) -> Dict:
     seed = raw.get("seed", 0)  # TrainConfig checks it
     try:
         train = _resolve_train(raw.get("train", {}) or {}, seed)
-        model = _resolve_model(raw.get("model", {}) or {}, train["objective"])
+        model = resolve_model(raw.get("model", {}) or {}, train["objective"])
         return {
             "seed": seed,
             "output_dir": str(raw.get("output_dir", "out")),
@@ -191,15 +194,9 @@ def build_env(resolved: Dict) -> DagEnv:
 
 def build_model(resolved: Dict, env: DagEnv) -> PolicyModel:
     m = resolved["model"]
-    rng = rng_for(resolved["seed"], "model.init")
-    return PolicyModel.build(
-        env,
-        kind=m["kind"],
-        hidden=m["hidden"],
-        learn_backward=m["backward"] == "learned",
-        flow_head=m["flow_head"],
-        rng=rng,
-    )
+    return PolicyModel.build(env, kind=m["kind"], hidden=m["hidden"],
+                             learn_backward=m["backward"] == "learned", flow_head=m["flow_head"],
+                             rng=rng_for(resolved["seed"], "model.init"))
 
 
 def build_train_config(resolved: Dict) -> TrainConfig:

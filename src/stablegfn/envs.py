@@ -19,6 +19,10 @@ child/parent: the only states whose policy rows a sampler evaluates.
 One graph order, the level order: ``levels`` groups states by their longest
 distance from the source, ``level_edges`` groups edges by their source's
 level.  Every whole-graph pass walks it, one array step per level.
+
+An environment does not describe itself: the resolved config's ``env``
+section is the one description of it.  ``config.resolve`` fills its
+defaults, :func:`make_env` builds from it, and a checkpoint keeps it.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import numpy as np
 # check_state_cap); callers must use sampling-based paths instead.
 STATE_CAP = 2_000_000
 
-# Defaults of the optional environment config keys, per kind: make_env fills
-# them in, and config.resolve writes them into the resolved config.
+# Defaults of the optional environment config keys, per kind: config.resolve
+# writes them into the resolved config.
 ENV_DEFAULTS: Dict[str, Dict[str, object]] = {
     "tree": {"leaf_rewards": None},
     "hypergrid": {"r0": None, "r1": 0.5, "r2": 2.0},
@@ -244,9 +248,6 @@ class DagEnv:
         rmax = self.reward_table[self.terminating_states].max()
         return self.terminating_mask & (self.reward_table >= rmax - 1e-12)
 
-    def describe(self) -> Dict[str, object]:
-        raise NotImplementedError
-
 
 class RegularTree(DagEnv):
     """Perfect g-ary tree of depth h; the g**h leaves are the terminating states.
@@ -278,7 +279,6 @@ class RegularTree(DagEnv):
         leaf_rewards = np.asarray(leaf_rewards, dtype=np.float64)
         if leaf_rewards.shape != (self.num_leaves,):
             raise ValueError(f"expected {self.num_leaves} leaf rewards")
-        self.leaf_rewards = leaf_rewards
 
         # breadth-first numbering: internal node i has children g*i+1 .. g*i+g
         inner = np.repeat(np.arange(int(level_offsets[h]), dtype=np.int64), g)
@@ -291,10 +291,6 @@ class RegularTree(DagEnv):
         rewards = dict(zip(self.leaves.tolist(), leaf_rewards.tolist()))
         features = np.r_[np.arange(n_tree), -1]  # one column per state, none at the sink
         super().__init__(num_states, sink, edges, rewards, features, feature_dim=num_states)
-
-    def describe(self) -> Dict[str, object]:
-        return {"kind": self.kind, "branching": self.branching, "depth": self.depth,
-                "leaf_rewards": self.leaf_rewards.tolist()}
 
 
 def hypergrid_reward(x: Union[Sequence[int], np.ndarray], side: int, r0: float, r1: float,
@@ -376,10 +372,6 @@ class Hypergrid(DagEnv):
         peak = self.r0 + self.r1 + self.r2
         return self.terminating_mask & np.isclose(self.reward_table, peak, rtol=0, atol=1e-12)
 
-    def describe(self) -> Dict[str, object]:
-        return {"kind": self.kind, "dimension": self.dimension, "side": self.side,
-                "r0": self.r0, "r1": self.r1, "r2": self.r2}
-
 
 class OneMoreMode(DagEnv):
     """Same graph as a base environment with extra reward on a subset of states.
@@ -399,7 +391,6 @@ class OneMoreMode(DagEnv):
             if not base.is_terminating(x):
                 raise ValueError(f"added reward on non-terminating state {x}")
         self.base = base
-        self.added = dict(added)
         for name in DagEnv.GRAPH_ATTRS:
             setattr(self, name, getattr(base, name))
         self.terminating_mask = base.terminating_mask
@@ -413,13 +404,6 @@ class OneMoreMode(DagEnv):
     @property
     def encoding_matrix(self) -> np.ndarray:
         return self.base.encoding_matrix
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "base": self.base.describe(),
-            "added": {str(k): v for k, v in sorted(self.added.items())},
-        }
 
 
 def one_more_mode_tree(branching: int, depth: int, epsilon: float) -> Tuple[RegularTree, OneMoreMode]:
@@ -452,17 +436,14 @@ def target_distribution(env: DagEnv) -> np.ndarray:
 
 
 def make_env(spec: Dict[str, object]) -> DagEnv:
-    """Build an environment from a config mapping (see the config schema)."""
+    """Build an environment from a resolved ``env`` config section, every
+    key present (see :func:`stablegfn.config.resolve`)."""
     kind = spec["kind"]
     if kind not in ENV_DEFAULTS:
         raise ValueError(f"unknown environment kind {kind!r}")
-    spec = {**ENV_DEFAULTS[kind], **spec}
     if kind == "tree":
-        return RegularTree(int(spec["branching"]), int(spec["depth"]), spec["leaf_rewards"])
+        return RegularTree(spec["branching"], spec["depth"], spec["leaf_rewards"])
     if kind == "hypergrid":
-        return Hypergrid(int(spec["dimension"]), int(spec["side"]), spec["r0"],
-                         float(spec["r1"]), float(spec["r2"]))
-    prev, new = one_more_mode_tree(
-        int(spec["branching"]), int(spec["depth"]), float(spec["epsilon"])
-    )
+        return Hypergrid(spec["dimension"], spec["side"], spec["r0"], spec["r1"], spec["r2"])
+    prev, new = one_more_mode_tree(spec["branching"], spec["depth"], spec["epsilon"])
     return new if spec["stage"] == "new" else prev

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .envs import DagEnv, EnumerationCapError
-from .policy import EdgeBatch, FlowBatch, PathBatch, PolicyModel
+from .policy import EdgeBatch, FlowBatch, PathBatch, PolicyModel, _backprop_side, _side
 
 WDB_REACH_CELL_CAP = 50_000_000
 
@@ -173,8 +173,8 @@ def batch_loss(
     into ``model.params.grads`` without zeroing.  The trajectory objective
     and the edge objectives (db, wdb, subtb) reuse ``edges``, an unused
     EdgeBatch over exactly ``paths``' edges at the current parameters (see
-    :meth:`~stablegfn.policy.EdgeBatch.of_paths`), if given; fm evaluates the in- and
-    out-edges of the visited states in a batch of its own.
+    :meth:`~stablegfn.policy.EdgeBatch.of_paths`), if given; fm evaluates the
+    forward log-probs of the in- and out-edges of the visited states alone.
     """
     if deltas is not None and objective not in ("tb", "augmented"):
         raise ValueError("reference flow only applies to the trajectory objective")
@@ -260,10 +260,12 @@ def _batch_fm(model, env, paths, backprop):
     out_occ, out_slot = np.nonzero((kid >= 0) & (kid != env.sink))
     src = np.concatenate([par[in_occ, in_slot], occ_state[out_occ]])
     dst = np.concatenate([occ_state[in_occ], kid[out_occ, out_slot]])
-    batch = EdgeBatch(model, env, src, dst)
+    # the forward side alone: fm reads no backward log-prob
+    log_pf, fwd = _side(env, model.forward_net, env.forward_mask, env.child_matrix, src, dst,
+                        table=None, cache=True)
     fb = FlowBatch(model, env, src)
     n_in = len(in_occ)
-    log_terms = fb.log_flow + batch.log_pf
+    log_terms = fb.log_flow + log_pf
 
     # flows are summed in log space (pairwise max-shifted logaddexp), so
     # state flows far below exp's range still give finite values
@@ -282,7 +284,7 @@ def _batch_fm(model, env, paths, backprop):
         share_in = np.exp(log_terms[:n_in] - log_in[in_occ])
         share_out = np.exp(log_terms[n_in:] - log_out[out_occ])
         coeff = np.concatenate([base[in_occ] * share_in, -base[out_occ] * share_out])
-        batch.backprop(coeff)
+        _backprop_side(fwd, coeff)
         fb.backprop(coeff)
     return LossBatchReport("fm", per_item, log_ratios=rho)
 

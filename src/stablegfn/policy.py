@@ -53,11 +53,13 @@ rollout's single rows (:func:`_row`) are the one exception.
 training step (:class:`EdgeBatch` and :class:`FlowBatch`, built by
 :func:`stablegfn.losses.batch_loss` or the stabilized round) keep caches;
 both are stateless past their values, and ``backprop`` takes the loss's
-coefficients.
+coefficients.  An edge batch is two :func:`_side` / :func:`_backprop_side`
+pairs; flow matching, reading only forward log-probs, calls that pair alone.
 
 One implementation each: :func:`_log_softmax` for every policy row,
 the rule of :func:`proportional_draw` for every reward-proportional draw in the
-package (row-wise in :func:`_draw_rows`, on a listed row in :func:`rollout`),
+package (row-wise in :func:`_draw_rows`, on a listed row in :func:`rollout`,
+over terminating states in :func:`draw_terminals`),
 :func:`_walk` for both bulk samplers, :func:`_log_policy` for every table.
 :func:`exact_terminal_distribution` pushes mass along the environment's level
 order, one array step per level (see :mod:`stablegfn.envs`).
@@ -220,6 +222,13 @@ def proportional_draw(rng: np.random.Generator, weights: np.ndarray, size=None):
     return np.searchsorted(c[:-1], rng.random(size) * c[-1], side="right")
 
 
+def draw_terminals(rng: np.random.Generator, rewards: np.ndarray, scope: np.ndarray,
+                   count: int) -> np.ndarray:
+    """``count`` states of the int array ``scope``, with replacement, by :func:`proportional_draw`
+    over their rewards in ``scope``'s order (``rewards`` is indexed by state)."""
+    return scope[proportional_draw(rng, rewards[scope], count)]
+
+
 def _draw_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
     """One :func:`proportional_draw` per row of ``probs``, one uniform per row."""
     c = np.cumsum(probs, axis=1)
@@ -230,10 +239,8 @@ def _draw_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
 class PolicyModel:
     """Parameterized forward/backward policies plus logZ and optional flow head."""
 
-    def __init__(self, forward_net, backward_net=None, flow_net=None,
-                 meta: Optional[Dict[str, object]] = None):
+    def __init__(self, forward_net, backward_net=None, flow_net=None):
         self.forward_net, self.backward_net, self.flow_net = forward_net, backward_net, flow_net
-        self.meta = meta or {}
         self._nets = [n for n in (forward_net, backward_net, flow_net) if n is not None]
         # logZ starts at 0, as every parameter of a new ParamVector
         self.params = ParamVector([("logz", ())] + [p for n in self._nets for p in n.param_spec()])
@@ -265,9 +272,7 @@ class PolicyModel:
             flnet = Mlp(env.feature_dim, hidden, 1, "flow") if flow_head else None
         else:
             raise ValueError(f"unknown model kind {kind!r}")
-        meta = {"kind": kind, "hidden": list(hidden), "learn_backward": learn_backward,
-                "flow_head": flow_head}
-        model = cls(fnet, bnet, flnet, meta=meta)
+        model = cls(fnet, bnet, flnet)
         for net in model._nets:
             net.init_params(rng)
         return model
@@ -411,13 +416,54 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
 # -- batched transition evaluation ------------------------------------------
 
 
+def _side(env: DagEnv, net, mask: np.ndarray, matrix: np.ndarray, at: np.ndarray,
+          other: np.ndarray, table: Optional[Table], cache: bool):
+    """(Log-prob of each edge ``at`` - ``other`` under the policy at ``at``,
+    0 where ``at`` has one slot or none, as the sink on the backward side;
+    what :func:`_backprop_side` needs, or None without a cached net pass)."""
+    logp_edges = np.zeros(len(at))
+    idx = np.flatnonzero(mask[at].sum(axis=1) > 1)
+    if not len(idx):
+        return logp_edges, None
+    rows = at[idx]
+    if net is None:  # fixed-uniform backward policy
+        logp_edges[idx] = -np.log(mask[rows].sum(axis=1))
+        return logp_edges, None
+    slot = np.argmax(matrix[rows] == other[idx, None], axis=1)  # edge's slot at its row
+    if table is not None:
+        logp, row = table
+        logp_edges[idx] = logp[row[rows], slot]
+        return logp_edges, None
+    states, inv = np.unique(rows, return_inverse=True)
+    if not cache:
+        logp_edges[idx] = _log_policy(net, mask, states, env)[inv, slot]
+        return logp_edges, None
+    raw, net_cache = _eval_rows(net, states, env)
+    logp = _masked_rows(raw, mask[states])
+    logp_edges[idx] = logp[inv, slot]
+    return logp_edges, (net, net_cache, raw, logp, inv, slot, idx, mask[states])
+
+
+def _backprop_side(side, coeff: Optional[np.ndarray]) -> None:
+    """Accumulate the gradients of ``sum(coeff * log-prob)`` over one cached
+    :func:`_side`, through the masked softmax, the clamp and the net."""
+    if side is None or coeff is None or not np.any(coeff):
+        return
+    net, cache, raw, logp, inv, slot, idx, mask = side
+    dlogits = np.zeros_like(raw)
+    np.add.at(dlogits, inv, coeff[idx, None] * (-np.exp(logp)[inv]))
+    np.add.at(dlogits, (inv, slot), coeff[idx])
+    dlogits *= (np.abs(raw) <= LOGIT_CLAMP) & mask
+    net.backward(cache, dlogits)
+
+
 class EdgeBatch:
     """Forward/backward log-probs for a flat list of edges, with backprop.
 
-    Values are computed once at construction; the batch keeps no other
-    state.  :meth:`backprop` takes the per-edge coefficients (d loss / d
-    log-prob) and pushes them through the masked softmax, the clamp and the
-    nets.  ``tid`` (optional) numbers the trajectory each edge belongs to.
+    Values are computed once at construction, one :func:`_side` per side;
+    the batch keeps no other state.  :meth:`backprop` takes the per-edge
+    coefficients (d loss / d log-prob) and hands each side's to
+    :func:`_backprop_side`.  ``tid`` (optional) numbers each edge's trajectory.
     ``cache=False`` builds a batch that refuses to backprop: a side gathers
     from a call's policy table (see :func:`_tables`) where one is given, else
     evaluates its distinct states with :func:`_log_policy`.
@@ -427,42 +473,10 @@ class EdgeBatch:
                  tid: Optional[np.ndarray] = None, cache: bool = True,
                  tables: Tuple[Optional[Table], Optional[Table]] = (None, None)):
         self.src, self.dst, self.tid, self.cache = src, dst, tid, cache
-        # forward side: states with a single child contribute exactly 0
-        fidx = np.flatnonzero(env.forward_mask[src].sum(axis=1) > 1)
-        self.log_pf, self._fwd = self._side(env, model.forward_net, env.forward_mask,
-                                            env.child_matrix, src, dst, fidx, tables[0])
-        # backward side: edges into the sink are excluded; single parents are 0
-        inner = dst != env.sink
-        bidx = np.flatnonzero(inner & (env.backward_mask[np.where(inner, dst, 0)].sum(axis=1) > 1))
-        self.log_pb, self._bwd = self._side(env, model.backward_net, env.backward_mask,
-                                            env.parent_matrix, dst, src, bidx, tables[1])
-
-    def _side(self, env, net, mask, matrix, at, other, idx, table):
-        """Log-probs of edges ``idx`` under the policy at states ``at[idx]``.
-
-        Returns (log-prob per edge, 0 outside ``idx``; what :meth:`backprop`
-        needs, or None when no cached net pass was made).
-        """
-        logp_edges = np.zeros(len(at))
-        if not len(idx):
-            return logp_edges, None
-        rows = at[idx]
-        if net is None:  # fixed-uniform backward policy
-            logp_edges[idx] = -np.log(mask[rows].sum(axis=1))
-            return logp_edges, None
-        slot = np.argmax(matrix[rows] == other[idx, None], axis=1)  # edge's slot at its row
-        if table is not None:
-            logp, row = table
-            logp_edges[idx] = logp[row[rows], slot]
-            return logp_edges, None
-        states, inv = np.unique(rows, return_inverse=True)
-        if not self.cache:
-            logp_edges[idx] = _log_policy(net, mask, states, env)[inv, slot]
-            return logp_edges, None
-        raw, cache = _eval_rows(net, states, env)
-        logp = _masked_rows(raw, mask[states])
-        logp_edges[idx] = logp[inv, slot]
-        return logp_edges, (net, cache, raw, logp, inv, slot, idx, mask[states])
+        self.log_pf, self._fwd = _side(env, model.forward_net, env.forward_mask,
+                                       env.child_matrix, src, dst, tables[0], cache)
+        self.log_pb, self._bwd = _side(env, model.backward_net, env.backward_mask,
+                                       env.parent_matrix, dst, src, tables[1], cache)
 
     @classmethod
     def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch, cache: bool = True,
@@ -481,15 +495,8 @@ class EdgeBatch:
         """Accumulate the gradients of ``sum(pf_coeff * log_pf + pb_coeff * log_pb)``."""
         if not self.cache:
             raise ValueError("this EdgeBatch was built without backward caches")
-        for side, coeff in ((self._fwd, pf_coeff), (self._bwd, pb_coeff)):
-            if side is None or coeff is None or not np.any(coeff):
-                continue
-            net, cache, raw, logp, inv, slot, idx, mask = side
-            dlogits = np.zeros_like(raw)
-            np.add.at(dlogits, inv, coeff[idx, None] * (-np.exp(logp)[inv]))
-            np.add.at(dlogits, (inv, slot), coeff[idx])
-            dlogits *= (np.abs(raw) <= LOGIT_CLAMP) & mask
-            net.backward(cache, dlogits)
+        _backprop_side(self._fwd, pf_coeff)
+        _backprop_side(self._bwd, pb_coeff)
 
 
 class FlowBatch:

@@ -2,10 +2,14 @@
 
 The stabilized trainer samples half of each batch forward (with ε-greedy
 exploration) and half backward from high-reward terminal states, maintains a
-top-K terminal buffer with a patience counter, periodically certifies a TV
-bound over the buffer at the current adaptive threshold, skips gradient steps
+top-K terminal buffer (one state array) with a patience counter, periodically
+certifies a TV bound at the current adaptive threshold, skips gradient steps
 once the certificate's main term clears the target, and otherwise trains on
-the capped objective with per-trajectory reference flows.  The backward
+the capped objective with per-trajectory reference flows.  The backward half
+and the certificates draw over one scope, the buffer's states or all
+terminating ones (:meth:`Trainer.certification_scope`), through
+:func:`~stablegfn.policy.draw_terminals` and
+:func:`~stablegfn.certify.sample_certificate`.  The backward
 half is sampled only when something reads it: the gradient, or, with exact
 sourcing, the buffer merge (a buffer-drawn half would only re-merge states
 the buffer holds).  ``metrics.csv`` is written one line per round.
@@ -17,7 +21,7 @@ A round walks its trajectories with :func:`~stablegfn.policy.rollout` into
 one ``PathBatch`` (replayed paths appended) and evaluates the edges of the
 paths its loss reads once, in one ``EdgeBatch``: a stabilized round builds it
 for the reference flows and the loss to reuse, a baseline round leaves it to
-:func:`~stablegfn.losses.batch_loss` (fm evaluates its own edges).  A
+:func:`~stablegfn.losses.batch_loss` (fm evaluates only forward log-probs).  A
 backward half that only feeds the buffer merge is never scored: the merge
 reads terminal states.  Only the gradient step keeps backward caches: a
 skipped round and certificate samples are scored cache-free.
@@ -40,10 +44,9 @@ from .policy import (
     EdgeBatch,
     PathBatch,
     PolicyModel,
+    draw_terminals,
     proportional_draw,
     rollout,
-    sample_backward_batch,
-    sample_forward_batch,
 )
 
 
@@ -156,37 +159,37 @@ def update_threshold(threshold: float, batch_losses: Sequence[float], beta: floa
 
 
 class TopKBuffer:
-    """Up to K highest-reward terminal states, deduplicated, reward-descending."""
+    """Up to K highest-reward terminal states, deduplicated: one int64 array,
+    ``members``, ordered by (-reward, state) under the reward table ``rewards``."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, rewards: np.ndarray):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: Dict[int, float] = {}
+        self.capacity, self.rewards = capacity, rewards
+        self.members = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.members)
 
     def states(self) -> List[int]:
-        return sorted(self._items, key=lambda s: (-self._items[s], s))
+        return self.members.tolist()
 
     def min_reward(self) -> float:
-        return min(self._items.values()) if self._items else math.nan
+        return float(self.rewards[self.members[-1]]) if len(self) else math.nan
 
-    def merge(self, candidates: Dict[int, float]) -> bool:
-        """Keep the top-K of the union; returns whether membership changed."""
-        before = set(self._items)
-        self._items.update(candidates)
-        self._items = {s: self._items[s] for s in self.states()[: self.capacity]}
-        return set(self._items) != before
+    def merge(self, xs: np.ndarray) -> bool:
+        """Keep the top-K of the union with states ``xs``; returns whether membership changed."""
+        union = np.union1d(self.members, xs)  # ascending: the stable sort breaks ties by state
+        kept = union[np.argsort(-self.rewards[union], kind="stable")[: self.capacity]]
+        changed = not np.array_equal(kept, self.members)
+        self.members = kept
+        return changed
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Reward-proportional draw (with replacement); ties break by state index."""
-        if not self._items:
+        """Reward-proportional draw (with replacement) in buffer order."""
+        if not len(self):
             raise ValueError("cannot sample from an empty buffer")
-        states = np.array(self.states(), dtype=np.int64)
-        rewards = np.array([self._items[int(s)] for s in states])
-        return states[proportional_draw(rng, rewards, count)]
+        return draw_terminals(rng, self.rewards, self.members, count)
 
 
 class ReplayBuffer:
@@ -263,7 +266,7 @@ class Trainer:
             max_grad_norm=config.max_grad_norm,
         )
         self.state = TrainState()
-        self.buffer = TopKBuffer(config.buffer_size)
+        self.buffer = TopKBuffer(config.buffer_size, env.reward_table)
         self.replay = ReplayBuffer(config.replay_size) if config.replay_batch > 0 else None
         seed = config.seed
         self.rng_forward = rng_for(seed, "train.forward")
@@ -274,40 +277,28 @@ class Trainer:
         self.metrics_path = metrics_path
         self.rows: List[Dict[str, object]] = []  # one per round, as metrics.csv has them
 
-    # -- sampling helpers ----------------------------------------------------
-
-    def _draw_terminals(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Reward-proportional terminal states: over all of them, or over the buffer."""
+    def certification_scope(self) -> np.ndarray:
+        """Terminal states a certificate covers and the backward half starts
+        from: all of them, or the buffer's, in buffer order."""
         if self.config.backward_source == "exact":
-            xs = self.env.terminating_states
-            return xs[proportional_draw(rng, self.env.reward_table[xs], count)]
-        return self.buffer.sample(rng, count)
-
-    def certification_scope(self) -> List[int]:
-        """Terminal states a certificate covers: all of them, or the buffer's."""
-        if self.config.backward_source == "exact":
-            return [int(x) for x in self.env.terminating_states]
-        return self.buffer.states()
+            return self.env.terminating_states
+        return self.buffer.members
 
     # -- rounds ---------------------------------------------------------------
 
     def _merge_discovered(self, paths: PathBatch) -> bool:
         xs = paths.terminals
         self.state.modes_found.update(xs[self.env.mode_mask[xs]].tolist())
-        return self.buffer.merge(dict(zip(xs.tolist(), self.env.reward_table[xs].tolist())))
+        return self.buffer.merge(xs)
 
     def _certify(self) -> Optional[certify.CertificateReport]:
         cfg = self.config
         scope = self.certification_scope()
-        if not scope:
+        if not len(scope):
             return None
-        xs = self._draw_terminals(self.rng_cert_b, cfg.cert_m)
-        bwd = sample_backward_batch(self.model, self.env, self.rng_cert_b, xs)
-        fwd = sample_forward_batch(self.model, self.env, self.rng_cert_f, cfg.cert_n)
         threshold = max(self.state.threshold or 0.0, 1e-12)
-        return certify.subgraph_certificate(
-            self.env, scope, bwd, fwd, self.model.logz, cfg.alpha, threshold=threshold
-        )
+        return certify.sample_certificate(self.model, self.env, scope, cfg.cert_m, cfg.cert_n,
+                                          self.rng_cert_b, self.rng_cert_f, cfg.alpha, threshold)
 
     def _gradient_step(self, paths: PathBatch, deltas: Optional[np.ndarray] = None,
                        edges: Optional[EdgeBatch] = None) -> losses.LossBatchReport:
@@ -331,7 +322,8 @@ class Trainer:
         n_paths = len(batch)
         # unread outside the gradient: a buffer-drawn half ends in buffered states
         if backward_ready and (cfg.use_backward_gradient or exact):
-            xs = self._draw_terminals(self.rng_backward, half)
+            xs = draw_terminals(self.rng_backward, self.env.reward_table,
+                                self.certification_scope(), half)
             batch += rollout(self.model, self.env, self.rng_backward, xs, forward=False)
         if not backward_ready:
             st.fallback_rounds += 1

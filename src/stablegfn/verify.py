@@ -22,7 +22,7 @@ from .approximator import grad_check
 from .envs import DagEnv, Hypergrid, OneMoreMode, RegularTree, one_more_mode_tree, true_partition
 from .policy import (
     PolicyModel,
-    proportional_draw,
+    draw_terminals,
     rollout,
     sample_backward_batch,
     sample_forward_batch,
@@ -220,8 +220,7 @@ def suite_pac_coverage(trials: int = 1000, m: int = 25, n: int = 25,
         env = envs[i % len(envs)]
         model = _random_tabular(env, rng, (0.05, 0.3, 1.0)[i % 3],
                                 around_balanced=i % 2 == 0)
-        xs = env.terminating_states
-        xs = xs[proportional_draw(rng, env.reward_table[xs], m)]
+        xs = draw_terminals(rng, env.reward_table, env.terminating_states, m)
         bwd = sample_backward_batch(model, env, rng, xs)
         fwd = sample_forward_batch(model, env, rng, n)
         report = certify.optimize_certificate(
@@ -323,8 +322,7 @@ def suite_mc_estimator(samples: int = 10_000, seed: int = 20_244) -> SuiteResult
             time.perf_counter() - t0,
         )
 
-    xs = env.terminating_states
-    xs = xs[proportional_draw(rng, env.reward_table[xs], samples)]
+    xs = draw_terminals(rng, env.reward_table, env.terminating_states, samples)
     bwd = sample_backward_batch(model, env, rng, xs)
     lm, lt = certify.records_from_trajectories(bwd, model.logz)
     est, se = certify.mc_delta_over_zstar(lm, lt, threshold)

@@ -49,9 +49,6 @@ class RandomDag(DagEnv):
         super().__init__(size + 1, sink, edges, rewards, np.r_[np.arange(size), -1],
                          feature_dim=size + 1)
 
-    def describe(self):
-        return {"kind": self.kind, "seed": self.seed, "size": self.size}
-
 
 def random_dags(seeds=(0, 1, 2), size: int = 12):
     return [RandomDag(seed, size) for seed in seeds]

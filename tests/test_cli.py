@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
-from stablegfn.cli import main
+from stablegfn import certify
+from stablegfn.cli import _load_model_for, main
 from stablegfn.config import OUTPUT_DIR_ENV_VAR, ConfigError, load_config, resolve
+from stablegfn.trainer import rng_for
 
 
 TREE_CONFIG = {
@@ -120,17 +123,16 @@ def test_certify_env_mismatch(tmp_path):
     assert code == 2
 
 
+def _load(cfg, checkpoint):
+    """(resolved config, env, model) as the ``certify`` and ``evaluate`` commands load them."""
+    return _load_model_for(argparse.Namespace(config=cfg, checkpoint=str(checkpoint)))
+
+
 def test_certify_from_log(tmp_path):
-    from stablegfn.config import build_env, build_model
     from stablegfn.policy import sample_backward_batch, sample_forward_batch, write_trajectory_log
-    from stablegfn.trainer import rng_for
 
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    resolved = load_config(cfg)
-    env = build_env(resolved)
-    from stablegfn.cli import restore_model
-
-    model = restore_model(str(outdir / "checkpoint.json"), env)
+    _, env, model = _load(cfg, outdir / "checkpoint.json")
     rng = rng_for(0, "log")
     xs = env.terminating_states[rng.integers(0, len(env.terminating_states), 30)]
     trajs = sample_backward_batch(model, env, rng, xs) + sample_forward_batch(model, env, rng, 30)
@@ -142,6 +144,65 @@ def test_certify_from_log(tmp_path):
     assert code == 0
     doc = json.loads(open(out).read())
     assert doc["m"] == 30 and doc["n"] == 30
+
+
+def test_certify_sample_counts_default_from_config(tmp_path):
+    payload = dict(TREE_CONFIG, train=dict(TREE_CONFIG["train"], cert_m=7))
+    outdir, cfg = run_train(tmp_path, payload)
+    out = str(tmp_path / "cert.json")
+    assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--output", out]) == 0
+    doc = json.loads(open(out).read())
+    assert (doc["m"], doc["n"]) == (7, 40)
+
+
+def test_checkpoint_keeps_the_resolved_env_and_model_sections(tmp_path):
+    outdir, _ = run_train(tmp_path, TREE_CONFIG)
+    resolved = json.loads((outdir / "resolved_config.json").read_text())
+    doc = json.loads((outdir / "checkpoint.json").read_text())
+    assert doc["version"] == 2
+    assert doc["env"] == resolved["env"] and doc["model"] == resolved["model"]
+
+
+def test_version_1_checkpoint_exits_2(tmp_path, capsys):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    path = outdir / "checkpoint.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), version=1)))
+    capsys.readouterr()
+    for command in ("evaluate", "certify"):
+        assert main([command, "--checkpoint", str(path), "--config", cfg,
+                     "--output", str(tmp_path / "out.json")]) == 2
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+def test_checkpoint_model_wins_over_the_config_model(tmp_path):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    other = write_config(tmp_path, dict(TREE_CONFIG, model={"kind": "mlp", "hidden": [4, 4]}),
+                         "other.yaml")
+    _, _, model = _load(other, outdir / "checkpoint.json")
+    assert model.forward_net.wants_indices  # the checkpoint's tabular model
+    outs = []
+    for i, config in enumerate((cfg, other)):
+        outs.append(tmp_path / f"eval{i}.json")
+        assert main(["evaluate", "--checkpoint", str(outdir / "checkpoint.json"),
+                     "--config", config, "--output", str(outs[-1])]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+
+
+def test_train_certificate_is_sample_certificate_on_the_cli_streams(tmp_path):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    resolved, env, model = _load(cfg, outdir / "checkpoint.json")
+    train, seed = resolved["train"], resolved["seed"]
+    report = certify.sample_certificate(
+        model, env, env.terminating_states, train["cert_m"], train["cert_n"],
+        rng_for(seed, "cli.cert.backward"), rng_for(seed, "cli.cert.forward"),
+        (1.0 - train["confidence"]) / 2.0,
+    )
+    written = json.loads((outdir / "certificate.json").read_text())
+    expected = json.loads(json.dumps(report.to_dict()))
+    for doc in (written, expected):
+        doc.pop("wall_clock_s")
+    assert written == expected
 
 
 GOOD_RECORD = {"states": [0, 1, 3, 7], "log_pf": -1.0, "log_pb": 0.0, "reward": 1.0}

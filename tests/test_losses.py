@@ -41,9 +41,6 @@ class ChainEnv(DagEnv):
         edges = [(0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0)]
         super().__init__(4, 3, edges, {2: 1.0}, [0, 1, 2, -1], feature_dim=4)
 
-    def describe(self):
-        return {"kind": "chain"}
-
 
 def forward_trajs(model, env, rng, count):
     paths = rollout(model, env, rng, [env.initial_state] * count)
@@ -421,6 +418,21 @@ def test_batch_fm_matches_per_state_mean():
             assert item == pytest.approx(float(np.mean(vals)), abs=1e-10)
 
 
+def test_fm_backprop_makes_no_backward_net_call(monkeypatch):
+    env = Hypergrid(2, 4)
+    model = PolicyModel.build(env, "mlp", hidden=(8, 8), flow_head=True,
+                              rng=np.random.default_rng(3))
+    trajs = rollout(model, env, np.random.default_rng(4), [env.initial_state] * 8)
+    calls = []
+    forward = model.backward_net.forward
+    monkeypatch.setattr(model.backward_net, "forward",
+                        lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+    model.params.zero_grad()
+    batch_loss(model, env, trajs, "fm", backprop=True)
+    assert not calls
+    assert np.any(model.params.grads)
+
+
 def test_fm_finite_at_tiny_state_flows():
     env = RegularTree(2, 2)
     model = _random_flow_model(env, 14)
@@ -497,4 +509,4 @@ def test_balanced_model_zero_under_all_objectives():
         trajs = forward_trajs(model, env, rng, 6)
         for objective in ("tb", "db", "fm", "subtb", "wdb"):
             report = batch_loss(model, env, trajs, objective)
-            assert report.max_item < 1e-10, (env.describe(), objective)
+            assert report.max_item < 1e-10, (type(env).__name__, objective)

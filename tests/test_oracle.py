@@ -35,9 +35,6 @@ class ChainEnv(DagEnv):
         edges = [(0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0)]
         super().__init__(4, 3, edges, {2: 1.0}, [0, 1, 2, -1], feature_dim=4)
 
-    def describe(self):
-        return {"kind": "chain"}
-
 
 def test_exact_tv_balanced_model_is_zero():
     env = RegularTree(3, 2, leaf_rewards=np.linspace(0.5, 3.0, 9))

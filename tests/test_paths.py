@@ -116,7 +116,8 @@ def test_training_batch_and_subgraph_certificate_match_reference(env_name, kind)
     subset = env.terminating_states[::2].tolist()
     bwd = sample_backward_batch(model, env, np.random.default_rng(5), np.repeat(subset, 3))
     fwd = sample_forward_batch(model, env, np.random.default_rng(6), 200)
-    report = certify.subgraph_certificate(env, subset, bwd, fwd, model.logz, 0.05)
+    # a repeated state counts once
+    report = certify.subgraph_certificate(env, subset + subset[:2], bwd, fwd, model.logz, 0.05)
     kept = [t for t in ref.records(fwd) if t.terminating_state in set(subset)]
     expected = certify.optimize_certificate(
         ref.records_from_trajectories(ref.records(bwd), model.logz),
@@ -124,6 +125,10 @@ def test_training_batch_and_subgraph_certificate_match_reference(env_name, kind)
     assert report.n == len(kept) and report.m == len(bwd)
     assert (report.bound, report.raw_bound, report.threshold) == (
         expected.bound, expected.raw_bound, expected.threshold)
+    # the scope's size and reward mass, by the same mask; the mass sums in another order
+    assert report.subset_size == len(set(subset))
+    assert report.captured_reward_mass == pytest.approx(
+        sum(env.reward(x) for x in set(subset)), rel=1e-12)
 
 
 def test_losses_and_certificates_read_one_log_reward():

@@ -25,7 +25,7 @@ from stablegfn.trainer import (
     rng_for,
     update_threshold,
 )
-from stablegfn import certify, config
+from stablegfn import certify, config, losses
 
 from loss_reference import reference_flow_delta
 
@@ -57,38 +57,44 @@ def test_update_threshold_rejects_empty():
         update_threshold(1.0, [], 0.05)
 
 
+def _rewards(table):
+    """A reward table over states 0..max from a {state: reward} mapping."""
+    r = np.zeros(max(table) + 1)
+    r[list(table)] = list(table.values())
+    return r
+
+
 def test_topk_buffer_eviction_and_order():
-    buf = TopKBuffer(2)
-    assert buf.merge({1: 1.0, 2: 5.0, 3: 3.0})
+    buf = TopKBuffer(2, _rewards({1: 1.0, 2: 5.0, 3: 3.0, 4: 0.5}))
+    assert buf.merge(np.array([1, 2, 3]))
     assert buf.states() == [2, 3]
     assert buf.min_reward() == 3.0
     # merging something worse leaves membership unchanged
-    assert not buf.merge({4: 0.5})
+    assert not buf.merge(np.array([4]))
     assert buf.states() == [2, 3]
 
 
 def test_topk_buffer_dedup_and_ties():
-    buf = TopKBuffer(3)
-    buf.merge({5: 1.0, 7: 1.0, 6: 1.0, 8: 1.0})
+    buf = TopKBuffer(3, _rewards({5: 1.0, 6: 1.0, 7: 1.0, 8: 1.0}))
+    buf.merge(np.array([5, 7, 7, 6, 8, 5]))
     assert buf.states() == [5, 6, 7]  # ties break by state index
 
 
 def test_topk_buffer_min_reward_monotone_once_full():
     rng = np.random.default_rng(0)
-    rewards = {s: float(rng.uniform(0, 10)) for s in range(50)}  # env-fixed rewards
-    buf = TopKBuffer(4)
+    rewards = rng.uniform(0, 10, 50)  # env-fixed rewards
+    buf = TopKBuffer(4, rewards)
     last = -math.inf
     for _ in range(200):
-        s = int(rng.integers(0, 50))
-        buf.merge({s: rewards[s]})
+        buf.merge(rng.integers(0, 50, 1))
         if len(buf) == buf.capacity:
             assert buf.min_reward() >= last - 1e-12
             last = buf.min_reward()
 
 
 def test_topk_buffer_sampling_proportional():
-    buf = TopKBuffer(2)
-    buf.merge({10: 3.0, 11: 1.0})
+    buf = TopKBuffer(2, _rewards({10: 3.0, 11: 1.0}))
+    buf.merge(np.array([10, 11]))
     rng = np.random.default_rng(0)
     draws = buf.sample(rng, 20_000)
     frac = (draws == 10).mean()
@@ -97,7 +103,7 @@ def test_topk_buffer_sampling_proportional():
 
 def test_topk_buffer_empty_sampling_errors():
     with pytest.raises(ValueError):
-        TopKBuffer(2).sample(np.random.default_rng(0), 1)
+        TopKBuffer(2, np.ones(3)).sample(np.random.default_rng(0), 1)
 
 
 def _tagged_paths(rewards, first=0, log_pf=0.0):
@@ -376,10 +382,31 @@ def test_baseline_objectives_run_one_round():
 @pytest.mark.parametrize("objective", ["tb", "db", "fm", "subtb", "wdb"])
 def test_baseline_round_caches_only_what_it_backprops(monkeypatch, objective):
     built, cached, backpropped = _record_edge_batches(monkeypatch)
+    sides, side_backprops = [], []  # fm's forward sides, as losses evaluates them
+    side, backprop_side = losses._side, losses._backprop_side
+
+    def recorded_side(*args, **kwargs):
+        out = side(*args, **kwargs)
+        sides.append(out[1])
+        return out
+
+    def recorded_backprop_side(fwd, coeff):
+        side_backprops.append(fwd)
+        backprop_side(fwd, coeff)
+
+    monkeypatch.setattr(losses, "_side", recorded_side)
+    monkeypatch.setattr(losses, "_backprop_side", recorded_backprop_side)
     env = Hypergrid(2, 4)
     model = PolicyModel.build(env, "mlp", hidden=(8, 8), flow_head=True, rng=rng_for(0, objective))
     cfg = TrainConfig(objective=objective, max_rounds=4, seed=1, replay_batch=4)
     Trainer(model, env, cfg).run()
+    if objective == "fm":
+        # no edge batch: one cached forward side per round, the loss's own
+        assert not built
+        assert len(sides) == len(side_backprops) == cfg.max_rounds
+        assert all(s is not None and s is b for s, b in zip(sides, side_backprops))
+        return
+    assert not sides
     assert cached and all(any(b is e for b in backpropped) for e in cached)
     # one cached batch per round, the loss's own: no batch only scores the paths
     assert len(built) == len(cached) == cfg.max_rounds
