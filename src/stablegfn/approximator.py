@@ -64,13 +64,6 @@ class ParamVector:
         if not _all_finite(self.values, self.values.sum()):
             raise NonFiniteError("parameter vector contains non-finite entries")
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {name: self.view(name).copy() for name in self._layout}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        for name in self._layout:
-            self.view(name)[...] = state[name]
-
 
 class Tabular:
     """One logit row per state; evaluation is an exact table lookup."""
@@ -290,14 +283,6 @@ class AdamOptimizer:
         self.params.values -= u
         self.params.check_finite()
 
-    def state_dict(self) -> Dict[str, object]:
-        return {"step_count": self.step_count, "m": self.m.copy(), "v": self.v.copy()}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self.step_count = int(state["step_count"])
-        self.m[...] = state["m"]
-        self.v[...] = state["v"]
-
 
 def grad_check(
     params: ParamVector,
@@ -365,34 +350,32 @@ def save_checkpoint(
         "params": {name: _encode_array(params.view(name)) for name in params.names},
     }
     if optimizer is not None:
-        state = optimizer.state_dict()
-        doc["optimizer"] = {
-            "step_count": state["step_count"],
-            "m": _encode_array(state["m"]),
-            "v": _encode_array(state["v"]),
-        }
+        doc["optimizer"] = {"step_count": optimizer.step_count,
+                            "m": _encode_array(optimizer.m), "v": _encode_array(optimizer.v)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
 def load_checkpoint(path: str) -> Dict[str, object]:
-    """A checkpoint's document with its arrays decoded; a ValueError names the
-    file and the missing key or the slice that does not decode."""
+    """A checkpoint's document with its parameter slices decoded; every fault
+    of the file raises a ValueError that starts with its name."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
     for key in ("model", "env", "params"):
         if key not in doc:
             raise ValueError(f"{path}: no {key!r} in the checkpoint")
+    if not isinstance(doc["params"], dict):
+        raise ValueError(f"{path}: 'params' is not a mapping of parameter slices")
     for name, enc in doc["params"].items():
         try:
             doc["params"][name] = _decode_array(enc)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: parameter slice {name!r} does not decode ({exc})") from None
-    if "optimizer" in doc:
-        doc["optimizer"]["m"] = _decode_array(doc["optimizer"]["m"])
-        doc["optimizer"]["v"] = _decode_array(doc["optimizer"]["v"])
     return doc

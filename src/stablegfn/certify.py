@@ -358,8 +358,9 @@ def mc_delta_over_zstar(log_model: np.ndarray, log_target: np.ndarray,
 
 def contrast_ratio(env_prev: DagEnv, added: Dict[int, float], subset: Sequence[int]) -> float:
     """Old reward mass over new reward mass on a subset; in (0, 1]."""
-    z_y = sum(env_prev.reward(int(x)) for x in subset)
-    extra = sum(added.get(int(x), 0.0) for x in subset)
+    xs = np.asarray(subset, dtype=np.int64).tolist()
+    z_y = sum(env_prev.reward_table[xs].tolist())
+    extra = sum(added.get(x, 0.0) for x in xs)
     return z_y / (z_y + extra)
 
 
@@ -372,12 +373,11 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
     for x, extra in added.items():
         if extra < 0:
             raise ValueError("added reward must be nonnegative")
-        if not env_prev.is_terminating(int(x)):
+        if not env_prev.terminating_mask[int(x)]:
             raise ValueError(f"state {x} is not terminating")
     zstar = true_partition(env_prev)
-    z_sub = sum(env_prev.reward(int(x)) for x in added)
-    xs = [int(x) for x in env_prev.terminating_states]
-    lam = contrast_ratio(env_prev, added, xs)
+    z_sub = sum(env_prev.reward_table[list(added)].tolist())
+    lam = contrast_ratio(env_prev, added, env_prev.terminating_states)
     lower = (zstar - z_sub) / zstar * (1.0 - lam)
     upper = 1.0 - lam
 
@@ -392,6 +392,6 @@ def loss_supremum(env_prev: DagEnv, added: Dict[int, float]) -> float:
     single-state contrast ratio r / (r + extra), 1 when nothing is added."""
     worst = 1.0
     for x, extra in added.items():
-        r = env_prev.reward(int(x))
+        r = float(env_prev.reward_table[int(x)])
         worst = min(worst, r / (r + extra))
     return math.log(worst) ** 2

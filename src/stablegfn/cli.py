@@ -49,7 +49,7 @@ def _load_model_for(args: argparse.Namespace):
         if got != model.params.view(name).shape:
             raise ValueError(f"{path}: parameter slice {name!r} is {got}, the model's is "
                              f"{model.params.view(name).shape}")
-    model.params.load_state_dict(doc["params"])
+        model.params.view(name)[...] = doc["params"][name]
     return resolved, env, model
 
 
@@ -102,11 +102,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     if args.from_log:
         try:
-            logged = read_trajectory_log(args.from_log)
+            bwd, fwd = read_trajectory_log(args.from_log)
         except (OSError, ValueError) as exc:
             return _fail(f"cannot read trajectory log: {exc}")
-        bwd = logged[logged.provenance == "backward-sampled"]
-        fwd = logged[logged.provenance == "forward-sampled"]
         if not len(bwd) or not len(fwd):
             return _fail("trajectory log must contain both backward- and forward-sampled records")
         report = certify_mod.optimize_certificate(

@@ -156,17 +156,20 @@ def resolve(raw: Dict) -> Dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     _check_keys(raw, ["seed", "output_dir", "env", "model", "train", "eval"], "config")
+    for name in ("env", "model", "train", "eval"):  # null is an empty optional section
+        if not isinstance(raw.get(name, {}), dict) and (name == "env" or raw[name] is not None):
+            raise ConfigError(f"{name} must be a mapping, got {raw[name]!r}")
     seed = raw.get("seed", 0)  # TrainConfig checks it
     try:
-        train = _resolve_train(raw.get("train", {}) or {}, seed)
-        model = resolve_model(raw.get("model", {}) or {}, train["objective"])
+        train = _resolve_train(raw.get("train") or {}, seed)
+        model = resolve_model(raw.get("model") or {}, train["objective"])
         return {
             "seed": seed,
             "output_dir": str(raw.get("output_dir", "out")),
             "env": _resolve_env(_require(raw, "env", "config")),
             "model": model,
             "train": train,
-            "eval": _resolve_eval(raw.get("eval", {}) or {}),
+            "eval": _resolve_eval(raw.get("eval") or {}),
         }
     except ValueError as exc:  # ConfigError is one
         raise ConfigError(str(exc)) from exc

@@ -6,9 +6,10 @@ sink.  Terminating states carry a positive reward; all other states have
 reward zero.  Action "slots" give each edge a stable logit index so a single
 policy head can score all states of an environment.
 
-States are described by arrays built with the graph, never by per-state
-methods: ``features`` lists each state's one-hot feature columns,
-``reward_table`` its reward and ``mode_mask`` whether it is a mode.
+States are described only by arrays built with the graph, never by
+per-state methods: ``features`` lists each state's one-hot feature columns,
+``reward_table`` its reward and ``mode_mask`` whether it is a mode.  A
+reward increment (:class:`OneMoreMode`) takes over its base's attributes.
 
 One graph layout: the edge arrays (``edge_src``/``edge_dst``/``edge_fslot``/
 ``edge_bslot``) and the slot matrices (``child_matrix``/``parent_matrix``).
@@ -84,15 +85,6 @@ class DagEnv:
     """
 
     kind = "dag"
-    # Everything __init__ derives from the edge list alone; environments that
-    # differ only in their rewards share these (see OneMoreMode).
-    GRAPH_ATTRS = (
-        "num_states", "initial_state", "sink", "features", "feature_dim", "num_edges",
-        "edge_src", "edge_dst", "edge_fslot", "edge_bslot", "num_forward_slots",
-        "num_backward_slots", "child_matrix", "parent_matrix", "forward_mask",
-        "backward_mask", "forward_choice", "backward_choice", "levels", "level_edges",
-        "topological_order", "_moves", "_move_choices",
-    )
 
     def __init__(
         self,
@@ -142,7 +134,6 @@ class DagEnv:
         self.terminating_states = np.flatnonzero(self.terminating_mask)
 
         self.levels, self.level_edges = self._level_order()
-        self.topological_order = np.concatenate(self.levels)
         self._encoding_matrix: Optional[np.ndarray] = None
         # (forward, backward): state -> (slots, next states as a list, index in
         # _move_choices or -1 without a choice), filled by policy.rollout at
@@ -155,29 +146,6 @@ class DagEnv:
         self.mode_mask = self._modes()
 
     # -- structure ---------------------------------------------------------
-
-    def children(self, s: int) -> np.ndarray:
-        row = self.child_matrix[s]
-        return row[row >= 0]
-
-    def parents(self, s: int) -> np.ndarray:
-        row = self.parent_matrix[s]
-        return row[row >= 0]
-
-    def forward_slots(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Valid (slot, child) pairs for state ``s``, as parallel arrays."""
-        slots = np.flatnonzero(self.forward_mask[s])
-        return slots, self.child_matrix[s, slots]
-
-    def backward_slots(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
-        slots = np.flatnonzero(self.backward_mask[s])
-        return slots, self.parent_matrix[s, slots]
-
-    def is_terminating(self, s: int) -> bool:
-        return bool(self.terminating_mask[s])
-
-    def reward(self, s: int) -> float:
-        return float(self.reward_table[s])
 
     def _level_order(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         """States grouped by their longest distance from a parentless state,
@@ -376,10 +344,11 @@ class Hypergrid(DagEnv):
 class OneMoreMode(DagEnv):
     """Same graph as a base environment with extra reward on a subset of states.
 
-    ``reward(x) = base.reward(x) + added[x]`` with ``added >= 0`` supported on
-    terminating states only.  The graph arrays, the features, the terminating
-    set and the one-hot cache are the base's own objects, shared, not copied.
-    The modes follow the max-reward rule whatever the base is.
+    ``reward_table[x] = base.reward_table[x] + added[x]`` with ``added >= 0``
+    supported on terminating states only.  Every attribute of the base is
+    taken over as the same object but the reward-derived ``reward_table``,
+    ``mode_mask`` and ``_reach_counts``; the one-hot cache is read through
+    the base.  The modes follow the max-reward rule whatever the base is.
     """
 
     kind = "one_more_mode"
@@ -388,13 +357,10 @@ class OneMoreMode(DagEnv):
         for x, r in added.items():
             if r < 0:
                 raise ValueError("added reward must be nonnegative")
-            if not base.is_terminating(x):
+            if not base.terminating_mask[x]:
                 raise ValueError(f"added reward on non-terminating state {x}")
+        vars(self).update(vars(base))
         self.base = base
-        for name in DagEnv.GRAPH_ATTRS:
-            setattr(self, name, getattr(base, name))
-        self.terminating_mask = base.terminating_mask
-        self.terminating_states = base.terminating_states
         self.reward_table = base.reward_table.copy()
         for x, r in added.items():
             self.reward_table[x] += r

@@ -130,27 +130,27 @@ def balanced_tabular_model(env: DagEnv, flow_head: bool = True) -> PolicyModel:
 
 
 def enumerate_trajectory_states(env: DagEnv) -> List[List[int]]:
-    """All complete paths from the source to the sink, by depth-first search."""
+    """All complete paths from the source to the sink, depth-first in slot
+    order, on an explicit stack: no recursion limit bounds a path's length."""
     out: List[List[int]] = []
-    stack: List[int] = [env.initial_state]
-
-    def dfs(s: int) -> None:
+    path: List[int] = []
+    todo = [(env.initial_state, 0)]
+    while todo:
+        s, depth = todo.pop()
+        del path[depth:]
+        path.append(s)
         if s == env.sink:
             check_trajectory_cap(len(out) + 1)
-            out.append(stack.copy())
-            return
-        for c in env.children(s):
-            stack.append(int(c))
-            dfs(int(c))
-            stack.pop()
-
-    dfs(env.initial_state)
+            out.append(path.copy())
+            continue
+        row = env.child_matrix[s]
+        todo.extend((c, depth + 1) for c in row[row >= 0][::-1].tolist())
     return out
 
 
 def enumerate_trajectories(model: PolicyModel, env: DagEnv) -> PathBatch:
     """Every complete trajectory with exact log-probs under the model."""
-    paths = PathBatch.of_lists(env, enumerate_trajectory_states(env), "enumerated")
+    paths = PathBatch.of_lists(env, enumerate_trajectory_states(env))
     score_paths(model, env, paths)
     return paths
 

@@ -15,7 +15,9 @@ another: a step costs its draw, and a choice state's row is computed once per
 call.  Bulk samplers walk in lockstep, one matrix column per step.
 :func:`score_paths` takes a batch's log-probs from one :class:`EdgeBatch` over
 its edges, so they are bit-reproducible given seed and batch.  The batch is
-the one path record: the replay buffer keeps one, the trajectory log one.
+the one path record, the replay buffer's too: ``states``, ``lengths``,
+``rewards`` and, once scored, ``log_pf``/``log_pb``.  Which sampler made a
+path is not a column: that label exists only in the trajectory log.
 
 One policy table per call.  A bulk sampling or scoring call over ``n``
 paths may evaluate a side's policy once, as one table of log-prob rows over
@@ -107,26 +109,23 @@ class PathBatch:
     """
 
     def __init__(self, states: np.ndarray, lengths: np.ndarray, rewards: np.ndarray,
-                 provenance: np.ndarray, log_pf: Optional[np.ndarray] = None,
-                 log_pb: Optional[np.ndarray] = None):
+                 log_pf: Optional[np.ndarray] = None, log_pb: Optional[np.ndarray] = None):
         self.states, self.lengths, self.rewards = states, lengths, rewards
         self.terminals = states[np.arange(len(states)), lengths - 2]
         self.log_rewards = np.log(rewards)
-        self.provenance, self.log_pf, self.log_pb = provenance, log_pf, log_pb
+        self.log_pf, self.log_pb = log_pf, log_pb
 
     @classmethod
-    def of_matrix(cls, env: DagEnv, states: np.ndarray, lengths: np.ndarray,
-                  provenance: str) -> "PathBatch":
+    def of_matrix(cls, env: DagEnv, states: np.ndarray, lengths: np.ndarray) -> "PathBatch":
         """Paths through ``env``, rewarded by their terminating states."""
-        rewards = env.reward_table[states[np.arange(len(states)), lengths - 2]]
-        return cls(states, lengths, rewards, np.full(len(states), provenance))
+        return cls(states, lengths, env.reward_table[states[np.arange(len(states)), lengths - 2]])
 
     @classmethod
-    def of_lists(cls, env: DagEnv, paths: Sequence[Sequence[int]], provenance: str) -> "PathBatch":
-        return cls.of_matrix(env, *_pad(paths), provenance)
+    def of_lists(cls, env: DagEnv, paths: Sequence[Sequence[int]]) -> "PathBatch":
+        return cls.of_matrix(env, *_pad(paths))
 
     def _columns(self) -> list:
-        return [self.lengths, self.rewards, self.provenance, self.log_pf, self.log_pb]
+        return [self.lengths, self.rewards, self.log_pf, self.log_pb]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -154,19 +153,21 @@ class PathView:
         self.terminating_state = terminating_state
 
 
-def write_trajectory_log(path: str, paths: PathBatch) -> None:
+def write_trajectory_log(path: str, backward: PathBatch, forward: PathBatch) -> None:
+    """One JSON line per path, the backward-sampled first, labelled by half."""
     keys = ("states", "log_pf", "log_pb", "reward", "provenance")
-    columns = (paths.states, paths.lengths, paths.log_pf, paths.log_pb, paths.rewards,
-               paths.provenance)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(dict(zip(keys, (s[:n], *row)))) + "\n"
-                      for s, n, *row in zip(*(c.tolist() for c in columns)))
+        for paths, label in ((backward, "backward-sampled"), (forward, "forward-sampled")):
+            columns = (paths.states, paths.lengths, paths.log_pf, paths.log_pb, paths.rewards)
+            fh.writelines(json.dumps(dict(zip(keys, (s[:n], *row, label)))) + "\n"
+                          for s, n, *row in zip(*(c.tolist() for c in columns)))
 
 
-def read_trajectory_log(path: str) -> PathBatch:
-    """The paths of a JSON-lines log; a line that is not a record (a positive
-    finite reward, finite log-probs) raises ``ValueError`` naming the file and
-    the line."""
+def read_trajectory_log(path: str) -> Tuple[PathBatch, PathBatch]:
+    """The (backward-sampled, forward-sampled) paths of a JSON-lines log: an
+    unlabelled record is forward-sampled, one of another label is skipped.  A
+    line that is not a record (a positive finite reward, finite log-probs)
+    raises ``ValueError`` naming the file and the line."""
     docs = []
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -181,10 +182,11 @@ def read_trajectory_log(path: str) -> PathBatch:
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}, line {n}: not a trajectory record "
                                      f"({type(exc).__name__}: {exc})") from None
-    states, rewards, log_pf, log_pb, provenance = zip(*docs) if docs else ([],) * 5
-    return PathBatch(*_pad(states), np.array(rewards, dtype=float),
-                     np.array(provenance, dtype=str), np.array(log_pf, dtype=float),
-                     np.array(log_pb, dtype=float))
+    states, rewards, log_pf, log_pb, labels = zip(*docs) if docs else ([],) * 5
+    logged = PathBatch(*_pad(states), *(np.array(c, dtype=float)
+                                        for c in (rewards, log_pf, log_pb)))
+    labels = np.array(labels, dtype=str)
+    return logged[labels == "backward-sampled"], logged[labels == "forward-sampled"]
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -371,10 +373,9 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
     if forward:
-        net, mask, slots_at, end = model.forward_net, env.forward_mask, env.forward_slots, env.sink
+        net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
     else:
-        net, mask, slots_at, end = (model.backward_net, env.backward_mask, env.backward_slots,
-                                    env.initial_state)
+        net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
     moves, listed = env._moves[0 if forward else 1], env._move_choices[0 if forward else 1]
     n_table = 0
     if net is not None and net.wants_indices and mask.shape[1] < _ORDERED_SUM_WIDTH and listed:
@@ -384,17 +385,17 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     paths = []
     for s in starts:
         s = int(s)
-        if not forward and not env.is_terminating(s):
+        if not forward and not env.terminating_mask[s]:
             raise ValueError(f"state {s} is not terminating")
         seq = [s]
         while s != end:
             move = moves.get(s)
             if move is None:
-                slots, nxt = slots_at(s)
-                k = -1 if len(nxt) == 1 else len(listed)
+                slots = np.flatnonzero(mask[s])
+                k = -1 if len(slots) == 1 else len(listed)
                 if k >= 0:
                     listed.append(s)
-                move = moves[s] = slots, nxt.tolist(), k
+                move = moves[s] = slots, step[s, slots].tolist(), k
             slots, nxt, k = move
             if len(nxt) == 1:
                 s = nxt[0]
@@ -410,7 +411,7 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
                     s = nxt[bisect_right(row[0], rng.random() * row[1])]
             seq.append(s)
         paths.append(seq if forward else seq[::-1] + [env.sink])
-    return PathBatch.of_lists(env, paths, "forward-sampled" if forward else "backward-sampled")
+    return PathBatch.of_lists(env, paths)
 
 
 # -- batched transition evaluation ------------------------------------------
@@ -584,12 +585,12 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         alive = alive[nxt != end]
     lengths = (walked >= 0).sum(axis=1)
     if forward:
-        paths = PathBatch.of_matrix(env, walked[:, : t + 1], lengths, "forward-sampled")
+        paths = PathBatch.of_matrix(env, walked[:, : t + 1], lengths)
     else:
         back = lengths[:, None] - 1 - np.arange(t + 2)  # column of walked read by each column
         rows = np.where(back >= 0, np.take_along_axis(walked, np.maximum(back, 0), axis=1), -1)
         rows[np.arange(n), lengths] = env.sink
-        paths = PathBatch.of_matrix(env, rows, lengths + 1, "backward-sampled")
+        paths = PathBatch.of_matrix(env, rows, lengths + 1)
     score_paths(model, env, paths, tables)
     return paths
 

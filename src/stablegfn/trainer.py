@@ -216,7 +216,7 @@ class ReplayBuffer:
             raise ValueError("cannot sample from an empty replay buffer")
         p = self.paths
         idx = proportional_draw(rng, p.rewards, count)
-        return PathBatch(p.states[idx], p.lengths[idx], p.rewards[idx], np.full(count, "replayed"))
+        return PathBatch(p.states[idx], p.lengths[idx], p.rewards[idx])
 
 
 @dataclass

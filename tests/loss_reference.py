@@ -22,19 +22,47 @@ from stablegfn.losses import reference_flow_log_deltas, terminal_reach_counts
 from stablegfn.policy import _eval_rows, _row
 
 
+# -- per-state views of the graph arrays -------------------------------------------
+
+
+def forward_slots(env, s):
+    """(valid forward slots, children) of one state, as parallel arrays."""
+    slots = np.flatnonzero(env.forward_mask[s])
+    return slots, env.child_matrix[s, slots]
+
+
+def backward_slots(env, s):
+    """(valid backward slots, parents) of one state, as parallel arrays."""
+    slots = np.flatnonzero(env.backward_mask[s])
+    return slots, env.parent_matrix[s, slots]
+
+
+def children(env, s):
+    return forward_slots(env, s)[1]
+
+
+def parents(env, s):
+    return backward_slots(env, s)[1]
+
+
+def log_reward(env, s):
+    """``math.log`` of one terminating state's reward."""
+    return math.log(float(env.reward_table[s]))
+
+
 # -- model lookups, one state at a time -----------------------------------------
 
 
 def forward_row(model, s, env):
     """(slots, children, log-probs) of the forward policy at one state."""
-    slots, children = env.forward_slots(s)
-    return slots, children, _row(model.forward_net, s, slots, env)
+    slots, kids = forward_slots(env, s)
+    return slots, kids, _row(model.forward_net, s, slots, env)
 
 
 def backward_row(model, s, env):
     """(slots, parents, log-probs) of the backward policy at one state."""
-    slots, parents = env.backward_slots(s)
-    return slots, parents, _row(model.backward_net, s, slots, env)
+    slots, pars = backward_slots(env, s)
+    return slots, pars, _row(model.backward_net, s, slots, env)
 
 
 def log_pf_edge(model, src, dst, env):
@@ -79,9 +107,9 @@ def db_log_ratio(edge, model, env):
     s, t = edge
     if t == env.sink:
         raise ValueError("detailed balance is undefined on edges into the sink")
-    if t not in env.children(s):
+    if t not in children(env, s):
         raise ValueError(f"{s}->{t} is not an edge")
-    end = math.log(env.reward(t)) if env.is_terminating(t) else log_state_flow(model, t, env)
+    end = log_reward(env, t) if env.terminating_mask[t] else log_state_flow(model, t, env)
     return (log_state_flow(model, s, env) + log_pf_edge(model, s, t, env) - end
             - log_pb_edge(model, s, t, env))
 
@@ -96,9 +124,9 @@ def fm_log_ratio(state, model, env):
     if state == env.initial_state or state == env.sink:
         raise ValueError("flow matching applies to intermediate states only")
     log_in = [log_state_flow(model, p, env) + log_pf_edge(model, p, state, env)
-              for p in env.parents(state)]
-    log_out = [math.log(env.reward(state))] if env.is_terminating(state) else []
-    for c in env.children(state):
+              for p in parents(env, state)]
+    log_out = [log_reward(env, state)] if env.terminating_mask[state] else []
+    for c in children(env, state):
         if c != env.sink:
             log_out.append(log_state_flow(model, state, env) + log_pf_edge(model, state, c, env))
     return float(np.logaddexp.reduce(log_in) - np.logaddexp.reduce(log_out))
@@ -121,7 +149,7 @@ def subtb_log_ratio(traj, t1, t2, model, env):
         raise ValueError(f"degenerate or out-of-range span ({t1}, {t2})")
     start = log_state_flow(model, seq[t1], env)
     if t2 == n:
-        end = math.log(env.reward(seq[n]))
+        end = log_reward(env, seq[n])
     else:
         end = log_state_flow(model, seq[t2], env)
     r = start - end

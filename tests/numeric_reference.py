@@ -11,6 +11,8 @@ type of its own: the lockstep walker appends one state per walker per step,
 edges are flattened one by one, and certificate records take ``math.log`` of
 each reward.  The package's ``PathBatch`` must give the same paths, edges
 and values; :func:`records` reads a batch into records, row by row.
+:func:`enumerate_paths` lists every path by recursion, one call per state
+on a path; the package's enumeration keeps an explicit stack.
 
 The exact terminal DP here evaluates the forward net in one call over every
 choice state; the package's cache-free passes run it in row blocks and must
@@ -24,6 +26,7 @@ from typing import List
 import numpy as np
 
 from stablegfn.approximator import LEAKY_SLOPE, NonFiniteError
+from stablegfn.oracle import check_trajectory_cap
 from stablegfn.policy import EdgeBatch, _draw_rows, _eval_rows, _masked_rows
 
 
@@ -140,6 +143,26 @@ def walk(model, env, rng, starts, forward):
     return seqs if forward else [s[::-1] + [env.sink] for s in seqs]
 
 
+def enumerate_paths(env):
+    """Every source-to-sink path as a list of states, depth-first in slot
+    order, by recursion, checking the trajectory cap before each path."""
+    out, path = [], [env.initial_state]
+
+    def dfs(s):
+        if s == env.sink:
+            check_trajectory_cap(len(out) + 1)
+            out.append(path.copy())
+            return
+        row = env.child_matrix[s]
+        for c in row[row >= 0].tolist():
+            path.append(c)
+            dfs(c)
+            path.pop()
+
+    dfs(env.initial_state)
+    return out
+
+
 @dataclass
 class Trajectory:
     """One source-to-sink path with its log-probs, as a single record.
@@ -153,7 +176,6 @@ class Trajectory:
     log_pf: float
     log_pb: float
     reward: float
-    provenance: str = "forward-sampled"
 
     @property
     def terminating_state(self) -> int:
@@ -167,7 +189,7 @@ def path_lists(paths):
 
 def records(paths):
     """One ``Trajectory`` per row of a scored ``PathBatch``."""
-    columns = (paths.log_pf, paths.log_pb, paths.rewards, paths.provenance)
+    columns = (paths.log_pf, paths.log_pb, paths.rewards)
     return [Trajectory(*row) for row in zip(path_lists(paths), *(c.tolist() for c in columns))]
 
 
@@ -183,9 +205,9 @@ def collect_transitions(trajs):
             np.array(dst, dtype=np.int64))
 
 
-def trajectories_from_paths(model, env, paths, provenance):
+def trajectories_from_paths(model, env, paths):
     """One ``Trajectory`` per path, log-probs from one EdgeBatch over their edges."""
-    trajs = [Trajectory(p, 0.0, 0.0, env.reward(p[-2]), provenance) for p in paths]
+    trajs = [Trajectory(p, 0.0, 0.0, float(env.reward_table[p[-2]])) for p in paths]
     tid, src, dst = collect_transitions(trajs)
     batch = EdgeBatch(model, env, src, dst, tid)
     for t, f, b in zip(trajs, *batch.per_trajectory(len(trajs))):

@@ -320,7 +320,8 @@ def test_sandwich_spec_instance():
 
 def test_sandwich_reward_doubling_keeps_target():
     env = RegularTree(2, 2, leaf_rewards=[1.0, 2.0, 0.5, 1.5])
-    added = {int(x): env.reward(int(x)) for x in env.terminating_states}
+    xs = env.terminating_states
+    added = dict(zip(xs.tolist(), env.reward_table[xs].tolist()))
     lower, upper, exact = incremental_tv_sandwich(env, added)
     assert upper == pytest.approx(0.5)
     assert exact == pytest.approx(0.0, abs=1e-15)

@@ -132,18 +132,32 @@ def test_certify_from_log(tmp_path):
     from stablegfn.policy import sample_backward_batch, sample_forward_batch, write_trajectory_log
 
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    _, env, model = _load(cfg, outdir / "checkpoint.json")
+    resolved, env, model = _load(cfg, outdir / "checkpoint.json")
     rng = rng_for(0, "log")
     xs = env.terminating_states[rng.integers(0, len(env.terminating_states), 30)]
-    trajs = sample_backward_batch(model, env, rng, xs) + sample_forward_batch(model, env, rng, 30)
-    log_path = str(tmp_path / "trajs.jsonl")
-    write_trajectory_log(log_path, trajs)
-    out = str(tmp_path / "cert2.json")
-    code = main(["certify", "--checkpoint", str(outdir / "checkpoint.json"),
-                 "--config", cfg, "--from-log", log_path, "--output", out])
-    assert code == 0
-    doc = json.loads(open(out).read())
-    assert doc["m"] == 30 and doc["n"] == 30
+    bwd = sample_backward_batch(model, env, rng, xs)
+    fwd = sample_forward_batch(model, env, rng, 30)
+    log_path = tmp_path / "trajs.jsonl"
+    write_trajectory_log(str(log_path), bwd, fwd)
+
+    def certified(name):
+        out = tmp_path / name
+        assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                     "--from-log", str(log_path), "--output", str(out)]) == 0
+        return dict(json.loads(out.read_text()), wall_clock_s=None)
+
+    # the logged paths certify as the sampled batches do
+    report = certify.optimize_certificate(
+        certify.records_from_trajectories(bwd, model.logz),
+        certify.records_from_trajectories(fwd, model.logz),
+        (1.0 - resolved["train"]["confidence"]) / 2.0)
+    expected = dict(json.loads(json.dumps(report.to_dict())), wall_clock_s=None)
+    assert certified("cert.json") == expected and (expected["m"], expected["n"]) == (30, 30)
+    # a record of any other label is read, checked and left out
+    first = json.loads(log_path.read_text().splitlines()[0])
+    with open(log_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(dict(first, reward=100.0, provenance="replayed")) + "\n")
+    assert certified("cert_replayed.json") == expected
 
 
 def test_certify_sample_counts_default_from_config(tmp_path):
@@ -164,15 +178,36 @@ def test_checkpoint_keeps_the_resolved_env_and_model_sections(tmp_path):
     assert doc["env"] == resolved["env"] and doc["model"] == resolved["model"]
 
 
-def test_version_1_checkpoint_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("text, names", [
+    (lambda doc: "not json", "not JSON"),
+    (lambda doc: json.dumps(dict(doc, version=1)), "unsupported checkpoint version 1"),
+    (lambda doc: json.dumps([doc]), "not a stablegfn-checkpoint file"),
+    (lambda doc: json.dumps(dict(doc, format="other")), "not a stablegfn-checkpoint file"),
+    (lambda doc: json.dumps(dict(doc, params="x")), "'params' is not a mapping"),
+], ids=["not_json", "version_1", "json_list", "other_format", "params_string"])
+def test_checkpoint_file_fault_exits_2_naming_it(tmp_path, capsys, text, names):
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
     path = outdir / "checkpoint.json"
-    path.write_text(json.dumps(dict(json.loads(path.read_text()), version=1)))
+    path.write_text(text(json.loads(path.read_text())))
     capsys.readouterr()
+    out = tmp_path / "out.json"
+    for command in ("evaluate", "certify"):
+        code = main([command, "--checkpoint", str(path), "--config", cfg, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {path}: ") and names in err
+    assert not out.exists()
+
+
+def test_checkpoint_loads_without_the_optimizer_moments(tmp_path):
+    # nothing restores Adam's state yet, so its moments are not read
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    path = outdir / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    del doc["optimizer"]["m"], doc["optimizer"]["v"]
+    path.write_text(json.dumps(doc))
     for command in ("evaluate", "certify"):
         assert main([command, "--checkpoint", str(path), "--config", cfg,
-                     "--output", str(tmp_path / "out.json")]) == 2
-        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+                     "--output", str(tmp_path / f"{command}.json")]) == 0
 
 
 def test_checkpoint_model_wins_over_the_config_model(tmp_path):
@@ -459,6 +494,11 @@ MISTYPED = [
     ("env", "leaf_rewards", 5, "env.leaf_rewards must be a list of numbers or null, got 5"),
     ("model", "hidden", ["a", 4], "each model.hidden width must be an integer, got 'a'"),
     ("train", "patience", -3, "patience must be >= 0, got -3"),
+    (None, "env", None, "env must be a mapping, got None"),
+    (None, "env", 5, "env must be a mapping, got 5"),
+    (None, "train", 5, "train must be a mapping, got 5"),
+    (None, "eval", True, "eval must be a mapping, got True"),
+    (None, "model", [1], "model must be a mapping, got [1]"),
 ]
 # the environment a mistyped key is set in, where a two-leaf tree has no such key
 _ENV_WITH = {"r0": {"kind": "hypergrid", "dimension": 2, "side": 3},
@@ -485,6 +525,10 @@ def test_train_with_mistyped_value_exits_2_before_any_output(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and list(train)[0] in err
         assert not (tmp_path / "run").exists()
+    payload = dict(TREE_CONFIG, output_dir=str(tmp_path / "run"), train=5)
+    assert main(["train", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == "error: train must be a mapping, got 5\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_replay_size_checked_only_with_replay():

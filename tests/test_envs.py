@@ -13,6 +13,8 @@ from stablegfn.envs import (
     one_more_mode_tree,
     true_partition,
 )
+from stablegfn.losses import terminal_reach_counts
+from loss_reference import children, parents
 from random_dag import random_dags
 
 
@@ -56,12 +58,17 @@ def test_one_more_mode_wrapped_partition():
 
 def test_one_more_mode_shares_the_base_graph():
     base = RegularTree(3, 2)
+    terminal_reach_counts(base)  # fills the base's cache, which the increment recomputes
     promoted = int(base.leaves[-1])
     env = OneMoreMode(base, {promoted: 0.5})
-    for name in DagEnv.GRAPH_ATTRS + ("terminating_states",):
-        assert getattr(env, name) is getattr(base, name), name
-    assert env.encoding_matrix is base.encoding_matrix
-    assert env.reward(promoted) == 1.5 and base.reward(promoted) == 1.0
+    own = ("reward_table", "mode_mask", "_reach_counts")  # derived from the rewards
+    for name, value in vars(base).items():
+        assert (getattr(env, name) is value) == (name not in own), name
+    assert env.base is base
+    # a one-hot cache built after construction is the base's one
+    assert base._encoding_matrix is None
+    assert env.encoding_matrix is base.encoding_matrix is base._encoding_matrix
+    assert env.reward_table[promoted] == 1.5 and base.reward_table[promoted] == 1.0
 
 
 def test_one_more_mode_tree_partitions():
@@ -77,8 +84,8 @@ def test_one_more_mode_tree_epsilon_one_is_identity():
 
 def test_one_more_mode_small_case():
     prev, new = one_more_mode_tree(2, 1, 0.5)
-    assert [prev.reward(int(x)) for x in prev.leaves] == [1.0, 0.5]
-    assert [new.reward(int(x)) for x in prev.leaves] == [1.0, 1.0]  # same graph
+    assert prev.reward_table[prev.leaves].tolist() == [1.0, 0.5]
+    assert new.reward_table[prev.leaves].tolist() == [1.0, 1.0]  # same graph
 
 
 def test_one_more_mode_rejects_bad_epsilon():
@@ -100,21 +107,21 @@ def test_one_more_mode_rejects_bad_epsilon():
     ],
 )
 def test_structure_invariants(env):
-    # topological sort covered every state (acyclic)
-    assert len(env.topological_order) == env.num_states
+    # the level order covered every state (acyclic)
+    assert sum(len(states) for states in env.levels) == env.num_states
     # parent/child symmetry on every edge
     for s in range(env.num_states):
-        for c in env.children(s):
+        for c in children(env, s):
             if c != env.sink:
-                assert s in env.parents(int(c))
-        for p in env.parents(s):
-            assert s in env.children(int(p))
+                assert s in parents(env, c)
+        for p in parents(env, s):
+            assert s in children(env, p)
     # source/sink and terminal shape
-    assert len(env.parents(env.initial_state)) == 0
-    assert len(env.children(env.sink)) == 0
+    assert len(parents(env, env.initial_state)) == 0
+    assert len(children(env, env.sink)) == 0
     for x in env.terminating_states:
-        assert list(env.children(int(x))) == [env.sink]
-        assert env.reward(int(x)) > 0
+        assert list(children(env, x)) == [env.sink]
+        assert env.reward_table[x] > 0
 
 
 @pytest.mark.parametrize(
@@ -127,7 +134,7 @@ def test_levels_are_longest_distances(env):
     for k, states in enumerate(env.levels):
         level[states] = k
     assert np.all(level >= 0)
-    assert np.array_equal(env.topological_order, np.concatenate(env.levels))
+    assert np.array_equal(np.sort(np.concatenate(env.levels)), np.arange(env.num_states))
     assert list(env.levels[0]) == [env.initial_state]
     # every edge goes to a higher level, and each state sits one above its highest parent
     assert np.all(level[env.edge_dst] > level[env.edge_src])
@@ -239,7 +246,7 @@ def test_tree_backward_is_deterministic():
     env = RegularTree(3, 3)
     for s in range(env.num_states):
         if s not in (env.initial_state, env.sink):
-            assert len(env.parents(s)) == 1
+            assert len(parents(env, s)) == 1
 
 
 def test_hypergrid_action_count():
@@ -247,7 +254,7 @@ def test_hypergrid_action_count():
     for idx in range(env.n_grid):
         coords = np.unravel_index(idx, (env.side,) * env.dimension)
         expected = sum(1 for x in coords if x < env.side - 1) + 1
-        assert len(env.children(idx)) == expected
+        assert len(children(env, idx)) == expected
 
 
 def test_hypergrid_terminal_count_and_modes():
@@ -350,6 +357,4 @@ def test_make_env_round_trip():
 
 def test_rewards_zero_off_terminals():
     env = Hypergrid(2, 4, r0=0.1)
-    for s in range(env.num_states):
-        if not env.is_terminating(s):
-            assert env.reward(s) == 0.0
+    assert np.all(env.reward_table[~env.terminating_mask] == 0.0)

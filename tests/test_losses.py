@@ -15,10 +15,12 @@ from stablegfn.trainer import rng_for
 from loss_reference import (
     augmented_log_ratio,
     augmented_loss,
+    children,
     db_log_ratio,
     db_loss,
     fm_log_ratio,
     fm_loss,
+    parents,
     reduction_factor_gamma,
     reference_flow_delta,
     reference_flow_ratio,
@@ -49,7 +51,7 @@ def forward_trajs(model, env, rng, count):
 
 
 def make_traj(states, log_pf, log_pb, reward):
-    return Trajectory(list(states), log_pf, log_pb, reward, "forward-sampled")
+    return Trajectory(list(states), log_pf, log_pb, reward)
 
 
 # -- trajectory balance ---------------------------------------------------------
@@ -110,7 +112,7 @@ def test_db_loss_promoted_edge():
     env_prev, env_new = one_more_mode_tree(3, 2, eps)
     model = balanced_tabular_model(env_prev)
     promoted = int(env_prev.leaves[-1])
-    parent = int(env_new.parents(promoted)[0])
+    parent = int(parents(env_new, promoted)[0])
     assert db_loss((parent, promoted), model, env_new) == pytest.approx(
         math.log(eps) ** 2, abs=1e-8
     )
@@ -258,9 +260,9 @@ def test_terminal_reach_counts_match_dfs(env):
             u = stack.pop()
             if u not in seen:
                 seen.add(u)
-                if env.is_terminating(u):
+                if env.terminating_mask[u]:
                     found.add(u)
-                stack.extend(int(c) for c in env.children(u) if c != env.sink)
+                stack.extend(int(c) for c in children(env, u) if c != env.sink)
         return found
 
     dfs = [len(reachable(s)) for s in range(env.num_states)]

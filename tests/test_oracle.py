@@ -27,6 +27,9 @@ from stablegfn.policy import PolicyModel, exact_terminal_distribution, sample_fo
 from stablegfn.losses import batch_loss
 from stablegfn.trainer import rng_for
 
+import numeric_reference as ref
+from random_dag import RandomDag
+
 
 class ChainEnv(DagEnv):
     kind = "chain"
@@ -191,6 +194,30 @@ def test_trajectory_cap_refuses_enumeration(monkeypatch):
     assert len(enumerate_trajectories(PolicyModel.build(env, "tabular"), env)) == 9
 
 
+@pytest.mark.parametrize("env", [RegularTree(3, 3), Hypergrid(2, 6), RandomDag(3, 30)],
+                         ids=lambda env: env.kind)
+def test_enumeration_matches_the_recursive_reference(env):
+    if env.kind == "random_dag":  # has edges that skip levels, not only into the sink
+        level = np.empty(env.num_states, dtype=np.int64)
+        for k, states in enumerate(env.levels):
+            level[states] = k
+        inner = env.edge_dst != env.sink
+        assert np.any(level[env.edge_dst[inner]] - level[env.edge_src[inner]] > 1)
+    assert enumerate_trajectory_states(env) == ref.enumerate_paths(env)
+
+
+def test_enumeration_of_long_paths_needs_no_recursion(monkeypatch):
+    env = Hypergrid(1, 1200)  # a path per grid point, up to 1,202 states long
+    paths = enumerate_trajectory_states(env)
+    assert len(paths) == 1200 and max(map(len, paths)) == 1202
+    assert paths == sorted(paths, key=len, reverse=True)  # depth first: the longest first
+    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", 1200)
+    assert enumerate_trajectory_states(env) == paths
+    monkeypatch.setattr(oracle, "TRAJECTORY_CAP", 1199)
+    with pytest.raises(EnumerationCapError):
+        enumerate_trajectory_states(env)
+
+
 def test_enumerated_trajectories_carry_exact_probs():
     env = RegularTree(2, 2)
     rng = np.random.default_rng(1)
@@ -219,7 +246,7 @@ def test_balanced_flow_identities():
         edge_of[(int(env.edge_src[e]), int(env.edge_dst[e]))] = e
     npar = env.backward_mask.sum(axis=1)
     for path in enumerate_trajectory_states(env):
-        f = env.reward(path[-2]) / np.prod(npar[path[1:-1]])  # split at each state entered
+        f = env.reward_table[path[-2]] / np.prod(npar[path[1:-1]])  # split at each state entered
         for s in path[:-1]:
             state_acc[s] += f
         for a, b in zip(path[:-1], path[1:]):

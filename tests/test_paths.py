@@ -77,14 +77,12 @@ def test_bulk_sampler_matches_reference(env_name, kind, forward):
         paths = sample_forward_batch(model, env, rng, len(starts))
     else:
         paths = sample_backward_batch(model, env, rng, starts)
-    provenance = "forward-sampled" if forward else "backward-sampled"
     want, want_edges = ref.trajectories_from_paths(
-        model, env, ref.walk(model, env, rng_ref, starts, forward), provenance)
+        model, env, ref.walk(model, env, rng_ref, starts, forward))
     assert rng.random() == rng_ref.random()  # both consumed the same uniforms
 
     assert ref.path_lists(paths) == [t.states for t in want]
     assert paths.terminals.tolist() == [t.terminating_state for t in want]
-    assert paths.provenance.tolist() == [provenance] * len(want)
     assert _same_edges(EdgeBatch.of_paths(model, env, paths), want_edges)
     assert paths.log_pf.tolist() == [t.log_pf for t in want]
     assert paths.log_pb.tolist() == [t.log_pb for t in want]
@@ -106,11 +104,10 @@ def test_training_batch_and_subgraph_certificate_match_reference(env_name, kind)
     edges = score_paths(model, env, batch)
     lists = ref.path_lists(rollout(model, env, rng_ref, [env.initial_state] * 16, epsilon=0.2))
     lists += ref.path_lists(rollout(model, env, rng_ref, xs, forward=False))
-    want, want_edges = ref.trajectories_from_paths(model, env, lists, "x")
+    want, want_edges = ref.trajectories_from_paths(model, env, lists)
     assert _same_edges(edges, want_edges)
     assert batch.log_pf.tolist() == [t.log_pf for t in want]
     assert batch.log_pb.tolist() == [t.log_pb for t in want]
-    assert batch.provenance.tolist() == ["forward-sampled"] * 16 + ["backward-sampled"] * 16
 
     # the certificate keeps the forward paths that end in the subset, by mask
     subset = env.terminating_states[::2].tolist()
@@ -128,7 +125,7 @@ def test_training_batch_and_subgraph_certificate_match_reference(env_name, kind)
     # the scope's size and reward mass, by the same mask; the mass sums in another order
     assert report.subset_size == len(set(subset))
     assert report.captured_reward_mass == pytest.approx(
-        sum(env.reward(x) for x in set(subset)), rel=1e-12)
+        sum(env.reward_table[sorted(set(subset))].tolist()), rel=1e-12)
 
 
 def test_losses_and_certificates_read_one_log_reward():
@@ -147,8 +144,7 @@ def test_enumerated_paths_match_reference():
     env = RandomDag(7, 12)
     model = _model(env, "tabular")
     paths = oracle.enumerate_trajectories(model, env)
-    want, _ = ref.trajectories_from_paths(
-        model, env, oracle.enumerate_trajectory_states(env), "enumerated")
+    want, _ = ref.trajectories_from_paths(model, env, oracle.enumerate_trajectory_states(env))
     assert ref.path_lists(paths) == [t.states for t in want]
     assert paths.log_pf.tolist() == [t.log_pf for t in want]
     assert paths.log_pb.tolist() == [t.log_pb for t in want]

@@ -27,7 +27,7 @@ from stablegfn.policy import (
 )
 from stablegfn.trainer import rng_for
 
-from loss_reference import backward_row, forward_row, log_pb_edge, log_pf_edge
+from loss_reference import backward_row, children, forward_row, log_pb_edge, log_pf_edge
 from numeric_reference import path_lists, records
 from random_dag import RandomDag, random_dags
 
@@ -138,7 +138,6 @@ def test_backward_sampling_tree_is_deterministic():
     assert t.states[-1] == env.sink
     assert t.terminating_state == x
     assert t.log_pb == 0.0
-    assert t.provenance == "backward-sampled"
 
 
 def test_backward_sampling_grid_lattice_paths():
@@ -239,20 +238,20 @@ def test_rollout_fills_the_move_table_only_on_its_path():
     assert sorted(forward) == sorted(path[:-1]) and not backward
     (back,) = path_lists(rollout(model, env, np.random.default_rng(0), [path[-2]], forward=False))
     assert sorted(backward) == sorted(back[1:-1])
-    assert forward[env.initial_state][1] == env.children(env.initial_state).tolist()
+    assert forward[env.initial_state][1] == children(env, env.initial_state).tolist()
 
 
 def test_rollout_rows_do_not_outlive_a_call():
     env = RegularTree(2, 2)
     model = PolicyModel.build(env, "tabular")
-    _, children = env.forward_slots(env.initial_state)
+    kids = children(env, env.initial_state)
     rng = np.random.default_rng(0)
     model.forward_net.table[env.initial_state] = [50.0, -50.0]
     first = rollout(model, env, rng, [env.initial_state] * 8)
     model.forward_net.table[env.initial_state] = [-50.0, 50.0]
     second = rollout(model, env, rng, [env.initial_state] * 8)
-    assert set(first.states[:, 1].tolist()) == {children[0]}
-    assert set(second.states[:, 1].tolist()) == {children[1]}
+    assert set(first.states[:, 1].tolist()) == {kids[0]}
+    assert set(second.states[:, 1].tolist()) == {kids[1]}
 
 
 # slot widths from 2 to 16 (forward, backward): T(3,3) 3/1, H(2,4) 3/2, H(7,2)
@@ -268,8 +267,8 @@ TABLE_ENVS = {
 
 
 def _sides(model, env):
-    return ((model.forward_net, env.forward_mask, env.forward_choice, env.forward_slots),
-            (model.backward_net, env.backward_mask, env.backward_choice, env.backward_slots))
+    return ((model.forward_net, env.forward_mask, env.forward_choice),
+            (model.backward_net, env.backward_mask, env.backward_choice))
 
 
 @pytest.mark.parametrize("kind", ["tabular", "mlp"])
@@ -277,14 +276,14 @@ def _sides(model, env):
 def test_table_rows_match_per_state_rows(env_name, kind):
     env = TABLE_ENVS[env_name]()
     model = random_model(env, kind, seed=5, noise=3.0)
-    for net, mask, choice, slots_at in _sides(model, env):
+    for net, mask, choice in _sides(model, env):
         logp = policy._log_policy(net, mask, choice, env)
         # an MLP's logits move in the last bits with a call's row count, so
         # its rows are held to the per-state arithmetic on the table's logits
         out = policy._eval_rows(net, choice, env, cache=False)[0]
         same = []
         for i, s in enumerate(choice.tolist()):
-            slots, _ = slots_at(s)
+            slots = np.flatnonzero(mask[s])
             if kind == "tabular":
                 want = policy._row(net, s, slots, env)
             else:
@@ -386,7 +385,7 @@ def test_backward_then_forward_consistency():
     assert np.all(np.isfinite(paths.log_pf))
     for p in path_lists(paths):
         for a, b in zip(p[:-1], p[1:]):
-            assert b in env.children(a)
+            assert b in children(env, a)
 
 
 def test_exact_terminal_distribution_uniform_tree():
@@ -421,12 +420,12 @@ def test_exact_terminal_distribution_vs_monte_carlo():
         while (done < 0).any():
             for s in np.unique(cur[done < 0]):
                 here = (done < 0) & (cur == s)
-                _, children, lp = forward_row(model, int(s), env)
+                _, kids, lp = forward_row(model, int(s), env)
                 probs = np.exp(lp)
-                draws = rng.choice(len(children), size=int(here.sum()), p=probs / probs.sum())
-                if env.is_terminating(int(s)):
+                draws = rng.choice(len(kids), size=int(here.sum()), p=probs / probs.sum())
+                if env.terminating_mask[s]:
                     done[here] = s
-                cur[here] = children[draws]
+                cur[here] = kids[draws]
         freq = np.array([(done == x).mean() for x in xs])
         assert np.abs(freq - p).max() < 0.005
 
@@ -460,25 +459,24 @@ def test_backward_batch_matches_single(tmp_path):
     assert np.all(trajs.states[:, 0] == env.initial_state)
 
     path = tmp_path / "log.jsonl"
-    write_trajectory_log(str(path), trajs)
-    back = read_trajectory_log(str(path))
-    assert path_lists(back) == path_lists(trajs)
+    write_trajectory_log(str(path), trajs, trajs[:0])
+    back, forward = read_trajectory_log(str(path))
+    assert path_lists(back) == path_lists(trajs) and len(forward) == 0
     assert back.log_pf.tolist() == trajs.log_pf.tolist()
-    assert back.provenance.tolist() == ["backward-sampled", "backward-sampled"]
 
 
 def test_trajectory_log_bytes(tmp_path):
-    states = np.array([[0, 2, 5, 9], [0, 3, 9, -1]], dtype=np.int64)
-    paths = PathBatch(states, np.array([4, 3]), np.array([0.1, 2.0]),
-                      np.array(["forward-sampled", "backward-sampled"]),
-                      np.array([-1.2345678901234567, 0.0]), np.array([-0.5, -1e-300]))
+    backward = PathBatch(np.array([[0, 3, 9, -1]], dtype=np.int64), np.array([3]),
+                         np.array([2.0]), np.array([0.0]), np.array([-1e-300]))
+    forward = PathBatch(np.array([[0, 2, 5, 9]], dtype=np.int64), np.array([4]), np.array([0.1]),
+                        np.array([-1.2345678901234567]), np.array([-0.5]))
     path = tmp_path / "log.jsonl"
-    write_trajectory_log(str(path), paths)
+    write_trajectory_log(str(path), backward, forward)
     assert path.read_text(encoding="utf-8") == (
-        '{"states": [0, 2, 5, 9], "log_pf": -1.2345678901234567, "log_pb": -0.5, '
-        '"reward": 0.1, "provenance": "forward-sampled"}\n'
         '{"states": [0, 3, 9], "log_pf": 0.0, "log_pb": -1e-300, '
         '"reward": 2.0, "provenance": "backward-sampled"}\n'
+        '{"states": [0, 2, 5, 9], "log_pf": -1.2345678901234567, "log_pb": -0.5, '
+        '"reward": 0.1, "provenance": "forward-sampled"}\n'
     )
 
 

@@ -107,11 +107,10 @@ def test_topk_buffer_empty_sampling_errors():
 
 
 def _tagged_paths(rewards, first=0, log_pf=0.0):
-    """Scored paths 0 -> k -> sink for k = first, first + 1, ..., tagged "k" in provenance."""
+    """Scored paths 0 -> k -> sink for k = first, first + 1, ...: the terminal k tags each."""
     ks = list(range(first, first + len(rewards)))
     return PathBatch(np.array([[0, k, 10**6] for k in ks], dtype=np.int64).reshape(-1, 3),
                      np.full(len(ks), 3), np.array(rewards, dtype=float),
-                     np.array([str(k) for k in ks], dtype=str),
                      np.full(len(ks), log_pf), np.zeros(len(ks)))
 
 
@@ -140,7 +139,7 @@ def test_replay_buffer_single_item_and_empty():
     buf.insert(_tagged_paths([2.0], 7, log_pf=-0.5))
     out = buf.sample(np.random.default_rng(0), 3)
     assert len(out) == 3
-    assert out.rewards.tolist() == [2.0] * 3 and out.provenance.tolist() == ["replayed"] * 3
+    assert out.rewards.tolist() == [2.0] * 3
     assert out.states.tolist() == [[0, 7, 10**6]] * 3 and out.log_pf is None
 
 
@@ -154,10 +153,10 @@ def test_replay_round_insert_matches_one_at_a_time():
             rewards = rng.integers(1, 4, int(rng.integers(0, 10))).astype(float).tolist()
             buf.insert(_tagged_paths(rewards, tag))
             for r in rewards:
-                _insert_one(ref, capacity, (str(tag), r))
+                _insert_one(ref, capacity, (tag, r))
                 tag += 1
             # same items in the same order, so ReplayBuffer.sample draws the same
-            assert buf.paths.provenance.tolist() == [t for t, _ in ref]
+            assert buf.paths.terminals.tolist() == [t for t, _ in ref]
             assert buf.paths.rewards.tolist() == [r for _, r in ref]
 
 
