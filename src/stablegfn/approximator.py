@@ -194,7 +194,7 @@ def _all_finite(a: np.ndarray, total: float) -> bool:
     return math.isfinite(total) or bool(np.isfinite(a).all())
 
 
-def clip_grad_norm(grad: np.ndarray, max_norm: float = 10.0,
+def clip_grad_norm(grad: np.ndarray, max_norm: float,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Rescale ``grad`` to L2 norm ``max_norm`` when it exceeds it, else pass through.
 

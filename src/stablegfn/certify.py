@@ -180,8 +180,8 @@ def _objective(log_model: np.ndarray, log_target: np.ndarray, threshold: float,
     return raw, max_ratio, main
 
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-8,
-                            max_iter: int = 200) -> Tuple[float, float, int]:
+def golden_section_minimize(f, lo: float, hi: float, tol: float = SEARCH_TOL,
+                            max_iter: int = SEARCH_MAX_ITER) -> Tuple[float, float, int]:
     """Minimize a scalar function on [lo, hi]; returns (x, f(x), iterations)."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -250,7 +250,7 @@ def optimize_certificate(backward: Tuple[np.ndarray, np.ndarray],
         i = int(np.argmin(vals))
         a = grid[max(0, i - 1)]
         b = grid[min(SEARCH_PRESCAN - 1, i + 1)]
-        x, fx, iters = golden_section_minimize(f, float(a), float(b), SEARCH_TOL, SEARCH_MAX_ITER)
+        x, fx, iters = golden_section_minimize(f, float(a), float(b))
         best_c, best_v = x, fx
         if vals[i] < best_v:
             best_c = float(grid[i])

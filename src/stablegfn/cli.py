@@ -41,7 +41,7 @@ def _load_model_for(args: argparse.Namespace):
                                      "environment than the config")
     try:
         section = config_mod.resolve_model(doc["model"], resolved["train"]["objective"])
-    except (AttributeError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: model {doc['model']!r} does not build ({exc})") from None
     model = config_mod.build_model(dict(resolved, model=section), env)
     for name in model.params.names:

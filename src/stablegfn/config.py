@@ -1,9 +1,14 @@
-"""Experiment configuration: schema validation, default resolution, builders.
+"""Experiment configuration: one schema, one reader, the builders.
 
 Configs are YAML (JSON is a YAML subset) with four sections: ``env``,
 ``model``, ``train``, ``eval``, plus a top-level ``seed`` and ``output_dir``.
-Unknown keys are rejected.  ``resolve`` materializes every default so the
-emitted ``resolved_config.json`` reproduces the run exactly.  Its ``env`` and
+Each section has one table, the only place its keys' types, defaults and
+allowed values are written: :data:`TOP_KEYS`, ``envs.ENV_KEYS`` per env
+kind, :data:`MODEL_KEYS`, :data:`EVAL_KEYS`, and for ``train`` the fields of
+``TrainConfig``.  One routine, :func:`_section`, reads every table and
+rejects unknown keys; only rules that read more than one key are code.
+``resolve`` materializes every default so the emitted
+``resolved_config.json`` reproduces the run exactly.  Its ``env`` and
 ``model`` sections are the one description of a run: a checkpoint keeps
 them, and a model is built, or restored, only by :func:`build_model`.
 """
@@ -14,11 +19,11 @@ import dataclasses
 import json
 import os
 import re
-from typing import Dict, List
+from typing import Dict
 
 import yaml
 
-from .envs import ENV_DEFAULTS, DagEnv, hypergrid_default_r0, make_env
+from .envs import ENV_KEYS, DagEnv, hypergrid_default_r0, make_env
 from .policy import PolicyModel
 from .trainer import TrainConfig, check_type, rng_for
 
@@ -40,137 +45,94 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+0123456789."))
 
 
-def _require(section: Dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return section[key]
+# The sections' tables: key -> (annotation, default), with no default for a
+# required key.  An annotation is a trainer.check_type annotation, a tuple of
+# the allowed values, or None for a key that a rule below (or TrainConfig)
+# checks.  A null optional section is an empty one.
+TOP_KEYS = {"seed": (None, TrainConfig.seed), "output_dir": ("str", "out"), "env": (None,),
+            "model": (None, None), "train": (None, None), "eval": (None, None)}
+MODEL_KEYS = {"kind": (("tabular", "mlp"), "tabular"), "hidden": (None, [256, 256]),
+              "backward": (("learned", "uniform"), "learned"), "flow_head": (None, "auto")}
+EVAL_KEYS = {"samples": ("int", 100_000), "oracle": ("bool", True)}
+# every TrainConfig field but the seed, which is a top-level key
+_TRAIN_KEYS = {f.name: (None, f.default) for f in dataclasses.fields(TrainConfig)
+               if f.name != "seed"}
 
 
-def _check_keys(section: Dict, allowed: List[str], where: str) -> None:
-    unknown = set(section) - set(allowed)
+def _section(section, keys: Dict[str, tuple], where: str) -> Dict:
+    """``section`` read against its table ``keys``, in table order, with every
+    default filled in; a number becomes a float where its annotation is one."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
+    out = {}
+    for key, (annotation, *default) in keys.items():
+        if key not in section and not default:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+        value = section[key] if key in section else default[0]
+        name = key if where == "config" else f"{where}.{key}"  # top-level keys go bare
+        if isinstance(annotation, tuple) and value not in annotation:
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, annotation))}")
+        if isinstance(annotation, str):
+            value = check_type(name, value, annotation)
+            if "float" in annotation and value is not None:
+                value = float(value)
+        out[key] = value
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    return out
 
 
-def _number(key: str, value, annotation: str = "float"):
-    """``value`` as a float when ``annotation`` admits it (None stays None)."""
-    value = check_type(key, value, annotation)
-    return None if value is None else float(value)
-
-
-def _resolve_env(section: Dict) -> Dict:
-    kind = _require(section, "kind", "env")
-    if kind not in ENV_DEFAULTS:
-        raise ConfigError(f"unknown env kind {kind!r}")
-    merged = {**ENV_DEFAULTS[kind], **section}
-    if kind == "tree":
-        _check_keys(section, ["kind", "branching", "depth", "leaf_rewards"], "env")
-        rewards = merged["leaf_rewards"]
-        if not (rewards is None or isinstance(rewards, list)):
+def _resolve_env(section) -> Dict:
+    """The ``env`` section, read against the table of its kind."""
+    kind = section.get("kind") if isinstance(section, dict) else None
+    keys = ENV_KEYS.get(kind, {}) if isinstance(kind, str) else {}
+    env = _section(section, {"kind": (tuple(ENV_KEYS),), **keys}, "env")
+    if "r0" in env and env["r0"] is None:  # the base reward follows the side
+        env["r0"] = hypergrid_default_r0(env["side"])
+    rewards = env.get("leaf_rewards")
+    if rewards is not None:
+        if not isinstance(rewards, list):
             raise ConfigError("env.leaf_rewards must be a list of numbers or null, "
                               f"got {rewards!r}")
-        return {
-            "kind": "tree",
-            "branching": check_type("env.branching", _require(section, "branching", "env"), "int"),
-            "depth": check_type("env.depth", _require(section, "depth", "env"), "int"),
-            "leaf_rewards": None if rewards is None else [
-                _number("each env.leaf_rewards entry", r) for r in rewards],
-        }
-    if kind == "hypergrid":
-        _check_keys(section, ["kind", "dimension", "side", "r0", "r1", "r2"], "env")
-        side = check_type("env.side", _require(section, "side", "env"), "int")
-        r0 = _number("env.r0", merged["r0"], "Optional[float]")
-        return {
-            "kind": "hypergrid",
-            "dimension": check_type("env.dimension", _require(section, "dimension", "env"), "int"),
-            "side": side,
-            "r0": hypergrid_default_r0(side) if r0 is None else r0,
-            "r1": _number("env.r1", merged["r1"]),
-            "r2": _number("env.r2", merged["r2"]),
-        }
-    _check_keys(section, ["kind", "branching", "depth", "epsilon", "stage"], "env")
-    if merged["stage"] not in ("prev", "new"):
-        raise ConfigError("env.stage must be 'prev' or 'new'")
-    return {
-        "kind": "one_more_mode",
-        "branching": check_type("env.branching", _require(section, "branching", "env"), "int"),
-        "depth": check_type("env.depth", _require(section, "depth", "env"), "int"),
-        "epsilon": _number("env.epsilon", _require(section, "epsilon", "env")),
-        "stage": merged["stage"],
-    }
+        env["leaf_rewards"] = [float(check_type("each env.leaf_rewards entry", r, "float"))
+                               for r in rewards]
+    return env
 
 
-def resolve_model(section: Dict, objective: str) -> Dict:
+def resolve_model(section, objective: str) -> Dict:
     """The ``model`` section with every default; ``flow_head: auto`` follows ``objective``."""
-    _check_keys(section, ["kind", "hidden", "backward", "flow_head"], "model")
-    kind = section.get("kind", "tabular")
-    if kind not in ("tabular", "mlp"):
-        raise ConfigError("model.kind must be 'tabular' or 'mlp'")
-    backward = section.get("backward", "learned")
-    if backward not in ("learned", "uniform"):
-        raise ConfigError("model.backward must be 'learned' or 'uniform'")
-    flow_head = section.get("flow_head", "auto")
-    if flow_head == "auto":
-        flow_head = objective in FLOW_OBJECTIVES
-    if not isinstance(flow_head, bool):
+    model = _section(section, MODEL_KEYS, "model")
+    if model["flow_head"] == "auto":
+        model["flow_head"] = objective in FLOW_OBJECTIVES
+    if not isinstance(model["flow_head"], bool):
         raise ConfigError("model.flow_head must be 'auto' or a boolean")
-    if objective in FLOW_OBJECTIVES and not flow_head:
+    if objective in FLOW_OBJECTIVES and not model["flow_head"]:
         raise ConfigError(f"objective {objective!r} needs a state-flow head: "
                           "model.flow_head must be true or 'auto'")
-    hidden = section.get("hidden", [256, 256])
+    hidden = model["hidden"]
     if isinstance(hidden, list):
-        hidden = [check_type("each model.hidden width", h, "int") for h in hidden]
+        hidden = model["hidden"] = [check_type("each model.hidden width", h, "int")
+                                    for h in hidden]
     if not (isinstance(hidden, list) and len(hidden) == 2 and min(hidden) >= 1):
         raise ConfigError("model.hidden must be a list of two widths >= 1")
-    return {
-        "kind": kind,
-        "hidden": hidden,
-        "backward": backward,
-        "flow_head": flow_head,
-    }
-
-
-# every TrainConfig field but the seed, which is a top-level key
-_TRAIN_KEYS = [f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
-
-
-def _resolve_train(section: Dict, seed: int) -> Dict:
-    _check_keys(section, _TRAIN_KEYS, "train")
-    cfg = TrainConfig(**section, seed=seed)
-    return {k: getattr(cfg, k) for k in _TRAIN_KEYS}
-
-
-def _resolve_eval(section: Dict) -> Dict:
-    _check_keys(section, ["samples", "oracle"], "eval")
-    samples = check_type("eval.samples", section.get("samples", 100_000), "int")
-    if samples < 1:
-        raise ConfigError(f"eval.samples must be >= 1, got {samples}")
-    return {
-        "samples": samples,
-        "oracle": check_type("eval.oracle", section.get("oracle", True), "bool"),
-    }
+    return model
 
 
 def resolve(raw: Dict) -> Dict:
     """Validate a raw config mapping and materialize every default."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(raw, ["seed", "output_dir", "env", "model", "train", "eval"], "config")
-    for name in ("env", "model", "train", "eval"):  # null is an empty optional section
-        if not isinstance(raw.get(name, {}), dict) and (name == "env" or raw[name] is not None):
-            raise ConfigError(f"{name} must be a mapping, got {raw[name]!r}")
-    seed = raw.get("seed", 0)  # TrainConfig checks it
     try:
-        train = _resolve_train(raw.get("train") or {}, seed)
-        model = resolve_model(raw.get("model") or {}, train["objective"])
-        return {
-            "seed": seed,
-            "output_dir": str(raw.get("output_dir", "out")),
-            "env": _resolve_env(_require(raw, "env", "config")),
-            "model": model,
-            "train": train,
-            "eval": _resolve_eval(raw.get("eval") or {}),
-        }
+        top = _section(raw, TOP_KEYS, "config")
+        model, train, evals = ({} if top[name] is None else top[name]
+                               for name in ("model", "train", "eval"))
+        train = _section(train, _TRAIN_KEYS, "train")
+        TrainConfig(**train, seed=top["seed"])  # checks the train keys and the seed
+        model = resolve_model(model, train["objective"])
+        env = _resolve_env(top["env"])
+        evals = _section(evals, EVAL_KEYS, "eval")
+        if evals["samples"] < 1:
+            raise ConfigError(f"eval.samples must be >= 1, got {evals['samples']}")
+        return dict(top, env=env, model=model, train=train, eval=evals)
     except ValueError as exc:  # ConfigError is one
         raise ConfigError(str(exc)) from exc
 

@@ -22,8 +22,10 @@ distance from the source, ``level_edges`` groups edges by their source's
 level.  Every whole-graph pass walks it, one array step per level.
 
 An environment does not describe itself: the resolved config's ``env``
-section is the one description of it.  ``config.resolve`` fills its
-defaults, :func:`make_env` builds from it, and a checkpoint keeps it.
+section is the one description of it.  :data:`ENV_KEYS` is that section's
+one schema, a table per kind of each key's type, default and allowed values;
+``config.resolve`` reads it and fills the defaults, :func:`make_env` builds
+from the result, and a checkpoint keeps it.
 """
 
 from __future__ import annotations
@@ -37,12 +39,16 @@ import numpy as np
 # check_state_cap); callers must use sampling-based paths instead.
 STATE_CAP = 2_000_000
 
-# Defaults of the optional environment config keys, per kind: config.resolve
-# writes them into the resolved config.
-ENV_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "tree": {"leaf_rewards": None},
-    "hypergrid": {"r0": None, "r1": 0.5, "r2": 2.0},
-    "one_more_mode": {"stage": "new"},
+# The env config section's table per kind: key -> (annotation, default), with
+# no default for a required key, read by config._section.  A None annotation
+# leaves the key to a rule in config (leaf_rewards is a list of numbers), and
+# a null r0 follows the side (hypergrid_default_r0).
+ENV_KEYS: Dict[str, Dict[str, tuple]] = {
+    "tree": {"branching": ("int",), "depth": ("int",), "leaf_rewards": (None, None)},
+    "hypergrid": {"dimension": ("int",), "side": ("int",), "r0": ("Optional[float]", None),
+                  "r1": ("float", 0.5), "r2": ("float", 2.0)},
+    "one_more_mode": {"branching": ("int",), "depth": ("int",), "epsilon": ("float",),
+                      "stage": (("prev", "new"), "new")},
 }
 
 
@@ -302,8 +308,8 @@ class Hypergrid(DagEnv):
     kind = "hypergrid"
 
     def __init__(self, dimension: int, side: int, r0: Optional[float] = None,
-                 r1: float = ENV_DEFAULTS["hypergrid"]["r1"],
-                 r2: float = ENV_DEFAULTS["hypergrid"]["r2"]):
+                 r1: float = ENV_KEYS["hypergrid"]["r1"][1],
+                 r2: float = ENV_KEYS["hypergrid"]["r2"][1]):
         if dimension < 1 or side < 2:
             raise ValueError("need dimension >= 1 and side >= 2")
         self.dimension, self.side = dimension, side
@@ -405,8 +411,6 @@ def make_env(spec: Dict[str, object]) -> DagEnv:
     """Build an environment from a resolved ``env`` config section, every
     key present (see :func:`stablegfn.config.resolve`)."""
     kind = spec["kind"]
-    if kind not in ENV_DEFAULTS:
-        raise ValueError(f"unknown environment kind {kind!r}")
     if kind == "tree":
         return RegularTree(spec["branching"], spec["depth"], spec["leaf_rewards"])
     if kind == "hypergrid":

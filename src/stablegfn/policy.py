@@ -255,8 +255,8 @@ class PolicyModel:
     def build(
         cls,
         env: DagEnv,
-        kind: str = "tabular",
-        hidden: Sequence[int] = (256, 256),
+        kind: str,
+        hidden: Sequence[int] = (),
         learn_backward: bool = True,
         flow_head: bool = False,
         rng: Optional[np.random.Generator] = None,

@@ -274,7 +274,9 @@ def test_certify_from_bad_log_exits_2(tmp_path, capsys, lines, where):
     (lambda doc: doc["params"]["pf.table"]["shape"].reverse(),
      "slice 'pf.table' is (2, 8), the model's is (8, 2)"),
     (lambda doc: doc["params"]["pf.table"].update(shape=[8]), "slice 'pf.table' does not decode"),
-], ids=["no_env", "no_params", "no_slice", "model_key", "slice_shape", "slice_size"])
+    (lambda doc: doc.update(model="xy"),
+     "model 'xy' does not build (model must be a mapping, got 'xy')"),
+], ids=["no_env", "no_params", "no_slice", "model_key", "slice_shape", "slice_size", "model_str"])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, names):
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
     path = outdir / "checkpoint.json"
@@ -391,6 +393,64 @@ def test_config_hypergrid_r0_schedule_resolved():
     assert resolved["env"]["r0"] == pytest.approx(1e-3)
 
 
+# every default that resolve fills in, with its value and its type
+_RESOLVED_DEFAULTS = {
+    "seed": 0,
+    "output_dir": "out",
+    "model": {"kind": "tabular", "hidden": [256, 256], "backward": "learned", "flow_head": False},
+    "train": {"objective": "tb", "stabilize": False, "tv_target": 0.01, "confidence": 0.95,
+              "patience": 10, "buffer_size": 1000, "batch_size": 32, "ema_beta": 0.05,
+              "epsilon": 0.05, "learning_rate": 0.001, "logz_lr_mult": 100.0,
+              "max_grad_norm": 10.0, "replay_size": 1000, "replay_batch": 0, "max_rounds": 1000,
+              "threshold_agg": "max", "backward_source": "buffer", "backward_in_gradient": "auto",
+              "cert_m": 1000, "cert_n": 1000, "subtb_lambda": 0.9, "oracle_every": 0},
+    "eval": {"samples": 100_000, "oracle": True},
+}
+RESOLVED = [
+    ({"env": {"kind": "tree", "branching": 2, "depth": 2}},
+     dict(_RESOLVED_DEFAULTS,
+          env={"kind": "tree", "branching": 2, "depth": 2, "leaf_rewards": None})),
+    ({"env": {"kind": "hypergrid", "dimension": 2, "side": 8}},
+     dict(_RESOLVED_DEFAULTS, env={"kind": "hypergrid", "dimension": 2, "side": 8, "r0": 0.1,
+                                   "r1": 0.5, "r2": 2.0})),
+    ({"env": {"kind": "one_more_mode", "branching": 2, "depth": 2, "epsilon": 0.1}},
+     dict(_RESOLVED_DEFAULTS, env={"kind": "one_more_mode", "branching": 2, "depth": 2,
+                                   "epsilon": 0.1, "stage": "new"})),
+    ({"env": {"kind": "tree", "branching": 3, "depth": 1}, "model": None, "train": None,
+      "eval": None},
+     dict(_RESOLVED_DEFAULTS,
+          env={"kind": "tree", "branching": 3, "depth": 1, "leaf_rewards": None})),
+    # integers become floats where a key is a number, and only in env
+    ({"env": {"kind": "tree", "branching": 2, "depth": 1, "leaf_rewards": [1, 2.5]}},
+     dict(_RESOLVED_DEFAULTS,
+          env={"kind": "tree", "branching": 2, "depth": 1, "leaf_rewards": [1.0, 2.5]})),
+    ({"env": {"kind": "one_more_mode", "branching": 2, "depth": 1, "epsilon": 1,
+              "stage": "prev"}},
+     dict(_RESOLVED_DEFAULTS, env={"kind": "one_more_mode", "branching": 2, "depth": 1,
+                                   "epsilon": 1.0, "stage": "prev"})),
+    ({"seed": 7, "output_dir": "runs/a",
+      "env": {"kind": "hypergrid", "dimension": 3, "side": 4, "r0": 1, "r1": 2, "r2": 3},
+      "model": {"kind": "mlp", "hidden": [8, 4], "backward": "uniform"},
+      "train": {"objective": "db", "learning_rate": 1, "max_grad_norm": None},
+      "eval": {"samples": 5, "oracle": False}},
+     {"seed": 7, "output_dir": "runs/a",
+      "env": {"kind": "hypergrid", "dimension": 3, "side": 4, "r0": 1.0, "r1": 2.0, "r2": 3.0},
+      "model": {"kind": "mlp", "hidden": [8, 4], "backward": "uniform", "flow_head": True},
+      "train": dict(_RESOLVED_DEFAULTS["train"], objective="db", learning_rate=1,
+                    max_grad_norm=None),
+      "eval": {"samples": 5, "oracle": False}}),
+]
+
+
+@pytest.mark.parametrize("raw, expected", RESOLVED, ids=[
+    "tree", "hypergrid", "one_more_mode", "null_sections", "leaf_rewards", "stage", "every_key"])
+def test_resolve_output_is_pinned_and_resolves_to_itself(raw, expected):
+    resolved = resolve(raw)
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    # `stablegfn train resolved_config.json` reruns the same run
+    assert json.dumps(resolve(resolved), sort_keys=True) == json.dumps(resolved, sort_keys=True)
+
+
 def _train_with(tmp_path, **sections):
     payload = dict(TREE_CONFIG, output_dir=str(tmp_path / "run"))
     for name, changes in sections.items():
@@ -499,6 +559,9 @@ MISTYPED = [
     (None, "train", 5, "train must be a mapping, got 5"),
     (None, "eval", True, "eval must be a mapping, got True"),
     (None, "model", [1], "model must be a mapping, got [1]"),
+    (None, "output_dir", None, "output_dir must be a string, got None"),
+    (None, "output_dir", 5, "output_dir must be a string, got 5"),
+    ("env", "kind", ["tree"], "env.kind must be 'tree' or 'hypergrid' or 'one_more_mode'"),
 ]
 # the environment a mistyped key is set in, where a two-leaf tree has no such key
 _ENV_WITH = {"r0": {"kind": "hypergrid", "dimension": 2, "side": 3},
