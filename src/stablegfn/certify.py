@@ -17,7 +17,9 @@ Sampled trajectories arrive as :class:`~stablegfn.policy.PathBatch` arrays:
 records read their log-probs and log-rewards, and a subgraph certificate
 keeps forward paths, and counts its scope's states and reward mass, by one
 mask over the scope.  :func:`sample_certificate` is the one certificate attempt
-from a model: the trainer's gate and both CLI commands draw through it.
+from a model: the trainer's gate, both CLI commands and ``verify``'s coverage
+suite draw through it.  :func:`optimize_certificate` is the one routine from
+records to a :class:`CertificateReport`, at a given threshold or a searched one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +46,8 @@ class ReferenceConditionError(ValueError):
     """The max flow ratio is too large for the requested threshold."""
 
 
-def _check_samples(m: int, n: int, alpha: float) -> None:
+def check_samples(m: int, n: int, alpha: float) -> None:
+    """Refuse an alpha outside (0, 0.5) or an empty sample set, as every certificate does."""
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
     if m < 1 or n < 1:
@@ -76,7 +79,7 @@ def pac_tv_bound(threshold: float, m: int, n: int, alpha: float) -> float:
     trajectories had loss at most threshold**2; holds with confidence
     1 - 2*alpha.  Clamped to [0, 1].
     """
-    _check_samples(m, n, alpha)
+    check_samples(m, n, alpha)
     raw = math.expm1(2.0 * threshold) + math.log(1.0 / alpha) / m + math.log(1.0 / alpha) / n
     return min(1.0, max(0.0, raw))
 
@@ -105,7 +108,7 @@ def reference_main_term(threshold: float, max_ratio: float) -> float:
 def pac_tv_bound_with_reference(threshold: float, max_ratio: float, m: int, n: int,
                                 alpha: float) -> float:
     """Reference-flow sampling certificate; reduces to pac_tv_bound at max_ratio 0."""
-    _check_samples(m, n, alpha)
+    check_samples(m, n, alpha)
     raw = (
         reference_main_term(threshold, max_ratio)
         + math.log(1.0 / alpha) / m
@@ -217,8 +220,9 @@ def feasibility_floor(log_model: np.ndarray, log_target: np.ndarray) -> float:
 
 def optimize_certificate(backward: Tuple[np.ndarray, np.ndarray],
                          forward: Tuple[np.ndarray, np.ndarray], alpha: float,
-                         scope: str = "global") -> CertificateReport:
-    """Tightest reference-flow certificate over the one-dimensional threshold.
+                         scope: str = "global",
+                         threshold: Optional[float] = None) -> CertificateReport:
+    """Reference-flow certificate at ``threshold``, or at the tightest one (None).
 
     ``backward``/``forward`` are (log model flow, log target flow) records of
     trajectories sampled from the reward-weighted backward process and from
@@ -228,21 +232,32 @@ def optimize_certificate(backward: Tuple[np.ndarray, np.ndarray],
     """
     t0 = time.perf_counter()
     m, n = len(backward[0]), len(forward[0])
-    _check_samples(m, n, alpha)
+    check_samples(m, n, alpha)
     log_model = np.concatenate([backward[0], forward[0]])
     log_target = np.concatenate([backward[1], forward[1]])
+    search = None
+    if threshold is None:
+        threshold, search = _search_threshold(log_model, log_target, m, n, alpha)
+    raw, max_ratio, main = _objective(log_model, log_target, threshold, m, n, alpha)
+    violated = not math.isfinite(raw)
+    bound = 1.0 if violated else min(1.0, max(0.0, raw))
+    return CertificateReport("pac-reference", bound, raw, threshold, m, n, alpha, scope,
+                             max_ratio=max_ratio, main_term=main, condition_violated=violated,
+                             search=search, wall_clock_s=time.perf_counter() - t0)
 
+
+def _search_threshold(log_model: np.ndarray, log_target: np.ndarray, m: int, n: int,
+                      alpha: float) -> Tuple[float, Dict[str, object]]:
+    """(threshold, search record) minimizing the raw bound over the records."""
     c_hi = float(np.abs(log_model - log_target).max())
     c_lo = max(0.0, feasibility_floor(log_model, log_target))
 
     def f(c: float) -> float:
         return _objective(log_model, log_target, c, m, n, alpha)[0]
 
-    trace: List[Tuple[float, float]] = []
     if c_lo >= c_hi:
-        best_c = c_hi
-        trace.append((best_c, f(best_c)))
-        iters = 0
+        best_c, iters = c_hi, 0
+        trace = [(best_c, f(best_c))]
     else:
         grid = np.linspace(c_lo, c_hi, SEARCH_PRESCAN)
         vals = [f(c) for c in grid]
@@ -250,41 +265,15 @@ def optimize_certificate(backward: Tuple[np.ndarray, np.ndarray],
         i = int(np.argmin(vals))
         a = grid[max(0, i - 1)]
         b = grid[min(SEARCH_PRESCAN - 1, i + 1)]
-        x, fx, iters = golden_section_minimize(f, float(a), float(b))
-        best_c, best_v = x, fx
+        best_c, best_v, iters = golden_section_minimize(f, float(a), float(b))
         if vals[i] < best_v:
             best_c = float(grid[i])
-
-    report = bound_at_threshold(backward, forward, best_c, alpha, scope)
-    report.search = {
+    return best_c, {
         "lo": c_lo,
         "hi": c_hi,
         "iterations": iters,
         "prescan": [[float(a), None if math.isinf(v) else float(v)] for a, v in trace],
     }
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
-
-
-def bound_at_threshold(
-    backward: Tuple[np.ndarray, np.ndarray],
-    forward: Tuple[np.ndarray, np.ndarray],
-    threshold: float,
-    alpha: float,
-    scope: str = "global",
-) -> CertificateReport:
-    """Reference-flow certificate at a fixed threshold (no search); cheap."""
-    t0 = time.perf_counter()
-    m, n = len(backward[0]), len(forward[0])
-    _check_samples(m, n, alpha)
-    log_model = np.concatenate([backward[0], forward[0]])
-    log_target = np.concatenate([backward[1], forward[1]])
-    raw, max_ratio, main = _objective(log_model, log_target, threshold, m, n, alpha)
-    violated = not math.isfinite(raw)
-    bound = 1.0 if violated else min(1.0, max(0.0, raw))
-    return CertificateReport("pac-reference", bound, raw, threshold, m, n, alpha, scope,
-                             max_ratio=max_ratio, main_term=main, condition_violated=violated,
-                             wall_clock_s=time.perf_counter() - t0)
 
 
 def subgraph_certificate(
@@ -313,10 +302,8 @@ def subgraph_certificate(
     if not len(kept):
         report = CertificateReport("pac-reference", None, None, threshold, len(backward_trajs), 0,
                                    alpha, scope, note="no forward samples reached the subset")
-    elif threshold is None:
-        report = optimize_certificate(backward, forward, alpha, scope=scope)
     else:
-        report = bound_at_threshold(backward, forward, threshold, alpha, scope=scope)
+        report = optimize_certificate(backward, forward, alpha, scope, threshold)
     report.subset_size = int(in_subset.sum())
     report.captured_reward_mass = float(env.reward_table[in_subset].sum())
     report.partition_estimate = math.exp(logz)

@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -26,6 +26,16 @@ from .trainer import Trainer, rng_for
 def _fail(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _write_json(path: str, doc: Dict) -> int:
+    """Write ``doc`` to ``path`` as indented JSON: 0, or 2 once the fault is printed."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror or exc}")
+    return 0
 
 
 def _load_model_for(args: argparse.Namespace):
@@ -77,8 +87,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             rng_for(train_cfg.seed, "cli.cert.backward"),
             rng_for(train_cfg.seed, "cli.cert.forward"), train_cfg.alpha,
         )
-        with open(os.path.join(outdir, "certificate.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+        if _write_json(os.path.join(outdir, "certificate.json"), report.to_dict()):
+            return 2
         if report.bound is not None:
             bound_txt = f"{report.bound:.6f}"
 
@@ -90,15 +100,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    if args.alpha is not None and not 0.0 < args.alpha < 0.5:
-        return _fail(f"alpha must be in (0, 0.5), got {args.alpha}")
-    if any(v is not None and v < 1 for v in (args.m, args.n)):
-        return _fail("need m >= 1 and n >= 1 samples")
     try:
         resolved, env, model = _load_model_for(args)
+        cfg = config_mod.build_train_config(resolved)
+        m = cfg.cert_m if args.m is None else args.m
+        n = cfg.cert_n if args.n is None else args.n
+        alpha = cfg.alpha if args.alpha is None else args.alpha
+        certify_mod.check_samples(m, n, alpha)
     except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
-    alpha = args.alpha if args.alpha is not None else (1.0 - resolved["train"]["confidence"]) / 2.0
 
     if args.from_log:
         try:
@@ -113,16 +123,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
             alpha,
         )
     else:
-        m = resolved["train"]["cert_m"] if args.m is None else args.m
-        n = resolved["train"]["cert_n"] if args.n is None else args.n
-        seed = resolved["seed"]
         report = certify_mod.sample_certificate(  # terminating states ascend
-            model, env, env.terminating_states, m, n, rng_for(seed, "cli.cert.backward"),
-            rng_for(seed, "cli.cert.forward"), alpha,
+            model, env, env.terminating_states, m, n, rng_for(cfg.seed, "cli.cert.backward"),
+            rng_for(cfg.seed, "cli.cert.forward"), alpha,
         )
 
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+    if _write_json(args.output, report.to_dict()):
+        return 2
     bound_txt = "n/a (no usable samples)" if report.bound is None else f"{report.bound:.6f}"
     print(f"TV bound: {bound_txt} (confidence {report.confidence:.3f}), wrote {args.output}")
     return 0
@@ -147,8 +154,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         mode_count=oracle.count_modes(xs, env),
         sample_count=samples,
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+    if _write_json(args.output, report.to_dict()):
+        return 2
     tv_txt = "off" if tv is None else f"{tv:.6f}"
     print(
         f"exact TV: {tv_txt} | empirical total L1: {report.empirical_total_l1:.6f} | "

@@ -79,7 +79,7 @@ def _section(section, keys: Dict[str, tuple], where: str) -> Dict:
         out[key] = value
     unknown = set(section) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in {where}")
     return out
 
 

@@ -31,6 +31,7 @@ from the result, and a checkpoint keeps it.
 from __future__ import annotations
 
 import math
+import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,6 +66,16 @@ def check_state_cap(num_states: int, need: str = "an exact pass") -> None:
     """Refuse ``need``, an exact pass over ``num_states`` states, above :data:`STATE_CAP`."""
     if num_states > STATE_CAP:
         raise EnumerationCapError(f"{need}: {num_states} states exceed STATE_CAP = {STATE_CAP}")
+
+
+def _check_slot_memory(num_states: int, slots: int, what: str) -> None:
+    """Refuse to build ``what`` when its slot matrices alone, ``num_states`` x
+    ``slots`` int64 cells, exceed physical memory: a lower bound on the build."""
+    need = 8 * num_states * slots
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise EnumerationCapError(f"{what}: {num_states} states need {need / 2**30:.4g} GiB "
+                                  f"of slot matrices, above {have / 2**30:.4g} GiB of memory")
 
 
 def _fill_slots(matrix: np.ndarray, at: np.ndarray, slots: np.ndarray,
@@ -223,6 +234,16 @@ class DagEnv:
         return self.terminating_mask & (self.reward_table >= rmax - 1e-12)
 
 
+def _check_tree(g: int, h: int) -> None:
+    """Refuse a g-ary tree of depth h that is degenerate or too large to build."""
+    if g < 2:
+        raise ValueError("branching must be >= 2")
+    if h < 1:
+        raise ValueError("depth must be >= 1")
+    # forward slots: one per child; backward: the one parent
+    _check_slot_memory((g ** (h + 1) - 1) // (g - 1) + 1, g + 1, f"tree({g}, {h})")
+
+
 class RegularTree(DagEnv):
     """Perfect g-ary tree of depth h; the g**h leaves are the terminating states.
 
@@ -233,10 +254,7 @@ class RegularTree(DagEnv):
     kind = "tree"
 
     def __init__(self, branching: int, depth: int, leaf_rewards: Optional[Sequence[float]] = None):
-        if branching < 2:
-            raise ValueError("branching must be >= 2")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
+        _check_tree(branching, depth)
         self.branching, self.depth = branching, depth
         g, h = branching, depth
         level_sizes = [g**k for k in range(h + 1)]
@@ -320,6 +338,8 @@ class Hypergrid(DagEnv):
 
         D, H = dimension, side
         n_grid = H**D
+        # forward slots: an increment per coordinate and the exit; backward: a decrement
+        _check_slot_memory(2 * n_grid + 1, 2 * D + 1, f"hypergrid({D}, {H})")
         self.n_grid = n_grid
         sink = 2 * n_grid
         strides = np.array([H ** (D - 1 - i) for i in range(D)], dtype=np.int64)
@@ -387,6 +407,7 @@ def one_more_mode_tree(branching: int, depth: int, epsilon: float) -> Tuple[Regu
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
+    _check_tree(branching, depth)  # before the leaf rewards are allocated
     n_leaves = branching**depth
     rewards = np.ones(n_leaves)
     rewards[-1] = epsilon

@@ -176,11 +176,11 @@ def batch_loss(
     :meth:`~stablegfn.policy.EdgeBatch.of_paths`), if given; fm evaluates the
     forward log-probs of the in- and out-edges of the visited states alone.
     """
-    if deltas is not None and objective not in ("tb", "augmented"):
+    if deltas is not None and objective != "tb":
         raise ValueError("reference flow only applies to the trajectory objective")
     if objective == "fm":
         return _batch_fm(model, env, paths, backprop)
-    if objective not in ("tb", "augmented", "db", "wdb", "subtb"):
+    if objective not in ("tb", "db", "wdb", "subtb"):
         raise ValueError(f"unknown objective {objective!r}")
     if edges is None:
         edges = EdgeBatch.of_paths(model, env, paths)

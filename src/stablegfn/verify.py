@@ -20,14 +20,7 @@ import numpy as np
 from . import certify, losses, oracle
 from .approximator import grad_check
 from .envs import DagEnv, Hypergrid, OneMoreMode, RegularTree, one_more_mode_tree, true_partition
-from .policy import (
-    PolicyModel,
-    draw_terminals,
-    rollout,
-    sample_backward_batch,
-    sample_forward_batch,
-    score_paths,
-)
+from .policy import PolicyModel, draw_terminals, rollout, sample_backward_batch, score_paths
 from .trainer import rng_for
 
 Z99 = 2.3263478740408408  # standard normal 99% quantile
@@ -220,14 +213,8 @@ def suite_pac_coverage(trials: int = 1000, m: int = 25, n: int = 25,
         env = envs[i % len(envs)]
         model = _random_tabular(env, rng, (0.05, 0.3, 1.0)[i % 3],
                                 around_balanced=i % 2 == 0)
-        xs = draw_terminals(rng, env.reward_table, env.terminating_states, m)
-        bwd = sample_backward_batch(model, env, rng, xs)
-        fwd = sample_forward_batch(model, env, rng, n)
-        report = certify.optimize_certificate(
-            certify.records_from_trajectories(bwd, model.logz),
-            certify.records_from_trajectories(fwd, model.logz),
-            alpha,
-        )
+        report = certify.sample_certificate(model, env, env.terminating_states, m, n, rng, rng,
+                                            alpha)
         tv = oracle.exact_tv(model, env)
         if report.bound is not None and report.bound < tv - 1e-12:
             violations += 1
@@ -389,20 +376,14 @@ def suite_optimizer_grid(cases: int = 20, seed: int = 20_246) -> SuiteResult:
         rng = rng_for(seed, f"optgrid.{i}")
         m, n = int(rng.integers(5, 40)), int(rng.integers(5, 40))
         spread = (0.05, 0.5, 2.0, 5.0)[i % 4]
-        lm_b = rng.normal(0.0, spread, m)
-        lt_b = rng.normal(0.0, spread, m)
-        lm_f = rng.normal(0.0, spread, n)
-        lt_f = rng.normal(0.0, spread, n)
-        report = certify.optimize_certificate((lm_b, lt_b), (lm_f, lt_f), alpha=0.05)
-
-        log_model = np.concatenate([lm_b, lm_f])
-        log_target = np.concatenate([lt_b, lt_f])
-        hi = float(np.abs(log_model - log_target).max())
-        lo = max(0.0, certify.feasibility_floor(log_model, log_target))
+        backward = (rng.normal(0.0, spread, m), rng.normal(0.0, spread, m))
+        forward = (rng.normal(0.0, spread, n), rng.normal(0.0, spread, n))
+        report = certify.optimize_certificate(backward, forward, alpha=0.05)
+        lo, hi = report.search["lo"], report.search["hi"]
         if lo >= hi:
             continue
-        grid_best = min(
-            certify._objective(log_model, log_target, float(c), m, n, 0.05)[0]
+        grid_best = min(  # the same routine at each fixed threshold
+            certify.optimize_certificate(backward, forward, 0.05, threshold=float(c)).raw_bound
             for c in np.linspace(lo, hi, 200)
         )
         if report.raw_bound > grid_best + 1e-6:

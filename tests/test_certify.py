@@ -6,7 +6,6 @@ import pytest
 from stablegfn.certify import (
     CertificateReport,
     ReferenceConditionError,
-    bound_at_threshold,
     delta_ratios,
     feasibility_floor,
     golden_section_minimize,
@@ -280,23 +279,55 @@ def test_subgraph_sentinel_when_forward_misses():
     assert report.note is not None
 
 
-def test_bound_at_threshold_matches_objective():
+def test_fixed_threshold_matches_objective():
     rng = np.random.default_rng(4)
     lm = rng.normal(0, 0.5, 30)
     lt = np.zeros(30)
-    rep = bound_at_threshold((lm[:15], lt[:15]), (lm[15:], lt[15:]), 1.0, 0.05)
+    rep = optimize_certificate((lm[:15], lt[:15]), (lm[15:], lt[15:]), 0.05, threshold=1.0)
+    assert rep.threshold == 1.0 and rep.search is None
     ratios = delta_ratios(lm, lt, 1.0)
     main = reference_main_term(1.0, float(ratios.max()))
     assert rep.main_term == pytest.approx(main, abs=1e-12)
     assert rep.raw_bound == pytest.approx(main + 2 * math.log(20) / 15, abs=1e-12)
 
 
-def test_bound_at_threshold_reports_violation():
+def test_fixed_threshold_reports_violation():
     lm = np.array([5.0, 0.0])
     lt = np.zeros(2)
-    rep = bound_at_threshold((lm[:1], lt[:1]), (lm[1:], lt[1:]), 0.05, 0.05)
+    rep = optimize_certificate((lm[:1], lt[:1]), (lm[1:], lt[1:]), 0.05, threshold=0.05)
     assert rep.condition_violated
     assert rep.bound == 1.0
+
+
+def _without_search(report):
+    return {k: v for k, v in report.to_dict().items() if k not in ("search", "wall_clock_s")}
+
+
+@pytest.mark.parametrize("spread", [0.05, 0.5, 2.0, 5.0])
+def test_searched_certificate_is_the_fixed_one_at_its_threshold(spread):
+    rng = np.random.default_rng(5)
+    backward = (rng.normal(0, spread, 17), rng.normal(0, spread, 17))
+    forward = (rng.normal(0, spread, 23), rng.normal(0, spread, 23))
+    searched = optimize_certificate(backward, forward, 0.05, scope="subgraph")
+    fixed = optimize_certificate(backward, forward, 0.05, "subgraph", searched.threshold)
+    assert searched.search is not None and fixed.search is None
+    assert _without_search(fixed) == _without_search(searched)
+
+
+def test_subgraph_searched_certificate_is_the_fixed_one_at_its_threshold():
+    env = RegularTree(3, 2)
+    model = balanced_tabular_model(env, flow_head=False)
+    model.forward_net.table += np.random.default_rng(6).normal(0, 0.3,
+                                                               model.forward_net.table.shape)
+    scope = env.leaves[:4]
+    rng = rng_for(6, "sub")
+    bwd = sample_backward_batch(model, env, rng, rng.choice(scope, 40))
+    fwd = sample_forward_batch(model, env, rng, 200)
+    searched = subgraph_certificate(env, scope, bwd, fwd, model.logz, alpha=0.05)
+    fixed = subgraph_certificate(env, scope, bwd, fwd, model.logz, 0.05, searched.threshold)
+    assert searched.scope == "subgraph" and 0 < searched.n < 200
+    assert searched.search is not None and fixed.search is None
+    assert _without_search(fixed) == _without_search(searched)
 
 
 # -- incremental-change bounds ----------------------------------------------------------

@@ -86,6 +86,41 @@ def test_train_rejects_unknown_keys(tmp_path):
     assert main(["train", cfg]) == 2
 
 
+def test_train_unknown_keys_of_mixed_types_exit_2_naming_both(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(TREE_CONFIG) + "1: x\nb: y\n")
+    assert main(["train", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown key(s) [1, 'b'] in config\n"
+    cfg = write_config(tmp_path, dict(TREE_CONFIG, b="y", a="x"))
+    assert main(["train", cfg]) == 2
+    assert capsys.readouterr().err == "error: unknown key(s) ['a', 'b'] in config\n"
+
+
+@pytest.mark.parametrize("env", [
+    {"kind": "tree", "branching": 2, "depth": 60},
+    {"kind": "hypergrid", "dimension": 8, "side": 1000},
+    {"kind": "one_more_mode", "branching": 2, "depth": 60, "epsilon": 0.1},
+], ids=["tree_2_60", "grid_8_1000", "one_more_mode_2_60"])
+def test_train_env_too_large_to_build_exits_2(tmp_path, capsys, env):
+    payload = dict(TREE_CONFIG, env=env, output_dir=str(tmp_path / "run"))
+    assert main(["train", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "states need" in err and "of memory" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "evaluate"])
+def test_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, command):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    capsys.readouterr()
+    out = str(tmp_path / "nonexistent" / "x" / "out.json")
+    assert main([command, "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+    assert "Traceback" not in err
+
+
 def test_train_missing_config():
     assert main(["train", "/nonexistent/config.yaml"]) == 2
 

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from stablegfn import envs
 from stablegfn.config import resolve
 from stablegfn.envs import (
     DagEnv,
+    EnumerationCapError,
     Hypergrid,
     OneMoreMode,
     RegularTree,
@@ -233,6 +237,41 @@ def test_builders_match_loop_reference(shape):
     table = np.zeros(env.num_states)
     table[list(rewards)] = list(rewards.values())
     assert np.array_equal(env.reward_table, table)
+
+
+@pytest.mark.parametrize("shape", [("tree", 2, 1), ("tree", 3, 4), ("tree", 5, 2), ("grid", 1, 2),
+                                   ("grid", 1, 5), ("grid", 2, 3), ("grid", 4, 8)], ids=str)
+def test_slot_memory_check_sees_the_built_slot_matrices(shape, monkeypatch):
+    seen = []
+    check = envs._check_slot_memory
+    monkeypatch.setattr(envs, "_check_slot_memory", lambda *a: (seen.append(a), check(*a)))
+    kind, a, b = shape
+    env = RegularTree(a, b) if kind == "tree" else Hypergrid(a, b)
+    [(states, slots, _)] = seen
+    assert (states, slots) == (env.num_states,
+                               env.child_matrix.shape[1] + env.parent_matrix.shape[1])
+    assert 8 * states * slots == env.child_matrix.nbytes + env.parent_matrix.nbytes
+
+
+def test_slot_memory_check_refuses_only_above_physical_memory(monkeypatch):
+    # T(2,2): 8 states x 3 slots x 8 bytes = 192 bytes of slot matrices
+    for pages, builds in ((191, False), (192, True)):
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}
+        monkeypatch.setattr(envs, "os", SimpleNamespace(sysconf=sizes.get))
+        if builds:
+            assert RegularTree(2, 2).num_states == 8
+        else:
+            with pytest.raises(EnumerationCapError, match=r"tree\(2, 2\): 8 states need"):
+                RegularTree(2, 2)
+
+
+# terabytes each; test_cli checks that train refuses T(2,60) and H(8,1000) with exit 2
+@pytest.mark.parametrize("build, states", [
+    (lambda: RegularTree(2, 40), 2**41), (lambda: Hypergrid(8, 40), 2 * 40**8 + 1),
+], ids=["tree_2_40", "grid_8_40"])
+def test_env_too_large_to_build_is_refused_before_allocating(build, states):
+    with pytest.raises(EnumerationCapError, match=f": {states} states need "):
+        build()
 
 
 def test_hypergrid_reward_accepts_coordinate_arrays():

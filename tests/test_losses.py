@@ -73,6 +73,16 @@ def test_tb_loss_rejects_zero_reward():
         tb_loss(t, 0.0)
 
 
+def test_batch_loss_has_one_name_for_the_trajectory_objective():
+    env = RegularTree(2, 2)
+    model = balanced_tabular_model(env)
+    paths = enumerate_trajectories(model, env)
+    assert batch_loss(model, env, paths, "tb", deltas=np.zeros(len(paths))).kind == "augmented"
+    for objective, deltas in (("augmented", None), ("augmented", np.zeros(len(paths)))):
+        with pytest.raises(ValueError):
+            batch_loss(model, env, paths, objective, deltas=deltas)
+
+
 def test_promoted_leaf_losses_match_contrast():
     eps = 0.01
     env_prev, env_new = one_more_mode_tree(3, 2, eps)
