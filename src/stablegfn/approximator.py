@@ -284,18 +284,14 @@ class AdamOptimizer:
         self.params.check_finite()
 
 
-def grad_check(
-    params: ParamVector,
-    value_and_grad: Callable[[], float],
-    rng: np.random.Generator,
-    max_checks: int = 200,
-    step: float = 1e-5,
-) -> float:
+def grad_check(params: ParamVector, value_and_grad: Callable[[], float],
+               rng: np.random.Generator) -> float:
     """Max relative error between analytic gradients and central differences.
 
     ``value_and_grad`` must zero and refill ``params.grads`` and return the
     loss at the current parameters; it must be deterministic.
     """
+    max_checks, step = 200, 1e-5
     value_and_grad()
     analytic = params.grads.copy()
     idx = np.arange(params.size)

@@ -183,15 +183,14 @@ def _objective(log_model: np.ndarray, log_target: np.ndarray, threshold: float,
     return raw, max_ratio, main
 
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float = SEARCH_TOL,
-                            max_iter: int = SEARCH_MAX_ITER) -> Tuple[float, float, int]:
+def golden_section_minimize(f, lo: float, hi: float) -> Tuple[float, float, int]:
     """Minimize a scalar function on [lo, hi]; returns (x, f(x), iterations)."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     it = 0
-    while abs(b - a) > tol and it < max_iter:
+    while abs(b - a) > SEARCH_TOL and it < SEARCH_MAX_ITER:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

@@ -7,6 +7,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -18,14 +19,14 @@ from . import certify as certify_mod
 from . import config as config_mod
 from . import oracle
 from .approximator import load_checkpoint, save_checkpoint
-from .envs import EnumerationCapError, check_state_cap
+from .envs import EnumerationCapError, check_state_cap, check_walk_memory
 from .policy import read_trajectory_log, sample_forward_batch
 from .trainer import Trainer, rng_for
 
 
-def _fail(message: str, code: int = 2) -> int:
+def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return 2
 
 
 def _write_json(path: str, doc: Dict) -> int:
@@ -36,6 +37,14 @@ def _write_json(path: str, doc: Dict) -> int:
     except OSError as exc:
         return _fail(f"cannot write {path}: {exc.strerror or exc}")
     return 0
+
+
+def _check_output(path: str) -> None:
+    """Refuse, at set-up, an output file whose directory is missing or not a directory."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        reason = os.strerror(errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)
+        raise OSError(f"cannot write {path}: {reason}")
 
 
 def _load_model_for(args: argparse.Namespace):
@@ -101,12 +110,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     try:
+        _check_output(args.output)
         resolved, env, model = _load_model_for(args)
         cfg = config_mod.build_train_config(resolved)
         m = cfg.cert_m if args.m is None else args.m
         n = cfg.cert_n if args.n is None else args.n
         alpha = cfg.alpha if args.alpha is None else args.alpha
         certify_mod.check_samples(m, n, alpha)
+        check_walk_memory(env, m, "train.cert_m" if args.m is None else "-m")
+        check_walk_memory(env, n, "train.cert_n" if args.n is None else "-n")
     except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
@@ -139,12 +151,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.samples is not None and args.samples < 1:
         return _fail("need at least one evaluation sample")
     try:
+        _check_output(args.output)
         resolved, env, model = _load_model_for(args)
         if resolved["eval"]["oracle"]:
             check_state_cap(env.num_states, "eval.oracle")
+        samples = resolved["eval"]["samples"] if args.samples is None else args.samples
+        check_walk_memory(env, samples, "eval.samples" if args.samples is None else "--samples")
     except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
-    samples = resolved["eval"]["samples"] if args.samples is None else args.samples
     rng = rng_for(resolved["seed"], "cli.evaluate")
     xs = sample_forward_batch(model, env, rng, samples).terminals
     tv = oracle.exact_tv(model, env) if resolved["eval"]["oracle"] else None

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import certify, losses, oracle
 from .approximator import AdamOptimizer
-from .envs import DagEnv, check_state_cap
+from .envs import DagEnv, check_state_cap, check_walk_memory
 from .policy import (
     EdgeBatch,
     PathBatch,
@@ -257,6 +257,8 @@ class Trainer:
             check_state_cap(env.num_states, "oracle_every")
         if config.objective == "wdb":
             losses.check_reach_cap(env.num_states, len(env.terminating_states), "objective wdb")
+        for key in ("cert_m", "cert_n", "batch_size"):
+            check_walk_memory(env, getattr(config, key), f"train.{key}")
         self.model, self.env, self.config = model, env, config
         lr = config.learning_rate
         self.optimizer = AdamOptimizer(

@@ -1,11 +1,12 @@
 """Executable property suites for every bound and invariant in the library.
 
-Each suite draws randomized instances from fixed seeds, checks a theorem-level
-property against exact-enumeration oracles, and reports pass/fail with a
-short diagnostic.  The CLI ``verify`` subcommand and the acceptance tests both
-run these.  Losses come from :func:`stablegfn.losses.batch_loss`, the package's
-one loss implementation, as per-term log-ratios over every enumerated path;
-the scalar per-object definitions live in the test suite's reference module.
+Each suite is a fixed check with no parameters: it draws randomized instances
+from fixed seeds, checks a theorem-level property against exact-enumeration
+oracles, and returns its violations and a short diagnostic.  :func:`run_suite`
+runs, times and judges it for the CLI ``verify`` subcommand and the acceptance
+tests.  Losses come from :func:`stablegfn.losses.batch_loss`, the package's one
+loss implementation, as per-term log-ratios over every enumerated path; the
+scalar per-object definitions live in the test suite's reference module.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,24 +26,19 @@ from .trainer import rng_for
 
 Z99 = 2.3263478740408408  # standard normal 99% quantile
 
+Check = Tuple[List[str], str]  # a suite's violations and its diagnostic
+
 
 @dataclass
 class SuiteResult:
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0
+    seconds: float
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] {self.name}: {self.detail} ({self.seconds:.2f}s)"
-
-
-def _result(name: str, t0: float, bad: List[str], detail: str) -> SuiteResult:
-    """A suite passes with no violations; the first one is quoted in the detail."""
-    if bad:
-        detail += "; first: " + bad[0]
-    return SuiteResult(name, not bad, detail, time.perf_counter() - t0)
 
 
 def _random_tabular(env: DagEnv, rng: np.random.Generator, noise: float,
@@ -72,9 +68,9 @@ def _small_envs() -> List[DagEnv]:
 # -- criterion 1: reference-flow cap -----------------------------------------
 
 
-def suite_reference_flow_cap(draws: int = 10_000, seed: int = 20_240) -> SuiteResult:
-    t0 = time.perf_counter()
-    rng = rng_for(seed, "cap")
+def suite_reference_flow_cap() -> Check:
+    draws = 10_000
+    rng = rng_for(20_240, "cap")
     log_model, log_target, caps, log_deltas = (np.empty(draws) for _ in range(4))
     for k in range(draws):
         log_model[k] = rng.uniform(-20, 20)
@@ -99,16 +95,15 @@ def suite_reference_flow_cap(draws: int = 10_000, seed: int = 20_240) -> SuiteRe
             gamma = abs(r) / abs(ra) if ra != 0.0 else math.inf  # sqrt(raw / augmented)
             if not gamma > 1.0:
                 bad.append(f"draw {k}: reduction factor {gamma} not above 1")
-    detail = f"{draws} randomized draws, {len(bad)} violations"
-    return _result("reference_flow_cap", t0, bad, detail)
+    return bad, f"{draws} randomized draws, {len(bad)} violations"
 
 
 # -- criterion 2: incremental promotion losses --------------------------------
 
 
-def _loss_terms(model: PolicyModel, env: DagEnv, objectives: Sequence[str]):
-    """(label, state whose flow or reward ends it, loss) for every term that
-    :func:`losses.batch_loss` computes over every enumerated trajectory.
+def _loss_terms(model: PolicyModel, env: DagEnv):
+    """(label, state whose flow or reward ends it, loss) for every tb, db, fm and
+    subtb term that :func:`losses.batch_loss` computes over every enumerated trajectory.
 
     Every edge and every intermediate state of a valid DAG lies on some path,
     so the terms cover every DB edge and FM state (once per path through it).
@@ -127,42 +122,33 @@ def _loss_terms(model: PolicyModel, env: DagEnv, objectives: Sequence[str]):
         "fm": [(f"fm {b}", b) for b in dst],
         "subtb": [(f"subtb {p} [{t1},{t2}]", p[t2]) for p, t1, t2 in spans],
     }
-    for objective in objectives:
+    for objective, labels in terms.items():
         ratios = losses.batch_loss(model, env, paths, objective).log_ratios
-        for (label, end), r in zip(terms[objective], ratios.tolist(), strict=True):
+        for (label, end), r in zip(labels, ratios.tolist(), strict=True):
             yield label, end, r * r
 
 
-def suite_one_more_mode_losses(branching: int = 3, depth: int = 3,
-                               epsilon: float = 1e-3) -> SuiteResult:
-    t0 = time.perf_counter()
-    env_prev, env_new = one_more_mode_tree(branching, depth, epsilon)
+def suite_one_more_mode_losses() -> Check:
+    epsilon = 1e-3
+    env_prev, env_new = one_more_mode_tree(3, 3, epsilon)
     promoted = int(env_prev.leaves[-1])
     model = oracle.balanced_tabular_model(env_prev, flow_head=True)
     expected = math.log(epsilon) ** 2
     bad: List[str] = []
-
-    def check(value: float, touches: bool, what: str) -> None:
-        if touches:
+    for what, state, value in _loss_terms(model, env_new):
+        if state == promoted:
             if abs(value - expected) > 1e-8:
                 bad.append(f"{what}: {value} != {expected}")
         elif value >= 1e-10:
             bad.append(f"{what}: unexpected loss {value}")
-
-    for what, state, value in _loss_terms(model, env_new, ("tb", "db", "fm", "subtb")):
-        check(value, state == promoted, what)
-    detail = (
-        f"promoted-leaf losses equal (ln {epsilon})^2 = {expected:.4f}; "
-        f"{len(bad)} violations"
-    )
-    return _result("one_more_mode_losses", t0, bad, detail)
+    return bad, (f"promoted-leaf losses equal (ln {epsilon})^2 = {expected:.4f}; "
+                 f"{len(bad)} violations")
 
 
 # -- criterion 3: closed-form TV -----------------------------------------------
 
 
-def suite_closed_form_tv() -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_closed_form_tv() -> Check:
     bad: List[str] = []
     for g in (2, 3):
         for h in (1, 2, 3):
@@ -173,19 +159,18 @@ def suite_closed_form_tv() -> SuiteResult:
                 closed = oracle.one_more_mode_tv_closed_form(g, h, eps)
                 if abs(enumerated - closed) > 1e-12:
                     bad.append(f"g={g} h={h} eps={eps}: {enumerated} vs {closed}")
-    detail = f"24 (branching, depth, epsilon) cells, {len(bad)} mismatches"
-    return _result("closed_form_tv", t0, bad, detail)
+    return bad, f"24 (branching, depth, epsilon) cells, {len(bad)} mismatches"
 
 
 # -- criterion 4: loss-to-TV soundness ------------------------------------------
 
 
-def suite_loss_to_tv_soundness(trials: int = 200, seed: int = 20_241) -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_loss_to_tv_soundness() -> Check:
+    trials = 200
     envs = _small_envs()
     bad: List[str] = []
     for i in range(trials):
-        rng = rng_for(seed, f"tv_sound.{i}")
+        rng = rng_for(20_241, f"tv_sound.{i}")
         env = envs[i % len(envs)]
         noisy = i % 2 == 0
         noise = (0.01, 0.1, 0.5, 1.5)[i % 4]
@@ -196,31 +181,29 @@ def suite_loss_to_tv_soundness(trials: int = 200, seed: int = 20_241) -> SuiteRe
         tv = oracle.exact_tv(model, env)
         if tv > bound + 1e-12:
             bad.append(f"trial {i}: TV {tv} above bound {bound} at c={c}")
-    detail = f"{trials} random tabular policies, {len(bad)} violations"
-    return _result("loss_to_tv_soundness", t0, bad, detail)
+    return bad, f"{trials} random tabular policies, {len(bad)} violations"
 
 
 # -- criterion 5: PAC coverage ---------------------------------------------------
 
 
-def suite_pac_coverage(trials: int = 1000, m: int = 25, n: int = 25,
-                       alpha: float = 0.05, seed: int = 20_242) -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_pac_coverage() -> Check:
+    trials, alpha = 1000, 0.05
     envs = _small_envs()[:2]
     violations = 0
     for i in range(trials):
-        rng = rng_for(seed, f"pac.{i}")
+        rng = rng_for(20_242, f"pac.{i}")
         env = envs[i % len(envs)]
         model = _random_tabular(env, rng, (0.05, 0.3, 1.0)[i % 3],
                                 around_balanced=i % 2 == 0)
-        report = certify.sample_certificate(model, env, env.terminating_states, m, n, rng, rng,
+        report = certify.sample_certificate(model, env, env.terminating_states, 25, 25, rng, rng,
                                             alpha)
         tv = oracle.exact_tv(model, env)
         if report.bound is not None and report.bound < tv - 1e-12:
             violations += 1
     budget = 2 * alpha + Z99 * math.sqrt(2 * alpha * (1 - 2 * alpha) / trials)
     allowed = int(budget * trials)
-    passed = violations <= allowed
+    bad = [] if violations <= allowed else [f"{violations} coverage violations, {allowed} allowed"]
 
     # exact reduction at zero flow ratio, and monotonicity of the main term
     sub_bad: List[str] = []
@@ -238,26 +221,19 @@ def suite_pac_coverage(trials: int = 1000, m: int = 25, n: int = 25,
     if not np.all(np.diff(grid, axis=0) >= -1e-12):
         sub_bad.append("main term not monotone in the threshold")
 
-    detail = (
-        f"{violations}/{trials} coverage violations (allowed {allowed}); "
-        f"{len(sub_bad)} structural failures"
-    )
-    if sub_bad:
-        detail += "; first: " + sub_bad[0]
-    return SuiteResult(
-        "pac_coverage", passed and not sub_bad, detail, time.perf_counter() - t0
-    )
+    return bad + sub_bad, (f"{violations}/{trials} coverage violations (allowed {allowed}); "
+                           f"{len(sub_bad)} structural failures")
 
 
 # -- criterion 6: incremental sandwich -------------------------------------------
 
 
-def suite_incremental_sandwich(instances: int = 100, seed: int = 20_243) -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_incremental_sandwich() -> Check:
+    instances = 100
     objectives = ("tb", "db", "fm", "subtb")
     bad: List[str] = []
     for i in range(instances):
-        rng = rng_for(seed, f"sandwich.{i}")
+        rng = rng_for(20_243, f"sandwich.{i}")
         pick = i % 3
         if pick == 0:
             env_prev: DagEnv = RegularTree(2, 2, leaf_rewards=rng.uniform(0.1, 2.0, 4))
@@ -279,22 +255,20 @@ def suite_incremental_sandwich(instances: int = 100, seed: int = 20_243) -> Suit
         model = oracle.balanced_tabular_model(env_prev, flow_head=True)
         sup = certify.loss_supremum(env_prev, added)
         worst = dict.fromkeys(objectives, 0.0)
-        for label, _, value in _loss_terms(model, env_new, objectives):
+        for label, _, value in _loss_terms(model, env_new):
             objective = label.split()[0]
             worst[objective] = max(worst[objective], value)
         bad += [f"instance {i}: supremum {sup} vs enumerated {objective} {value}"
                 for objective, value in worst.items() if abs(value - sup) > 1e-8]
-    detail = (f"{instances} randomized reward increments, largest {'/'.join(objectives)} "
-              f"term each against the supremum, {len(bad)} failures")
-    return _result("incremental_sandwich", t0, bad, detail)
+    return bad, (f"{instances} randomized reward increments, largest {'/'.join(objectives)} "
+                 f"term each against the supremum, {len(bad)} failures")
 
 
 # -- criterion 7: Monte-Carlo flow estimator ---------------------------------------
 
 
-def suite_mc_estimator(samples: int = 10_000, seed: int = 20_244) -> SuiteResult:
-    t0 = time.perf_counter()
-    rng = rng_for(seed, "mc")
+def suite_mc_estimator() -> Check:
+    rng = rng_for(20_244, "mc")
     env = RegularTree(2, 3, leaf_rewards=rng.uniform(0.2, 2.0, 8))
     model = _random_tabular(env, rng, 0.8, around_balanced=True)
 
@@ -304,28 +278,23 @@ def suite_mc_estimator(samples: int = 10_000, seed: int = 20_244) -> SuiteResult
     deltas = np.exp(losses.reference_flow_log_deltas(log_model, log_target, threshold))
     exact = float(deltas.sum()) / true_partition(env)
     if not exact > 0:
-        return SuiteResult(
-            "mc_estimator", False, "instance has no active reference flow",
-            time.perf_counter() - t0,
-        )
+        return ["instance has no active reference flow"], f"exact flow ratio {exact}"
 
-    xs = draw_terminals(rng, env.reward_table, env.terminating_states, samples)
+    xs = draw_terminals(rng, env.reward_table, env.terminating_states, 10_000)
     bwd = sample_backward_batch(model, env, rng, xs)
     lm, lt = certify.records_from_trajectories(bwd, model.logz)
     est, se = certify.mc_delta_over_zstar(lm, lt, threshold)
     rel = abs(est - exact) / exact
-    detail = (
-        f"exact flow ratio {exact:.6f}, estimate {est:.6f} (se {se:.2g}), "
-        f"relative error {rel:.4f}"
-    )
-    return SuiteResult("mc_estimator", rel < 0.05, detail, time.perf_counter() - t0)
+    bad = [] if rel < 0.05 else [f"relative error {rel:.4f} not below 0.05"]
+    return bad, (f"exact flow ratio {exact:.6f}, estimate {est:.6f} (se {se:.2g}), "
+                 f"relative error {rel:.4f}")
 
 
 # -- criterion 8: gradients ---------------------------------------------------------
 
 
-def suite_gradients(instances: int = 10, seed: int = 20_245) -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_gradients() -> Check:
+    instances, seed = 10, 20_245
     objectives = ["tb", "db", "fm", "subtb", "augmented"]
     bad: List[str] = []
     worst_overall = 0.0
@@ -362,18 +331,17 @@ def suite_gradients(instances: int = 10, seed: int = 20_245) -> SuiteResult:
         worst_overall = max(worst_overall, err)
         if err >= 1e-4:
             bad.append(f"instance {i} ({objectives[i % len(objectives)]}, {kind}): rel err {err:.2e}")
-    detail = f"{instances} instances, worst relative error {worst_overall:.2e}"
-    return _result("gradients", t0, bad, detail)
+    return bad, f"{instances} instances, worst relative error {worst_overall:.2e}"
 
 
 # -- certificate optimizer vs grid scan ----------------------------------------------
 
 
-def suite_optimizer_grid(cases: int = 20, seed: int = 20_246) -> SuiteResult:
-    t0 = time.perf_counter()
+def suite_optimizer_grid() -> Check:
+    cases = 20
     bad: List[str] = []
     for i in range(cases):
-        rng = rng_for(seed, f"optgrid.{i}")
+        rng = rng_for(20_246, f"optgrid.{i}")
         m, n = int(rng.integers(5, 40)), int(rng.integers(5, 40))
         spread = (0.05, 0.5, 2.0, 5.0)[i % 4]
         backward = (rng.normal(0.0, spread, m), rng.normal(0.0, spread, m))
@@ -388,11 +356,10 @@ def suite_optimizer_grid(cases: int = 20, seed: int = 20_246) -> SuiteResult:
         )
         if report.raw_bound > grid_best + 1e-6:
             bad.append(f"case {i}: optimizer {report.raw_bound} vs grid {grid_best}")
-    detail = f"{cases} record sets vs 200-point scans, {len(bad)} regressions"
-    return _result("optimizer_grid", t0, bad, detail)
+    return bad, f"{cases} record sets vs 200-point scans, {len(bad)} regressions"
 
 
-SUITES: Dict[str, Callable[[], SuiteResult]] = {
+SUITES: Dict[str, Callable[[], Check]] = {
     "cap": suite_reference_flow_cap,
     "one_more_mode": suite_one_more_mode_losses,
     "closed_form": suite_closed_form_tv,
@@ -405,11 +372,20 @@ SUITES: Dict[str, Callable[[], SuiteResult]] = {
 }
 
 
-def run_suites(names: Optional[Sequence[str]] = None) -> List[SuiteResult]:
+def run_suite(key: str) -> SuiteResult:
+    """Run and time ``SUITES[key]``, named as its function without ``suite_``:
+    it passes with no violations, and a failure quotes the first."""
+    t0 = time.perf_counter()
+    bad, detail = SUITES[key]()
+    detail += "; first: " + bad[0] if bad else ""
+    name = SUITES[key].__name__.removeprefix("suite_")
+    return SuiteResult(name, not bad, detail, time.perf_counter() - t0)
+
+
+def run_suites(names: Optional[Sequence[str]]) -> List[SuiteResult]:
+    """Every suite, or the named ones in order; an unknown name is refused before any runs."""
     chosen = list(SUITES) if not names else list(names)
-    results = []
-    for name in chosen:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-        results.append(SUITES[name]())
-    return results
+    unknown = [name for name in chosen if name not in SUITES]
+    if unknown:
+        raise KeyError(f"unknown suite {unknown[0]!r}; available: {', '.join(SUITES)}")
+    return [run_suite(name) for name in chosen]

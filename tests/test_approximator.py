@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stablegfn.certify import (
-    CertificateReport,
     ReferenceConditionError,
     delta_ratios,
     feasibility_floor,
@@ -21,7 +20,7 @@ from stablegfn.certify import (
     tv_bound_from_loss,
 )
 from stablegfn.envs import Hypergrid, RegularTree, one_more_mode_tree
-from stablegfn.oracle import balanced_tabular_model, exact_terminal_distribution
+from stablegfn.oracle import balanced_tabular_model
 from stablegfn.policy import sample_backward_batch, sample_forward_batch
 from stablegfn.trainer import rng_for
 

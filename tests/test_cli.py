@@ -3,11 +3,10 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 import yaml
 
-from stablegfn import certify
+from stablegfn import certify, cli, verify
 from stablegfn.cli import _load_model_for, main
 from stablegfn.config import OUTPUT_DIR_ENV_VAR, ConfigError, load_config, resolve
 from stablegfn.trainer import rng_for
@@ -119,6 +118,69 @@ def test_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err == f"error: cannot write {out}: No such file or directory\n"
     assert "Traceback" not in err
+
+
+def _refuse_sampling(monkeypatch):
+    """Make the certify and evaluate samplers fail the test if a command reaches them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before set-up refused the command")
+
+    monkeypatch.setattr(certify, "sample_certificate", refuse)
+    monkeypatch.setattr(cli, "sample_forward_batch", refuse)
+
+
+@pytest.mark.parametrize("command", ["certify", "evaluate"])
+def test_output_in_a_missing_directory_exits_2_before_sampling(tmp_path, monkeypatch, capsys,
+                                                                command):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    capsys.readouterr()
+    _refuse_sampling(monkeypatch)
+    for out, reason in (("/nonexistent/x.json", "No such file or directory"),
+                        (f"{cfg}/x.json", "Not a directory")):
+        assert main([command, "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                     "--output", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "evaluate"])
+def test_output_that_is_a_directory_exits_2_at_the_write(tmp_path, capsys, command):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    capsys.readouterr()
+    out = str(tmp_path / "taken")
+    os.mkdir(out)  # its folder exists, so only the write can find the fault
+    assert main([command, "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--output", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+
+
+@pytest.mark.parametrize("command, flags, key", [
+    ("evaluate", ["--samples"], "--samples"), ("evaluate", [], "eval.samples"),
+    ("certify", ["-m"], "-m"), ("certify", ["-n"], "-n"), ("certify", [], "train.cert_m"),
+], ids=["evaluate-flag", "evaluate-config", "certify-m", "certify-n", "certify-config"])
+def test_sample_count_whose_walk_matrix_exceeds_memory_exits_2_at_setup(
+        tmp_path, monkeypatch, capsys, command, flags, key):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    capsys.readouterr()
+    if not flags:  # the count comes from the config
+        section, name = ("eval", "samples") if command == "evaluate" else ("train", "cert_m")
+        payload = dict(TREE_CONFIG, **{section: dict(TREE_CONFIG[section], **{name: 10**12})})
+        cfg = write_config(tmp_path, payload, "big.yaml")
+    _refuse_sampling(monkeypatch)
+    out = tmp_path / "out.json"
+    assert main([command, "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--output", str(out), *flags, *[str(10**12)] * len(flags)]) == 2
+    err = capsys.readouterr().err
+    # T(2,2) has 4 levels: 10**12 walks x 4 int64 cells
+    assert err.startswith(f"error: {key}: {10**12} walks need 2.98e+04 GiB of walk matrix, ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["cert_m", "cert_n", "batch_size"])
+def test_train_sample_count_whose_walk_matrix_exceeds_memory_exits_2_at_setup(
+        tmp_path, capsys, key):
+    assert _train_with(tmp_path, train={key: 10**12}) == 2
+    assert capsys.readouterr().err.startswith(f"error: train.{key}: {10**12} walks need ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_missing_config():
@@ -396,6 +458,19 @@ def test_verify_single_suite(capsys):
 
 def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("names", [["closed_form", "bogus"], ["bogus", "closed_form"]])
+def test_verify_runs_no_suite_when_any_name_is_unknown(monkeypatch, capsys, names):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "closed_form", lambda: ran.append(1) or ([], ""))
+    assert main(["verify", *[a for name in names for a in ("--suite", name)]]) == 2
+    assert ran == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unknown suite 'bogus'; available: cap, ")
+    with pytest.raises(KeyError):
+        verify.run_suites(names)
+    assert ran == []
 
 
 def test_config_defaults_and_validation():

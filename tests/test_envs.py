@@ -265,6 +265,19 @@ def test_slot_memory_check_refuses_only_above_physical_memory(monkeypatch):
                 RegularTree(2, 2)
 
 
+def test_walk_memory_check_refuses_only_above_physical_memory(monkeypatch):
+    env = RegularTree(2, 2)  # 4 levels: 10 walks x 4 cells x 8 bytes = 320 bytes
+    for pages in (319, 320):
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}
+        monkeypatch.setattr(envs, "os", SimpleNamespace(sysconf=sizes.get))
+        if pages == 320:
+            envs.check_walk_memory(env, 10, "count")
+        else:
+            with pytest.raises(EnumerationCapError, match=r"^count: 10 walks need "
+                                                          r"2\.98e-07 GiB of walk matrix, above"):
+                envs.check_walk_memory(env, 10, "count")
+
+
 # terabytes each; test_cli checks that train refuses T(2,60) and H(8,1000) with exit 2
 @pytest.mark.parametrize("build, states", [
     (lambda: RegularTree(2, 40), 2**41), (lambda: Hypergrid(8, 40), 2 * 40**8 + 1),
