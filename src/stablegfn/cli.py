@@ -110,15 +110,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     try:
+        for flag, value in (("-m", args.m), ("-n", args.n)):
+            if args.from_log and value is not None:
+                raise ValueError(f"{flag} does not apply with --from-log: the log sets the counts")
         _check_output(args.output)
         resolved, env, model = _load_model_for(args)
         cfg = config_mod.build_train_config(resolved)
-        m = cfg.cert_m if args.m is None else args.m
-        n = cfg.cert_n if args.n is None else args.n
         alpha = cfg.alpha if args.alpha is None else args.alpha
-        certify_mod.check_samples(m, n, alpha)
-        check_walk_memory(env, m, "train.cert_m" if args.m is None else "-m")
-        check_walk_memory(env, n, "train.cert_n" if args.n is None else "-n")
+        if args.from_log:
+            certify_mod.check_alpha(alpha)
+        else:
+            m = cfg.cert_m if args.m is None else args.m
+            n = cfg.cert_n if args.n is None else args.n
+            certify_mod.check_samples(m, n, alpha)
+            check_walk_memory(env, m, "train.cert_m" if args.m is None else "-m")
+            check_walk_memory(env, n, "train.cert_n" if args.n is None else "-n")
     except (EnumerationCapError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
@@ -207,9 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--checkpoint", required=True)
     c.add_argument("--config", required=True)
     c.add_argument("-m", type=int, default=None,
-                   help="backward sample count (default from config train.cert_m)")
+                   help="backward sample count (default from config train.cert_m; "
+                        "not with --from-log)")
     c.add_argument("-n", type=int, default=None,
-                   help="forward sample count (default from config train.cert_n)")
+                   help="forward sample count (default from config train.cert_n; "
+                        "not with --from-log)")
     c.add_argument("--alpha", type=float, default=None,
                    help="per-side failure probability (default from config confidence)")
     c.add_argument("--from-log", default=None,

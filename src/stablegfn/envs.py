@@ -68,9 +68,8 @@ def check_state_cap(num_states: int, need: str = "an exact pass") -> None:
         raise EnumerationCapError(f"{need}: {num_states} states exceed STATE_CAP = {STATE_CAP}")
 
 
-def _check_memory(cells: int, what: str, of: str) -> None:
-    """Refuse ``what`` when ``cells`` int64 cells of ``of`` exceed physical memory."""
-    need = 8 * cells
+def check_memory(need: int, what: str, of: str) -> None:
+    """Refuse ``what`` when ``need`` bytes of ``of`` exceed physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise EnumerationCapError(f"{what} need {need / 2**30:.4g} GiB "
@@ -80,13 +79,13 @@ def _check_memory(cells: int, what: str, of: str) -> None:
 def _check_slot_memory(num_states: int, slots: int, what: str) -> None:
     """Refuse to build ``what`` when its slot matrices alone, ``num_states`` x
     ``slots`` int64 cells, exceed physical memory: a lower bound on the build."""
-    _check_memory(num_states * slots, f"{what}: {num_states} states", "slot matrices")
+    check_memory(8 * num_states * slots, f"{what}: {num_states} states", "slot matrices")
 
 
 def check_walk_memory(env: DagEnv, walks: int, key: str) -> None:
     """Refuse ``walks`` sampled paths, set by ``key``, when their walk matrix
     alone, ``walks`` x ``len(env.levels)`` int64 cells, exceeds physical memory."""
-    _check_memory(walks * len(env.levels), f"{key}: {walks} walks", "walk matrix")
+    check_memory(8 * walks * len(env.levels), f"{key}: {walks} walks", "walk matrix")
 
 
 def _fill_slots(matrix: np.ndarray, at: np.ndarray, slots: np.ndarray,

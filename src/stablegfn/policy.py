@@ -40,14 +40,18 @@ already in its move table, and only on a side of fewer than
   slots.  :func:`_log_softmax` over the valid slots and over the whole
   masked width (zeros at the invalid ones) agree while numpy sums in order,
   below 8 entries; wider sides keep per-state rows;
-* MLP rows change in the last bits with the row count of a call below about
-  640 rows (OpenBLAS' small-matrix kernel), so an MLP table may move bulk
-  log-probs in their last bits and, when a uniform lands within rounding of a
-  cumulative boundary, a draw.  Training rollouts never read an MLP table.
+* an MLP row has the same bits in any call of more than 1,200 / A rows, A
+  the net's output width: smaller calls round their products differently
+  (OpenBLAS' small-matrix kernel; the boundary is a count of b x A cells,
+  not of rows).  So the per-step rows of a walk may move bulk log-probs in
+  their last bits against a table and, when a uniform lands within rounding
+  of a cumulative boundary, a draw.  Training rollouts never read an MLP table.
 
 One cache-free evaluator.  Net evaluations that never backprop keep no
-backward caches and run in near-equal row blocks of at most
-:data:`EVAL_BLOCK_ROWS` rows, all through :func:`_log_policy`: the exact DP,
+backward caches and run in near-equal row blocks, all through
+:func:`_log_policy`, sized by the net's output width A: at least
+⌈:data:`BLAS_EXACT_CELLS` / A⌉ rows when the call has that many, and at
+most :data:`EVAL_BLOCK_ROWS`.  That covers the exact DP,
 the policy tables, the walkers' per-step rows, and the scoring of bulk and
 enumerated batches (:func:`score_paths`) where no table is given.  A
 rollout's single rows (:func:`_row`) are the one exception.
@@ -79,10 +83,21 @@ from .approximator import Mlp, ParamVector, Tabular
 from .envs import DagEnv, check_state_cap
 
 LOGIT_CLAMP = 50.0
-# Row cap of one cache-free net call.  Near-equal blocks hold at least half
-# of it; OpenBLAS rounds products of fewer than about 640 rows differently (a
-# small-matrix kernel), so blocks this large give the whole-batch values.
+# Row cap of one cache-free net call: the memory bound of a block.
 EVAL_BLOCK_ROWS = 2048
+# Cells (block rows x output width A) from which an MLP block gives the
+# whole-batch values.  OpenBLAS rounds smaller products differently (a
+# small-matrix kernel): the boundary is a cell count, not a row count.  With
+# OpenBLAS 0.3.31's Haswell kernel, blocks of up to 1,200 cells moved the last
+# bits at hidden widths 64 and 256 and every larger one matched, for A = 2,
+# 3, 5 and 8; this keeps a third in hand.  Blocks hold fewer than
+# twice ceil(BLAS_EXACT_CELLS / A) rows: at A = 5, under 640 rows, whose
+# 256-wide activation (under 1.25 MiB) stays within a 2 MiB L2 cache.
+BLAS_EXACT_CELLS = 1600
+# Bytes a training rollout holds per state of a walk, a floor: tracemalloc
+# measured 50 (T(3,4)) to 94 (H(4,8)) per visited state over 50,000 walks, in
+# the walk's list, its flattened copy and the padded batch
+ROLLOUT_STATE_BYTES = 48
 # numpy's pairwise sum adds fewer than 8 entries in order, so a masked row
 # of fewer slots sums its valid entries as the row of those entries alone
 _ORDERED_SUM_WIDTH = 8
@@ -315,11 +330,19 @@ def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.nd
 
     The package's one cache-free evaluator: built one near-equal block of at
     most :data:`EVAL_BLOCK_ROWS` rows at a time, so it holds ``len(states)``
-    x A floats plus one block, not a net's activations over every row.
+    x A floats plus one block, not a net's activations over every row.  With
+    ``floor`` = ⌈:data:`BLAS_EXACT_CELLS` / A⌉, a call of fewer than
+    ``2 * floor`` rows is one block, and a longer one runs in blocks of
+    ``floor`` to ``2 * floor - 1`` rows: large enough for the whole-batch
+    bits, small enough to stay in cache.  The cap binds first only at A = 1,
+    where every row is log 1 = 0.  Tabular rows are gathers, the same bits at
+    any block size.
     """
-    logp = np.empty((len(states), mask.shape[1]))
+    n, width = len(states), mask.shape[1]
+    logp = np.empty((n, width))
+    floor = -(-BLAS_EXACT_CELLS // width)
     lo = 0
-    for block in np.array_split(states, -(-len(states) // EVAL_BLOCK_ROWS)) if len(states) else ():
+    for block in np.array_split(states, max(-(-n // EVAL_BLOCK_ROWS), n // floor, 1)) if n else ():
         out, _ = _eval_rows(net, block, env, cache=False)
         logp[lo:lo + len(block)] = _masked_rows(out, mask[block])
         lo += len(block)

@@ -39,8 +39,9 @@ import numpy as np
 
 from . import certify, losses, oracle
 from .approximator import AdamOptimizer
-from .envs import DagEnv, check_state_cap, check_walk_memory
+from .envs import DagEnv, check_memory, check_state_cap, check_walk_memory
 from .policy import (
+    ROLLOUT_STATE_BYTES,
     EdgeBatch,
     PathBatch,
     PolicyModel,
@@ -257,8 +258,12 @@ class Trainer:
             check_state_cap(env.num_states, "oracle_every")
         if config.objective == "wdb":
             losses.check_reach_cap(env.num_states, len(env.terminating_states), "objective wdb")
-        for key in ("cert_m", "cert_n", "batch_size"):
+        for key in ("cert_m", "cert_n"):
             check_walk_memory(env, getattr(config, key), f"train.{key}")
+        # a training batch is walked in Python lists, each holding at least
+        # its walk's start and the sink
+        check_memory(2 * ROLLOUT_STATE_BYTES * config.batch_size,
+                     f"train.batch_size: {config.batch_size} walks", "rollout lists")
         self.model, self.env, self.config = model, env, config
         lr = config.learning_rate
         self.optimizer = AdamOptimizer(

@@ -9,6 +9,7 @@ import yaml
 from stablegfn import certify, cli, verify
 from stablegfn.cli import _load_model_for, main
 from stablegfn.config import OUTPUT_DIR_ENV_VAR, ConfigError, load_config, resolve
+from stablegfn.policy import ROLLOUT_STATE_BYTES
 from stablegfn.trainer import rng_for
 
 
@@ -183,6 +184,19 @@ def test_train_sample_count_whose_walk_matrix_exceeds_memory_exits_2_at_setup(
     assert not (tmp_path / "run").exists()
 
 
+def test_train_batch_whose_rollout_exceeds_memory_exits_2_at_setup(tmp_path, capsys):
+    # the smallest batch whose rollout lists, at two states a walk, exceed
+    # physical memory, although its walk matrix (T(2,2): 4 int64 cells a
+    # walk) would fit
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    batch = have // (2 * ROLLOUT_STATE_BYTES) + 1
+    assert 8 * 4 * batch <= have
+    assert _train_with(tmp_path, train={"batch_size": batch}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: train.batch_size: {batch} walks need ") and "rollout lists" in err
+    assert not (tmp_path / "run").exists()  # refused before resolved_config.json
+
+
 def test_train_missing_config():
     assert main(["train", "/nonexistent/config.yaml"]) == 2
 
@@ -225,17 +239,24 @@ def _load(cfg, checkpoint):
     return _load_model_for(argparse.Namespace(config=cfg, checkpoint=str(checkpoint)))
 
 
-def test_certify_from_log(tmp_path):
+def _write_log(tmp_path, cfg, checkpoint):
+    """(log path, model, backward batch, forward batch): 30 paths a side, logged."""
     from stablegfn.policy import sample_backward_batch, sample_forward_batch, write_trajectory_log
 
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    resolved, env, model = _load(cfg, outdir / "checkpoint.json")
+    _, env, model = _load(cfg, checkpoint)
     rng = rng_for(0, "log")
     xs = env.terminating_states[rng.integers(0, len(env.terminating_states), 30)]
     bwd = sample_backward_batch(model, env, rng, xs)
     fwd = sample_forward_batch(model, env, rng, 30)
     log_path = tmp_path / "trajs.jsonl"
     write_trajectory_log(str(log_path), bwd, fwd)
+    return log_path, model, bwd, fwd
+
+
+def test_certify_from_log(tmp_path):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    resolved = load_config(cfg)
+    log_path, model, bwd, fwd = _write_log(tmp_path, cfg, outdir / "checkpoint.json")
 
     def certified(name):
         out = tmp_path / name
@@ -255,6 +276,38 @@ def test_certify_from_log(tmp_path):
     with open(log_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(dict(first, reward=100.0, provenance="replayed")) + "\n")
     assert certified("cert_replayed.json") == expected
+
+
+@pytest.mark.parametrize("flag", ["-m", "-n"])
+def test_certify_from_log_refuses_sample_counts(tmp_path, capsys, flag):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    log_path, _, _, _ = _write_log(tmp_path, cfg, outdir / "checkpoint.json")
+    out = tmp_path / "cert.json"
+    for value in ("0", "40"):  # valid or not, the flag does not apply
+        assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                     "--from-log", str(log_path), "--output", str(out), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag} does not apply with --from-log: " \
+                                          "the log sets the counts\n"
+    assert not out.exists()
+
+
+def test_certify_from_log_checks_only_alpha(tmp_path, capsys):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    log_path, _, _, _ = _write_log(tmp_path, cfg, outdir / "checkpoint.json")
+    ckpt, out = str(outdir / "checkpoint.json"), tmp_path / "cert.json"
+    # counts the config sets for sampling, past the walk-memory bound, are not read
+    payload = dict(TREE_CONFIG, train=dict(TREE_CONFIG["train"], cert_m=10**12, cert_n=10**12))
+    big = write_config(tmp_path, payload, "big.yaml")
+    assert main(["certify", "--checkpoint", ckpt, "--config", big, "--from-log", str(log_path),
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["m"], doc["n"]) == (30, 30)
+    capsys.readouterr()
+    out.unlink()
+    assert main(["certify", "--checkpoint", ckpt, "--config", cfg, "--from-log", str(log_path),
+                 "--output", str(out), "--alpha", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: alpha must lie in (0, 0.5), got 0.5\n"
+    assert not out.exists()
 
 
 def test_certify_sample_counts_default_from_config(tmp_path):

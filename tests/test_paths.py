@@ -219,14 +219,46 @@ def test_blocked_evaluation_matches_one_call(monkeypatch):
     calls = _record_forward_calls(monkeypatch)
     logp = policy._log_policy(model.forward_net, env.forward_mask, choice, env)
     rows = [n for n, _, _ in calls]
-    # near-equal cache-free blocks, more than two of them, every one above half the cap
+    # near-equal cache-free blocks, more than two of them, each of floor to
+    # 2 * floor - 1 rows: the cap (2,048 rows) does not bind at A = 5
+    floor = -(-policy.BLAS_EXACT_CELLS // env.forward_mask.shape[1])
     assert not any(cache for _, cache, _ in calls) and len(rows) > 2 and sum(rows) == len(choice)
-    assert max(rows) <= policy.EVAL_BLOCK_ROWS < 2 * min(rows)
+    assert floor <= min(rows) and max(rows) < 2 * floor <= policy.EVAL_BLOCK_ROWS
     out = ref.eval_rows(model.forward_net, choice, env)
     assert logp.tobytes() == _masked_rows(out, env.forward_mask[choice]).tobytes()
     got, want = exact_terminal_distribution(model, env), ref.exact_terminal_distribution(model, env)
     assert got[0].tolist() == want[0].tolist()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+# output width A -> (a grid, the side whose mask is A wide): every side has
+# at least 2 * ceil(BLAS_EXACT_CELLS / A) choice states
+BOUNDARY_SIDES = {
+    2: (lambda: Hypergrid(2, 42), False),  # 1,681 backward choice states
+    3: (lambda: Hypergrid(2, 34), True),  # 1,155
+    5: (lambda: Hypergrid(4, 6), True),  # 1,295
+    8: (lambda: Hypergrid(7, 3), True),  # 2,186
+}
+
+
+@pytest.mark.parametrize("hidden", [16, 64, 256])
+@pytest.mark.parametrize("width", sorted(BOUNDARY_SIDES))
+def test_blocks_from_the_floor_up_match_one_call(width, hidden):
+    make, forward = BOUNDARY_SIDES[width]
+    env = make()
+    model = PolicyModel.build(env, "mlp", hidden=(hidden, hidden), rng=np.random.default_rng(0))
+    net, mask, choice = ((model.forward_net, env.forward_mask, env.forward_choice) if forward
+                         else (model.backward_net, env.backward_mask, env.backward_choice))
+    assert mask.shape[1] == width
+    out, _ = net.forward(env.encoding_matrix[choice], cache=False)
+    want = _masked_rows(out, mask[choice])
+    floor = -(-policy.BLAS_EXACT_CELLS // width)
+    # one full block of every size from the floor to twice it (two blocks at
+    # the end), over rows at shifting offsets of the one whole call
+    for rows in range(floor, 2 * floor + 1, 5):
+        lo = rows * 13 % (len(choice) - rows + 1)
+        got = policy._log_policy(net, mask, choice[lo:lo + rows], env)
+        assert got.tobytes() == want[lo:lo + rows].tobytes(), (rows, lo)
 
 
 def test_exact_dp_holds_no_graph_sized_activation():
@@ -240,7 +272,8 @@ def test_exact_dp_holds_no_graph_sized_activation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured: 14.0 MB in one call over all 9,999 choice rows, 3.2 MB in blocks
+    # measured: 14.0 MB in one call over all 9,999 choice rows, 4.1 MB in
+    # blocks of 2,000 rows, 1.7 MB in blocks of 322-323 (floor 320 at A = 5)
     assert peak < rows * 64 * 8  # one (rows x width) array, 5.1 MB
 
 

@@ -326,7 +326,7 @@ def test_table_rule_counts_paths_against_choice_states(kind):
 
 
 def test_table_holds_its_rows_and_one_block():
-    env = Hypergrid(4, 10)  # 20,001 states, 9,999 forward choice states: 5 blocks
+    env = Hypergrid(4, 10)  # 20,001 states, 9,999 forward choice states: 31 blocks
     model = PolicyModel.build(env, "mlp", hidden=(64, 64), rng=np.random.default_rng(0))
     args = (model.forward_net, env.forward_mask, env.forward_choice, env)
     policy._log_policy(*args)  # the one-hot cache is built once, outside the trace
@@ -337,7 +337,8 @@ def test_table_holds_its_rows_and_one_block():
     finally:
         tracemalloc.stop()
     assert table.shape == (len(env.forward_choice), env.num_forward_slots)
-    # S x A floats, plus one block: its input rows and two hidden activations
+    # S x A floats, plus one block of at most the cap: its input rows and two
+    # hidden activations
     block = policy.EVAL_BLOCK_ROWS * (env.feature_dim + 2 * 64)
     assert peak < 8 * (env.num_states * env.num_forward_slots + block)
 
