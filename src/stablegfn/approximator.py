@@ -108,10 +108,10 @@ class Mlp:
     full-size temporary beyond what it caches.  ``cache=False`` (for passes
     that never call ``backward``) keeps nothing: each layer's input is dropped
     once its output exists.  The policy runs such passes one row block at a
-    time, of at most ``policy.EVAL_BLOCK_ROWS`` rows, so at most two (block x
-    width) arrays are alive, however many rows the pass covers.  A block of at
-    least ``policy.BLAS_EXACT_CELLS`` / ``out_dim`` rows gives every row the
-    bits of one call over all of them.
+    time, so at most two (block x width) arrays are alive, however many rows
+    the pass covers.  A block of at least ``policy.BLAS_EXACT_CELLS`` /
+    ``out_dim`` rows gives every row the bits of one call over all of them,
+    and the policy keeps blocks under twice that.
     """
 
     wants_indices = False

@@ -50,8 +50,8 @@ already in its move table, and only on a side of fewer than
 One cache-free evaluator.  Net evaluations that never backprop keep no
 backward caches and run in near-equal row blocks, all through
 :func:`_log_policy`, sized by the net's output width A: at least
-⌈:data:`BLAS_EXACT_CELLS` / A⌉ rows when the call has that many, and at
-most :data:`EVAL_BLOCK_ROWS`.  That covers the exact DP,
+⌈:data:`BLAS_EXACT_CELLS` / A⌉ rows when the call has that many, and
+fewer than twice that.  That covers the exact DP,
 the policy tables, the walkers' per-step rows, and the scoring of bulk and
 enumerated batches (:func:`score_paths`) where no table is given.  A
 rollout's single rows (:func:`_row`) are the one exception.
@@ -83,16 +83,15 @@ from .approximator import Mlp, ParamVector, Tabular
 from .envs import DagEnv, check_state_cap
 
 LOGIT_CLAMP = 50.0
-# Row cap of one cache-free net call: the memory bound of a block.
-EVAL_BLOCK_ROWS = 2048
 # Cells (block rows x output width A) from which an MLP block gives the
 # whole-batch values.  OpenBLAS rounds smaller products differently (a
 # small-matrix kernel): the boundary is a cell count, not a row count.  With
 # OpenBLAS 0.3.31's Haswell kernel, blocks of up to 1,200 cells moved the last
 # bits at hidden widths 64 and 256 and every larger one matched, for A = 2,
 # 3, 5 and 8; this keeps a third in hand.  Blocks hold fewer than
-# twice ceil(BLAS_EXACT_CELLS / A) rows: at A = 5, under 640 rows, whose
-# 256-wide activation (under 1.25 MiB) stays within a 2 MiB L2 cache.
+# twice ceil(BLAS_EXACT_CELLS / A) rows, the memory bound of a block: at
+# A = 5, under 640 rows, whose 256-wide activation (under 1.25 MiB) stays
+# within a 2 MiB L2 cache.
 BLAS_EXACT_CELLS = 1600
 # Bytes a training rollout holds per state of a walk, a floor: tracemalloc
 # measured 50 (T(3,4)) to 94 (H(4,8)) per visited state over 50,000 walks, in
@@ -328,21 +327,20 @@ def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.nd
     """The policy table of ``net`` at ``states``: their clamped masked
     log-softmax rows, -inf at invalid slots.
 
-    The package's one cache-free evaluator: built one near-equal block of at
-    most :data:`EVAL_BLOCK_ROWS` rows at a time, so it holds ``len(states)``
-    x A floats plus one block, not a net's activations over every row.  With
-    ``floor`` = ⌈:data:`BLAS_EXACT_CELLS` / A⌉, a call of fewer than
-    ``2 * floor`` rows is one block, and a longer one runs in blocks of
-    ``floor`` to ``2 * floor - 1`` rows: large enough for the whole-batch
-    bits, small enough to stay in cache.  The cap binds first only at A = 1,
-    where every row is log 1 = 0.  Tabular rows are gathers, the same bits at
-    any block size.
+    The package's one cache-free evaluator: built one near-equal block at a
+    time, so it holds ``len(states)`` x A floats plus one block, not a net's
+    activations over every row.  With ``floor`` =
+    ⌈:data:`BLAS_EXACT_CELLS` / A⌉, a call of fewer than ``2 * floor`` rows
+    is one block, and a longer one runs in blocks of ``floor`` to
+    ``2 * floor - 1`` rows: large enough for the whole-batch bits, small
+    enough to stay in cache.  Tabular rows are gathers, the same bits at any
+    block size.
     """
     n, width = len(states), mask.shape[1]
     logp = np.empty((n, width))
     floor = -(-BLAS_EXACT_CELLS // width)
     lo = 0
-    for block in np.array_split(states, max(-(-n // EVAL_BLOCK_ROWS), n // floor, 1)) if n else ():
+    for block in np.array_split(states, max(n // floor, 1)) if n else ():
         out, _ = _eval_rows(net, block, env, cache=False)
         logp[lo:lo + len(block)] = _masked_rows(out, mask[block])
         lo += len(block)

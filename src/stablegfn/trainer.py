@@ -258,10 +258,11 @@ class Trainer:
             check_state_cap(env.num_states, "oracle_every")
         if config.objective == "wdb":
             losses.check_reach_cap(env.num_states, len(env.terminating_states), "objective wdb")
-        for key in ("cert_m", "cert_n"):
+        for key in ("cert_m", "cert_n", "batch_size"):
             check_walk_memory(env, getattr(config, key), f"train.{key}")
-        # a training batch is walked in Python lists, each holding at least
-        # its walk's start and the sink
+        # a training batch is also walked in Python lists, each holding at
+        # least its walk's start and the sink, before it is padded (on a tree
+        # into the whole walk matrix; a stable round copies it once more)
         check_memory(2 * ROLLOUT_STATE_BYTES * config.batch_size,
                      f"train.batch_size: {config.batch_size} walks", "rollout lists")
         self.model, self.env, self.config = model, env, config

@@ -197,6 +197,18 @@ def test_train_batch_whose_rollout_exceeds_memory_exits_2_at_setup(tmp_path, cap
     assert not (tmp_path / "run").exists()  # refused before resolved_config.json
 
 
+def test_train_batch_whose_walk_matrix_exceeds_memory_exits_2_at_setup(tmp_path, capsys):
+    # T(2,11): every walk holds 13 states, so its padded rows (13 int64 cells)
+    # exceed physical memory although two listed states a walk would fit
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    batch = have // 100
+    assert 2 * ROLLOUT_STATE_BYTES * batch <= have < 8 * 13 * batch
+    assert _train_with(tmp_path, env={"depth": 11}, train={"batch_size": batch}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: train.batch_size: {batch} walks need ") and "walk matrix" in err
+    assert not (tmp_path / "run").exists()  # refused before resolved_config.json
+
+
 def test_train_missing_config():
     assert main(["train", "/nonexistent/config.yaml"]) == 2
 

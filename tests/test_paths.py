@@ -220,10 +220,10 @@ def test_blocked_evaluation_matches_one_call(monkeypatch):
     logp = policy._log_policy(model.forward_net, env.forward_mask, choice, env)
     rows = [n for n, _, _ in calls]
     # near-equal cache-free blocks, more than two of them, each of floor to
-    # 2 * floor - 1 rows: the cap (2,048 rows) does not bind at A = 5
+    # 2 * floor - 1 rows
     floor = -(-policy.BLAS_EXACT_CELLS // env.forward_mask.shape[1])
     assert not any(cache for _, cache, _ in calls) and len(rows) > 2 and sum(rows) == len(choice)
-    assert floor <= min(rows) and max(rows) < 2 * floor <= policy.EVAL_BLOCK_ROWS
+    assert floor <= min(rows) and max(rows) < 2 * floor
     out = ref.eval_rows(model.forward_net, choice, env)
     assert logp.tobytes() == _masked_rows(out, env.forward_mask[choice]).tobytes()
     got, want = exact_terminal_distribution(model, env), ref.exact_terminal_distribution(model, env)

@@ -337,9 +337,10 @@ def test_table_holds_its_rows_and_one_block():
     finally:
         tracemalloc.stop()
     assert table.shape == (len(env.forward_choice), env.num_forward_slots)
-    # S x A floats, plus one block of at most the cap: its input rows and two
-    # hidden activations
-    block = policy.EVAL_BLOCK_ROWS * (env.feature_dim + 2 * 64)
+    # S x A floats, plus one block of fewer than 2 * ceil(BLAS_EXACT_CELLS / A)
+    # rows: its input rows and two hidden activations
+    rows = 2 * -(-policy.BLAS_EXACT_CELLS // env.num_forward_slots)
+    block = rows * (env.feature_dim + 2 * 64)
     assert peak < 8 * (env.num_states * env.num_forward_slots + block)
 
 
