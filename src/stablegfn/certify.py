@@ -85,21 +85,30 @@ def pac_tv_bound(threshold: float, m: int, n: int, alpha: float) -> float:
     1 - 2*alpha.  Clamped to [0, 1].
     """
     check_samples(m, n, alpha)
-    raw = math.expm1(2.0 * threshold) + math.log(1.0 / alpha) / m + math.log(1.0 / alpha) / n
+    raw = _expm1(2.0 * threshold) + math.log(1.0 / alpha) / m + math.log(1.0 / alpha) / n
     return min(1.0, max(0.0, raw))
+
+
+def _expm1(x: float) -> float:
+    """``math.expm1``, but +inf where it overflows (x above log(DBL_MAX) ≈ 709.78)."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
 
 
 def reference_main_term(threshold: float, max_ratio: float) -> float:
     """Main contrast term of the reference-flow certificate (unclamped).
 
-    Requires max_ratio < 1/(exp(c) - 1); raises otherwise.
+    Requires max_ratio < 1/(exp(c) - 1); raises otherwise.  A term past the
+    float range is +inf, so its certificate is vacuous.
     """
     if max_ratio < 0:
         raise ValueError("max flow ratio must be nonnegative")
     if max_ratio == 0.0:
         # reduces exactly to the plain sampling certificate's main term
-        return math.expm1(2.0 * threshold)
-    limit = math.inf if threshold == 0.0 else 1.0 / math.expm1(threshold)
+        return _expm1(2.0 * threshold)
+    limit = math.inf if threshold == 0.0 else 1.0 / _expm1(threshold)
     ec = math.exp(threshold)
     emc = math.exp(-threshold)
     denom = emc - (1.0 - emc) * max_ratio
@@ -155,8 +164,7 @@ class CertificateReport:
         """The fields in order, ``confidence`` after ``alpha``; infinite values are None."""
         d: Dict[str, object] = {}
         for k, v in dataclasses.asdict(self).items():
-            infinite = k in ("raw_bound", "main_term") and v is not None and math.isinf(v)
-            d[k] = None if infinite else v
+            d[k] = None if isinstance(v, float) and math.isinf(v) else v
             if k == "alpha":
                 d["confidence"] = self.confidence
         return d
@@ -174,18 +182,19 @@ def delta_ratios(log_model: np.ndarray, log_target: np.ndarray, threshold: float
 
 
 def _objective(log_model: np.ndarray, log_target: np.ndarray, threshold: float,
-               m: int, n: int, alpha: float) -> Tuple[float, float, float]:
-    """(raw bound, max ratio, main term) at one threshold; +inf when infeasible."""
+               m: int, n: int, alpha: float) -> Tuple[float, float, float, bool]:
+    """(raw bound, max ratio, main term, condition violated) at one threshold;
+    the bound and the term are +inf when the condition fails or the term overflows."""
     ratios = delta_ratios(log_model, log_target, threshold)
     max_ratio = float(ratios.max()) if len(ratios) else 0.0
     if not math.isfinite(max_ratio):
-        return math.inf, max_ratio, math.inf
+        return math.inf, max_ratio, math.inf, True
     try:
         main = reference_main_term(threshold, max_ratio)
     except ReferenceConditionError:
-        return math.inf, max_ratio, math.inf
+        return math.inf, max_ratio, math.inf, True
     raw = main + math.log(1.0 / alpha) / m + math.log(1.0 / alpha) / n
-    return raw, max_ratio, main
+    return raw, max_ratio, main, False
 
 
 def golden_section_minimize(f, lo: float, hi: float) -> Tuple[float, float, int]:
@@ -219,7 +228,12 @@ def feasibility_floor(log_model: np.ndarray, log_target: np.ndarray) -> float:
     active = r > math.log(2.0)
     if not active.any():
         return 0.0
-    return float(np.log(np.expm1(r[active])).max())
+    r = r[active]
+    with np.errstate(over="ignore"):
+        floor = np.log(np.expm1(r))
+    big = np.isinf(floor)  # e^r past DBL_MAX: log(e^r - 1) = r + log1p(-e^-r)
+    floor[big] = r[big] + np.log1p(-np.exp(-r[big]))
+    return float(floor.max())
 
 
 def optimize_certificate(backward: Tuple[np.ndarray, np.ndarray],
@@ -242,9 +256,8 @@ def optimize_certificate(backward: Tuple[np.ndarray, np.ndarray],
     search = None
     if threshold is None:
         threshold, search = _search_threshold(log_model, log_target, m, n, alpha)
-    raw, max_ratio, main = _objective(log_model, log_target, threshold, m, n, alpha)
-    violated = not math.isfinite(raw)
-    bound = 1.0 if violated else min(1.0, max(0.0, raw))
+    raw, max_ratio, main, violated = _objective(log_model, log_target, threshold, m, n, alpha)
+    bound = min(1.0, max(0.0, raw)) if math.isfinite(raw) else 1.0
     return CertificateReport("pac-reference", bound, raw, threshold, m, n, alpha, scope,
                              max_ratio=max_ratio, main_term=main, condition_violated=violated,
                              search=search, wall_clock_s=time.perf_counter() - t0)

@@ -17,6 +17,8 @@ The move table ``_moves`` holds the same edges per state, as Python lists,
 only at the states a rollout has visited (see :func:`stablegfn.policy.rollout`).
 ``forward_choice``/``backward_choice`` list the states with more than one
 child/parent: the only states whose policy rows a sampler evaluates.
+``forward_has_choice``/``backward_has_choice`` mark the same states in a
+per-state boolean array.
 One graph order, the level order: ``levels`` groups states by their longest
 distance from the source, ``level_edges`` groups edges by their source's
 level.  Every whole-graph pass walks it, one array step per level.
@@ -147,8 +149,10 @@ class DagEnv:
         self.backward_mask = self.parent_matrix >= 0
         indeg = np.bincount(dst, minlength=S)
         indeg[sink] = 0  # edges into the sink have no backward slot
-        self.forward_choice = np.flatnonzero(np.bincount(src, minlength=S) > 1)
-        self.backward_choice = np.flatnonzero(indeg > 1)
+        self.forward_has_choice = np.bincount(src, minlength=S) > 1
+        self.backward_has_choice = indeg > 1
+        self.forward_choice = np.flatnonzero(self.forward_has_choice)
+        self.backward_choice = np.flatnonzero(self.backward_has_choice)
 
         xs = np.fromiter(rewards.keys(), dtype=np.int64, count=len(rewards))
         rs = np.fromiter(rewards.values(), dtype=np.float64, count=len(rewards))

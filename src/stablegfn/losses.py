@@ -70,7 +70,8 @@ def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
 
     Elementwise over (log model flow, log target flow) arrays.  -inf where no
     flow is needed (|log ratio| <= threshold), +inf elsewhere at threshold 0.
-    Computed with log1p/expm1 so that widely separated flows never overflow.
+    Computed with log1p/expm1 so that widely separated flows never overflow,
+    and thresholds past log(DBL_MAX) ≈ 709.78 neither.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -81,7 +82,10 @@ def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
     if threshold == 0.0:
         out[r != 0.0] = np.inf
         return out
-    log_em1 = math.log(math.expm1(threshold))
+    try:
+        log_em1 = math.log(math.expm1(threshold))
+    except OverflowError:  # e^c past DBL_MAX: log(e^c - 1) = c + log1p(-e^-c)
+        log_em1 = threshold + math.log1p(-math.exp(-threshold))
     hi, lo = r > threshold, r < -threshold
     out[hi] = log_model[hi] + np.log1p(-np.exp(threshold - r[hi])) - log_em1
     out[lo] = log_target[lo] + np.log1p(-np.exp(threshold + r[lo])) - log_em1
@@ -261,8 +265,8 @@ def _batch_fm(model, env, paths, backprop):
     src = np.concatenate([par[in_occ, in_slot], occ_state[out_occ]])
     dst = np.concatenate([occ_state[in_occ], kid[out_occ, out_slot]])
     # the forward side alone: fm reads no backward log-prob
-    log_pf, fwd = _side(env, model.forward_net, env.forward_mask, env.child_matrix, src, dst,
-                        table=None, cache=True)
+    log_pf, fwd = _side(env, model.forward_net, env.forward_mask, env.child_matrix,
+                        env.forward_has_choice, src, dst, table=None, cache=True)
     fb = FlowBatch(model, env, src)
     n_in = len(in_occ)
     log_terms = fb.log_flow + log_pf

@@ -14,10 +14,11 @@ producer returns one.  :func:`rollout` walks training trajectories one after
 another: a step costs its draw, and a choice state's row is computed once per
 call.  Bulk samplers walk in lockstep, one matrix column per step.
 :func:`score_paths` takes a batch's log-probs from one :class:`EdgeBatch` over
-its edges, so they are bit-reproducible given seed and batch.  The batch is
-the one path record, the replay buffer's too: ``states``, ``lengths``,
-``rewards`` and, once scored, ``log_pf``/``log_pb``.  Which sampler made a
-path is not a column: that label exists only in the trajectory log.
+its edges, so they are bit-reproducible given seed and batch; a table walk
+records the same bits while it draws.  The batch is the one path record, the
+replay buffer's too: ``states``, ``lengths``, ``rewards`` and, once scored,
+``log_pf``/``log_pb``.  Which sampler made a path is not a column: that label
+exists only in the trajectory log.
 
 One policy table per call.  A bulk sampling or scoring call over ``n``
 paths may evaluate a side's policy once, as one table of log-prob rows over
@@ -28,9 +29,13 @@ steps and its scoring would evaluate about that many rows or more; with
 fewer paths they visit a small part of a large graph, where the table would
 cost more than it saves (on a tabular H(4,16), with 65,535 forward choice
 states, bulk calls of 1,000 forward and 1,000 backward paths took 46 ms
-without tables and 71 ms with them on a 2-vCPU host).  A training
-:func:`rollout` reads a table only for a tabular net, over the choice states
-already in its move table, and only on a side of fewer than
+without tables and 71 ms with them on a 2-vCPU host).  A walk whose every
+side has a table or is the fixed-uniform policy records each edge's
+log-probs as it draws it, and sums them per path as :func:`score_paths`
+would (see :func:`_walk`); any other walk is scored by :func:`score_paths`
+after it ends, since its per-step net rows need not have a table's bits.  A
+training :func:`rollout` reads a table only for a tabular net, over the
+choice states already in its move table, and only on a side of fewer than
 :data:`_ORDERED_SUM_WIDTH` slots.  Why the bits hold:
 
 * a tabular row is a gather, and a matrix row of :func:`_masked_rows`
@@ -116,9 +121,10 @@ class PathBatch:
     Row i of ``states`` holds path i in its first ``lengths[i]`` columns and
     -1 after them.  ``terminals``, ``rewards`` and ``log_rewards`` (the one
     log-reward every loss and certificate reads) belong to each path's
-    terminating state, the one before the sink.  Once :func:`score_paths` ran,
-    ``log_pf`` sums every edge's log-prob (the hop into the sink adds 0) and
-    ``log_pb`` every edge's but that hop's.  A slice, mask or index array
+    terminating state, the one before the sink.  Once scored (by
+    :func:`score_paths`, or by the bulk walk that drew it), ``log_pf`` sums
+    every edge's log-prob (the hop into the sink adds 0) and ``log_pb`` every
+    edge's but that hop's.  A slice, mask or index array
     gives a batch, and ``a + b`` appends one batch to another.
     """
 
@@ -438,13 +444,14 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
 # -- batched transition evaluation ------------------------------------------
 
 
-def _side(env: DagEnv, net, mask: np.ndarray, matrix: np.ndarray, at: np.ndarray,
-          other: np.ndarray, table: Optional[Table], cache: bool):
+def _side(env: DagEnv, net, mask: np.ndarray, matrix: np.ndarray, has_choice: np.ndarray,
+          at: np.ndarray, other: np.ndarray, table: Optional[Table], cache: bool):
     """(Log-prob of each edge ``at`` - ``other`` under the policy at ``at``,
-    0 where ``at`` has one slot or none, as the sink on the backward side;
-    what :func:`_backprop_side` needs, or None without a cached net pass)."""
+    0 where ``at`` has one slot or none (``has_choice`` false), as the sink on
+    the backward side; what :func:`_backprop_side` needs, or None without a
+    cached net pass)."""
     logp_edges = np.zeros(len(at))
-    idx = np.flatnonzero(mask[at].sum(axis=1) > 1)
+    idx = np.flatnonzero(has_choice[at])
     if not len(idx):
         return logp_edges, None
     rows = at[idx]
@@ -495,10 +502,10 @@ class EdgeBatch:
                  tid: Optional[np.ndarray] = None, cache: bool = True,
                  tables: Tuple[Optional[Table], Optional[Table]] = (None, None)):
         self.src, self.dst, self.tid, self.cache = src, dst, tid, cache
-        self.log_pf, self._fwd = _side(env, model.forward_net, env.forward_mask,
-                                       env.child_matrix, src, dst, tables[0], cache)
-        self.log_pb, self._bwd = _side(env, model.backward_net, env.backward_mask,
-                                       env.parent_matrix, dst, src, tables[1], cache)
+        self.log_pf, self._fwd = _side(env, model.forward_net, env.forward_mask, env.child_matrix,
+                                       env.forward_has_choice, src, dst, tables[0], cache)
+        self.log_pb, self._bwd = _side(env, model.backward_net, env.backward_mask, env.parent_matrix,
+                                       env.backward_has_choice, dst, src, tables[1], cache)
 
     @classmethod
     def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch, cache: bool = True,
@@ -572,14 +579,29 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     where the rule of the module docstring gives one (one-hot rows at states
     without a choice, as the masked softmax gives them), else evaluated once
     per distinct current state.  Backward rows are turned source-to-sink by
-    one index gather; :func:`score_paths` then reads the same tables.
+    one index gather.
+
+    When each side has a table or is the fixed-uniform backward policy, the
+    walk scores as it draws: a step keeps its walkers and, per side, each
+    edge's log-prob.  The walking side's is the table entry at the drawn slot
+    (-log k under the uniform policy, 0 without a choice); the other side's
+    is read at the next state, at the slot the current state fills there
+    (one compare and ``argmax`` over the walkers whose next state has a
+    choice; 0 at the sink).  Each path sums its steps in path order from 0.0,
+    step order forward and reverse step order backward, which is the order
+    of :meth:`EdgeBatch.per_trajectory`'s ``bincount``: the bits of
+    :func:`score_paths` over the same paths, which a walk with per-step net
+    rows calls instead (its rows may differ from a table's in the last bits).
     """
-    if forward:
-        net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
-    else:
-        net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
+    sides = ((model.forward_net, env.forward_mask, env.child_matrix, env.forward_has_choice),
+             (model.backward_net, env.backward_mask, env.parent_matrix, env.backward_has_choice))
+    me, them = (0, 1) if forward else (1, 0)
+    (net, mask, step, _), (other_net, other_mask, other_matrix, other_choice) = sides[me], sides[them]
+    end = env.sink if forward else env.initial_state
     tables = _tables(model, env, len(starts))
-    table = tables[0 if forward else 1]
+    table, other = tables[me], tables[them]
+    record = (table is not None or net is None) and (other is not None or other_net is None)
+    steps: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (walkers, own, other log-probs)
     cur = np.array(starts, dtype=np.int64)
     n = len(cur)
     walked = np.full((n, len(env.levels)), -1, dtype=np.int64)  # no path is longer
@@ -599,7 +621,24 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         else:
             uniq, inv = np.unique(states, return_inverse=True)
             p = np.exp(_log_policy(net, mask, uniq, env))[inv]
-        nxt = step[states, _draw_rows(rng, p)]
+        drawn = _draw_rows(rng, p)
+        nxt = step[states, drawn]
+        if record:
+            own, theirs = np.zeros(len(states)), np.zeros(len(states))
+            if net is None:
+                c = np.flatnonzero(k > 1)
+                own[c] = -np.log(k[c])
+            else:
+                own[choice] = table[0][i[choice], drawn[choice]]
+            if other is None:
+                c = np.flatnonzero(other_choice[nxt])
+                theirs[c] = -np.log(other_mask[nxt[c]].sum(axis=1))
+            else:
+                j = other[1][nxt]
+                c = np.flatnonzero(j >= 0)
+                slot = np.argmax(other_matrix[nxt[c]] == states[c, None], axis=1)
+                theirs[c] = other[0][j[c], slot]
+            steps.append((alive, own, theirs))
         t += 1
         walked[alive, t] = nxt
         cur[alive] = nxt
@@ -612,7 +651,14 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         rows = np.where(back >= 0, np.take_along_axis(walked, np.maximum(back, 0), axis=1), -1)
         rows[np.arange(n), lengths] = env.sink
         paths = PathBatch.of_matrix(env, rows, lengths + 1)
-    score_paths(model, env, paths, tables)
+    if not record:
+        score_paths(model, env, paths, tables)
+        return paths
+    sums = np.zeros((2, n))  # (log P_F, log P_B) per path
+    for walkers, own, theirs in steps if forward else steps[::-1]:
+        sums[me, walkers] += own
+        sums[them, walkers] += theirs
+    paths.log_pf, paths.log_pb = sums
     return paths
 
 

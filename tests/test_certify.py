@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from stablegfn.certify import (
     tv_bound_from_loss,
 )
 from stablegfn.envs import Hypergrid, RegularTree, one_more_mode_tree
+from stablegfn.losses import reference_flow_log_deltas
 from stablegfn.oracle import balanced_tabular_model
 from stablegfn.policy import sample_backward_batch, sample_forward_batch
 from stablegfn.trainer import rng_for
@@ -296,6 +298,46 @@ def test_fixed_threshold_reports_violation():
     rep = optimize_certificate((lm[:1], lt[:1]), (lm[1:], lt[1:]), 0.05, threshold=0.05)
     assert rep.condition_violated
     assert rep.bound == 1.0
+
+
+def _strict_json(d):
+    """``json.dumps`` that refuses the non-JSON constants NaN and Infinity."""
+    return json.dumps(d, allow_nan=False)
+
+
+def test_log_ratios_past_the_float_range_give_a_vacuous_certificate():
+    # e^c overflows above log(DBL_MAX) = 709.78...: a searched threshold of 800
+    lm, lt = np.array([800.0, 0.0, 0.1]), np.zeros(3)
+    report = optimize_certificate((lm[:1], lt[:1]), (lm[1:], lt[1:]), 0.05)
+    assert (report.threshold, report.bound, report.max_ratio) == (800.0, 1.0, 0.0)
+    assert math.isinf(report.raw_bound) and math.isinf(report.main_term)
+    assert not report.condition_violated  # the ratio condition holds; the term overflows
+    assert feasibility_floor(np.array([800.0]), np.zeros(1)) == 800.0
+    assert pac_tv_bound(400.0, 10, 10, 0.05) == pac_tv_bound_with_reference(
+        400.0, 0.0, 10, 10, 0.05) == 1.0
+    # past the limit log(e^c - 1) is c + log1p(-e^-c); below it, the bits of log(expm1(c))
+    log_model, log_target = np.array([1000.0, -3.0, 5.0]), np.array([0.0, 998.0, 1.0])
+    r = log_model - log_target
+    for c in (0.3, 2.0, 354.0, 709.78):
+        hi, lo = r > c, r < -c
+        want = np.full(3, -np.inf)
+        want[hi] = log_model[hi] + np.log1p(-np.exp(c - r[hi])) - math.log(math.expm1(c))
+        want[lo] = log_target[lo] + np.log1p(-np.exp(c + r[lo])) - math.log(math.expm1(c))
+        assert reference_flow_log_deltas(log_model, log_target, c).tobytes() == want.tobytes()
+    got = reference_flow_log_deltas(log_model, log_target, 800.0)
+    assert got[0] == 1000.0 + math.log1p(-math.exp(-200.0)) - 800.0
+    assert got[1] == 998.0 + math.log1p(-math.exp(-201.0)) - 800.0 and got[2] == -np.inf
+
+
+def test_report_writes_infinite_values_as_null():
+    lm, lt = np.array([800.0, 0.0]), np.zeros(2)
+    report = optimize_certificate((lm[:1], lt[:1]), (lm[1:], lt[1:]), 0.05, threshold=1.0)
+    assert report.condition_violated and math.isinf(report.max_ratio)
+    d = report.to_dict()
+    assert d["max_ratio"] is None and d["raw_bound"] is None and d["main_term"] is None
+    assert json.loads(_strict_json(d))["bound"] == 1.0
+    searched = optimize_certificate((lm[:1], lt[:1]), (lm[1:], lt[1:]), 0.05)
+    assert json.loads(_strict_json(searched.to_dict()))["search"]["prescan"] == [[800.0, None]]
 
 
 def _without_search(report):

@@ -405,6 +405,23 @@ def test_train_certificate_is_sample_certificate_on_the_cli_streams(tmp_path):
 GOOD_RECORD = {"states": [0, 1, 3, 7], "log_pf": -1.0, "log_pb": 0.0, "reward": 1.0}
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_certify_from_log_past_the_float_range_is_vacuous(tmp_path):
+    # a forward record's log ratio near -1000 puts the threshold past log(DBL_MAX)
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    log_path, out = tmp_path / "trajs.jsonl", tmp_path / "cert.json"
+    log_path.write_text(json.dumps(dict(GOOD_RECORD, provenance="backward-sampled")) + "\n"
+                        + json.dumps(dict(GOOD_RECORD, log_pf=-1000.0)) + "\n")
+    assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--from-log", str(log_path), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert (doc["m"], doc["n"], doc["bound"]) == (1, 1, 1.0)
+    assert doc["threshold"] > 709.78 and doc["raw_bound"] is None and doc["main_term"] is None
+
+
 @pytest.mark.parametrize("lines, where", [
     (None, ""),  # no such file
     ([json.dumps(GOOD_RECORD), "{not json"], ", line 2:"),

@@ -126,6 +126,11 @@ def test_structure_invariants(env):
     for x in env.terminating_states:
         assert list(children(env, x)) == [env.sink]
         assert env.reward_table[x] > 0
+    # the choice states, listed and marked: more than one valid slot
+    for mask, listed, marked in ((env.forward_mask, env.forward_choice, env.forward_has_choice),
+                                 (env.backward_mask, env.backward_choice, env.backward_has_choice)):
+        assert np.array_equal(marked, mask.sum(axis=1) > 1)
+        assert np.array_equal(listed, np.flatnonzero(marked))
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,72 @@ def test_bulk_sampler_matches_reference(env_name, kind, forward):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
 
+def _record_edge_batches(monkeypatch):
+    """The edge count of every EdgeBatch built from now on."""
+    edges, init = [], EdgeBatch.__init__
+
+    def recorded(self, model, env, src, *args, **kwargs):
+        edges.append(len(src))
+        init(self, model, env, src, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeBatch, "__init__", recorded)
+    return edges
+
+
+def _walked(model, env, forward, n):
+    rng = np.random.default_rng(7)
+    if forward:
+        return sample_forward_batch(model, env, rng, n)
+    return sample_backward_batch(model, env, rng, _starts(env, False, n))
+
+
+def _rescored(model, env, paths):
+    """A copy of ``paths`` scored by :func:`score_paths`."""
+    copy = policy.PathBatch(paths.states.copy(), paths.lengths.copy(), paths.rewards.copy())
+    score_paths(model, env, copy)
+    return copy
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+@pytest.mark.parametrize("learn_backward", [True, False], ids=["learned", "uniform"])
+@pytest.mark.parametrize("net", ["tabular", "mlp"])
+@pytest.mark.parametrize("env_name", ["T(3,4)", "H(2,8)", "random_dag"])
+def test_table_walk_records_the_log_probs_of_scoring(monkeypatch, env_name, net, learn_backward,
+                                                     forward):
+    env = ENVS[env_name]()
+    model = PolicyModel.build(env, net, hidden=(16, 16), learn_backward=learn_backward,
+                              rng=np.random.default_rng(0))
+    if net == "tabular":
+        for table_net in model._nets:
+            table_net.table[...] = np.random.default_rng(1).normal(0.0, 1.0, table_net.table.shape)
+    # 300 walkers: every side has a table or is the uniform policy
+    assert all(t is not None or m is None for t, m in zip(
+        policy._tables(model, env, 300), (model.forward_net, model.backward_net)))
+    edges = _record_edge_batches(monkeypatch)
+    paths = _walked(model, env, forward, 300)
+    assert edges == []  # the walk scored as it drew
+    want = _rescored(model, env, paths)
+    assert paths.log_pf.tobytes() == want.log_pf.tobytes()
+    assert paths.log_pb.tobytes() == want.log_pb.tobytes()
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+@pytest.mark.parametrize("env_name, net, n", [
+    ("H(4,8)", "tabular", 300),  # 4,095 forward, 3,855 backward choice states
+    ("T(3,4)", "mlp", 7),  # 40 forward choice states
+])
+def test_walk_without_tables_is_scored_afterwards(monkeypatch, env_name, net, n, forward):
+    env = ENVS[env_name]()
+    model = _model(env, net)
+    edges = _record_edge_batches(monkeypatch)
+    paths = _walked(model, env, forward, n)
+    # one cache-free batch over every edge of the walk
+    assert edges == [int((paths.lengths - 1).sum())]
+    want = _rescored(model, env, paths)
+    assert paths.log_pf.tobytes() == want.log_pf.tobytes()
+    assert paths.log_pb.tobytes() == want.log_pb.tobytes()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("env_name", list(ENVS))
 def test_training_batch_and_subgraph_certificate_match_reference(env_name, kind):

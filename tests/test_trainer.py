@@ -471,6 +471,17 @@ def test_stable_training_reduces_tv():
     assert after < 0.05
 
 
+def test_stable_training_survives_log_ratios_past_the_float_range():
+    # log-rewards near -737 put the first threshold past log(DBL_MAX) = 709.78...
+    env = RegularTree(2, 2, [1e-320] * 4)
+    model = PolicyModel.build(env, "tabular", rng=rng_for(0, "m"))
+    state = Trainer(model, env, _tree_config(max_rounds=6, patience=2, cert_m=20, cert_n=20)).run()
+    assert state.round == 6 and math.isfinite(state.threshold)
+    cert = state.last_certificate
+    assert cert.threshold > 709.78 and cert.bound == 1.0 and not state.certified
+    assert math.isinf(cert.raw_bound) and not cert.condition_violated
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         TrainConfig(objective="nope")
