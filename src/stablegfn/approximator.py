@@ -109,9 +109,10 @@ class Mlp:
     that never call ``backward``) keeps nothing: each layer's input is dropped
     once its output exists.  The policy runs such passes one row block at a
     time, so at most two (block x width) arrays are alive, however many rows
-    the pass covers.  A block of at least ``policy.BLAS_EXACT_CELLS`` /
-    ``out_dim`` rows gives every row the bits of one call over all of them,
-    and the policy keeps blocks under twice that.
+    the pass covers.  Under OpenBLAS 0.3.31's SkylakeX kernel, a block of at
+    least ``policy.BLAS_EXACT_CELLS`` / ``out_dim`` rows gives every row the
+    bits of one call over all of them, and the policy keeps blocks under
+    twice that; its Haswell kernel keeps no such floor.
     """
 
     wants_indices = False

@@ -40,11 +40,13 @@ def _write_json(path: str, doc: Dict) -> int:
 
 
 def _check_output(path: str) -> None:
-    """Refuse, at set-up, an output file whose directory is missing or not a directory."""
+    """Refuse, at set-up, an output file that is a directory or whose directory
+    is missing or not a directory."""
     folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        reason = os.strerror(errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)
-        raise OSError(f"cannot write {path}: {reason}")
+    if os.path.isdir(path) or not os.path.isdir(folder):
+        code = (errno.EISDIR if os.path.isdir(path)
+                else errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)
+        raise OSError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _load_model_for(args: argparse.Namespace):

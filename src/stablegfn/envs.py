@@ -333,8 +333,10 @@ class Hypergrid(DagEnv):
     Backward slots: 0..D-1 decrement that coordinate (terminal copies have a
     single parent, slot 0).
 
-    Features are one-hot per coordinate (column ``i*H + x_i``) on both copies;
-    modes sit on the r0+r1+r2 plateau (Bengio et al. 2021, arXiv:2106.04399).
+    Features are one-hot per coordinate (column ``i*H + x_i``) on both copies.
+    Modes follow the max-reward rule of every environment: with the default
+    rewards they are the corners, the r0+r1+r2 plateau (Bengio et al. 2021,
+    arXiv:2106.04399).
     """
 
     kind = "hypergrid"
@@ -376,10 +378,6 @@ class Hypergrid(DagEnv):
 
         super().__init__(2 * n_grid + 1, sink, edges, rewards, features, feature_dim=D * H)
 
-    def _modes(self) -> np.ndarray:
-        peak = self.r0 + self.r1 + self.r2
-        return self.terminating_mask & np.isclose(self.reward_table, peak, rtol=0, atol=1e-12)
-
 
 class OneMoreMode(DagEnv):
     """Same graph as a base environment with extra reward on a subset of states.
@@ -388,7 +386,7 @@ class OneMoreMode(DagEnv):
     supported on terminating states only.  Every attribute of the base is
     taken over as the same object but the reward-derived ``reward_table``,
     ``mode_mask`` and ``_reach_counts``; the one-hot cache is read through
-    the base.  The modes follow the max-reward rule whatever the base is.
+    the base.  The modes follow the max-reward rule, as every environment's do.
     """
 
     kind = "one_more_mode"
@@ -404,7 +402,7 @@ class OneMoreMode(DagEnv):
         self.reward_table = base.reward_table.copy()
         for x, r in added.items():
             self.reward_table[x] += r
-        self.mode_mask = DagEnv._modes(self)
+        self.mode_mask = self._modes()
         self._reach_counts = None
 
     @property

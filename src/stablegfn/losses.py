@@ -266,7 +266,7 @@ def _batch_fm(model, env, paths, backprop):
     dst = np.concatenate([occ_state[in_occ], kid[out_occ, out_slot]])
     # the forward side alone: fm reads no backward log-prob
     log_pf, fwd = _side(env, model.forward_net, env.forward_mask, env.child_matrix,
-                        env.forward_has_choice, src, dst, table=None, cache=True)
+                        env.forward_has_choice, src, dst, cache=True)
     fb = FlowBatch(model, env, src)
     n_in = len(in_occ)
     log_terms = fb.log_flow + log_pf

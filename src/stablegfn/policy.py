@@ -20,23 +20,25 @@ replay buffer's too: ``states``, ``lengths``, ``rewards`` and, once scored,
 ``log_pf``/``log_pb``.  Which sampler made a path is not a column: that label
 exists only in the trajectory log.
 
-One policy table per call.  A bulk sampling or scoring call over ``n``
+One policy table per walk side.  A bulk walk (:func:`_walk`) over ``n``
 paths may evaluate a side's policy once, as one table of log-prob rows over
-that side's choice states (:func:`_log_policy`), and walk and score by
-gathering from it.  The rule, for every net: a side's table is built when
-``n`` is at least its number of choice states.  Then the call's lockstep
-steps and its scoring would evaluate about that many rows or more; with
-fewer paths they visit a small part of a large graph, where the table would
-cost more than it saves (on a tabular H(4,16), with 65,535 forward choice
-states, bulk calls of 1,000 forward and 1,000 backward paths took 46 ms
-without tables and 71 ms with them on a 2-vCPU host).  A walk whose every
-side has a table or is the fixed-uniform policy records each edge's
-log-probs as it draws it, and sums them per path as :func:`score_paths`
-would (see :func:`_walk`); any other walk is scored by :func:`score_paths`
-after it ends, since its per-step net rows need not have a table's bits.  A
-training :func:`rollout` reads a table only for a tabular net, over the
-choice states already in its move table, and only on a side of fewer than
-:data:`_ORDERED_SUM_WIDTH` slots.  Why the bits hold:
+that side's choice states (:func:`_log_policy`), and draw and record by
+gathering from it; nothing else reads a table.  The rule, for every net: a
+side's table is built when ``n`` is at least its number of choice states.
+Then the walk's lockstep steps would evaluate about that many rows or more;
+with fewer paths they visit a small part of a large graph, where the table
+would cost more than it saves (on a tabular H(4,16), with 65,535 forward
+choice states, bulk calls of 1,000 forward and 1,000 backward paths took 46
+ms without tables and 71 ms with them on a 2-vCPU host).  The walking side's
+table follows the rule; the other side's is built only when the walk can
+record, since only recording reads it.  A walk whose every side has a table
+or is the fixed-uniform policy records each edge's log-probs as it draws it,
+and sums them per path as :func:`score_paths` would (see :func:`_walk`); any
+other walk is scored by :func:`score_paths` after it ends, since its
+per-step net rows need not have a table's bits.  A training :func:`rollout`
+reads a table only for a tabular net, over the choice states already in its
+move table, and only on a side of fewer than :data:`_ORDERED_SUM_WIDTH`
+slots.  Why the bits hold:
 
 * a tabular row is a gather, and a matrix row of :func:`_masked_rows`
   depends only on that row, so table rows are the rows of a per-step or
@@ -57,9 +59,9 @@ backward caches and run in near-equal row blocks, all through
 :func:`_log_policy`, sized by the net's output width A: at least
 ⌈:data:`BLAS_EXACT_CELLS` / A⌉ rows when the call has that many, and
 fewer than twice that.  That covers the exact DP,
-the policy tables, the walkers' per-step rows, and the scoring of bulk and
-enumerated batches (:func:`score_paths`) where no table is given.  A
-rollout's single rows (:func:`_row`) are the one exception.
+the walks' policy tables and per-step rows, and the scoring of bulk and
+enumerated batches (:func:`score_paths`).  A rollout's single rows
+(:func:`_row`) are the one exception.
 :func:`_eval_rows` is a plain net call.  Only the edges and flows of a
 training step (:class:`EdgeBatch` and :class:`FlowBatch`, built by
 :func:`stablegfn.losses.batch_loss` or the stabilized round) keep caches;
@@ -91,9 +93,11 @@ LOGIT_CLAMP = 50.0
 # Cells (block rows x output width A) from which an MLP block gives the
 # whole-batch values.  OpenBLAS rounds smaller products differently (a
 # small-matrix kernel): the boundary is a cell count, not a row count.  With
-# OpenBLAS 0.3.31's Haswell kernel, blocks of up to 1,200 cells moved the last
-# bits at hidden widths 64 and 256 and every larger one matched, for A = 2,
-# 3, 5 and 8; this keeps a third in hand.  Blocks hold fewer than
+# OpenBLAS 0.3.31's SkylakeX kernel, blocks of up to 1,200 cells moved the
+# last bits at hidden widths 64 and 256 and every larger one matched, for
+# A = 2, 3, 5 and 8; this keeps a third in hand.  Its Haswell kernel keeps no
+# such floor: blocks of any size may differ from the whole call (ROADMAP
+# item 9).  Blocks hold fewer than
 # twice ceil(BLAS_EXACT_CELLS / A) rows, the memory bound of a block: at
 # A = 5, under 640 rows, whose 256-wide activation (under 1.25 MiB) stays
 # within a 2 MiB L2 cache.
@@ -357,19 +361,16 @@ def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.nd
 Table = Tuple[np.ndarray, np.ndarray]
 
 
-def _tables(model: PolicyModel, env: DagEnv, n: int) -> Tuple[Optional[Table], Optional[Table]]:
-    """The (forward, backward) tables of a call over ``n`` paths, None where
-    the rule of the module docstring refuses one."""
-    tables = []
-    for net, mask, choice in ((model.forward_net, env.forward_mask, env.forward_choice),
-                              (model.backward_net, env.backward_mask, env.backward_choice)):
-        if net is None or n < len(choice):
-            tables.append(None)
-            continue
-        row = np.full(env.num_states, -1, dtype=np.int64)
-        row[choice] = np.arange(len(choice))
-        tables.append((_log_policy(net, mask, choice, env), row))
-    return tables[0], tables[1]
+def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int) -> Optional[Table]:
+    """The forward or backward side's table for a walk of ``n`` paths, None for
+    the fixed-uniform policy or where the rule of the module docstring refuses one."""
+    net, mask, choice = ((model.forward_net, env.forward_mask, env.forward_choice) if forward else
+                         (model.backward_net, env.backward_mask, env.backward_choice))
+    if net is None or n < len(choice):
+        return None
+    row = np.full(env.num_states, -1, dtype=np.int64)
+    row[choice] = np.arange(len(choice))
+    return _log_policy(net, mask, choice, env), row
 
 
 def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: Sequence[int],
@@ -445,7 +446,7 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
 
 
 def _side(env: DagEnv, net, mask: np.ndarray, matrix: np.ndarray, has_choice: np.ndarray,
-          at: np.ndarray, other: np.ndarray, table: Optional[Table], cache: bool):
+          at: np.ndarray, other: np.ndarray, cache: bool):
     """(Log-prob of each edge ``at`` - ``other`` under the policy at ``at``,
     0 where ``at`` has one slot or none (``has_choice`` false), as the sink on
     the backward side; what :func:`_backprop_side` needs, or None without a
@@ -459,10 +460,6 @@ def _side(env: DagEnv, net, mask: np.ndarray, matrix: np.ndarray, has_choice: np
         logp_edges[idx] = -np.log(mask[rows].sum(axis=1))
         return logp_edges, None
     slot = np.argmax(matrix[rows] == other[idx, None], axis=1)  # edge's slot at its row
-    if table is not None:
-        logp, row = table
-        logp_edges[idx] = logp[row[rows], slot]
-        return logp_edges, None
     states, inv = np.unique(rows, return_inverse=True)
     if not cache:
         logp_edges[idx] = _log_policy(net, mask, states, env)[inv, slot]
@@ -493,27 +490,25 @@ class EdgeBatch:
     the batch keeps no other state.  :meth:`backprop` takes the per-edge
     coefficients (d loss / d log-prob) and hands each side's to
     :func:`_backprop_side`.  ``tid`` (optional) numbers each edge's trajectory.
-    ``cache=False`` builds a batch that refuses to backprop: a side gathers
-    from a call's policy table (see :func:`_tables`) where one is given, else
-    evaluates its distinct states with :func:`_log_policy`.
+    ``cache=False`` builds a batch that refuses to backprop: a side evaluates
+    its distinct choice states with :func:`_log_policy`.
     """
 
     def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray,
-                 tid: Optional[np.ndarray] = None, cache: bool = True,
-                 tables: Tuple[Optional[Table], Optional[Table]] = (None, None)):
+                 tid: Optional[np.ndarray] = None, cache: bool = True):
         self.src, self.dst, self.tid, self.cache = src, dst, tid, cache
         self.log_pf, self._fwd = _side(env, model.forward_net, env.forward_mask, env.child_matrix,
-                                       env.forward_has_choice, src, dst, tables[0], cache)
+                                       env.forward_has_choice, src, dst, cache)
         self.log_pb, self._bwd = _side(env, model.backward_net, env.backward_mask, env.parent_matrix,
-                                       env.backward_has_choice, dst, src, tables[1], cache)
+                                       env.backward_has_choice, dst, src, cache)
 
     @classmethod
-    def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch, cache: bool = True,
-                 tables: Tuple[Optional[Table], Optional[Table]] = (None, None)) -> "EdgeBatch":
+    def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch,
+                 cache: bool = True) -> "EdgeBatch":
         """One batch over every edge of ``paths``, grouped by path, in path order."""
         s = paths.states
         edge = s[:, 1:] >= 0
-        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0], cache, tables)
+        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0], cache)
 
     def per_trajectory(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(log P_F, log P_B) summed over each of ``n`` trajectories' edges."""
@@ -549,19 +544,16 @@ class FlowBatch:
         self._net.backward(self._cache, dout)
 
 
-def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch,
-                tables: Optional[Tuple[Optional[Table], Optional[Table]]] = None) -> EdgeBatch:
+def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch) -> EdgeBatch:
     """Store ``paths``' log-probs from one cache-free :class:`EdgeBatch` over
     their edges, and return it (the paths keep no reference to it).
 
-    The batch gathers from the call's policy tables: ``tables``, or those the
-    rule gives for ``len(paths)`` paths.  For every pass that does not train:
-    the batch cannot backprop.  A training round builds its own cached batch
-    with :meth:`EdgeBatch.of_paths`.
+    Each side evaluates the distinct choice states of its edges in one
+    :func:`_log_policy` call.  For every pass that does not train: the batch
+    cannot backprop.  A training round builds its own cached batch with
+    :meth:`EdgeBatch.of_paths`.
     """
-    if tables is None:
-        tables = _tables(model, env, len(paths))
-    edges = EdgeBatch.of_paths(model, env, paths, cache=False, tables=tables)
+    edges = EdgeBatch.of_paths(model, env, paths, cache=False)
     paths.log_pf, paths.log_pb = edges.per_trajectory(len(paths))
     return edges
 
@@ -575,35 +567,38 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     forward to the sink or backward from a terminating state to the source.
 
     Each step draws one uniform per walker still moving and fills one column
-    of the state matrix.  Its policy rows are gathered from the call's table
-    where the rule of the module docstring gives one (one-hot rows at states
-    without a choice, as the masked softmax gives them), else evaluated once
-    per distinct current state.  Backward rows are turned source-to-sink by
-    one index gather.
+    of the state matrix.  Its policy rows are gathered from the walking side's
+    table where the rule of the module docstring gives one (one-hot rows at
+    states without a choice, as the masked softmax gives them), else evaluated
+    once per distinct current state.  Backward rows are turned source-to-sink
+    by one index gather.
 
-    When each side has a table or is the fixed-uniform backward policy, the
-    walk scores as it draws: a step keeps its walkers and, per side, each
-    edge's log-prob.  The walking side's is the table entry at the drawn slot
-    (-log k under the uniform policy, 0 without a choice); the other side's
-    is read at the next state, at the slot the current state fills there
-    (one compare and ``argmax`` over the walkers whose next state has a
-    choice; 0 at the sink).  Each path sums its steps in path order from 0.0,
-    step order forward and reverse step order backward, which is the order
-    of :meth:`EdgeBatch.per_trajectory`'s ``bincount``: the bits of
-    :func:`score_paths` over the same paths, which a walk with per-step net
-    rows calls instead (its rows may differ from a table's in the last bits).
+    When the walking side has a table or is the fixed-uniform backward
+    policy, the other side's table is built by the same rule; when that side
+    too has one or is uniform, the walk scores as it draws: a step keeps its
+    walkers and, per side, each edge's log-prob.  The walking side's is the
+    table entry at the drawn slot (-log k under the uniform policy, 0 without
+    a choice); the other side's is read at the next state, at the slot the
+    current state fills there (one compare and ``argmax`` over the walkers
+    whose next state has a choice; 0 at the sink).  Each path sums its steps
+    in path order from 0.0, step order forward and reverse step order
+    backward, which is the order of :meth:`EdgeBatch.per_trajectory`'s
+    ``bincount``: the bits of :func:`score_paths` over the same paths, which
+    a walk that cannot record calls instead (per-step net rows may differ
+    from a table's in the last bits).
     """
     sides = ((model.forward_net, env.forward_mask, env.child_matrix, env.forward_has_choice),
              (model.backward_net, env.backward_mask, env.parent_matrix, env.backward_has_choice))
     me, them = (0, 1) if forward else (1, 0)
     (net, mask, step, _), (other_net, other_mask, other_matrix, other_choice) = sides[me], sides[them]
     end = env.sink if forward else env.initial_state
-    tables = _tables(model, env, len(starts))
-    table, other = tables[me], tables[them]
-    record = (table is not None or net is None) and (other is not None or other_net is None)
+    n = len(starts)
+    table = _table(model, env, forward, n)
+    record = table is not None or net is None
+    other = _table(model, env, not forward, n) if record else None  # read only by recording
+    record = record and (other is not None or other_net is None)
     steps: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (walkers, own, other log-probs)
     cur = np.array(starts, dtype=np.int64)
-    n = len(cur)
     walked = np.full((n, len(env.levels)), -1, dtype=np.int64)  # no path is longer
     walked[:, 0] = cur
     alive = np.flatnonzero(cur != end)
@@ -652,7 +647,7 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         rows[np.arange(n), lengths] = env.sink
         paths = PathBatch.of_matrix(env, rows, lengths + 1)
     if not record:
-        score_paths(model, env, paths, tables)
+        score_paths(model, env, paths)
         return paths
     sums = np.zeros((2, n))  # (log P_F, log P_B) per path
     for walkers, own, theirs in steps if forward else steps[::-1]:

@@ -407,3 +407,14 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_checkpoint(str(path))
+
+
+def test_param_vector_refuses_a_duplicate_slice():
+    with pytest.raises(ValueError, match="^duplicate parameter slice 'pf.w0'$"):
+        ParamVector([("pf.w0", (2, 3)), ("pf.b0", (2,)), ("pf.w0", (3,))])
+
+
+@pytest.mark.parametrize("hidden", [(), (8,), (8, 8, 8)])
+def test_mlp_refuses_other_than_two_hidden_widths(hidden):
+    with pytest.raises(ValueError, match="^expected exactly two hidden layer widths$"):
+        Mlp(4, hidden, 3, "pf")

@@ -414,3 +414,23 @@ def test_loss_supremum_promotion_matches_contrast():
     assert loss_supremum(env_prev, {promoted: 1 - eps}) == pytest.approx(
         math.log(eps) ** 2
     )
+
+
+def test_tv_bound_refuses_negative_threshold_and_unknown_scope():
+    with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+        tv_bound_from_loss(-0.1)
+    with pytest.raises(ValueError, match="^unknown scope 'edge'$"):
+        tv_bound_from_loss(0.1, scope="edge")
+
+
+def test_reference_main_term_refuses_negative_ratio():
+    with pytest.raises(ValueError, match="^max flow ratio must be nonnegative$"):
+        reference_main_term(0.1, -1e-3)
+
+
+def test_sandwich_refuses_negative_or_misplaced_additions():
+    env = RegularTree(2, 2)
+    with pytest.raises(ValueError, match="^added reward must be nonnegative$"):
+        incremental_tv_sandwich(env, {int(env.leaves[0]): -0.5})
+    with pytest.raises(ValueError, match="^state 0 is not terminating$"):
+        incremental_tv_sandwich(env, {0: 1.0})

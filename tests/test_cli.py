@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 
 import pytest
 import yaml
@@ -812,3 +813,64 @@ def test_config_yaml_reads_exponent_floats(tmp_path):
     path.write_text(env + 'train: {learning_rate: "1e-3"}\n')  # quoted: still a string
     with pytest.raises(ConfigError, match="learning_rate"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("command", ["certify", "evaluate"])
+def test_output_that_is_a_directory_exits_2_before_sampling(tmp_path, monkeypatch, capsys,
+                                                             command):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    capsys.readouterr()
+    _refuse_sampling(monkeypatch)
+    out = str(tmp_path / "taken")
+    os.mkdir(out)
+    assert main([command, "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--output", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+
+
+def test_train_that_cannot_write_its_certificate_exits_2(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    target = outdir / "certificate.json"
+    target.mkdir(parents=True)  # the certificate's write meets a directory
+    assert main(["train", write_config(tmp_path, dict(TREE_CONFIG, output_dir=str(outdir)))]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: cannot write {target}: Is a directory\n"
+    assert out.out == ""  # no summary line
+    assert (outdir / "checkpoint.json").exists()
+
+
+def test_certify_from_log_with_one_half_exits_2(tmp_path, capsys):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    capsys.readouterr()
+    log_path, out = tmp_path / "trajs.jsonl", tmp_path / "cert.json"
+    for label in ("backward-sampled", "forward-sampled"):
+        log_path.write_text(json.dumps(dict(GOOD_RECORD, provenance=label)) + "\n")
+        assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                     "--from-log", str(log_path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: trajectory log must contain both backward- "
+                                           "and forward-sampled records\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_evaluate_without_samples_exits_2_before_reading_anything(tmp_path, capsys, samples):
+    missing = str(tmp_path / "missing")  # neither file is read
+    assert main(["evaluate", "--checkpoint", missing, "--config", missing,
+                 "--samples", samples]) == 2
+    assert capsys.readouterr().err == "error: need at least one evaluation sample\n"
+
+
+@pytest.mark.parametrize("flow_head", ["sometimes", 1, None])
+def test_config_rejects_flow_head_neither_auto_nor_boolean(flow_head):
+    raw = {"env": {"kind": "tree", "branching": 2, "depth": 1}, "model": {"flow_head": flow_head}}
+    with pytest.raises(ConfigError, match="^model.flow_head must be 'auto' or a boolean$"):
+        resolve(raw)
+
+
+def test_config_that_does_not_parse_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("env: {kind: tree, branching: 2\n")
+    with pytest.raises(ConfigError, match=f"^cannot parse {re.escape(str(path))}: "):
+        load_config(str(path))
+    assert main(["train", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: ")

@@ -398,6 +398,21 @@ def test_mode_mask_matches_predicate_reference(env):
     assert not env.mode_mask[~env.terminating_mask].any()
 
 
+def test_hypergrid_modes_are_its_largest_rewards():
+    # a negative corner band puts the 4 corners (1.2) below the 12 other
+    # inner-band points (1.5): those are the modes, not the r0+r1+r2 plateau
+    section = {"kind": "hypergrid", "dimension": 2, "side": 8, "r0": 1, "r1": 0.5, "r2": -0.3}
+    env = make_env(resolve({"env": section})["env"])
+    modes = np.flatnonzero(env.mode_mask)
+    assert len(modes) == 12 and np.all(env.reward_table[modes] == 1.5)
+    assert env.reward_table[env.terminating_states].max() == 1.5
+    # default rewards keep the plateau's mask
+    for env in (Hypergrid(2, 8), Hypergrid(3, 5), Hypergrid(2, 16), Hypergrid(1, 2)):
+        peak = env.r0 + env.r1 + env.r2
+        plateau = env.terminating_mask & np.isclose(env.reward_table, peak, rtol=0, atol=1e-12)
+        assert np.array_equal(env.mode_mask, plateau)
+
+
 def test_make_env_round_trip():
     def built(section):
         return make_env(resolve({"env": section})["env"])
@@ -415,3 +430,53 @@ def test_make_env_round_trip():
 def test_rewards_zero_off_terminals():
     env = Hypergrid(2, 4, r0=0.1)
     assert np.all(env.reward_table[~env.terminating_mask] == 0.0)
+
+
+def test_graph_refuses_a_terminating_state_without_positive_reward():
+    with pytest.raises(ValueError, match="^terminating state 2 must have positive reward, got 0.0$"):
+        RegularTree(2, 1, leaf_rewards=[1.0, 0.0])
+    with pytest.raises(ValueError, match="^terminating state 1 must have positive reward, got -1.0$"):
+        RegularTree(2, 1, leaf_rewards=[-1.0, 1.0])
+
+
+def test_rejects_misplaced_source_sink_and_terminating_edges():
+    # 1 -> 0 -> 2 -> sink: the initial state has a parent
+    with pytest.raises(ValueError, match="^initial state must have no parents$"):
+        _Graph(4, 3, [(1, 0, 0, 0), (0, 2, 0, 0), (2, 3, 0, 0)], [2])
+    # 0 -> 1 -> sink -> 2: the sink has a child
+    with pytest.raises(ValueError, match="^sink must have no children$"):
+        _Graph(4, 2, [(0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0)], [1])
+    # 0 -> 1 -> {2, sink}, 2 -> sink: terminating state 1 has a second child
+    with pytest.raises(ValueError, match="^terminating state 1 must have the sink as its only child$"):
+        _Graph(4, 3, [(0, 1, 0, 0), (1, 2, 0, 0), (1, 3, 1, 0), (2, 3, 0, 0)], [1, 2])
+    # 0 -> {1, sink}, 1 -> sink: the initial state reaches the sink without terminating
+    with pytest.raises(ValueError, match="^only terminating states may connect to the sink$"):
+        _Graph(3, 2, [(0, 1, 0, 0), (0, 2, 1, 0), (1, 2, 0, 0)], [1])
+
+
+def test_tree_refuses_zero_depth_and_a_wrong_leaf_reward_count():
+    with pytest.raises(ValueError, match="^depth must be >= 1$"):
+        RegularTree(2, 0)
+    for rewards in ([1.0, 1.0, 1.0], [1.0] * 5):
+        with pytest.raises(ValueError, match="^expected 4 leaf rewards$"):
+            RegularTree(2, 2, leaf_rewards=rewards)
+
+
+def test_hypergrid_refuses_degenerate_shape_and_base_reward():
+    for dimension, side in ((0, 4), (2, 1), (-1, 4)):
+        with pytest.raises(ValueError, match="^need dimension >= 1 and side >= 2$"):
+            Hypergrid(dimension, side)
+    for r0 in (0.0, -0.1):
+        with pytest.raises(ValueError, match="^r0 must be positive$"):
+            Hypergrid(2, 4, r0=r0)
+
+
+def test_one_more_mode_refuses_negative_or_misplaced_additions():
+    base = RegularTree(2, 2)
+    leaf = int(base.leaves[0])
+    with pytest.raises(ValueError, match="^added reward must be nonnegative$"):
+        OneMoreMode(base, {leaf: -0.5})
+    with pytest.raises(ValueError, match="^added reward on non-terminating state 0$"):
+        OneMoreMode(base, {0: 1.0})
+    with pytest.raises(ValueError, match=f"^added reward on non-terminating state {base.sink}$"):
+        OneMoreMode(base, {base.sink: 1.0})

@@ -522,3 +522,8 @@ def test_balanced_model_zero_under_all_objectives():
         for objective in ("tb", "db", "fm", "subtb", "wdb"):
             report = batch_loss(model, env, trajs, objective)
             assert report.max_item < 1e-10, (type(env).__name__, objective)
+
+
+def test_reference_flow_deltas_refuse_negative_threshold():
+    with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+        reference_flow_log_deltas(np.zeros(3), np.zeros(3), -0.1)

@@ -130,8 +130,8 @@ def test_table_walk_records_the_log_probs_of_scoring(monkeypatch, env_name, net,
         for table_net in model._nets:
             table_net.table[...] = np.random.default_rng(1).normal(0.0, 1.0, table_net.table.shape)
     # 300 walkers: every side has a table or is the uniform policy
-    assert all(t is not None or m is None for t, m in zip(
-        policy._tables(model, env, 300), (model.forward_net, model.backward_net)))
+    assert all(policy._table(model, env, forward, 300) is not None or m is None
+               for forward, m in ((True, model.forward_net), (False, model.backward_net)))
     edges = _record_edge_batches(monkeypatch)
     paths = _walked(model, env, forward, 300)
     assert edges == []  # the walk scored as it drew

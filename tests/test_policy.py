@@ -10,6 +10,7 @@ from stablegfn.envs import EnumerationCapError, Hypergrid, RegularTree
 from stablegfn.policy import (
     LOGIT_CLAMP,
     EdgeBatch,
+    FlowBatch,
     PathBatch,
     PolicyModel,
     _clamp,
@@ -316,13 +317,17 @@ def test_table_rule_counts_paths_against_choice_states(kind):
             else Mlp(env.feature_dim, (4, 4), width, prefix)
             for width, prefix in ((env.num_forward_slots, "pf"), (env.num_backward_slots, "pb"))]
     model = PolicyModel(*nets)  # the rule refuses before any net runs
+
+    def tables(model, env, n):
+        return tuple(policy._table(model, env, forward, n) for forward in (True, False))
+
     for n in (1000, 16384):
-        assert policy._tables(model, env, n) == (None, None)
+        assert tables(model, env, n) == (None, None)
     small = Hypergrid(2, 4)  # 15 forward, 9 backward choice states
     model = random_model(small, kind)
     for n, used in ((15, (True, True)), (14, (False, True)), (8, (False, False))):
-        assert tuple(t is not None for t in policy._tables(model, small, n)) == used
-    assert policy._tables(random_model(small, kind, learn_backward=False), small, 100)[1] is None
+        assert tuple(t is not None for t in tables(model, small, n)) == used
+    assert tables(random_model(small, kind, learn_backward=False), small, 100)[1] is None
 
 
 def test_table_holds_its_rows_and_one_block():
@@ -566,3 +571,23 @@ def test_mlp_refused_above_encoding_cap(monkeypatch):
     monkeypatch.setattr(envs, "ENCODING_CELL_CAP", 256)
     PolicyModel.build(env, "mlp", hidden=(4, 4))
     assert env.encoding_matrix.shape == (16, 16)
+
+
+def test_build_refuses_an_unknown_model_kind():
+    with pytest.raises(ValueError, match="^unknown model kind 'gru'$"):
+        PolicyModel.build(RegularTree(2, 2), "gru")
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, 1.0, 1.5])
+def test_rollout_refuses_epsilon_outside_the_unit_interval(epsilon):
+    env = RegularTree(2, 2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^epsilon must be in \[0, 1\)$"):
+        rollout(random_model(env), env, rng, [env.initial_state], epsilon=epsilon)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
+
+
+def test_flow_batch_refuses_a_model_without_a_flow_head():
+    env = RegularTree(2, 2)
+    with pytest.raises(ValueError, match="^model has no state-flow head$"):
+        FlowBatch(random_model(env), env, np.array([0, 1]))

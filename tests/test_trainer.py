@@ -493,3 +493,27 @@ def test_invalid_configs_rejected():
         TrainConfig(threshold_agg="p90")
     with pytest.raises(ValueError):
         TrainConfig(backward_source="psychic")
+
+
+def test_invalid_backward_in_gradient_rejected():
+    with pytest.raises(ValueError, match="^backward_in_gradient must be auto, always or never$"):
+        TrainConfig(backward_in_gradient="sometimes")
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.5, 1.5])
+def test_update_threshold_rejects_beta_outside_unit_interval(beta):
+    with pytest.raises(ValueError, match=r"^beta must be in \(0, 1\]$"):
+        update_threshold(1.0, [0.5], beta)
+
+
+def test_update_threshold_rejects_unknown_aggregation():
+    with pytest.raises(ValueError, match="^unknown aggregation 'p90'$"):
+        update_threshold(1.0, [0.5], 0.5, agg="p90")
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_buffers_refuse_capacity_below_one(capacity):
+    with pytest.raises(ValueError, match="^capacity must be >= 1$"):
+        TopKBuffer(capacity, np.ones(3))
+    with pytest.raises(ValueError, match="^capacity must be >= 1$"):
+        ReplayBuffer(capacity)
