@@ -22,6 +22,8 @@ per-state boolean array.
 One graph order, the level order: ``levels`` groups states by their longest
 distance from the source, ``level_edges`` groups edges by their source's
 level.  Every whole-graph pass walks it, one array step per level.
+The build is sorts and linear passes: numpy 2.x's plain ``np.unique`` hashes,
+2 ms on 12,000 ints against 0.13 ms for a sort and a neighbour compare.
 
 An environment does not describe itself: the resolved config's ``env``
 section is the one description of it.  :data:`ENV_KEYS` is that section's
@@ -90,15 +92,24 @@ def check_walk_memory(env: DagEnv, walks: int, key: str) -> None:
     check_memory(8 * walks * len(env.levels), f"{key}: {walks} walks", "walk matrix")
 
 
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` of a 1-D array, by a sort and a neighbour compare."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
+
+
 def _fill_slots(matrix: np.ndarray, at: np.ndarray, slots: np.ndarray,
-                values: np.ndarray, side: str) -> None:
-    """``matrix[at, slots] = values``; a slot used twice at one state is an error."""
-    key = at * matrix.shape[1] + slots
-    first = np.unique(key, return_index=True)[1]
-    if len(first) < len(key):
-        i = np.setdiff1d(np.arange(len(key)), first)[0]  # the first repeat, in edge order
-        raise ValueError(f"duplicate {side} slot {slots[i]} at state {at[i]}")
+                values: np.ndarray, side: str) -> np.ndarray:
+    """``matrix[at, slots] = values``, returning ``matrix >= 0``; a slot used
+    twice at one state is an error, seen as fewer filled cells than edges."""
     matrix[at, slots] = values
+    filled = matrix >= 0
+    if np.count_nonzero(filled) < len(at):  # a repeat, or a negative value
+        first = np.unique(at * matrix.shape[1] + slots, return_index=True)[1]
+        i = np.setdiff1d(np.arange(len(at)), first)[:1]  # the first repeat, in edge order
+        if len(i):
+            raise ValueError(f"duplicate {side} slot {slots[i[0]]} at state {at[i[0]]}")
+    return filled
 
 
 class DagEnv:
@@ -142,14 +153,14 @@ class DagEnv:
         S, AF, AB = num_states, self.num_forward_slots, self.num_backward_slots
         self.child_matrix = np.full((S, AF), -1, dtype=np.int64)
         self.parent_matrix = np.full((S, AB), -1, dtype=np.int64)
-        _fill_slots(self.child_matrix, src, fslot, dst, "forward")
+        self.forward_mask = _fill_slots(self.child_matrix, src, fslot, dst, "forward")
         inner = dst != sink
-        _fill_slots(self.parent_matrix, dst[inner], bslot[inner], src[inner], "backward")
-        self.forward_mask = self.child_matrix >= 0
-        self.backward_mask = self.parent_matrix >= 0
+        self.backward_mask = _fill_slots(self.parent_matrix, dst[inner], bslot[inner],
+                                         src[inner], "backward")
         indeg = np.bincount(dst, minlength=S)
         indeg[sink] = 0  # edges into the sink have no backward slot
-        self.forward_has_choice = np.bincount(src, minlength=S) > 1
+        outdeg, to_sink = np.bincount(src, minlength=S), np.bincount(src[~inner], minlength=S) > 0
+        self.forward_has_choice = outdeg > 1
         self.backward_has_choice = indeg > 1
         self.forward_choice = np.flatnonzero(self.forward_has_choice)
         self.backward_choice = np.flatnonzero(self.backward_has_choice)
@@ -173,7 +184,7 @@ class DagEnv:
         self._move_choices: Tuple[List[int], List[int]] = ([], [])
         # filled on first use by losses.terminal_reach_counts
         self._reach_counts: Optional[np.ndarray] = None
-        self._validate()
+        self._validate(outdeg, to_sink)
         self.mode_mask = self._modes()
 
     # -- structure ---------------------------------------------------------
@@ -185,6 +196,8 @@ class DagEnv:
         Each level's states are ascending, each level's edges in edge order.
         Every edge goes to a higher level, so a pass that walks the levels in
         order (reversed) sees every state after (before) all its parents.
+        Frontiers dedupe by :func:`sorted_unique` (63 plain ``np.unique`` calls
+        took 35 of 66 ms on H(4,16)); levels take the smallest unsigned dtype.
         """
         S = self.num_states
         indeg = np.bincount(self.edge_dst, minlength=S)
@@ -192,37 +205,34 @@ class DagEnv:
         levels = []
         while len(frontier):
             levels.append(frontier)
-            kids = self.child_matrix[frontier]
-            kids = kids[kids >= 0]
+            kids = self.child_matrix[frontier][self.forward_mask[frontier]]
             np.subtract.at(indeg, kids, 1)
-            frontier = np.unique(kids[indeg[kids] == 0])
+            frontier = sorted_unique(kids[indeg[kids] == 0])
         sizes = [len(lv) for lv in levels]
         if sum(sizes) != S:
             raise ValueError("environment graph contains a cycle")
-        level_of = np.empty(S, dtype=np.int64)
+        level_of = np.empty(S, dtype=np.min_scalar_type(len(levels)))  # radix-sortable
         level_of[np.concatenate(levels)] = np.repeat(np.arange(len(levels)), sizes)
         edge_level = level_of[self.edge_src]
         order = np.argsort(edge_level, kind="stable")
         bounds = np.cumsum(np.bincount(edge_level, minlength=len(levels)))[:-1]
         return levels, np.split(order, bounds)
 
-    def _validate(self) -> None:
+    def _validate(self, outdeg: np.ndarray, to_sink: np.ndarray) -> None:
         if self.initial_state not in self.levels[0]:
             raise ValueError("initial state must have no parents")
-        if len(self.levels[0]) > 1:
-            extra = self.levels[0][self.levels[0] != self.initial_state]
-            raise ValueError(f"state {extra[0]} has no parents; only the initial state may")
-        if self.forward_mask[self.sink].any():
+        if len(self.levels[0]) > 1:  # ascending, from the initial state 0
+            raise ValueError(f"state {self.levels[0][1]} has no parents; only the initial state may")
+        if outdeg[self.sink]:
             raise ValueError("sink must have no children")
-        dead = np.flatnonzero(~self.forward_mask.any(axis=1))
+        dead = np.flatnonzero(outdeg == 0)
         if len(dead) > 1:
             raise ValueError(f"state {dead[dead != self.sink][0]} has no children; only the sink may")
         term = self.terminating_states
-        bad = term[(self.forward_mask[term].sum(axis=1) != 1)
-                   | (self.child_matrix[term].max(axis=1) != self.sink)]
+        bad = term[(outdeg[term] != 1) | ~to_sink[term]]
         if len(bad):
             raise ValueError(f"terminating state {bad[0]} must have the sink as its only child")
-        if not self.terminating_mask[self.edge_src[self.edge_dst == self.sink]].all():
+        if (to_sink & ~self.terminating_mask).any():
             raise ValueError("only terminating states may connect to the sink")
 
     # -- features and modes --------------------------------------------------

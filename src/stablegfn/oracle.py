@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .envs import DagEnv, EnumerationCapError, check_state_cap, target_distribution, true_partition
+from .envs import (DagEnv, EnumerationCapError, check_state_cap, sorted_unique, target_distribution,
+                   true_partition)
 from .policy import PathBatch, PolicyModel, exact_terminal_distribution, score_paths
 
 # Trajectory enumeration refuses graphs with more source-to-sink paths.
@@ -60,7 +61,7 @@ def empirical_total_l1(samples: Sequence[int], env: DagEnv) -> float:
 def count_modes(samples: Sequence[int], env: DagEnv) -> int:
     """Number of distinct mode states (``env.mode_mask``) present in the samples."""
     xs = np.asarray(samples, dtype=np.int64)
-    return len(np.unique(xs[env.mode_mask[xs]]))
+    return len(sorted_unique(xs[env.mode_mask[xs]]))
 
 
 @dataclass

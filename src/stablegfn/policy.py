@@ -379,16 +379,16 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     or backward from terminating states.
 
     No draw at a single-choice state; else, with ε > 0, ``rng.random() < ε``
-    picks a uniform choice, or one uniform draws from the policy row by the
-    rule of :func:`proportional_draw`.  Exploration never enters the
-    log-probs a batch records.
+    picks a uniform choice and reads no row, or one uniform draws from the
+    policy row by the rule of :func:`proportional_draw`.  Exploration never
+    enters the log-probs a batch records.
 
     A step pays for its draw and two dictionary lookups.  Per environment
     (the graph is fixed), the move table ``env._moves`` gives a visited
     state's slots and next states as a list, filled at its first visit, and
     ``env._move_choices`` lists its states with a choice.  Per call (the
-    parameters are fixed), a choice state's row is kept from its first visit
-    as its cumulative sums but the last, as a list, and its total;
+    parameters are fixed), a choice state's row is kept from its first drawn
+    visit as its cumulative sums but the last, as a list, and its total;
     ``bisect_right`` locates the scaled uniform in them as
     ``searchsorted(..., side="right")`` does.  A tabular net's call computes
     one table over the listed choice states and one row-wise ``cumsum``, and
@@ -427,16 +427,15 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
             slots, nxt, k = move
             if len(nxt) == 1:
                 s = nxt[0]
+            elif epsilon > 0.0 and rng.random() < epsilon:
+                s = nxt[int(rng.integers(len(nxt)))]
             else:
                 row = rows.get(s)
                 if row is None:
                     c = cum[k, slots] if k < n_table else np.cumsum(
                         np.exp(_row(net, s, slots, env)))
                     row = rows[s] = c[:-1].tolist(), float(c[-1])
-                if epsilon > 0.0 and rng.random() < epsilon:
-                    s = nxt[int(rng.integers(len(nxt)))]
-                else:
-                    s = nxt[bisect_right(row[0], rng.random() * row[1])]
+                s = nxt[bisect_right(row[0], rng.random() * row[1])]
             seq.append(s)
         paths.append(seq if forward else seq[::-1] + [env.sink])
     return PathBatch.of_lists(env, paths)

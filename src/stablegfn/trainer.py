@@ -39,7 +39,7 @@ import numpy as np
 
 from . import certify, losses, oracle
 from .approximator import AdamOptimizer
-from .envs import DagEnv, check_memory, check_state_cap, check_walk_memory
+from .envs import DagEnv, check_memory, check_state_cap, check_walk_memory, sorted_unique
 from .policy import (
     ROLLOUT_STATE_BYTES,
     EdgeBatch,
@@ -180,7 +180,7 @@ class TopKBuffer:
 
     def merge(self, xs: np.ndarray) -> bool:
         """Keep the top-K of the union with states ``xs``; returns whether membership changed."""
-        union = np.union1d(self.members, xs)  # ascending: the stable sort breaks ties by state
+        union = sorted_unique(np.concatenate([self.members, xs]))  # ascending: ties go by state
         kept = union[np.argsort(-self.rewards[union], kind="stable")[: self.capacity]]
         changed = not np.array_equal(kept, self.members)
         self.members = kept

@@ -15,6 +15,7 @@ from stablegfn.envs import (
     hypergrid_reward,
     make_env,
     one_more_mode_tree,
+    sorted_unique,
     true_partition,
 )
 from stablegfn.losses import terminal_reach_counts
@@ -179,6 +180,28 @@ def test_rejects_duplicate_slots_and_cycles():
         _Graph(4, 3, [(0, 1, 0, 0), (0, 2, 1, 0), (1, 2, 0, 0), (2, 3, 0, 0)], [2])
     with pytest.raises(ValueError, match="cycle"):
         _Graph(4, 3, [(0, 1, 0, 0), (1, 2, 0, 0), (2, 1, 1, 1), (2, 3, 0, 0)], [2])
+
+
+def test_duplicate_slots_name_the_first_repeat_in_edge_order():
+    # state 2's slot 1 repeats at edge 3, before state 1's slot 0, a smaller key, at edge 5
+    edges = [(0, 1, 0, 0), (0, 2, 1, 0), (2, 3, 1, 0), (2, 3, 1, 1), (1, 3, 0, 2), (1, 2, 0, 1),
+             (3, 4, 0, 0)]
+    with pytest.raises(ValueError, match="^duplicate forward slot 1 at state 2$"):
+        _Graph(5, 4, edges, [3])
+    # backward: state 3's slot 1 repeats at edge 4, before state 2's slot 0 at edge 5
+    edges = [(0, 1, 0, 0), (0, 2, 1, 0), (1, 3, 0, 1), (2, 3, 0, 0), (0, 3, 2, 1), (1, 2, 1, 0),
+             (3, 4, 0, 0)]
+    with pytest.raises(ValueError, match="^duplicate backward slot 1 at state 3$"):
+        _Graph(5, 4, edges, [3])
+
+
+@pytest.mark.parametrize("x", [[], [7], [3, 3, 3], [5, -2, 9, 5, 0, -2, 9],
+                               np.random.default_rng(0).integers(0, 50, 1000)],
+                         ids=["empty", "singleton", "duplicated", "unsorted", "random"])
+def test_sorted_unique_matches_np_unique(x):
+    x = np.asarray(x, dtype=np.int64)
+    got, want = sorted_unique(x), np.unique(x)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def _tree_reference(g, h):

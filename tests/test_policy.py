@@ -242,6 +242,30 @@ def test_rollout_fills_the_move_table_only_on_its_path():
     assert forward[env.initial_state][1] == children(env, env.initial_state).tolist()
 
 
+class _AlwaysExplore:
+    """Stands in for a Generator whose every ε coin explores, to the first choice."""
+
+    def random(self):
+        return 0.0
+
+    def integers(self, n):
+        return 0
+
+
+def test_rollout_evaluates_no_row_at_an_explored_step(monkeypatch):
+    env = Hypergrid(2, 4, r0=0.1)
+    model = random_model(env, "mlp")
+    seen, row = [], policy._row
+    monkeypatch.setattr(policy, "_row", lambda net, s, slots, env: seen.append(s) or row(
+        net, s, slots, env))
+    rollout(model, env, _AlwaysExplore(), [env.initial_state] * 4, epsilon=0.5)
+    assert seen == []
+    # a drawn step evaluates its state's row once per call
+    paths = rollout(model, env, np.random.default_rng(0), [env.initial_state] * 4)
+    drawn = {s for p in path_lists(paths) for s in p if env.forward_has_choice[s]}
+    assert sorted(seen) == sorted(drawn)
+
+
 def test_rollout_rows_do_not_outlive_a_call():
     env = RegularTree(2, 2)
     model = PolicyModel.build(env, "tabular")
