@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .envs import DagEnv, OneMoreMode, true_partition
+from .envs import DagEnv, OneMoreMode, check_added, true_partition
 from .losses import reference_flow_log_deltas
 from .policy import (PathBatch, PolicyModel, draw_terminals, sample_backward_batch,
                      sample_forward_batch)
@@ -374,11 +374,7 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
     The bounds use only reward masses; the exact value sums over terminating
     states when the environment is enumerable.
     """
-    for x, extra in added.items():
-        if extra < 0:
-            raise ValueError("added reward must be nonnegative")
-        if not env_prev.terminating_mask[int(x)]:
-            raise ValueError(f"state {x} is not terminating")
+    check_added(env_prev, added)
     zstar = true_partition(env_prev)
     z_sub = sum(env_prev.reward_table[list(added)].tolist())
     lam = contrast_ratio(env_prev, added, env_prev.terminating_states)
@@ -394,6 +390,7 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
 def loss_supremum(env_prev: DagEnv, added: Dict[int, float]) -> float:
     """Worst-case loss after an incremental change: squared log of the smallest
     single-state contrast ratio r / (r + extra), 1 when nothing is added."""
+    check_added(env_prev, added)
     worst = 1.0
     for x, extra in added.items():
         r = float(env_prev.reward_table[int(x)])

@@ -13,6 +13,8 @@ reward increment (:class:`OneMoreMode`) takes over its base's attributes.
 
 One graph layout: the edge arrays (``edge_src``/``edge_dst``/``edge_fslot``/
 ``edge_bslot``) and the slot matrices (``child_matrix``/``parent_matrix``).
+A builder hands :class:`DagEnv` the edge columns and its terminating states'
+rewards as arrays, the ones it keeps: no reward dict and no stack of edge rows.
 The move table ``_moves`` holds the same edges per state, as Python lists,
 only at the states a rollout has visited (see :func:`stablegfn.policy.rollout`).
 ``forward_choice``/``backward_choice`` list the states with more than one
@@ -115,34 +117,28 @@ def _fill_slots(matrix: np.ndarray, at: np.ndarray, slots: np.ndarray,
 class DagEnv:
     """Dense finite-DAG environment.
 
-    Subclasses supply the edges as an (E, 4) integer array of (source,
-    target, forward slot, backward slot) rows, the terminating-state rewards,
-    and the features: an (S, k) integer array whose row ``s`` lists the
-    one-hot columns (below ``feature_dim``) set for state ``s``, -1 meaning
-    none.  The edge arrays and the slot matrices are the one graph layout;
-    this base class fills the matrices and masks, computes the level order,
-    validates the DAG invariants and marks the modes (:meth:`_modes`).
+    Subclasses supply the arrays it keeps: the four int64 edge columns
+    (source, target, forward slot, backward slot), the terminating states
+    with their finite positive rewards, and the features: an (S, k) integer
+    array, S the state count, whose row ``s`` lists the one-hot columns
+    (below ``feature_dim``) set for state ``s``, -1 meaning none.  The edge
+    arrays and the slot matrices are the one graph layout; this base class
+    fills the matrices and masks, computes the level order, validates the
+    DAG invariants and marks the modes (:meth:`_modes`).
     """
 
     kind = "dag"
 
-    def __init__(
-        self,
-        num_states: int,
-        sink: int,
-        edges: Union[np.ndarray, Sequence[Tuple[int, int, int, int]]],
-        rewards: Dict[int, float],
-        features: np.ndarray,
-        feature_dim: int,
-    ):
-        self.num_states = num_states
+    def __init__(self, sink: int, src: np.ndarray, dst: np.ndarray, fslot: np.ndarray,
+                 bslot: np.ndarray, terminals: np.ndarray, rewards: np.ndarray,
+                 features: np.ndarray, feature_dim: int):
+        features = np.asarray(features, dtype=np.int64)
+        self.num_states = S = len(features)
         self.initial_state = 0
         self.sink = sink
-        self.features = np.asarray(features, dtype=np.int64).reshape(num_states, -1)
+        self.features = features.reshape(S, -1)
         self.feature_dim = feature_dim
 
-        src, dst, fslot, bslot = np.ascontiguousarray(
-            np.asarray(edges, dtype=np.int64).reshape(-1, 4).T)
         self.edge_src, self.edge_dst = src, dst
         self.edge_fslot, self.edge_bslot = fslot, bslot
         self.num_edges = len(src)
@@ -150,7 +146,7 @@ class DagEnv:
         self.num_forward_slots = int(fslot.max()) + 1 if len(src) else 1
         self.num_backward_slots = int(bslot.max()) + 1 if len(src) else 1
 
-        S, AF, AB = num_states, self.num_forward_slots, self.num_backward_slots
+        AF, AB = self.num_forward_slots, self.num_backward_slots
         self.child_matrix = np.full((S, AF), -1, dtype=np.int64)
         self.parent_matrix = np.full((S, AB), -1, dtype=np.int64)
         self.forward_mask = _fill_slots(self.child_matrix, src, fslot, dst, "forward")
@@ -165,13 +161,12 @@ class DagEnv:
         self.forward_choice = np.flatnonzero(self.forward_has_choice)
         self.backward_choice = np.flatnonzero(self.backward_has_choice)
 
-        xs = np.fromiter(rewards.keys(), dtype=np.int64, count=len(rewards))
-        rs = np.fromiter(rewards.values(), dtype=np.float64, count=len(rewards))
-        if np.any(rs <= 0):
-            i = int(np.argmax(rs <= 0))
-            raise ValueError(f"terminating state {xs[i]} must have positive reward, got {rs[i]}")
+        bad = np.flatnonzero(~(np.isfinite(rewards) & (rewards > 0)))
+        if len(bad):
+            raise ValueError(f"terminating state {terminals[bad[0]]} must have a finite "
+                             f"positive reward, got {rewards[bad[0]]}")
         self.reward_table = np.zeros(S, dtype=np.float64)
-        self.reward_table[xs] = rs
+        self.reward_table[terminals] = rewards
         self.terminating_mask = self.reward_table > 0
         self.terminating_states = np.flatnonzero(self.terminating_mask)
 
@@ -285,7 +280,6 @@ class RegularTree(DagEnv):
         level_offsets = np.cumsum([0] + level_sizes)
         n_tree = int(level_offsets[-1])
         sink = n_tree
-        num_states = n_tree + 1
 
         self.num_leaves = g**h
         self.leaves = np.arange(level_offsets[h], level_offsets[h] + self.num_leaves)
@@ -299,14 +293,12 @@ class RegularTree(DagEnv):
         # breadth-first numbering: internal node i has children g*i+1 .. g*i+g
         inner = np.repeat(np.arange(int(level_offsets[h]), dtype=np.int64), g)
         action = np.tile(np.arange(g, dtype=np.int64), len(inner) // g)
-        zeros = np.zeros_like(self.leaves)
-        edges = np.concatenate([
-            np.stack([inner, g * inner + 1 + action, action, np.zeros_like(inner)], axis=1),
-            np.stack([self.leaves, np.full_like(self.leaves, sink), zeros, zeros], axis=1),
-        ])
-        rewards = dict(zip(self.leaves.tolist(), leaf_rewards.tolist()))
+        src = np.concatenate([inner, self.leaves])
+        dst = np.concatenate([g * inner + 1 + action, np.full_like(self.leaves, sink)])
+        fslot = np.concatenate([action, np.zeros_like(self.leaves)])
         features = np.r_[np.arange(n_tree), -1]  # one column per state, none at the sink
-        super().__init__(num_states, sink, edges, rewards, features, feature_dim=num_states)
+        super().__init__(sink, src, dst, fslot, np.zeros_like(src), self.leaves, leaf_rewards,
+                         features, feature_dim=n_tree + 1)
 
 
 def hypergrid_reward(x: Union[Sequence[int], np.ndarray], side: int, r0: float, r1: float,
@@ -375,18 +367,30 @@ class Hypergrid(DagEnv):
         idx = np.arange(n_grid, dtype=np.int64)[:, None]
         coords = idx // strides % H
         term = n_grid + idx
-        src = np.hstack([np.repeat(idx, D, axis=1), idx, term])
-        dst = np.hstack([idx + strides, term, np.full_like(idx, sink)])
-        fslot = np.broadcast_to(np.r_[np.arange(D), D, 0], src.shape)
-        bslot = np.broadcast_to(np.r_[np.arange(D), 0, 0], src.shape)
         valid = np.hstack([coords < H - 1, np.ones((n_grid, 2), dtype=bool)])
-        edges = np.stack([src, dst, fslot, bslot], axis=-1)[valid]
+        src = np.hstack([np.repeat(idx, D, axis=1), idx, term])[valid]
+        dst = np.hstack([idx + strides, term, np.full_like(idx, sink)])[valid]
+        fslot = np.broadcast_to(np.r_[np.arange(D), D, 0], valid.shape)[valid]
+        bslot = np.broadcast_to(np.r_[np.arange(D), 0, 0], valid.shape)[valid]
         reward = hypergrid_reward(coords, H, self.r0, self.r1, self.r2)
-        rewards = dict(zip(term[:, 0].tolist(), reward.tolist()))
         cols = coords + H * np.arange(D)
         features = np.vstack([cols, cols, np.full((1, D), -1)])
 
-        super().__init__(2 * n_grid + 1, sink, edges, rewards, features, feature_dim=D * H)
+        super().__init__(sink, src, dst, fslot, bslot, term[:, 0], reward, features,
+                         feature_dim=D * H)
+
+
+def check_added(env: DagEnv, added: Dict[int, float]) -> None:
+    """Refuse an increment ``added`` (state -> extra reward) that is negative
+    or NaN, off ``env``'s terminating states, or leaves a reward not finite."""
+    for x, r in added.items():
+        if not r >= 0:
+            raise ValueError("added reward must be nonnegative")
+        if not (0 <= x < env.num_states and env.terminating_mask[x]):
+            raise ValueError(f"added reward on non-terminating state {x}")
+        if not math.isfinite(env.reward_table[x] + r):
+            raise ValueError(f"terminating state {x} must have a finite positive reward, "
+                             f"got {env.reward_table[x] + r}")
 
 
 class OneMoreMode(DagEnv):
@@ -402,11 +406,7 @@ class OneMoreMode(DagEnv):
     kind = "one_more_mode"
 
     def __init__(self, base: DagEnv, added: Dict[int, float]):
-        for x, r in added.items():
-            if r < 0:
-                raise ValueError("added reward must be nonnegative")
-            if not base.terminating_mask[x]:
-                raise ValueError(f"added reward on non-terminating state {x}")
+        check_added(base, added)
         vars(self).update(vars(base))
         self.base = base
         self.reward_table = base.reward_table.copy()

@@ -488,13 +488,13 @@ class EdgeBatch:
     Values are computed once at construction, one :func:`_side` per side;
     the batch keeps no other state.  :meth:`backprop` takes the per-edge
     coefficients (d loss / d log-prob) and hands each side's to
-    :func:`_backprop_side`.  ``tid`` (optional) numbers each edge's trajectory.
+    :func:`_backprop_side`.  ``tid`` numbers each edge's trajectory.
     ``cache=False`` builds a batch that refuses to backprop: a side evaluates
     its distinct choice states with :func:`_log_policy`.
     """
 
     def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray,
-                 tid: Optional[np.ndarray] = None, cache: bool = True):
+                 tid: np.ndarray, cache: bool = True):
         self.src, self.dst, self.tid, self.cache = src, dst, tid, cache
         self.log_pf, self._fwd = _side(env, model.forward_net, env.forward_mask, env.child_matrix,
                                        env.forward_has_choice, src, dst, cache)

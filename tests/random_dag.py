@@ -44,9 +44,10 @@ class RandomDag(DagEnv):
         bslots = {s: list(rng.permutation(in_deg.max())[:in_deg[s]]) for s in range(size)}
         edges = [(a, b, int(fslots[a].pop()), 0 if b == sink else int(bslots[b].pop()))
                  for a, b in pairs]
-        edges = [edges[i] for i in rng.permutation(len(edges))]
-        rewards = {int(state[x]): float(rng.uniform(0.1, 3.0)) for x in np.flatnonzero(terminating)}
-        super().__init__(size + 1, sink, edges, rewards, np.r_[np.arange(size), -1],
+        edges = np.array(edges, dtype=np.int64)[rng.permutation(len(edges))]
+        terminals = state[np.flatnonzero(terminating)]
+        rewards = np.array([rng.uniform(0.1, 3.0) for _ in terminals])
+        super().__init__(sink, *edges.T.copy(), terminals, rewards, np.r_[np.arange(size), -1],
                          feature_dim=size + 1)
 
 

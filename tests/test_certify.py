@@ -20,7 +20,7 @@ from stablegfn.certify import (
     subgraph_certificate,
     tv_bound_from_loss,
 )
-from stablegfn.envs import Hypergrid, RegularTree, one_more_mode_tree
+from stablegfn.envs import Hypergrid, OneMoreMode, RegularTree, one_more_mode_tree
 from stablegfn.losses import reference_flow_log_deltas
 from stablegfn.oracle import balanced_tabular_model
 from stablegfn.policy import sample_backward_batch, sample_forward_batch
@@ -432,5 +432,22 @@ def test_sandwich_refuses_negative_or_misplaced_additions():
     env = RegularTree(2, 2)
     with pytest.raises(ValueError, match="^added reward must be nonnegative$"):
         incremental_tv_sandwich(env, {int(env.leaves[0]): -0.5})
-    with pytest.raises(ValueError, match="^state 0 is not terminating$"):
+    with pytest.raises(ValueError, match="^added reward on non-terminating state 0$"):
         incremental_tv_sandwich(env, {0: 1.0})
+
+
+@pytest.mark.parametrize("added, message", [
+    ({3: -0.5}, "added reward must be nonnegative"),
+    ({3: math.nan}, "added reward must be nonnegative"),
+    ({0: 1.0}, "added reward on non-terminating state 0"),
+    ({0: 0.0}, "added reward on non-terminating state 0"),
+    ({99: 1.0}, "added reward on non-terminating state 99"),
+    ({-2: 1.0}, "added reward on non-terminating state -2"),
+    ({3: math.inf}, "terminating state 3 must have a finite positive reward, got inf"),
+], ids=["negative", "nan", "root", "root_zero", "past_the_graph", "negative_index", "infinite"])
+def test_increment_functions_refuse_a_bad_increment_alike(added, message):
+    # T(2,2): leaves 3..6, sink 7; every function refuses by the one check
+    env = RegularTree(2, 2)
+    for call in (incremental_tv_sandwich, loss_supremum, OneMoreMode):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(env, added)

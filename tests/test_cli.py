@@ -653,9 +653,10 @@ def _train_with(tmp_path, **sections):
 
 @pytest.mark.parametrize("sections", [
     {"env": {"branching": 1}},  # the env builder's error
+    {"env": {"leaf_rewards": [1, 1, 1, math.inf]}},  # DagEnv's error
     {"train": {"buffer_size": 0}},  # rejected when the config resolves
     {"train": {"replay_size": 0, "replay_batch": 4, "stabilize": False}},
-], ids=["env", "buffer", "replay"])
+], ids=["env", "reward", "buffer", "replay"])
 def test_train_setup_errors_exit_2(tmp_path, capsys, sections):
     assert _train_with(tmp_path, **sections) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -159,8 +160,8 @@ def test_levels_are_longest_distances(env):
 
 class _Graph(DagEnv):
     def __init__(self, num_states, sink, edges, terminating):
-        super().__init__(num_states, sink, edges, {x: 1.0 for x in terminating},
-                         np.full(num_states, -1), feature_dim=1)
+        super().__init__(sink, *np.array(edges, dtype=np.int64).T.copy(), np.array(terminating),
+                         np.ones(len(terminating)), np.full(num_states, -1), feature_dim=1)
 
 
 def test_rejects_dead_ends_and_extra_sources():
@@ -315,6 +316,20 @@ def test_env_too_large_to_build_is_refused_before_allocating(build, states):
         build()
 
 
+def test_build_peak_is_below_1_8x_the_arrays_it_keeps():
+    Hypergrid(4, 10)  # the first build imports and caches outside the traced one
+    tracemalloc.start()
+    try:
+        env = Hypergrid(4, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [a for v in vars(env).values() for a in (v if isinstance(v, list) else [v])
+              if isinstance(a, np.ndarray)]
+    kept = sum(a.nbytes for a in arrays)  # the levels' edge groups are views of one order
+    assert peak < 1.8 * kept, f"peak {peak} B is {peak / kept:.2f}x the {kept} B kept"
+
+
 def test_hypergrid_reward_accepts_coordinate_arrays():
     coords = np.array([[3, 3], [0, 0], [6, 1], [7, 0]])
     vec = hypergrid_reward(coords, 8, 0.1, 0.5, 2.0)
@@ -456,10 +471,17 @@ def test_rewards_zero_off_terminals():
 
 
 def test_graph_refuses_a_terminating_state_without_positive_reward():
-    with pytest.raises(ValueError, match="^terminating state 2 must have positive reward, got 0.0$"):
+    with pytest.raises(ValueError, match="^terminating state 2 must have a finite positive reward, got 0.0$"):
         RegularTree(2, 1, leaf_rewards=[1.0, 0.0])
-    with pytest.raises(ValueError, match="^terminating state 1 must have positive reward, got -1.0$"):
+    with pytest.raises(ValueError, match="^terminating state 1 must have a finite positive reward, got -1.0$"):
         RegularTree(2, 1, leaf_rewards=[-1.0, 1.0])
+    for build, state, got in ((lambda: RegularTree(2, 2, leaf_rewards=[1, 1, 1, np.inf]), 6, "inf"),
+                              (lambda: RegularTree(2, 2, leaf_rewards=[1, np.nan, 1, 1]), 4, "nan"),
+                              (lambda: Hypergrid(2, 3, r0=np.inf), 9, "inf"),
+                              (lambda: Hypergrid(1, 4, r1=np.nan), 4, "nan")):
+        with pytest.raises(ValueError, match=f"^terminating state {state} must have a finite "
+                                             f"positive reward, got {got}$"):
+            build()
 
 
 def test_rejects_misplaced_source_sink_and_terminating_edges():

@@ -7,6 +7,9 @@
   assigned name, tuple targets included) is read somewhere in src/, tests/ or
   bench/ outside its own definition.  A read is a loaded name or an attribute
   of that name.  Dunder names and ``__init__.py`` are skipped.
+* So is every method of a package class (properties, class and static
+  methods included), outside its own body: a read of an attribute of that
+  name anywhere counts, since a scan cannot tell which class an object has.
 """
 
 import ast
@@ -47,23 +50,37 @@ def reads(trees):
     return out
 
 
+def unread(defined, read):
+    """The names of ``defined``, (name, defining node) pairs, that no node in
+    ``read`` reads outside their defining node; dunder names are skipped."""
+    dead = []
+    for name, node in defined:
+        own = {id(n) for n in ast.walk(node)}
+        if not (name.startswith("__") and name.endswith("__")) and all(
+                id(r) in own for r in read.get(name, ())):
+            dead.append(name)
+    return dead
+
+
 def dead_definitions(tree, read):
     """Module-level names ``tree`` defines that no node in ``read`` reads
     outside the statement defining them; dunder names are skipped."""
-    dead = []
+    defined = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            defined.append((node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t)
-                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-        else:
-            continue
-        own = {id(n) for n in ast.walk(node)}
-        dead += [name for name in names if not (name.startswith("__") and name.endswith("__"))
-                 and all(id(r) in own for r in read.get(name, ()))]
-    return dead
+            defined += [(n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return unread(defined, read)
+
+
+def dead_methods(tree, read):
+    """Methods of ``tree``'s module-level classes that no node in ``read``
+    reads outside their own body; dunder methods are skipped."""
+    return unread([(m.name, m) for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body
+                   if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))], read)
 
 
 def test_unused_import_scan_sees_every_binding_form():
@@ -85,6 +102,23 @@ def test_dead_definition_scan_sees_every_definition_form():
     assert dead_definitions(tree, reads([tree, other])) == []
 
 
+def test_dead_method_scan_sees_every_method_form():
+    source = ("class A:\n    def __init__(self):\n        self.x = self.f()\n"
+              "    def f(self):\n        return self.f\n"
+              "    @property\n    def p(self):\n        return 1\n"
+              "    @classmethod\n    def c(cls):\n        return cls.s()\n"
+              "    @staticmethod\n    def s():\n        return A\n"
+              "    def g(self):\n        return self.g()\n"
+              "    async def h(self):\n        pass\n"
+              "def q():\n    def inner():\n        pass\n    return inner\n")
+    tree = ast.parse(source)
+    # f is read in __init__; s in c; g only in its own body; p, c and h nowhere;
+    # q's nested def is not a method
+    assert dead_methods(tree, reads([tree])) == ["p", "c", "g", "h"]
+    other = ast.parse("A().p\nA.c()\na.g()\na.h\n")
+    assert dead_methods(tree, reads([tree, other])) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_module_level_import_is_read(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
@@ -103,3 +137,10 @@ def test_every_module_level_definition_is_read(parsed, path):
     trees, read = parsed
     dead = dead_definitions(trees[path], read)
     assert not dead, f"{path.relative_to(ROOT)} defines {', '.join(dead)}, which nothing reads"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_method_is_read(parsed, path):
+    trees, read = parsed
+    dead = dead_methods(trees[path], read)
+    assert not dead, f"{path.relative_to(ROOT)} defines methods {', '.join(dead)}, which nothing reads"

@@ -40,8 +40,9 @@ class ChainEnv(DagEnv):
     kind = "chain"
 
     def __init__(self):
-        edges = [(0, 1, 0, 0), (1, 2, 0, 0), (2, 3, 0, 0)]
-        super().__init__(4, 3, edges, {2: 1.0}, [0, 1, 2, -1], feature_dim=4)
+        src, zeros = np.arange(3), np.zeros(3, dtype=np.int64)
+        super().__init__(3, src, src + 1, zeros, zeros, np.array([2]), np.ones(1), [0, 1, 2, -1],
+                         feature_dim=4)
 
 
 def forward_trajs(model, env, rng, count):
