@@ -30,19 +30,23 @@ with fewer paths they visit a small part of a large graph, where the table
 would cost more than it saves (on a tabular H(4,16), with 65,535 forward
 choice states, bulk calls of 1,000 forward and 1,000 backward paths took 46
 ms without tables and 71 ms with them on a 2-vCPU host).  The walking side's
-table follows the rule; the other side's is built only when the walk can
-record, since only recording reads it.  A walk whose every side has a table
-or is the fixed-uniform policy records each edge's log-probs as it draws it,
-and sums them per path as :func:`score_paths` would (see :func:`_walk`); any
-other walk is scored by :func:`score_paths` after it ends, since its
-per-step net rows need not have a table's bits.  A training :func:`rollout`
-reads a table only for a tabular net, over the choice states already in its
-move table, and only on a side of fewer than :data:`_ORDERED_SUM_WIDTH`
-slots.  Why the bits hold:
+table follows the rule; the other side's is built only when the walking side
+has one or is the fixed-uniform policy, since only recording reads it.  Such
+a walk builds its walking side's cumulative rows once, over every state, and
+records each side that has a table or is uniform from one log-prob matrix
+per side, built once; a step is gathers and one uniform per walker, and each
+path sums its log-probs as :func:`score_paths` would (see :func:`_walk`).
+Every other side is scored after the walk by one cache-free :func:`_side`
+over its edges, since per-step net rows need not have a table's bits.  A
+training :func:`rollout` reads a table only for a tabular net, over the
+choice states already in its move table, and only on a side of fewer than
+:data:`_ORDERED_SUM_WIDTH` slots.  Why the bits hold:
 
 * a tabular row is a gather, and a matrix row of :func:`_masked_rows`
   depends only on that row, so table rows are the rows of a per-step or
   per-batch evaluation bit for bit;
+* a row's ``np.cumsum`` adds its entries in order, so cumulative rows built
+  once per walk, per step or per listed state are the same sums;
 * a listed rollout row is the table row's cumulative sums at the state's
   slots.  :func:`_log_softmax` over the valid slots and over the whole
   masked width (zeros at the invalid ones) agree while numpy sums in order,
@@ -71,7 +75,7 @@ pairs; flow matching, reading only forward log-probs, calls that pair alone.
 
 One implementation each: :func:`_log_softmax` for every policy row,
 the rule of :func:`proportional_draw` for every reward-proportional draw in the
-package (row-wise in :func:`_draw_rows`, on a listed row in :func:`rollout`,
+package (over cumulative rows in :func:`_draw_rows`, on a listed row in :func:`rollout`,
 over terminating states in :func:`draw_terminals`),
 :func:`_walk` for both bulk samplers, :func:`_log_policy` for every table.
 :func:`exact_terminal_distribution` pushes mass along the environment's level
@@ -242,7 +246,8 @@ def proportional_draw(rng: np.random.Generator, weights: np.ndarray, size=None):
     searched, so the last index is picked when rounding puts the scaled
     uniform at the total (possible with subnormal totals).  :func:`rollout`
     applies the rule as ``bisect_right`` on a row's listed sums,
-    :func:`_draw_rows` to every row of a matrix.  ``size=None`` draws one index.
+    :func:`_draw_rows` to every row of a matrix of cumulative sums.
+    ``size=None`` draws one index.
     """
     c = np.cumsum(weights)
     return np.searchsorted(c[:-1], rng.random(size) * c[-1], side="right")
@@ -255,11 +260,12 @@ def draw_terminals(rng: np.random.Generator, rewards: np.ndarray, scope: np.ndar
     return scope[proportional_draw(rng, rewards[scope], count)]
 
 
-def _draw_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """One :func:`proportional_draw` per row of ``probs``, one uniform per row."""
-    c = np.cumsum(probs, axis=1)
-    u = rng.random(len(probs)) * c[:, -1]
-    return (c[:, :-1] <= u[:, None]).sum(axis=1)
+def _draw_rows(rng: np.random.Generator, cum: np.ndarray) -> np.ndarray:
+    """One :func:`proportional_draw` per row of cumulative sums ``cum`` (each
+    row its weights' ``np.cumsum``), one uniform per row: the package's one
+    row-wise draw."""
+    u = rng.random(len(cum)) * cum[:, -1]
+    return (cum[:, :-1] <= u[:, None]).sum(axis=1)
 
 
 class PolicyModel:
@@ -482,6 +488,14 @@ def _backprop_side(side, coeff: Optional[np.ndarray]) -> None:
     net.backward(cache, dlogits)
 
 
+def _path_edges(paths: PathBatch) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sources, destinations, path of each) of every edge of ``paths``,
+    grouped by path, in path order."""
+    s = paths.states
+    edge = s[:, 1:] >= 0
+    return s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0]
+
+
 class EdgeBatch:
     """Forward/backward log-probs for a flat list of edges, with backprop.
 
@@ -505,9 +519,7 @@ class EdgeBatch:
     def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch,
                  cache: bool = True) -> "EdgeBatch":
         """One batch over every edge of ``paths``, grouped by path, in path order."""
-        s = paths.states
-        edge = s[:, 1:] >= 0
-        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0], cache)
+        return cls(model, env, *_path_edges(paths), cache)
 
     def per_trajectory(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(log P_F, log P_B) summed over each of ``n`` trajectories' edges."""
@@ -560,43 +572,88 @@ def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch) -> EdgeBatch:
 # -- bulk samplers (certification) -------------------------------------------
 
 
+def _log_prob_rows(table: Optional[Table], mask: np.ndarray) -> np.ndarray:
+    """One side's log-prob at each of its (state, slot) cells: the table row
+    at a choice state, -log k at each state of k > 1 slots under the
+    fixed-uniform policy (``table`` None, a read-only broadcast of one value
+    per state), 0 elsewhere."""
+    if table is None:
+        k = mask.sum(axis=1)
+        logp = np.zeros(len(mask))
+        c = np.flatnonzero(k > 1)
+        logp[c] = -np.log(k[c])
+        return np.broadcast_to(logp[:, None], mask.shape)
+    logp = np.zeros(mask.shape)
+    logp[table[1] >= 0] = table[0]
+    return logp
+
+
+def _cumulative_rows(table: Optional[Table], mask: np.ndarray) -> np.ndarray:
+    """Every state's cumulative draw probabilities over its slots: the table
+    row's ``exp`` at a choice state and the mask's one-hot row elsewhere, or
+    ``1/k`` at each of k slots under the fixed-uniform policy (``table`` None)."""
+    if table is None:
+        p = mask / np.maximum(mask.sum(axis=1), 1)[:, None]
+    else:
+        p = mask.astype(np.float64)
+        p[table[1] >= 0] = np.exp(table[0])
+    return np.cumsum(p, axis=1, out=p)
+
+
 def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
           starts: Sequence[int], forward: bool) -> PathBatch:
     """Scored source-to-sink paths walked from every start state in lockstep,
     forward to the sink or backward from a terminating state to the source.
 
-    Each step draws one uniform per walker still moving and fills one column
-    of the state matrix.  Its policy rows are gathered from the walking side's
-    table where the rule of the module docstring gives one (one-hot rows at
-    states without a choice, as the masked softmax gives them), else evaluated
-    once per distinct current state.  Backward rows are turned source-to-sink
-    by one index gather.
+    Each step draws one uniform per walker still moving, by :func:`_draw_rows`
+    over the cumulative rows of the walkers' states, and fills one column of
+    the state matrix.  When the walking side has a table by the rule of the
+    module docstring, or is the fixed-uniform backward policy, those rows are
+    built once per walk over every state (:func:`_cumulative_rows`); else a
+    step evaluates its distinct states and takes their ``exp`` and ``cumsum``.
+    Backward paths are turned source-to-sink by one masked copy.
 
-    When the walking side has a table or is the fixed-uniform backward
-    policy, the other side's table is built by the same rule; when that side
-    too has one or is uniform, the walk scores as it draws: a step keeps its
-    walkers and, per side, each edge's log-prob.  The walking side's is the
-    table entry at the drawn slot (-log k under the uniform policy, 0 without
-    a choice); the other side's is read at the next state, at the slot the
-    current state fills there (one compare and ``argmax`` over the walkers
-    whose next state has a choice; 0 at the sink).  Each path sums its steps
-    in path order from 0.0, step order forward and reverse step order
-    backward, which is the order of :meth:`EdgeBatch.per_trajectory`'s
-    ``bincount``: the bits of :func:`score_paths` over the same paths, which
-    a walk that cannot record calls instead (per-step net rows may differ
-    from a table's in the last bits).
+    A walk that built its rows records each side that has a table or is the
+    fixed-uniform policy; the other side's table is built by the same rule,
+    since only recording reads it.  A recorded side is one log-prob matrix
+    over the walking side's (state, slot) cells, built once per walk: the
+    walking side's own :func:`_log_prob_rows`, and the other side's filled by
+    one scatter over the environment's edge columns from its
+    :func:`_log_prob_rows` at each edge's other end (an edge into the sink
+    has no backward slot and a backward log-prob of 0).  A step gathers each
+    recorded side at its walkers' (state, drawn slot) cells, the entries
+    :func:`score_paths` reads.  Each path sums its steps in path order from
+    0.0, step order forward and reverse step order backward, which is the
+    order of :meth:`EdgeBatch.per_trajectory`'s ``bincount``.  Every other
+    side (both sides of a walk without rows built once) is scored after the
+    walk by one cache-free :func:`_side` over the walked edges, as
+    :func:`score_paths` would: per-step net rows may differ from a table's in
+    the last bits, and a uniform side costs no net call there.
+
+    Memory: besides the walk matrix, its per-step records and the tables, a
+    walk keeps at most three float64 arrays of S x A cells for its A-slot
+    side (the rows and two recorded sides), the size class of
+    ``env.child_matrix``, and briefly a fourth, the other side's rows, while
+    it fills the third.
     """
     sides = ((model.forward_net, env.forward_mask, env.child_matrix, env.forward_has_choice),
              (model.backward_net, env.backward_mask, env.parent_matrix, env.backward_has_choice))
-    me, them = (0, 1) if forward else (1, 0)
-    (net, mask, step, _), (other_net, other_mask, other_matrix, other_choice) = sides[me], sides[them]
+    me = 0 if forward else 1
+    net, mask, step, _ = sides[me]
     end = env.sink if forward else env.initial_state
     n = len(starts)
     table = _table(model, env, forward, n)
-    record = table is not None or net is None
-    other = _table(model, env, not forward, n) if record else None  # read only by recording
-    record = record and (other is not None or other_net is None)
-    steps: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (walkers, own, other log-probs)
+    cum, recorded = None, {}  # side -> its log-probs over the walking side's (state, slot)
+    if table is not None or net is None:
+        cum, recorded[me] = _cumulative_rows(table, mask), _log_prob_rows(table, mask)
+        other = _table(model, env, not forward, n)
+        if other is not None or sides[1 - me][0] is None:
+            inner = env.edge_dst != env.sink  # an edge into the sink has no backward slot
+            edges = [(at[inner], slot[inner]) for at, slot in
+                     ((env.edge_src, env.edge_fslot), (env.edge_dst, env.edge_bslot))]
+            recorded[1 - me] = theirs = np.zeros(mask.shape)
+            theirs[edges[me]] = _log_prob_rows(other, sides[1 - me][1])[edges[1 - me]]
+    steps: List[Tuple[np.ndarray, List[np.ndarray]]] = []  # (walkers, recorded log-probs)
     cur = np.array(starts, dtype=np.int64)
     walked = np.full((n, len(env.levels)), -1, dtype=np.int64)  # no path is longer
     walked[:, 0] = cur
@@ -604,54 +661,40 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     t = 0
     while len(alive):
         states = cur[alive]
-        if net is None:  # fixed-uniform backward policy
-            k = mask[states].sum(axis=1)
-            p = mask[states] / k[:, None]
-        elif table is not None:
-            i = table[1][states]
-            choice = np.flatnonzero(i >= 0)
-            p = mask[states].astype(np.float64)
-            p[choice] = np.exp(table[0][i[choice]])
-        else:
+        if cum is None:
             uniq, inv = np.unique(states, return_inverse=True)
-            p = np.exp(_log_policy(net, mask, uniq, env))[inv]
-        drawn = _draw_rows(rng, p)
+            rows = np.cumsum(np.exp(_log_policy(net, mask, uniq, env)), axis=1)
+            drawn = _draw_rows(rng, rows[inv])
+        else:
+            drawn = _draw_rows(rng, cum[states])
         nxt = step[states, drawn]
-        if record:
-            own, theirs = np.zeros(len(states)), np.zeros(len(states))
-            if net is None:
-                c = np.flatnonzero(k > 1)
-                own[c] = -np.log(k[c])
-            else:
-                own[choice] = table[0][i[choice], drawn[choice]]
-            if other is None:
-                c = np.flatnonzero(other_choice[nxt])
-                theirs[c] = -np.log(other_mask[nxt[c]].sum(axis=1))
-            else:
-                j = other[1][nxt]
-                c = np.flatnonzero(j >= 0)
-                slot = np.argmax(other_matrix[nxt[c]] == states[c, None], axis=1)
-                theirs[c] = other[0][j[c], slot]
-            steps.append((alive, own, theirs))
+        if recorded:
+            steps.append((alive, [logp[states, drawn] for logp in recorded.values()]))
         t += 1
         walked[alive, t] = nxt
         cur[alive] = nxt
         alive = alive[nxt != end]
-    lengths = (walked >= 0).sum(axis=1)
+    sums = np.zeros((2, n))  # (log P_F, log P_B) per path
+    for walkers, logps in steps if forward else steps[::-1]:
+        for side, logp in zip(recorded, logps):
+            sums[side, walkers] += logp
+    unscored = [side for side in (0, 1) if side not in recorded]
+    del cum, recorded, steps  # not read past here: free them before the batch exists
+    valid = walked >= 0
+    lengths = valid.sum(axis=1)
     if forward:
         paths = PathBatch.of_matrix(env, walked[:, : t + 1], lengths)
-    else:
-        back = lengths[:, None] - 1 - np.arange(t + 2)  # column of walked read by each column
-        rows = np.where(back >= 0, np.take_along_axis(walked, np.maximum(back, 0), axis=1), -1)
+    else:  # each path's states in reverse, path after path, fill the rows bottom up
+        rows = np.full((n, t + 2), -1, dtype=np.int64)
+        rows[::-1][np.arange(t + 2) < lengths[::-1, None]] = walked[valid][::-1]
         rows[np.arange(n), lengths] = env.sink
         paths = PathBatch.of_matrix(env, rows, lengths + 1)
-    if not record:
-        score_paths(model, env, paths)
-        return paths
-    sums = np.zeros((2, n))  # (log P_F, log P_B) per path
-    for walkers, own, theirs in steps if forward else steps[::-1]:
-        sums[me, walkers] += own
-        sums[them, walkers] += theirs
+    if unscored:
+        src, dst, tid = _path_edges(paths)
+        for side in unscored:
+            at, to = (src, dst) if side == 0 else (dst, src)
+            logp, _ = _side(env, *sides[side], at, to, cache=False)
+            sums[side] = np.bincount(tid, weights=logp, minlength=n)
     paths.log_pf, paths.log_pb = sums
     return paths
 

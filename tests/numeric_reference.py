@@ -21,13 +21,14 @@ give the same values bit for bit.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List
 
 import numpy as np
 
 from stablegfn.approximator import LEAKY_SLOPE, NonFiniteError
 from stablegfn.oracle import check_trajectory_cap
-from stablegfn.policy import EdgeBatch, _draw_rows, _eval_rows, _masked_rows
+from stablegfn.policy import EdgeBatch, _eval_rows, _masked_rows
 
 
 def clip_grad_norm(grad, max_norm):
@@ -117,6 +118,18 @@ def mlp_backward(w, gw, gb, cache, dout):
     gb[0] += dh0.sum(axis=0)
 
 
+def draw_rows(rng, probs):
+    """One slot per row of ``probs``, one uniform per row: the uniform scaled
+    by the row's total, against the row's running sums added one by one, picks
+    the slot after the last sum it reaches (the last slot when it reaches all)."""
+    picks = []
+    for row, u in zip(probs.tolist(), rng.random(len(probs)).tolist()):
+        sums = list(accumulate(row))
+        x = u * sums[-1]
+        picks.append(sum(c <= x for c in sums[:-1]))
+    return np.array(picks, dtype=np.int64)
+
+
 def walk(model, env, rng, starts, forward):
     """Lockstep walks as lists of states, source to sink."""
     if forward:
@@ -135,7 +148,7 @@ def walk(model, env, rng, starts, forward):
             uniq, inv = np.unique(states, return_inverse=True)
             out, _ = _eval_rows(net, uniq, env)
             p = masked_probs(out, mask[uniq])[inv]
-        nxt = step[states, _draw_rows(rng, p)]
+        nxt = step[states, draw_rows(rng, p)]
         for j, t in enumerate(alive):
             seqs[t].append(int(nxt[j]))
         cur[alive] = nxt

@@ -65,13 +65,9 @@ def _same_edges(edges, want):
     return all(np.array_equal(getattr(edges, k), getattr(want, k)) for k in ("tid", "src", "dst"))
 
 
-@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("env_name", list(ENVS))
-def test_bulk_sampler_matches_reference(env_name, kind, forward):
-    env = ENVS[env_name]()
+def _matches_reference(env, kind, forward, n):
     model = _model(env, kind)
-    starts = _starts(env, forward)
+    starts = _starts(env, forward, n)
     rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
     if forward:
         paths = sample_forward_batch(model, env, rng, len(starts))
@@ -89,6 +85,24 @@ def test_bulk_sampler_matches_reference(env_name, kind, forward):
     got = certify.records_from_trajectories(paths, model.logz)
     expected = ref.records_from_trajectories(want, model.logz)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("env_name", list(ENVS))
+def test_bulk_sampler_matches_reference(env_name, kind, forward):
+    _matches_reference(ENVS[env_name](), kind, forward, 300)
+
+
+# H(2,8) has 63 forward and 49 backward choice states: with one path fewer
+# than its side's choice states a walk draws from per-step rows, with as many
+# from its table
+@pytest.mark.parametrize("forward, n", [(True, 62), (True, 63), (False, 48), (False, 49)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_bulk_sampler_matches_reference_on_both_sides_of_the_table_rule(kind, forward, n):
+    env = Hypergrid(2, 8)
+    assert (len(env.forward_choice), len(env.backward_choice)) == (63, 49)
+    _matches_reference(env, kind, forward, n)
 
 
 def _record_edge_batches(monkeypatch):
@@ -140,18 +154,57 @@ def test_table_walk_records_the_log_probs_of_scoring(monkeypatch, env_name, net,
     assert paths.log_pb.tobytes() == want.log_pb.tobytes()
 
 
+def _record_sides(monkeypatch):
+    """(side, edge count) of every ``policy._side`` call from now on."""
+    calls, side = [], policy._side
+
+    def recorded(env, net, mask, matrix, has_choice, at, *args, **kwargs):
+        calls.append(("forward" if mask is env.forward_mask else "backward", len(at)))
+        return side(env, net, mask, matrix, has_choice, at, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "_side", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
 @pytest.mark.parametrize("env_name, net, n", [
-    ("H(4,8)", "tabular", 300),  # 4,095 forward, 3,855 backward choice states
+    ("H(4,8)", "tabular", 300),  # 4,095 forward, 4,067 backward choice states
     ("T(3,4)", "mlp", 7),  # 40 forward choice states
 ])
 def test_walk_without_tables_is_scored_afterwards(monkeypatch, env_name, net, n, forward):
     env = ENVS[env_name]()
     model = _model(env, net)
-    edges = _record_edge_batches(monkeypatch)
+    edges, sides = _record_edge_batches(monkeypatch), _record_sides(monkeypatch)
     paths = _walked(model, env, forward, n)
-    # one cache-free batch over every edge of the walk
-    assert edges == [int((paths.lengths - 1).sum())]
+    # no batch: one cache-free side per policy without a table, over every
+    # edge of the walk; a tree's backward side has no choice state, so a
+    # backward walk there draws from its empty table and records that side
+    walked = int((paths.lengths - 1).sum())
+    unscored = ["forward"] if env_name == "T(3,4)" and not forward else ["forward", "backward"]
+    assert edges == [] and sides == [(side, walked) for side in unscored]
+    want = _rescored(model, env, paths)
+    assert paths.log_pf.tobytes() == want.log_pf.tobytes()
+    assert paths.log_pb.tobytes() == want.log_pb.tobytes()
+
+
+def test_walk_evaluates_only_its_side_without_a_table(monkeypatch):
+    env = Hypergrid(2, 8)  # 63 forward, 49 backward choice states
+    model = _model(env, "tabular")
+    log_policy, rows = policy._log_policy, []
+
+    def recorded(net, mask, states, env):
+        rows.append(("forward" if mask is env.forward_mask else "backward", len(states)))
+        return log_policy(net, mask, states, env)
+
+    monkeypatch.setattr(policy, "_log_policy", recorded)
+    sides = _record_sides(monkeypatch)
+    # 56 backward paths: the walking side has its table, the forward side none
+    paths = _walked(model, env, False, 56)
+    s = paths.states
+    src = s[:, :-1][s[:, 1:] >= 0]
+    visited = len(np.unique(src[env.forward_has_choice[src]]))
+    assert rows == [("backward", 49), ("forward", visited)]
+    assert sides == [("forward", int((paths.lengths - 1).sum()))]
     want = _rescored(model, env, paths)
     assert paths.log_pf.tobytes() == want.log_pf.tobytes()
     assert paths.log_pb.tobytes() == want.log_pb.tobytes()
@@ -358,6 +411,27 @@ def test_bulk_sample_holds_no_backward_cache():
     # with a choice (33.5 MB), which the walks reach nearly all of
     rows = int((env.forward_mask.sum(axis=1) > 1).sum())
     assert peak < 4 * rows * 256 * 8
+
+
+def test_table_walk_holds_graph_sized_matrices():
+    env = Hypergrid(4, 8)  # 8,193 states, 5 forward slots
+    model = _model(env, "tabular")
+    n = 16384
+    assert all(policy._table(model, env, forward, n) is not None for forward in (True, False))
+    tracemalloc.start()
+    try:
+        paths = sample_forward_batch(model, env, np.random.default_rng(1), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (S, A), walk = env.forward_mask.shape, n * len(env.levels)
+    tables = len(env.forward_choice) * A + len(env.backward_choice) * env.num_backward_slots
+    # per step: the walkers and both sides' log-probs, three words a walked edge
+    records = 3 * int((paths.lengths - 1).sum())
+    # measured: 9.3 MB, of which the rows and both recorded sides (three
+    # S x A arrays) are 1.0 MB; the bound allows four, plus 16 words a walker
+    # (the starts, the state vector, the sums, a step's gathers and compares)
+    assert peak < 8 * (walk + records + tables + 4 * S * A + 16 * n)
 
 
 def test_only_training_keeps_backward_caches(monkeypatch):

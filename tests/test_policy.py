@@ -574,12 +574,17 @@ def test_proportional_draw_skips_zero_weights_and_matches_proportions():
 
 
 def test_draw_rows_skips_zero_weights_and_matches_proportions():
-    probs = np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75]])
+    cum = np.cumsum([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75]], axis=1)
     top = 1.0 - 2.0**-53
-    assert _draw_rows(_FixedUniforms([0.0, 0.0]), probs).tolist() == [1, 0]
-    assert _draw_rows(_FixedUniforms([top, top]), probs).tolist() == [2, 2]
+    assert _draw_rows(_FixedUniforms([0.0, 0.0]), cum).tolist() == [1, 0]
+    assert _draw_rows(_FixedUniforms([top, top]), cum).tolist() == [2, 2]
+    # a subnormal total: the scaled uniform rounds to the total, a tie that
+    # goes to the last slot
+    tiny = np.cumsum(np.full((1, 3), 5e-324), axis=1)
+    assert top * tiny[0, -1] == tiny[0, -1]
+    assert _draw_rows(_FixedUniforms([top]), tiny).tolist() == [2]
     rng = np.random.default_rng(1)
-    picks = np.array([_draw_rows(rng, probs) for _ in range(20_000)])
+    picks = np.array([_draw_rows(rng, cum) for _ in range(20_000)])
     assert not np.any(picks[:, 0] == 0) and not np.any(picks[:, 1] == 1)
     assert abs((picks[:, 1] == 2).mean() - 0.75) < 0.015
 
