@@ -1,9 +1,11 @@
 """Differentiable function approximators with hand-written reverse-mode gradients.
 
-Two parameterizations share one contract: a tabular table (one logit row per
-state, exact at desk scale) and a two-hidden-layer LeakyReLU MLP.  Parameters
-live in a single flat float64 vector with named slices so the optimizer can
-apply per-slice learning rates and checkpoints can round-trip bit-exactly.
+Three parameterizations share one contract: a tabular table (one logit row
+per state, exact at desk scale), a two-hidden-layer LeakyReLU MLP, and a
+parameter-free net whose logits are all 0 (the fixed-uniform policy).
+Parameters live in a single flat float64 vector with named slices so the
+optimizer can apply per-slice learning rates and checkpoints can round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -90,6 +92,30 @@ class Tabular:
 
     def backward(self, cache: object, dout: np.ndarray) -> None:
         np.add.at(self._gtable, cache, dout)
+
+
+class Uniform:
+    """No parameters and every logit 0: a masked log-softmax row is -log k over k slots."""
+
+    wants_indices = True
+
+    def __init__(self, out_dim: int):
+        self.out_dim = out_dim
+
+    def param_spec(self) -> List[Tuple[str, Tuple[int, ...]]]:
+        return []
+
+    def bind(self, params: ParamVector) -> None:
+        pass
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        pass
+
+    def forward(self, idx: np.ndarray, cache: bool = True) -> Tuple[np.ndarray, object]:
+        return np.zeros((len(idx), self.out_dim)), None
+
+    def backward(self, cache: object, dout: np.ndarray) -> None:
+        pass
 
 
 class Mlp:

@@ -83,6 +83,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         outdir = config_mod.output_dir(resolved)
         trainer = Trainer(model, env, train_cfg, metrics_path=os.path.join(outdir, "metrics.csv"))
         os.makedirs(outdir, exist_ok=True)
+        for name in ("metrics.csv", "resolved_config.json", "checkpoint.json", "certificate.json"):
+            _check_output(os.path.join(outdir, name))
     except (EnumerationCapError, OSError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail(str(exc))
     config_mod.write_resolved(resolved, os.path.join(outdir, "resolved_config.json"))

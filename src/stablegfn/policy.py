@@ -2,12 +2,13 @@
 
 A :class:`PolicyModel` wraps approximators into a forward policy (masked
 softmax over child slots), a backward policy (masked softmax over parent
-slots, or fixed-uniform), a learnable log partition value, and an optional
-state-flow head.  Valid-action logits are clamped to [-50, 50] before
-normalization so every valid edge keeps strictly positive probability.
-The model has no per-edge or per-state lookup: those, and the per-object
-losses built on them, live in the test suite's reference module, and
-:func:`stablegfn.losses.batch_loss` is the package's one loss implementation.
+slots, learned or the fixed-uniform :class:`~stablegfn.approximator.Uniform`),
+a learnable log partition value, and an optional state-flow head.
+Valid-action logits are clamped to [-50, 50] before normalization so every
+valid edge keeps strictly positive probability.  The model has no per-edge
+or per-state lookup: those, and the per-object losses built on them, live in
+the test suite's reference module, and :func:`stablegfn.losses.batch_loss`
+is the package's one loss implementation.
 
 Paths live in one :class:`PathBatch`, a padded state matrix; every path
 producer returns one.  :func:`rollout` walks training trajectories one after
@@ -21,32 +22,35 @@ replay buffer's too: ``states``, ``lengths``, ``rewards`` and, once scored,
 exists only in the trajectory log.
 
 One policy table per walk side.  A bulk walk (:func:`_walk`) over ``n``
-paths may evaluate a side's policy once, as one table of log-prob rows over
-that side's choice states (:func:`_log_policy`), and draw and record by
-gathering from it; nothing else reads a table.  The rule, for every net: a
-side's table is built when ``n`` is at least its number of choice states.
-Then the walk's lockstep steps would evaluate about that many rows or more;
-with fewer paths they visit a small part of a large graph, where the table
-would cost more than it saves (on a tabular H(4,16), with 65,535 forward
-choice states, bulk calls of 1,000 forward and 1,000 backward paths took 46
-ms without tables and 71 ms with them on a 2-vCPU host).  The walking side's
+paths may evaluate a side's policy once, as one (S, A) log-prob matrix
+(:func:`_table`: the :func:`_log_policy` rows at that side's choice states,
+0 at a single slot, -inf at invalid ones), and draw and record by gathering
+from it; besides walks, only the exact DP reads a table, the forward one.
+The rule, for every net: a side's table is built when ``n`` is at least its
+number of choice states.  Then the walk's lockstep steps would evaluate
+about that many rows or more; with fewer paths they visit a small part of a
+large graph, where the table would cost more than it saves (on a tabular
+H(4,16), with 65,535 forward choice states, bulk calls of 1,000 forward and
+1,000 backward paths took 46 ms without tables and 71 ms with them on a
+2-vCPU host).  The walking side's
 table follows the rule; the other side's is built only when the walking side
-has one or is the fixed-uniform policy, since only recording reads it.  Such
-a walk builds its walking side's cumulative rows once, over every state, and
-records each side that has a table or is uniform from one log-prob matrix
-per side, built once; a step is gathers and one uniform per walker, and each
-path sums its log-probs as :func:`score_paths` would (see :func:`_walk`).
-Every other side is scored after the walk by one cache-free :func:`_side`
-over its edges, since per-step net rows need not have a table's bits.  A
-training :func:`rollout` reads a table only for a tabular net, over the
-choice states already in its move table, and only on a side of fewer than
-:data:`_ORDERED_SUM_WIDTH` slots.  Why the bits hold:
+has one, since only recording reads it.  Such a walk sums its table's
+``exp`` into cumulative rows once and records each side that has a table
+from one log-prob matrix per side; a step is gathers and one uniform per
+walker, and each path sums its log-probs as :func:`score_paths` would (see
+:func:`_walk`).  Every other side is scored after the walk by one cache-free
+:func:`_side` over its edges, since per-step net rows need not have a
+table's bits.  A training :func:`rollout` reads a table only for a net read
+by state index (tabular or uniform), over the choice states already in its
+move table, and only on a side of fewer than :data:`_ORDERED_SUM_WIDTH`
+slots.  Why the bits hold:
 
-* a tabular row is a gather, and a matrix row of :func:`_masked_rows`
-  depends only on that row, so table rows are the rows of a per-step or
-  per-batch evaluation bit for bit;
-* a row's ``np.cumsum`` adds its entries in order, so cumulative rows built
-  once per walk, per step or per listed state are the same sums;
+* a tabular or uniform row is a gather or zeros, and a matrix row of
+  :func:`_masked_rows` depends only on that row, so table rows are the rows
+  of a per-step or per-batch evaluation bit for bit;
+* a row's running sums add its entries in order, by ``np.cumsum`` or one
+  column at a time (:func:`_cumulative`), so cumulative rows built once per
+  walk, per step or per listed state are the same sums;
 * a listed rollout row is the table row's cumulative sums at the state's
   slots.  :func:`_log_softmax` over the valid slots and over the whole
   masked width (zeros at the invalid ones) agree while numpy sums in order,
@@ -90,7 +94,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .approximator import Mlp, ParamVector, Tabular
+from .approximator import Mlp, ParamVector, Tabular, Uniform
 from .envs import DagEnv, check_state_cap
 
 LOGIT_CLAMP = 50.0
@@ -271,7 +275,7 @@ def _draw_rows(rng: np.random.Generator, cum: np.ndarray) -> np.ndarray:
 class PolicyModel:
     """Parameterized forward/backward policies plus logZ and optional flow head."""
 
-    def __init__(self, forward_net, backward_net=None, flow_net=None):
+    def __init__(self, forward_net, backward_net, flow_net=None):
         self.forward_net, self.backward_net, self.flow_net = forward_net, backward_net, flow_net
         self._nets = [n for n in (forward_net, backward_net, flow_net) if n is not None]
         # logZ starts at 0, as every parameter of a new ParamVector
@@ -295,12 +299,12 @@ class PolicyModel:
         af, ab = env.num_forward_slots, env.num_backward_slots
         if kind == "tabular":
             fnet = Tabular(env.num_states, af, "pf")
-            bnet = Tabular(env.num_states, ab, "pb") if learn_backward else None
+            bnet = Tabular(env.num_states, ab, "pb") if learn_backward else Uniform(ab)
             flnet = Tabular(env.num_states, 1, "flow") if flow_head else None
         elif kind == "mlp":
             env.encoding_matrix  # built, or refused by its cap, at set-up
             fnet = Mlp(env.feature_dim, hidden, af, "pf")
-            bnet = Mlp(env.feature_dim, hidden, ab, "pb") if learn_backward else None
+            bnet = Mlp(env.feature_dim, hidden, ab, "pb") if learn_backward else Uniform(ab)
             flnet = Mlp(env.feature_dim, hidden, 1, "flow") if flow_head else None
         else:
             raise ValueError(f"unknown model kind {kind!r}")
@@ -329,12 +333,9 @@ def _eval_rows(net, states: np.ndarray, env: DagEnv, cache: bool = True):
 
 
 def _row(net, s: int, slots: np.ndarray, env: DagEnv) -> np.ndarray:
-    """Log-probs over ``slots`` at one state; ``net`` None is the uniform policy."""
-    k = len(slots)
-    if k <= 1:
-        return np.zeros(k)
-    if net is None:
-        return np.full(k, -np.log(k))
+    """Log-probs over ``slots`` at one state."""
+    if len(slots) <= 1:
+        return np.zeros(len(slots))
     out, _ = _eval_rows(net, np.array([s]), env, cache=False)
     return _log_softmax(_clamp(out[0][slots]))
 
@@ -363,20 +364,24 @@ def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.nd
     return logp
 
 
-# one side's table: (log-prob rows at its choice states, each state's row or -1)
-Table = Tuple[np.ndarray, np.ndarray]
-
-
-def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int) -> Optional[Table]:
-    """The forward or backward side's table for a walk of ``n`` paths, None for
-    the fixed-uniform policy or where the rule of the module docstring refuses one."""
+def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int) -> Optional[np.ndarray]:
+    """The forward or backward side's (S, A) log-prob matrix for a walk of ``n``
+    paths, -inf at invalid slots; None where the module docstring's rule refuses it."""
     net, mask, choice = ((model.forward_net, env.forward_mask, env.forward_choice) if forward else
                          (model.backward_net, env.backward_mask, env.backward_choice))
-    if net is None or n < len(choice):
+    if n < len(choice):
         return None
-    row = np.full(env.num_states, -1, dtype=np.int64)
-    row[choice] = np.arange(len(choice))
-    return _log_policy(net, mask, choice, env), row
+    logp = np.where(mask, 0.0, -np.inf)
+    logp[choice] = _log_policy(net, mask, choice, env)
+    return logp
+
+
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """``np.cumsum(p, axis=1)`` in place, one column add at a time: the same
+    sums, and several times faster than numpy's on a narrow matrix."""
+    for j in range(1, p.shape[1]):
+        p[:, j] += p[:, j - 1]
+    return p
 
 
 def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: Sequence[int],
@@ -396,10 +401,11 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     parameters are fixed), a choice state's row is kept from its first drawn
     visit as its cumulative sums but the last, as a list, and its total;
     ``bisect_right`` locates the scaled uniform in them as
-    ``searchsorted(..., side="right")`` does.  A tabular net's call computes
-    one table over the listed choice states and one row-wise ``cumsum``, and
-    a listed state's row is its table row at its slots; a state listed during
-    the call, a wider side or an MLP computes the row alone (see the module
+    ``searchsorted(..., side="right")`` does.  A net read by state index
+    computes one table over the listed choice states and its running sums
+    (:func:`_cumulative`), and a listed state's row is its table row at its
+    slots; a state listed during the call, a wider side or an MLP computes
+    the row alone (see the module
     docstring for why both give the same bits).  Neither draws, so every
     path takes the same uniforms, in the same order, as a row evaluated and
     drawn from at every step.
@@ -412,9 +418,9 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
         net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
     moves, listed = env._moves[0 if forward else 1], env._move_choices[0 if forward else 1]
     n_table = 0
-    if net is not None and net.wants_indices and mask.shape[1] < _ORDERED_SUM_WIDTH and listed:
+    if net.wants_indices and mask.shape[1] < _ORDERED_SUM_WIDTH and listed:
         n_table = len(listed)
-        cum = np.cumsum(np.exp(_log_policy(net, mask, np.array(listed), env)), axis=1)
+        cum = _cumulative(np.exp(_log_policy(net, mask, np.array(listed), env)))
     rows: Dict[int, Tuple[List[float], float]] = {}  # choice state -> (cumulative sums, total)
     paths = []
     for s in starts:
@@ -461,9 +467,6 @@ def _side(env: DagEnv, net, mask: np.ndarray, matrix: np.ndarray, has_choice: np
     if not len(idx):
         return logp_edges, None
     rows = at[idx]
-    if net is None:  # fixed-uniform backward policy
-        logp_edges[idx] = -np.log(mask[rows].sum(axis=1))
-        return logp_edges, None
     slot = np.argmax(matrix[rows] == other[idx, None], axis=1)  # edge's slot at its row
     states, inv = np.unique(rows, return_inverse=True)
     if not cache:
@@ -572,34 +575,6 @@ def score_paths(model: PolicyModel, env: DagEnv, paths: PathBatch) -> EdgeBatch:
 # -- bulk samplers (certification) -------------------------------------------
 
 
-def _log_prob_rows(table: Optional[Table], mask: np.ndarray) -> np.ndarray:
-    """One side's log-prob at each of its (state, slot) cells: the table row
-    at a choice state, -log k at each state of k > 1 slots under the
-    fixed-uniform policy (``table`` None, a read-only broadcast of one value
-    per state), 0 elsewhere."""
-    if table is None:
-        k = mask.sum(axis=1)
-        logp = np.zeros(len(mask))
-        c = np.flatnonzero(k > 1)
-        logp[c] = -np.log(k[c])
-        return np.broadcast_to(logp[:, None], mask.shape)
-    logp = np.zeros(mask.shape)
-    logp[table[1] >= 0] = table[0]
-    return logp
-
-
-def _cumulative_rows(table: Optional[Table], mask: np.ndarray) -> np.ndarray:
-    """Every state's cumulative draw probabilities over its slots: the table
-    row's ``exp`` at a choice state and the mask's one-hot row elsewhere, or
-    ``1/k`` at each of k slots under the fixed-uniform policy (``table`` None)."""
-    if table is None:
-        p = mask / np.maximum(mask.sum(axis=1), 1)[:, None]
-    else:
-        p = mask.astype(np.float64)
-        p[table[1] >= 0] = np.exp(table[0])
-    return np.cumsum(p, axis=1, out=p)
-
-
 def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
           starts: Sequence[int], forward: bool) -> PathBatch:
     """Scored source-to-sink paths walked from every start state in lockstep,
@@ -608,33 +583,31 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     Each step draws one uniform per walker still moving, by :func:`_draw_rows`
     over the cumulative rows of the walkers' states, and fills one column of
     the state matrix.  When the walking side has a table by the rule of the
-    module docstring, or is the fixed-uniform backward policy, those rows are
-    built once per walk over every state (:func:`_cumulative_rows`); else a
-    step evaluates its distinct states and takes their ``exp`` and ``cumsum``.
-    Backward paths are turned source-to-sink by one masked copy.
+    module docstring, those rows are its ``exp``'s running sums, built once
+    per walk (:func:`_cumulative`); else a step evaluates its distinct states
+    and sums their rows alike.  Backward paths are turned source-to-sink by
+    one masked copy.
 
-    A walk that built its rows records each side that has a table or is the
-    fixed-uniform policy; the other side's table is built by the same rule,
-    since only recording reads it.  A recorded side is one log-prob matrix
-    over the walking side's (state, slot) cells, built once per walk: the
-    walking side's own :func:`_log_prob_rows`, and the other side's filled by
-    one scatter over the environment's edge columns from its
-    :func:`_log_prob_rows` at each edge's other end (an edge into the sink
+    A walk with a table records its own side from it, and the other side
+    when that has a table too, which is built only then, since only
+    recording reads it.  A recorded side is one log-prob matrix over the
+    walking side's (state, slot) cells: the walking side's table itself, and
+    the other side's filled by one scatter over the environment's edge
+    columns from its table at each edge's other end (an edge into the sink
     has no backward slot and a backward log-prob of 0).  A step gathers each
     recorded side at its walkers' (state, drawn slot) cells, the entries
     :func:`score_paths` reads.  Each path sums its steps in path order from
     0.0, step order forward and reverse step order backward, which is the
     order of :meth:`EdgeBatch.per_trajectory`'s ``bincount``.  Every other
-    side (both sides of a walk without rows built once) is scored after the
-    walk by one cache-free :func:`_side` over the walked edges, as
+    side (both sides of a walk without a table) is scored after the walk by
+    one cache-free :func:`_side` over the walked edges, as
     :func:`score_paths` would: per-step net rows may differ from a table's in
-    the last bits, and a uniform side costs no net call there.
+    the last bits.
 
-    Memory: besides the walk matrix, its per-step records and the tables, a
-    walk keeps at most three float64 arrays of S x A cells for its A-slot
-    side (the rows and two recorded sides), the size class of
-    ``env.child_matrix``, and briefly a fourth, the other side's rows, while
-    it fills the third.
+    Memory: besides the walk matrix, its per-step records and the other
+    side's table while it is scattered, a walk keeps at most three float64
+    arrays of S x A cells for its A-slot side (its table, the rows and the
+    other recorded side), the size class of ``env.child_matrix``.
     """
     sides = ((model.forward_net, env.forward_mask, env.child_matrix, env.forward_has_choice),
              (model.backward_net, env.backward_mask, env.parent_matrix, env.backward_has_choice))
@@ -642,17 +615,18 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     net, mask, step, _ = sides[me]
     end = env.sink if forward else env.initial_state
     n = len(starts)
-    table = _table(model, env, forward, n)
-    cum, recorded = None, {}  # side -> its log-probs over the walking side's (state, slot)
-    if table is not None or net is None:
-        cum, recorded[me] = _cumulative_rows(table, mask), _log_prob_rows(table, mask)
-        other = _table(model, env, not forward, n)
-        if other is not None or sides[1 - me][0] is None:
+    table, cum = _table(model, env, forward, n), None
+    recorded = {}  # side -> its log-probs over the walking side's (state, slot)
+    if table is not None:
+        cum, recorded[me] = _cumulative(np.exp(table)), table
+        theirs = _table(model, env, not forward, n)
+        if theirs is not None:
             inner = env.edge_dst != env.sink  # an edge into the sink has no backward slot
             edges = [(at[inner], slot[inner]) for at, slot in
                      ((env.edge_src, env.edge_fslot), (env.edge_dst, env.edge_bslot))]
-            recorded[1 - me] = theirs = np.zeros(mask.shape)
-            theirs[edges[me]] = _log_prob_rows(other, sides[1 - me][1])[edges[1 - me]]
+            recorded[1 - me] = np.zeros(mask.shape)
+            recorded[1 - me][edges[me]] = theirs[edges[1 - me]]
+        del theirs
     steps: List[Tuple[np.ndarray, List[np.ndarray]]] = []  # (walkers, recorded log-probs)
     cur = np.array(starts, dtype=np.int64)
     walked = np.full((n, len(env.levels)), -1, dtype=np.int64)  # no path is longer
@@ -663,8 +637,7 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         states = cur[alive]
         if cum is None:
             uniq, inv = np.unique(states, return_inverse=True)
-            rows = np.cumsum(np.exp(_log_policy(net, mask, uniq, env)), axis=1)
-            drawn = _draw_rows(rng, rows[inv])
+            drawn = _draw_rows(rng, _cumulative(np.exp(_log_policy(net, mask, uniq, env)))[inv])
         else:
             drawn = _draw_rows(rng, cum[states])
         nxt = step[states, drawn]
@@ -679,7 +652,7 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         for side, logp in zip(recorded, logps):
             sums[side, walkers] += logp
     unscored = [side for side in (0, 1) if side not in recorded]
-    del cum, recorded, steps  # not read past here: free them before the batch exists
+    del table, cum, recorded, steps  # not read past here: free them before the batch exists
     valid = walked >= 0
     lengths = valid.sum(axis=1)
     if forward:
@@ -720,10 +693,8 @@ def exact_terminal_distribution(model: PolicyModel, env: DagEnv) -> Tuple[np.nda
     child is taken with probability exactly 1.
     """
     check_state_cap(env.num_states)
-    choice = env.forward_choice
-    probs = np.ones(env.child_matrix.shape)
-    probs[choice] = np.exp(_log_policy(model.forward_net, env.forward_mask, choice, env))
-    p_edge = probs[env.edge_src, env.edge_fslot]
+    # a side has fewer choice states than the graph has states: the rule gives the table
+    p_edge = np.exp(_table(model, env, True, env.num_states)[env.edge_src, env.edge_fslot])
 
     mass = np.zeros(env.num_states)
     mass[env.initial_state] = 1.0

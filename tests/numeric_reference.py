@@ -141,13 +141,9 @@ def walk(model, env, rng, starts, forward):
     alive = np.flatnonzero(cur != end)
     while len(alive):
         states = cur[alive]
-        if net is None:
-            k = mask[states].sum(axis=1)
-            p = mask[states] / k[:, None]
-        else:
-            uniq, inv = np.unique(states, return_inverse=True)
-            out, _ = _eval_rows(net, uniq, env)
-            p = masked_probs(out, mask[uniq])[inv]
+        uniq, inv = np.unique(states, return_inverse=True)
+        out, _ = _eval_rows(net, uniq, env)
+        p = masked_probs(out, mask[uniq])[inv]
         nxt = step[states, draw_rows(rng, p)]
         for j, t in enumerate(alive):
             seqs[t].append(int(nxt[j]))

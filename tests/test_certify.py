@@ -40,11 +40,15 @@ def test_tv_bound_trajectory_scope():
 
 def test_tv_bound_transition_scope():
     assert tv_bound_from_loss(0.1, "transition", 5) == pytest.approx(1 - math.exp(-1.0))
+    # one edge a path: the trajectory bound
+    assert tv_bound_from_loss(0.3, "transition", 1) == tv_bound_from_loss(0.3) == 1 - math.exp(-0.6)
 
 
 def test_tv_bound_transition_needs_length():
     with pytest.raises(ValueError):
         tv_bound_from_loss(0.1, "transition")
+    with pytest.raises(ValueError):
+        tv_bound_from_loss(0.1, "transition", 0)
 
 
 def test_pac_bound_example_value():
@@ -139,6 +143,24 @@ def test_feasibility_floor_skips_small_ratios():
     assert feasibility_floor(lm, np.zeros(1)) == pytest.approx(
         math.log(math.expm1(1.5))
     )
+
+
+def test_feasibility_floor_matches_a_scan_from_zero():
+    # the first threshold of a grid from 0 at which every sample's ratio
+    # (the larger of model/target and target/model) is at most 1 + e^c
+    rng = np.random.default_rng(3)
+    step = 1e-3
+    for size in (1, 2, 5, 30, 30, 30):
+        lm, lt = rng.normal(2.0, 1.5, size), rng.normal(2.0, 1.5, size)
+        worst = max(max(math.exp(a - b), math.exp(b - a)) for a, b in zip(lm.tolist(), lt.tolist()))
+        k = 0
+        while worst > 1.0 + math.exp(k * step):
+            k += 1
+        floor = feasibility_floor(lm, lt)
+        if k == 0:
+            assert floor == 0.0
+        else:
+            assert (k - 1) * step < floor <= k * step
 
 
 # -- optimized certificate -------------------------------------------------------

@@ -52,6 +52,13 @@ def test_train_writes_artifacts(tmp_path):
         assert (outdir / fname).exists(), fname
     header = (outdir / "metrics.csv").read_text().splitlines()[0]
     assert header.startswith("round,objective,mean_loss")
+    doc = json.loads((outdir / "certificate.json").read_text())
+    assert list(doc) == [
+        "theorem", "bound", "raw_bound", "threshold", "m", "n", "alpha", "confidence", "scope",
+        "max_ratio", "main_term", "condition_violated", "subset_size", "captured_reward_mass",
+        "partition_estimate", "search", "note", "wall_clock_s",
+    ]
+    assert doc["confidence"] == 1.0 - 2.0 * doc["alpha"] and 0.0 < doc["alpha"] < 0.5
 
 
 def test_resolved_config_round_trip(tmp_path, monkeypatch):
@@ -223,7 +230,8 @@ def test_certify_from_checkpoint(tmp_path, capsys):
         "--output", out,
     ])
     assert code == 0
-    doc = json.loads(open(out).read())
+    with open(out, encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert doc["theorem"] == "pac-reference"
     assert 0.0 <= doc["bound"] <= 1.0
     assert doc["m"] == 50
@@ -329,7 +337,8 @@ def test_certify_sample_counts_default_from_config(tmp_path):
     out = str(tmp_path / "cert.json")
     assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
                  "--output", out]) == 0
-    doc = json.loads(open(out).read())
+    with open(out, encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert (doc["m"], doc["n"]) == (7, 40)
 
 
@@ -510,7 +519,8 @@ def test_evaluate_balanced_checkpoint(tmp_path, capsys):
     code = main(["evaluate", "--checkpoint", str(outdir / "checkpoint.json"),
                  "--config", cfg, "--samples", "3000", "--output", out])
     assert code == 0
-    doc = json.loads(open(out).read())
+    with open(out, encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert doc["sample_count"] == 3000
     assert doc["exact_tv"] < 0.2
     assert 0.0 <= doc["empirical_total_l1"] <= 2.0
@@ -521,7 +531,8 @@ def test_evaluate_samples_default_from_config(tmp_path):
     out = str(tmp_path / "eval.json")
     assert main(["evaluate", "--checkpoint", str(outdir / "checkpoint.json"),
                  "--config", cfg, "--output", out]) == 0
-    doc = json.loads(open(out).read())
+    with open(out, encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert doc["sample_count"] == 1234
     assert doc["exact_tv"] is None
 
@@ -829,15 +840,18 @@ def test_output_that_is_a_directory_exits_2_before_sampling(tmp_path, monkeypatc
     assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
 
 
-def test_train_that_cannot_write_its_certificate_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["metrics.csv", "resolved_config.json", "checkpoint.json",
+                                  "certificate.json"])
+def test_train_output_file_that_is_a_directory_exits_2_at_setup(tmp_path, capsys, name):
     outdir = tmp_path / "run"
-    target = outdir / "certificate.json"
-    target.mkdir(parents=True)  # the certificate's write meets a directory
+    target = outdir / name
+    target.mkdir(parents=True)  # the file's write would meet a directory
     assert main(["train", write_config(tmp_path, dict(TREE_CONFIG, output_dir=str(outdir)))]) == 2
     out = capsys.readouterr()
     assert out.err == f"error: cannot write {target}: Is a directory\n"
     assert out.out == ""  # no summary line
-    assert (outdir / "checkpoint.json").exists()
+    # refused at set-up, before any round: nothing else is written
+    assert [p.name for p in outdir.iterdir()] == [name]
 
 
 def test_certify_from_log_with_one_half_exits_2(tmp_path, capsys):

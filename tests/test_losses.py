@@ -302,6 +302,13 @@ def test_terminal_reach_counts_cache_dies_with_env():
 # -- reference flow ------------------------------------------------------------------------
 
 
+def test_active_delta_frac_counts_positive_deltas():
+    deltas = np.array([0.0, 0.5, np.inf, 0.0])
+    report = losses.LossBatchReport("augmented", np.ones(4), deltas=deltas)
+    assert report.active_delta_frac == 0.5
+    assert losses.LossBatchReport("tb", np.ones(2)).active_delta_frac == 0.0
+
+
 def test_reference_flow_inactive_inside_band():
     assert reference_flow_delta(0.3, 0.0, 0.5) == 0.0
     assert reference_flow_delta(0.5, 0.0, 0.5) == 0.0  # boundary: no flow needed

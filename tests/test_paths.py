@@ -17,7 +17,7 @@ import pytest
 import numeric_reference as ref
 from random_dag import RandomDag
 from stablegfn import certify, oracle, policy
-from stablegfn.approximator import Mlp
+from stablegfn.approximator import Mlp, Tabular
 from stablegfn.envs import Hypergrid, RegularTree
 from stablegfn.losses import batch_loss
 from stablegfn.policy import (
@@ -48,7 +48,7 @@ def _model(env, kind, seed=0):
     model = PolicyModel.build(env, "mlp" if kind == "mlp" else "tabular", hidden=(16, 16),
                               learn_backward=kind != "uniform-backward", rng=rng)
     for net in (model.forward_net, model.backward_net):
-        if net is not None and kind != "mlp":
+        if isinstance(net, Tabular):
             net.table[...] = rng.normal(0.0, 1.0, net.table.shape)
     model.set_logz(0.3)
     return model
@@ -140,12 +140,11 @@ def test_table_walk_records_the_log_probs_of_scoring(monkeypatch, env_name, net,
     env = ENVS[env_name]()
     model = PolicyModel.build(env, net, hidden=(16, 16), learn_backward=learn_backward,
                               rng=np.random.default_rng(0))
-    if net == "tabular":
-        for table_net in model._nets:
+    for table_net in model._nets:
+        if isinstance(table_net, Tabular):
             table_net.table[...] = np.random.default_rng(1).normal(0.0, 1.0, table_net.table.shape)
-    # 300 walkers: every side has a table or is the uniform policy
-    assert all(policy._table(model, env, forward, 300) is not None or m is None
-               for forward, m in ((True, model.forward_net), (False, model.backward_net)))
+    # 300 walkers: every side has a table, the uniform policy too
+    assert all(policy._table(model, env, forward, 300) is not None for forward in (True, False))
     edges = _record_edge_batches(monkeypatch)
     paths = _walked(model, env, forward, 300)
     assert edges == []  # the walk scored as it drew
@@ -432,6 +431,27 @@ def test_table_walk_holds_graph_sized_matrices():
     # S x A arrays) are 1.0 MB; the bound allows four, plus 16 words a walker
     # (the starts, the state vector, the sums, a step's gathers and compares)
     assert peak < 8 * (walk + records + tables + 4 * S * A + 16 * n)
+
+
+def test_uniform_walk_below_the_table_rule_holds_no_graph_sized_matrix():
+    env = Hypergrid(4, 16)  # 131,073 states, 65,475 backward choice states, 4 backward slots
+    model = PolicyModel.build(env, "tabular", learn_backward=False, rng=np.random.default_rng(0))
+    assert policy._table(model, env, False, 200) is None
+    xs = _starts(env, False, 200)
+    _walked(model, env, False, 200)  # lazy graph arrays are built once, outside the trace
+    tracemalloc.start()
+    try:
+        paths = _walked(model, env, False, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths.terminals.tolist() == xs.tolist()
+    # measured: 1.0 MB, the walk and its scoring; rows over every state are
+    # one S x A float64 array (4.2 MB)
+    assert peak < env.backward_mask.size * 8
+    want = _rescored(model, env, paths)
+    assert paths.log_pf.tobytes() == want.log_pf.tobytes()
+    assert paths.log_pb.tobytes() == want.log_pb.tobytes()
 
 
 def test_only_training_keeps_backward_caches(monkeypatch):

@@ -36,8 +36,8 @@ from random_dag import RandomDag, random_dags
 def random_model(env, kind="tabular", seed=0, noise=1.0, learn_backward=True):
     rng = np.random.default_rng(seed)
     model = PolicyModel.build(env, kind, hidden=(8, 8), learn_backward=learn_backward, rng=rng)
-    if kind == "tabular":
-        for net in model._nets:
+    for net in model._nets:
+        if isinstance(net, Tabular):
             net.table[...] = rng.normal(0, noise, net.table.shape)
     model.set_logz(float(rng.normal()))
     return model
@@ -351,7 +351,13 @@ def test_table_rule_counts_paths_against_choice_states(kind):
     model = random_model(small, kind)
     for n, used in ((15, (True, True)), (14, (False, True)), (8, (False, False))):
         assert tuple(t is not None for t in tables(model, small, n)) == used
-    assert tables(random_model(small, kind, learn_backward=False), small, 100)[1] is None
+    # the fixed-uniform side follows the same rule; its table is -log k at k slots
+    uniform = random_model(small, kind, learn_backward=False)
+    for n, used in ((9, True), (8, False)):
+        assert (tables(uniform, small, n)[1] is not None) == used
+    k = small.backward_mask.sum(axis=1)
+    want = np.where(small.backward_mask, -np.log(np.maximum(k, 1))[:, None], -np.inf)
+    assert np.array_equal(tables(uniform, small, 9)[1], want)
 
 
 def test_table_holds_its_rows_and_one_block():
