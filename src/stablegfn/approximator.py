@@ -139,6 +139,11 @@ class Mlp:
     least ``policy.BLAS_EXACT_CELLS`` / ``out_dim`` rows gives every row the
     bits of one call over all of them, and the policy keeps blocks under
     twice that; its Haswell kernel keeps no such floor.
+
+    ``x`` may be uint8, as the one-hot rows of ``DagEnv.encoding_matrix``
+    are.  ``x @ W0.T`` and ``backward``'s ``dh0.T @ x`` then cast it to a
+    float64 copy before BLAS runs, and 0 and 1 are exact in both types, so
+    every product has the bits of the same rows given as float64.
     """
 
     wants_indices = False

@@ -59,9 +59,13 @@ ENV_KEYS: Dict[str, Dict[str, tuple]] = {
 }
 
 
-# Cells (float64, 1 GiB) the one-hot cache may hold.  A tree has a column per
-# state, so its cache grows as S**2: T(2,12) needs 67M cells, T(2,13) 268M.
-ENCODING_CELL_CAP = 1 << 27
+# Bytes (1 GiB) the one-hot cache may hold, one a cell: its entries are 0 and
+# 1, which uint8 holds exactly.  A tree has a column per state, so its cache
+# grows as S**2: T(2,13) needs 268M cells, T(2,14) 1 GiB.  A net reads the
+# cache through a gather of its rows, and its first matmul casts them to a
+# float64 copy: in a cache-free block (policy._log_policy) fewer than
+# 2 * ceil(BLAS_EXACT_CELLS / A) rows x feature_dim, A the net's output width.
+ENCODING_CELL_CAP = 1 << 30
 
 
 class EnumerationCapError(RuntimeError):
@@ -234,16 +238,21 @@ class DagEnv:
 
     @property
     def encoding_matrix(self) -> np.ndarray:
-        """Dense one-hot features: row ``s`` is 1 at the columns ``features[s]``
-        lists; built lazily, cached, refused above ``ENCODING_CELL_CAP``."""
+        """Dense one-hot features, one uint8 a cell: row ``s`` is 1 at the
+        columns ``features[s]`` lists; built lazily, cached, refused above
+        ``ENCODING_CELL_CAP`` bytes.  Built one feature column at a time, so
+        its int64 index temporaries cover one column's states, not all of
+        ``features`` at once (24 bytes a state per column, which would
+        outweigh the cache)."""
         if self._encoding_matrix is None:
             if self.num_states * self.feature_dim > ENCODING_CELL_CAP:
                 raise EnumerationCapError(
                     f"one-hot features of {self.num_states} x {self.feature_dim} cells are "
-                    f"above the cap {ENCODING_CELL_CAP}; use a tabular model")
-            mat = np.zeros((self.num_states, self.feature_dim))
-            on = self.features >= 0
-            mat[np.nonzero(on)[0], self.features[on]] = 1.0
+                    f"above the cap {ENCODING_CELL_CAP} bytes; use a tabular model")
+            mat = np.zeros((self.num_states, self.feature_dim), dtype=np.uint8)
+            for col in self.features.T:
+                rows = np.flatnonzero(col >= 0)
+                mat[rows, col[rows]] = 1
             self._encoding_matrix = mat
         return self._encoding_matrix
 

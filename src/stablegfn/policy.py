@@ -328,7 +328,11 @@ class PolicyModel:
 
 def _eval_rows(net, states: np.ndarray, env: DagEnv, cache: bool = True):
     """(net outputs at ``states``, what the net's ``backward`` needs), from one
-    call on tabular indices or one-hot rows."""
+    call on tabular indices or one-hot rows.
+
+    One-hot rows are a uint8 gather from the cache, and stay uint8 in a
+    training batch's backward cache: the net's matmuls cast them to float64
+    before BLAS runs, and 0 and 1 cast exactly, so they keep every bit."""
     return net.forward(states if net.wants_indices else env.encoding_matrix[states], cache=cache)
 
 
@@ -597,17 +601,19 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     has no backward slot and a backward log-prob of 0).  A step gathers each
     recorded side at its walkers' (state, drawn slot) cells, the entries
     :func:`score_paths` reads.  Each path sums its steps in path order from
-    0.0, step order forward and reverse step order backward, which is the
-    order of :meth:`EdgeBatch.per_trajectory`'s ``bincount``.  Every other
+    0.0, which is the order of :meth:`EdgeBatch.per_trajectory`'s
+    ``bincount``: a forward walk adds each step as it goes, since its step
+    order is the path order, and a backward walk keeps its steps' records
+    and adds them in reverse step order once it ends.  Every other
     side (both sides of a walk without a table) is scored after the walk by
     one cache-free :func:`_side` over the walked edges, as
     :func:`score_paths` would: per-step net rows may differ from a table's in
     the last bits.
 
-    Memory: besides the walk matrix, its per-step records and the other
-    side's table while it is scattered, a walk keeps at most three float64
-    arrays of S x A cells for its A-slot side (its table, the rows and the
-    other recorded side), the size class of ``env.child_matrix``.
+    Memory: besides the walk matrix, a backward walk's per-step records and
+    the other side's table while it is scattered, a walk keeps at most three
+    float64 arrays of S x A cells for its A-slot side (its table, the rows and
+    the other recorded side), the size class of ``env.child_matrix``.
     """
     sides = ((model.forward_net, env.forward_mask, env.child_matrix, env.forward_has_choice),
              (model.backward_net, env.backward_mask, env.parent_matrix, env.backward_has_choice))
@@ -627,7 +633,8 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
             recorded[1 - me] = np.zeros(mask.shape)
             recorded[1 - me][edges[me]] = theirs[edges[1 - me]]
         del theirs
-    steps: List[Tuple[np.ndarray, List[np.ndarray]]] = []  # (walkers, recorded log-probs)
+    sums = np.zeros((2, n))  # (log P_F, log P_B) per path
+    steps: List[Tuple[np.ndarray, List[np.ndarray]]] = []  # a backward walk's records
     cur = np.array(starts, dtype=np.int64)
     walked = np.full((n, len(env.levels)), -1, dtype=np.int64)  # no path is longer
     walked[:, 0] = cur
@@ -641,14 +648,16 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         else:
             drawn = _draw_rows(rng, cum[states])
         nxt = step[states, drawn]
-        if recorded:
+        if forward:  # a forward walk's step order is its path order
+            for side, logp in recorded.items():
+                sums[side, alive] += logp[states, drawn]
+        elif recorded:
             steps.append((alive, [logp[states, drawn] for logp in recorded.values()]))
         t += 1
         walked[alive, t] = nxt
         cur[alive] = nxt
         alive = alive[nxt != end]
-    sums = np.zeros((2, n))  # (log P_F, log P_B) per path
-    for walkers, logps in steps if forward else steps[::-1]:
+    for walkers, logps in steps[::-1]:
         for side, logp in zip(recorded, logps):
             sums[side, walkers] += logp
     unscored = [side for side in (0, 1) if side not in recorded]

@@ -393,12 +393,26 @@ def _reference_encode(env, s):
     ids=lambda env: f"{env.kind}{env.num_states}",
 )
 def test_features_match_encode_reference(env):
-    ref = np.zeros((env.num_states, env.feature_dim))
+    ref = np.zeros((env.num_states, env.feature_dim), dtype=np.uint8)  # one byte a cell
     for s in range(env.num_states):
         if s != env.sink:
             ref[s] = _reference_encode(env, s)
     mat = env.encoding_matrix
     assert mat.dtype == ref.dtype and mat.tobytes() == ref.tobytes()
+
+
+def test_encoding_build_peaks_under_two_bytes_a_cell():
+    env = Hypergrid(4, 10)  # 20,001 states, 40 feature columns
+    tracemalloc.start()
+    try:
+        mat = env.encoding_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.nbytes == mat.size == env.num_states * env.feature_dim
+    # measured: 1.43 bytes a cell, the cache and one column's index
+    # temporaries; 3.5 with every column's at once, 10.5 with float64 cells
+    assert peak < 2 * mat.size
 
 
 def _reference_modes(env):

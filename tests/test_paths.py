@@ -414,23 +414,26 @@ def test_bulk_sample_holds_no_backward_cache():
 
 def test_table_walk_holds_graph_sized_matrices():
     env = Hypergrid(4, 8)  # 8,193 states, 5 forward slots
-    model = _model(env, "tabular")
     n = 16384
-    assert all(policy._table(model, env, forward, n) is not None for forward in (True, False))
-    tracemalloc.start()
-    try:
-        paths = sample_forward_batch(model, env, np.random.default_rng(1), n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     (S, A), walk = env.forward_mask.shape, n * len(env.levels)
     tables = len(env.forward_choice) * A + len(env.backward_choice) * env.num_backward_slots
-    # per step: the walkers and both sides' log-probs, three words a walked edge
-    records = 3 * int((paths.lengths - 1).sum())
-    # measured: 9.3 MB, of which the rows and both recorded sides (three
-    # S x A arrays) are 1.0 MB; the bound allows four, plus 16 words a walker
-    # (the starts, the state vector, the sums, a step's gathers and compares)
-    assert peak < 8 * (walk + records + tables + 4 * S * A + 16 * n)
+    for kind in ("tabular", "mlp"):
+        model = _model(env, kind)
+        assert all(policy._table(model, env, forward, n) is not None for forward in (True, False))
+        tracemalloc.start()
+        try:
+            sample_forward_batch(model, env, np.random.default_rng(1), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 8.0 MB, of which the rows and both recorded sides (three
+        # S x A arrays) are 1.0 MB; the bound allows four, plus 16 words a
+        # walker (the starts, the state vector, the sums, a step's gathers and
+        # compares) and a step's gathered cumulative rows, A words a walker.
+        # A forward walk adds each step into its sums as it goes: keeping its
+        # walkers and both sides' log-probs per step until the end, three
+        # words a walked edge, peaked at 8.9 MB.
+        assert peak < 8 * (walk + tables + 4 * S * A + (16 + A) * n), kind
 
 
 def test_uniform_walk_below_the_table_rule_holds_no_graph_sized_matrix():

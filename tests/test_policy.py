@@ -595,6 +595,33 @@ def test_draw_rows_skips_zero_weights_and_matches_proportions():
     assert abs((picks[:, 1] == 2).mean() - 0.75) < 0.015
 
 
+def test_one_byte_rows_give_the_bits_of_float64_rows():
+    env = Hypergrid(4, 8)  # 8,193 states, 32 feature columns, 5 forward slots
+    rng = np.random.default_rng(0)
+    model = PolicyModel.build(env, "mlp", hidden=(64, 64), rng=rng)
+    net, choice = model.forward_net, env.forward_choice
+    onehot = env.encoding_matrix
+    assert onehot.dtype == np.uint8 and onehot.nbytes == env.num_states * env.feature_dim
+    as_float = onehot.astype(np.float64)
+    floor = -(-policy.BLAS_EXACT_CELLS // env.num_forward_slots)
+    for rows in (choice[:1], choice[:floor]):  # a rollout's row, a cache-free block
+        got, _ = net.forward(onehot[rows], cache=False)
+        want, _ = net.forward(as_float[rows], cache=False)
+        assert got.tobytes() == want.tobytes()
+    got = policy._log_policy(net, env.forward_mask, choice, env)
+    env._encoding_matrix = as_float
+    want = policy._log_policy(net, env.forward_mask, choice, env)
+    assert got.tobytes() == want.tobytes()
+    dout = rng.normal(size=(len(choice), env.num_forward_slots))
+    grads = []
+    for x in (onehot[choice], as_float[choice]):  # a training batch's cached pass
+        model.params.zero_grad()
+        _, cache = net.forward(x)
+        net.backward(cache, dout)
+        grads.append(model.params.grads.copy())
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_mlp_refused_above_encoding_cap(monkeypatch):
     env = RegularTree(2, 3)  # 16 states, 16 feature columns: 256 cells
     monkeypatch.setattr(envs, "ENCODING_CELL_CAP", 255)
