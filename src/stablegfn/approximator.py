@@ -363,27 +363,19 @@ def _decode_array(d: Dict[str, object]) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
 
 
-def save_checkpoint(
-    path: str,
-    params: ParamVector,
-    optimizer: Optional[AdamOptimizer],
-    model: Dict[str, object],
-    env: Dict[str, object],
-) -> None:
-    """Write a bit-exact JSON checkpoint (float64 payloads are base64-encoded)
-    with the run's resolved ``model`` and ``env`` config sections."""
-    doc = {
+def checkpoint_document(params: ParamVector, optimizer: AdamOptimizer, model: Dict[str, object],
+                        env: Dict[str, object]) -> Dict[str, object]:
+    """A bit-exact JSON checkpoint (float64 payloads are base64-encoded) with
+    the run's resolved ``model`` and ``env`` config sections."""
+    return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "model": model,
         "env": env,
         "params": {name: _encode_array(params.view(name)) for name in params.names},
+        "optimizer": {"step_count": optimizer.step_count,
+                      "m": _encode_array(optimizer.m), "v": _encode_array(optimizer.v)},
     }
-    if optimizer is not None:
-        doc["optimizer"] = {"step_count": optimizer.step_count,
-                            "m": _encode_array(optimizer.m), "v": _encode_array(optimizer.v)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
 
 
 def load_checkpoint(path: str) -> Dict[str, object]:

@@ -360,14 +360,6 @@ def mc_delta_over_zstar(log_model: np.ndarray, log_target: np.ndarray,
 # -- incremental reward-change bounds -------------------------------------------
 
 
-def contrast_ratio(env_prev: DagEnv, added: Dict[int, float], subset: Sequence[int]) -> float:
-    """Old reward mass over new reward mass on a subset; in (0, 1]."""
-    xs = np.asarray(subset, dtype=np.int64).tolist()
-    z_y = sum(env_prev.reward_table[xs].tolist())
-    extra = sum(added.get(x, 0.0) for x in xs)
-    return z_y / (z_y + extra)
-
-
 def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[float, float, Optional[float]]:
     """(lower, upper, exact) TV between the converged-previous law and the new target.
 
@@ -377,12 +369,14 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
     check_added(env_prev, added)
     zstar = true_partition(env_prev)
     z_sub = sum(env_prev.reward_table[list(added)].tolist())
-    lam = contrast_ratio(env_prev, added, env_prev.terminating_states)
+    xs = env_prev.terminating_states
+    r_prev = env_prev.reward_table[xs]
+    z_y = sum(r_prev.tolist())
+    lam = z_y / (z_y + sum(added.get(x, 0.0) for x in xs.tolist()))  # old mass over new
     lower = (zstar - z_sub) / zstar * (1.0 - lam)
     upper = 1.0 - lam
 
-    r_prev = env_prev.reward_table[env_prev.terminating_states]
-    r_new = OneMoreMode(env_prev, added).reward_table[env_prev.terminating_states]
+    r_new = OneMoreMode(env_prev, added).reward_table[xs]
     exact = 0.5 * float(np.abs(r_prev / r_prev.sum() - r_new / r_new.sum()).sum())
     return lower, upper, exact
 

@@ -1,24 +1,22 @@
 """Command-line interface: train, certify, evaluate, and verify subcommands.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage or
-configuration errors.
+configuration errors and on write faults, printed as one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
-import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from . import certify as certify_mod
 from . import config as config_mod
-from . import oracle
-from .approximator import load_checkpoint, save_checkpoint
+from . import oracle, output
+from .approximator import checkpoint_document, load_checkpoint
 from .envs import EnumerationCapError, check_state_cap, check_walk_memory
 from .policy import read_trajectory_log, sample_forward_batch
 from .trainer import Trainer, rng_for
@@ -27,26 +25,6 @@ from .trainer import Trainer, rng_for
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _write_json(path: str, doc: Dict) -> int:
-    """Write ``doc`` to ``path`` as indented JSON: 0, or 2 once the fault is printed."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-    except OSError as exc:
-        return _fail(f"cannot write {path}: {exc.strerror or exc}")
-    return 0
-
-
-def _check_output(path: str) -> None:
-    """Refuse, at set-up, an output file that is a directory or whose directory
-    is missing or not a directory."""
-    folder = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not os.path.isdir(folder):
-        code = (errno.EISDIR if os.path.isdir(path)
-                else errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)
-        raise OSError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _load_model_for(args: argparse.Namespace):
@@ -84,14 +62,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         trainer = Trainer(model, env, train_cfg, metrics_path=os.path.join(outdir, "metrics.csv"))
         os.makedirs(outdir, exist_ok=True)
         for name in ("metrics.csv", "resolved_config.json", "checkpoint.json", "certificate.json"):
-            _check_output(os.path.join(outdir, name))
-    except (EnumerationCapError, OSError, ValueError) as exc:  # ConfigError is a ValueError
+            output.check_output(os.path.join(outdir, name))
+    except (EnumerationCapError, ValueError) as exc:  # ConfigError is a ValueError
         return _fail(str(exc))
-    config_mod.write_resolved(resolved, os.path.join(outdir, "resolved_config.json"))
+    output.write_json(os.path.join(outdir, "resolved_config.json"), resolved)
     state = trainer.run()
 
-    save_checkpoint(os.path.join(outdir, "checkpoint.json"), model.params, trainer.optimizer,
-                    resolved["model"], resolved["env"])
+    output.write_json(os.path.join(outdir, "checkpoint.json"), checkpoint_document(
+        model.params, trainer.optimizer, resolved["model"], resolved["env"]))
 
     scope, bound_txt = trainer.certification_scope(), "n/a"
     if state.round > 0 and len(scope):
@@ -100,8 +78,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             rng_for(train_cfg.seed, "cli.cert.backward"),
             rng_for(train_cfg.seed, "cli.cert.forward"), train_cfg.alpha,
         )
-        if _write_json(os.path.join(outdir, "certificate.json"), report.to_dict()):
-            return 2
+        output.write_json(os.path.join(outdir, "certificate.json"), report.to_dict())
         if report.bound is not None:
             bound_txt = f"{report.bound:.6f}"
 
@@ -117,7 +94,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         for flag, value in (("-m", args.m), ("-n", args.n)):
             if args.from_log and value is not None:
                 raise ValueError(f"{flag} does not apply with --from-log: the log sets the counts")
-        _check_output(args.output)
+        output.check_output(args.output)
         resolved, env, model = _load_model_for(args)
         cfg = config_mod.build_train_config(resolved)
         alpha = cfg.alpha if args.alpha is None else args.alpha
@@ -129,7 +106,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             certify_mod.check_samples(m, n, alpha)
             check_walk_memory(env, m, "train.cert_m" if args.m is None else "-m")
             check_walk_memory(env, n, "train.cert_n" if args.n is None else "-n")
-    except (EnumerationCapError, OSError, ValueError) as exc:
+    except (EnumerationCapError, ValueError) as exc:
         return _fail(str(exc))
 
     if args.from_log:
@@ -150,8 +127,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             rng_for(cfg.seed, "cli.cert.forward"), alpha,
         )
 
-    if _write_json(args.output, report.to_dict()):
-        return 2
+    output.write_json(args.output, report.to_dict())
     bound_txt = "n/a (no usable samples)" if report.bound is None else f"{report.bound:.6f}"
     print(f"TV bound: {bound_txt} (confidence {report.confidence:.3f}), wrote {args.output}")
     return 0
@@ -161,13 +137,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.samples is not None and args.samples < 1:
         return _fail("need at least one evaluation sample")
     try:
-        _check_output(args.output)
+        output.check_output(args.output)
         resolved, env, model = _load_model_for(args)
         if resolved["eval"]["oracle"]:
             check_state_cap(env.num_states, "eval.oracle")
         samples = resolved["eval"]["samples"] if args.samples is None else args.samples
         check_walk_memory(env, samples, "eval.samples" if args.samples is None else "--samples")
-    except (EnumerationCapError, OSError, ValueError) as exc:
+    except (EnumerationCapError, ValueError) as exc:
         return _fail(str(exc))
     rng = rng_for(resolved["seed"], "cli.evaluate")
     xs = sample_forward_batch(model, env, rng, samples).terminals
@@ -178,8 +154,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         mode_count=oracle.count_modes(xs, env),
         sample_count=samples,
     )
-    if _write_json(args.output, report.to_dict()):
-        return 2
+    output.write_json(args.output, report.to_dict())
     tv_txt = "off" if tv is None else f"{tv:.6f}"
     print(
         f"exact TV: {tv_txt} | empirical total L1: {report.empirical_total_l1:.6f} | "
@@ -246,7 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # a fault reading an input or writing an output
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ them, and a model is built, or restored, only by :func:`build_model`.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import re
 from typing import Dict
@@ -166,9 +165,3 @@ def build_model(resolved: Dict, env: DagEnv) -> PolicyModel:
 
 def build_train_config(resolved: Dict) -> TrainConfig:
     return TrainConfig(seed=resolved["seed"], **resolved["train"])
-
-
-def write_resolved(resolved: Dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")

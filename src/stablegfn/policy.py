@@ -94,6 +94,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import output
 from .approximator import Mlp, ParamVector, Tabular, Uniform
 from .envs import DagEnv, check_state_cap
 
@@ -188,11 +189,11 @@ class PathView:
 def write_trajectory_log(path: str, backward: PathBatch, forward: PathBatch) -> None:
     """One JSON line per path, the backward-sampled first, labelled by half."""
     keys = ("states", "log_pf", "log_pb", "reward", "provenance")
-    with open(path, "w", encoding="utf-8") as fh:
-        for paths, label in ((backward, "backward-sampled"), (forward, "forward-sampled")):
-            columns = (paths.states, paths.lengths, paths.log_pf, paths.log_pb, paths.rewards)
-            fh.writelines(json.dumps(dict(zip(keys, (s[:n], *row, label)))) + "\n"
-                          for s, n, *row in zip(*(c.tolist() for c in columns)))
+    output.append_lines(path, (
+        json.dumps(dict(zip(keys, (s[:n], *row, label)))) + "\n"
+        for paths, label in ((backward, "backward-sampled"), (forward, "forward-sampled"))
+        for s, n, *row in zip(*(c.tolist() for c in (paths.states, paths.lengths, paths.log_pf,
+                                                       paths.log_pb, paths.rewards)))), "w")
 
 
 def read_trajectory_log(path: str) -> Tuple[PathBatch, PathBatch]:

@@ -29,7 +29,6 @@ skipped round and certificate samples are scored cache-free.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
@@ -37,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from . import certify, losses, oracle
+from . import certify, losses, oracle, output
 from .approximator import AdamOptimizer
 from .envs import DagEnv, check_memory, check_state_cap, check_walk_memory, sorted_unique
 from .policy import (
@@ -240,14 +239,6 @@ CSV_COLUMNS = [
 ]
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 class Trainer:
     """Single-threaded deterministic training loop over one model/environment."""
 
@@ -434,14 +425,15 @@ class Trainer:
         for _ in range(cfg.max_rounds):
             row = self.stable_round() if cfg.stabilize else self.baseline_round()
             self.rows.append(row)
-            self._append_metrics("a", [_fmt(row[c]) for c in CSV_COLUMNS])
+            self._append_metrics("a", [row[c] for c in CSV_COLUMNS])
             self.state.round += 1
             if cfg.stabilize and self.state.certified:
                 break
         return self.state
 
-    def _append_metrics(self, mode: str, line: List[str]) -> None:
-        """Write one CSV line; closing the file hands it to the OS before the next round."""
+    def _append_metrics(self, mode: str, values: Sequence[object]) -> None:
+        """Write one CSV line as ``csv.writer`` does: None empty, CRLF-ended; no
+        value holds a comma, a quote or a line break, so none is quoted."""
         if self.metrics_path is not None:
-            with open(self.metrics_path, mode, newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerow(line)
+            line = ",".join("" if v is None else str(v) for v in values) + "\r\n"
+            output.append_lines(self.metrics_path, [line], mode)

@@ -13,11 +13,12 @@ from stablegfn.approximator import (
     ParamVector,
     Tabular,
     _decode_array,
+    checkpoint_document,
     clip_grad_norm,
     grad_check,
     load_checkpoint,
-    save_checkpoint,
 )
+from stablegfn.output import write_json
 
 
 def test_clip_grad_norm_passthrough():
@@ -404,7 +405,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     opt.step()
 
     path = tmp_path / "ckpt.json"
-    save_checkpoint(str(path), pv, opt, {"kind": "mlp"}, {"kind": "tree"})
+    write_json(str(path), checkpoint_document(pv, opt, {"kind": "mlp"}, {"kind": "tree"}))
     doc = load_checkpoint(str(path))
     for name in pv.names:
         assert np.array_equal(doc["params"][name], pv.view(name))

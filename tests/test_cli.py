@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import re
 import pytest
 import yaml
 
-from stablegfn import certify, cli, verify
+from stablegfn import certify, cli, output, verify
 from stablegfn.cli import _load_model_for, main
 from stablegfn.config import OUTPUT_DIR_ENV_VAR, ConfigError, load_config, resolve
 from stablegfn.policy import ROLLOUT_STATE_BYTES
@@ -852,6 +853,63 @@ def test_train_output_file_that_is_a_directory_exits_2_at_setup(tmp_path, capsys
     assert out.out == ""  # no summary line
     # refused at set-up, before any round: nothing else is written
     assert [p.name for p in outdir.iterdir()] == [name]
+
+
+def _no_space_for(monkeypatch, target):
+    """Fail the writer's write of ``target`` with ENOSPC: a JSON file at its
+    rename into place, a line file when it opens to append a line."""
+    real_open, real_replace = open, os.replace
+
+    def refuse(path):
+        if str(path) == str(target):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def appending_open(file, mode, **kwargs):
+        if mode == "a":
+            refuse(file)
+        return real_open(file, mode, **kwargs)
+
+    def replace(src, dst):
+        refuse(dst)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(output, "open", appending_open, raising=False)
+    monkeypatch.setattr(os, "replace", replace)
+
+
+@pytest.mark.parametrize("name", ["resolved_config.json", "metrics.csv", "checkpoint.json",
+                                  "certificate.json"])
+def test_train_output_that_runs_out_of_space_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                               name):
+    outdir = tmp_path / "run"
+    _no_space_for(monkeypatch, outdir / name)
+    assert main(["train", write_config(tmp_path, dict(TREE_CONFIG, output_dir=str(outdir)))]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: cannot write {outdir / name}: No space left on device\n"
+    assert out.out == ""  # no summary line
+    assert not [p.name for p in outdir.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("command", ["certify", "evaluate"])
+def test_output_that_runs_out_of_space_exits_2_naming_it(tmp_path, monkeypatch, capsys, command):
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    out = tmp_path / "out.json"
+    _no_space_for(monkeypatch, out)
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: No space left on device\n")
+    assert not out.exists()
+
+
+def test_train_replaces_a_dangling_symlink_output(tmp_path):
+    outdir = tmp_path / "run"
+    outdir.mkdir()
+    link = outdir / "resolved_config.json"
+    link.symlink_to(tmp_path / "missing" / "resolved_config.json")
+    _, cfg = run_train(tmp_path, TREE_CONFIG)
+    assert not link.is_symlink()
+    assert load_config(str(link)) == load_config(cfg)
 
 
 def test_certify_from_log_with_one_half_exits_2(tmp_path, capsys):

@@ -10,6 +10,8 @@
 * So is every method of a package class (properties, class and static
   methods included), outside its own body: a read of an attribute of that
   name anywhere counts, since a scan cannot tell which class an object has.
+* Only ``stablegfn.output`` writes files: no other package module calls
+  ``json.dump`` or opens a file with a mode that holds w, a, x or +.
 """
 
 import ast
@@ -83,6 +85,41 @@ def dead_methods(tree, read):
                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))], read)
 
 
+def file_writes(tree):
+    """Line numbers of the calls in ``tree`` that write a file: ``json.dump``,
+    or an ``open`` whose mode holds w, a, x or +, or is not a literal.  The
+    mode is the ``mode`` keyword, else the second argument of ``open``,
+    ``io.open`` or ``os.fdopen`` and the first of another ``.open`` (a path's)."""
+    lines = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        f = n.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        on = f.value.id if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) else None
+        if name == "dump" and on == "json":
+            lines.append(n.lineno)
+        elif name in ("open", "fdopen"):
+            at = 1 if isinstance(f, ast.Name) or on in ("io", "os") else 0
+            mode = next((k.value for k in n.keywords if k.arg == "mode"),
+                        n.args[at] if len(n.args) > at else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not set("wax+") & set(str(mode.value))):
+                lines.append(n.lineno)
+    return lines
+
+
+def test_file_write_scan_sees_every_write_form():
+    source = ("import io, json, os\n"
+              "open(p)\nopen(p, 'rb')\nopen(p, encoding='utf-8')\nPath(p).open()\n"
+              "json.dumps(d)\nio.open(p, mode='r')\n"
+              "open(p, 'w')\nopen(p, mode='ab')\nio.open(p, 'r+')\nos.fdopen(fd, 'x')\n"
+              "Path(p).open('w')\nopen(p, m)\njson.dump(d, fh)\n"
+              "def f(path):\n    with open(path, 'a', newline='') as fh:\n        pass\n")
+    # lines 2-7 read or only encode; every line from 8 writes
+    assert file_writes(ast.parse(source)) == [8, 9, 10, 11, 12, 13, 14, 16]
+
+
 def test_unused_import_scan_sees_every_binding_form():
     source = ("from __future__ import annotations\nimport os\nimport os.path\n"
               "import numpy as np\nfrom math import pi, tau as turn\nfrom typing import List\n"
@@ -144,3 +181,13 @@ def test_every_method_is_read(parsed, path):
     trees, read = parsed
     dead = dead_methods(trees[path], read)
     assert not dead, f"{path.relative_to(ROOT)} defines methods {', '.join(dead)}, which nothing reads"
+
+
+def test_only_the_output_module_writes_files(parsed):
+    trees, _ = parsed
+    writer = ROOT / "src" / "stablegfn" / "output.py"
+    assert file_writes(trees[writer])  # the scan sees the writer's own writes
+    for path in PACKAGE:
+        writes = file_writes(trees[path]) if path != writer else []
+        assert not writes, (f"{path.relative_to(ROOT)} writes a file at line(s) {writes}: "
+                            "write through stablegfn.output")

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -262,6 +264,25 @@ def test_metrics_csv_schema(tmp_path):
         "active_delta_frac", "threshold", "buffer_size", "buffer_min_reward",
         "n_backward", "cert_bound", "cert_main", "skip", "exact_tv", "modes_discovered",
     ]
+
+
+def test_metrics_csv_keeps_the_csv_writer_bytes(tmp_path):
+    """metrics.csv is rendered without the csv module; its bytes stay those
+    ``csv.writer`` wrote from the rows, floats by repr and None as empty."""
+    env = RegularTree(3, 2)
+    model = PolicyModel.build(env, "tabular", rng=rng_for(3, "model.init"))
+    path = tmp_path / "m.csv"
+    tr = Trainer(model, env, _tree_config(), metrics_path=str(path))
+    tr.run()
+    assert {row["cert_bound"] is None for row in tr.rows} == {True, False}
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_COLUMNS)
+    for row in tr.rows:
+        writer.writerow(["" if row[c] is None else repr(row[c]) if isinstance(row[c], float)
+                         else str(row[c]) for c in CSV_COLUMNS])
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
+    assert path.read_bytes().count(b"\r\n") == len(tr.rows) + 1
 
 
 def test_metrics_streamed_before_a_crash(tmp_path):
