@@ -98,6 +98,17 @@ def check_walk_memory(env: DagEnv, walks: int, key: str) -> None:
     check_memory(8 * walks * len(env.levels), f"{key}: {walks} walks", "walk matrix")
 
 
+def check_terminating(env: DagEnv, states, what: str) -> np.ndarray:
+    """``states`` as an int64 array, else a ValueError naming the first, as
+    ``what``, that is not a terminating state of ``env`` (out of range too)."""
+    xs = np.asarray(states, dtype=np.int64)
+    ok = (xs >= 0) & (xs < env.num_states)
+    ok[ok] = env.terminating_mask[xs[ok]]
+    if not ok.all():
+        raise ValueError(f"{what} {xs[~ok][0]} is not a terminating state")
+    return xs
+
+
 def sorted_unique(x: np.ndarray) -> np.ndarray:
     """``np.unique(x)`` of a 1-D array, by a sort and a neighbour compare."""
     x = np.sort(x)

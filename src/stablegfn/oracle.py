@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .envs import (DagEnv, EnumerationCapError, check_state_cap, sorted_unique, target_distribution,
-                   true_partition)
+from .envs import (DagEnv, EnumerationCapError, check_state_cap, check_terminating, sorted_unique,
+                   target_distribution, true_partition)
 from .policy import PathBatch, PolicyModel, exact_terminal_distribution, score_paths
 
 # Trajectory enumeration refuses graphs with more source-to-sink paths.
@@ -47,13 +47,9 @@ def empirical_total_l1(samples: Sequence[int], env: DagEnv) -> float:
     States never sampled contribute their full target mass.  Every sample
     must be a terminating state.
     """
-    xs = np.asarray(samples, dtype=np.int64)
+    xs = check_terminating(env, samples, "sample")
     if len(xs) == 0:
         raise ValueError("need at least one sample")
-    ok = (xs >= 0) & (xs < env.num_states)
-    ok[ok] = env.terminating_mask[xs[ok]]
-    if not ok.all():
-        raise ValueError(f"sample {xs[~ok][0]} is not a terminating state")
     counts = np.bincount(xs, minlength=env.num_states)[env.terminating_states]
     return float(np.abs(counts / len(xs) - target_distribution(env)).sum())
 

@@ -34,13 +34,13 @@ H(4,16), with 65,535 forward choice states, bulk calls of 1,000 forward and
 1,000 backward paths took 46 ms without tables and 71 ms with them on a
 2-vCPU host).  The walking side's
 table follows the rule; the other side's is built only when the walking side
-has one, since only recording reads it.  Such a walk sums its table's
-``exp`` into cumulative rows once and records each side that has a table
-from one log-prob matrix per side; a step is gathers and one uniform per
-walker, and each path sums its log-probs as :func:`score_paths` would (see
-:func:`_walk`).  Every other side is scored after the walk by one cache-free
-:func:`_side` over its edges, since per-step net rows need not have a
-table's bits.  A training :func:`rollout` reads a table only for a net read
+has one, since only recording reads it.  A walk with a table sums its
+``exp`` into cumulative rows once, and a step is gathers and one uniform per
+walker.  A walk whose two sides both have a table records both as it draws,
+each path summing its log-probs as :func:`score_paths` would (see
+:func:`_walk`); every other walk is scored by :func:`score_paths` once its
+batch exists, since per-step net rows need not have a table's bits.  A
+training :func:`rollout` reads a table only for a net read
 by state index (tabular or uniform), over the choice states already in its
 move table, and only on a side of fewer than :data:`_ORDERED_SUM_WIDTH`
 slots.  Why the bits hold:
@@ -96,7 +96,7 @@ import numpy as np
 
 from . import output
 from .approximator import Mlp, ParamVector, Tabular, Uniform
-from .envs import DagEnv, check_state_cap
+from .envs import DagEnv, check_state_cap, check_terminating
 
 LOGIT_CLAMP = 50.0
 # Cells (block rows x output width A) from which an MLP block gives the
@@ -421,6 +421,8 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
         net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
     else:
         net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
+    if not forward:
+        check_terminating(env, starts, "start")
     moves, listed = env._moves[0 if forward else 1], env._move_choices[0 if forward else 1]
     n_table = 0
     if net.wants_indices and mask.shape[1] < _ORDERED_SUM_WIDTH and listed:
@@ -430,8 +432,6 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     paths = []
     for s in starts:
         s = int(s)
-        if not forward and not env.terminating_mask[s]:
-            raise ValueError(f"state {s} is not terminating")
         seq = [s]
         while s != end:
             move = moves.get(s)
@@ -496,14 +496,6 @@ def _backprop_side(side, coeff: Optional[np.ndarray]) -> None:
     net.backward(cache, dlogits)
 
 
-def _path_edges(paths: PathBatch) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sources, destinations, path of each) of every edge of ``paths``,
-    grouped by path, in path order."""
-    s = paths.states
-    edge = s[:, 1:] >= 0
-    return s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0]
-
-
 class EdgeBatch:
     """Forward/backward log-probs for a flat list of edges, with backprop.
 
@@ -527,7 +519,9 @@ class EdgeBatch:
     def of_paths(cls, model: PolicyModel, env: DagEnv, paths: PathBatch,
                  cache: bool = True) -> "EdgeBatch":
         """One batch over every edge of ``paths``, grouped by path, in path order."""
-        return cls(model, env, *_path_edges(paths), cache)
+        s = paths.states
+        edge = s[:, 1:] >= 0
+        return cls(model, env, s[:, :-1][edge], s[:, 1:][edge], np.nonzero(edge)[0], cache)
 
     def per_trajectory(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(log P_F, log P_B) summed over each of ``n`` trajectories' edges."""
@@ -593,47 +587,44 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     and sums their rows alike.  Backward paths are turned source-to-sink by
     one masked copy.
 
-    A walk with a table records its own side from it, and the other side
-    when that has a table too, which is built only then, since only
-    recording reads it.  A recorded side is one log-prob matrix over the
-    walking side's (state, slot) cells: the walking side's table itself, and
-    the other side's filled by one scatter over the environment's edge
-    columns from its table at each edge's other end (an edge into the sink
-    has no backward slot and a backward log-prob of 0).  A step gathers each
-    recorded side at its walkers' (state, drawn slot) cells, the entries
-    :func:`score_paths` reads.  Each path sums its steps in path order from
-    0.0, which is the order of :meth:`EdgeBatch.per_trajectory`'s
+    A walk whose two sides both have a table records both as it draws; the
+    other side's table is built only when the walking side has one, since
+    only recording reads it.  Each side is recorded from one log-prob matrix
+    over the walking side's (state, slot) cells: the walking side's table
+    itself, and the other side's filled by one scatter over the
+    environment's edge columns from its table at each edge's other end (an
+    edge into the sink has no backward slot and a backward log-prob of 0).
+    A step gathers both at its walkers' (state, drawn slot) cells, the
+    entries :func:`score_paths` reads.  Each path sums its steps in path
+    order from 0.0, which is the order of :meth:`EdgeBatch.per_trajectory`'s
     ``bincount``: a forward walk adds each step as it goes, since its step
     order is the path order, and a backward walk keeps its steps' records
-    and adds them in reverse step order once it ends.  Every other
-    side (both sides of a walk without a table) is scored after the walk by
-    one cache-free :func:`_side` over the walked edges, as
-    :func:`score_paths` would: per-step net rows may differ from a table's in
-    the last bits.
+    and adds them in reverse step order once it ends.  Every other walk is
+    scored by :func:`score_paths` once its batch exists: per-step net rows
+    may differ from a table's in the last bits.
 
     Memory: besides the walk matrix, a backward walk's per-step records and
     the other side's table while it is scattered, a walk keeps at most three
-    float64 arrays of S x A cells for its A-slot side (its table, the rows and
-    the other recorded side), the size class of ``env.child_matrix``.
+    float64 arrays of S x A cells for its A-slot side (its table, the rows
+    and the other recorded side), the size class of ``env.child_matrix``.
     """
-    sides = ((model.forward_net, env.forward_mask, env.child_matrix, env.forward_has_choice),
-             (model.backward_net, env.backward_mask, env.parent_matrix, env.backward_has_choice))
-    me = 0 if forward else 1
-    net, mask, step, _ = sides[me]
-    end = env.sink if forward else env.initial_state
+    if forward:
+        net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
+    else:
+        net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
     n = len(starts)
-    table, cum = _table(model, env, forward, n), None
-    recorded = {}  # side -> its log-probs over the walking side's (state, slot)
-    if table is not None:
-        cum, recorded[me] = _cumulative(np.exp(table)), table
-        theirs = _table(model, env, not forward, n)
-        if theirs is not None:
-            inner = env.edge_dst != env.sink  # an edge into the sink has no backward slot
-            edges = [(at[inner], slot[inner]) for at, slot in
-                     ((env.edge_src, env.edge_fslot), (env.edge_dst, env.edge_bslot))]
-            recorded[1 - me] = np.zeros(mask.shape)
-            recorded[1 - me][edges[me]] = theirs[edges[1 - me]]
-        del theirs
+    table, recorded = _table(model, env, forward, n), ()
+    theirs = None if table is None else _table(model, env, not forward, n)
+    if theirs is not None:
+        me = 0 if forward else 1
+        inner = env.edge_dst != env.sink  # an edge into the sink has no backward slot
+        edges = [(at[inner], slot[inner]) for at, slot in
+                 ((env.edge_src, env.edge_fslot), (env.edge_dst, env.edge_bslot))]
+        other = np.zeros(mask.shape)
+        other[edges[me]] = theirs[edges[1 - me]]
+        recorded = (table, other) if forward else (other, table)  # (log P_F, log P_B)
+    del theirs
+    cum = None if table is None else _cumulative(np.exp(table))
     sums = np.zeros((2, n))  # (log P_F, log P_B) per path
     steps: List[Tuple[np.ndarray, List[np.ndarray]]] = []  # a backward walk's records
     cur = np.array(starts, dtype=np.int64)
@@ -650,18 +641,18 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
             drawn = _draw_rows(rng, cum[states])
         nxt = step[states, drawn]
         if forward:  # a forward walk's step order is its path order
-            for side, logp in recorded.items():
+            for side, logp in enumerate(recorded):
                 sums[side, alive] += logp[states, drawn]
         elif recorded:
-            steps.append((alive, [logp[states, drawn] for logp in recorded.values()]))
+            steps.append((alive, [logp[states, drawn] for logp in recorded]))
         t += 1
         walked[alive, t] = nxt
         cur[alive] = nxt
         alive = alive[nxt != end]
     for walkers, logps in steps[::-1]:
-        for side, logp in zip(recorded, logps):
+        for side, logp in enumerate(logps):
             sums[side, walkers] += logp
-    unscored = [side for side in (0, 1) if side not in recorded]
+    scored = bool(recorded)
     del table, cum, recorded, steps  # not read past here: free them before the batch exists
     valid = walked >= 0
     lengths = valid.sum(axis=1)
@@ -672,13 +663,10 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         rows[::-1][np.arange(t + 2) < lengths[::-1, None]] = walked[valid][::-1]
         rows[np.arange(n), lengths] = env.sink
         paths = PathBatch.of_matrix(env, rows, lengths + 1)
-    if unscored:
-        src, dst, tid = _path_edges(paths)
-        for side in unscored:
-            at, to = (src, dst) if side == 0 else (dst, src)
-            logp, _ = _side(env, *sides[side], at, to, cache=False)
-            sums[side] = np.bincount(tid, weights=logp, minlength=n)
-    paths.log_pf, paths.log_pb = sums
+    if scored:
+        paths.log_pf, paths.log_pb = sums
+    else:
+        score_paths(model, env, paths)
     return paths
 
 
@@ -691,7 +679,7 @@ def sample_forward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generat
 def sample_backward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                           xs: np.ndarray) -> PathBatch:
     """Walk backward from given terminating states in lockstep."""
-    return _walk(model, env, rng, xs, forward=False)
+    return _walk(model, env, rng, check_terminating(env, xs, "start"), forward=False)
 
 
 def exact_terminal_distribution(model: PolicyModel, env: DagEnv) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Training loops: the certificate-gated stabilized trainer and plain baselines.
 
-The stabilized trainer samples half of each batch forward (with ε-greedy
-exploration) and half backward from high-reward terminal states, maintains a
+The stabilized trainer samples forward paths (with ε-greedy exploration) and
+at most a half batch backward from high-reward terminal states, maintains a
 top-K terminal buffer (one state array) with a patience counter, periodically
 certifies a TV bound at the current adaptive threshold, skips gradient steps
 once the certificate's main term clears the target, and otherwise trains on
@@ -9,10 +9,13 @@ the capped objective with per-trajectory reference flows.  The backward half
 and the certificates draw over one scope, the buffer's states or all
 terminating ones (:meth:`Trainer.certification_scope`), through
 :func:`~stablegfn.policy.draw_terminals` and
-:func:`~stablegfn.certify.sample_certificate`.  The backward
-half is sampled only when something reads it: the gradient, or, with exact
-sourcing, the buffer merge (a buffer-drawn half would only re-merge states
-the buffer holds).  ``metrics.csv`` is written one line per round.
+:func:`~stablegfn.certify.sample_certificate`.  A round walks ``batch_size``
+forward paths while the scope is empty, else ``batch_size - batch_size // 2``
+and ``batch_size // 2`` backward only if something reads them: the gradient,
+or, with exact sourcing, the buffer merge (a buffer-drawn half would only
+re-merge states the buffer holds).  So by default (buffer sourcing,
+``backward_in_gradient`` auto) no round walks backward.  ``metrics.csv`` is
+written one line per round.
 
 Baselines train any of the plain objectives on forward samples, optionally
 mixed with a reward-prioritized replay buffer.

@@ -106,12 +106,12 @@ def test_bulk_sampler_matches_reference_on_both_sides_of_the_table_rule(kind, fo
 
 
 def _record_edge_batches(monkeypatch):
-    """The edge count of every EdgeBatch built from now on."""
+    """(edge count, cache flag) of every EdgeBatch built from now on."""
     edges, init = [], EdgeBatch.__init__
 
     def recorded(self, model, env, src, *args, **kwargs):
-        edges.append(len(src))
         init(self, model, env, src, *args, **kwargs)
+        edges.append((len(src), self.cache))
 
     monkeypatch.setattr(EdgeBatch, "__init__", recorded)
     return edges
@@ -153,18 +153,6 @@ def test_table_walk_records_the_log_probs_of_scoring(monkeypatch, env_name, net,
     assert paths.log_pb.tobytes() == want.log_pb.tobytes()
 
 
-def _record_sides(monkeypatch):
-    """(side, edge count) of every ``policy._side`` call from now on."""
-    calls, side = [], policy._side
-
-    def recorded(env, net, mask, matrix, has_choice, at, *args, **kwargs):
-        calls.append(("forward" if mask is env.forward_mask else "backward", len(at)))
-        return side(env, net, mask, matrix, has_choice, at, *args, **kwargs)
-
-    monkeypatch.setattr(policy, "_side", recorded)
-    return calls
-
-
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
 @pytest.mark.parametrize("env_name, net, n", [
     ("H(4,8)", "tabular", 300),  # 4,095 forward, 4,067 backward choice states
@@ -173,14 +161,12 @@ def _record_sides(monkeypatch):
 def test_walk_without_tables_is_scored_afterwards(monkeypatch, env_name, net, n, forward):
     env = ENVS[env_name]()
     model = _model(env, net)
-    edges, sides = _record_edge_batches(monkeypatch), _record_sides(monkeypatch)
+    edges = _record_edge_batches(monkeypatch)
     paths = _walked(model, env, forward, n)
-    # no batch: one cache-free side per policy without a table, over every
-    # edge of the walk; a tree's backward side has no choice state, so a
-    # backward walk there draws from its empty table and records that side
-    walked = int((paths.lengths - 1).sum())
-    unscored = ["forward"] if env_name == "T(3,4)" and not forward else ["forward", "backward"]
-    assert edges == [] and sides == [(side, walked) for side in unscored]
+    # one cache-free batch over every edge of the walk, as score_paths builds.
+    # A tree has no backward choice state, so a backward walk there draws
+    # from its table; with no forward table it still records nothing
+    assert edges == [(int((paths.lengths - 1).sum()), False)]
     want = _rescored(model, env, paths)
     assert paths.log_pf.tobytes() == want.log_pf.tobytes()
     assert paths.log_pb.tobytes() == want.log_pb.tobytes()
@@ -196,14 +182,16 @@ def test_walk_evaluates_only_its_side_without_a_table(monkeypatch):
         return log_policy(net, mask, states, env)
 
     monkeypatch.setattr(policy, "_log_policy", recorded)
-    sides = _record_sides(monkeypatch)
-    # 56 backward paths: the walking side has its table, the forward side none
+    edges = _record_edge_batches(monkeypatch)
+    # 56 backward paths: the walking side has its table, the forward side
+    # none, so the walk records nothing and score_paths scores both sides
     paths = _walked(model, env, False, 56)
     s = paths.states
-    src = s[:, :-1][s[:, 1:] >= 0]
-    visited = len(np.unique(src[env.forward_has_choice[src]]))
-    assert rows == [("backward", 49), ("forward", visited)]
-    assert sides == [("forward", int((paths.lengths - 1).sum()))]
+    src, dst = s[:, :-1][s[:, 1:] >= 0], s[:, 1:][s[:, 1:] >= 0]
+    visited = [len(np.unique(at[has_choice[at]])) for at, has_choice in
+               ((src, env.forward_has_choice), (dst, env.backward_has_choice))]
+    assert rows == [("backward", 49), ("forward", visited[0]), ("backward", visited[1])]
+    assert edges == [(len(src), False)]
     want = _rescored(model, env, paths)
     assert paths.log_pf.tobytes() == want.log_pf.tobytes()
     assert paths.log_pb.tobytes() == want.log_pb.tobytes()
