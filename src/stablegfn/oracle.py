@@ -55,8 +55,9 @@ def empirical_total_l1(samples: Sequence[int], env: DagEnv) -> float:
 
 
 def count_modes(samples: Sequence[int], env: DagEnv) -> int:
-    """Number of distinct mode states (``env.mode_mask``) present in the samples."""
-    xs = np.asarray(samples, dtype=np.int64)
+    """Number of distinct mode states (``env.mode_mask``) present in the
+    samples.  Every sample must be a terminating state."""
+    xs = check_terminating(env, samples, "sample")
     return len(sorted_unique(xs[env.mode_mask[xs]]))
 
 

@@ -42,19 +42,17 @@ each path summing its log-probs as :func:`score_paths` would (see
 batch exists, since per-step net rows need not have a table's bits.  A
 training :func:`rollout` reads a table only for a net read
 by state index (tabular or uniform), over the choice states already in its
-move table, and only on a side of fewer than :data:`_ORDERED_SUM_WIDTH`
-slots.  Why the bits hold:
+move table.  Why the bits hold:
 
-* a tabular or uniform row is a gather or zeros, and a matrix row of
-  :func:`_masked_rows` depends only on that row, so table rows are the rows
-  of a per-step or per-batch evaluation bit for bit;
+* every row is masked over its side's whole width (:func:`_masked_rows`,
+  -inf at invalid slots), a rollout's single rows (:func:`_row`) too, and
+  such a row depends only on its logits: a tabular or uniform row's are a
+  gather or zeros, so table rows are the rows of a per-step, per-batch or
+  per-state evaluation bit for bit;
 * a row's running sums add its entries in order, by ``np.cumsum`` or one
   column at a time (:func:`_cumulative`), so cumulative rows built once per
-  walk, per step or per listed state are the same sums;
-* a listed rollout row is the table row's cumulative sums at the state's
-  slots.  :func:`_log_softmax` over the valid slots and over the whole
-  masked width (zeros at the invalid ones) agree while numpy sums in order,
-  below 8 entries; wider sides keep per-state rows;
+  walk, per step or per listed state are the same sums (an invalid slot
+  adds exactly 0);
 * an MLP row has the same bits in any call of more than 1,200 / A rows, A
   the net's output width: smaller calls round their products differently
   (OpenBLAS' small-matrix kernel; the boundary is a count of b x A cells,
@@ -89,6 +87,7 @@ order, one array step per level (see :mod:`stablegfn.envs`).
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,7 +95,7 @@ import numpy as np
 
 from . import output
 from .approximator import Mlp, ParamVector, Tabular, Uniform
-from .envs import DagEnv, check_state_cap, check_terminating
+from .envs import DagEnv, check_memory, check_state_cap, check_terminating
 
 LOGIT_CLAMP = 50.0
 # Cells (block rows x output width A) from which an MLP block gives the
@@ -115,9 +114,6 @@ BLAS_EXACT_CELLS = 1600
 # measured 50 (T(3,4)) to 94 (H(4,8)) per visited state over 50,000 walks, in
 # the walk's list, its flattened copy and the padded batch
 ROLLOUT_STATE_BYTES = 48
-# numpy's pairwise sum adds fewer than 8 entries in order, so a masked row
-# of fewer slots sums its valid entries as the row of those entries alone
-_ORDERED_SUM_WIDTH = 8
 
 
 def _pad(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,14 +269,26 @@ def _draw_rows(rng: np.random.Generator, cum: np.ndarray) -> np.ndarray:
     return (cum[:, :-1] <= u[:, None]).sum(axis=1)
 
 
+def check_param_memory(nets, size: int, vectors: int) -> None:
+    """Refuse ``vectors`` float64 vectors of ``size`` parameters, those of a
+    model of ``nets``, when they exceed physical memory, naming the key that
+    sizes them: ``model.hidden`` for an MLP model, else ``model.kind``."""
+    mlp = next((n for n in nets if isinstance(n, Mlp)), None)
+    key = "model.kind tabular" if mlp is None else f"model.hidden {mlp.dims[1:3]}"
+    check_memory(8 * vectors * size, f"{key}: {size} parameters", "parameter vectors")
+
+
 class PolicyModel:
     """Parameterized forward/backward policies plus logZ and optional flow head."""
 
     def __init__(self, forward_net, backward_net, flow_net=None):
         self.forward_net, self.backward_net, self.flow_net = forward_net, backward_net, flow_net
         self._nets = [n for n in (forward_net, backward_net, flow_net) if n is not None]
+        spec = [("logz", ())] + [p for n in self._nets for p in n.param_spec()]
+        # the values and their gradients, refused before either is allocated
+        check_param_memory(self._nets, sum(math.prod(shape) for _, shape in spec), 2)
         # logZ starts at 0, as every parameter of a new ParamVector
-        self.params = ParamVector([("logz", ())] + [p for n in self._nets for p in n.param_spec()])
+        self.params = ParamVector(spec)
         for net in self._nets:
             net.bind(self.params)
 
@@ -337,12 +345,11 @@ def _eval_rows(net, states: np.ndarray, env: DagEnv, cache: bool = True):
     return net.forward(states if net.wants_indices else env.encoding_matrix[states], cache=cache)
 
 
-def _row(net, s: int, slots: np.ndarray, env: DagEnv) -> np.ndarray:
-    """Log-probs over ``slots`` at one state."""
-    if len(slots) <= 1:
-        return np.zeros(len(slots))
+def _row(net, s: int, mask: np.ndarray, env: DagEnv) -> np.ndarray:
+    """One state's row of the side with slot mask ``mask``, over its whole
+    width and -inf at invalid slots, as a table holds it."""
     out, _ = _eval_rows(net, np.array([s]), env, cache=False)
-    return _log_softmax(_clamp(out[0][slots]))
+    return _masked_rows(out[0], mask[s])
 
 
 def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.ndarray:
@@ -409,23 +416,26 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     ``searchsorted(..., side="right")`` does.  A net read by state index
     computes one table over the listed choice states and its running sums
     (:func:`_cumulative`), and a listed state's row is its table row at its
-    slots; a state listed during the call, a wider side or an MLP computes
-    the row alone (see the module
-    docstring for why both give the same bits).  Neither draws, so every
-    path takes the same uniforms, in the same order, as a row evaluated and
-    drawn from at every step.
+    slots; a state listed during the call or an MLP computes the row alone
+    (:func:`_row`; see the module docstring for why both give the same
+    bits).  Neither draws, so every path takes the same uniforms, in the
+    same order, as a row evaluated and drawn from at every step.  A start
+    off the walk's side (not the initial state forward, not terminating
+    backward) raises ``ValueError`` before any move is listed.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must be in [0, 1)")
     if forward:
         net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
+        off = np.flatnonzero(np.asarray(starts, dtype=np.int64) != env.initial_state)
+        if len(off):
+            raise ValueError(f"start {starts[off[0]]} is not the initial state")
     else:
         net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
-    if not forward:
         check_terminating(env, starts, "start")
     moves, listed = env._moves[0 if forward else 1], env._move_choices[0 if forward else 1]
     n_table = 0
-    if net.wants_indices and mask.shape[1] < _ORDERED_SUM_WIDTH and listed:
+    if net.wants_indices and listed:
         n_table = len(listed)
         cum = _cumulative(np.exp(_log_policy(net, mask, np.array(listed), env)))
     rows: Dict[int, Tuple[List[float], float]] = {}  # choice state -> (cumulative sums, total)
@@ -450,7 +460,7 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
                 row = rows.get(s)
                 if row is None:
                     c = cum[k, slots] if k < n_table else np.cumsum(
-                        np.exp(_row(net, s, slots, env)))
+                        np.exp(_row(net, s, mask, env)[slots]))
                     row = rows[s] = c[:-1].tolist(), float(c[-1])
                 s = nxt[bisect_right(row[0], rng.random() * row[1])]
             seq.append(s)

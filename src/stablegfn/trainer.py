@@ -47,6 +47,7 @@ from .policy import (
     EdgeBatch,
     PathBatch,
     PolicyModel,
+    check_param_memory,
     draw_terminals,
     proportional_draw,
     rollout,
@@ -119,7 +120,8 @@ class TrainConfig:
         if self.backward_in_gradient not in ("auto", "always", "never"):
             raise ValueError("backward_in_gradient must be auto, always or never")
         for key, least in (("seed", 0), ("max_rounds", 0), ("patience", 0), ("replay_batch", 0),
-                           ("batch_size", 1), ("buffer_size", 1), ("cert_m", 1), ("cert_n", 1)):
+                           ("oracle_every", 0), ("batch_size", 1), ("buffer_size", 1),
+                           ("cert_m", 1), ("cert_n", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)!r}")
         # a negative clip norm would flip the gradient's sign: training would ascend
@@ -259,6 +261,8 @@ class Trainer:
         # into the whole walk matrix; a stable round copies it once more)
         check_memory(2 * ROLLOUT_STATE_BYTES * config.batch_size,
                      f"train.batch_size: {config.batch_size} walks", "rollout lists")
+        # the model's values and gradients, then Adam's m, v and two scratch rows
+        check_param_memory(model._nets, model.params.size, 6)
         self.model, self.env, self.config = model, env, config
         lr = config.learning_rate
         self.optimizer = AdamOptimizer(

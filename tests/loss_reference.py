@@ -53,16 +53,21 @@ def log_reward(env, s):
 # -- model lookups, one state at a time -----------------------------------------
 
 
+def _valid_row(net, s, mask, slots, env):
+    """Log-probs over ``slots`` at one state: 0 at a single slot, none at none."""
+    return _row(net, s, mask, env)[slots] if len(slots) > 1 else np.zeros(len(slots))
+
+
 def forward_row(model, s, env):
     """(slots, children, log-probs) of the forward policy at one state."""
     slots, kids = forward_slots(env, s)
-    return slots, kids, _row(model.forward_net, s, slots, env)
+    return slots, kids, _valid_row(model.forward_net, s, env.forward_mask, slots, env)
 
 
 def backward_row(model, s, env):
     """(slots, parents, log-probs) of the backward policy at one state."""
     slots, pars = backward_slots(env, s)
-    return slots, pars, _row(model.backward_net, s, slots, env)
+    return slots, pars, _valid_row(model.backward_net, s, env.backward_mask, slots, env)
 
 
 def log_pf_edge(model, src, dst, env):

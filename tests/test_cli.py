@@ -4,6 +4,9 @@ import json
 import math
 import os
 import re
+import resource
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -216,6 +219,33 @@ def test_train_batch_whose_walk_matrix_exceeds_memory_exits_2_at_setup(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: train.batch_size: {batch} walks need ") and "walk matrix" in err
     assert not (tmp_path / "run").exists()  # refused before resolved_config.json
+
+
+def test_train_parameters_above_memory_exit_2_at_setup(tmp_path):
+    # hidden widths whose values and gradients alone exceed physical memory,
+    # run under an address-space limit so that a build that tries to allocate
+    # them fails in the child, not on the host
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    width = math.isqrt(have // 16) + 1
+    payload = {"seed": 0, "output_dir": str(tmp_path / "run"),
+               "env": {"kind": "hypergrid", "dimension": 2, "side": 4},
+               "model": {"kind": "mlp", "hidden": [width, width]}, "train": {"max_rounds": 1}}
+    limit = 2 * 2**30
+    run = subprocess.run(
+        [sys.executable, "-m", "stablegfn.cli", "train", write_config(tmp_path, payload)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == 2, run.stderr
+    assert re.fullmatch(rf"error: model\.hidden \[{width}, {width}\]: \d+ parameters need "
+                        r"\S+ GiB of parameter vectors, above \S+ GiB of memory\n", run.stderr)
+    assert not (tmp_path / "run").exists()  # refused before resolved_config.json
+
+
+def test_train_negative_oracle_every_exits_2_before_any_output(tmp_path, capsys):
+    assert _train_with(tmp_path, train={"oracle_every": -3}) == 2
+    assert capsys.readouterr().err == "error: oracle_every must be >= 0, got -3\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_missing_config():

@@ -12,11 +12,15 @@
   name anywhere counts, since a scan cannot tell which class an object has.
 * Only ``stablegfn.output`` writes files: no other package module calls
   ``json.dump`` or opens a file with a mode that holds w, a, x or +.
+* Every ``:func:``, ``:data:``, ``:class:``, ``:meth:``, ``:attr:`` or
+  ``:mod:`` role in a package docstring names a package module or something
+  one defines.
 """
 
 import ast
 import collections
 import pathlib
+import re
 
 import pytest
 
@@ -64,18 +68,24 @@ def unread(defined, read):
     return dead
 
 
-def dead_definitions(tree, read):
-    """Module-level names ``tree`` defines that no node in ``read`` reads
-    outside the statement defining them; dunder names are skipped."""
+def definitions(body):
+    """(name, defining node) of every ``def``, ``class`` and assigned name,
+    tuple targets included, among the statements ``body``."""
     defined = []
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.append((node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined += [(n.id, node) for t in targets for n in ast.walk(t)
                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-    return unread(defined, read)
+    return defined
+
+
+def dead_definitions(tree, read):
+    """Module-level names ``tree`` defines that no node in ``read`` reads
+    outside the statement defining them; dunder names are skipped."""
+    return unread(definitions(tree.body), read)
 
 
 def dead_methods(tree, read):
@@ -107,6 +117,73 @@ def file_writes(tree):
                                          and not set("wax+") & set(str(mode.value))):
                 lines.append(n.lineno)
     return lines
+
+
+ROLE = re.compile(r":(func|data|class|meth|attr|mod):`~?([^`]*?)(?:\(\))?`")
+
+
+def defined_names(tree):
+    """What a module defines: its module-level names, and ``Class.name`` for
+    every method, class-level name and ``self.name`` attribute of its classes."""
+    names = {name for name, _ in definitions(tree.body)}
+    for c in tree.body:
+        if isinstance(c, ast.ClassDef):
+            names |= {f"{c.name}.{name}" for name, _ in definitions(c.body)}
+            names |= {f"{c.name}.{n.attr}" for n in ast.walk(c) if isinstance(n, ast.Attribute)
+                      and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+                      and n.value.id == "self"}
+    return names
+
+
+def unresolved_roles(trees):
+    """(module, role target) of every docstring role in ``trees``, dotted
+    module name -> tree, that names nothing they define.  A target resolves
+    as a module, as a name qualified by its module (``stablegfn.losses.f``)
+    or by the module's last part (``losses.f``), as a name of the module
+    holding the docstring (``f``, ``C.m``), or as a member of one of its
+    classes (``m``)."""
+    defined = {module: defined_names(tree) for module, tree in trees.items()}
+
+    def resolves(target, module):
+        if target in defined:
+            return True
+        for other, names in defined.items():
+            for prefix in (other, other.rsplit(".", 1)[-1]):
+                if target.startswith(prefix + ".") and target[len(prefix) + 1:] in names:
+                    return True
+        own = defined[module]
+        return target in own or any(name.endswith("." + target) for name in own)
+
+    return [(module, target) for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            for _, target in ROLE.findall(ast.get_docstring(node, clean=False) or "")
+            if not resolves(target, module)]
+
+
+def test_role_scan_sees_every_target_form():
+    a = ast.parse('''"""Roles :func:`f`, :data:`X`, :class:`C`, :meth:`C.m`, :meth:`m`,
+    :attr:`C.y`, :mod:`pkg.b`, :func:`~pkg.b.g`, :func:`b.g()`, :func:`gone`,
+    :meth:`C.gone`, :mod:`pkg.c` and :data:`b.X`."""
+X = 1
+def f():
+    pass
+class C:
+    def m(self):
+        """:attr:`y` is set here, :func:`nowhere` is not."""
+        self.y = 1
+''')
+    b = ast.parse("def g():\n    pass\n")
+    # b.X: X is a's, not b's; nowhere is defined nowhere
+    assert unresolved_roles({"pkg.a": a, "pkg.b": b}) == [
+        ("pkg.a", "gone"), ("pkg.a", "C.gone"), ("pkg.a", "pkg.c"), ("pkg.a", "b.X"),
+        ("pkg.a", "nowhere")]
+
+
+def test_every_docstring_role_names_a_package_definition(parsed):
+    trees, _ = parsed
+    bad = unresolved_roles({f"stablegfn.{p.stem}": trees[p] for p in PACKAGE})
+    assert not bad, "docstring roles name nothing the package defines: " + ", ".join(
+        f"{module}: {target}" for module, target in bad)
 
 
 def test_file_write_scan_sees_every_write_form():

@@ -125,6 +125,14 @@ def test_empirical_l1_rejects_non_terminating_samples(bad):
         empirical_total_l1(samples, env)
 
 
+@pytest.mark.parametrize("bad", [0, 5, 32, -1, 33])
+def test_count_modes_rejects_non_terminating_samples(bad):
+    env = Hypergrid(2, 4, r0=0.1)  # active copies 0..15, terminal copies 16..31, sink 32
+    samples = [int(env.terminating_states[0]), bad]
+    with pytest.raises(ValueError, match=f"^sample {bad} is not a terminating state$"):
+        count_modes(samples, env)
+
+
 def test_count_modes_hypergrid():
     env = Hypergrid(2, 8, r0=0.1, r1=0.5, r2=2.0)
     assert count_modes(env.terminating_states, env) == 4

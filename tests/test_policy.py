@@ -172,6 +172,16 @@ def test_backward_walks_refuse_a_start_that_is_not_terminating(bulk, bad):
             rollout(model, env, np.random.default_rng(0), starts, forward=False)
 
 
+@pytest.mark.parametrize("bad", [32, 5, -1, 33], ids=["sink", "interior", "-1", "num_states"])
+def test_rollout_refuses_a_forward_start_that_is_not_the_initial_state(bad):
+    env = Hypergrid(2, 4)  # source 0, sink 32
+    model = random_model(env)
+    with pytest.raises(ValueError, match=f"^start {bad} is not the initial state$"):
+        rollout(model, env, np.random.default_rng(0), [env.initial_state, bad])
+    # refused before the walk: not even the valid first start listed a move
+    assert env._moves == ({}, {}) and env._move_choices == ([], [])
+
+
 def test_single_edge_backward_trajectory():
     env = RegularTree(2, 1)
     model = random_model(env)
@@ -234,7 +244,7 @@ def test_rollout_draw_follows_the_proportional_rule(monkeypatch):
         model = PolicyModel.build(env, "tabular")
         # the first call computes the source's row alone, the second reads the
         # row of the call's table, where the first call listed the source
-        monkeypatch.setattr(policy, "_row", lambda net, s, slots, env, lw=lw: lw)
+        monkeypatch.setattr(policy, "_row", lambda net, s, mask, env, lw=lw: lw)
         monkeypatch.setattr(policy, "_log_policy", lambda net, mask, states, env, lw=lw:
                             np.tile(lw, (len(states), 1)))
         for listed in ([], [0]):
@@ -270,8 +280,8 @@ def test_rollout_evaluates_no_row_at_an_explored_step(monkeypatch):
     env = Hypergrid(2, 4, r0=0.1)
     model = random_model(env, "mlp")
     seen, row = [], policy._row
-    monkeypatch.setattr(policy, "_row", lambda net, s, slots, env: seen.append(s) or row(
-        net, s, slots, env))
+    monkeypatch.setattr(policy, "_row", lambda net, s, mask, env: seen.append(s) or row(
+        net, s, mask, env))
     rollout(model, env, _AlwaysExplore(), [env.initial_state] * 4, epsilon=0.5)
     assert seen == []
     # a drawn step evaluates its state's row once per call
@@ -293,12 +303,13 @@ def test_rollout_rows_do_not_outlive_a_call():
     assert set(second.states[:, 1].tolist()) == {kids[1]}
 
 
-# slot widths from 2 to 16 (forward, backward): T(3,3) 3/1, H(2,4) 3/2, H(7,2)
-# 8/7, H(9,2) 10/9, the small random DAGs 4-7, RandomDag(3, 30) 16/8
+# slot widths from 1 to 16 (forward, backward): T(3,3) 3/1, H(2,4) 3/2, H(7,2)
+# 8/7, T(9,2) 9/1, H(9,2) 10/9, the small random DAGs 4-7, RandomDag(3, 30) 16/8
 TABLE_ENVS = {
     "T(3,3)": lambda: RegularTree(3, 3),
     "H(2,4)": lambda: Hypergrid(2, 4, r0=0.1),
     "H(7,2)": lambda: Hypergrid(7, 2),
+    "T(9,2)": lambda: RegularTree(9, 2),
     "H(9,2)": lambda: Hypergrid(9, 2),
     **{f"dag{i}": lambda i=i: random_dags()[i] for i in range(3)},
     "dag30": lambda: RandomDag(3, 30),
@@ -310,42 +321,23 @@ def _sides(model, env):
             (model.backward_net, env.backward_mask, env.backward_choice))
 
 
-@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+@pytest.mark.parametrize("kind", ["tabular", "uniform_backward", "mlp"])
 @pytest.mark.parametrize("env_name", list(TABLE_ENVS))
 def test_table_rows_match_per_state_rows(env_name, kind):
+    # a rollout's single row is a table row at every width: both are masked
+    # over the side's whole width, so their sums group the same entries
     env = TABLE_ENVS[env_name]()
-    model = random_model(env, kind, seed=5, noise=3.0)
+    model = random_model(env, "mlp" if kind == "mlp" else "tabular", seed=5, noise=3.0,
+                         learn_backward=kind != "uniform_backward")
     for net, mask, choice in _sides(model, env):
         logp = policy._log_policy(net, mask, choice, env)
         # an MLP's logits move in the last bits with a call's row count, so
-        # its rows are held to the per-state arithmetic on the table's logits
+        # its rows are built one state at a time from the table's logits
         out = policy._eval_rows(net, choice, env, cache=False)[0]
-        same = []
         for i, s in enumerate(choice.tolist()):
-            slots = np.flatnonzero(mask[s])
-            if kind == "tabular":
-                want = policy._row(net, s, slots, env)
-            else:
-                want = _log_softmax(_clamp(out[i, slots]))
-            same.append(logp[i, slots].tobytes() == want.tobytes())
-            assert np.all(logp[i, ~mask[s]] == -np.inf)
-        if mask.shape[1] < policy._ORDERED_SUM_WIDTH:
-            assert all(same)
-
-
-def test_table_rows_of_eight_slots_and_more_sum_in_another_order():
-    # why a rollout keeps per-state rows on a side of 8 slots or more: over
-    # the whole masked width numpy's pairwise sum groups the valid entries
-    # differently from their sum alone
-    rng = np.random.default_rng(0)
-    for width in range(2, 17):
-        z = rng.normal(0.0, 3.0, (200, width))
-        mask = rng.random((200, width)) < 0.6
-        mask[:, :2] = True
-        logp = _masked_rows(z, mask)
-        same = [logp[i, m].tobytes() == _log_softmax(_clamp(z[i, m])).tobytes()
-                for i, m in enumerate(mask)]
-        assert all(same) == (width < policy._ORDERED_SUM_WIDTH)
+            want = (policy._row(net, s, mask, env) if net.wants_indices
+                    else _masked_rows(out[i], mask[s]))
+            assert logp[i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["tabular", "mlp"])
@@ -407,7 +399,7 @@ def _record_tables(monkeypatch):
 
 
 @pytest.mark.parametrize("env_name, kind, tabled", [
-    ("T(3,3)", "tabular", True), ("H(7,2)", "tabular", False), ("H(9,2)", "tabular", False),
+    ("T(3,3)", "tabular", True), ("H(7,2)", "tabular", True), ("H(9,2)", "tabular", True),
     ("dag0", "tabular", True), ("T(3,3)", "mlp", False),
 ])
 def test_rollout_reads_a_table_only_for_narrow_tabular_sides(monkeypatch, env_name, kind, tabled):

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from stablegfn import envs
 from stablegfn.approximator import NonFiniteError
-from stablegfn.envs import Hypergrid, RegularTree
+from stablegfn.envs import EnumerationCapError, Hypergrid, RegularTree
 from stablegfn.losses import batch_loss
 from stablegfn.oracle import balanced_tabular_model, exact_tv
 from stablegfn.policy import (
@@ -514,6 +516,32 @@ def test_invalid_configs_rejected():
         TrainConfig(threshold_agg="p90")
     with pytest.raises(ValueError):
         TrainConfig(backward_source="psychic")
+
+
+@pytest.mark.parametrize("kind, key", [("tabular", "model.kind tabular"),
+                                       ("mlp", r"model.hidden \[4, 3\]")], ids=["tabular", "mlp"])
+def test_parameter_vectors_are_refused_above_physical_memory(monkeypatch, kind, key):
+    env = RegularTree(2, 2)
+    size = PolicyModel.build(env, kind, hidden=(4, 3)).params.size
+    cfg = TrainConfig(batch_size=1, cert_m=1, cert_n=1)  # walks of a few bytes
+
+    def memory(nbytes):
+        sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(envs, "os", SimpleNamespace(sysconf=sizes.get))
+
+    # a model holds two float64 vectors, its values and their gradients
+    memory(16 * size - 1)
+    with pytest.raises(EnumerationCapError, match=f"^{key}: {size} parameters need "
+                                                  ".* GiB of parameter vectors, above "):
+        PolicyModel.build(env, kind, hidden=(4, 3))
+    memory(16 * size)
+    model = PolicyModel.build(env, kind, hidden=(4, 3))
+    # a trainer adds Adam's moments m and v and two scratch rows
+    memory(48 * size - 1)
+    with pytest.raises(EnumerationCapError, match=f"^{key}: {size} parameters need "):
+        Trainer(model, env, cfg)
+    memory(48 * size)
+    assert Trainer(model, env, cfg).optimizer.m.size == size
 
 
 def test_invalid_backward_in_gradient_rejected():
