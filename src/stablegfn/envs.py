@@ -100,12 +100,14 @@ def check_walk_memory(env: DagEnv, walks: int, key: str) -> None:
 
 def check_terminating(env: DagEnv, states, what: str) -> np.ndarray:
     """``states`` as an int64 array, else a ValueError naming the first, as
-    ``what``, that is not a terminating state of ``env`` (out of range too)."""
-    xs = np.asarray(states, dtype=np.int64)
-    ok = (xs >= 0) & (xs < env.num_states)
+    ``what``, that is not a terminating state of ``env`` (out of range or not
+    an integer too)."""
+    raw = np.asarray(states)
+    ok = (raw >= 0) & (raw < env.num_states) & (raw == np.floor(raw))
+    xs = np.where(ok, raw, 0).astype(np.int64)
     ok[ok] = env.terminating_mask[xs[ok]]
     if not ok.all():
-        raise ValueError(f"{what} {xs[~ok][0]} is not a terminating state")
+        raise ValueError(f"{what} {raw[~ok][0]} is not a terminating state")
     return xs
 
 

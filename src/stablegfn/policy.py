@@ -13,7 +13,8 @@ is the package's one loss implementation.
 Paths live in one :class:`PathBatch`, a padded state matrix; every path
 producer returns one.  :func:`rollout` walks training trajectories one after
 another: a step costs its draw, and a choice state's row is computed once per
-call.  Bulk samplers walk in lockstep, one matrix column per step.
+call.  Bulk samplers walk in lockstep, one matrix column per step, over flat
+(state, slot) cells and only the walkers still moving.
 :func:`score_paths` takes a batch's log-probs from one :class:`EdgeBatch` over
 its edges, so they are bit-reproducible given seed and batch; a table walk
 records the same bits while it draws.  The batch is the one path record, the
@@ -35,14 +36,15 @@ H(4,16), with 65,535 forward choice states, bulk calls of 1,000 forward and
 2-vCPU host).  The walking side's
 table follows the rule; the other side's is built only when the walking side
 has one, since only recording reads it.  A walk with a table sums its
-``exp`` into cumulative rows once, and a step is gathers and one uniform per
-walker.  A walk whose two sides both have a table records both as it draws,
-each path summing its log-probs as :func:`score_paths` would (see
-:func:`_walk`); every other walk is scored by :func:`score_paths` once its
-batch exists, since per-step net rows need not have a table's bits.  A
-training :func:`rollout` reads a table only for a net read
-by state index (tabular or uniform), over the choice states already in its
-move table.  Why the bits hold:
+``exp`` into cumulative rows once, and a step is one uniform per moving
+walker and one gather and compare per slot column.  A walk whose two sides
+both have a table records both as it draws, each path summing its
+log-probs as :func:`score_paths` would (see :func:`_walk`); every other
+walk is scored by :func:`score_paths` once its batch exists, since
+per-step net rows need not have a table's bits.  A training
+:func:`rollout` reads a table only for a net read by state index (tabular
+or uniform), over the choice states already in its move table.  Why the
+bits hold:
 
 * every row is masked over its side's whole width (:func:`_masked_rows`,
   -inf at invalid slots), a rollout's single rows (:func:`_row`) too, and
@@ -247,8 +249,8 @@ def proportional_draw(rng: np.random.Generator, weights: np.ndarray, size=None):
     searched, so the last index is picked when rounding puts the scaled
     uniform at the total (possible with subnormal totals).  :func:`rollout`
     applies the rule as ``bisect_right`` on a row's listed sums,
-    :func:`_draw_rows` to every row of a matrix of cumulative sums.
-    ``size=None`` draws one index.
+    :func:`_draw_rows` to rows of flat cumulative sums, one slot column at a
+    time.  ``size=None`` draws one index.
     """
     c = np.cumsum(weights)
     return np.searchsorted(c[:-1], rng.random(size) * c[-1], side="right")
@@ -261,12 +263,21 @@ def draw_terminals(rng: np.random.Generator, rewards: np.ndarray, scope: np.ndar
     return scope[proportional_draw(rng, rewards[scope], count)]
 
 
-def _draw_rows(rng: np.random.Generator, cum: np.ndarray) -> np.ndarray:
-    """One :func:`proportional_draw` per row of cumulative sums ``cum`` (each
-    row its weights' ``np.cumsum``), one uniform per row: the package's one
-    row-wise draw."""
-    u = rng.random(len(cum)) * cum[:, -1]
-    return (cum[:, :-1] <= u[:, None]).sum(axis=1)
+def _draw_rows(rng: np.random.Generator, cum: np.ndarray, base: np.ndarray,
+               width: int) -> np.ndarray:
+    """One :func:`proportional_draw` per row of ``width`` cumulative sums (each
+    row its weights' ``np.cumsum``) at the offsets ``base`` of the flat array
+    ``cum``, one uniform per row: the package's one row-wise draw.
+
+    A row's slot is the count of its sums but the last that are at most its
+    scaled uniform, added up one slot column at a time: a gather and a
+    compare per column, and no (rows x ``width``) matrix.  A one-wide row
+    draws slot 0 and still takes its uniform."""
+    u = rng.random(len(base)) * cum[base + (width - 1)]
+    drawn = np.zeros(len(base), dtype=np.int64)
+    for j in range(width - 1):
+        drawn += cum[base + j] <= u
+    return drawn
 
 
 def check_param_memory(nets, size: int, vectors: int) -> None:
@@ -589,13 +600,18 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     """Scored source-to-sink paths walked from every start state in lockstep,
     forward to the sink or backward from a terminating state to the source.
 
-    Each step draws one uniform per walker still moving, by :func:`_draw_rows`
-    over the cumulative rows of the walkers' states, and fills one column of
-    the state matrix.  When the walking side has a table by the rule of the
-    module docstring, those rows are its ``exp``'s running sums, built once
-    per walk (:func:`_cumulative`); else a step evaluates its distinct states
-    and sums their rows alike.  Backward paths are turned source-to-sink by
-    one masked copy.
+    The walk works in flat (state, slot) cells, ``state * A + slot`` for its
+    A-slot side, and keeps only its moving walkers: their ids and states, in
+    walker order.  Each step draws one uniform per moving walker, by
+    :func:`_draw_rows` over the cumulative rows of the walkers' states, reads
+    each walker's next state at its drawn cell of the flat ``step`` matrix,
+    fills one column of the state matrix, and drops the walkers that reached
+    the end, counting each one's length as it stops (a step where none
+    stopped copies nothing: a tree's walkers all stop at once).  When the
+    walking side has a table by the rule of the module docstring, those rows
+    are its ``exp``'s running sums, built once per walk (:func:`_cumulative`);
+    else a step evaluates its distinct states and sums their rows alike.
+    Backward paths are turned source-to-sink by one masked copy.
 
     A walk whose two sides both have a table records both as it draws; the
     other side's table is built only when the walking side has one, since
@@ -604,25 +620,30 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     itself, and the other side's filled by one scatter over the
     environment's edge columns from its table at each edge's other end (an
     edge into the sink has no backward slot and a backward log-prob of 0).
-    A step gathers both at its walkers' (state, drawn slot) cells, the
-    entries :func:`score_paths` reads.  Each path sums its steps in path
-    order from 0.0, which is the order of :meth:`EdgeBatch.per_trajectory`'s
+    A step gathers both at its walkers' drawn cells, the entries
+    :func:`score_paths` reads.  Each path sums its steps in path order from
+    0.0, which is the order of :meth:`EdgeBatch.per_trajectory`'s
     ``bincount``: a forward walk adds each step as it goes, since its step
-    order is the path order, and a backward walk keeps its steps' records
-    and adds them in reverse step order once it ends.  Every other walk is
+    order is the path order, into sums kept by moving walker and written out
+    to each path as it stops; a backward walk keeps its steps' records and
+    adds them in reverse step order once it ends.  Every other walk is
     scored by :func:`score_paths` once its batch exists: per-step net rows
     may differ from a table's in the last bits.
 
     Memory: besides the walk matrix, a backward walk's per-step records and
     the other side's table while it is scattered, a walk keeps at most three
     float64 arrays of S x A cells for its A-slot side (its table, the rows
-    and the other recorded side), the size class of ``env.child_matrix``.
+    and the other recorded side; the flat cells are views of them), the
+    size class of ``env.child_matrix``.  Per walker it keeps two sums and a
+    length, per moving walker an id, a state and, in a forward walk that
+    records, two running sums; a step adds a few words per moving walker and
+    no (walkers x A) matrix.
     """
     if forward:
         net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
     else:
         net, mask, step, end = model.backward_net, env.backward_mask, env.parent_matrix, env.initial_state
-    n = len(starts)
+    n, width = len(starts), mask.shape[1]
     table, recorded = _table(model, env, forward, n), ()
     theirs = None if table is None else _table(model, env, not forward, n)
     if theirs is not None:
@@ -632,45 +653,54 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                  ((env.edge_src, env.edge_fslot), (env.edge_dst, env.edge_bslot))]
         other = np.zeros(mask.shape)
         other[edges[me]] = theirs[edges[1 - me]]
-        recorded = (table, other) if forward else (other, table)  # (log P_F, log P_B)
+        recorded = (table.ravel(), other.ravel())  # (log P_F, log P_B) by cell
+        recorded = recorded if forward else recorded[::-1]
     del theirs
-    cum = None if table is None else _cumulative(np.exp(table))
+    cum = None if table is None else _cumulative(np.exp(table)).ravel()
+    step = step.ravel()
     sums = np.zeros((2, n))  # (log P_F, log P_B) per path
     steps: List[Tuple[np.ndarray, List[np.ndarray]]] = []  # a backward walk's records
-    cur = np.array(starts, dtype=np.int64)
     walked = np.full((n, len(env.levels)), -1, dtype=np.int64)  # no path is longer
-    walked[:, 0] = cur
-    alive = np.flatnonzero(cur != end)
+    walked[:, 0] = starts
+    lengths = np.ones(n, dtype=np.int64)
+    ids = np.flatnonzero(walked[:, 0] != end)  # the walkers still moving
+    states = walked[ids, 0]
+    running = [np.zeros(len(ids)) for _ in recorded] if forward else []  # by moving walker
     t = 0
-    while len(alive):
-        states = cur[alive]
+    while len(ids):
+        base = states * width
         if cum is None:
             uniq, inv = np.unique(states, return_inverse=True)
-            drawn = _draw_rows(rng, _cumulative(np.exp(_log_policy(net, mask, uniq, env)))[inv])
+            uniq_cum = _cumulative(np.exp(_log_policy(net, mask, uniq, env))).ravel()
+            cells = base + _draw_rows(rng, uniq_cum, inv * width, width)
         else:
-            drawn = _draw_rows(rng, cum[states])
-        nxt = step[states, drawn]
+            cells = base + _draw_rows(rng, cum, base, width)
+        nxt = step[cells]
         if forward:  # a forward walk's step order is its path order
-            for side, logp in enumerate(recorded):
-                sums[side, alive] += logp[states, drawn]
+            for run, logp in zip(running, recorded):
+                run += logp[cells]
         elif recorded:
-            steps.append((alive, [logp[states, drawn] for logp in recorded]))
+            steps.append((ids, [logp[cells] for logp in recorded]))
         t += 1
-        walked[alive, t] = nxt
-        cur[alive] = nxt
-        alive = alive[nxt != end]
+        walked[:, t][ids] = nxt
+        moving = nxt != end
+        if not moving.all():
+            stopped = ids[~moving]
+            lengths[stopped] = t + 1
+            for run, out in zip(running, sums):
+                out[stopped] = run[~moving]
+            ids, nxt, running = ids[moving], nxt[moving], [run[moving] for run in running]
+        states = nxt
     for walkers, logps in steps[::-1]:
-        for side, logp in enumerate(logps):
-            sums[side, walkers] += logp
+        for out, logp in zip(sums, logps):
+            out[walkers] += logp
     scored = bool(recorded)
     del table, cum, recorded, steps  # not read past here: free them before the batch exists
-    valid = walked >= 0
-    lengths = valid.sum(axis=1)
     if forward:
         paths = PathBatch.of_matrix(env, walked[:, : t + 1], lengths)
     else:  # each path's states in reverse, path after path, fill the rows bottom up
         rows = np.full((n, t + 2), -1, dtype=np.int64)
-        rows[::-1][np.arange(t + 2) < lengths[::-1, None]] = walked[valid][::-1]
+        rows[::-1][np.arange(t + 2) < lengths[::-1, None]] = walked[walked >= 0][::-1]
         rows[np.arange(n), lengths] = env.sink
         paths = PathBatch.of_matrix(env, rows, lengths + 1)
     if scored:
@@ -682,7 +712,9 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
 
 def sample_forward_batch(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
                          count: int) -> PathBatch:
-    """Sample many trajectories from the pure forward policy in lockstep."""
+    """Sample ``count`` trajectories from the pure forward policy in lockstep."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     return _walk(model, env, rng, [env.initial_state] * count, forward=True)
 
 

@@ -117,7 +117,7 @@ def test_empirical_l1_matches_per_sample_reference():
         assert empirical_total_l1(list(samples), env) == ref
 
 
-@pytest.mark.parametrize("bad", [0, 5, 32, -1, 10**6])
+@pytest.mark.parametrize("bad", [0, 5, 32, -1, 10**6, 18.9])
 def test_empirical_l1_rejects_non_terminating_samples(bad):
     env = Hypergrid(2, 4, r0=0.1)  # active copies 0..15, terminal copies 16..31, sink 32
     samples = [int(env.terminating_states[0]), bad]
@@ -125,7 +125,7 @@ def test_empirical_l1_rejects_non_terminating_samples(bad):
         empirical_total_l1(samples, env)
 
 
-@pytest.mark.parametrize("bad", [0, 5, 32, -1, 33])
+@pytest.mark.parametrize("bad", [0, 5, 32, -1, 33, 18.9])
 def test_count_modes_rejects_non_terminating_samples(bad):
     env = Hypergrid(2, 4, r0=0.1)  # active copies 0..15, terminal copies 16..31, sink 32
     samples = [int(env.terminating_states[0]), bad]

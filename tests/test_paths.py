@@ -75,6 +75,7 @@ def _matches_reference(env, kind, forward, n):
         paths = sample_backward_batch(model, env, rng, starts)
     want, want_edges = ref.trajectories_from_paths(
         model, env, ref.walk(model, env, rng_ref, starts, forward))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert rng.random() == rng_ref.random()  # both consumed the same uniforms
 
     assert ref.path_lists(paths) == [t.states for t in want]
@@ -92,6 +93,20 @@ def _matches_reference(env, kind, forward, n):
 @pytest.mark.parametrize("env_name", list(ENVS))
 def test_bulk_sampler_matches_reference(env_name, kind, forward):
     _matches_reference(ENVS[env_name](), kind, forward, 300)
+
+
+# forward sides two slots wide and backward sides one, the narrowest column
+# draws; 0, 1 and 300 walkers: a walk with no step, and one whose moving
+# walkers shrink to none
+@pytest.mark.parametrize("n", [0, 1, 300])
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("make", [lambda: Hypergrid(1, 6), lambda: RegularTree(2, 3)],
+                         ids=["H(1,6)", "T(2,3)"])
+def test_bulk_sampler_matches_reference_on_narrow_sides(make, kind, forward, n):
+    env = make()
+    assert (env.num_forward_slots, env.num_backward_slots) == (2, 1)
+    _matches_reference(env, kind, forward, n)
 
 
 # H(2,8) has 63 forward and 49 backward choice states: with one path fewer

@@ -158,7 +158,8 @@ def test_backward_sampling_rejects_non_terminal():
         rollout(model, env, np.random.default_rng(0), [0], forward=False)
 
 
-@pytest.mark.parametrize("bad", [5, 0, -1, 33], ids=["interior", "source", "-1", "num_states"])
+@pytest.mark.parametrize("bad", [5, 0, -1, 33, 18.9],
+                         ids=["interior", "source", "-1", "num_states", "non-integer"])
 @pytest.mark.parametrize("bulk", [False, True], ids=["rollout", "bulk"])
 def test_backward_walks_refuse_a_start_that_is_not_terminating(bulk, bad):
     env = Hypergrid(2, 4)  # active copies 0..15, terminal copies 16..31, sink 32
@@ -170,6 +171,18 @@ def test_backward_walks_refuse_a_start_that_is_not_terminating(bulk, bad):
             sample_backward_batch(model, env, np.random.default_rng(0), np.array(starts))
         else:
             rollout(model, env, np.random.default_rng(0), starts, forward=False)
+
+
+def test_bulk_walks_refuse_a_negative_count_and_walk_no_path_from_none():
+    env = Hypergrid(2, 4)
+    model = random_model(env)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+        sample_forward_batch(model, env, rng, -1)
+    before = rng.bit_generator.state
+    for paths in (sample_forward_batch(model, env, rng, 0), sample_backward_batch(model, env, rng, [])):
+        assert len(paths) == 0 and paths.log_pf.tolist() == paths.log_pb.tolist() == []
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("bad", [32, 5, -1, 33], ids=["sink", "interior", "-1", "num_states"])
@@ -586,17 +599,30 @@ def test_proportional_draw_skips_zero_weights_and_matches_proportions():
 
 
 def test_draw_rows_skips_zero_weights_and_matches_proportions():
-    cum = np.cumsum([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75]], axis=1)
+    # two 3-wide rows of flat cumulative sums, at offsets 0 and 3
+    cum = np.cumsum([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75]], axis=1).ravel()
+    base = np.array([0, 3])
     top = 1.0 - 2.0**-53
-    assert _draw_rows(_FixedUniforms([0.0, 0.0]), cum).tolist() == [1, 0]
-    assert _draw_rows(_FixedUniforms([top, top]), cum).tolist() == [2, 2]
+    assert _draw_rows(_FixedUniforms([0.0, 0.0]), cum, base, 3).tolist() == [1, 0]
+    assert _draw_rows(_FixedUniforms([top, top]), cum, base, 3).tolist() == [2, 2]
+    # offsets in any order, repeated
+    assert _draw_rows(_FixedUniforms([0.0, 0.0, top]), cum, np.array([3, 0, 3]), 3).tolist() == [0, 1, 2]
     # a subnormal total: the scaled uniform rounds to the total, a tie that
     # goes to the last slot
-    tiny = np.cumsum(np.full((1, 3), 5e-324), axis=1)
-    assert top * tiny[0, -1] == tiny[0, -1]
-    assert _draw_rows(_FixedUniforms([top]), tiny).tolist() == [2]
+    tiny = np.cumsum(np.full(3, 5e-324))
+    assert top * tiny[-1] == tiny[-1]
+    assert _draw_rows(_FixedUniforms([top]), tiny, np.array([0]), 3).tolist() == [2]
+    # a one-wide row draws slot 0 and still takes its uniform
+    uniforms = _FixedUniforms([top, 0.5])
+    assert _draw_rows(uniforms, np.array([2.0]), np.array([0]), 1).tolist() == [0]
+    assert uniforms.values == [0.5]
+    # two-wide rows: a zero first weight, then sums 1 and 4, where the scaled
+    # uniform 0.25 * 4 lands on the first sum and goes to the second slot
+    two = np.cumsum([[0.0, 1.0], [1.0, 3.0]], axis=1).ravel()
+    uniforms = _FixedUniforms([0.0, top, 0.25, 0.24])
+    assert _draw_rows(uniforms, two, np.array([0, 0, 2, 2]), 2).tolist() == [1, 1, 1, 0]
     rng = np.random.default_rng(1)
-    picks = np.array([_draw_rows(rng, cum) for _ in range(20_000)])
+    picks = np.array([_draw_rows(rng, cum, base, 3) for _ in range(20_000)])
     assert not np.any(picks[:, 0] == 0) and not np.any(picks[:, 1] == 1)
     assert abs((picks[:, 1] == 2).mean() - 0.75) < 0.015
 
