@@ -349,7 +349,7 @@ def grad_check(params: ParamVector, value_and_grad: Callable[[], float],
 # -- checkpointing -----------------------------------------------------------
 
 CHECKPOINT_FORMAT = "stablegfn-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _encode_array(a: np.ndarray) -> Dict[str, object]:

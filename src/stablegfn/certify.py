@@ -33,7 +33,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .envs import DagEnv, OneMoreMode, check_added, true_partition
-from .losses import reference_flow_log_deltas
+from .losses import check_threshold, reference_flow_log_deltas
 from .policy import (PathBatch, PolicyModel, draw_terminals, sample_backward_batch,
                      sample_forward_batch)
 
@@ -66,8 +66,7 @@ def tv_bound_from_loss(threshold: float, scope: str = "trajectory",
     Trajectory-scope losses give 1 - exp(-2c); per-transition losses compound
     over the maximum trajectory length L, giving 1 - exp(-2Lc).
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    check_threshold(threshold)
     if scope == "trajectory":
         return 1.0 - math.exp(-2.0 * threshold)
     if scope == "transition":
@@ -85,6 +84,7 @@ def pac_tv_bound(threshold: float, m: int, n: int, alpha: float) -> float:
     1 - 2*alpha.  Clamped to [0, 1].
     """
     check_samples(m, n, alpha)
+    check_threshold(threshold)
     raw = _expm1(2.0 * threshold) + math.log(1.0 / alpha) / m + math.log(1.0 / alpha) / n
     return min(1.0, max(0.0, raw))
 
@@ -103,6 +103,7 @@ def reference_main_term(threshold: float, max_ratio: float) -> float:
     Requires max_ratio < 1/(exp(c) - 1); raises otherwise.  A term past the
     float range is +inf, so its certificate is vacuous.
     """
+    check_threshold(threshold)
     if max_ratio < 0:
         raise ValueError("max flow ratio must be nonnegative")
     if max_ratio == 0.0:

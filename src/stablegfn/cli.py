@@ -11,8 +11,6 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from . import certify as certify_mod
 from . import config as config_mod
 from . import oracle, output
@@ -71,10 +69,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     output.write_json(os.path.join(outdir, "checkpoint.json"), checkpoint_document(
         model.params, trainer.optimizer, resolved["model"], resolved["env"]))
 
-    scope, bound_txt = trainer.certification_scope(), "n/a"
-    if state.round > 0 and len(scope):
+    bound_txt = "n/a"
+    if state.round > 0:  # a round merges its terminals, so the scope is not empty
         report = certify_mod.sample_certificate(
-            model, env, np.sort(scope), train_cfg.cert_m, train_cfg.cert_n,
+            model, env, trainer.certification_scope(), train_cfg.cert_m, train_cfg.cert_n,
             rng_for(train_cfg.seed, "cli.cert.backward"),
             rng_for(train_cfg.seed, "cli.cert.forward"), train_cfg.alpha,
         )

@@ -11,6 +11,8 @@ rejects unknown keys; only rules that read more than one key are code.
 ``resolved_config.json`` reproduces the run exactly.  Its ``env`` and
 ``model`` sections are the one description of a run: a checkpoint keeps
 them, and a model is built, or restored, only by :func:`build_model`.
+The model section is ``kind``, ``hidden`` and ``backward``: the objective decides
+the flow head (:data:`FLOW_OBJECTIVES`), and makes fm's ``backward`` ``uniform``.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
 # checks.  A null optional section is an empty one.
 TOP_KEYS = {"seed": (None, TrainConfig.seed), "output_dir": ("str", "out"), "env": (None,),
             "model": (None, None), "train": (None, None), "eval": (None, None)}
+# kind, hidden, backward: the objective decides the flow head; fm's backward resolves to uniform
 MODEL_KEYS = {"kind": (("tabular", "mlp"), "tabular"), "hidden": (None, [256, 256]),
-              "backward": (("learned", "uniform"), "learned"), "flow_head": (None, "auto")}
+              "backward": (("learned", "uniform"), "learned")}
 EVAL_KEYS = {"samples": ("int", 100_000), "oracle": ("bool", True)}
 # every TrainConfig field but the seed, which is a top-level key
 _TRAIN_KEYS = {f.name: (None, f.default) for f in dataclasses.fields(TrainConfig)
@@ -100,15 +103,10 @@ def _resolve_env(section) -> Dict:
 
 
 def resolve_model(section, objective: str) -> Dict:
-    """The ``model`` section with every default; ``flow_head: auto`` follows ``objective``."""
+    """The ``model`` section with every default; fm, which reads none, gets the uniform backward."""
     model = _section(section, MODEL_KEYS, "model")
-    if model["flow_head"] == "auto":
-        model["flow_head"] = objective in FLOW_OBJECTIVES
-    if not isinstance(model["flow_head"], bool):
-        raise ConfigError("model.flow_head must be 'auto' or a boolean")
-    if objective in FLOW_OBJECTIVES and not model["flow_head"]:
-        raise ConfigError(f"objective {objective!r} needs a state-flow head: "
-                          "model.flow_head must be true or 'auto'")
+    if objective == "fm":
+        model["backward"] = "uniform"
     hidden = model["hidden"]
     if isinstance(hidden, list):
         hidden = model["hidden"] = [check_type("each model.hidden width", h, "int")
@@ -157,9 +155,9 @@ def build_env(resolved: Dict) -> DagEnv:
 
 
 def build_model(resolved: Dict, env: DagEnv) -> PolicyModel:
-    m = resolved["model"]
+    m, flow = resolved["model"], resolved["train"]["objective"] in FLOW_OBJECTIVES
     return PolicyModel.build(env, kind=m["kind"], hidden=m["hidden"],
-                             learn_backward=m["backward"] == "learned", flow_head=m["flow_head"],
+                             learn_backward=m["backward"] == "learned", flow_head=flow,
                              rng=rng_for(resolved["seed"], "model.init"))
 
 

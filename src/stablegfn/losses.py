@@ -64,6 +64,12 @@ def terminal_reach_counts(env: DagEnv) -> np.ndarray:
 # -- reference flow ------------------------------------------------------------
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse a loss threshold that is NaN or negative; +inf is valid (its bound is 1)."""
+    if not threshold >= 0:
+        raise ValueError("threshold must be nonnegative")
+
+
 def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
                               threshold: float) -> np.ndarray:
     """log of the minimum reference flow capping each item's loss at threshold**2.
@@ -73,8 +79,7 @@ def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
     Computed with log1p/expm1 so that widely separated flows never overflow,
     and thresholds past log(DBL_MAX) ≈ 709.78 neither.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    check_threshold(threshold)
     log_model = np.asarray(log_model, dtype=np.float64)
     log_target = np.asarray(log_target, dtype=np.float64)
     r = log_model - log_target

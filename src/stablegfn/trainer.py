@@ -297,11 +297,8 @@ class Trainer:
         self.state.modes_found.update(xs[self.env.mode_mask[xs]].tolist())
         return self.buffer.merge(xs)
 
-    def _certify(self) -> Optional[certify.CertificateReport]:
-        cfg = self.config
-        scope = self.certification_scope()
-        if not len(scope):
-            return None
+    def _certify(self) -> certify.CertificateReport:
+        cfg, scope = self.config, self.certification_scope()  # holds this round's terminals
         threshold = max(self.state.threshold or 0.0, 1e-12)
         return certify.sample_certificate(self.model, self.env, scope, cfg.cert_m, cfg.cert_n,
                                           self.rng_cert_b, self.rng_cert_f, cfg.alpha, threshold)
@@ -342,7 +339,7 @@ class Trainer:
         if st.patience_count >= cfg.patience:
             cert = self._certify()
             st.patience_count = 0
-            if cert is not None and cert.bound is not None:
+            if cert.bound is not None:
                 st.last_certificate = cert
                 st.bound = cert.bound
                 if cert.bound <= cfg.tv_target:

@@ -12,9 +12,14 @@ evaluation streams at seed 0 and BLAS held to one thread as the bench holds
 it.  Run it by hand at two commits and compare the output::
 
     PYTHONPATH=src python tests/bench_fingerprint.py [--tiny] [workload ...]
+    PYTHONPATH=src python tests/bench_fingerprint.py --kernels
 
 ``--tiny`` runs the workloads at their smoke-test sizes; naming workloads
-runs only those.  Pytest does not collect this file.
+runs only those.  ``--kernels`` runs the ``--tiny`` lines in one subprocess
+under the default OpenBLAS core and one under each other kernel this host can
+run, and prints each line that moved from the table pinned in
+``tests/test_bench_fingerprint.py`` (:func:`blas_kernels.moved_lines`), or
+``no line moved``.  Pytest does not collect this file.
 """
 
 import argparse
@@ -50,11 +55,31 @@ def segment_lines(w: workloads.Workload):
         yield f"{w.name} {objective or '-'} rounds {state.round} {digest.hexdigest()}"
 
 
+def kernel_moves():
+    """The pinned --tiny lines that moved under the default core or another kernel."""
+    import blas_kernels
+    from test_bench_fingerprint import MLP, TABULAR, tiny_lines
+
+    here = blas_kernels.core()
+    kernels = [k for k in blas_kernels.KERNEL_FLAGS
+               if (here is None or k != here[0]) and blas_kernels.can_run(k)]
+    runs = dict(tiny_lines(kernel) for kernel in [None, *kernels])
+    pinned = {core: [TABULAR, *MLP.get(core, [])] for core in runs}
+    return blas_kernels.moved_lines(pinned, runs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="the smoke-test sizes")
+    parser.add_argument("--kernels", action="store_true",
+                        help="the --tiny lines under each OpenBLAS kernel, against the pinned ones")
     parser.add_argument("workload", nargs="*", help="workloads to run (default: all)")
     args = parser.parse_args(argv)
+    if args.kernels:
+        if args.tiny or args.workload:
+            parser.error("--kernels runs the --tiny lines of every workload")
+        print("\n".join(kernel_moves()) or "no line moved")
+        return 0
     for name in args.workload:
         if name not in workloads.WORKLOADS:
             parser.error(f"unknown workload {name!r}")

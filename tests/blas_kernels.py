@@ -64,3 +64,20 @@ def run_python(args, kernel=None, timeout=120) -> subprocess.CompletedProcess:
     env = None if kernel is None else {**os.environ, "OPENBLAS_CORETYPE": kernel}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=timeout, check=True, env=env)
+
+
+def moved_lines(pinned, runs):
+    """``<core> <workload> <objective>: <old> -> <new>`` for each fingerprint
+    line that moved.  ``runs`` and ``pinned`` map a (core, config) pair to the
+    lines a run printed under that core and to the lines pinned for it.  A line
+    is ``<workload> <objective> rounds <n> <sha256>``, matched by workload and
+    objective; a hash is ``-`` where one side has no such line."""
+    moved = []
+    for core, lines in runs.items():
+        old, new = ({tuple(line.split()[:2]): line.split()[-1] for line in side}
+                    for side in (pinned.get(core, []), lines))
+        for key in dict.fromkeys([*new, *old]):
+            if old.get(key) != new.get(key):
+                moved.append(f"{core[0]} {' '.join(key)}: {old.get(key, '-')} -> "
+                              f"{new.get(key, '-')}")
+    return moved

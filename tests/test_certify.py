@@ -439,8 +439,9 @@ def test_loss_supremum_promotion_matches_contrast():
 
 
 def test_tv_bound_refuses_negative_threshold_and_unknown_scope():
-    with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
-        tv_bound_from_loss(-0.1)
+    for threshold in (-0.1, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+            tv_bound_from_loss(threshold)
     with pytest.raises(ValueError, match="^unknown scope 'edge'$"):
         tv_bound_from_loss(0.1, scope="edge")
 
@@ -448,6 +449,38 @@ def test_tv_bound_refuses_negative_threshold_and_unknown_scope():
 def test_reference_main_term_refuses_negative_ratio():
     with pytest.raises(ValueError, match="^max flow ratio must be nonnegative$"):
         reference_main_term(0.1, -1e-3)
+
+
+_Z2 = (np.zeros(2), np.ones(2))
+# the bounds that read a threshold; negative cases go to the first five, which had no
+# check of their own (the others meet reference_flow_log_deltas' or tv_bound_from_loss's)
+_BOUNDS = {
+    "pac": lambda c: pac_tv_bound(c, 10, 10, 0.05),
+    "pac_many": lambda c: pac_tv_bound(c, 10**9, 10**9, 0.4),
+    "reference_ratio_0": lambda c: pac_tv_bound_with_reference(c, 0.0, 10, 10, 0.05),
+    "reference": lambda c: pac_tv_bound_with_reference(c, 0.5, 10, 10, 0.05),
+    "main_term": lambda c: reference_main_term(c, 0.0),
+    "transition": lambda c: tv_bound_from_loss(c, "transition", 3),
+    "mc_delta": lambda c: mc_delta_over_zstar(*_Z2, c),
+    "optimizer": lambda c: optimize_certificate(_Z2, _Z2, 0.05, threshold=c),
+}
+_REFUSED = [(name, math.nan) for name in _BOUNDS] + [
+    (name, c) for name in list(_BOUNDS)[:5] for c in (-1.0, -10.0, -math.inf)]
+
+
+@pytest.mark.parametrize("name, threshold", _REFUSED,
+                         ids=[f"{name}-{c}" for name, c in _REFUSED])
+def test_a_nan_or_negative_threshold_is_refused(name, threshold):
+    # such a threshold would certify a TV of 0, or inject no flow
+    with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+        _BOUNDS[name](threshold)
+
+
+def test_an_infinite_threshold_gives_the_vacuous_bound():
+    assert pac_tv_bound(math.inf, 10, 10, 0.05) == 1.0
+    assert pac_tv_bound_with_reference(math.inf, 0.0, 10, 10, 0.05) == 1.0
+    assert tv_bound_from_loss(math.inf) == 1.0
+    assert optimize_certificate(_Z2, _Z2, 0.05, threshold=math.inf).bound == 1.0
 
 
 def test_sandwich_refuses_negative_or_misplaced_additions():

@@ -8,14 +8,16 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from stablegfn import certify, cli, output, verify
 from stablegfn.cli import _load_model_for, main
-from stablegfn.config import OUTPUT_DIR_ENV_VAR, ConfigError, load_config, resolve
+from stablegfn.config import (OUTPUT_DIR_ENV_VAR, ConfigError, build_env, build_model,
+                              build_train_config, load_config, resolve)
 from stablegfn.policy import ROLLOUT_STATE_BYTES
-from stablegfn.trainer import rng_for
+from stablegfn.trainer import Trainer, rng_for
 
 
 TREE_CONFIG = {
@@ -377,17 +379,20 @@ def test_checkpoint_keeps_the_resolved_env_and_model_sections(tmp_path):
     outdir, _ = run_train(tmp_path, TREE_CONFIG)
     resolved = json.loads((outdir / "resolved_config.json").read_text())
     doc = json.loads((outdir / "checkpoint.json").read_text())
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["env"] == resolved["env"] and doc["model"] == resolved["model"]
 
 
 @pytest.mark.parametrize("text, names", [
     (lambda doc: "not json", "not JSON"),
     (lambda doc: json.dumps(dict(doc, version=1)), "unsupported checkpoint version 1"),
+    # version 2 kept model.flow_head
+    (lambda doc: json.dumps(dict(doc, version=2, model=dict(doc["model"], flow_head=False))),
+     "unsupported checkpoint version 2"),
     (lambda doc: json.dumps([doc]), "not a stablegfn-checkpoint file"),
     (lambda doc: json.dumps(dict(doc, format="other")), "not a stablegfn-checkpoint file"),
     (lambda doc: json.dumps(dict(doc, params="x")), "'params' is not a mapping"),
-], ids=["not_json", "version_1", "json_list", "other_format", "params_string"])
+], ids=["not_json", "version_1", "version_2", "json_list", "other_format", "params_string"])
 def test_checkpoint_file_fault_exits_2_naming_it(tmp_path, capsys, text, names):
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
     path = outdir / "checkpoint.json"
@@ -441,6 +446,52 @@ def test_train_certificate_is_sample_certificate_on_the_cli_streams(tmp_path):
     for doc in (written, expected):
         doc.pop("wall_clock_s")
     assert written == expected
+
+
+def test_train_certificate_draws_over_the_buffer_in_buffer_order(tmp_path):
+    # on this buffer-sourced run the buffer is not in ascending state order
+    payload = {"seed": 0, "env": {"kind": "hypergrid", "dimension": 2, "side": 8},
+               "model": {"kind": "tabular"},
+               "train": {"stabilize": True, "max_rounds": 20, "cert_m": 100, "cert_n": 100}}
+    outdir, cfg = run_train(tmp_path, payload)
+    resolved = load_config(cfg)
+    env = build_env(resolved)
+    model = build_model(resolved, env)
+    trainer = Trainer(model, env, build_train_config(resolved))
+    trainer.run()
+    scope, train, seed = trainer.certification_scope(), resolved["train"], resolved["seed"]
+
+    def certificate(order):
+        report = certify.sample_certificate(
+            model, env, order, train["cert_m"], train["cert_n"],
+            rng_for(seed, "cli.cert.backward"), rng_for(seed, "cli.cert.forward"),
+            (1.0 - train["confidence"]) / 2.0)
+        doc = json.loads(json.dumps(report.to_dict()))
+        doc.pop("wall_clock_s")
+        return doc
+
+    written = json.loads((outdir / "certificate.json").read_text())
+    written.pop("wall_clock_s")
+    assert written == certificate(scope)
+    assert written != certificate(np.sort(scope))  # the two orders draw apart here
+
+
+@pytest.mark.parametrize("objective", ["tb", "db", "fm", "subtb", "wdb"])
+def test_checkpoint_rebuilds_the_nets_its_objective_reads(tmp_path, objective):
+    payload = dict(TREE_CONFIG, train=dict(TREE_CONFIG["train"], objective=objective,
+                                           stabilize=False, max_rounds=3))
+    outdir, cfg = run_train(tmp_path, payload)
+    checkpoint = outdir / "checkpoint.json"
+    trained = list(json.loads(checkpoint.read_text())["params"])
+    _, _, model = _load(cfg, checkpoint)
+    assert model.params.names == trained
+    # a flow net only for the flow objectives, a backward net for all but fm
+    nets = {name.split(".")[0] for name in trained}
+    assert nets == {"logz", "pf", *(["pb"] if objective != "fm" else []),
+                    *(["flow"] if objective != "tb" else [])}
+    for command in ("certify", "evaluate"):
+        assert main([command, "--checkpoint", str(checkpoint), "--config", cfg,
+                     "--output", str(tmp_path / f"{command}.json")]) == 0
 
 
 GOOD_RECORD = {"states": [0, 1, 3, 7], "log_pf": -1.0, "log_pb": 0.0, "reward": 1.0}
@@ -611,18 +662,6 @@ def test_config_defaults_and_validation():
         resolve({"env": {"kind": "tree", "branching": 2, "depth": 1, "extra": 1}})
 
 
-def test_config_flow_head_auto():
-    resolved = resolve(
-        {
-            "env": {"kind": "tree", "branching": 2, "depth": 1},
-            "train": {"objective": "db"},
-        }
-    )
-    assert resolved["model"]["flow_head"] is True
-    resolved = resolve({"env": {"kind": "tree", "branching": 2, "depth": 1}})
-    assert resolved["model"]["flow_head"] is False
-
-
 def test_config_hypergrid_r0_schedule_resolved():
     resolved = resolve({"env": {"kind": "hypergrid", "dimension": 2, "side": 16}})
     assert resolved["env"]["r0"] == pytest.approx(1e-3)
@@ -632,7 +671,7 @@ def test_config_hypergrid_r0_schedule_resolved():
 _RESOLVED_DEFAULTS = {
     "seed": 0,
     "output_dir": "out",
-    "model": {"kind": "tabular", "hidden": [256, 256], "backward": "learned", "flow_head": False},
+    "model": {"kind": "tabular", "hidden": [256, 256], "backward": "learned"},
     "train": {"objective": "tb", "stabilize": False, "tv_target": 0.01, "confidence": 0.95,
               "patience": 10, "buffer_size": 1000, "batch_size": 32, "ema_beta": 0.05,
               "epsilon": 0.05, "learning_rate": 0.001, "logz_lr_mult": 100.0,
@@ -670,15 +709,23 @@ RESOLVED = [
       "eval": {"samples": 5, "oracle": False}},
      {"seed": 7, "output_dir": "runs/a",
       "env": {"kind": "hypergrid", "dimension": 3, "side": 4, "r0": 1.0, "r1": 2.0, "r2": 3.0},
-      "model": {"kind": "mlp", "hidden": [8, 4], "backward": "uniform", "flow_head": True},
+      "model": {"kind": "mlp", "hidden": [8, 4], "backward": "uniform"},
       "train": dict(_RESOLVED_DEFAULTS["train"], objective="db", learning_rate=1,
                     max_grad_norm=None),
       "eval": {"samples": 5, "oracle": False}}),
+    # fm reads no backward policy: it gets the uniform one, even when asked for a learned one
+    ({"env": {"kind": "tree", "branching": 2, "depth": 1}, "model": {"backward": "learned"},
+      "train": {"objective": "fm"}},
+     dict(_RESOLVED_DEFAULTS,
+          env={"kind": "tree", "branching": 2, "depth": 1, "leaf_rewards": None},
+          model=dict(_RESOLVED_DEFAULTS["model"], backward="uniform"),
+          train=dict(_RESOLVED_DEFAULTS["train"], objective="fm"))),
 ]
 
 
 @pytest.mark.parametrize("raw, expected", RESOLVED, ids=[
-    "tree", "hypergrid", "one_more_mode", "null_sections", "leaf_rewards", "stage", "every_key"])
+    "tree", "hypergrid", "one_more_mode", "null_sections", "leaf_rewards", "stage", "every_key",
+    "fm_backward"])
 def test_resolve_output_is_pinned_and_resolves_to_itself(raw, expected):
     resolved = resolve(raw)
     assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
@@ -705,11 +752,10 @@ def test_train_setup_errors_exit_2(tmp_path, capsys, sections):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("objective", ["db", "fm", "subtb", "wdb"])
-def test_train_flow_objective_without_flow_head_exits_2(tmp_path, capsys, objective):
-    assert _train_with(tmp_path, model={"flow_head": False},
-                       train={"objective": objective, "stabilize": False}) == 2
-    assert "model.flow_head" in capsys.readouterr().err
+def test_train_config_that_sets_flow_head_exits_2(tmp_path, capsys):
+    # the objective decides the flow head: the model section has no such key
+    assert _train_with(tmp_path, model={"flow_head": True}) == 2
+    assert capsys.readouterr().err == "error: unknown key(s) ['flow_head'] in model\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -961,13 +1007,6 @@ def test_evaluate_without_samples_exits_2_before_reading_anything(tmp_path, caps
     assert main(["evaluate", "--checkpoint", missing, "--config", missing,
                  "--samples", samples]) == 2
     assert capsys.readouterr().err == "error: need at least one evaluation sample\n"
-
-
-@pytest.mark.parametrize("flow_head", ["sometimes", 1, None])
-def test_config_rejects_flow_head_neither_auto_nor_boolean(flow_head):
-    raw = {"env": {"kind": "tree", "branching": 2, "depth": 1}, "model": {"flow_head": flow_head}}
-    with pytest.raises(ConfigError, match="^model.flow_head must be 'auto' or a boolean$"):
-        resolve(raw)
 
 
 def test_config_that_does_not_parse_exits_2_naming_the_file(tmp_path, capsys):

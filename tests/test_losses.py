@@ -533,5 +533,6 @@ def test_balanced_model_zero_under_all_objectives():
 
 
 def test_reference_flow_deltas_refuse_negative_threshold():
-    with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
-        reference_flow_log_deltas(np.zeros(3), np.zeros(3), -0.1)
+    for threshold in (-0.1, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+            reference_flow_log_deltas(np.zeros(3), np.zeros(3), threshold)

@@ -401,6 +401,30 @@ def test_baseline_objectives_run_one_round():
         assert np.all(np.isfinite(model.params.values))
 
 
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+@pytest.mark.parametrize("objective, stabilize", [
+    ("tb", False), ("tb", True), ("db", False), ("fm", False), ("subtb", False), ("wdb", False),
+], ids=["tb", "stable", "db", "fm", "subtb", "wdb"])
+def test_every_slice_a_config_built_model_trains_moves(objective, stabilize, kind):
+    # every side of H(2,4) has choice states, so each net the objective reads
+    # gets a gradient, and the config builds no net that it does not read
+    resolved = config.resolve({
+        "env": {"kind": "hypergrid", "dimension": 2, "side": 4},
+        "model": {"kind": kind, "hidden": [8, 8]},
+        "train": {"objective": objective, "stabilize": stabilize, "batch_size": 8,
+                  "max_rounds": 3}})
+    env = config.build_env(resolved)
+    trainer = Trainer(config.build_model(resolved, env), env, config.build_train_config(resolved))
+    trainer.run()
+    params = trainer.model.params
+    # the flow objectives' losses read no log Z, though their certificates
+    # do: the open half of ROADMAP item 18, whose mend drops this exemption
+    unread = {"logz"} if objective != "tb" else set()
+    still = [name for name in params.names if name not in unread
+             and not np.any(trainer.optimizer.m[slice(*params.slice_bounds(name))])]
+    assert still == []
+
+
 @pytest.mark.parametrize("objective", ["tb", "db", "fm", "subtb", "wdb"])
 def test_baseline_round_caches_only_what_it_backprops(monkeypatch, objective):
     built, cached, backpropped = _record_edge_batches(monkeypatch)
