@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .envs import DagEnv, OneMoreMode, check_added, true_partition
+from .envs import DagEnv, OneMoreMode, check_added, check_terminating, true_partition
 from .losses import check_threshold, reference_flow_log_deltas
 from .policy import (PathBatch, PolicyModel, draw_terminals, sample_backward_batch,
                      sample_forward_batch)
@@ -334,7 +334,11 @@ def sample_certificate(model: PolicyModel, env: DagEnv, scope: np.ndarray, m: in
     """One certificate attempt over the terminal states ``scope`` (an int array):
     ``m`` terminals drawn reward-proportionally in ``scope``'s order and walked
     back with ``rng_b``, ``n`` forward paths walked with ``rng_f``, then
-    :func:`subgraph_certificate` at ``threshold`` (None: searched)."""
+    :func:`subgraph_certificate` at ``threshold`` (None: searched).  An empty
+    scope, or one with a state that is not terminating, raises ``ValueError``."""
+    scope = check_terminating(env, scope, "scope state")
+    if not len(scope):
+        raise ValueError("scope is empty: a certificate needs a terminal state to draw")
     xs = draw_terminals(rng_b, env.reward_table, scope, m)
     bwd = sample_backward_batch(model, env, rng_b, xs)
     fwd = sample_forward_batch(model, env, rng_f, n)

@@ -28,7 +28,10 @@ def _fail(message: str) -> int:
 def _load_model_for(args: argparse.Namespace):
     """(resolved config, env, model) for a command's ``--config`` and ``--checkpoint``:
     the checkpoint's model section, built by ``config.build_model``, with its
-    parameters.  A ValueError names the file and the key or slice that does not fit."""
+    parameters.  Only the model's own slices are read, so a checkpoint that holds
+    more (a tree's learned ``pb`` net, written before trees resolved to the
+    uniform backward) still loads.  A ValueError names the file and the key or
+    slice that does not fit."""
     resolved = config_mod.load_config(args.config)
     env = config_mod.build_env(resolved)
     path = args.checkpoint
@@ -37,7 +40,8 @@ def _load_model_for(args: argparse.Namespace):
         raise config_mod.ConfigError(f"{path}: checkpoint was trained on a different "
                                      "environment than the config")
     try:
-        section = config_mod.resolve_model(doc["model"], resolved["train"]["objective"])
+        section = config_mod.resolve_model(doc["model"], resolved["train"]["objective"],
+                                           resolved["env"]["kind"])
     except ValueError as exc:
         raise ValueError(f"{path}: model {doc['model']!r} does not build ({exc})") from None
     model = config_mod.build_model(dict(resolved, model=section), env)

@@ -12,7 +12,8 @@ rejects unknown keys; only rules that read more than one key are code.
 ``model`` sections are the one description of a run: a checkpoint keeps
 them, and a model is built, or restored, only by :func:`build_model`.
 The model section is ``kind``, ``hidden`` and ``backward``: the objective decides
-the flow head (:data:`FLOW_OBJECTIVES`), and makes fm's ``backward`` ``uniform``.
+the flow head (:data:`FLOW_OBJECTIVES`), and ``backward`` resolves to ``uniform``
+under fm and on a tree (:data:`TREE_KINDS`), where no learned backward net is read.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .trainer import TrainConfig, check_type, rng_for
 OUTPUT_DIR_ENV_VAR = "STABLEGFN_OUTPUT_DIR"
 
 FLOW_OBJECTIVES = ("db", "fm", "subtb", "wdb")
+# env kinds where no state has two parents, so every backward row is one slot of log-prob 0
+TREE_KINDS = ("tree", "one_more_mode")
 
 
 class ConfigError(ValueError):
@@ -52,7 +55,8 @@ _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
 # checks.  A null optional section is an empty one.
 TOP_KEYS = {"seed": (None, TrainConfig.seed), "output_dir": ("str", "out"), "env": (None,),
             "model": (None, None), "train": (None, None), "eval": (None, None)}
-# kind, hidden, backward: the objective decides the flow head; fm's backward resolves to uniform
+# kind, hidden, backward: the objective decides the flow head; fm's and a tree's
+# backward resolve to uniform
 MODEL_KEYS = {"kind": (("tabular", "mlp"), "tabular"), "hidden": (None, [256, 256]),
               "backward": (("learned", "uniform"), "learned")}
 EVAL_KEYS = {"samples": ("int", 100_000), "oracle": ("bool", True)}
@@ -102,10 +106,11 @@ def _resolve_env(section) -> Dict:
     return env
 
 
-def resolve_model(section, objective: str) -> Dict:
-    """The ``model`` section with every default; fm, which reads none, gets the uniform backward."""
+def resolve_model(section, objective: str, env_kind: str) -> Dict:
+    """The ``model`` section with every default; fm, which reads no backward
+    policy, and a tree, where a learned one is never read, get the uniform backward."""
     model = _section(section, MODEL_KEYS, "model")
-    if objective == "fm":
+    if objective == "fm" or env_kind in TREE_KINDS:
         model["backward"] = "uniform"
     hidden = model["hidden"]
     if isinstance(hidden, list):
@@ -124,8 +129,8 @@ def resolve(raw: Dict) -> Dict:
                                for name in ("model", "train", "eval"))
         train = _section(train, _TRAIN_KEYS, "train")
         TrainConfig(**train, seed=top["seed"])  # checks the train keys and the seed
-        model = resolve_model(model, train["objective"])
         env = _resolve_env(top["env"])
+        model = resolve_model(model, train["objective"], env["kind"])
         evals = _section(evals, EVAL_KEYS, "eval")
         if evals["samples"] < 1:
             raise ConfigError(f"eval.samples must be >= 1, got {evals['samples']}")

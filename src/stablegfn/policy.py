@@ -22,22 +22,27 @@ replay buffer's too: ``states``, ``lengths``, ``rewards`` and, once scored,
 ``log_pf``/``log_pb``.  Which sampler made a path is not a column: that label
 exists only in the trajectory log.
 
-One policy table per walk side.  A bulk walk (:func:`_walk`) over ``n``
-paths may evaluate a side's policy once, as one (S, A) log-prob matrix
+One policy table per side and parameter state.  A bulk walk (:func:`_walk`)
+over ``n`` paths may read a side's policy as one (S, A) log-prob matrix
 (:func:`_table`: the :func:`_log_policy` rows at that side's choice states,
 0 at a single slot, -inf at invalid ones), and draw and record by gathering
 from it; besides walks, only the exact DP reads a table, the forward one.
-The rule, for every net: a side's table is built when ``n`` is at least its
-number of choice states.  Then the walk's lockstep steps would evaluate
-about that many rows or more; with fewer paths they visit a small part of a
-large graph, where the table would cost more than it saves (on a tabular
-H(4,16), with 65,535 forward choice states, bulk calls of 1,000 forward and
-1,000 backward paths took 46 ms without tables and 71 ms with them on a
-2-vCPU host).  The walking side's
-table follows the rule; the other side's is built only when the walking side
-has one, since only recording reads it.  A walk with a table sums its
-``exp`` into cumulative rows once, and a step is one uniform per moving
-walker and one gather and compare per slot column.  A walk whose two sides
+The model keeps the last table a walk built for each side, read-only, while
+the env and the side net's parameters stay the same, so a certificate's
+second walk, an evaluation walk and the DP read it instead of building it
+again; the DP keeps none it builds.  A kept table has a rebuilt one's bits,
+and only the rule decides whether a walk has a table, so no result depends
+on the order of calls.  The rule, for every net: a side has a table when
+``n`` is at least its number of choice states.  Then the walk's lockstep
+steps would evaluate about that many rows or more; with fewer paths they
+visit a small part of a large graph, where the table would cost more than it
+saves (on a tabular H(4,16), with 65,535 forward choice states, bulk calls
+of 1,000 forward and 1,000 backward paths took 46 ms without tables and 71 ms
+with them on a 2-vCPU host).  The walking side's table follows the rule; the
+other side's is read only when the walking side has one, since only
+recording reads it.  A walk with a table sums its ``exp`` into cumulative
+rows once, and a step is one uniform per moving walker and one gather and
+compare per slot column.  A walk whose two sides
 both have a table records both as it draws, each path summing its
 log-probs as :func:`score_paths` would (see :func:`_walk`); every other
 walk is scored by :func:`score_paths` once its batch exists, since
@@ -88,6 +93,7 @@ order, one array step per level (see :mod:`stablegfn.envs`).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from bisect import bisect_right
@@ -290,7 +296,8 @@ def check_param_memory(nets, size: int, vectors: int) -> None:
 
 
 class PolicyModel:
-    """Parameterized forward/backward policies plus logZ and optional flow head."""
+    """Parameterized forward/backward policies plus logZ and optional flow head,
+    and each side's kept table (see :func:`_table`)."""
 
     def __init__(self, forward_net, backward_net, flow_net=None):
         self.forward_net, self.backward_net, self.flow_net = forward_net, backward_net, flow_net
@@ -302,6 +309,8 @@ class PolicyModel:
         self.params = ParamVector(spec)
         for net in self._nets:
             net.bind(self.params)
+        # per side, the last table a walk built: (env, digest of the net's parameters, table)
+        self._kept: List[Optional[tuple]] = [None, None]
 
     # -- construction --------------------------------------------------
 
@@ -387,15 +396,29 @@ def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.nd
     return logp
 
 
-def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int) -> Optional[np.ndarray]:
+def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int,
+           keep: bool = True) -> Optional[np.ndarray]:
     """The forward or backward side's (S, A) log-prob matrix for a walk of ``n``
-    paths, -inf at invalid slots; None where the module docstring's rule refuses it."""
+    paths, -inf at invalid slots; None where the module docstring's rule refuses it.
+    Past the rule, the side's kept table while its env is ``env`` and its
+    digest the sha256 of the side net's parameters now; else the kept one is
+    dropped and a table built, and kept read-only when ``keep`` is set."""
     net, mask, choice = ((model.forward_net, env.forward_mask, env.forward_choice) if forward else
                          (model.backward_net, env.backward_mask, env.backward_choice))
     if n < len(choice):
         return None
+    side, h = 0 if forward else 1, hashlib.sha256()
+    for name, _ in net.param_spec():  # a uniform net has none
+        h.update(model.params.view(name))
+    kept, digest = model._kept[side], h.digest()
+    if kept is not None and kept[0] is env and kept[1] == digest:
+        return kept[2]
+    model._kept[side] = None
     logp = np.where(mask, 0.0, -np.inf)
     logp[choice] = _log_policy(net, mask, choice, env)
+    if keep:
+        logp.flags.writeable = False
+        model._kept[side] = (env, digest, logp)
     return logp
 
 
@@ -634,10 +657,11 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     the other side's table while it is scattered, a walk keeps at most three
     float64 arrays of S x A cells for its A-slot side (its table, the rows
     and the other recorded side; the flat cells are views of them), the
-    size class of ``env.child_matrix``.  Per walker it keeps two sums and a
-    length, per moving walker an id, a state and, in a forward walk that
-    records, two running sums; a step adds a few words per moving walker and
-    no (walkers x A) matrix.
+    size class of ``env.child_matrix``; its tables stay kept on the model
+    until one is built for other parameters.  Per walker it keeps two sums
+    and a length, per moving walker an id, a state and, in a forward walk
+    that records, two running sums; a step adds a few words per moving
+    walker and no (walkers x A) matrix.
     """
     if forward:
         net, mask, step, end = model.forward_net, env.forward_mask, env.child_matrix, env.sink
@@ -729,12 +753,15 @@ def exact_terminal_distribution(model: PolicyModel, env: DagEnv) -> Tuple[np.nda
 
     Returns (terminating states, their probabilities), aligned with
     ``env.terminating_states``.  Mass flows through the forward policy one
-    level at a time.  The net runs only at states with a choice: a single
-    child is taken with probability exactly 1.
+    level at a time.  The forward table is the one a walk kept at these
+    parameters, else one built and dropped after (on H(4,16) it is 131,073 x 5
+    floats, which no walk there keeps).  The net runs only at states with a
+    choice: a single child is taken with probability exactly 1.
     """
     check_state_cap(env.num_states)
     # a side has fewer choice states than the graph has states: the rule gives the table
-    p_edge = np.exp(_table(model, env, True, env.num_states)[env.edge_src, env.edge_fslot])
+    p_edge = np.exp(_table(model, env, True, env.num_states, keep=False)[
+        env.edge_src, env.edge_fslot])
 
     mass = np.zeros(env.num_states)
     mass[env.initial_state] = 1.0

@@ -190,7 +190,7 @@ def suite_loss_to_tv_soundness() -> Check:
 def suite_pac_coverage() -> Check:
     trials, alpha = 1000, 0.05
     envs = _small_envs()[:2]
-    violations = 0
+    violations = nonvacuous = 0
     for i in range(trials):
         rng = rng_for(20_242, f"pac.{i}")
         env = envs[i % len(envs)]
@@ -201,6 +201,7 @@ def suite_pac_coverage() -> Check:
         tv = oracle.exact_tv(model, env)
         if report.bound is not None and report.bound < tv - 1e-12:
             violations += 1
+        nonvacuous += report.bound is not None and report.bound < 1.0
     budget = 2 * alpha + Z99 * math.sqrt(2 * alpha * (1 - 2 * alpha) / trials)
     allowed = int(budget * trials)
     bad = [] if violations <= allowed else [f"{violations} coverage violations, {allowed} allowed"]
@@ -221,8 +222,8 @@ def suite_pac_coverage() -> Check:
     if not np.all(np.diff(grid, axis=0) >= -1e-12):
         sub_bad.append("main term not monotone in the threshold")
 
-    return bad + sub_bad, (f"{violations}/{trials} coverage violations (allowed {allowed}); "
-                           f"{len(sub_bad)} structural failures")
+    return bad + sub_bad, (f"{violations}/{trials} coverage violations (allowed {allowed}), "
+                           f"{nonvacuous} non-vacuous bounds; {len(sub_bad)} structural failures")
 
 
 # -- criterion 6: incremental sandwich -------------------------------------------

@@ -23,7 +23,7 @@ SCRIPT = Path(__file__).resolve().parent / "bench_fingerprint.py"
 TINY = (f"import sys; sys.path.insert(0, {str(SCRIPT.parent)!r}); import bench_fingerprint, json; "
         "bench_fingerprint.main(['--tiny']); import blas_kernels; print(json.dumps(blas_kernels.core()))")
 
-TABULAR = "tree-tab-cert - rounds 88 35d31c0142c0c6700c21fe63010da2eac766ed5c645d5266a2a97ca433f94446"
+TABULAR = "tree-tab-cert - rounds 88 381646e67088babb6a5fdd6e81cce9179dd0736484fcb6682cc02e7e14a961a2"
 _BUILD = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY {} MAX_THREADS=64"
 # (core, config) -> the six MLP lines, in print order
 MLP = {

@@ -17,6 +17,7 @@ from stablegfn.certify import (
     pac_tv_bound_with_reference,
     records_from_trajectories,
     reference_main_term,
+    sample_certificate,
     subgraph_certificate,
     tv_bound_from_loss,
 )
@@ -394,6 +395,21 @@ def test_subgraph_searched_certificate_is_the_fixed_one_at_its_threshold():
 
 
 # -- incremental-change bounds ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("scope, message", [
+    ([], "scope is empty"),
+    ([0], "scope state 0 is not a terminating state"),  # the source
+    ([3, 4, 7], "scope state 7 is not a terminating state"),  # the sink
+], ids=["empty", "source", "sink"])
+def test_sample_certificate_refuses_an_empty_or_non_terminating_scope(scope, message):
+    env = RegularTree(2, 2)  # leaves 3..6, sink 7
+    model = balanced_tabular_model(env, flow_head=False)
+    rng_b, rng_f = np.random.default_rng(0), np.random.default_rng(1)
+    before = rng_b.bit_generator.state, rng_f.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{message}"):
+        sample_certificate(model, env, scope, 10, 10, rng_b, rng_f, 0.05)
+    assert (rng_b.bit_generator.state, rng_f.bit_generator.state) == before  # nothing drawn
 
 
 def test_sandwich_no_change_is_zero():

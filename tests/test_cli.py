@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from stablegfn import certify, cli, output, verify
+from stablegfn.approximator import _encode_array
 from stablegfn.cli import _load_model_for, main
 from stablegfn.config import (OUTPUT_DIR_ENV_VAR, ConfigError, build_env, build_model,
                               build_train_config, load_config, resolve)
@@ -478,8 +479,10 @@ def test_train_certificate_draws_over_the_buffer_in_buffer_order(tmp_path):
 
 @pytest.mark.parametrize("objective", ["tb", "db", "fm", "subtb", "wdb"])
 def test_checkpoint_rebuilds_the_nets_its_objective_reads(tmp_path, objective):
-    payload = dict(TREE_CONFIG, train=dict(TREE_CONFIG["train"], objective=objective,
-                                           stabilize=False, max_rounds=3))
+    # a hypergrid, where states have two parents: a tree reads no backward net
+    payload = dict(TREE_CONFIG, env={"kind": "hypergrid", "dimension": 2, "side": 3},
+                   train=dict(TREE_CONFIG["train"], objective=objective, stabilize=False,
+                              max_rounds=3))
     outdir, cfg = run_train(tmp_path, payload)
     checkpoint = outdir / "checkpoint.json"
     trained = list(json.loads(checkpoint.read_text())["params"])
@@ -492,6 +495,30 @@ def test_checkpoint_rebuilds_the_nets_its_objective_reads(tmp_path, objective):
     for command in ("certify", "evaluate"):
         assert main([command, "--checkpoint", str(checkpoint), "--config", cfg,
                      "--output", str(tmp_path / f"{command}.json")]) == 0
+
+
+def test_tree_checkpoint_with_a_learned_backward_net_loads(tmp_path):
+    # a tree's model section resolves to the uniform backward, with no pb slice
+    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    checkpoint = outdir / "checkpoint.json"
+    doc = json.loads(checkpoint.read_text())
+    assert doc["model"]["backward"] == "uniform" and "pb.table" not in doc["params"]
+    # as written before trees resolved so: a learned section and its never-trained slice
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(dict(doc, model=dict(doc["model"], backward="learned"), params=dict(
+        doc["params"], **{"pb.table": _encode_array(np.zeros((8, 1)))}))))
+    for command in ("certify", "evaluate"):
+        outputs = [tmp_path / f"{command}.{name}.json" for name in ("new", "old")]
+        for path, out in zip((checkpoint, old), outputs):
+            assert main([command, "--checkpoint", str(path), "--config", cfg,
+                         "--output", str(out)]) == 0
+        if command == "certify":
+            docs = [json.loads(out.read_text()) for out in outputs]
+            for d in docs:
+                d.pop("wall_clock_s")
+            assert docs[0] == docs[1]
+        else:
+            assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 GOOD_RECORD = {"states": [0, 1, 3, 7], "log_pf": -1.0, "log_pb": 0.0, "reward": 1.0}
@@ -540,7 +567,7 @@ def test_certify_from_bad_log_exits_2(tmp_path, capsys, lines, where):
 @pytest.mark.parametrize("corrupt, names", [
     (lambda doc: doc.pop("env"), "no 'env'"),
     (lambda doc: doc.pop("params"), "no 'params'"),
-    (lambda doc: doc["params"].pop("pb.table"), "slice 'pb.table' is missing"),
+    (lambda doc: doc["params"].pop("pf.table"), "slice 'pf.table' is missing"),
     (lambda doc: doc["model"].update(depth=3), "'depth'"),
     (lambda doc: doc["params"]["pf.table"]["shape"].reverse(),
      "slice 'pf.table' is (2, 8), the model's is (8, 2)"),
@@ -680,28 +707,32 @@ _RESOLVED_DEFAULTS = {
               "cert_m": 1000, "cert_n": 1000, "subtb_lambda": 0.9, "oracle_every": 0},
     "eval": {"samples": 100_000, "oracle": True},
 }
+# no state of a tree has two parents: its backward policy resolves to uniform
+_TREE_DEFAULTS = dict(_RESOLVED_DEFAULTS,
+                      model=dict(_RESOLVED_DEFAULTS["model"], backward="uniform"))
 RESOLVED = [
     ({"env": {"kind": "tree", "branching": 2, "depth": 2}},
-     dict(_RESOLVED_DEFAULTS,
+     dict(_TREE_DEFAULTS,
           env={"kind": "tree", "branching": 2, "depth": 2, "leaf_rewards": None})),
     ({"env": {"kind": "hypergrid", "dimension": 2, "side": 8}},
      dict(_RESOLVED_DEFAULTS, env={"kind": "hypergrid", "dimension": 2, "side": 8, "r0": 0.1,
                                    "r1": 0.5, "r2": 2.0})),
-    ({"env": {"kind": "one_more_mode", "branching": 2, "depth": 2, "epsilon": 0.1}},
-     dict(_RESOLVED_DEFAULTS, env={"kind": "one_more_mode", "branching": 2, "depth": 2,
-                                   "epsilon": 0.1, "stage": "new"})),
+    ({"env": {"kind": "one_more_mode", "branching": 2, "depth": 2, "epsilon": 0.1},
+      "model": {"backward": "learned"}},
+     dict(_TREE_DEFAULTS, env={"kind": "one_more_mode", "branching": 2, "depth": 2,
+                               "epsilon": 0.1, "stage": "new"})),
     ({"env": {"kind": "tree", "branching": 3, "depth": 1}, "model": None, "train": None,
       "eval": None},
-     dict(_RESOLVED_DEFAULTS,
+     dict(_TREE_DEFAULTS,
           env={"kind": "tree", "branching": 3, "depth": 1, "leaf_rewards": None})),
     # integers become floats where a key is a number, and only in env
     ({"env": {"kind": "tree", "branching": 2, "depth": 1, "leaf_rewards": [1, 2.5]}},
-     dict(_RESOLVED_DEFAULTS,
+     dict(_TREE_DEFAULTS,
           env={"kind": "tree", "branching": 2, "depth": 1, "leaf_rewards": [1.0, 2.5]})),
     ({"env": {"kind": "one_more_mode", "branching": 2, "depth": 1, "epsilon": 1,
               "stage": "prev"}},
-     dict(_RESOLVED_DEFAULTS, env={"kind": "one_more_mode", "branching": 2, "depth": 1,
-                                   "epsilon": 1.0, "stage": "prev"})),
+     dict(_TREE_DEFAULTS, env={"kind": "one_more_mode", "branching": 2, "depth": 1,
+                               "epsilon": 1.0, "stage": "prev"})),
     ({"seed": 7, "output_dir": "runs/a",
       "env": {"kind": "hypergrid", "dimension": 3, "side": 4, "r0": 1, "r1": 2, "r2": 3},
       "model": {"kind": "mlp", "hidden": [8, 4], "backward": "uniform"},
@@ -714,10 +745,10 @@ RESOLVED = [
                     max_grad_norm=None),
       "eval": {"samples": 5, "oracle": False}}),
     # fm reads no backward policy: it gets the uniform one, even when asked for a learned one
-    ({"env": {"kind": "tree", "branching": 2, "depth": 1}, "model": {"backward": "learned"},
+    ({"env": {"kind": "hypergrid", "dimension": 2, "side": 8}, "model": {"backward": "learned"},
       "train": {"objective": "fm"}},
      dict(_RESOLVED_DEFAULTS,
-          env={"kind": "tree", "branching": 2, "depth": 1, "leaf_rewards": None},
+          env={"kind": "hypergrid", "dimension": 2, "side": 8, "r0": 0.1, "r1": 0.5, "r2": 2.0},
           model=dict(_RESOLVED_DEFAULTS["model"], backward="uniform"),
           train=dict(_RESOLVED_DEFAULTS["train"], objective="fm"))),
 ]

@@ -422,7 +422,9 @@ def test_table_walk_holds_graph_sized_matrices():
     tables = len(env.forward_choice) * A + len(env.backward_choice) * env.num_backward_slots
     for kind in ("tabular", "mlp"):
         model = _model(env, kind)
-        assert all(policy._table(model, env, forward, n) is not None for forward in (True, False))
+        # the rule gives both tables; asked of another model, which keeps them
+        assert all(policy._table(_model(env, kind), env, forward, n) is not None
+                   for forward in (True, False))
         tracemalloc.start()
         try:
             sample_forward_batch(model, env, np.random.default_rng(1), n)

@@ -1,11 +1,12 @@
+import copy
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stablegfn import envs, policy
-from stablegfn.approximator import Mlp, Tabular
+from stablegfn import certify, config, envs, policy
+from stablegfn.approximator import AdamOptimizer, Mlp, Tabular
 from stablegfn.envs import EnumerationCapError, Hypergrid, RegularTree
 from stablegfn.policy import (
     LOGIT_CLAMP,
@@ -431,6 +432,131 @@ def test_rollout_reads_a_table_only_for_narrow_tabular_sides(monkeypatch, env_na
     assert sorted(env._move_choices[0]) == sorted(
         s for s, (_, nxt, k) in env._moves[0].items() if len(nxt) > 1)
     assert all(env._move_choices[0][k] == s for s, (_, _, k) in env._moves[0].items() if k >= 0)
+
+
+# -- kept tables: one build per side and parameter state -------------------------
+
+
+def _tables(model, env, n):
+    return [policy._table(model, env, forward, n) for forward in (True, False)]
+
+
+def _cold(model):
+    """A copy of ``model`` that keeps no table: every table it reads, it builds."""
+    cold = copy.deepcopy(model)
+    cold._kept = [None, None]
+    return cold
+
+
+def _change(model, env, change):
+    """Move ``model``'s parameters by ``change``; (forward, backward): whether
+    each side's rows moved."""
+    if change == "adam":
+        model.params.grads[:] = np.random.default_rng(5).normal(size=model.params.size)
+        AdamOptimizer(model.params, lr=0.01).step()
+        return True, True
+    if change == "tabular":  # a backward choice state's first valid slot
+        s = env.backward_choice[0]
+        model.backward_net.table[s, np.flatnonzero(env.backward_mask[s])[0]] += 0.5
+        return False, True
+    if change == "mlp":  # every row's first logit
+        model.forward_net._w[2][0] += 0.5
+    else:  # the initial state's first forward slot
+        model.params.values[model.params.slice_bounds("pf.table")[0]] += 0.5
+    return True, False
+
+
+@pytest.mark.parametrize("change", ["adam", "tabular", "mlp", "values"])
+def test_a_parameter_change_rebuilds_the_kept_table(change):
+    env = TABLE_ENVS["H(2,4)"]()  # 15 forward, 9 backward choice states
+    model = random_model(env, "mlp" if change == "mlp" else "tabular")
+    kept = _tables(model, env, 15)
+    assert all(a is b for a, b in zip(_tables(model, env, 15), kept))  # kept, not rebuilt
+    assert not any(t.flags.writeable for t in kept)
+    with pytest.raises(ValueError):
+        kept[0][0, 0] = 0.0
+    moved = _change(model, env, change)
+    got, want = _tables(model, env, 15), _tables(_cold(model), env, 15)
+    for g, w, k, side_moved in zip(got, want, kept, moved):
+        assert g.tobytes() == w.tobytes()
+        assert (g is not k) == side_moved and (g.tobytes() != k.tobytes()) == side_moved
+
+
+def test_another_env_object_rebuilds_the_kept_table():
+    env, other = TABLE_ENVS["H(2,4)"](), Hypergrid(2, 4, r0=0.5)  # the same graph
+    model = random_model(env)
+    kept = _tables(model, env, 15)
+    got = _tables(model, other, 15)
+    for g, w, k in zip(got, _tables(_cold(model), other, 15), kept):
+        assert g is not k and g.tobytes() == w.tobytes() == k.tobytes()
+    assert all(a is not b for a, b in zip(_tables(model, env, 15), got))
+
+
+def _side_calls(monkeypatch):
+    """The sides of every :func:`policy._log_policy` call from now on."""
+    calls = []
+    log_policy = policy._log_policy
+
+    def recorded(net, mask, states, env):
+        calls.append("forward" if mask is env.forward_mask else "backward")
+        return log_policy(net, mask, states, env)
+
+    monkeypatch.setattr(policy, "_log_policy", recorded)
+    return calls
+
+
+def _tiny_stable_run():
+    """(env, model, alpha) of a tiny stabilized MLP config whose 64-path walks have tables."""
+    resolved = config.resolve({"env": {"kind": "hypergrid", "dimension": 2, "side": 4},
+                               "model": {"kind": "mlp", "hidden": [16, 16]},
+                               "train": {"stabilize": True, "cert_m": 64, "cert_n": 64}})
+    env = config.build_env(resolved)
+    return env, config.build_model(resolved, env), config.build_train_config(resolved).alpha
+
+
+def _post_training(model, env, alpha, seed):
+    """The calls after training, as the bench makes them: a certificate
+    attempt, the evaluation walk and the exact DP; what each returns, as bytes."""
+    rng_b, rng_f, rng_e = (rng_for(seed, name) for name in ("b", "f", "e"))
+    report = certify.sample_certificate(model, env, env.terminating_states, 64, 64, rng_b, rng_f,
+                                        alpha).to_dict()
+    report.pop("wall_clock_s")
+    paths = sample_forward_batch(model, env, rng_e, 64)
+    return [repr(report), *(c.tobytes() for c in (paths.states, paths.log_pf, paths.log_pb)),
+            exact_terminal_distribution(model, env)[1].tobytes()]
+
+
+def test_post_training_calls_build_each_table_once_per_parameter_state(monkeypatch):
+    env, model, alpha = _tiny_stable_run()
+    calls = _side_calls(monkeypatch)
+    for step in range(3):
+        _post_training(model, env, alpha, step)
+        _post_training(model, env, alpha, step + 10)
+        assert sorted(calls) == ["backward", "forward"]
+        del calls[:]
+        _change(model, env, "adam")
+
+
+def test_kept_tables_give_the_bytes_of_cold_calls():
+    env, model, alpha = _tiny_stable_run()
+    for step in range(3):
+        for seed in (step, step + 10):
+            cold = _cold(model)
+            assert _post_training(model, env, alpha, seed) == _post_training(cold, env, alpha, seed)
+        _change(model, env, "adam")
+
+
+def test_exact_dp_keeps_no_table():
+    env = TABLE_ENVS["H(2,4)"]()
+    model = random_model(env, "mlp")
+    exact_terminal_distribution(model, env)
+    assert model._kept == [None, None]
+    kept = _tables(model, env, 15)
+    exact_terminal_distribution(model, env)  # reads the kept forward table
+    assert model._kept[0][2] is kept[0]
+    _change(model, env, "mlp")
+    exact_terminal_distribution(model, env)  # builds its own and drops the stale one
+    assert model._kept[0] is None and model._kept[1][2] is kept[1]
 
 
 def test_backward_then_forward_consistency():

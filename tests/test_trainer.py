@@ -226,7 +226,7 @@ def test_certifying_run_fingerprint():
     assert state.certified and state.round == 455
     assert state.bound == 0.04992305840518782
     assert hashlib.sha256(model.params.values.tobytes()).hexdigest() == (
-        "e57f22909b62adf36cbee17f47b09c01f99d5463e4e2dbc38b32759a33a0d15d")
+        "0591dd842754bb1f869f249b06bc6b527d69febc3336202b3f1023fcf0e445e9")
 
 
 # sha256 of the parameters after 6 baseline rounds with replay, on tabular

@@ -12,8 +12,8 @@ LINES = {
                      "(ln 0.001)^2 = 47.7171; 0 violations",
     "closed_form": "[PASS] closed_form_tv: 24 (branching, depth, epsilon) cells, 0 mismatches",
     "tv_sound": "[PASS] loss_to_tv_soundness: 200 random tabular policies, 0 violations",
-    "pac_coverage": "[PASS] pac_coverage: 0/1000 coverage violations (allowed 122); "
-                    "0 structural failures",
+    "pac_coverage": "[PASS] pac_coverage: 0/1000 coverage violations (allowed 122), "
+                    "185 non-vacuous bounds; 0 structural failures",
     "sandwich": "[PASS] incremental_sandwich: 100 randomized reward increments, largest "
                 "tb/db/fm/subtb term each against the supremum, 0 failures",
     "mc_estimator": "[PASS] mc_estimator: exact flow ratio 1.012062, estimate 1.007663 "
