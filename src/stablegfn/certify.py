@@ -110,13 +110,13 @@ def reference_main_term(threshold: float, max_ratio: float) -> float:
         # reduces exactly to the plain sampling certificate's main term
         return _expm1(2.0 * threshold)
     limit = math.inf if threshold == 0.0 else 1.0 / _expm1(threshold)
-    ec = math.exp(threshold)
     emc = math.exp(-threshold)
     denom = emc - (1.0 - emc) * max_ratio
     if not max_ratio < limit or denom <= 0.0:
         raise ReferenceConditionError(
             f"max ratio {max_ratio} is not below 1/(exp({threshold}) - 1)"
         )
+    ec = math.exp(threshold)  # after the condition: it overflows where the limit is 0
     return (ec + (ec - 1.0) * max_ratio) / denom - 1.0
 
 

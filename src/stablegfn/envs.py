@@ -27,11 +27,12 @@ level.  Every whole-graph pass walks it, one array step per level.
 The build is sorts and linear passes: numpy 2.x's plain ``np.unique`` hashes,
 2 ms on 12,000 ints against 0.13 ms for a sort and a neighbour compare.
 
-An environment does not describe itself: the resolved config's ``env``
-section is the one description of it.  :data:`ENV_KEYS` is that section's
-one schema, a table per kind of each key's type, default and allowed values;
-``config.resolve`` reads it and fills the defaults, :func:`make_env` builds
-from the result, and a checkpoint keeps it.
+An environment does not describe itself: it keeps no kind, size or reward
+parameter, and the resolved config's ``env`` section is the one description
+of it.  :data:`ENV_KEYS` is that section's one schema, a table per kind of
+each key's type, default and allowed values; ``config.resolve`` reads it and
+fills the defaults, :func:`make_env` builds from the result, and a
+checkpoint keeps it.
 """
 
 from __future__ import annotations
@@ -143,8 +144,6 @@ class DagEnv:
     fills the matrices and masks, computes the level order, validates the
     DAG invariants and marks the modes (:meth:`_modes`).
     """
-
-    kind = "dag"
 
     def __init__(self, sink: int, src: np.ndarray, dst: np.ndarray, fslot: np.ndarray,
                  bslot: np.ndarray, terminals: np.ndarray, rewards: np.ndarray,
@@ -289,37 +288,32 @@ class RegularTree(DagEnv):
     """Perfect g-ary tree of depth h; the g**h leaves are the terminating states.
 
     Every non-root state has exactly one parent, so the backward policy is
-    deterministic.  Leaf rewards default to 1.
+    deterministic.  Leaf rewards default to 1; the leaves are ``terminating_states``.
     """
-
-    kind = "tree"
 
     def __init__(self, branching: int, depth: int, leaf_rewards: Optional[Sequence[float]] = None):
         _check_tree(branching, depth)
-        self.branching, self.depth = branching, depth
         g, h = branching, depth
         level_sizes = [g**k for k in range(h + 1)]
         level_offsets = np.cumsum([0] + level_sizes)
         n_tree = int(level_offsets[-1])
         sink = n_tree
-
-        self.num_leaves = g**h
-        self.leaves = np.arange(level_offsets[h], level_offsets[h] + self.num_leaves)
+        leaves = np.arange(level_offsets[h], n_tree)
 
         if leaf_rewards is None:
-            leaf_rewards = np.ones(self.num_leaves)
+            leaf_rewards = np.ones(len(leaves))
         leaf_rewards = np.asarray(leaf_rewards, dtype=np.float64)
-        if leaf_rewards.shape != (self.num_leaves,):
-            raise ValueError(f"expected {self.num_leaves} leaf rewards")
+        if leaf_rewards.shape != leaves.shape:
+            raise ValueError(f"expected {len(leaves)} leaf rewards")
 
         # breadth-first numbering: internal node i has children g*i+1 .. g*i+g
         inner = np.repeat(np.arange(int(level_offsets[h]), dtype=np.int64), g)
         action = np.tile(np.arange(g, dtype=np.int64), len(inner) // g)
-        src = np.concatenate([inner, self.leaves])
-        dst = np.concatenate([g * inner + 1 + action, np.full_like(self.leaves, sink)])
-        fslot = np.concatenate([action, np.zeros_like(self.leaves)])
+        src = np.concatenate([inner, leaves])
+        dst = np.concatenate([g * inner + 1 + action, np.full_like(leaves, sink)])
+        fslot = np.concatenate([action, np.zeros_like(leaves)])
         features = np.r_[np.arange(n_tree), -1]  # one column per state, none at the sink
-        super().__init__(sink, src, dst, fslot, np.zeros_like(src), self.leaves, leaf_rewards,
+        super().__init__(sink, src, dst, fslot, np.zeros_like(src), leaves, leaf_rewards,
                          features, feature_dim=n_tree + 1)
 
 
@@ -360,27 +354,22 @@ class Hypergrid(DagEnv):
     Features are one-hot per coordinate (column ``i*H + x_i``) on both copies.
     Modes follow the max-reward rule of every environment: with the default
     rewards they are the corners, the r0+r1+r2 plateau (Bengio et al. 2021,
-    arXiv:2106.04399).
+    arXiv:2106.04399); the far corner's terminal copy is ``sink - 1``.
     """
-
-    kind = "hypergrid"
 
     def __init__(self, dimension: int, side: int, r0: Optional[float] = None,
                  r1: float = ENV_KEYS["hypergrid"]["r1"][1],
                  r2: float = ENV_KEYS["hypergrid"]["r2"][1]):
         if dimension < 1 or side < 2:
             raise ValueError("need dimension >= 1 and side >= 2")
-        self.dimension, self.side = dimension, side
-        self.r0 = hypergrid_default_r0(side) if r0 is None else float(r0)
-        self.r1, self.r2 = float(r1), float(r2)
-        if self.r0 <= 0:
+        r0 = hypergrid_default_r0(side) if r0 is None else float(r0)
+        if r0 <= 0:
             raise ValueError("r0 must be positive")
 
         D, H = dimension, side
         n_grid = H**D
         # forward slots: an increment per coordinate and the exit; backward: a decrement
         _check_slot_memory(2 * n_grid + 1, 2 * D + 1, f"hypergrid({D}, {H})")
-        self.n_grid = n_grid
         sink = 2 * n_grid
         strides = np.array([H ** (D - 1 - i) for i in range(D)], dtype=np.int64)
 
@@ -394,7 +383,7 @@ class Hypergrid(DagEnv):
         dst = np.hstack([idx + strides, term, np.full_like(idx, sink)])[valid]
         fslot = np.broadcast_to(np.r_[np.arange(D), D, 0], valid.shape)[valid]
         bslot = np.broadcast_to(np.r_[np.arange(D), 0, 0], valid.shape)[valid]
-        reward = hypergrid_reward(coords, H, self.r0, self.r1, self.r2)
+        reward = hypergrid_reward(coords, H, r0, float(r1), float(r2))
         cols = coords + H * np.arange(D)
         features = np.vstack([cols, cols, np.full((1, D), -1)])
 
@@ -425,8 +414,6 @@ class OneMoreMode(DagEnv):
     the base.  The modes follow the max-reward rule, as every environment's do.
     """
 
-    kind = "one_more_mode"
-
     def __init__(self, base: DagEnv, added: Dict[int, float]):
         check_added(base, added)
         vars(self).update(vars(base))
@@ -456,7 +443,7 @@ def one_more_mode_tree(branching: int, depth: int, epsilon: float) -> Tuple[Regu
     rewards = np.ones(n_leaves)
     rewards[-1] = epsilon
     env_prev = RegularTree(branching, depth, rewards)
-    promoted = int(env_prev.leaves[-1])
+    promoted = int(env_prev.terminating_states[-1])
     env_new = OneMoreMode(env_prev, {promoted: 1.0 - epsilon})
     return env_prev, env_new
 

@@ -312,6 +312,14 @@ class PolicyModel:
         # per side, the last table a walk built: (env, digest of the net's parameters, table)
         self._kept: List[Optional[tuple]] = [None, None]
 
+    def __getstate__(self) -> dict:  # a copy or a pickle keeps no table, so no env
+        return {**vars(self), "_kept": [None, None]}
+
+    def __setstate__(self, state: dict) -> None:  # its nets read its own params
+        vars(self).update(state)
+        for net in self._nets:
+            net.bind(self.params)
+
     # -- construction --------------------------------------------------
 
     @classmethod

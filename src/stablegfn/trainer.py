@@ -230,7 +230,6 @@ class TrainState:
     threshold: Optional[float] = None
     patience_count: int = 0
     bound: float = 1.0
-    last_certificate: Optional[certify.CertificateReport] = None
     certified: bool = False
     skip_rounds: int = 0
     modes_found: Set[int] = field(default_factory=set)
@@ -340,7 +339,6 @@ class Trainer:
             cert = self._certify()
             st.patience_count = 0
             if cert.bound is not None:
-                st.last_certificate = cert
                 st.bound = cert.bound
                 if cert.bound <= cfg.tv_target:
                     st.certified = True

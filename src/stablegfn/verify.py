@@ -131,7 +131,7 @@ def _loss_terms(model: PolicyModel, env: DagEnv):
 def suite_one_more_mode_losses() -> Check:
     epsilon = 1e-3
     env_prev, env_new = one_more_mode_tree(3, 3, epsilon)
-    promoted = int(env_prev.leaves[-1])
+    promoted = int(env_prev.terminating_states[-1])
     model = oracle.balanced_tabular_model(env_prev, flow_head=True)
     expected = math.log(epsilon) ** 2
     bad: List[str] = []

@@ -13,8 +13,6 @@ from stablegfn.envs import DagEnv
 class RandomDag(DagEnv):
     """A random source-to-sink DAG over ``size`` non-sink states."""
 
-    kind = "random_dag"
-
     def __init__(self, seed: int, size: int = 12, extra_parent_prob: float = 0.3):
         rng = np.random.default_rng(seed)
         self.seed, self.size = seed, size
@@ -49,6 +47,16 @@ class RandomDag(DagEnv):
         rewards = np.array([rng.uniform(0.1, 3.0) for _ in terminals])
         super().__init__(sink, *edges.T.copy(), terminals, rewards, np.r_[np.arange(size), -1],
                          feature_dim=size + 1)
+
+
+# A test id per environment class: the config's env kind that builds it.
+KIND_IDS = {"RegularTree": "tree", "Hypergrid": "hypergrid", "OneMoreMode": "one_more_mode",
+            "RandomDag": "random_dag"}
+
+
+def kind_id(env) -> str:
+    """The config's env kind of ``env``'s class, as a test id."""
+    return KIND_IDS[type(env).__name__]
 
 
 def random_dags(seeds=(0, 1, 2), size: int = 12):

@@ -89,6 +89,17 @@ def test_reference_bound_condition_boundary():
     assert math.isfinite(reference_main_term(c, bad * 0.999))
 
 
+def test_reference_condition_past_the_float_range_is_violated():
+    # 1/(exp(c) - 1) is 0 past log(DBL_MAX) = 709.78, so a positive ratio fails
+    # the condition; exp(c) itself would overflow
+    with pytest.raises(ReferenceConditionError):
+        reference_main_term(720.0, 0.5)
+    assert reference_main_term(720.0, 0.0) == math.inf
+    lm, lt = np.array([750.5, 0.0]), np.zeros(2)  # the first record's ratio is 0.649 at 750
+    rep = optimize_certificate((lm[:1], lt[:1]), (lm[1:], lt[1:]), 0.05, threshold=750.0)
+    assert rep.condition_violated and rep.bound == 1.0 and rep.max_ratio == pytest.approx(0.6487, abs=1e-4)
+
+
 def test_main_term_monotone():
     cs = np.linspace(0.01, 1.0, 50)
     limit = 1.0 / math.expm1(cs[-1])
@@ -279,7 +290,7 @@ def test_subgraph_single_state_sound():
     model = balanced_tabular_model(env, flow_head=False)
     rng = np.random.default_rng(2)
     model.forward_net.table += rng.normal(0, 0.05, model.forward_net.table.shape)
-    top = [int(env.leaves[0])]
+    top = [int(env.terminating_states[0])]
     rng2 = rng_for(3, "sub")
     xs = np.full(32, top[0], dtype=np.int64)
     bwd = sample_backward_batch(model, env, rng2, xs)
@@ -383,7 +394,7 @@ def test_subgraph_searched_certificate_is_the_fixed_one_at_its_threshold():
     model = balanced_tabular_model(env, flow_head=False)
     model.forward_net.table += np.random.default_rng(6).normal(0, 0.3,
                                                                model.forward_net.table.shape)
-    scope = env.leaves[:4]
+    scope = env.terminating_states[:4]
     rng = rng_for(6, "sub")
     bwd = sample_backward_batch(model, env, rng, rng.choice(scope, 40))
     fwd = sample_forward_batch(model, env, rng, 200)
@@ -420,7 +431,7 @@ def test_sandwich_no_change_is_zero():
 
 def test_sandwich_spec_instance():
     env_prev, _ = one_more_mode_tree(3, 2, 0.1)
-    promoted = int(env_prev.leaves[-1])
+    promoted = int(env_prev.terminating_states[-1])
     lower, upper, exact = incremental_tv_sandwich(env_prev, {promoted: 0.9})
     assert upper == pytest.approx(0.1)
     assert lower == pytest.approx(8.0 / 8.1 * 0.1)
@@ -441,14 +452,14 @@ def test_sandwich_reward_doubling_keeps_target():
 def test_loss_supremum_values():
     env = RegularTree(2, 1)
     assert loss_supremum(env, {}) == 0.0
-    x = int(env.leaves[0])
+    x = int(env.terminating_states[0])
     assert loss_supremum(env, {x: 3.0}) == pytest.approx(math.log(0.25) ** 2)
 
 
 def test_loss_supremum_promotion_matches_contrast():
     eps = 0.05
     env_prev, _ = one_more_mode_tree(3, 2, eps)
-    promoted = int(env_prev.leaves[-1])
+    promoted = int(env_prev.terminating_states[-1])
     assert loss_supremum(env_prev, {promoted: 1 - eps}) == pytest.approx(
         math.log(eps) ** 2
     )
@@ -502,7 +513,7 @@ def test_an_infinite_threshold_gives_the_vacuous_bound():
 def test_sandwich_refuses_negative_or_misplaced_additions():
     env = RegularTree(2, 2)
     with pytest.raises(ValueError, match="^added reward must be nonnegative$"):
-        incremental_tv_sandwich(env, {int(env.leaves[0]): -0.5})
+        incremental_tv_sandwich(env, {int(env.terminating_states[0]): -0.5})
     with pytest.raises(ValueError, match="^added reward on non-terminating state 0$"):
         incremental_tv_sandwich(env, {0: 1.0})
 

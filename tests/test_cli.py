@@ -79,6 +79,21 @@ def test_resolved_config_round_trip(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_train_with_thresholds_past_the_float_range_finishes_with_a_vacuous_bound(tmp_path):
+    # log-rewards near -737 raise the threshold past log(DBL_MAX) = 709.78, where
+    # a positive max ratio fails the reference condition instead of overflowing
+    payload = {"seed": 2, "env": {"kind": "tree", "branching": 2, "depth": 2,
+                                  "leaf_rewards": [1.0e-320] * 3 + [1.0]},
+               "train": {"stabilize": True, "batch_size": 8, "patience": 0, "cert_m": 20,
+                         "cert_n": 20, "max_rounds": 30}}
+    outdir, _ = run_train(tmp_path, payload)
+    lines = (outdir / "metrics.csv").read_text().splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert len(rows) == 30 and max(float(r[header.index("threshold")]) for r in rows) > 709.78
+    assert json.loads((outdir / "certificate.json").read_text())["bound"] == 1.0
+    assert (outdir / "checkpoint.json").exists()
+
+
 def test_train_zero_rounds_headers_only(tmp_path):
     payload = dict(TREE_CONFIG)
     payload["train"] = dict(payload["train"], max_rounds=0)

@@ -21,7 +21,7 @@ from stablegfn.envs import (
 )
 from stablegfn.losses import terminal_reach_counts
 from loss_reference import children, parents
-from random_dag import random_dags
+from random_dag import kind_id, random_dags
 
 
 def test_hypergrid_reward_center_only_base():
@@ -57,7 +57,7 @@ def test_default_r0_rejects_degenerate_side():
 def test_one_more_mode_wrapped_partition():
     eps = 0.25
     base = RegularTree(3, 2)
-    promoted = int(base.leaves[-1])
+    promoted = int(base.terminating_states[-1])
     env = OneMoreMode(base, {promoted: 1.0 - eps})
     assert true_partition(env) == pytest.approx(9.0 + (1.0 - eps))
 
@@ -65,7 +65,7 @@ def test_one_more_mode_wrapped_partition():
 def test_one_more_mode_shares_the_base_graph():
     base = RegularTree(3, 2)
     terminal_reach_counts(base)  # fills the base's cache, which the increment recomputes
-    promoted = int(base.leaves[-1])
+    promoted = int(base.terminating_states[-1])
     env = OneMoreMode(base, {promoted: 0.5})
     own = ("reward_table", "mode_mask", "_reach_counts")  # derived from the rewards
     for name, value in vars(base).items():
@@ -90,8 +90,8 @@ def test_one_more_mode_tree_epsilon_one_is_identity():
 
 def test_one_more_mode_small_case():
     prev, new = one_more_mode_tree(2, 1, 0.5)
-    assert prev.reward_table[prev.leaves].tolist() == [1.0, 0.5]
-    assert new.reward_table[prev.leaves].tolist() == [1.0, 1.0]  # same graph
+    assert prev.reward_table[prev.terminating_states].tolist() == [1.0, 0.5]
+    assert new.reward_table[prev.terminating_states].tolist() == [1.0, 1.0]  # same graph
 
 
 def test_one_more_mode_rejects_bad_epsilon():
@@ -138,7 +138,7 @@ def test_structure_invariants(env):
 @pytest.mark.parametrize(
     "env",
     [RegularTree(2, 3), Hypergrid(3, 3, r0=0.1), *random_dags(range(8))],
-    ids=lambda env: env.kind,
+    ids=kind_id,
 )
 def test_levels_are_longest_distances(env):
     level = np.full(env.num_states, -1)
@@ -252,7 +252,7 @@ def test_builders_match_loop_reference(shape):
         edges, rewards = _tree_reference(a, b)
     else:
         env = Hypergrid(a, b)
-        edges, rewards = _grid_reference(a, b, env.r0, env.r1, env.r2)
+        edges, rewards = _grid_reference(a, b, hypergrid_default_r0(b), 0.5, 2.0)
     ref = np.array(edges, dtype=np.int64)
     assert np.array_equal(np.stack([env.edge_src, env.edge_dst, env.edge_fslot, env.edge_bslot], 1), ref)
     child = np.full_like(env.child_matrix, -1)
@@ -345,10 +345,11 @@ def test_tree_backward_is_deterministic():
 
 
 def test_hypergrid_action_count():
-    env = Hypergrid(2, 4, r0=0.1)
-    for idx in range(env.n_grid):
-        coords = np.unravel_index(idx, (env.side,) * env.dimension)
-        expected = sum(1 for x in coords if x < env.side - 1) + 1
+    D, H = 2, 4
+    env = Hypergrid(D, H, r0=0.1)
+    for idx in range(H**D):
+        coords = np.unravel_index(idx, (H,) * D)
+        expected = sum(1 for x in coords if x < H - 1) + 1
         assert len(children(env, idx)) == expected
 
 
@@ -358,7 +359,7 @@ def test_hypergrid_terminal_count_and_modes():
     modes = np.flatnonzero(env.mode_mask)
     assert len(modes) == 4
     corners = {(0, 0), (0, 7), (7, 0), (7, 7)}
-    coords = np.unravel_index(modes - env.n_grid, (env.side,) * env.dimension)
+    coords = np.unravel_index(modes - 64, (8, 8))  # terminal copies follow the 64 points
     assert set(zip(*(c.tolist() for c in coords))) == corners
 
 
@@ -376,11 +377,13 @@ def _reference_encode(env, s):
     if isinstance(env, OneMoreMode):
         return _reference_encode(env.base, s)
     v = np.zeros(env.feature_dim)
-    if isinstance(env, Hypergrid):
-        idx = s if s < env.n_grid else s - env.n_grid
-        for i in range(env.dimension):
-            q, idx = divmod(idx, env.side ** (env.dimension - 1 - i))
-            v[i * env.side + q] = 1.0
+    if isinstance(env, Hypergrid):  # D increment slots and the exit, H columns a coordinate
+        D = env.num_forward_slots - 1
+        H, n_grid = env.feature_dim // D, env.sink // 2
+        idx = s if s < n_grid else s - n_grid
+        for i in range(D):
+            q, idx = divmod(idx, H ** (D - 1 - i))
+            v[i * H + q] = 1.0
     else:  # RegularTree, RandomDag: one column per state
         v[s] = 1.0
     return v
@@ -390,7 +393,7 @@ def _reference_encode(env, s):
     "env",
     [RegularTree(3, 4), RegularTree(2, 5), Hypergrid(4, 8), Hypergrid(2, 16),
      Hypergrid(1, 5), Hypergrid(3, 2), one_more_mode_tree(3, 2, 0.2)[1], *random_dags((5,))],
-    ids=lambda env: f"{env.kind}{env.num_states}",
+    ids=lambda env: f"{kind_id(env)}{env.num_states}",
 )
 def test_features_match_encode_reference(env):
     ref = np.zeros((env.num_states, env.feature_dim), dtype=np.uint8)  # one byte a cell
@@ -419,7 +422,7 @@ def _reference_modes(env):
     """The mode predicate the oracle had before ``mode_mask``, over terminating states."""
     xs = env.terminating_states
     if isinstance(env, Hypergrid):  # its old mode_states: the full plateau
-        peak = env.r0 + env.r1 + env.r2
+        peak = env.reward_table[env.sink - 1]  # the far corner's terminal copy
         modes = set(int(x) for x in xs[np.isclose(env.reward_table[xs], peak, rtol=0, atol=1e-12)])
         return np.array([int(x) in modes for x in xs])
     rmax = float(env.reward_table[xs].max())
@@ -428,7 +431,7 @@ def _reference_modes(env):
 
 def _grid_promoted(D, H):
     base = Hypergrid(D, H, r0=0.1)
-    center = base.n_grid + (base.n_grid - 1) // 2
+    center = H**D + (H**D - 1) // 2
     return OneMoreMode(base, {center: 5.0})
 
 
@@ -441,7 +444,7 @@ def _grid_promoted(D, H):
      one_more_mode_tree(3, 2, 0.2)[0], one_more_mode_tree(3, 2, 0.2)[1],
      OneMoreMode(RegularTree(2, 2, leaf_rewards=[1, 2, 2, 1]), {3: 1.0}),
      _grid_promoted(2, 8), _grid_promoted(3, 5), *random_dags()],
-    ids=lambda env: f"{env.kind}{env.num_states}",
+    ids=lambda env: f"{kind_id(env)}{env.num_states}",
 )
 def test_mode_mask_matches_predicate_reference(env):
     xs = env.terminating_states
@@ -460,7 +463,7 @@ def test_hypergrid_modes_are_its_largest_rewards():
     assert env.reward_table[env.terminating_states].max() == 1.5
     # default rewards keep the plateau's mask
     for env in (Hypergrid(2, 8), Hypergrid(3, 5), Hypergrid(2, 16), Hypergrid(1, 2)):
-        peak = env.r0 + env.r1 + env.r2
+        peak = env.reward_table[env.sink - 1]  # the far corner's terminal copy
         plateau = env.terminating_mask & np.isclose(env.reward_table, peak, rtol=0, atol=1e-12)
         assert np.array_equal(env.mode_mask, plateau)
 
@@ -472,7 +475,8 @@ def test_make_env_round_trip():
     env = built({"kind": "tree", "branching": 3, "depth": 2})
     assert isinstance(env, RegularTree)
     env = built({"kind": "hypergrid", "dimension": 2, "side": 8, "r0": 0.1})
-    assert isinstance(env, Hypergrid) and env.r0 == 0.1 and env.r2 == 2.0
+    assert isinstance(env, Hypergrid)  # r1 and r2 at their defaults
+    assert env.reward_table.tobytes() == Hypergrid(2, 8, 0.1, 0.5, 2.0).reward_table.tobytes()
     env = built({"kind": "one_more_mode", "branching": 2, "depth": 2, "epsilon": 0.1})
     assert isinstance(env, OneMoreMode)
     with pytest.raises(ValueError):
@@ -532,7 +536,7 @@ def test_hypergrid_refuses_degenerate_shape_and_base_reward():
 
 def test_one_more_mode_refuses_negative_or_misplaced_additions():
     base = RegularTree(2, 2)
-    leaf = int(base.leaves[0])
+    leaf = int(base.terminating_states[0])
     with pytest.raises(ValueError, match="^added reward must be nonnegative$"):
         OneMoreMode(base, {leaf: -0.5})
     with pytest.raises(ValueError, match="^added reward on non-terminating state 0$"):

@@ -10,6 +10,13 @@
 * So is every method of a package class (properties, class and static
   methods included), outside its own body: a read of an attribute of that
   name anywhere counts, since a scan cannot tell which class an object has.
+* The product itself, src/ and bench/ without tests/, reads every public
+  module-level ``def`` and ``class`` of the package, and every attribute a
+  package class assigns, dataclasses aside: a class-level name or a
+  ``self.name`` target.  An attribute counts as read only where an
+  attribute of that name is loaded, outside the statement assigning it; a
+  loaded plain name (a parameter, say) does not count.  ``TEST_ONLY`` lists
+  the one exception.
 * Only ``stablegfn.output`` writes files: no other package module calls
   ``json.dump`` or opens a file with a mode that holds w, a, x or +.
 * Every ``:func:``, ``:data:``, ``:class:``, ``:meth:``, ``:attr:`` or
@@ -29,6 +36,9 @@ MODULES = sorted(p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py
                  if p.name != "__init__.py")
 PACKAGE = sorted(p for p in (ROOT / "src" / "stablegfn").glob("*.py") if p.name != "__init__.py")
 READERS = sorted(p for top in ("src", "tests", "bench") for p in (ROOT / top).rglob("*.py"))
+# Public package names that only tests read: the trajectory log writer, which
+# no command calls yet.
+TEST_ONLY = {"write_trajectory_log"}
 
 
 def unused_imports(source: str):
@@ -93,6 +103,53 @@ def dead_methods(tree, read):
     reads outside their own body; dunder methods are skipped."""
     return unread([(m.name, m) for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body
                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))], read)
+
+
+def loads(trees):
+    """(name -> loading nodes, attribute name -> loading nodes) over ``trees``:
+    loaded names and attributes, then loaded attributes alone."""
+    everything, attributes = collections.defaultdict(list), collections.defaultdict(list)
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                everything[n.id].append(n)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                everything[n.attr].append(n)
+                attributes[n.attr].append(n)
+    return everything, attributes
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def assigned_attributes(tree):
+    """(name, assigning statement) of every attribute that a module-level
+    class of ``tree``, dataclasses aside, assigns: its class-level names and
+    its ``self.name`` targets, tuple targets included."""
+    out = []
+    for c in tree.body:
+        if not isinstance(c, ast.ClassDef) or "dataclass" in map(_decorator_name, c.decorator_list):
+            continue
+        out += [(name, node) for name, node in definitions(c.body)
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(c):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [(n.attr, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"]
+    return out
+
+
+def unread_by(tree, read):
+    """Public module-level ``def``/``class`` names and class attributes of
+    ``tree`` that ``read``, a :func:`loads` pair, does not read."""
+    everything, attributes = read
+    public = [(name, node) for name, node in definitions(tree.body) if not name.startswith("_")
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return unread(public, everything) + unread(assigned_attributes(tree), attributes)
 
 
 def file_writes(tree):
@@ -216,6 +273,23 @@ def test_dead_definition_scan_sees_every_definition_form():
     assert dead_definitions(tree, reads([tree, other])) == []
 
 
+def test_product_read_scan_sees_every_form():
+    source = ("import dataclasses\n"
+              "def f():\n    return 1\n"
+              "def _g():\n    pass\n"
+              "class A:\n    k = 1\n    def __init__(self, x, y):\n"
+              "        self.x, (self.y, self.z) = x, (y, y)\n"
+              "        self.w = self.z + 1\n        self.v += 1\n"
+              "@dataclasses.dataclass(frozen=True)\nclass D:\n    n: int = 0\n"
+              "    def g(self):\n        self.m = 1\n")
+    tree = ast.parse(source)
+    # _g is private and D a dataclass; x and y are loaded only as plain names,
+    # v is only assigned, z is read where w is assigned
+    assert unread_by(tree, loads([tree])) == ["f", "A", "D", "k", "x", "y", "w", "v"]
+    other = ast.parse("f()\nA.k\na.x.y\nD()\nb.w\nc.v\n")
+    assert unread_by(tree, loads([tree, other])) == []
+
+
 def test_dead_method_scan_sees_every_method_form():
     source = ("class A:\n    def __init__(self):\n        self.x = self.f()\n"
               "    def f(self):\n        return self.f\n"
@@ -258,6 +332,21 @@ def test_every_method_is_read(parsed, path):
     trees, read = parsed
     dead = dead_methods(trees[path], read)
     assert not dead, f"{path.relative_to(ROOT)} defines methods {', '.join(dead)}, which nothing reads"
+
+
+@pytest.fixture(scope="module")
+def product_loads(parsed):
+    """:func:`loads` over src/ and bench/: the product without its tests."""
+    trees, _ = parsed
+    return loads(t for p, t in trees.items() if p.relative_to(ROOT).parts[0] != "tests")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_the_product_reads_every_public_name_and_attribute(parsed, product_loads, path):
+    trees, _ = parsed
+    dead = [name for name in unread_by(trees[path], product_loads) if name not in TEST_ONLY]
+    assert not dead, (f"{path.relative_to(ROOT)} defines {', '.join(dead)}, which nothing "
+                      "in src/ or bench/ reads")
 
 
 def test_only_the_output_module_writes_files(parsed):

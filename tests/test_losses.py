@@ -31,13 +31,11 @@ from loss_reference import (
     wdb_weights,
 )
 from numeric_reference import Trajectory, records
-from random_dag import random_dags
+from random_dag import kind_id, random_dags
 
 
 class ChainEnv(DagEnv):
     """s0 -> s1 -> terminal -> sink; a single trajectory."""
-
-    kind = "chain"
 
     def __init__(self):
         src, zeros = np.arange(3), np.zeros(3, dtype=np.int64)
@@ -88,7 +86,7 @@ def test_promoted_leaf_losses_match_contrast():
     eps = 0.01
     env_prev, env_new = one_more_mode_tree(3, 2, eps)
     model = balanced_tabular_model(env_prev)
-    promoted = int(env_prev.leaves[-1])
+    promoted = int(env_prev.terminating_states[-1])
     expected = math.log(eps) ** 2
     for t in records(enumerate_trajectories(model, env_new)):
         value = tb_loss(t, model.logz)
@@ -115,14 +113,14 @@ def test_db_loss_hand_constructed_ratio_one():
     env = RegularTree(2, 1)
     model = PolicyModel.build(env, "tabular", learn_backward=False, flow_head=True)
     model.flow_net.table[0, 0] = math.log(2.0)
-    assert db_loss((0, int(env.leaves[0])), model, env) == pytest.approx(0.0, abs=1e-15)
+    assert db_loss((0, int(env.terminating_states[0])), model, env) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_db_loss_promoted_edge():
     eps = 0.1
     env_prev, env_new = one_more_mode_tree(3, 2, eps)
     model = balanced_tabular_model(env_prev)
-    promoted = int(env_prev.leaves[-1])
+    promoted = int(env_prev.terminating_states[-1])
     parent = int(parents(env_new, promoted)[0])
     assert db_loss((parent, promoted), model, env_new) == pytest.approx(
         math.log(eps) ** 2, abs=1e-8
@@ -133,7 +131,7 @@ def test_db_loss_rejects_sink_edge():
     env = RegularTree(2, 1)
     model = balanced_tabular_model(env)
     with pytest.raises(ValueError):
-        db_loss((int(env.leaves[0]), env.sink), model, env)
+        db_loss((int(env.terminating_states[0]), env.sink), model, env)
 
 
 # -- flow matching ------------------------------------------------------------------
@@ -258,12 +256,12 @@ def test_terminal_reach_counts_tree():
     env = RegularTree(2, 2)
     counts = terminal_reach_counts(env)
     assert counts[env.initial_state] == 4
-    for leaf in env.leaves:
+    for leaf in env.terminating_states:
         assert counts[leaf] == 1
 
 
 @pytest.mark.parametrize("env", [RegularTree(3, 2), Hypergrid(2, 4, r0=0.1), *random_dags(range(6))],
-                         ids=lambda env: env.kind)
+                         ids=kind_id)
 def test_terminal_reach_counts_match_dfs(env):
     def reachable(s):  # terminating states reachable from s, by depth-first search
         seen, stack, found = set(), [s], set()
@@ -502,7 +500,7 @@ def _reference_log_ratios(objective, model, env, paths):
 
 @pytest.mark.parametrize("kind", ["tabular", "mlp"])
 @pytest.mark.parametrize("env", [RegularTree(3, 2), Hypergrid(2, 3, r0=0.1), *random_dags()],
-                         ids=lambda env: env.kind)
+                         ids=kind_id)
 def test_log_ratios_match_reference_terms(env, kind):
     model = _random_flow_model(env, 16, kind)
     paths = forward_trajs(model, env, np.random.default_rng(17), 6)

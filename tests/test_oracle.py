@@ -28,12 +28,10 @@ from stablegfn.losses import batch_loss
 from stablegfn.trainer import rng_for
 
 import numeric_reference as ref
-from random_dag import RandomDag
+from random_dag import RandomDag, kind_id
 
 
 class ChainEnv(DagEnv):
-    kind = "chain"
-
     def __init__(self):
         src, zeros = np.arange(3), np.zeros(3, dtype=np.int64)
         super().__init__(3, src, src + 1, zeros, zeros, np.array([2]), np.ones(1), [0, 1, 2, -1],
@@ -71,7 +69,7 @@ def test_tv_is_half_total_l1():
 
 def test_empirical_l1_point_mass_on_uniform_target():
     env = RegularTree(3, 2)
-    x0 = int(env.leaves[0])
+    x0 = int(env.terminating_states[0])
     l1 = empirical_total_l1([x0] * 100, env)
     assert l1 == pytest.approx(16.0 / 9.0, abs=1e-12)
 
@@ -160,10 +158,8 @@ def test_balanced_model_zero_tv_on_random_envs():
     for i in range(20):
         rng = np.random.default_rng(100 + i)
         if i % 2 == 0:
-            env = RegularTree(2, int(rng.integers(1, 4)),
-                              leaf_rewards=None)
-            env = RegularTree(env.branching, env.depth,
-                              leaf_rewards=rng.uniform(0.1, 3.0, env.num_leaves))
+            depth = int(rng.integers(1, 4))
+            env = RegularTree(2, depth, leaf_rewards=rng.uniform(0.1, 3.0, 2**depth))
         else:
             env = Hypergrid(2, int(rng.integers(2, 5)), r0=float(rng.uniform(0.05, 1.0)))
         model = balanced_tabular_model(env, flow_head=False)
@@ -204,9 +200,9 @@ def test_trajectory_cap_refuses_enumeration(monkeypatch):
 
 
 @pytest.mark.parametrize("env", [RegularTree(3, 3), Hypergrid(2, 6), RandomDag(3, 30)],
-                         ids=lambda env: env.kind)
+                         ids=kind_id)
 def test_enumeration_matches_the_recursive_reference(env):
-    if env.kind == "random_dag":  # has edges that skip levels, not only into the sink
+    if isinstance(env, RandomDag):  # has edges that skip levels, not only into the sink
         level = np.empty(env.num_states, dtype=np.int64)
         for k, states in enumerate(env.levels):
             level[states] = k

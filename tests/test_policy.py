@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -134,7 +135,7 @@ def test_backward_sampling_tree_is_deterministic():
     env = RegularTree(3, 2)
     model = random_model(env)
     rng = np.random.default_rng(0)
-    x = int(env.leaves[4])
+    x = int(env.terminating_states[4])
     (t,) = records(walk(model, env, rng, [x], forward=False))
     assert t.states[0] == env.initial_state
     assert t.states[-1] == env.sink
@@ -146,7 +147,7 @@ def test_backward_sampling_grid_lattice_paths():
     env = Hypergrid(2, 3, r0=0.1)
     model = PolicyModel.build(env, "tabular", learn_backward=False)  # uniform backward
     rng = np.random.default_rng(0)
-    x = env.n_grid + 1 * 3 + 1  # terminal copy of (1, 1)
+    x = 9 + 1 * 3 + 1  # terminal copy of (1, 1), after the 9 points
     paths = walk(model, env, rng, [x] * 64, forward=False)
     np.testing.assert_allclose(paths.log_pb, math.log(0.5), rtol=0, atol=1e-12)
     assert len(set(map(tuple, path_lists(paths)))) == 2  # the two monotone lattice paths
@@ -199,7 +200,7 @@ def test_rollout_refuses_a_forward_start_that_is_not_the_initial_state(bad):
 def test_single_edge_backward_trajectory():
     env = RegularTree(2, 1)
     model = random_model(env)
-    paths = walk(model, env, np.random.default_rng(0), [env.leaves[0]], forward=False)
+    paths = walk(model, env, np.random.default_rng(0), [env.terminating_states[0]], forward=False)
     assert paths.lengths.tolist() == [3]  # s0 -> leaf -> sink
 
 
@@ -443,9 +444,48 @@ def _tables(model, env, n):
 
 def _cold(model):
     """A copy of ``model`` that keeps no table: every table it reads, it builds."""
-    cold = copy.deepcopy(model)
-    cold._kept = [None, None]
-    return cold
+    return copy.deepcopy(model)
+
+
+def _net_views(model):
+    """(value views, gradient views) of ``model``'s nets."""
+    values, grads = [], []
+    for net in model._nets:
+        if isinstance(net, Tabular):
+            values.append(net.table), grads.append(net._gtable)
+        else:
+            values += net._w + net._b
+            grads += net._gw + net._gb
+    return values, grads
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("kind", ["tabular", "mlp"])
+def test_a_copied_model_trains_its_own_parameters(kind, copier):
+    env = TABLE_ENVS["H(2,4)"]()
+    model = random_model(env, kind)
+    _tables(model, env, 15)  # both sides kept
+    twin = copier(model)
+    assert twin._kept == [None, None] and None not in model._kept
+    values, grads = _net_views(twin)
+    assert len(values) == len(grads) == (2 if kind == "tabular" else 12)
+    for v, g in zip(values, grads):
+        assert np.shares_memory(v, twin.params.values) and np.shares_memory(g, twin.params.grads)
+        assert not np.shares_memory(v, model.params.values)
+
+    def rows(m):
+        return policy._log_policy(m.forward_net, env.forward_mask, env.forward_choice, env).tobytes()
+
+    before, was = model.params.values.tobytes(), rows(model)
+    assert rows(twin) == was
+    twin.params.grads[:] = np.random.default_rng(5).normal(size=twin.params.size)
+    AdamOptimizer(twin.params, lr=0.01).step()  # moves the twin's nets
+    assert rows(twin) != was
+    stepped = twin.params.values.copy()
+    values[0][...] += 1.0  # through the twin's net view, into its params
+    assert np.count_nonzero(twin.params.values != stepped) == values[0].size
+    assert model.params.values.tobytes() == before and rows(model) == was
 
 
 def _change(model, env, change):
@@ -635,7 +675,7 @@ def test_backward_batch_matches_single(tmp_path):
     env = Hypergrid(2, 3, r0=0.1)
     model = random_model(env, seed=9)
     rng = rng_for(1, "bwd")
-    xs = np.array([env.n_grid + 4, env.n_grid + 8], dtype=np.int64)
+    xs = np.array([9 + 4, 9 + 8], dtype=np.int64)  # terminal copies
     trajs = sample_backward_batch(model, env, rng, xs)
     assert trajs.terminals.tolist() == xs.tolist()
     assert np.all(trajs.states[:, 0] == env.initial_state)
