@@ -265,18 +265,16 @@ class AdamOptimizer:
       the parameters (``ParamVector.check_finite`` raises).
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the textbook moment decays and denominator floor
+
     def __init__(
         self,
         params: ParamVector,
         lr: float,
         lr_overrides: Optional[Dict[str, float]] = None,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         max_grad_norm: Optional[float] = 10.0,
     ):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.max_grad_norm = max_grad_norm
         self.step_count = 0
         self.m = np.zeros(params.size)
@@ -380,7 +378,8 @@ def checkpoint_document(params: ParamVector, optimizer: AdamOptimizer, model: Di
 
 def load_checkpoint(path: str) -> Dict[str, object]:
     """A checkpoint's document with its parameter slices decoded; every fault
-    of the file raises a ValueError that starts with its name."""
+    of the file, a parameter that is not finite too, raises a ValueError that
+    starts with its name."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -400,4 +399,6 @@ def load_checkpoint(path: str) -> Dict[str, object]:
             doc["params"][name] = _decode_array(enc)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: parameter slice {name!r} does not decode ({exc})") from None
+        if not np.isfinite(doc["params"][name]).all():
+            raise ValueError(f"{path}: parameter slice {name!r} is not finite")
     return doc

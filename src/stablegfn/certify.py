@@ -1,7 +1,7 @@
 """Total-variation certificates from bounded losses and sampled trajectories.
 
 Bound families
-  * deterministic loss-to-TV conversion (trajectory or per-transition scope),
+  * deterministic loss-to-TV conversion over trajectory-scope losses,
   * PAC sampling certificates from forward- and backward-sampled trajectories,
   * the reference-flow variant whose main term depends on the largest
     injected-flow-to-target ratio, with a one-dimensional threshold search,
@@ -59,21 +59,10 @@ def check_samples(m: int, n: int, alpha: float) -> None:
         raise ValueError("need at least one sample on each side")
 
 
-def tv_bound_from_loss(threshold: float, scope: str = "trajectory",
-                       max_len: Optional[int] = None) -> float:
-    """Deterministic TV bound from a uniform loss cap of threshold**2.
-
-    Trajectory-scope losses give 1 - exp(-2c); per-transition losses compound
-    over the maximum trajectory length L, giving 1 - exp(-2Lc).
-    """
+def tv_bound_from_loss(threshold: float) -> float:
+    """Deterministic TV bound 1 - exp(-2c) from a uniform trajectory-loss cap of c**2."""
     check_threshold(threshold)
-    if scope == "trajectory":
-        return 1.0 - math.exp(-2.0 * threshold)
-    if scope == "transition":
-        if max_len is None or max_len < 1:
-            raise ValueError("transition scope needs the maximum trajectory length")
-        return 1.0 - math.exp(-2.0 * max_len * threshold)
-    raise ValueError(f"unknown scope {scope!r}")
+    return 1.0 - math.exp(-2.0 * threshold)
 
 
 def pac_tv_bound(threshold: float, m: int, n: int, alpha: float) -> float:
@@ -371,9 +360,9 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
     The bounds use only reward masses; the exact value sums over terminating
     states when the environment is enumerable.
     """
-    check_added(env_prev, added)
+    states = check_added(env_prev, added)
     zstar = true_partition(env_prev)
-    z_sub = sum(env_prev.reward_table[list(added)].tolist())
+    z_sub = sum(env_prev.reward_table[states].tolist())
     xs = env_prev.terminating_states
     r_prev = env_prev.reward_table[xs]
     z_y = sum(r_prev.tolist())
@@ -389,9 +378,8 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
 def loss_supremum(env_prev: DagEnv, added: Dict[int, float]) -> float:
     """Worst-case loss after an incremental change: squared log of the smallest
     single-state contrast ratio r / (r + extra), 1 when nothing is added."""
-    check_added(env_prev, added)
     worst = 1.0
-    for x, extra in added.items():
-        r = float(env_prev.reward_table[int(x)])
+    for x, extra in zip(check_added(env_prev, added).tolist(), added.values()):
+        r = float(env_prev.reward_table[x])
         worst = min(worst, r / (r + extra))
     return math.log(worst) ** 2

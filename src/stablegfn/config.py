@@ -18,6 +18,7 @@ under fm and on a tree (:data:`TREE_KINDS`), where no learned backward net is re
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import os
 import re
@@ -44,9 +45,26 @@ class _Loader(yaml.SafeLoader):
     """Safe loading with YAML 1.2 floats: YAML 1.1 reads ``1e-3`` (no dot) as a string."""
 
 
+def _mapping_without_repeats(loader: _Loader, node: yaml.MappingNode):
+    """A mapping, refusing a key set twice in it: the parser keeps the last silently."""
+    seen = set()
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            continue  # a merged-in key may be set again: that is what a merge is for
+        key = loader.construct_object(key_node)
+        if not isinstance(key, collections.abc.Hashable):
+            continue  # the parser refuses it
+        if key in seen:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"repeated key {key!r}", key_node.start_mark)
+        seen.add(key)
+    yield from loader.construct_yaml_map(node)
+
+
 # tried after the int resolver, so ints stay ints
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
     r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+0123456789."))
+_Loader.add_constructor("tag:yaml.org,2002:map", _mapping_without_repeats)
 
 
 # The sections' tables: key -> (annotation, default), with no default for a
@@ -140,10 +158,12 @@ def resolve(raw: Dict) -> Dict:
 
 
 def load_config(path: str) -> Dict:
+    """The resolved config in the YAML file ``path``; a file that is not
+    UTF-8, does not parse or sets a key twice in one mapping is refused by name."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return resolve(raw)
 

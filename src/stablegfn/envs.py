@@ -38,6 +38,7 @@ checkpoint keeps it.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -101,9 +102,14 @@ def check_walk_memory(env: DagEnv, walks: int, key: str) -> None:
 
 def check_terminating(env: DagEnv, states, what: str) -> np.ndarray:
     """``states`` as an int64 array, else a ValueError naming the first, as
-    ``what``, that is not a terminating state of ``env`` (out of range or not
-    an integer too)."""
+    ``what``, that is not a terminating state of ``env`` (out of range, not
+    an integer or not a number too)."""
     raw = np.asarray(states)
+    if raw.dtype.kind not in "biuf":  # strings or other objects: name the first no number
+        for x in np.asarray(states, dtype=object).flat:
+            if not isinstance(x, numbers.Real):
+                raise ValueError(f"{what} {x!r} is not a terminating state")
+        raw = raw.astype(np.float64)  # numbers that no int64 holds
     ok = (raw >= 0) & (raw < env.num_states) & (raw == np.floor(raw))
     xs = np.where(ok, raw, 0).astype(np.int64)
     ok[ok] = env.terminating_mask[xs[ok]]
@@ -391,17 +397,19 @@ class Hypergrid(DagEnv):
                          feature_dim=D * H)
 
 
-def check_added(env: DagEnv, added: Dict[int, float]) -> None:
-    """Refuse an increment ``added`` (state -> extra reward) that is negative
-    or NaN, off ``env``'s terminating states, or leaves a reward not finite."""
-    for x, r in added.items():
+def check_added(env: DagEnv, added: Dict[int, float]) -> np.ndarray:
+    """The states of an increment ``added`` (state -> extra reward) as an
+    int64 array, in its order; refuses one off ``env``'s terminating states
+    (:func:`check_terminating`), a reward that is negative or NaN, or one that
+    leaves a reward not finite."""
+    xs = check_terminating(env, list(added), "increment state")
+    for x, r in zip(xs.tolist(), added.values()):
         if not r >= 0:
             raise ValueError("added reward must be nonnegative")
-        if not (0 <= x < env.num_states and env.terminating_mask[x]):
-            raise ValueError(f"added reward on non-terminating state {x}")
         if not math.isfinite(env.reward_table[x] + r):
             raise ValueError(f"terminating state {x} must have a finite positive reward, "
                              f"got {env.reward_table[x] + r}")
+    return xs
 
 
 class OneMoreMode(DagEnv):
@@ -415,11 +423,11 @@ class OneMoreMode(DagEnv):
     """
 
     def __init__(self, base: DagEnv, added: Dict[int, float]):
-        check_added(base, added)
+        xs = check_added(base, added)
         vars(self).update(vars(base))
         self.base = base
         self.reward_table = base.reward_table.copy()
-        for x, r in added.items():
+        for x, r in zip(xs.tolist(), added.values()):
             self.reward_table[x] += r
         self.mode_mask = self._modes()
         self._reach_counts = None

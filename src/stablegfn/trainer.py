@@ -3,11 +3,12 @@
 The stabilized trainer samples forward paths (with ε-greedy exploration) and
 at most a half batch backward from high-reward terminal states, maintains a
 top-K terminal buffer (one state array) with a patience counter, periodically
-certifies a TV bound at the current adaptive threshold, skips gradient steps
-once the certificate's main term clears the target, and otherwise trains on
-the capped objective with per-trajectory reference flows.  The backward half
-and the certificates draw over one scope, the buffer's states or all
-terminating ones (:meth:`Trainer.certification_scope`), through
+certifies a TV bound at the current adaptive threshold (an exponential moving
+average of each batch's largest root-loss, :func:`update_threshold`), skips
+gradient steps once the certificate's main term clears the target, and
+otherwise trains on the capped objective with per-trajectory reference flows.
+The backward half and the certificates draw over one scope, the buffer's
+states or all terminating ones (:meth:`Trainer.certification_scope`), through
 :func:`~stablegfn.policy.draw_terminals` and
 :func:`~stablegfn.certify.sample_certificate`.  A round walks ``batch_size``
 forward paths while the scope is empty, else ``batch_size - batch_size // 2``
@@ -92,7 +93,6 @@ class TrainConfig:
     replay_batch: int = 0
     max_rounds: int = 1000
     seed: int = 0
-    threshold_agg: str = "max"
     backward_source: str = "buffer"
     backward_in_gradient: str = "auto"
     cert_m: int = 1000
@@ -113,8 +113,6 @@ class TrainConfig:
                                       ("epsilon", 0.0 <= self.epsilon < 1.0, "[0, 1)")):
             if not inside:
                 raise ValueError(f"{key} must be in {interval}, got {getattr(self, key)!r}")
-        if self.threshold_agg not in ("max", "mean", "median"):
-            raise ValueError("threshold_agg must be max, mean or median")
         if self.backward_source not in ("buffer", "exact"):
             raise ValueError("backward_source must be buffer or exact")
         if self.backward_in_gradient not in ("auto", "always", "never"):
@@ -144,22 +142,13 @@ class TrainConfig:
         return self.backward_in_gradient == "always"
 
 
-def update_threshold(threshold: float, batch_losses: Sequence[float], beta: float,
-                     agg: str = "max") -> float:
-    """Exponential moving average toward the batch's aggregated root-loss."""
+def update_threshold(threshold: float, batch_losses: Sequence[float], beta: float) -> float:
+    """Exponential moving average toward the batch's largest root-loss."""
     if len(batch_losses) == 0:
         raise ValueError("cannot update the threshold from an empty batch")
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must be in (0, 1]")
-    roots = np.sqrt(np.asarray(batch_losses, dtype=np.float64))
-    if agg == "max":
-        a = float(roots.max())
-    elif agg == "mean":
-        a = float(roots.mean())
-    elif agg == "median":
-        a = float(np.median(roots))
-    else:
-        raise ValueError(f"unknown aggregation {agg!r}")
+    a = float(np.sqrt(np.asarray(batch_losses, dtype=np.float64)).max())
     return (1.0 - beta) * threshold + beta * a
 
 
@@ -370,9 +359,7 @@ class Trainer:
             deltas = np.exp(losses.reference_flow_log_deltas(log_model, log_target, cap))
             report = self._gradient_step(batch, deltas, edges)
             raw = report.log_ratios
-            st.threshold = update_threshold(
-                st.threshold, raw * raw, cfg.ema_beta, cfg.threshold_agg
-            )
+            st.threshold = update_threshold(st.threshold, raw * raw, cfg.ema_beta)
 
         return self._row(report, cert, skip, n_bwd)
 

@@ -360,26 +360,21 @@ def suite_optimizer_grid() -> Check:
     return bad, f"{cases} record sets vs 200-point scans, {len(bad)} regressions"
 
 
+# each suite under the name it prints: its function's without ``suite_``
 SUITES: Dict[str, Callable[[], Check]] = {
-    "cap": suite_reference_flow_cap,
-    "one_more_mode": suite_one_more_mode_losses,
-    "closed_form": suite_closed_form_tv,
-    "tv_sound": suite_loss_to_tv_soundness,
-    "pac_coverage": suite_pac_coverage,
-    "sandwich": suite_incremental_sandwich,
-    "mc_estimator": suite_mc_estimator,
-    "grad_check": suite_gradients,
-    "optimizer_grid": suite_optimizer_grid,
+    suite.__name__.removeprefix("suite_"): suite
+    for suite in (suite_reference_flow_cap, suite_one_more_mode_losses, suite_closed_form_tv,
+                  suite_loss_to_tv_soundness, suite_pac_coverage, suite_incremental_sandwich,
+                  suite_mc_estimator, suite_gradients, suite_optimizer_grid)
 }
 
 
-def run_suite(key: str) -> SuiteResult:
-    """Run and time ``SUITES[key]``, named as its function without ``suite_``:
-    it passes with no violations, and a failure quotes the first."""
+def run_suite(name: str) -> SuiteResult:
+    """Run and time ``SUITES[name]``: it passes with no violations, and a
+    failure quotes the first."""
     t0 = time.perf_counter()
-    bad, detail = SUITES[key]()
+    bad, detail = SUITES[name]()
     detail += "; first: " + bad[0] if bad else ""
-    name = SUITES[key].__name__.removeprefix("suite_")
     return SuiteResult(name, not bad, detail, time.perf_counter() - t0)
 
 

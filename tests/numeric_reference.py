@@ -43,11 +43,11 @@ def clip_grad_norm(grad, max_norm):
 class AdamReference:
     """Adam with global-norm clipping, one fresh array per intermediate."""
 
-    def __init__(self, values, lr_vector, beta1=0.9, beta2=0.999, eps=1e-8,
-                 max_grad_norm=10.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, values, lr_vector, max_grad_norm=10.0):
         self.values = np.array(values, dtype=np.float64)
         self.lr_vector = np.array(lr_vector, dtype=np.float64)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.max_grad_norm = max_grad_norm
         self.step_count = 0
         self.m = np.zeros(self.values.size)

@@ -167,7 +167,8 @@ def test_adam_nonfinite_gradient_is_rejected(max_grad_norm, bad):
 def test_adam_nonfinite_update_keeps_new_moments():
     # eps = 0 and a zero gradient entry on the first step: 0/0 in the update
     values = np.array([1.0, -2.0, 3.0, 0.5])
-    pv, opt, twin = _adam_pair(values, eps=0.0)
+    pv, opt, twin = _adam_pair(values)
+    opt.eps = twin.eps = 0.0
     pv.grads[...] = [0.0, 1.0, -2.0, 0.25]
     with np.errstate(invalid="ignore"):  # 0/0 on purpose
         with pytest.raises(NonFiniteError, match="optimizer update"):

@@ -39,19 +39,6 @@ def test_tv_bound_trajectory_scope():
     assert tv_bound_from_loss(math.log(2.0)) == pytest.approx(0.75)
 
 
-def test_tv_bound_transition_scope():
-    assert tv_bound_from_loss(0.1, "transition", 5) == pytest.approx(1 - math.exp(-1.0))
-    # one edge a path: the trajectory bound
-    assert tv_bound_from_loss(0.3, "transition", 1) == tv_bound_from_loss(0.3) == 1 - math.exp(-0.6)
-
-
-def test_tv_bound_transition_needs_length():
-    with pytest.raises(ValueError):
-        tv_bound_from_loss(0.1, "transition")
-    with pytest.raises(ValueError):
-        tv_bound_from_loss(0.1, "transition", 0)
-
-
 def test_pac_bound_example_value():
     assert pac_tv_bound(0.01, 1000, 1000, 0.025) == pytest.approx(0.027579, abs=1e-6)
 
@@ -465,12 +452,10 @@ def test_loss_supremum_promotion_matches_contrast():
     )
 
 
-def test_tv_bound_refuses_negative_threshold_and_unknown_scope():
+def test_tv_bound_refuses_a_negative_threshold():
     for threshold in (-0.1, math.nan, -math.inf):
         with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
             tv_bound_from_loss(threshold)
-    with pytest.raises(ValueError, match="^unknown scope 'edge'$"):
-        tv_bound_from_loss(0.1, scope="edge")
 
 
 def test_reference_main_term_refuses_negative_ratio():
@@ -487,7 +472,6 @@ _BOUNDS = {
     "reference_ratio_0": lambda c: pac_tv_bound_with_reference(c, 0.0, 10, 10, 0.05),
     "reference": lambda c: pac_tv_bound_with_reference(c, 0.5, 10, 10, 0.05),
     "main_term": lambda c: reference_main_term(c, 0.0),
-    "transition": lambda c: tv_bound_from_loss(c, "transition", 3),
     "mc_delta": lambda c: mc_delta_over_zstar(*_Z2, c),
     "optimizer": lambda c: optimize_certificate(_Z2, _Z2, 0.05, threshold=c),
 }
@@ -514,19 +498,21 @@ def test_sandwich_refuses_negative_or_misplaced_additions():
     env = RegularTree(2, 2)
     with pytest.raises(ValueError, match="^added reward must be nonnegative$"):
         incremental_tv_sandwich(env, {int(env.terminating_states[0]): -0.5})
-    with pytest.raises(ValueError, match="^added reward on non-terminating state 0$"):
+    with pytest.raises(ValueError, match="^increment state 0 is not a terminating state$"):
         incremental_tv_sandwich(env, {0: 1.0})
 
 
 @pytest.mark.parametrize("added, message", [
     ({3: -0.5}, "added reward must be nonnegative"),
     ({3: math.nan}, "added reward must be nonnegative"),
-    ({0: 1.0}, "added reward on non-terminating state 0"),
-    ({0: 0.0}, "added reward on non-terminating state 0"),
-    ({99: 1.0}, "added reward on non-terminating state 99"),
-    ({-2: 1.0}, "added reward on non-terminating state -2"),
+    ({0: 1.0}, "increment state 0 is not a terminating state"),
+    ({0: 0.0}, "increment state 0 is not a terminating state"),
+    ({99: 1.0}, "increment state 99 is not a terminating state"),
+    ({-2: 1.0}, "increment state -2 is not a terminating state"),
     ({3: math.inf}, "terminating state 3 must have a finite positive reward, got inf"),
-], ids=["negative", "nan", "root", "root_zero", "past_the_graph", "negative_index", "infinite"])
+    ({3.5: 1.0}, "increment state 3.5 is not a terminating state"),
+], ids=["negative", "nan", "root", "root_zero", "past_the_graph", "negative_index", "infinite",
+        "non_integer"])
 def test_increment_functions_refuse_a_bad_increment_alike(added, message):
     # T(2,2): leaves 3..6, sink 7; every function refuses by the one check
     env = RegularTree(2, 2)

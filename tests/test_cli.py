@@ -1,4 +1,5 @@
 import argparse
+import base64
 import errno
 import json
 import math
@@ -579,6 +580,14 @@ def test_certify_from_bad_log_exits_2(tmp_path, capsys, lines, where):
     assert not (tmp_path / "cert.json").exists()
 
 
+def _set_entry(doc, name, value):
+    """Set the first entry of a checkpoint document's parameter slice ``name``."""
+    slice_ = doc["params"][name]
+    a = np.frombuffer(base64.b64decode(slice_["data"])).copy()
+    a[0] = value
+    doc["params"][name] = _encode_array(a.reshape(slice_["shape"]))
+
+
 @pytest.mark.parametrize("corrupt, names", [
     (lambda doc: doc.pop("env"), "no 'env'"),
     (lambda doc: doc.pop("params"), "no 'params'"),
@@ -589,7 +598,10 @@ def test_certify_from_bad_log_exits_2(tmp_path, capsys, lines, where):
     (lambda doc: doc["params"]["pf.table"].update(shape=[8]), "slice 'pf.table' does not decode"),
     (lambda doc: doc.update(model="xy"),
      "model 'xy' does not build (model must be a mapping, got 'xy')"),
-], ids=["no_env", "no_params", "no_slice", "model_key", "slice_shape", "slice_size", "model_str"])
+    (lambda doc: _set_entry(doc, "pf.table", math.nan), "slice 'pf.table' is not finite"),
+    (lambda doc: _set_entry(doc, "logz", -math.inf), "slice 'logz' is not finite"),
+], ids=["no_env", "no_params", "no_slice", "model_key", "slice_shape", "slice_size", "model_str",
+        "nan", "inf"])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, names):
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
     path = outdir / "checkpoint.json"
@@ -668,24 +680,31 @@ def test_evaluate_missing_checkpoint(tmp_path):
 
 
 def test_verify_single_suite(capsys):
-    assert main(["verify", "--suite", "closed_form"]) == 0
+    assert main(["verify", "--suite", "closed_form_tv"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] closed_form_tv" in out
     assert "1/1 suites passed" in out
 
 
-def test_verify_unknown_suite():
-    assert main(["verify", "--suite", "nonsense"]) == 2
+def test_verify_unknown_suite(capsys):
+    # a suite goes only by the name its line prints: not by a key it once had
+    for name in ("nonsense", "grad_check", "closed_form"):
+        assert main(["verify", "--suite", name]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: unknown suite {name!r}; available: "
+                                     f"{', '.join(verify.SUITES)}\n")
+        assert ", gradients, " in err
 
 
-@pytest.mark.parametrize("names", [["closed_form", "bogus"], ["bogus", "closed_form"]])
+@pytest.mark.parametrize("names", [["closed_form_tv", "bogus"], ["bogus", "closed_form_tv"]])
 def test_verify_runs_no_suite_when_any_name_is_unknown(monkeypatch, capsys, names):
     ran = []
-    monkeypatch.setitem(verify.SUITES, "closed_form", lambda: ran.append(1) or ([], ""))
+    monkeypatch.setitem(verify.SUITES, "closed_form_tv", lambda: ran.append(1) or ([], ""))
     assert main(["verify", *[a for name in names for a in ("--suite", name)]]) == 2
     assert ran == []
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: unknown suite 'bogus'; available: cap, ")
+    assert out == "" and err.startswith(
+        "error: unknown suite 'bogus'; available: reference_flow_cap, ")
     with pytest.raises(KeyError):
         verify.run_suites(names)
     assert ran == []
@@ -718,7 +737,7 @@ _RESOLVED_DEFAULTS = {
               "patience": 10, "buffer_size": 1000, "batch_size": 32, "ema_beta": 0.05,
               "epsilon": 0.05, "learning_rate": 0.001, "logz_lr_mult": 100.0,
               "max_grad_norm": 10.0, "replay_size": 1000, "replay_batch": 0, "max_rounds": 1000,
-              "threshold_agg": "max", "backward_source": "buffer", "backward_in_gradient": "auto",
+              "backward_source": "buffer", "backward_in_gradient": "auto",
               "cert_m": 1000, "cert_n": 1000, "subtb_lambda": 0.9, "oracle_every": 0},
     "eval": {"samples": 100_000, "oracle": True},
 }
@@ -802,6 +821,13 @@ def test_train_config_that_sets_flow_head_exits_2(tmp_path, capsys):
     # the objective decides the flow head: the model section has no such key
     assert _train_with(tmp_path, model={"flow_head": True}) == 2
     assert capsys.readouterr().err == "error: unknown key(s) ['flow_head'] in model\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_config_that_sets_threshold_agg_exits_2(tmp_path, capsys):
+    # the threshold follows the batch's largest root-loss: the train section has no such key
+    assert _train_with(tmp_path, train={"threshold_agg": "max"}) == 2
+    assert capsys.readouterr().err == "error: unknown key(s) ['threshold_agg'] in train\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -1062,3 +1088,39 @@ def test_config_that_does_not_parse_exits_2_naming_the_file(tmp_path, capsys):
         load_config(str(path))
     assert main(["train", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: ")
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("seed: 1\nenv: {kind: tree, branching: 2, depth: 2}\nseed: 2\n", "'seed'", 3),
+    ("env:\n  kind: tree\n  branching: 2\n  depth: 2\n  depth: 3\n", "'depth'", 5),
+    ("env: {kind: tree, branching: 2, depth: 2, leaf_rewards: [1, 1, 1, 1]}\n"
+     "train: {max_rounds: 1, batch_size: 2, max_rounds: 3}\n", "'max_rounds'", 2),
+], ids=["top", "env", "flow_style"])
+def test_config_that_repeats_a_key_exits_2_naming_it(tmp_path, capsys, text, key, line):
+    # YAML would keep the last value silently
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    message = f"cannot parse {path}: repeated key {key}\n  in \"{path}\", line {line}, "
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        load_config(str(path))
+    assert main(["train", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_config_keys_merged_in_may_be_set_again_and_unhashable_keys_are_refused(tmp_path):
+    path = tmp_path / "merged.yaml"
+    path.write_text("env:\n  <<: {kind: tree, branching: 2, depth: 2}\n  depth: 3\n")
+    assert load_config(str(path))["env"]["depth"] == 3
+    path.write_text("env: {kind: tree, branching: 2, depth: 2}\n? [1, 2]\n: 3\n")
+    with pytest.raises(ConfigError, match="found unhashable key"):
+        load_config(str(path))
+
+
+def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"seed: 1\nenv: {kind: tree, branching: 2, depth: 2}\n# caf\xe9\n")
+    message = f"cannot parse {path}: 'utf-8' codec can't decode byte 0xe9"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        load_config(str(path))
+    assert main(["train", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -534,12 +535,22 @@ def test_hypergrid_refuses_degenerate_shape_and_base_reward():
             Hypergrid(2, 4, r0=r0)
 
 
+@pytest.mark.parametrize("states, first", [
+    (["5"], "'5'"), ([3, None], "None"), (np.array(["4", "x"]), "'4'"), ([10**30], "1e+30"),
+], ids=["string", "none", "string_array", "past_int64"])
+def test_check_terminating_names_the_first_state_that_is_no_number(states, first):
+    # T(2,2): leaves 3..6; numpy would raise its own error on the first three
+    with pytest.raises(ValueError, match=f"^leaf {re.escape(first)} is not a terminating state$"):
+        envs.check_terminating(RegularTree(2, 2), states, "leaf")
+    assert envs.check_terminating(RegularTree(2, 2), [3, 6.0], "leaf").tolist() == [3, 6]
+
+
 def test_one_more_mode_refuses_negative_or_misplaced_additions():
     base = RegularTree(2, 2)
     leaf = int(base.terminating_states[0])
     with pytest.raises(ValueError, match="^added reward must be nonnegative$"):
         OneMoreMode(base, {leaf: -0.5})
-    with pytest.raises(ValueError, match="^added reward on non-terminating state 0$"):
+    with pytest.raises(ValueError, match="^increment state 0 is not a terminating state$"):
         OneMoreMode(base, {0: 1.0})
-    with pytest.raises(ValueError, match=f"^added reward on non-terminating state {base.sink}$"):
+    with pytest.raises(ValueError, match=f"^increment state {base.sink} is not a terminating state$"):
         OneMoreMode(base, {base.sink: 1.0})

@@ -22,6 +22,13 @@
 * Every ``:func:``, ``:data:``, ``:class:``, ``:meth:``, ``:attr:`` or
   ``:mod:`` role in a package docstring names a package module or something
   one defines.
+* Every parameter with a default, of a package function or method, is passed
+  by some call in src/ or bench/: by keyword, or by position to a call of
+  that name (past ``self`` or ``cls`` for a method).  A call of a class, or
+  ``cls(...)`` inside it, passes to its ``__init__``; a starred argument
+  passes every later positional parameter, and ``**`` every parameter.  A
+  scan cannot tell which function of a name a call reaches, so any of that
+  name counts.  ``NEVER_PASSED`` lists the one exception.
 """
 
 import ast
@@ -39,6 +46,9 @@ READERS = sorted(p for top in ("src", "tests", "bench") for p in (ROOT / top).rg
 # Public package names that only tests read: the trajectory log writer, which
 # no command calls yet.
 TEST_ONLY = {"write_trajectory_log"}
+# (function, parameter) pairs whose default no call in src/ or bench/ passes:
+# the command line's arguments, which only the console script's caller gives.
+NEVER_PASSED = {("main", "argv")}
 
 
 def unused_imports(source: str):
@@ -215,6 +225,89 @@ def unresolved_roles(trees):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             for _, target in ROLE.findall(ast.get_docstring(node, clean=False) or "")
             if not resolves(target, module)]
+
+
+def passed_arguments(trees):
+    """Called name -> what calls of it pass: keyword names, positional
+    indices, ``("*", i)`` for a starred argument at position i and ``"**"``.
+    A call ``cls(...)`` inside a class counts as a call of that class."""
+    out = collections.defaultdict(set)
+    for tree in trees:
+        owner = {id(n): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for n in ast.walk(c)}  # the innermost class wins: ast.walk goes outside in
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "cls":
+                name = owner.get(id(n), name)
+            for i, a in enumerate(n.args):
+                out[name].add(("*", i) if isinstance(a, ast.Starred) else i)
+            out[name].update("**" if k.arg is None else k.arg for k in n.keywords)
+    return out
+
+
+def defaulted_parameters(tree):
+    """(called name, parameter, position or None) of every parameter with a
+    default of the module's functions and its classes' methods, at any depth.
+    A method's positions skip ``self``/``cls``, and an ``__init__`` is called
+    by its class's name; a keyword-only parameter has no position."""
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for f in scope.body:
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            method = isinstance(scope, ast.ClassDef) and "staticmethod" not in map(
+                _decorator_name, f.decorator_list)
+            name = scope.name if method and f.name == "__init__" else f.name
+            positional = f.args.posonlyargs + f.args.args
+            first = len(positional) - len(f.args.defaults)
+            out += [(name, positional[i].arg, i - method) for i in range(first, len(positional))]
+            out += [(name, a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
+                    if d is not None]
+    return out
+
+
+def never_passed(tree, passed):
+    """(called name, parameter) of the defaulted parameters of ``tree`` that no
+    call in ``passed``, a :func:`passed_arguments` table, passes."""
+    def given(got, arg, at):
+        return arg in got or "**" in got or at is not None and (
+            at in got or any(g[1] <= at for g in got if isinstance(g, tuple)))
+    return [(name, arg) for name, arg, at in defaulted_parameters(tree)
+            if not given(passed.get(name, ()), arg, at)]
+
+
+def test_parameter_scan_sees_every_call_form():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+              "def g(x=0, y=0):\n    pass\n"
+              "class A:\n    def __init__(self, p=1, q=2):\n        pass\n"
+              "    @classmethod\n    def make(cls, r=0):\n        return cls(5)\n"
+              "    def m(self, s=0, t=0):\n        def inner(u=0):\n            pass\n"
+              "    @staticmethod\n    def st(v=0, w=0):\n        pass\n"
+              "f(0, 1, d=2)\ng(*xs)\nA.make()\nobj.m(s=1)\nobj.m(**kw)\nA.st(1)\n")
+    tree = ast.parse(source)
+    # c and e nowhere; g's star passes x and y; cls(5) passes p, not q; no call
+    # passes r; obj.m(**kw) passes s and t; inner is never called; st(1) passes v
+    assert never_passed(tree, passed_arguments([tree])) == [
+        ("f", "c"), ("f", "e"), ("A", "q"), ("make", "r"), ("st", "w"), ("inner", "u")]
+    other = ast.parse("f(0, c=1, e=2)\nA(q=1)\nA.make(r=1)\ninner(0)\nA.st(0, 1)\n")
+    assert never_passed(tree, passed_arguments([tree, other])) == []
+
+
+def test_every_defaulted_parameter_is_passed(parsed):
+    trees, _ = parsed
+    passed = passed_arguments(t for p, t in trees.items() if p.relative_to(ROOT).parts[0] != "tests")
+    found = [(path.name, name, arg) for path in PACKAGE
+             for name, arg in never_passed(trees[path], passed)]
+    bad = [f"{module}: {name}({arg}=...)" for module, name, arg in found
+           if (name, arg) not in NEVER_PASSED]
+    assert not bad, ("parameters whose default no call in src/ or bench/ passes, so a "
+                     "constant: " + ", ".join(bad))
+    assert NEVER_PASSED <= {(name, arg) for _, name, arg in found}  # each still exempts
 
 
 def test_role_scan_sees_every_target_form():

@@ -160,17 +160,18 @@ def test_backward_sampling_rejects_non_terminal():
         rollout(model, env, np.random.default_rng(0), [0], forward=False)
 
 
-@pytest.mark.parametrize("bad", [5, 0, -1, 33, 18.9],
-                         ids=["interior", "source", "-1", "num_states", "non-integer"])
+@pytest.mark.parametrize("bad", [5, 0, -1, 33, 18.9, "5"],
+                         ids=["interior", "source", "-1", "num_states", "non-integer", "string"])
 @pytest.mark.parametrize("bulk", [False, True], ids=["rollout", "bulk"])
 def test_backward_walks_refuse_a_start_that_is_not_terminating(bulk, bad):
     env = Hypergrid(2, 4)  # active copies 0..15, terminal copies 16..31, sink 32
     assert env.num_states == 33
     model = random_model(env)
     starts = [int(env.terminating_states[0]), bad]
-    with pytest.raises(ValueError, match=f"^start {bad} is not a terminating state$"):
-        if bulk:
-            sample_backward_batch(model, env, np.random.default_rng(0), np.array(starts))
+    with pytest.raises(ValueError, match=f"^start {bad!r} is not a terminating state$"):
+        if bulk:  # an array of 16 and "5" would hold two strings: the string goes as a list
+            xs = starts if isinstance(bad, str) else np.array(starts)
+            sample_backward_batch(model, env, np.random.default_rng(0), xs)
         else:
             rollout(model, env, np.random.default_rng(0), starts, forward=False)
 

@@ -49,13 +49,6 @@ def test_update_threshold_beta_one_takes_batch():
     assert update_threshold(3.0, [4.0, 16.0, 1.0], 1.0) == pytest.approx(4.0)
 
 
-def test_update_threshold_aggregations():
-    losses = [1.0, 4.0, 9.0]
-    assert update_threshold(0.0, losses, 1.0, "max") == 3.0
-    assert update_threshold(0.0, losses, 1.0, "mean") == 2.0
-    assert update_threshold(0.0, losses, 1.0, "median") == 2.0
-
-
 def test_update_threshold_rejects_empty():
     with pytest.raises(ValueError):
         update_threshold(1.0, [], 0.05)
@@ -540,8 +533,6 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         TrainConfig(tv_target=1.5)
     with pytest.raises(ValueError):
-        TrainConfig(threshold_agg="p90")
-    with pytest.raises(ValueError):
         TrainConfig(backward_source="psychic")
 
 
@@ -580,11 +571,6 @@ def test_invalid_backward_in_gradient_rejected():
 def test_update_threshold_rejects_beta_outside_unit_interval(beta):
     with pytest.raises(ValueError, match=r"^beta must be in \(0, 1\]$"):
         update_threshold(1.0, [0.5], beta)
-
-
-def test_update_threshold_rejects_unknown_aggregation():
-    with pytest.raises(ValueError, match="^unknown aggregation 'p90'$"):
-        update_threshold(1.0, [0.5], 0.5, agg="p90")
 
 
 @pytest.mark.parametrize("capacity", [0, -1])
