@@ -46,15 +46,10 @@ class ReferenceConditionError(ValueError):
     """The max flow ratio is too large for the requested threshold."""
 
 
-def check_alpha(alpha: float) -> None:
-    """Refuse a per-side failure probability outside (0, 0.5)."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
-
-
 def check_samples(m: int, n: int, alpha: float) -> None:
     """Refuse an alpha outside (0, 0.5) or an empty sample set, as every certificate does."""
-    check_alpha(alpha)
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
     if m < 1 or n < 1:
         raise ValueError("need at least one sample on each side")
 

@@ -16,7 +16,7 @@ from . import config as config_mod
 from . import oracle, output
 from .approximator import checkpoint_document, load_checkpoint
 from .envs import EnumerationCapError, check_state_cap, check_walk_memory
-from .policy import read_trajectory_log, sample_forward_batch
+from .policy import sample_forward_batch
 from .trainer import Trainer, rng_for
 
 
@@ -93,42 +93,22 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     try:
-        for flag, value in (("-m", args.m), ("-n", args.n)):
-            if args.from_log and value is not None:
-                raise ValueError(f"{flag} does not apply with --from-log: the log sets the counts")
         output.check_output(args.output)
         resolved, env, model = _load_model_for(args)
         cfg = config_mod.build_train_config(resolved)
         alpha = cfg.alpha if args.alpha is None else args.alpha
-        if args.from_log:
-            certify_mod.check_alpha(alpha)
-        else:
-            m = cfg.cert_m if args.m is None else args.m
-            n = cfg.cert_n if args.n is None else args.n
-            certify_mod.check_samples(m, n, alpha)
-            check_walk_memory(env, m, "train.cert_m" if args.m is None else "-m")
-            check_walk_memory(env, n, "train.cert_n" if args.n is None else "-n")
+        m = cfg.cert_m if args.m is None else args.m
+        n = cfg.cert_n if args.n is None else args.n
+        certify_mod.check_samples(m, n, alpha)
+        check_walk_memory(env, m, "train.cert_m" if args.m is None else "-m")
+        check_walk_memory(env, n, "train.cert_n" if args.n is None else "-n")
     except (EnumerationCapError, ValueError) as exc:
         return _fail(str(exc))
 
-    if args.from_log:
-        try:
-            bwd, fwd = read_trajectory_log(args.from_log)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot read trajectory log: {exc}")
-        if not len(bwd) or not len(fwd):
-            return _fail("trajectory log must contain both backward- and forward-sampled records")
-        report = certify_mod.optimize_certificate(
-            certify_mod.records_from_trajectories(bwd, model.logz),
-            certify_mod.records_from_trajectories(fwd, model.logz),
-            alpha,
-        )
-    else:
-        report = certify_mod.sample_certificate(  # terminating states ascend
-            model, env, env.terminating_states, m, n, rng_for(cfg.seed, "cli.cert.backward"),
-            rng_for(cfg.seed, "cli.cert.forward"), alpha,
-        )
-
+    report = certify_mod.sample_certificate(  # terminating states ascend
+        model, env, env.terminating_states, m, n, rng_for(cfg.seed, "cli.cert.backward"),
+        rng_for(cfg.seed, "cli.cert.forward"), alpha,
+    )
     output.write_json(args.output, report.to_dict())
     bound_txt = "n/a (no usable samples)" if report.bound is None else f"{report.bound:.6f}"
     print(f"TV bound: {bound_txt} (confidence {report.confidence:.3f}), wrote {args.output}")
@@ -194,15 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--checkpoint", required=True)
     c.add_argument("--config", required=True)
     c.add_argument("-m", type=int, default=None,
-                   help="backward sample count (default from config train.cert_m; "
-                        "not with --from-log)")
+                   help="backward sample count (default from config train.cert_m)")
     c.add_argument("-n", type=int, default=None,
-                   help="forward sample count (default from config train.cert_n; "
-                        "not with --from-log)")
+                   help="forward sample count (default from config train.cert_n)")
     c.add_argument("--alpha", type=float, default=None,
                    help="per-side failure probability (default from config confidence)")
-    c.add_argument("--from-log", default=None,
-                   help="certify from a trajectory JSON-lines log instead of sampling")
     c.add_argument("--output", default="certificate.json")
     c.set_defaults(fn=cmd_certify)
 

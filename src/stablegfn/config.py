@@ -13,7 +13,8 @@ rejects unknown keys; only rules that read more than one key are code.
 them, and a model is built, or restored, only by :func:`build_model`.
 The model section is ``kind``, ``hidden`` and ``backward``: the objective decides
 the flow head (:data:`FLOW_OBJECTIVES`), and ``backward`` resolves to ``uniform``
-under fm and on a tree (:data:`TREE_KINDS`), where no learned backward net is read.
+under fm and on a tree, where no state has two parents and no learned backward
+net is read.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .trainer import TrainConfig, check_type, rng_for
 OUTPUT_DIR_ENV_VAR = "STABLEGFN_OUTPUT_DIR"
 
 FLOW_OBJECTIVES = ("db", "fm", "subtb", "wdb")
-# env kinds where no state has two parents, so every backward row is one slot of log-prob 0
-TREE_KINDS = ("tree", "one_more_mode")
 
 
 class ConfigError(ValueError):
@@ -128,7 +127,7 @@ def resolve_model(section, objective: str, env_kind: str) -> Dict:
     """The ``model`` section with every default; fm, which reads no backward
     policy, and a tree, where a learned one is never read, get the uniform backward."""
     model = _section(section, MODEL_KEYS, "model")
-    if objective == "fm" or env_kind in TREE_KINDS:
+    if objective == "fm" or env_kind == "tree":
         model["backward"] = "uniform"
     hidden = model["hidden"]
     if isinstance(hidden, list):

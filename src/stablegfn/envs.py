@@ -56,8 +56,6 @@ ENV_KEYS: Dict[str, Dict[str, tuple]] = {
     "tree": {"branching": ("int",), "depth": ("int",), "leaf_rewards": (None, None)},
     "hypergrid": {"dimension": ("int",), "side": ("int",), "r0": ("Optional[float]", None),
                   "r1": ("float", 0.5), "r2": ("float", 2.0)},
-    "one_more_mode": {"branching": ("int",), "depth": ("int",), "epsilon": ("float",),
-                      "stage": (("prev", "new"), "new")},
 }
 
 
@@ -103,11 +101,11 @@ def check_walk_memory(env: DagEnv, walks: int, key: str) -> None:
 def check_terminating(env: DagEnv, states, what: str) -> np.ndarray:
     """``states`` as an int64 array, else a ValueError naming the first, as
     ``what``, that is not a terminating state of ``env`` (out of range, not
-    an integer or not a number too)."""
+    an integer, a bool or not a number too)."""
     raw = np.asarray(states)
-    if raw.dtype.kind not in "biuf":  # strings or other objects: name the first no number
+    if raw.dtype.kind not in "iuf":  # bools, strings or other objects: name the first no state
         for x in np.asarray(states, dtype=object).flat:
-            if not isinstance(x, numbers.Real):
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
                 raise ValueError(f"{what} {x!r} is not a terminating state")
         raw = raw.astype(np.float64)  # numbers that no int64 holds
     ok = (raw >= 0) & (raw < env.num_states) & (raw == np.floor(raw))
@@ -418,23 +416,18 @@ class OneMoreMode(DagEnv):
     ``reward_table[x] = base.reward_table[x] + added[x]`` with ``added >= 0``
     supported on terminating states only.  Every attribute of the base is
     taken over as the same object but the reward-derived ``reward_table``,
-    ``mode_mask`` and ``_reach_counts``; the one-hot cache is read through
-    the base.  The modes follow the max-reward rule, as every environment's do.
+    ``mode_mask`` and ``_reach_counts``.  The modes follow the max-reward
+    rule, as every environment's do.
     """
 
     def __init__(self, base: DagEnv, added: Dict[int, float]):
         xs = check_added(base, added)
         vars(self).update(vars(base))
-        self.base = base
         self.reward_table = base.reward_table.copy()
         for x, r in zip(xs.tolist(), added.values()):
             self.reward_table[x] += r
         self.mode_mask = self._modes()
         self._reach_counts = None
-
-    @property
-    def encoding_matrix(self) -> np.ndarray:
-        return self.base.encoding_matrix
 
 
 def one_more_mode_tree(branching: int, depth: int, epsilon: float) -> Tuple[RegularTree, OneMoreMode]:
@@ -470,10 +463,6 @@ def target_distribution(env: DagEnv) -> np.ndarray:
 def make_env(spec: Dict[str, object]) -> DagEnv:
     """Build an environment from a resolved ``env`` config section, every
     key present (see :func:`stablegfn.config.resolve`)."""
-    kind = spec["kind"]
-    if kind == "tree":
+    if spec["kind"] == "tree":
         return RegularTree(spec["branching"], spec["depth"], spec["leaf_rewards"])
-    if kind == "hypergrid":
-        return Hypergrid(spec["dimension"], spec["side"], spec["r0"], spec["r1"], spec["r2"])
-    prev, new = one_more_mode_tree(spec["branching"], spec["depth"], spec["epsilon"])
-    return new if spec["stage"] == "new" else prev
+    return Hypergrid(spec["dimension"], spec["side"], spec["r0"], spec["r1"], spec["r2"])

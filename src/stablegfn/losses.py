@@ -75,7 +75,8 @@ def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
     """log of the minimum reference flow capping each item's loss at threshold**2.
 
     Elementwise over (log model flow, log target flow) arrays.  -inf where no
-    flow is needed (|log ratio| <= threshold), +inf elsewhere at threshold 0.
+    flow is needed (|log ratio| <= threshold) or the flow needed rounds to 0,
+    +inf elsewhere at threshold 0.
     Computed with log1p/expm1 so that widely separated flows never overflow,
     and thresholds past log(DBL_MAX) ≈ 709.78 neither.
     """
@@ -92,8 +93,9 @@ def reference_flow_log_deltas(log_model: np.ndarray, log_target: np.ndarray,
     except OverflowError:  # e^c past DBL_MAX: log(e^c - 1) = c + log1p(-e^-c)
         log_em1 = threshold + math.log1p(-math.exp(-threshold))
     hi, lo = r > threshold, r < -threshold
-    out[hi] = log_model[hi] + np.log1p(-np.exp(threshold - r[hi])) - log_em1
-    out[lo] = log_target[lo] + np.log1p(-np.exp(threshold + r[lo])) - log_em1
+    with np.errstate(divide="ignore"):  # -inf where exp(c - |r|) rounds to 1: |r| - c < 1e-16
+        out[hi] = log_model[hi] + np.log1p(-np.exp(threshold - r[hi])) - log_em1
+        out[lo] = log_target[lo] + np.log1p(-np.exp(threshold + r[lo])) - log_em1
     return out
 
 

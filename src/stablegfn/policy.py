@@ -19,8 +19,7 @@ call.  Bulk samplers walk in lockstep, one matrix column per step, over flat
 its edges, so they are bit-reproducible given seed and batch; a table walk
 records the same bits while it draws.  The batch is the one path record, the
 replay buffer's too: ``states``, ``lengths``, ``rewards`` and, once scored,
-``log_pf``/``log_pb``.  Which sampler made a path is not a column: that label
-exists only in the trajectory log.
+``log_pf``/``log_pb``.
 
 One policy table per side and parameter state.  A bulk walk (:func:`_walk`)
 over ``n`` paths may read a side's policy as one (S, A) log-prob matrix
@@ -94,14 +93,12 @@ order, one array step per level (see :mod:`stablegfn.envs`).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import output
 from .approximator import Mlp, ParamVector, Tabular, Uniform
 from .envs import DagEnv, check_memory, check_state_cap, check_terminating
 
@@ -122,14 +119,6 @@ BLAS_EXACT_CELLS = 1600
 # measured 50 (T(3,4)) to 94 (H(4,8)) per visited state over 50,000 walks, in
 # the walk's list, its flattened copy and the padded batch
 ROLLOUT_STATE_BYTES = 48
-
-
-def _pad(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """(state matrix padded with -1, lengths) of lists of states."""
-    lengths = np.array([len(p) for p in paths], dtype=np.int64)
-    states = np.full((len(paths), lengths.max(initial=2)), -1, dtype=np.int64)
-    states[np.arange(states.shape[1]) < lengths[:, None]] = [s for p in paths for s in p]
-    return states, lengths
 
 
 class PathBatch:
@@ -159,7 +148,11 @@ class PathBatch:
 
     @classmethod
     def of_lists(cls, env: DagEnv, paths: Sequence[Sequence[int]]) -> "PathBatch":
-        return cls.of_matrix(env, *_pad(paths))
+        """Paths through ``env`` given as lists of states, padded with -1."""
+        lengths = np.array([len(p) for p in paths], dtype=np.int64)
+        states = np.full((len(paths), lengths.max(initial=2)), -1, dtype=np.int64)
+        states[np.arange(states.shape[1]) < lengths[:, None]] = [s for p in paths for s in p]
+        return cls.of_matrix(env, states, lengths)
 
     def _columns(self) -> list:
         return [self.lengths, self.rewards, self.log_pf, self.log_pb]
@@ -188,42 +181,6 @@ class PathView:
 
     def __init__(self, terminating_state: int):
         self.terminating_state = terminating_state
-
-
-def write_trajectory_log(path: str, backward: PathBatch, forward: PathBatch) -> None:
-    """One JSON line per path, the backward-sampled first, labelled by half."""
-    keys = ("states", "log_pf", "log_pb", "reward", "provenance")
-    output.append_lines(path, (
-        json.dumps(dict(zip(keys, (s[:n], *row, label)))) + "\n"
-        for paths, label in ((backward, "backward-sampled"), (forward, "forward-sampled"))
-        for s, n, *row in zip(*(c.tolist() for c in (paths.states, paths.lengths, paths.log_pf,
-                                                       paths.log_pb, paths.rewards)))), "w")
-
-
-def read_trajectory_log(path: str) -> Tuple[PathBatch, PathBatch]:
-    """The (backward-sampled, forward-sampled) paths of a JSON-lines log: an
-    unlabelled record is forward-sampled, one of another label is skipped.  A
-    line that is not a record (a positive finite reward, finite log-probs)
-    raises ``ValueError`` naming the file and the line."""
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    d = json.loads(line)
-                    values = [float(d[k]) for k in ("reward", "log_pf", "log_pb")]
-                    if not (values[0] > 0 and np.all(np.isfinite(values))):
-                        raise ValueError(f"reward, log_pf, log_pb {values}")
-                    docs.append(([int(s) for s in d["states"]], *values,
-                                 str(d.get("provenance", "forward-sampled"))))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}, line {n}: not a trajectory record "
-                                     f"({type(exc).__name__}: {exc})") from None
-    states, rewards, log_pf, log_pb, labels = zip(*docs) if docs else ([],) * 5
-    logged = PathBatch(*_pad(states), *(np.array(c, dtype=float)
-                                        for c in (rewards, log_pf, log_pb)))
-    labels = np.array(labels, dtype=str)
-    return logged[labels == "backward-sampled"], logged[labels == "forward-sampled"]
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 It runs that traffic under a line tracer limited to the package's frames:
 
-* each workload of ``bench/workloads.py`` at its ``--tiny`` size, as
-  ``bench/run.py --tiny`` runs it (its units and the graph checks);
+* each workload of ``bench/workloads.py`` at its full size, one run as
+  ``bench/run.py`` runs it (its units and the graph checks): the ``--tiny``
+  sizes would miss what only large graphs run, such as a walk with fewer
+  paths than choice states, which reads no policy table;
 * ``stablegfn verify``, every suite (:func:`stablegfn.verify.run_suites`
   with no names);
 * ``stablegfn train``, ``certify`` and ``evaluate`` on a small MLP hypergrid
@@ -13,7 +15,7 @@ Then it prints ``module:line: source`` for each statement of a package
 function that no run reached, docstrings aside, or ``every statement ran``.
 Module and class bodies run at import, so only function bodies are read.  A
 statement that no traffic reaches is a candidate for deletion, or a branch
-only error input takes.  Run it by hand::
+only error input takes.  Run it by hand; it takes about 25 s on one core::
 
     PYTHONPATH=src python tests/line_reach.py
 
@@ -115,7 +117,7 @@ def unreached(lines):
 
 
 def traffic(workdir: Path) -> None:
-    """The bench's --tiny workloads, ``stablegfn verify``, and ``train``,
+    """The bench's workloads, ``stablegfn verify``, and ``train``,
     ``certify`` and ``evaluate`` on :data:`CONFIG` under ``workdir``."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import run  # the harness's thread cap must precede numpy
@@ -126,7 +128,7 @@ def traffic(workdir: Path) -> None:
     from stablegfn import cli
 
     for name in workloads.WORKLOADS:
-        workloads.run(workloads.get(name, tiny=True), 0, 0.0, False)
+        workloads.run(workloads.get(name), 0, 0.0, False)
     config = workdir / "config.json"
     config.write_text(json.dumps(dict(CONFIG, output_dir=str(workdir / "run"))))
     common = ["--checkpoint", str(workdir / "run" / "checkpoint.json"), "--config", str(config)]

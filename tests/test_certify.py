@@ -361,6 +361,19 @@ def test_report_writes_infinite_values_as_null():
     assert json.loads(_strict_json(searched.to_dict()))["search"]["prescan"] == [[800.0, None]]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("graph", ["graded_tree_3_4", "grid_2_8"])
+def test_a_balanced_model_certifies_at_the_sampling_terms_without_warnings(graph, seed):
+    # a balanced model's log-ratios are 0 up to rounding (about 1e-16), and the
+    # searched threshold's deltas there are -inf without a divide warning
+    env = (RegularTree(3, 4, leaf_rewards=[1 + i % 9 for i in range(81)])
+           if graph == "graded_tree_3_4" else Hypergrid(2, 8))
+    report = sample_certificate(balanced_tabular_model(env), env, env.terminating_states,
+                                1000, 1000, rng_for(seed, "cert.backward"),
+                                rng_for(seed, "cert.forward"), 0.025)
+    assert report.bound == pytest.approx(2 * math.log(40) / 1000, rel=1e-12)  # 0.0073778
+
+
 def _without_search(report):
     return {k: v for k, v in report.to_dict().items() if k not in ("search", "wall_clock_s")}
 

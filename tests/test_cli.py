@@ -80,6 +80,10 @@ def test_resolved_config_round_trip(tmp_path, monkeypatch):
     assert a == b
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_train_with_thresholds_past_the_float_range_finishes_with_a_vacuous_bound(tmp_path):
     # log-rewards near -737 raise the threshold past log(DBL_MAX) = 709.78, where
     # a positive max ratio fails the reference condition instead of overflowing
@@ -91,7 +95,9 @@ def test_train_with_thresholds_past_the_float_range_finishes_with_a_vacuous_boun
     lines = (outdir / "metrics.csv").read_text().splitlines()
     header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
     assert len(rows) == 30 and max(float(r[header.index("threshold")]) for r in rows) > 709.78
-    assert json.loads((outdir / "certificate.json").read_text())["bound"] == 1.0
+    doc = json.loads((outdir / "certificate.json").read_text(), parse_constant=_refuse_constant)
+    assert doc["bound"] == 1.0 and doc["threshold"] > 709.78  # infinities are written as null
+    assert doc["raw_bound"] is None and doc["main_term"] is None
     assert (outdir / "checkpoint.json").exists()
 
 
@@ -130,8 +136,7 @@ def test_train_unknown_keys_of_mixed_types_exit_2_naming_both(tmp_path, capsys):
 @pytest.mark.parametrize("env", [
     {"kind": "tree", "branching": 2, "depth": 60},
     {"kind": "hypergrid", "dimension": 8, "side": 1000},
-    {"kind": "one_more_mode", "branching": 2, "depth": 60, "epsilon": 0.1},
-], ids=["tree_2_60", "grid_8_1000", "one_more_mode_2_60"])
+], ids=["tree_2_60", "grid_8_1000"])
 def test_train_env_too_large_to_build_exits_2(tmp_path, capsys, env):
     payload = dict(TREE_CONFIG, env=env, output_dir=str(tmp_path / "run"))
     assert main(["train", write_config(tmp_path, payload)]) == 2
@@ -288,11 +293,24 @@ def test_certify_from_checkpoint(tmp_path, capsys):
     assert "TV bound" in capsys.readouterr().out
 
 
-def test_certify_rejects_bad_args(tmp_path):
+def test_certify_rejects_bad_args(tmp_path, capsys):
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    ckpt = str(outdir / "checkpoint.json")
-    assert main(["certify", "--checkpoint", ckpt, "--config", cfg, "-m", "0"]) == 2
-    assert main(["certify", "--checkpoint", ckpt, "--config", cfg, "--alpha", "0.5"]) == 2
+    ckpt, out = str(outdir / "checkpoint.json"), tmp_path / "cert.json"
+    capsys.readouterr()
+    for args, message in ((["-m", "0"], "need at least one sample on each side"),
+                          (["--alpha", "0.5"], "alpha must lie in (0, 0.5), got 0.5")):
+        assert main(["certify", "--checkpoint", ckpt, "--config", cfg, "--output", str(out),
+                     *args]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_certify_has_no_from_log_option(tmp_path, capsys):
+    missing = str(tmp_path / "missing")  # argparse refuses before any file is read
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--checkpoint", missing, "--config", missing, "--from-log", missing])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --from-log" in capsys.readouterr().err
 
 
 def test_certify_env_mismatch(tmp_path):
@@ -308,77 +326,6 @@ def test_certify_env_mismatch(tmp_path):
 def _load(cfg, checkpoint):
     """(resolved config, env, model) as the ``certify`` and ``evaluate`` commands load them."""
     return _load_model_for(argparse.Namespace(config=cfg, checkpoint=str(checkpoint)))
-
-
-def _write_log(tmp_path, cfg, checkpoint):
-    """(log path, model, backward batch, forward batch): 30 paths a side, logged."""
-    from stablegfn.policy import sample_backward_batch, sample_forward_batch, write_trajectory_log
-
-    _, env, model = _load(cfg, checkpoint)
-    rng = rng_for(0, "log")
-    xs = env.terminating_states[rng.integers(0, len(env.terminating_states), 30)]
-    bwd = sample_backward_batch(model, env, rng, xs)
-    fwd = sample_forward_batch(model, env, rng, 30)
-    log_path = tmp_path / "trajs.jsonl"
-    write_trajectory_log(str(log_path), bwd, fwd)
-    return log_path, model, bwd, fwd
-
-
-def test_certify_from_log(tmp_path):
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    resolved = load_config(cfg)
-    log_path, model, bwd, fwd = _write_log(tmp_path, cfg, outdir / "checkpoint.json")
-
-    def certified(name):
-        out = tmp_path / name
-        assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
-                     "--from-log", str(log_path), "--output", str(out)]) == 0
-        return dict(json.loads(out.read_text()), wall_clock_s=None)
-
-    # the logged paths certify as the sampled batches do
-    report = certify.optimize_certificate(
-        certify.records_from_trajectories(bwd, model.logz),
-        certify.records_from_trajectories(fwd, model.logz),
-        (1.0 - resolved["train"]["confidence"]) / 2.0)
-    expected = dict(json.loads(json.dumps(report.to_dict())), wall_clock_s=None)
-    assert certified("cert.json") == expected and (expected["m"], expected["n"]) == (30, 30)
-    # a record of any other label is read, checked and left out
-    first = json.loads(log_path.read_text().splitlines()[0])
-    with open(log_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(dict(first, reward=100.0, provenance="replayed")) + "\n")
-    assert certified("cert_replayed.json") == expected
-
-
-@pytest.mark.parametrize("flag", ["-m", "-n"])
-def test_certify_from_log_refuses_sample_counts(tmp_path, capsys, flag):
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    log_path, _, _, _ = _write_log(tmp_path, cfg, outdir / "checkpoint.json")
-    out = tmp_path / "cert.json"
-    for value in ("0", "40"):  # valid or not, the flag does not apply
-        assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
-                     "--from-log", str(log_path), "--output", str(out), flag, value]) == 2
-        assert capsys.readouterr().err == f"error: {flag} does not apply with --from-log: " \
-                                          "the log sets the counts\n"
-    assert not out.exists()
-
-
-def test_certify_from_log_checks_only_alpha(tmp_path, capsys):
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    log_path, _, _, _ = _write_log(tmp_path, cfg, outdir / "checkpoint.json")
-    ckpt, out = str(outdir / "checkpoint.json"), tmp_path / "cert.json"
-    # counts the config sets for sampling, past the walk-memory bound, are not read
-    payload = dict(TREE_CONFIG, train=dict(TREE_CONFIG["train"], cert_m=10**12, cert_n=10**12))
-    big = write_config(tmp_path, payload, "big.yaml")
-    assert main(["certify", "--checkpoint", ckpt, "--config", big, "--from-log", str(log_path),
-                 "--output", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert (doc["m"], doc["n"]) == (30, 30)
-    capsys.readouterr()
-    out.unlink()
-    assert main(["certify", "--checkpoint", ckpt, "--config", cfg, "--from-log", str(log_path),
-                 "--output", str(out), "--alpha", "0.5"]) == 2
-    assert capsys.readouterr().err == "error: alpha must lie in (0, 0.5), got 0.5\n"
-    assert not out.exists()
 
 
 def test_certify_sample_counts_default_from_config(tmp_path):
@@ -535,49 +482,6 @@ def test_tree_checkpoint_with_a_learned_backward_net_loads(tmp_path):
             assert docs[0] == docs[1]
         else:
             assert outputs[0].read_bytes() == outputs[1].read_bytes()
-
-
-GOOD_RECORD = {"states": [0, 1, 3, 7], "log_pf": -1.0, "log_pb": 0.0, "reward": 1.0}
-
-
-def _refuse_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
-def test_certify_from_log_past_the_float_range_is_vacuous(tmp_path):
-    # a forward record's log ratio near -1000 puts the threshold past log(DBL_MAX)
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    log_path, out = tmp_path / "trajs.jsonl", tmp_path / "cert.json"
-    log_path.write_text(json.dumps(dict(GOOD_RECORD, provenance="backward-sampled")) + "\n"
-                        + json.dumps(dict(GOOD_RECORD, log_pf=-1000.0)) + "\n")
-    assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
-                 "--from-log", str(log_path), "--output", str(out)]) == 0
-    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
-    assert (doc["m"], doc["n"], doc["bound"]) == (1, 1, 1.0)
-    assert doc["threshold"] > 709.78 and doc["raw_bound"] is None and doc["main_term"] is None
-
-
-@pytest.mark.parametrize("lines, where", [
-    (None, ""),  # no such file
-    ([json.dumps(GOOD_RECORD), "{not json"], ", line 2:"),
-    ([json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "reward"})], ", line 1:"),
-    ([json.dumps(dict(GOOD_RECORD, reward=0.0))], ", line 1:"),
-    ([json.dumps(GOOD_RECORD), json.dumps(dict(GOOD_RECORD, reward=-1.0))], ", line 2:"),
-    ([json.dumps(dict(GOOD_RECORD, log_pf=math.nan))], ", line 1:"),
-    ([json.dumps(dict(GOOD_RECORD, log_pb=-math.inf))], ", line 1:"),
-], ids=["missing", "not_json", "no_reward", "reward_zero", "reward_negative", "log_pf_nan",
-        "log_pb_inf"])
-def test_certify_from_bad_log_exits_2(tmp_path, capsys, lines, where):
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    log_path = tmp_path / "trajs.jsonl"
-    if lines is not None:
-        log_path.write_text("\n".join(lines) + "\n")
-    code = main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
-                 "--from-log", str(log_path), "--output", str(tmp_path / "cert.json")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and str(log_path) + where in err
-    assert not (tmp_path / "cert.json").exists()
 
 
 def _set_entry(doc, name, value):
@@ -751,10 +655,6 @@ RESOLVED = [
     ({"env": {"kind": "hypergrid", "dimension": 2, "side": 8}},
      dict(_RESOLVED_DEFAULTS, env={"kind": "hypergrid", "dimension": 2, "side": 8, "r0": 0.1,
                                    "r1": 0.5, "r2": 2.0})),
-    ({"env": {"kind": "one_more_mode", "branching": 2, "depth": 2, "epsilon": 0.1},
-      "model": {"backward": "learned"}},
-     dict(_TREE_DEFAULTS, env={"kind": "one_more_mode", "branching": 2, "depth": 2,
-                               "epsilon": 0.1, "stage": "new"})),
     ({"env": {"kind": "tree", "branching": 3, "depth": 1}, "model": None, "train": None,
       "eval": None},
      dict(_TREE_DEFAULTS,
@@ -763,10 +663,6 @@ RESOLVED = [
     ({"env": {"kind": "tree", "branching": 2, "depth": 1, "leaf_rewards": [1, 2.5]}},
      dict(_TREE_DEFAULTS,
           env={"kind": "tree", "branching": 2, "depth": 1, "leaf_rewards": [1.0, 2.5]})),
-    ({"env": {"kind": "one_more_mode", "branching": 2, "depth": 1, "epsilon": 1,
-              "stage": "prev"}},
-     dict(_TREE_DEFAULTS, env={"kind": "one_more_mode", "branching": 2, "depth": 1,
-                               "epsilon": 1.0, "stage": "prev"})),
     ({"seed": 7, "output_dir": "runs/a",
       "env": {"kind": "hypergrid", "dimension": 3, "side": 4, "r0": 1, "r1": 2, "r2": 3},
       "model": {"kind": "mlp", "hidden": [8, 4], "backward": "uniform"},
@@ -789,8 +685,7 @@ RESOLVED = [
 
 
 @pytest.mark.parametrize("raw, expected", RESOLVED, ids=[
-    "tree", "hypergrid", "one_more_mode", "null_sections", "leaf_rewards", "stage", "every_key",
-    "fm_backward"])
+    "tree", "hypergrid", "null_sections", "leaf_rewards", "every_key", "fm_backward"])
 def test_resolve_output_is_pinned_and_resolves_to_itself(raw, expected):
     resolved = resolve(raw)
     assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
@@ -901,7 +796,6 @@ MISTYPED = [
     ("env", "r1", "x", "env.r1 must be a number, got 'x'"),
     ("env", "r2", [2.0], "env.r2 must be a number, got [2.0]"),
     ("env", "r0", "x", "env.r0 must be a number or null, got 'x'"),
-    ("env", "epsilon", "0.1", "env.epsilon must be a number, got '0.1'"),
     ("env", "leaf_rewards", [1.0, "x"], "each env.leaf_rewards entry must be a number, got 'x'"),
     ("env", "leaf_rewards", [1.0, False],
      "each env.leaf_rewards entry must be a number, got False"),
@@ -915,11 +809,10 @@ MISTYPED = [
     (None, "model", [1], "model must be a mapping, got [1]"),
     (None, "output_dir", None, "output_dir must be a string, got None"),
     (None, "output_dir", 5, "output_dir must be a string, got 5"),
-    ("env", "kind", ["tree"], "env.kind must be 'tree' or 'hypergrid' or 'one_more_mode'"),
+    ("env", "kind", ["tree"], "env.kind must be 'tree' or 'hypergrid'"),
 ]
 # the environment a mistyped key is set in, where a two-leaf tree has no such key
-_ENV_WITH = {"r0": {"kind": "hypergrid", "dimension": 2, "side": 3},
-             "epsilon": {"kind": "one_more_mode", "branching": 2, "depth": 1}}
+_ENV_WITH = {"r0": {"kind": "hypergrid", "dimension": 2, "side": 3}}
 _ENV_WITH["r1"] = _ENV_WITH["r2"] = _ENV_WITH["r0"]
 
 
@@ -934,6 +827,13 @@ def test_config_rejects_mistyped_value_naming_key(where, key, value, message):
     with pytest.raises(ConfigError) as info:
         resolve(raw)
     assert str(info.value) == message
+
+
+def test_config_refuses_the_one_more_mode_kind():
+    # a tree builds its env: leaf_rewards [1, ..., 1, epsilon] at stage prev, none at new
+    raw = {"env": {"kind": "one_more_mode", "branching": 2, "depth": 2, "epsilon": 0.1}}
+    with pytest.raises(ConfigError, match=r"^env\.kind must be 'tree' or 'hypergrid'$"):
+        resolve(raw)
 
 
 def test_train_with_mistyped_value_exits_2_before_any_output(tmp_path, capsys):
@@ -1058,19 +958,6 @@ def test_train_replaces_a_dangling_symlink_output(tmp_path):
     _, cfg = run_train(tmp_path, TREE_CONFIG)
     assert not link.is_symlink()
     assert load_config(str(link)) == load_config(cfg)
-
-
-def test_certify_from_log_with_one_half_exits_2(tmp_path, capsys):
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
-    capsys.readouterr()
-    log_path, out = tmp_path / "trajs.jsonl", tmp_path / "cert.json"
-    for label in ("backward-sampled", "forward-sampled"):
-        log_path.write_text(json.dumps(dict(GOOD_RECORD, provenance=label)) + "\n")
-        assert main(["certify", "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
-                     "--from-log", str(log_path), "--output", str(out)]) == 2
-        assert capsys.readouterr().err == ("error: trajectory log must contain both backward- "
-                                           "and forward-sampled records\n")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

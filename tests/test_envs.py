@@ -20,7 +20,10 @@ from stablegfn.envs import (
     sorted_unique,
     true_partition,
 )
+from stablegfn.certify import sample_certificate
 from stablegfn.losses import terminal_reach_counts
+from stablegfn.oracle import balanced_tabular_model, count_modes, empirical_total_l1
+from stablegfn.policy import rollout, sample_backward_batch
 from loss_reference import children, parents
 from random_dag import kind_id, random_dags
 
@@ -71,10 +74,10 @@ def test_one_more_mode_shares_the_base_graph():
     own = ("reward_table", "mode_mask", "_reach_counts")  # derived from the rewards
     for name, value in vars(base).items():
         assert (getattr(env, name) is value) == (name not in own), name
-    assert env.base is base
-    # a one-hot cache built after construction is the base's one
+    assert set(vars(env)) == set(vars(base))  # and no attribute of its own
+    # a one-hot cache built after construction is the env's own, with the base's bits
     assert base._encoding_matrix is None
-    assert env.encoding_matrix is base.encoding_matrix is base._encoding_matrix
+    assert env.encoding_matrix.tobytes() == base.encoding_matrix.tobytes()
     assert env.reward_table[promoted] == 1.5 and base.reward_table[promoted] == 1.0
 
 
@@ -375,8 +378,6 @@ def test_encoding_shapes():
 
 def _reference_encode(env, s):
     """The per-state ``encode`` the environments had before ``features``."""
-    if isinstance(env, OneMoreMode):
-        return _reference_encode(env.base, s)
     v = np.zeros(env.feature_dim)
     if isinstance(env, Hypergrid):  # D increment slots and the exit, H columns a coordinate
         D = env.num_forward_slots - 1
@@ -478,10 +479,21 @@ def test_make_env_round_trip():
     env = built({"kind": "hypergrid", "dimension": 2, "side": 8, "r0": 0.1})
     assert isinstance(env, Hypergrid)  # r1 and r2 at their defaults
     assert env.reward_table.tobytes() == Hypergrid(2, 8, 0.1, 0.5, 2.0).reward_table.tobytes()
-    env = built({"kind": "one_more_mode", "branching": 2, "depth": 2, "epsilon": 0.1})
-    assert isinstance(env, OneMoreMode)
     with pytest.raises(ValueError):
         built({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("g, h, eps", [(2, 2, 0.1), (3, 3, 1e-3), (3, 4, 0.5), (2, 5, 1e-5)])
+def test_a_tree_config_builds_the_one_more_mode_pair(g, h, eps):
+    def built(leaf_rewards):
+        section = {"kind": "tree", "branching": g, "depth": h, "leaf_rewards": leaf_rewards}
+        return make_env(resolve({"env": section})["env"])
+
+    prev, new = one_more_mode_tree(g, h, eps)
+    for env, tree in ((prev, built([1] * (g**h - 1) + [eps])), (new, built(None))):
+        for name in ("reward_table", "mode_mask", "child_matrix", "parent_matrix", "edge_src",
+                     "edge_dst", "edge_fslot", "edge_bslot", "features", "terminating_states"):
+            assert getattr(tree, name).tobytes() == getattr(env, name).tobytes(), name
 
 
 def test_rewards_zero_off_terminals():
@@ -543,6 +555,34 @@ def test_check_terminating_names_the_first_state_that_is_no_number(states, first
     with pytest.raises(ValueError, match=f"^leaf {re.escape(first)} is not a terminating state$"):
         envs.check_terminating(RegularTree(2, 2), states, "leaf")
     assert envs.check_terminating(RegularTree(2, 2), [3, 6.0], "leaf").tolist() == [3, 6]
+
+
+def _bool_callers(env):
+    """Each kind of check_terminating caller on ``env``, as (what, call of states)."""
+    model = balanced_tabular_model(env, flow_head=False)
+    rng = np.random.default_rng(0)
+    return [
+        ("start", lambda xs: sample_backward_batch(model, env, rng, xs)),
+        ("start", lambda xs: rollout(model, env, rng, xs, forward=False)),
+        ("sample", lambda xs: empirical_total_l1(xs, env)),
+        ("sample", lambda xs: count_modes(xs, env)),
+        ("scope state", lambda xs: sample_certificate(model, env, xs, 4, 4, rng, rng, 0.05)),
+    ]
+
+
+@pytest.mark.parametrize("states", [True, [True], np.array([True, False]),
+                                    np.array([1, True], dtype=object), [np.True_]],
+                         ids=["scalar", "list", "bool_array", "object_array", "numpy_bool"])
+def test_check_terminating_refuses_a_bool(states):
+    env = RegularTree(2, 1)  # leaves 1 and 2: True would read as state 1
+    with pytest.raises(ValueError, match=r"^leaf (True|np\.True_) is not a terminating state$"):
+        envs.check_terminating(env, states, "leaf")
+    for what, call in _bool_callers(env):
+        call([1, 2])  # the states themselves pass
+        if np.ndim(states):  # every caller takes a sequence
+            with pytest.raises(ValueError,
+                               match=rf"^{what} (True|np\.True_) is not a terminating state$"):
+                call(states)
 
 
 def test_one_more_mode_refuses_negative_or_misplaced_additions():

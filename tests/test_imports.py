@@ -15,8 +15,7 @@
   package class assigns, dataclasses aside: a class-level name or a
   ``self.name`` target.  An attribute counts as read only where an
   attribute of that name is loaded, outside the statement assigning it; a
-  loaded plain name (a parameter, say) does not count.  ``TEST_ONLY`` lists
-  the one exception.
+  loaded plain name (a parameter, say) does not count.
 * Only ``stablegfn.output`` writes files: no other package module calls
   ``json.dump`` or opens a file with a mode that holds w, a, x or +.
 * Every ``:func:``, ``:data:``, ``:class:``, ``:meth:``, ``:attr:`` or
@@ -43,9 +42,6 @@ MODULES = sorted(p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py
                  if p.name != "__init__.py")
 PACKAGE = sorted(p for p in (ROOT / "src" / "stablegfn").glob("*.py") if p.name != "__init__.py")
 READERS = sorted(p for top in ("src", "tests", "bench") for p in (ROOT / top).rglob("*.py"))
-# Public package names that only tests read: the trajectory log writer, which
-# no command calls yet.
-TEST_ONLY = {"write_trajectory_log"}
 # (function, parameter) pairs whose default no call in src/ or bench/ passes:
 # the command line's arguments, which only the console script's caller gives.
 NEVER_PASSED = {("main", "argv")}
@@ -437,7 +433,7 @@ def product_loads(parsed):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_the_product_reads_every_public_name_and_attribute(parsed, product_loads, path):
     trees, _ = parsed
-    dead = [name for name in unread_by(trees[path], product_loads) if name not in TEST_ONLY]
+    dead = unread_by(trees[path], product_loads)
     assert not dead, (f"{path.relative_to(ROOT)} defines {', '.join(dead)}, which nothing "
                       "in src/ or bench/ reads")
 

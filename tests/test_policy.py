@@ -13,7 +13,6 @@ from stablegfn.policy import (
     LOGIT_CLAMP,
     EdgeBatch,
     FlowBatch,
-    PathBatch,
     PolicyModel,
     _clamp,
     _draw_rows,
@@ -21,12 +20,10 @@ from stablegfn.policy import (
     _masked_rows,
     exact_terminal_distribution,
     proportional_draw,
-    read_trajectory_log,
     rollout,
     sample_backward_batch,
     sample_forward_batch,
     score_paths,
-    write_trajectory_log,
 )
 from stablegfn.trainer import rng_for
 
@@ -672,7 +669,7 @@ def test_batch_samplers_agree_with_law():
     np.testing.assert_allclose(trajs.log_pb[:50], lpb, rtol=0, atol=1e-12)
 
 
-def test_backward_batch_matches_single(tmp_path):
+def test_backward_batch_matches_single():
     env = Hypergrid(2, 3, r0=0.1)
     model = random_model(env, seed=9)
     rng = rng_for(1, "bwd")
@@ -680,27 +677,6 @@ def test_backward_batch_matches_single(tmp_path):
     trajs = sample_backward_batch(model, env, rng, xs)
     assert trajs.terminals.tolist() == xs.tolist()
     assert np.all(trajs.states[:, 0] == env.initial_state)
-
-    path = tmp_path / "log.jsonl"
-    write_trajectory_log(str(path), trajs, trajs[:0])
-    back, forward = read_trajectory_log(str(path))
-    assert path_lists(back) == path_lists(trajs) and len(forward) == 0
-    assert back.log_pf.tolist() == trajs.log_pf.tolist()
-
-
-def test_trajectory_log_bytes(tmp_path):
-    backward = PathBatch(np.array([[0, 3, 9, -1]], dtype=np.int64), np.array([3]),
-                         np.array([2.0]), np.array([0.0]), np.array([-1e-300]))
-    forward = PathBatch(np.array([[0, 2, 5, 9]], dtype=np.int64), np.array([4]), np.array([0.1]),
-                        np.array([-1.2345678901234567]), np.array([-0.5]))
-    path = tmp_path / "log.jsonl"
-    write_trajectory_log(str(path), backward, forward)
-    assert path.read_text(encoding="utf-8") == (
-        '{"states": [0, 3, 9], "log_pf": 0.0, "log_pb": -1e-300, '
-        '"reward": 2.0, "provenance": "backward-sampled"}\n'
-        '{"states": [0, 2, 5, 9], "log_pf": -1.2345678901234567, "log_pb": -0.5, '
-        '"reward": 0.1, "provenance": "forward-sampled"}\n'
-    )
 
 
 def test_clamp_matches_np_clip_bitwise():
