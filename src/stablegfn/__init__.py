@@ -3,7 +3,6 @@
 from .envs import (
     DagEnv,
     Hypergrid,
-    OneMoreMode,
     RegularTree,
     hypergrid_default_r0,
     hypergrid_reward,

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .envs import DagEnv, OneMoreMode, check_added, check_terminating, true_partition
+from .envs import DagEnv, check_added, check_terminating, true_partition
 from .losses import check_threshold, reference_flow_log_deltas
 from .policy import (PathBatch, PolicyModel, draw_terminals, sample_backward_batch,
                      sample_forward_batch)
@@ -102,18 +102,6 @@ def reference_main_term(threshold: float, max_ratio: float) -> float:
         )
     ec = math.exp(threshold)  # after the condition: it overflows where the limit is 0
     return (ec + (ec - 1.0) * max_ratio) / denom - 1.0
-
-
-def pac_tv_bound_with_reference(threshold: float, max_ratio: float, m: int, n: int,
-                                alpha: float) -> float:
-    """Reference-flow sampling certificate; reduces to pac_tv_bound at max_ratio 0."""
-    check_samples(m, n, alpha)
-    raw = (
-        reference_main_term(threshold, max_ratio)
-        + math.log(1.0 / alpha) / m
-        + math.log(1.0 / alpha) / n
-    )
-    return min(1.0, max(0.0, raw))
 
 
 # -- certificates over sampled records ----------------------------------------
@@ -365,7 +353,9 @@ def incremental_tv_sandwich(env_prev: DagEnv, added: Dict[int, float]) -> Tuple[
     lower = (zstar - z_sub) / zstar * (1.0 - lam)
     upper = 1.0 - lam
 
-    r_new = OneMoreMode(env_prev, added).reward_table[xs]
+    rewards = env_prev.reward_table.copy()
+    rewards[states] += list(added.values())
+    r_new = rewards[xs]
     exact = 0.5 * float(np.abs(r_prev / r_prev.sum() - r_new / r_new.sum()).sum())
     return lower, upper, exact
 

@@ -60,7 +60,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         env = config_mod.build_env(resolved)
         model = config_mod.build_model(resolved, env)
         train_cfg = config_mod.build_train_config(resolved)
-        outdir = config_mod.output_dir(resolved)
+        outdir = resolved["output_dir"]
         trainer = Trainer(model, env, train_cfg, metrics_path=os.path.join(outdir, "metrics.csv"))
         os.makedirs(outdir, exist_ok=True)
         for name in ("metrics.csv", "resolved_config.json", "checkpoint.json", "certificate.json"):
@@ -96,18 +96,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
         output.check_output(args.output)
         resolved, env, model = _load_model_for(args)
         cfg = config_mod.build_train_config(resolved)
-        alpha = cfg.alpha if args.alpha is None else args.alpha
-        m = cfg.cert_m if args.m is None else args.m
-        n = cfg.cert_n if args.n is None else args.n
-        certify_mod.check_samples(m, n, alpha)
-        check_walk_memory(env, m, "train.cert_m" if args.m is None else "-m")
-        check_walk_memory(env, n, "train.cert_n" if args.n is None else "-n")
+        check_walk_memory(env, cfg.cert_m, "train.cert_m")
+        check_walk_memory(env, cfg.cert_n, "train.cert_n")
     except (EnumerationCapError, ValueError) as exc:
         return _fail(str(exc))
 
     report = certify_mod.sample_certificate(  # terminating states ascend
-        model, env, env.terminating_states, m, n, rng_for(cfg.seed, "cli.cert.backward"),
-        rng_for(cfg.seed, "cli.cert.forward"), alpha,
+        model, env, env.terminating_states, cfg.cert_m, cfg.cert_n,
+        rng_for(cfg.seed, "cli.cert.backward"), rng_for(cfg.seed, "cli.cert.forward"), cfg.alpha,
     )
     output.write_json(args.output, report.to_dict())
     bound_txt = "n/a (no usable samples)" if report.bound is None else f"{report.bound:.6f}"
@@ -116,15 +112,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.samples is not None and args.samples < 1:
-        return _fail("need at least one evaluation sample")
     try:
         output.check_output(args.output)
         resolved, env, model = _load_model_for(args)
         if resolved["eval"]["oracle"]:
             check_state_cap(env.num_states, "eval.oracle")
-        samples = resolved["eval"]["samples"] if args.samples is None else args.samples
-        check_walk_memory(env, samples, "eval.samples" if args.samples is None else "--samples")
+        samples = resolved["eval"]["samples"]
+        check_walk_memory(env, samples, "eval.samples")
     except (EnumerationCapError, ValueError) as exc:
         return _fail(str(exc))
     rng = rng_for(resolved["seed"], "cli.evaluate")
@@ -170,23 +164,17 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("config", help="path to the YAML/JSON experiment config")
     t.set_defaults(fn=cmd_train)
 
-    c = sub.add_parser("certify", help="compute an optimized TV certificate")
+    c = sub.add_parser("certify", help="compute an optimized TV certificate from the config's "
+                       "train.cert_m, train.cert_n and train.confidence")
     c.add_argument("--checkpoint", required=True)
     c.add_argument("--config", required=True)
-    c.add_argument("-m", type=int, default=None,
-                   help="backward sample count (default from config train.cert_m)")
-    c.add_argument("-n", type=int, default=None,
-                   help="forward sample count (default from config train.cert_n)")
-    c.add_argument("--alpha", type=float, default=None,
-                   help="per-side failure probability (default from config confidence)")
     c.add_argument("--output", default="certificate.json")
     c.set_defaults(fn=cmd_certify)
 
-    e = sub.add_parser("evaluate", help="evaluate a checkpoint against the target")
+    e = sub.add_parser("evaluate", help="evaluate a checkpoint against the target on the "
+                       "config's eval.samples forward samples")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--config", required=True)
-    e.add_argument("--samples", type=int, default=None,
-                   help="forward sample count (default from config eval.samples)")
     e.add_argument("--output", default="eval.json")
     e.set_defaults(fn=cmd_evaluate)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
-import os
 import re
 from typing import Dict
 
@@ -30,8 +29,6 @@ import yaml
 from .envs import ENV_KEYS, DagEnv, hypergrid_default_r0, make_env
 from .policy import PolicyModel
 from .trainer import TrainConfig, check_type, rng_for
-
-OUTPUT_DIR_ENV_VAR = "STABLEGFN_OUTPUT_DIR"
 
 FLOW_OBJECTIVES = ("db", "fm", "subtb", "wdb")
 
@@ -165,10 +162,6 @@ def load_config(path: str) -> Dict:
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return resolve(raw)
-
-
-def output_dir(resolved: Dict) -> str:
-    return os.environ.get(OUTPUT_DIR_ENV_VAR, resolved["output_dir"])
 
 
 def build_env(resolved: Dict) -> DagEnv:

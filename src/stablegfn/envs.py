@@ -1,4 +1,4 @@
-"""Finite-DAG environments: regular trees, hypergrids, and incremental-reward wrappers.
+"""Finite-DAG environments: regular trees, hypergrids and the one-more-mode tree pair.
 
 Every environment is an immutable DAG with a unique source (index 0), a unique
 sink (``env.sink``), and a set of terminating states whose only child is the
@@ -8,8 +8,7 @@ policy head can score all states of an environment.
 
 States are described only by arrays built with the graph, never by
 per-state methods: ``features`` lists each state's one-hot feature columns,
-``reward_table`` its reward and ``mode_mask`` whether it is a mode.  A
-reward increment (:class:`OneMoreMode`) takes over its base's attributes.
+``reward_table`` its reward and ``mode_mask`` whether it is a mode.
 
 One graph layout: the edge arrays (``edge_src``/``edge_dst``/``edge_fslot``/
 ``edge_bslot``) and the slot matrices (``child_matrix``/``parent_matrix``).
@@ -410,43 +409,20 @@ def check_added(env: DagEnv, added: Dict[int, float]) -> np.ndarray:
     return xs
 
 
-class OneMoreMode(DagEnv):
-    """Same graph as a base environment with extra reward on a subset of states.
-
-    ``reward_table[x] = base.reward_table[x] + added[x]`` with ``added >= 0``
-    supported on terminating states only.  Every attribute of the base is
-    taken over as the same object but the reward-derived ``reward_table``,
-    ``mode_mask`` and ``_reach_counts``.  The modes follow the max-reward
-    rule, as every environment's do.
-    """
-
-    def __init__(self, base: DagEnv, added: Dict[int, float]):
-        xs = check_added(base, added)
-        vars(self).update(vars(base))
-        self.reward_table = base.reward_table.copy()
-        for x, r in zip(xs.tolist(), added.values()):
-            self.reward_table[x] += r
-        self.mode_mask = self._modes()
-        self._reach_counts = None
-
-
-def one_more_mode_tree(branching: int, depth: int, epsilon: float) -> Tuple[RegularTree, OneMoreMode]:
+def one_more_mode_tree(branching: int, depth: int,
+                       epsilon: float) -> Tuple[RegularTree, RegularTree]:
     """Incremental-coverage pair: a tree with one negligible leaf, then promoted.
 
     The previous environment gives the last leaf reward ``epsilon`` and every
-    other leaf reward 1; the new environment promotes that leaf to reward 1 by
-    adding ``1 - epsilon``.
+    other leaf reward 1; the new environment promotes that leaf by ``1 - epsilon``
+    to reward 1 (in floats too: ``epsilon + (1 - epsilon)`` rounds to 1).
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     _check_tree(branching, depth)  # before the leaf rewards are allocated
-    n_leaves = branching**depth
-    rewards = np.ones(n_leaves)
+    rewards = np.ones(branching**depth)
     rewards[-1] = epsilon
-    env_prev = RegularTree(branching, depth, rewards)
-    promoted = int(env_prev.terminating_states[-1])
-    env_new = OneMoreMode(env_prev, {promoted: 1.0 - epsilon})
-    return env_prev, env_new
+    return RegularTree(branching, depth, rewards), RegularTree(branching, depth)
 
 
 def true_partition(env: DagEnv) -> float:

@@ -109,7 +109,9 @@ class TrainConfig:
             raise ValueError("stabilization applies to the trajectory objective only")
         for key, inside, interval in (("tv_target", 0.0 < self.tv_target < 1.0, "(0, 1)"),
                                       ("ema_beta", 0.0 < self.ema_beta <= 1.0, "(0, 1]"),
-                                      ("confidence", 0.0 < self.confidence < 1.0, "(0, 1)"),
+                                      # check_samples' alpha rule: (1 - c) / 2 is 0.5 at c <= 2**-54
+                                      ("confidence", 0.0 < self.alpha < 0.5,
+                                       "(0, 1) with (1 - confidence) / 2 in (0, 0.5)"),
                                       ("epsilon", 0.0 <= self.epsilon < 1.0, "[0, 1)")):
             if not inside:
                 raise ValueError(f"{key} must be in {interval}, got {getattr(self, key)!r}")

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import certify, losses, oracle
 from .approximator import grad_check
-from .envs import DagEnv, Hypergrid, OneMoreMode, RegularTree, one_more_mode_tree, true_partition
+from .envs import (DagEnv, Hypergrid, RegularTree, check_added, one_more_mode_tree,
+                   true_partition)
 from .policy import PolicyModel, draw_terminals, rollout, sample_backward_batch, score_paths
 from .trainer import rng_for
 
@@ -210,8 +211,10 @@ def suite_pac_coverage() -> Check:
     sub_bad: List[str] = []
     for c in np.linspace(0.0, 2.0, 9):
         for mm, nn in ((10, 10), (100, 1000)):
+            zero = (np.zeros(mm), np.zeros(mm)), (np.zeros(nn), np.zeros(nn))  # ratio 0
             for a in (0.025, 0.05, 0.2):
-                if certify.pac_tv_bound_with_reference(c, 0.0, mm, nn, a) != certify.pac_tv_bound(c, mm, nn, a):
+                report = certify.optimize_certificate(*zero, a, threshold=float(c))
+                if report.bound != certify.pac_tv_bound(c, mm, nn, a):
                     sub_bad.append(f"reduction mismatch at c={c}")
     cs = np.linspace(0.01, 1.0, 50)
     limit = 1.0 / math.expm1(cs[-1])
@@ -252,7 +255,11 @@ def suite_incremental_sandwich() -> Check:
         if not (lower <= exact + 1e-12 and exact <= upper + 1e-12):
             bad.append(f"instance {i}: sandwich {lower} / {exact} / {upper}")
 
-        env_new = OneMoreMode(env_prev, added)
+        rewards = env_prev.reward_table.copy()
+        rewards[check_added(env_prev, added)] += list(added.values())
+        env_new = DagEnv(env_prev.sink, env_prev.edge_src, env_prev.edge_dst, env_prev.edge_fslot,
+                         env_prev.edge_bslot, xs, rewards[xs], env_prev.features,
+                         env_prev.feature_dim)
         model = oracle.balanced_tabular_model(env_prev, flow_head=True)
         sup = certify.loss_supremum(env_prev, added)
         worst = dict.fromkeys(objectives, 0.0)

@@ -49,9 +49,11 @@ class RandomDag(DagEnv):
                          feature_dim=size + 1)
 
 
-# A test id per environment class: the config's env kind that builds it.
-KIND_IDS = {"RegularTree": "tree", "Hypergrid": "hypergrid", "OneMoreMode": "one_more_mode",
-            "RandomDag": "random_dag"}
+# A test id per environment class: the config's env kind that builds it.  No
+# config builds the other two: a RandomDag, and a plain DagEnv, which the tests
+# build only as a reward increment on a base's arrays (one more mode).
+KIND_IDS = {"RegularTree": "tree", "Hypergrid": "hypergrid", "RandomDag": "random_dag",
+            "DagEnv": "one_more_mode"}
 
 
 def kind_id(env) -> str:

@@ -14,14 +14,13 @@ from stablegfn.certify import (
     mc_delta_over_zstar,
     optimize_certificate,
     pac_tv_bound,
-    pac_tv_bound_with_reference,
     records_from_trajectories,
     reference_main_term,
     sample_certificate,
     subgraph_certificate,
     tv_bound_from_loss,
 )
-from stablegfn.envs import Hypergrid, OneMoreMode, RegularTree, one_more_mode_tree
+from stablegfn.envs import Hypergrid, RegularTree, one_more_mode_tree
 from stablegfn.losses import reference_flow_log_deltas
 from stablegfn.oracle import balanced_tabular_model
 from stablegfn.policy import sample_backward_batch, sample_forward_batch
@@ -56,15 +55,22 @@ def test_pac_bound_rejects_bad_alpha():
         pac_tv_bound(0.1, 10, 10, 0.0)
 
 
+def _zero_ratio(m, n):
+    """Backward and forward records of ``m`` and ``n`` paths whose log-ratios are all 0."""
+    return (np.zeros(m), np.zeros(m)), (np.zeros(n), np.zeros(n))
+
+
 def test_reference_bound_example_value():
-    v = pac_tv_bound_with_reference(0.1, 0.05, 1000, 1000, 0.025)
+    v = reference_main_term(0.1, 0.05) + 2 * math.log(1 / 0.025) / 1000
     assert v == pytest.approx(0.24108, abs=1e-5)
 
 
 def test_reference_bound_reduces_exactly_at_zero_ratio():
     for c in np.linspace(0.0, 2.0, 21):
         for m, n, a in ((10, 10, 0.05), (1000, 50, 0.025)):
-            assert pac_tv_bound_with_reference(c, 0.0, m, n, a) == pac_tv_bound(c, m, n, a)
+            report = optimize_certificate(*_zero_ratio(m, n), a, threshold=float(c))
+            assert report.max_ratio == 0.0 and not report.condition_violated
+            assert report.bound == pac_tv_bound(c, m, n, a)
 
 
 def test_reference_bound_condition_boundary():
@@ -334,8 +340,8 @@ def test_log_ratios_past_the_float_range_give_a_vacuous_certificate():
     assert math.isinf(report.raw_bound) and math.isinf(report.main_term)
     assert not report.condition_violated  # the ratio condition holds; the term overflows
     assert feasibility_floor(np.array([800.0]), np.zeros(1)) == 800.0
-    assert pac_tv_bound(400.0, 10, 10, 0.05) == pac_tv_bound_with_reference(
-        400.0, 0.0, 10, 10, 0.05) == 1.0
+    assert pac_tv_bound(400.0, 10, 10, 0.05) == optimize_certificate(
+        *_zero_ratio(10, 10), 0.05, threshold=400.0).bound == 1.0
     # past the limit log(e^c - 1) is c + log1p(-e^-c); below it, the bits of log(expm1(c))
     log_model, log_target = np.array([1000.0, -3.0, 5.0]), np.array([0.0, 998.0, 1.0])
     r = log_model - log_target
@@ -477,13 +483,12 @@ def test_reference_main_term_refuses_negative_ratio():
 
 
 _Z2 = (np.zeros(2), np.ones(2))
-# the bounds that read a threshold; negative cases go to the first five, which had no
-# check of their own (the others meet reference_flow_log_deltas' or tv_bound_from_loss's)
+# the bounds that read a threshold; negative cases go to the first five
 _BOUNDS = {
     "pac": lambda c: pac_tv_bound(c, 10, 10, 0.05),
     "pac_many": lambda c: pac_tv_bound(c, 10**9, 10**9, 0.4),
-    "reference_ratio_0": lambda c: pac_tv_bound_with_reference(c, 0.0, 10, 10, 0.05),
-    "reference": lambda c: pac_tv_bound_with_reference(c, 0.5, 10, 10, 0.05),
+    "reference_ratio_0": lambda c: optimize_certificate(*_zero_ratio(10, 10), 0.05, threshold=c),
+    "reference": lambda c: reference_main_term(c, 0.5),
     "main_term": lambda c: reference_main_term(c, 0.0),
     "mc_delta": lambda c: mc_delta_over_zstar(*_Z2, c),
     "optimizer": lambda c: optimize_certificate(_Z2, _Z2, 0.05, threshold=c),
@@ -502,7 +507,7 @@ def test_a_nan_or_negative_threshold_is_refused(name, threshold):
 
 def test_an_infinite_threshold_gives_the_vacuous_bound():
     assert pac_tv_bound(math.inf, 10, 10, 0.05) == 1.0
-    assert pac_tv_bound_with_reference(math.inf, 0.0, 10, 10, 0.05) == 1.0
+    assert optimize_certificate(*_zero_ratio(10, 10), 0.05, threshold=math.inf).bound == 1.0
     assert tv_bound_from_loss(math.inf) == 1.0
     assert optimize_certificate(_Z2, _Z2, 0.05, threshold=math.inf).bound == 1.0
 
@@ -529,6 +534,6 @@ def test_sandwich_refuses_negative_or_misplaced_additions():
 def test_increment_functions_refuse_a_bad_increment_alike(added, message):
     # T(2,2): leaves 3..6, sink 7; every function refuses by the one check
     env = RegularTree(2, 2)
-    for call in (incremental_tv_sandwich, loss_supremum, OneMoreMode):
+    for call in (incremental_tv_sandwich, loss_supremum):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(env, added)

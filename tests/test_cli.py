@@ -16,8 +16,8 @@ import yaml
 from stablegfn import certify, cli, output, verify
 from stablegfn.approximator import _encode_array
 from stablegfn.cli import _load_model_for, main
-from stablegfn.config import (OUTPUT_DIR_ENV_VAR, ConfigError, build_env, build_model,
-                              build_train_config, load_config, resolve)
+from stablegfn.config import (ConfigError, build_env, build_model, build_train_config,
+                              load_config, resolve)
 from stablegfn.policy import ROLLOUT_STATE_BYTES
 from stablegfn.trainer import Trainer, rng_for
 
@@ -69,12 +69,13 @@ def test_train_writes_artifacts(tmp_path):
     assert doc["confidence"] == 1.0 - 2.0 * doc["alpha"] and 0.0 < doc["alpha"] < 0.5
 
 
-def test_resolved_config_round_trip(tmp_path, monkeypatch):
+def test_resolved_config_round_trip(tmp_path):
     outdir, _ = run_train(tmp_path, TREE_CONFIG, "first")
-    resolved_path = str(outdir / "resolved_config.json")
-    monkeypatch.setenv(OUTPUT_DIR_ENV_VAR, str(tmp_path / "second"))
-    assert main(["train", resolved_path]) == 0
-    monkeypatch.delenv(OUTPUT_DIR_ENV_VAR)
+    resolved = json.loads((outdir / "resolved_config.json").read_text())
+    resolved["output_dir"] = str(tmp_path / "second")  # the one key a rerun must change
+    resolved_path = tmp_path / "rerun.json"
+    resolved_path.write_text(json.dumps(resolved))
+    assert main(["train", str(resolved_path)]) == 0
     a = (tmp_path / "first" / "metrics.csv").read_bytes()
     b = (tmp_path / "second" / "metrics.csv").read_bytes()
     assert a == b
@@ -190,22 +191,20 @@ def test_output_that_is_a_directory_exits_2_at_the_write(tmp_path, capsys, comma
     assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
 
 
-@pytest.mark.parametrize("command, flags, key", [
-    ("evaluate", ["--samples"], "--samples"), ("evaluate", [], "eval.samples"),
-    ("certify", ["-m"], "-m"), ("certify", ["-n"], "-n"), ("certify", [], "train.cert_m"),
-], ids=["evaluate-flag", "evaluate-config", "certify-m", "certify-n", "certify-config"])
+@pytest.mark.parametrize("command, key", [
+    ("evaluate", "eval.samples"), ("certify", "train.cert_m"), ("certify", "train.cert_n"),
+], ids=["evaluate-config", "certify-config", "certify-config-cert_n"])
 def test_sample_count_whose_walk_matrix_exceeds_memory_exits_2_at_setup(
-        tmp_path, monkeypatch, capsys, command, flags, key):
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+        tmp_path, monkeypatch, capsys, command, key):
+    outdir, _ = run_train(tmp_path, TREE_CONFIG)
     capsys.readouterr()
-    if not flags:  # the count comes from the config
-        section, name = ("eval", "samples") if command == "evaluate" else ("train", "cert_m")
-        payload = dict(TREE_CONFIG, **{section: dict(TREE_CONFIG[section], **{name: 10**12})})
-        cfg = write_config(tmp_path, payload, "big.yaml")
+    section, name = key.split(".")  # the count comes from the command's own config
+    payload = dict(TREE_CONFIG, **{section: dict(TREE_CONFIG[section], **{name: 10**12})})
+    cfg = write_config(tmp_path, payload, "big.yaml")
     _refuse_sampling(monkeypatch)
     out = tmp_path / "out.json"
     assert main([command, "--checkpoint", str(outdir / "checkpoint.json"), "--config", cfg,
-                 "--output", str(out), *flags, *[str(10**12)] * len(flags)]) == 2
+                 "--output", str(out)]) == 2
     err = capsys.readouterr().err
     # T(2,2) has 4 levels: 10**12 walks x 4 int64 cells
     assert err.startswith(f"error: {key}: {10**12} walks need 2.98e+04 GiB of walk matrix, ")
@@ -277,19 +276,21 @@ def test_train_missing_config():
 
 
 def test_certify_from_checkpoint(tmp_path, capsys):
-    outdir, cfg = run_train(tmp_path, TREE_CONFIG)
+    outdir, _ = run_train(tmp_path, TREE_CONFIG)
+    # a second config that matches the checkpoint's env sets the counts and the confidence
+    train = dict(TREE_CONFIG["train"], cert_m=50, cert_n=60, confidence=0.9)
+    cfg = write_config(tmp_path, dict(TREE_CONFIG, train=train), "counts.yaml")
     out = str(tmp_path / "cert.json")
     code = main([
         "certify", "--checkpoint", str(outdir / "checkpoint.json"),
-        "--config", cfg, "-m", "50", "-n", "50", "--alpha", "0.05",
-        "--output", out,
+        "--config", cfg, "--output", out,
     ])
     assert code == 0
     with open(out, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["theorem"] == "pac-reference"
     assert 0.0 <= doc["bound"] <= 1.0
-    assert doc["m"] == 50
+    assert (doc["m"], doc["n"], doc["alpha"]) == (50, 60, (1.0 - 0.9) / 2.0)
     assert "TV bound" in capsys.readouterr().out
 
 
@@ -297,11 +298,12 @@ def test_certify_rejects_bad_args(tmp_path, capsys):
     outdir, cfg = run_train(tmp_path, TREE_CONFIG)
     ckpt, out = str(outdir / "checkpoint.json"), tmp_path / "cert.json"
     capsys.readouterr()
-    for args, message in ((["-m", "0"], "need at least one sample on each side"),
-                          (["--alpha", "0.5"], "alpha must lie in (0, 0.5), got 0.5")):
-        assert main(["certify", "--checkpoint", ckpt, "--config", cfg, "--output", str(out),
-                     *args]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+    # the counts and alpha come from the config alone: argparse refuses their old flags
+    for args in (["-m", "5"], ["-n", "5"], ["--alpha", "0.05"], ["-m", "0"], ["--alpha", "0.5"]):
+        with pytest.raises(SystemExit) as info:
+            main(["certify", "--checkpoint", ckpt, "--config", cfg, "--output", str(out), *args])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -556,8 +558,10 @@ def test_evaluate_balanced_checkpoint(tmp_path, capsys):
     payload["train"] = dict(payload["train"], max_rounds=400)
     outdir, cfg = run_train(tmp_path, payload)
     out = str(tmp_path / "eval.json")
+    cfg = write_config(tmp_path, dict(payload, eval={"samples": 3000, "oracle": True}),
+                       "eval.yaml")
     code = main(["evaluate", "--checkpoint", str(outdir / "checkpoint.json"),
-                 "--config", cfg, "--samples", "3000", "--output", out])
+                 "--config", cfg, "--output", out])
     assert code == 0
     with open(out, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -732,6 +736,31 @@ def test_config_rejects_eval_samples_below_one(samples):
         resolve({"env": {"kind": "tree", "branching": 2, "depth": 1}, "eval": {"samples": samples}})
 
 
+def test_train_confidence_whose_alpha_rounds_to_one_half_exits_2_at_setup(tmp_path, capsys):
+    # (1 - c) / 2 is exactly 0.5 at c <= 2**-54: no certificate takes that alpha
+    train = {"stabilize": True, "patience": 2, "confidence": 1.0e-17}
+    assert _train_with(tmp_path, train=train) == 2
+    assert capsys.readouterr().err == ("error: confidence must be in (0, 1) with "
+                                       "(1 - confidence) / 2 in (0, 0.5), got 1e-17\n")
+    assert not (tmp_path / "run").exists()  # refused before resolved_config.json
+    smallest = {"env": {"kind": "tree", "branching": 2, "depth": 1},
+                "train": {"confidence": 2.0**-53}}  # alpha just below 0.5
+    assert resolve(smallest)["train"]["confidence"] == 2.0**-53
+
+
+def test_each_command_takes_only_its_files():
+    # every count, confidence and path is a config key: no option says one a second time
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: [o for a in parser._actions for o in a.option_strings or [a.dest]
+                      if o not in ("-h", "--help")]
+               for name, parser in sub.choices.items()}
+    assert options == {"train": ["config"],
+                       "certify": ["--checkpoint", "--config", "--output"],
+                       "evaluate": ["--checkpoint", "--config", "--output"],
+                       "verify": ["--suite"]}
+
+
 def test_train_mlp_over_encoding_cap_exits_2(tmp_path, monkeypatch, capsys):
     import stablegfn.envs as envs
 
@@ -764,8 +793,9 @@ def test_config_rejects_empty_layers_and_certificate_samples(tmp_path, bad):
     ("subtb_lambda", [0.0, -0.9, math.inf, math.nan]),
     ("buffer_size", [0, -3]),
     ("replay_batch", [-1]),
+    ("confidence", [0.0, 1.0, -0.5, 1.5, 1.0e-17, 2.0**-54, math.nan]),
 ], ids=["learning_rate", "logz_lr_mult", "max_grad_norm", "subtb_lambda", "buffer_size",
-        "replay_batch"])
+        "replay_batch", "confidence"])
 def test_config_rejects_bad_train_value_naming_key(key, bad):
     for value in bad:
         raw = {"env": {"kind": "tree", "branching": 2, "depth": 1}, "train": {key: value}}
@@ -960,12 +990,15 @@ def test_train_replaces_a_dangling_symlink_output(tmp_path):
     assert load_config(str(link)) == load_config(cfg)
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("samples", ["0", "-3", "10"])
 def test_evaluate_without_samples_exits_2_before_reading_anything(tmp_path, capsys, samples):
-    missing = str(tmp_path / "missing")  # neither file is read
-    assert main(["evaluate", "--checkpoint", missing, "--config", missing,
-                 "--samples", samples]) == 2
-    assert capsys.readouterr().err == "error: need at least one evaluation sample\n"
+    # eval.samples is the one sample count, read from the config: argparse
+    # refuses the flag, any value of it, before either file is read
+    missing = str(tmp_path / "missing")
+    with pytest.raises(SystemExit) as info:
+        main(["evaluate", "--checkpoint", missing, "--config", missing, "--samples", samples])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --samples {samples}" in capsys.readouterr().err
 
 
 def test_config_that_does_not_parse_exits_2_naming_the_file(tmp_path, capsys):

@@ -11,8 +11,8 @@ from stablegfn.envs import (
     DagEnv,
     EnumerationCapError,
     Hypergrid,
-    OneMoreMode,
     RegularTree,
+    check_added,
     hypergrid_default_r0,
     hypergrid_reward,
     make_env,
@@ -58,27 +58,40 @@ def test_default_r0_rejects_degenerate_side():
         hypergrid_default_r0(1)
 
 
+def _with_added(base, added):
+    """A new environment on ``base``'s graph, its rewards raised by the increment
+    ``added`` (state -> extra reward), built from ``base``'s arrays as the
+    incremental suites build it."""
+    rewards = base.reward_table.copy()
+    rewards[check_added(base, added)] += list(added.values())
+    xs = base.terminating_states
+    return DagEnv(base.sink, base.edge_src, base.edge_dst, base.edge_fslot, base.edge_bslot,
+                  xs, rewards[xs], base.features, base.feature_dim)
+
+
+def _tree_promoted(eps):
+    """The new environment of ``one_more_mode_tree(3, 2, eps)``, built on the previous one."""
+    prev = one_more_mode_tree(3, 2, eps)[0]
+    return _with_added(prev, {int(prev.terminating_states[-1]): 1.0 - eps})
+
+
 def test_one_more_mode_wrapped_partition():
     eps = 0.25
     base = RegularTree(3, 2)
     promoted = int(base.terminating_states[-1])
-    env = OneMoreMode(base, {promoted: 1.0 - eps})
+    env = _with_added(base, {promoted: 1.0 - eps})
     assert true_partition(env) == pytest.approx(9.0 + (1.0 - eps))
+    assert true_partition(base) == 9.0  # the base keeps its rewards
 
 
-def test_one_more_mode_shares_the_base_graph():
-    base = RegularTree(3, 2)
-    terminal_reach_counts(base)  # fills the base's cache, which the increment recomputes
-    promoted = int(base.terminating_states[-1])
-    env = OneMoreMode(base, {promoted: 0.5})
-    own = ("reward_table", "mode_mask", "_reach_counts")  # derived from the rewards
-    for name, value in vars(base).items():
-        assert (getattr(env, name) is value) == (name not in own), name
-    assert set(vars(env)) == set(vars(base))  # and no attribute of its own
-    # a one-hot cache built after construction is the env's own, with the base's bits
-    assert base._encoding_matrix is None
-    assert env.encoding_matrix.tobytes() == base.encoding_matrix.tobytes()
-    assert env.reward_table[promoted] == 1.5 and base.reward_table[promoted] == 1.0
+def test_one_more_mode_pair_shares_no_state():
+    prev, new = one_more_mode_tree(3, 2, 0.5)
+    terminal_reach_counts(prev)  # fills the previous env's cache, and only its own
+    assert new._reach_counts is None
+    for name, value in vars(prev).items():
+        if isinstance(value, np.ndarray):
+            assert not np.shares_memory(value, getattr(new, name)), name
+    assert new.reward_table[prev.terminating_states[-1]] == 1.0
 
 
 def test_one_more_mode_tree_partitions():
@@ -394,7 +407,7 @@ def _reference_encode(env, s):
 @pytest.mark.parametrize(
     "env",
     [RegularTree(3, 4), RegularTree(2, 5), Hypergrid(4, 8), Hypergrid(2, 16),
-     Hypergrid(1, 5), Hypergrid(3, 2), one_more_mode_tree(3, 2, 0.2)[1], *random_dags((5,))],
+     Hypergrid(1, 5), Hypergrid(3, 2), _tree_promoted(0.2), *random_dags((5,))],
     ids=lambda env: f"{kind_id(env)}{env.num_states}",
 )
 def test_features_match_encode_reference(env):
@@ -434,7 +447,7 @@ def _reference_modes(env):
 def _grid_promoted(D, H):
     base = Hypergrid(D, H, r0=0.1)
     center = H**D + (H**D - 1) // 2
-    return OneMoreMode(base, {center: 5.0})
+    return _with_added(base, {center: 5.0})
 
 
 @pytest.mark.parametrize(
@@ -443,8 +456,8 @@ def _grid_promoted(D, H):
      RegularTree(2, 3, leaf_rewards=[1, 3, 2, 3, 3 - 1e-13, 0.5, 3 - 1e-11, 1]),
      Hypergrid(2, 8, r0=0.1), Hypergrid(3, 5), Hypergrid(2, 8, r0=0.1, r1=0.0, r2=0.0),
      Hypergrid(4, 4, r0=1.0, r1=0.3, r2=0.7),
-     one_more_mode_tree(3, 2, 0.2)[0], one_more_mode_tree(3, 2, 0.2)[1],
-     OneMoreMode(RegularTree(2, 2, leaf_rewards=[1, 2, 2, 1]), {3: 1.0}),
+     one_more_mode_tree(3, 2, 0.2)[0], _tree_promoted(0.2),
+     _with_added(RegularTree(2, 2, leaf_rewards=[1, 2, 2, 1]), {3: 1.0}),
      _grid_promoted(2, 8), _grid_promoted(3, 5), *random_dags()],
     ids=lambda env: f"{kind_id(env)}{env.num_states}",
 )
@@ -589,8 +602,9 @@ def test_one_more_mode_refuses_negative_or_misplaced_additions():
     base = RegularTree(2, 2)
     leaf = int(base.terminating_states[0])
     with pytest.raises(ValueError, match="^added reward must be nonnegative$"):
-        OneMoreMode(base, {leaf: -0.5})
+        check_added(base, {leaf: -0.5})
     with pytest.raises(ValueError, match="^increment state 0 is not a terminating state$"):
-        OneMoreMode(base, {0: 1.0})
+        check_added(base, {0: 1.0})
     with pytest.raises(ValueError, match=f"^increment state {base.sink} is not a terminating state$"):
-        OneMoreMode(base, {base.sink: 1.0})
+        check_added(base, {base.sink: 1.0})
+    assert check_added(base, {leaf: 0.5, leaf + 1: 0.0}).tolist() == [leaf, leaf + 1]
