@@ -30,25 +30,31 @@ The model keeps the last table a walk built for each side, read-only, while
 the env and the side net's parameters stay the same, so a certificate's
 second walk, an evaluation walk and the DP read it instead of building it
 again; the DP keeps none it builds.  A kept table has a rebuilt one's bits,
-and only the rule decides whether a walk has a table, so no result depends
-on the order of calls.  The rule, for every net: a side has a table when
-``n`` is at least its number of choice states.  Then the walk's lockstep
-steps would evaluate about that many rows or more; with fewer paths they
-visit a small part of a large graph, where the table would cost more than it
-saves (on a tabular H(4,16), with 65,535 forward choice states, bulk calls
-of 1,000 forward and 1,000 backward paths took 46 ms without tables and 71 ms
-with them on a 2-vCPU host).  The walking side's table follows the rule; the
-other side's is read only when the walking side has one, since only
-recording reads it.  A walk with a table sums its ``exp`` into cumulative
-rows once, and a step is one uniform per moving walker and one gather and
-compare per slot column.  A walk whose two sides
-both have a table records both as it draws, each path summing its
-log-probs as :func:`score_paths` would (see :func:`_walk`); every other
-walk is scored by :func:`score_paths` once its batch exists, since
-per-step net rows need not have a table's bits.  A training
-:func:`rollout` reads a table only for a net read by state index (tabular
-or uniform), over the choice states already in its move table.  Why the
-bits hold:
+and only the rule, which reads nothing but the walk's own path count and
+rows, decides whether a walk has a table, so no result depends on the order
+of calls.  The rule: a side has a table when ``n`` is at least its number of
+choice states.  Then the walk's lockstep steps would evaluate about that
+many rows or more; with fewer paths they visit a small part of a large
+graph, where the table would cost more than it saves.  A side evaluated by
+rows (an MLP) also switches to its table mid-walk, for the steps left, once
+:data:`TABLE_SWITCH_FACTOR` times the rows its per-step calls evaluated
+reach its choice states.  A side read by state index (tabular or uniform)
+does not: its rows are gathers, which cost little per step and nothing to
+keep, while a table costs its whole side (on a tabular H(4,16), with 65,535
+forward choice states, bulk calls of 1,000 forward and 1,000 backward paths
+took 28 ms without tables and 43 ms when tabular sides switched at a
+quarter, median of 9 on a 2-vCPU host).  The walking side's table follows
+the rule; the other side's is read only when the walking side has one from
+the start, since only recording reads it.  A walk with a table sums its
+``exp`` into cumulative rows once, and a step is one uniform per moving
+walker and one gather and compare per slot column.  A walk whose two sides
+both have a table from the start records both as it draws, each path
+summing its log-probs as :func:`score_paths` would (see :func:`_walk`);
+every other walk, one that switched too, is scored by :func:`score_paths`
+once its batch exists, since per-step net rows need not have a table's
+bits.  A training :func:`rollout` reads a table only for a net read by
+state index (tabular or uniform), over the choice states already in its
+move table.  Why the bits hold:
 
 * every row is masked over its side's whole width (:func:`_masked_rows`,
   -inf at invalid slots), a rollout's single rows (:func:`_row`) too, and
@@ -115,6 +121,16 @@ LOGIT_CLAMP = 50.0
 # A = 5, under 640 rows, whose 256-wide activation (under 1.25 MiB) stays
 # within a 2 MiB L2 cache.
 BLAS_EXACT_CELLS = 1600
+# A bulk walk over an MLP side without its table builds it once this many
+# times the rows of its per-step calls reach the side's choice states.  On the
+# bench's trained H(4,8) 256x256 model (4,095 forward, 4,067 backward choice
+# states), a 1,000 + 1,000-path certificate then the 16,384-path evaluation
+# with its exact DP took 69 + 49 ms with no switch, and 77 + 33, 89 + 19,
+# 81 + 19 and 74 + 18 ms at 1, 2, 4 and 8 (median of 9, 2-vCPU host, BLAS at
+# 1 thread).  At 2 the forward walk switches near its end (row 2,048 of its
+# 2,143); at 4 it switches at about row 1,100, while the bench's walks on
+# H(4,16) evaluate at most 1,870 rows, under an eighth of their 16,384.
+TABLE_SWITCH_FACTOR = 4
 # Bytes a training rollout holds per state of a walk, a floor: tracemalloc
 # measured 50 (T(3,4)) to 94 (H(4,8)) per visited state over 50,000 walks, in
 # the walk's list, its flattened copy and the padded batch
@@ -361,16 +377,19 @@ def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.nd
     return logp
 
 
-def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int,
+def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int, rows: int = 0,
            keep: bool = True) -> Optional[np.ndarray]:
     """The forward or backward side's (S, A) log-prob matrix for a walk of ``n``
-    paths, -inf at invalid slots; None where the module docstring's rule refuses it.
+    paths whose per-step calls have evaluated ``rows`` rows of that side, -inf
+    at invalid slots; None where the module docstring's rule refuses it: when
+    ``n`` is below the side's choice states and either the side is read by
+    state index or :data:`TABLE_SWITCH_FACTOR` x ``rows`` is below them too.
     Past the rule, the side's kept table while its env is ``env`` and its
     digest the sha256 of the side net's parameters now; else the kept one is
     dropped and a table built, and kept read-only when ``keep`` is set."""
     net, mask, choice = ((model.forward_net, env.forward_mask, env.forward_choice) if forward else
                          (model.backward_net, env.backward_mask, env.backward_choice))
-    if n < len(choice):
+    if n < len(choice) and (net.wants_indices or TABLE_SWITCH_FACTOR * rows < len(choice)):
         return None
     side, h = 0 if forward else 1, hashlib.sha256()
     for name, _ in net.param_spec():  # a uniform net has none
@@ -598,14 +617,18 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     stopped copies nothing: a tree's walkers all stop at once).  When the
     walking side has a table by the rule of the module docstring, those rows
     are its ``exp``'s running sums, built once per walk (:func:`_cumulative`);
-    else a step evaluates its distinct states and sums their rows alike.
+    else a step evaluates its distinct states and sums their rows alike, and
+    counts them.  Before each step, a walk without its table asks
+    :func:`_table` again with the rows counted so far: an MLP side gets its
+    table, kept on the model, once they reach the rule's share, and draws
+    its steps left from that table's running sums.
     Backward paths are turned source-to-sink by one masked copy.
 
-    A walk whose two sides both have a table records both as it draws; the
-    other side's table is built only when the walking side has one, since
-    only recording reads it.  Each side is recorded from one log-prob matrix
-    over the walking side's (state, slot) cells: the walking side's table
-    itself, and the other side's filled by one scatter over the
+    A walk whose two sides both have a table from the start records both as
+    it draws; the other side's table is built only when the walking side has
+    one, since only recording reads it.  Each side is recorded from one
+    log-prob matrix over the walking side's (state, slot) cells: the walking
+    side's table itself, and the other side's filled by one scatter over the
     environment's edge columns from its table at each edge's other end (an
     edge into the sink has no backward slot and a backward log-prob of 0).
     A step gathers both at its walkers' drawn cells, the entries
@@ -614,9 +637,10 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     ``bincount``: a forward walk adds each step as it goes, since its step
     order is the path order, into sums kept by moving walker and written out
     to each path as it stops; a backward walk keeps its steps' records and
-    adds them in reverse step order once it ends.  Every other walk is
-    scored by :func:`score_paths` once its batch exists: per-step net rows
-    may differ from a table's in the last bits.
+    adds them in reverse step order once it ends.  Every other walk, one
+    that switched to its table too, is scored by :func:`score_paths` once its
+    batch exists: per-step net rows may differ from a table's in the last
+    bits.
 
     Memory: besides the walk matrix, a backward walk's per-step records and
     the other side's table while it is scattered, a walk keeps at most three
@@ -655,12 +679,16 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     ids = np.flatnonzero(walked[:, 0] != end)  # the walkers still moving
     states = walked[ids, 0]
     running = [np.zeros(len(ids)) for _ in recorded] if forward else []  # by moving walker
-    t = 0
+    t = rows = 0  # rows: those the walk's per-step calls evaluated
     while len(ids):
         base = states * width
+        if cum is None and rows:  # the rule may give its table to a walk without one
+            table = _table(model, env, forward, n, rows)
+            cum = None if table is None else _cumulative(np.exp(table)).ravel()
         if cum is None:
             uniq, inv = np.unique(states, return_inverse=True)
             uniq_cum = _cumulative(np.exp(_log_policy(net, mask, uniq, env))).ravel()
+            rows += len(uniq)
             cells = base + _draw_rows(rng, uniq_cum, inv * width, width)
         else:
             cells = base + _draw_rows(rng, cum, base, width)
@@ -720,8 +748,10 @@ def exact_terminal_distribution(model: PolicyModel, env: DagEnv) -> Tuple[np.nda
     ``env.terminating_states``.  Mass flows through the forward policy one
     level at a time.  The forward table is the one a walk kept at these
     parameters, else one built and dropped after (on H(4,16) it is 131,073 x 5
-    floats, which no walk there keeps).  The net runs only at states with a
-    choice: a single child is taken with probability exactly 1.
+    floats, which a walk keeps only from 65,535 paths, one per forward choice
+    state, or once its per-step rows reach a quarter of that).  The net runs
+    only at states with a choice: a single child is taken with probability
+    exactly 1.
     """
     check_state_cap(env.num_states)
     # a side has fewer choice states than the graph has states: the rule gives the table

@@ -33,7 +33,8 @@ from stablegfn.policy import (
 )
 
 # a bulk call of 300 walkers reads the policy tables on T(3,4), H(2,8) and the
-# random DAG, and evaluates per step on H(4,8) (4,095 forward choice states)
+# random DAG, and evaluates per step on H(4,8) (4,095 forward choice states),
+# where an MLP backward walk switches to its table mid-walk
 ENVS = {
     "T(3,4)": lambda: RegularTree(3, 4),
     "H(2,8)": lambda: Hypergrid(2, 8),
@@ -109,15 +110,45 @@ def test_bulk_sampler_matches_reference_on_narrow_sides(make, kind, forward, n):
     _matches_reference(env, kind, forward, n)
 
 
-# H(2,8) has 63 forward and 49 backward choice states: with one path fewer
-# than its side's choice states a walk draws from per-step rows, with as many
-# from its table
+def _side(env, forward):
+    """(name, choice-state count) of the walking side."""
+    return ("forward", len(env.forward_choice)) if forward else (
+        "backward", len(env.backward_choice))
+
+
+def _record_rows(monkeypatch):
+    """(side, row count) of every :func:`policy._log_policy` call from now on."""
+    calls, log_policy = [], policy._log_policy
+
+    def recorded(net, mask, states, env):
+        calls.append(("forward" if mask is env.forward_mask else "backward", len(states)))
+        return log_policy(net, mask, states, env)
+
+    monkeypatch.setattr(policy, "_log_policy", recorded)
+    return calls
+
+
+# H(2,8) has 63 forward and 49 backward choice states: with as many paths a
+# walk draws from its table from the start.  With one path fewer, a tabular or
+# uniform side draws from per-step rows throughout, and an MLP side switches
+# to its table once its per-step rows reach a quarter of its choice states:
+# after 5 forward steps, or 1 backward step (33 rows)
 @pytest.mark.parametrize("forward, n", [(True, 62), (True, 63), (False, 48), (False, 49)])
 @pytest.mark.parametrize("kind", KINDS)
-def test_bulk_sampler_matches_reference_on_both_sides_of_the_table_rule(kind, forward, n):
+def test_bulk_sampler_matches_reference_on_both_sides_of_the_table_rule(monkeypatch, kind,
+                                                                        forward, n):
     env = Hypergrid(2, 8)
     assert (len(env.forward_choice), len(env.backward_choice)) == (63, 49)
+    calls = _record_rows(monkeypatch)
     _matches_reference(env, kind, forward, n)
+    side, choice = _side(env, forward)
+    built = [i for i, call in enumerate(calls) if call == (side, choice)]
+    if n == choice:
+        assert built == [0]
+    elif kind == "mlp":
+        assert built == [5 if forward else 1]
+    else:
+        assert built == []
 
 
 def _record_edge_batches(monkeypatch):
@@ -171,7 +202,8 @@ def test_table_walk_records_the_log_probs_of_scoring(monkeypatch, env_name, net,
 @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
 @pytest.mark.parametrize("env_name, net, n", [
     ("H(4,8)", "tabular", 300),  # 4,095 forward, 4,067 backward choice states
-    ("T(3,4)", "mlp", 7),  # 40 forward choice states
+    ("T(3,4)", "mlp", 2),  # 40 forward choice states; 7 per-step rows
+    ("T(3,4)", "mlp", 7),  # 10 per-step rows: the forward walk switches to its table
 ])
 def test_walk_without_tables_is_scored_afterwards(monkeypatch, env_name, net, n, forward):
     env = ENVS[env_name]()
@@ -180,7 +212,9 @@ def test_walk_without_tables_is_scored_afterwards(monkeypatch, env_name, net, n,
     paths = _walked(model, env, forward, n)
     # one cache-free batch over every edge of the walk, as score_paths builds.
     # A tree has no backward choice state, so a backward walk there draws
-    # from its table; with no forward table it still records nothing
+    # from its table; with no forward table it still records nothing.  A
+    # walk that switched to its table records nothing either
+    assert (model._kept[0] is not None) == (forward and n == 7)
     assert edges == [(int((paths.lengths - 1).sum()), False)]
     want = _rescored(model, env, paths)
     assert paths.log_pf.tobytes() == want.log_pf.tobytes()
@@ -190,13 +224,7 @@ def test_walk_without_tables_is_scored_afterwards(monkeypatch, env_name, net, n,
 def test_walk_evaluates_only_its_side_without_a_table(monkeypatch):
     env = Hypergrid(2, 8)  # 63 forward, 49 backward choice states
     model = _model(env, "tabular")
-    log_policy, rows = policy._log_policy, []
-
-    def recorded(net, mask, states, env):
-        rows.append(("forward" if mask is env.forward_mask else "backward", len(states)))
-        return log_policy(net, mask, states, env)
-
-    monkeypatch.setattr(policy, "_log_policy", recorded)
+    rows = _record_rows(monkeypatch)
     edges = _record_edge_batches(monkeypatch)
     # 56 backward paths: the walking side has its table, the forward side
     # none, so the walk records nothing and score_paths scores both sides
@@ -207,6 +235,64 @@ def test_walk_evaluates_only_its_side_without_a_table(monkeypatch):
                ((src, env.forward_has_choice), (dst, env.backward_has_choice))]
     assert rows == [("backward", 49), ("forward", visited[0]), ("backward", visited[1])]
     assert edges == [(len(src), False)]
+    want = _rescored(model, env, paths)
+    assert paths.log_pf.tobytes() == want.log_pf.tobytes()
+    assert paths.log_pb.tobytes() == want.log_pb.tobytes()
+
+
+def _walk_rows(calls, side):
+    """The row counts of a walk's own calls, ``calls`` less the two of the
+    :func:`score_paths` that follows it."""
+    assert [s for s, _ in calls[-2:]] == ["forward", "backward"]
+    assert {s for s, _ in calls[:-2]} == {side}
+    return [rows for _, rows in calls[:-2]]
+
+
+# H(4,8) has 4,095 forward and 4,067 backward choice states.  From these
+# walks' streams, 875 forward and 73 backward walkers reach a quarter of them
+# in per-step rows before their last step; 874 and 72 stop short (1,006 and
+# 1,008 rows)
+@pytest.mark.parametrize("forward, n, switches", [
+    (True, 875, True), (True, 874, False), (False, 73, True), (False, 72, False)])
+def test_mlp_walk_switches_to_its_table_once_its_rows_reach_a_quarter_of_it(
+        monkeypatch, forward, n, switches):
+    env = ENVS["H(4,8)"]()
+    side, choice = _side(env, forward)
+    calls = _record_rows(monkeypatch)
+    _matches_reference(env, "mlp", forward, n)
+    rows = _walk_rows(calls, side)
+    if switches:  # at the first step after the rows reach the quarter, and no row after it
+        assert rows[-1] == choice and choice not in rows[:-1]
+        assert 4 * sum(rows[:-2]) < choice <= 4 * sum(rows[:-1])
+    else:  # per step throughout
+        assert choice not in rows and 4 * sum(rows) < choice < 4.1 * sum(rows)
+
+
+@pytest.mark.parametrize("kind, forward, n", [
+    ("tabular", True, 3000), ("tabular", False, 300), ("uniform-backward", False, 300)])
+def test_sides_read_by_state_index_never_switch(monkeypatch, kind, forward, n):
+    env = ENVS["H(4,8)"]()
+    side, choice = _side(env, forward)
+    model = _model(env, kind)
+    calls = _record_rows(monkeypatch)
+    paths = _walked(model, env, forward, n)
+    rows = _walk_rows(calls, side)
+    # an MLP side would have switched: its per-step rows reach a quarter of its table
+    assert choice not in rows and n < choice <= 4 * sum(rows[:-1])
+    assert model._kept == [None, None]
+    ref_rng = np.random.default_rng(7)
+    starts = [env.initial_state] * n if forward else _starts(env, False, n)
+    assert ref.path_lists(paths) == ref.walk(model, env, ref_rng, starts, forward)
+
+
+def test_forward_mlp_walk_that_visits_few_states_builds_no_table(monkeypatch):
+    env = Hypergrid(4, 16)  # 65,535 forward choice states
+    model = _model(env, "mlp")
+    calls = _record_rows(monkeypatch)
+    paths = _walked(model, env, True, 2000)
+    rows = _walk_rows(calls, "forward")
+    assert 4 * sum(rows) < len(env.forward_choice)
+    assert model._kept == [None, None]
     want = _rescored(model, env, paths)
     assert paths.log_pf.tobytes() == want.log_pf.tobytes()
     assert paths.log_pb.tobytes() == want.log_pb.tobytes()

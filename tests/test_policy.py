@@ -584,6 +584,26 @@ def test_kept_tables_give_the_bytes_of_cold_calls():
         _change(model, env, "adam")
 
 
+def test_tables_a_certificate_switched_to_serve_the_evaluation(monkeypatch):
+    env = Hypergrid(4, 8)  # 4,095 forward, 4,067 backward choice states
+    model = PolicyModel.build(env, "mlp", hidden=(16, 16), rng=np.random.default_rng(0))
+    calls = _side_calls(monkeypatch)
+    certify.sample_certificate(model, env, env.terminating_states, 1000, 1000,
+                               rng_for(0, "b"), rng_for(0, "f"), 0.05)
+    # 1,000 paths a side, fewer than its choice states: only a switch keeps a table
+    assert None not in model._kept
+    del calls[:]
+
+    def evaluation(m):
+        paths = sample_forward_batch(m, env, rng_for(0, "e"), len(env.forward_choice))
+        return [c.tobytes() for c in (paths.states, paths.log_pf, paths.log_pb,
+                                      exact_terminal_distribution(m, env)[1])]
+
+    got = evaluation(model)
+    assert calls == []
+    assert got == evaluation(_cold(model)) and len(calls) == 2
+
+
 def test_exact_dp_keeps_no_table():
     env = TABLE_ENVS["H(2,4)"]()
     model = random_model(env, "mlp")
