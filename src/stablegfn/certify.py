@@ -69,14 +69,16 @@ def pac_tv_bound(threshold: float, m: int, n: int, alpha: float) -> float:
     """
     check_samples(m, n, alpha)
     check_threshold(threshold)
-    raw = _expm1(2.0 * threshold) + math.log(1.0 / alpha) / m + math.log(1.0 / alpha) / n
+    raw = (_or_inf(math.expm1, 2.0 * threshold) + math.log(1.0 / alpha) / m
+           + math.log(1.0 / alpha) / n)
     return min(1.0, max(0.0, raw))
 
 
-def _expm1(x: float) -> float:
-    """``math.expm1``, but +inf where it overflows (x above log(DBL_MAX) ≈ 709.78)."""
+def _or_inf(f, x: float) -> float:
+    """``f(x)`` for ``math.exp`` or ``math.expm1``, but +inf where it overflows
+    (x above log(DBL_MAX) ≈ 709.78)."""
     try:
-        return math.expm1(x)
+        return f(x)
     except OverflowError:
         return math.inf
 
@@ -92,8 +94,8 @@ def reference_main_term(threshold: float, max_ratio: float) -> float:
         raise ValueError("max flow ratio must be nonnegative")
     if max_ratio == 0.0:
         # reduces exactly to the plain sampling certificate's main term
-        return _expm1(2.0 * threshold)
-    limit = math.inf if threshold == 0.0 else 1.0 / _expm1(threshold)
+        return _or_inf(math.expm1, 2.0 * threshold)
+    limit = math.inf if threshold == 0.0 else 1.0 / _or_inf(math.expm1, threshold)
     emc = math.exp(-threshold)
     denom = emc - (1.0 - emc) * max_ratio
     if not max_ratio < limit or denom <= 0.0:
@@ -296,7 +298,7 @@ def subgraph_certificate(
         report = optimize_certificate(backward, forward, alpha, scope, threshold)
     report.subset_size = int(in_subset.sum())
     report.captured_reward_mass = float(env.reward_table[in_subset].sum())
-    report.partition_estimate = math.exp(logz)
+    report.partition_estimate = _or_inf(math.exp, logz)  # to_dict writes +inf as null
     return report
 
 

@@ -188,6 +188,10 @@ class DagEnv:
         self.reward_table[terminals] = rewards
         self.terminating_mask = self.reward_table > 0
         self.terminating_states = np.flatnonzero(self.terminating_mask)
+        with np.errstate(over="ignore"):  # the total every oracle divides by
+            total = self.reward_table[self.terminating_states].sum()
+        if not np.isfinite(total):
+            raise ValueError(f"the terminating states' rewards must have a finite total, got {total}")
 
         self.levels, self.level_edges = self._level_order()
         self._encoding_matrix: Optional[np.ndarray] = None

@@ -332,6 +332,19 @@ def _strict_json(d):
     return json.dumps(d, allow_nan=False)
 
 
+def test_certificate_with_log_z_past_the_float_range_reports_an_infinite_partition():
+    # exp(800) overflows: the estimate is +inf, written as null
+    env = RegularTree(2, 1, [8e307, 8e307])
+    model = balanced_tabular_model(env, flow_head=False)
+    model.set_logz(800.0)
+    report = sample_certificate(model, env, env.terminating_states, 20, 20, rng_for(0, "b"),
+                                rng_for(0, "f"), 0.05)
+    assert report.partition_estimate == math.inf and report.bound is not None
+    doc = report.to_dict()
+    assert doc["partition_estimate"] is None
+    _strict_json(doc)
+
+
 def test_log_ratios_past_the_float_range_give_a_vacuous_certificate():
     # e^c overflows above log(DBL_MAX) = 709.78...: a searched threshold of 800
     lm, lt = np.array([800.0, 0.0, 0.1]), np.zeros(3)

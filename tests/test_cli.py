@@ -707,13 +707,28 @@ def _train_with(tmp_path, **sections):
 @pytest.mark.parametrize("sections", [
     {"env": {"branching": 1}},  # the env builder's error
     {"env": {"leaf_rewards": [1, 1, 1, math.inf]}},  # DagEnv's error
+    {"env": {"leaf_rewards": [1e308] * 4}},  # DagEnv's error: a total past the float range
     {"train": {"buffer_size": 0}},  # rejected when the config resolves
     {"train": {"replay_size": 0, "replay_batch": 4, "stabilize": False}},
-], ids=["env", "reward", "buffer", "replay"])
+], ids=["env", "reward", "reward_total", "buffer", "replay"])
 def test_train_setup_errors_exit_2(tmp_path, capsys, sections):
     assert _train_with(tmp_path, **sections) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_train_whose_log_z_passes_the_float_range_finishes(tmp_path):
+    # log Z climbs past log(DBL_MAX) = 709.78 before it settles near ln(1.6e308)
+    payload = {"env": {"kind": "tree", "branching": 2, "depth": 1,
+                       "leaf_rewards": [8e307, 8e307]},
+               "model": {"kind": "tabular"},
+               "train": {"stabilize": True, "learning_rate": 0.1, "max_rounds": 300,
+                         "patience": 2, "cert_m": 50, "cert_n": 50}}
+    outdir, _ = run_train(tmp_path, payload)
+    assert len((outdir / "metrics.csv").read_text().splitlines()) == 301
+    doc = json.loads((outdir / "certificate.json").read_text(), parse_constant=_refuse_constant)
+    assert doc["captured_reward_mass"] == 1.6e308
 
 
 def test_train_config_that_sets_flow_head_exits_2(tmp_path, capsys):

@@ -528,6 +528,17 @@ def test_graph_refuses_a_terminating_state_without_positive_reward():
             build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RegularTree(2, 1, leaf_rewards=[1.7e308, 1.7e308]),
+    lambda: Hypergrid(2, 3, r0=1e308),
+], ids=["tree", "hypergrid"])
+def test_graph_refuses_rewards_whose_total_overflows(build):
+    # each reward is finite, their sum is not: every oracle would divide by inf
+    with pytest.raises(ValueError, match="^the terminating states' rewards must have a finite "
+                                         "total, got inf$"):
+        build()
+
+
 def test_rejects_misplaced_source_sink_and_terminating_edges():
     # 1 -> 0 -> 2 -> sink: the initial state has a parent
     with pytest.raises(ValueError, match="^initial state must have no parents$"):

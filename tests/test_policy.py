@@ -520,6 +520,39 @@ def test_a_parameter_change_rebuilds_the_kept_table(change):
         assert (g is not k) == side_moved and (g.tobytes() != k.tobytes()) == side_moved
 
 
+def test_a_signed_zero_flip_rebuilds_the_kept_mlp_table():
+    # a float == would take -0.0 for 0.0 and keep the stale table
+    env = TABLE_ENVS["H(2,4)"]()
+    model = random_model(env, "mlp")
+    model.forward_net._w[2][0, 0] = 0.0
+    kept = _tables(model, env, 15)
+    before = model.params.values.copy()
+    model.forward_net._w[2][0, 0] = -0.0
+    assert np.array_equal(model.params.values, before)
+    got, want = _tables(model, env, 15), _tables(_cold(model), env, 15)
+    assert got[0] is not kept[0] and got[1] is kept[1]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_a_kept_mlp_table_hit_neither_copies_nor_hashes(monkeypatch):
+    env = Hypergrid(4, 8)  # a 256x256 forward side of 75,525 parameters
+    model = PolicyModel.build(env, "mlp", hidden=(256, 256), rng=np.random.default_rng(0))
+    kept = policy._table(model, env, True, len(env.forward_choice))
+
+    def refuse(*args):
+        raise AssertionError("an MLP side's parameters were hashed")
+
+    monkeypatch.setattr(policy.hashlib, "sha256", refuse)
+    tracemalloc.start()
+    try:
+        got = policy._table(model, env, True, len(env.forward_choice))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is kept
+    assert peak < 64_000  # a copy of the parameters or a bool per parameter is 75,525 bytes or more
+
+
 def test_another_env_object_rebuilds_the_kept_table():
     env, other = TABLE_ENVS["H(2,4)"](), Hypergrid(2, 4, r0=0.5)  # the same graph
     model = random_model(env)
