@@ -32,13 +32,13 @@ class ParamVector:
     """
 
     def __init__(self, spec: Sequence[Tuple[str, Tuple[int, ...]]]):
-        self._layout: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
+        self._layout: Dict[str, Tuple[int, int, Tuple[int, ...]]] = {}  # name -> (lo, hi, shape)
         total = 0
         for name, shape in spec:
             if name in self._layout:
                 raise ValueError(f"duplicate parameter slice {name!r}")
-            self._layout[name] = (total, tuple(shape))
-            total += int(np.prod(shape))
+            lo, total = total, total + math.prod(shape)
+            self._layout[name] = (lo, total, tuple(shape))
         self.size = total
         self.values = np.zeros(total)
         self.grads = np.zeros(total)
@@ -48,16 +48,15 @@ class ParamVector:
         return list(self._layout)
 
     def slice_bounds(self, name: str) -> Tuple[int, int]:
-        off, shape = self._layout[name]
-        return off, off + int(np.prod(shape))
+        return self._layout[name][:2]
 
     def view(self, name: str) -> np.ndarray:
-        lo, hi = self.slice_bounds(name)
-        return self.values[lo:hi].reshape(self._layout[name][1])
+        lo, hi, shape = self._layout[name]
+        return self.values[lo:hi].reshape(shape)
 
     def grad_view(self, name: str) -> np.ndarray:
-        lo, hi = self.slice_bounds(name)
-        return self.grads[lo:hi].reshape(self._layout[name][1])
+        lo, hi, shape = self._layout[name]
+        return self.grads[lo:hi].reshape(shape)
 
     def zero_grad(self) -> None:
         self.grads[:] = 0.0
@@ -361,10 +360,12 @@ def _decode_array(d: Dict[str, object]) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
 
 
-def checkpoint_document(params: ParamVector, optimizer: AdamOptimizer, model: Dict[str, object],
+def checkpoint_document(optimizer: AdamOptimizer, model: Dict[str, object],
                         env: Dict[str, object]) -> Dict[str, object]:
-    """A bit-exact JSON checkpoint (float64 payloads are base64-encoded) with
-    the run's resolved ``model`` and ``env`` config sections."""
+    """A bit-exact JSON checkpoint (float64 payloads are base64-encoded) of
+    the parameters ``optimizer`` steps and its moments, with the run's
+    resolved ``model`` and ``env`` config sections."""
+    params = optimizer.params
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,

@@ -13,9 +13,9 @@ from typing import List, Optional
 
 from . import certify as certify_mod
 from . import config as config_mod
-from . import oracle, output
+from . import envs, oracle, output
 from .approximator import checkpoint_document, load_checkpoint
-from .envs import EnumerationCapError, check_state_cap, check_walk_memory
+from .envs import EnumerationCapError, check_walk_memory
 from .policy import sample_forward_batch
 from .trainer import Trainer, rng_for
 
@@ -30,8 +30,10 @@ def _load_model_for(args: argparse.Namespace):
     the checkpoint's model section, built by ``config.build_model``, with its
     parameters.  Only the model's own slices are read, so a checkpoint that holds
     more (a tree's learned ``pb`` net, written before trees resolved to the
-    uniform backward) still loads.  A ValueError names the file and the key or
+    uniform backward) still loads.  An ``--output`` that cannot be written is
+    refused first, an OSError; a ValueError names the file and the key or
     slice that does not fit."""
+    output.check_output(args.output)
     resolved = config_mod.load_config(args.config)
     env = config_mod.build_env(resolved)
     path = args.checkpoint
@@ -71,7 +73,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     state = trainer.run()
 
     output.write_json(os.path.join(outdir, "checkpoint.json"), checkpoint_document(
-        model.params, trainer.optimizer, resolved["model"], resolved["env"]))
+        trainer.optimizer, resolved["model"], resolved["env"]))
 
     bound_txt = "n/a"
     if state.round > 0:  # a round merges its terminals, so the scope is not empty
@@ -93,7 +95,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     try:
-        output.check_output(args.output)
         resolved, env, model = _load_model_for(args)
         cfg = config_mod.build_train_config(resolved)
         check_walk_memory(env, cfg.cert_m, "train.cert_m")
@@ -113,17 +114,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
-        output.check_output(args.output)
         resolved, env, model = _load_model_for(args)
-        if resolved["eval"]["oracle"]:
-            check_state_cap(env.num_states, "eval.oracle")
         samples = resolved["eval"]["samples"]
         check_walk_memory(env, samples, "eval.samples")
     except (EnumerationCapError, ValueError) as exc:
         return _fail(str(exc))
     rng = rng_for(resolved["seed"], "cli.evaluate")
     xs = sample_forward_batch(model, env, rng, samples).terminals
-    tv = oracle.exact_tv(model, env) if resolved["eval"]["oracle"] else None
+    cap = envs.STATE_CAP  # read now, as check_state_cap reads it
+    tv = oracle.exact_tv(model, env) if env.num_states <= cap else None
     report = oracle.EvalReport(
         exact_tv=tv,
         empirical_total_l1=oracle.empirical_total_l1(xs, env),
@@ -131,7 +130,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         sample_count=samples,
     )
     output.write_json(args.output, report.to_dict())
-    tv_txt = "off" if tv is None else f"{tv:.6f}"
+    tv_txt = (f"n/a ({env.num_states} states exceed STATE_CAP = {cap})" if tv is None
+              else f"{tv:.6f}")
     print(
         f"exact TV: {tv_txt} | empirical total L1: {report.empirical_total_l1:.6f} | "
         f"modes: {report.mode_count} | wrote {args.output}"
@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_certify)
 
     e = sub.add_parser("evaluate", help="evaluate a checkpoint against the target on the "
-                       "config's eval.samples forward samples")
+                       "config's eval.samples forward samples, with the exact TV on a graph "
+                       "of at most STATE_CAP states")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--config", required=True)
     e.add_argument("--output", default="eval.json")

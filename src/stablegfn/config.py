@@ -14,7 +14,9 @@ them, and a model is built, or restored, only by :func:`build_model`.
 The model section is ``kind``, ``hidden`` and ``backward``: the objective decides
 the flow head (:data:`FLOW_OBJECTIVES`), and ``backward`` resolves to ``uniform``
 under fm and on a tree, where no state has two parents and no learned backward
-net is read.
+net is read.  The eval section is ``samples`` alone: ``evaluate`` takes the
+exact TV wherever the graph fits ``envs.STATE_CAP``, as it can read that from
+the graph.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ TOP_KEYS = {"seed": (None, TrainConfig.seed), "output_dir": ("str", "out"), "env
 # backward resolve to uniform
 MODEL_KEYS = {"kind": (("tabular", "mlp"), "tabular"), "hidden": (None, [256, 256]),
               "backward": (("learned", "uniform"), "learned")}
-EVAL_KEYS = {"samples": ("int", 100_000), "oracle": ("bool", True)}
+EVAL_KEYS = {"samples": ("int", 100_000)}
 # every TrainConfig field but the seed, which is a top-level key
 _TRAIN_KEYS = {f.name: (None, f.default) for f in dataclasses.fields(TrainConfig)
                if f.name != "seed"}

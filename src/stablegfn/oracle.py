@@ -32,13 +32,10 @@ def check_trajectory_cap(count: int) -> None:
 
 
 def exact_tv(model: PolicyModel, env: DagEnv) -> float:
-    """Exact total variation between the model's terminal law and the target."""
-    return 0.5 * exact_total_l1(model, env)
-
-
-def exact_total_l1(model: PolicyModel, env: DagEnv) -> float:
+    """Exact total variation between the model's terminal law and the target:
+    half their total L1."""
     _, p_t = exact_terminal_distribution(model, env)
-    return float(np.abs(p_t - target_distribution(env)).sum())
+    return 0.5 * float(np.abs(p_t - target_distribution(env)).sum())
 
 
 def empirical_total_l1(samples: Sequence[int], env: DagEnv) -> float:

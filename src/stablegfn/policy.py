@@ -21,81 +21,24 @@ records the same bits while it draws.  The batch is the one path record, the
 replay buffer's too: ``states``, ``lengths``, ``rewards`` and, once scored,
 ``log_pf``/``log_pb``.
 
-One policy table per side and parameter state.  A bulk walk (:func:`_walk`)
-over ``n`` paths may read a side's policy as one (S, A) log-prob matrix
-(:func:`_table`: the :func:`_log_policy` rows at that side's choice states,
-0 at a single slot, -inf at invalid ones), and draw and record by gathering
-from it; besides walks, only the exact DP reads a table, the forward one.
-The model keeps the last table a walk built for each side, read-only, while
-the env and the bits of the side net's parameters stay the same, so a
-certificate's second walk, an evaluation walk and the DP read it instead of
-building it again; the DP keeps none it builds.  A side read by state index
-checks them by their digest, an MLP side against a copy kept with its table
-(:func:`_table`).  A kept table has a rebuilt one's bits, and only the rule,
-which reads nothing but the walk's own path count and rows, decides whether
-a walk has a table, so no result depends on the order
-of calls.  The rule: a side has a table when ``n`` is at least its number of
-choice states.  Then the walk's lockstep steps would evaluate about that
-many rows or more; with fewer paths they visit a small part of a large
-graph, where the table would cost more than it saves.  A side evaluated by
-rows (an MLP) also switches to its table mid-walk, for the steps left, once
-:data:`TABLE_SWITCH_FACTOR` times the rows its per-step calls evaluated
-reach its choice states.  A side read by state index (tabular or uniform)
-does not: its rows are gathers, which cost little per step and nothing to
-keep, while a table costs its whole side (on a tabular H(4,16), with 65,535
-forward choice states, bulk calls of 1,000 forward and 1,000 backward paths
-took 28 ms without tables and 43 ms when tabular sides switched at a
-quarter, median of 9 on a 2-vCPU host).  The walking side's table follows
-the rule; the other side's is read only when the walking side has one from
-the start, since only recording reads it.  A walk with a table sums its
-``exp`` into cumulative rows once, and a step is one uniform per moving
-walker and one gather and compare per slot column.  A walk whose two sides
-both have a table from the start records both as it draws, each path
-summing its log-probs as :func:`score_paths` would (see :func:`_walk`);
-every other walk, one that switched too, is scored by :func:`score_paths`
-once its batch exists, since per-step net rows need not have a table's
-bits.  A training :func:`rollout` reads a table only for a net read by
-state index (tabular or uniform), over the choice states already in its
-move table.  Why the bits hold:
+Where each rule lives, stated once with its measured reason:
 
-* every row is masked over its side's whole width (:func:`_masked_rows`,
-  -inf at invalid slots), a rollout's single rows (:func:`_row`) too, and
-  such a row depends only on its logits: a tabular or uniform row's are a
-  gather or zeros, so table rows are the rows of a per-step, per-batch or
-  per-state evaluation bit for bit;
-* a row's running sums add its entries in order, by ``np.cumsum`` or one
-  column at a time (:func:`_cumulative`), so cumulative rows built once per
-  walk, per step or per listed state are the same sums (an invalid slot
-  adds exactly 0);
-* an MLP row has the same bits in any call of more than 1,200 / A rows, A
-  the net's output width: smaller calls round their products differently
-  (OpenBLAS' small-matrix kernel; the boundary is a count of b x A cells,
-  not of rows).  So the per-step rows of a walk may move bulk log-probs in
-  their last bits against a table and, when a uniform lands within rounding
-  of a cumulative boundary, a draw.  Training rollouts never read an MLP table.
-
-One cache-free evaluator.  Net evaluations that never backprop keep no
-backward caches and run in near-equal row blocks, all through
-:func:`_log_policy`, sized by the net's output width A: at least
-⌈:data:`BLAS_EXACT_CELLS` / A⌉ rows when the call has that many, and
-fewer than twice that.  That covers the exact DP,
-the walks' policy tables and per-step rows, and the scoring of bulk and
-enumerated batches (:func:`score_paths`).  A rollout's single rows
-(:func:`_row`) are the one exception.
-:func:`_eval_rows` is a plain net call.  Only the edges and flows of a
-training step (:class:`EdgeBatch` and :class:`FlowBatch`, built by
-:func:`stablegfn.losses.batch_loss` or the stabilized round) keep caches;
-both are stateless past their values, and ``backprop`` takes the loss's
-coefficients.  An edge batch is two :func:`_side` / :func:`_backprop_side`
-pairs; flow matching, reading only forward log-probs, calls that pair alone.
-
-One implementation each: :func:`_log_softmax` for every policy row,
-the rule of :func:`proportional_draw` for every reward-proportional draw in the
-package (over cumulative rows in :func:`_draw_rows`, on a listed row in :func:`rollout`,
-over terminating states in :func:`draw_terminals`),
-:func:`_walk` for both bulk samplers, :func:`_log_policy` for every table.
-:func:`exact_terminal_distribution` pushes mass along the environment's level
-order, one array step per level (see :mod:`stablegfn.envs`).
+* rows: every policy row is :func:`_masked_rows` over its side's whole
+  width, by :func:`_log_softmax`; :func:`_log_policy` evaluates many rows,
+  cache-free and in blocks, and :data:`BLAS_EXACT_CELLS` says when an MLP
+  row keeps its bits; :func:`_row` is a training rollout's single row;
+* tables: :func:`_table` gives a side's (S, A) log-prob matrix by its rule
+  and keeps it on the model; only :func:`_walk` and
+  :func:`exact_terminal_distribution` ask for one;
+* draws: :func:`proportional_draw` is the one draw rule, over cumulative
+  rows (:func:`_cumulative`) in :func:`_draw_rows`, on a listed row in
+  :func:`rollout`, over terminating states in :func:`draw_terminals`;
+* walks: :func:`_walk` walks both bulk samplers and records their
+  log-probs where it can, else :func:`score_paths` scores them;
+* training: :class:`EdgeBatch` and :class:`FlowBatch` are the only net
+  passes that keep backward caches;
+* :func:`exact_terminal_distribution` pushes mass along the environment's
+  level order, one array step per level (see :mod:`stablegfn.envs`).
 """
 
 from __future__ import annotations
@@ -118,7 +61,11 @@ LOGIT_CLAMP = 50.0
 # last bits at hidden widths 64 and 256 and every larger one matched, for
 # A = 2, 3, 5 and 8; this keeps a third in hand.  Its Haswell kernel keeps no
 # such floor: blocks of any size may differ from the whole call (ROADMAP
-# item 9).  Blocks hold fewer than
+# item 9).  So a walk's smaller per-step calls may move an MLP side's
+# log-probs in their last bits against its table and, when a uniform lands
+# within rounding of a cumulative boundary, a draw (see _walk and rollout);
+# tabular and uniform rows are gathers or zeros, the same bits in any call.
+# Blocks hold fewer than
 # twice ceil(BLAS_EXACT_CELLS / A) rows, the memory bound of a block: at
 # A = 5, under 640 rows, whose 256-wide activation (under 1.25 MiB) stays
 # within a 2 MiB L2 cache.
@@ -216,7 +163,9 @@ def _clamp(logits: np.ndarray) -> np.ndarray:
 
 def _masked_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Clamped masked log-softmax over rows, -inf at invalid slots (whose
-    ``np.exp`` is exactly 0)."""
+    ``np.exp`` is exactly 0): every policy row, over its side's whole width,
+    so a row depends only on its logits and a table row has the bits of the
+    same state's row in any other call."""
     return _log_softmax(np.where(mask, _clamp(logits), -np.inf))
 
 
@@ -284,9 +233,12 @@ class PolicyModel:
         self.params = ParamVector(spec)
         for net in self._nets:
             net.bind(self.params)
-        # per side, the last table a walk built: (env, key, table), the key the
-        # sha256 of the side net's parameters, or for an MLP side a copy of their
-        # bits and a bool buffer as long (see _table)
+        # per side (forward, backward), its net's one contiguous range of
+        # params.values, empty for a uniform net, and the last table a walk
+        # built (see _table)
+        bounds = [[self.params.slice_bounds(name) for name, _ in net.param_spec()]
+                  for net in (forward_net, backward_net)]
+        self._ranges = [slice(b[0][0], b[-1][1]) if b else slice(0, 0) for b in bounds]
         self._kept: List[Optional[tuple]] = [None, None]
 
     def __getstate__(self) -> dict:  # a copy or a pickle keeps no table, so no env
@@ -361,20 +313,25 @@ def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.nd
     """The policy table of ``net`` at ``states``: their clamped masked
     log-softmax rows, -inf at invalid slots.
 
-    The package's one cache-free evaluator: built one near-equal block at a
-    time, so it holds ``len(states)`` x A floats plus one block, not a net's
-    activations over every row.  With ``floor`` =
-    ⌈:data:`BLAS_EXACT_CELLS` / A⌉, a call of fewer than ``2 * floor`` rows
-    is one block, and a longer one runs in blocks of ``floor`` to
-    ``2 * floor - 1`` rows: large enough for the whole-batch bits, small
-    enough to stay in cache.  Tabular rows are gathers, the same bits at any
-    block size.
+    The package's one cache-free evaluator, for the exact DP, the walks'
+    tables and per-step rows, and the scoring of bulk and enumerated batches;
+    a rollout's single rows (:func:`_row`) are the one exception.  With
+    ``floor`` = ⌈:data:`BLAS_EXACT_CELLS` / A⌉, a call of fewer than
+    ``2 * floor`` rows is one net call, whose masked rows it returns as they
+    are.  A longer one is built one near-equal block of ``floor`` to
+    ``2 * floor - 1`` rows at a time: large enough for the whole-batch bits,
+    small enough to stay in cache, so it holds ``len(states)`` x A floats plus
+    one block, not a net's activations over every row.  Tabular rows are
+    gathers, the same bits at any block size.
     """
     n, width = len(states), mask.shape[1]
-    logp = np.empty((n, width))
     floor = -(-BLAS_EXACT_CELLS // width)
+    if n < 2 * floor:
+        out, _ = _eval_rows(net, states, env, cache=False)
+        return _masked_rows(out, mask[states])
+    logp = np.empty((n, width))
     lo = 0
-    for block in np.array_split(states, max(n // floor, 1)) if n else ():
+    for block in np.array_split(states, n // floor):
         out, _ = _eval_rows(net, block, env, cache=False)
         logp[lo:lo + len(block)] = _masked_rows(out, mask[block])
         lo += len(block)
@@ -384,28 +341,42 @@ def _log_policy(net, mask: np.ndarray, states: np.ndarray, env: DagEnv) -> np.nd
 def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int, rows: int = 0,
            keep: bool = True) -> Optional[np.ndarray]:
     """The forward or backward side's (S, A) log-prob matrix for a walk of ``n``
-    paths whose per-step calls have evaluated ``rows`` rows of that side, -inf
-    at invalid slots; None where the module docstring's rule refuses it: when
-    ``n`` is below the side's choice states and either the side is read by
-    state index or :data:`TABLE_SWITCH_FACTOR` x ``rows`` is below them too.
-    Past the rule, the side's kept table while its env is ``env`` and its
-    net's parameters have the bits they had when it was kept; else the kept
-    one is dropped and a table built, and kept read-only when ``keep`` is set.
+    paths whose per-step calls have evaluated ``rows`` rows of that side: the
+    :func:`_log_policy` rows at its choice states, 0 at a single slot and
+    -inf at invalid ones; None where the rule refuses it.
 
-    A side read by state index keeps the sha256 of its parameters, which are
-    the size of its table, so a copy would double what it keeps.  An MLP
-    side keeps a copy of them and a bool buffer as long, and a lookup
-    compares their bits in place as uint64: -0.0 against 0.0 is a change,
-    and nothing is allocated.  On a 256x256 side of 75,011 parameters a
-    lookup took 35 µs, against 462 µs with the hash (2-vCPU host)."""
+    The rule reads nothing but the walk's path count and rows.  A side has a
+    table when ``n`` is at least its number of choice states: the walk's
+    lockstep steps would then evaluate about that many rows or more, while
+    fewer paths visit a small part of a large graph, where the table would
+    cost more than it saves.  A side evaluated by rows (an MLP) also gets its
+    table mid-walk, for the steps left, once :data:`TABLE_SWITCH_FACTOR` x
+    ``rows`` reaches its choice states.  A side read by state index (tabular
+    or uniform) does not: its rows are gathers, which cost little per step and
+    nothing to keep, while a table costs its whole side (on a tabular
+    H(4,16), with 65,535 forward choice states, bulk calls of 1,000 forward
+    and 1,000 backward paths took 28 ms without tables and 43 ms when tabular
+    sides switched at a quarter, median of 9 on a 2-vCPU host).
+
+    Past the rule, it is the side's kept table while its env is ``env`` and
+    its net's parameters, the side's range of ``params.values`` that the
+    model found once, have the bits they had when it was kept; else the kept
+    one is dropped and a table built, and kept read-only when ``keep`` is
+    set.  A kept table has a rebuilt one's bits, so no result depends on the
+    order of calls.  A side read by state index keeps the sha256 of its
+    parameters, which are the size of its table, so a copy would double what
+    it keeps.  An MLP side keeps a copy of them and a bool buffer as long, and
+    a lookup compares their bits in place as uint64: -0.0 against 0.0 is a
+    change, and nothing is allocated.  On H(2,16)'s 256x256 forward side of
+    75,011 parameters, a lookup took 28 µs, against 44 µs when each lookup
+    rebuilt the range from the net's ``param_spec`` by ``np.prod`` and about
+    460 µs with the hash (best of 9 x 500 calls, 2-vCPU host)."""
     net, mask, choice = ((model.forward_net, env.forward_mask, env.forward_choice) if forward else
                          (model.backward_net, env.backward_mask, env.backward_choice))
     if n < len(choice) and (net.wants_indices or TABLE_SWITCH_FACTOR * rows < len(choice)):
         return None
-    spec = net.param_spec()  # one contiguous range of params.values; a uniform net has none
-    lo = model.params.slice_bounds(spec[0][0])[0] if spec else 0
-    hi = model.params.slice_bounds(spec[-1][0])[1] if spec else 0
-    side, bits = 0 if forward else 1, model.params.values[lo:hi].view(np.uint64)
+    side = 0 if forward else 1
+    bits = model.params.values[model._ranges[side]].view(np.uint64)
     key = hashlib.sha256(bits).digest() if net.wants_indices else None
     kept = model._kept[side]
     if kept is not None and kept[0] is env and (kept[1] == key if net.wants_indices else
@@ -423,7 +394,9 @@ def _table(model: PolicyModel, env: DagEnv, forward: bool, n: int, rows: int = 0
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
     """``np.cumsum(p, axis=1)`` in place, one column add at a time: the same
-    sums, and several times faster than numpy's on a narrow matrix."""
+    sums, and several times faster than numpy's on a narrow matrix.  A row's
+    sums add its entries in order, so rows summed once per walk, per step or
+    per listed state are the same sums (an invalid slot adds exactly 0)."""
     for j in range(1, p.shape[1]):
         p[:, j] += p[:, j - 1]
     return p
@@ -450,8 +423,9 @@ def rollout(model: PolicyModel, env: DagEnv, rng: np.random.Generator, starts: S
     computes one table over the listed choice states and its running sums
     (:func:`_cumulative`), and a listed state's row is its table row at its
     slots; a state listed during the call or an MLP computes the row alone
-    (:func:`_row`; see the module docstring for why both give the same
-    bits).  Neither draws, so every path takes the same uniforms, in the
+    (:func:`_row`).  A tabular or uniform row has the same bits either way
+    (:func:`_masked_rows`), and a rollout never reads an MLP table.  Neither
+    draws, so every path takes the same uniforms, in the
     same order, as a row evaluated and drawn from at every step.  A start
     off the walk's side (not the initial state forward, not terminating
     backward) raises ``ValueError`` before any move is listed.
@@ -526,10 +500,10 @@ def _side(env: DagEnv, net, mask: np.ndarray, matrix: np.ndarray, has_choice: np
     return logp_edges, (net, net_cache, raw, logp, inv, slot, idx, mask[states])
 
 
-def _backprop_side(side, coeff: Optional[np.ndarray]) -> None:
+def _backprop_side(side, coeff: np.ndarray) -> None:
     """Accumulate the gradients of ``sum(coeff * log-prob)`` over one cached
     :func:`_side`, through the masked softmax, the clamp and the net."""
-    if side is None or coeff is None or not np.any(coeff):
+    if side is None or not np.any(coeff):
         return
     net, cache, raw, logp, inv, slot, idx, mask = side
     dlogits = np.zeros_like(raw)
@@ -547,7 +521,11 @@ class EdgeBatch:
     coefficients (d loss / d log-prob) and hands each side's to
     :func:`_backprop_side`.  ``tid`` numbers each edge's trajectory.
     ``cache=False`` builds a batch that refuses to backprop: a side evaluates
-    its distinct choice states with :func:`_log_policy`.
+    its distinct choice states with :func:`_log_policy`.  A cached batch and
+    :class:`FlowBatch` are the only net passes that keep backward caches: a
+    training step's, built by :func:`stablegfn.losses.batch_loss` or the
+    stabilized round.  Flow matching, reading only forward log-probs, calls
+    one :func:`_side` / :func:`_backprop_side` pair alone.
     """
 
     def __init__(self, model: PolicyModel, env: DagEnv, src: np.ndarray, dst: np.ndarray,
@@ -571,7 +549,7 @@ class EdgeBatch:
         return (np.bincount(self.tid, weights=self.log_pf, minlength=n),
                 np.bincount(self.tid, weights=self.log_pb, minlength=n))
 
-    def backprop(self, pf_coeff: np.ndarray, pb_coeff: Optional[np.ndarray] = None) -> None:
+    def backprop(self, pf_coeff: np.ndarray, pb_coeff: np.ndarray) -> None:
         """Accumulate the gradients of ``sum(pf_coeff * log_pf + pb_coeff * log_pb)``."""
         if not self.cache:
             raise ValueError("this EdgeBatch was built without backward caches")
@@ -630,7 +608,7 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     fills one column of the state matrix, and drops the walkers that reached
     the end, counting each one's length as it stops (a step where none
     stopped copies nothing: a tree's walkers all stop at once).  When the
-    walking side has a table by the rule of the module docstring, those rows
+    walking side has a table by :func:`_table`'s rule, those rows
     are its ``exp``'s running sums, built once per walk (:func:`_cumulative`);
     else a step evaluates its distinct states and sums their rows alike, and
     counts them.  Before each step, a walk without its table asks
@@ -655,7 +633,7 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
     adds them in reverse step order once it ends.  Every other walk, one
     that switched to its table too, is scored by :func:`score_paths` once its
     batch exists: per-step net rows may differ from a table's in the last
-    bits.
+    bits (:data:`BLAS_EXACT_CELLS`).
 
     Memory: besides the walk matrix, a backward walk's per-step records and
     the other side's table while it is scattered, a walk keeps at most three
@@ -684,7 +662,6 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         other[edges[me]] = theirs[edges[1 - me]]
         recorded = (table.ravel(), other.ravel())  # (log P_F, log P_B) by cell
         recorded = recorded if forward else recorded[::-1]
-    del theirs
     cum = None if table is None else _cumulative(np.exp(table)).ravel()
     step = step.ravel()
     sums = np.zeros((2, n))  # (log P_F, log P_B) per path
@@ -728,7 +705,7 @@ def _walk(model: PolicyModel, env: DagEnv, rng: np.random.Generator,
         for out, logp in zip(sums, logps):
             out[walkers] += logp
     scored = bool(recorded)
-    del table, cum, recorded, steps  # not read past here: free them before the batch exists
+    del cum, recorded, steps  # not read past here: free them before the batch exists
     if forward:
         paths = PathBatch.of_matrix(env, walked[:, : t + 1], lengths)
     else:  # each path's states in reverse, path after path, fill the rows bottom up
@@ -764,11 +741,11 @@ def exact_terminal_distribution(model: PolicyModel, env: DagEnv) -> Tuple[np.nda
     Returns (terminating states, their probabilities), aligned with
     ``env.terminating_states``.  Mass flows through the forward policy one
     level at a time.  The forward table is the one a walk kept at these
-    parameters, else one built and dropped after (on H(4,16) it is 131,073 x 5
-    floats, which a walk keeps only from 65,535 paths, one per forward choice
-    state, or once its per-step rows reach a quarter of that).  The net runs
-    only at states with a choice: a single child is taken with probability
-    exactly 1.
+    parameters by :func:`_table`'s rule, else one built and dropped after: on
+    H(4,16) it is 131,073 x 5 floats, and keeping it raised the bench's
+    ``grid16-eval`` peak RSS by 2.5 and 4.7 MB (two seeds, 2-vCPU host).  The
+    net runs only at states with a choice: a single child is taken with
+    probability exactly 1.
     """
     check_state_cap(env.num_states)
     # a side has fewer choice states than the graph has states: the rule gives the table

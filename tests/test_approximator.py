@@ -406,7 +406,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     opt.step()
 
     path = tmp_path / "ckpt.json"
-    write_json(str(path), checkpoint_document(pv, opt, {"kind": "mlp"}, {"kind": "tree"}))
+    write_json(str(path), checkpoint_document(opt, {"kind": "mlp"}, {"kind": "tree"}))
     doc = load_checkpoint(str(path))
     for name in pv.names:
         assert np.array_equal(doc["params"][name], pv.view(name))

@@ -19,7 +19,6 @@ from stablegfn.oracle import (
     empirical_total_l1,
     enumerate_trajectories,
     enumerate_trajectory_states,
-    exact_total_l1,
     exact_tv,
     one_more_mode_tv_closed_form,
 )
@@ -64,7 +63,11 @@ def test_tv_is_half_total_l1():
     rng = np.random.default_rng(0)
     model = PolicyModel.build(env, "tabular", rng=rng)
     model.forward_net.table[...] = rng.normal(0, 1, model.forward_net.table.shape)
-    assert exact_tv(model, env) == pytest.approx(exact_total_l1(model, env) / 2, abs=1e-12)
+    # the terminal law summed over every enumerated trajectory, apart from the DP
+    paths = enumerate_trajectories(model, env)
+    p_t = np.bincount(paths.terminals, weights=np.exp(paths.log_pf), minlength=env.num_states)
+    l1 = np.abs(p_t[env.terminating_states] - envs.target_distribution(env)).sum()
+    assert exact_tv(model, env) == pytest.approx(l1 / 2, abs=1e-12)
 
 
 def test_empirical_l1_point_mass_on_uniform_target():

@@ -568,7 +568,7 @@ def test_only_training_keeps_backward_caches(monkeypatch):
     edges = score_paths(model, env, paths)
     assert edges._fwd is None and edges._bwd is None
     with pytest.raises(ValueError, match="without backward caches"):
-        edges.backprop(np.ones(len(edges.src)))
+        edges.backprop(np.ones(len(edges.src)), np.ones(len(edges.src)))
     with pytest.raises(ValueError, match="without backward caches"):
         batch_loss(model, env, paths, "tb", backprop=True, edges=edges)
     del calls[:]

@@ -539,10 +539,14 @@ def test_a_kept_mlp_table_hit_neither_copies_nor_hashes(monkeypatch):
     model = PolicyModel.build(env, "mlp", hidden=(256, 256), rng=np.random.default_rng(0))
     kept = policy._table(model, env, True, len(env.forward_choice))
 
-    def refuse(*args):
-        raise AssertionError("an MLP side's parameters were hashed")
+    def refuse(what):
+        def call(*args):
+            raise AssertionError(f"a hit {what}")
+        return call
 
-    monkeypatch.setattr(policy.hashlib, "sha256", refuse)
+    monkeypatch.setattr(policy.hashlib, "sha256", refuse("hashed the parameters"))
+    # the side's range of the parameter vector is the model's, not rebuilt per lookup
+    monkeypatch.setattr(model.forward_net, "param_spec", refuse("read the net's param_spec"))
     tracemalloc.start()
     try:
         got = policy._table(model, env, True, len(env.forward_choice))
